@@ -1,15 +1,16 @@
 """Transmission through the barrier: exact matching vs closed forms.
 
 The exact route solves the four continuity equations of the piecewise
-stationary solution.  In the tunneling zone this is equivalent to the
-closed form
+stationary solution.  In every zone and on both edges this is equivalent
+to the one closed form
 
     |T| = [1 + ((n2 + rho_n^2)^2 / (4 n2 rho_n^2)) sinh^2(rho_n wL)]^(-1/2)
 
-whose prefactor reduces to the familiar 1/(4 n2 rho_n^2) only for
-Schroedinger kinematics (k^2 + rho^2 = w^2).  Keeping the NR prefactor
-with the relativistic dispersion overestimates |T| badly; this demo
-quantifies that gap and shows the above-barrier transmission resonances.
+(sinh turns into sin where rho_n^2 < 0), whose prefactor reduces to the
+familiar 1/(4 n2 rho_n^2) only for Schroedinger kinematics
+(k^2 + rho^2 = w^2).  Keeping the NR prefactor with the relativistic
+dispersion overestimates |T| badly; this demo quantifies that gap and
+shows the above-barrier transmission resonances.
 """
 
 import math
@@ -20,7 +21,6 @@ from kleintunnel import (
     BarrierSetup,
     match_boundaries,
     mode_from_n2,
-    oscillatory_transmission,
     transmission_closed_form,
     transmission_magnitude_nr_form,
 )
@@ -52,7 +52,7 @@ print()
 print("above-barrier resonances at q*L = N*pi (perfect transparency):")
 for n2 in np.linspace(6.05, 8.0, 8):
     mode = mode_from_n2(setup, float(n2))
-    point = oscillatory_transmission(setup, mode)
+    point = transmission_closed_form(setup, mode)
     bar = "#" * int(40 * point.probability)
     print(f"  n2 = {n2:5.2f}  T^2 = {point.probability:8.6f} {bar}")
 print("(the resonance near n2 = 7.70 reaches T^2 = 1 exactly)")

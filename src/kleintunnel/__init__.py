@@ -9,7 +9,6 @@ sweeps for the 1D rectangular electrostatic barrier in natural units
 from .errors import (
     ClippedWindowError,
     DomainError,
-    EdgeDegenerateError,
     KleinTunnelError,
     NoPeakError,
     NonConvergentError,
@@ -40,7 +39,6 @@ from .phasetime import (
     edge_limit_ratio,
     edge_phase_time_ratio,
     normalized_phase_time,
-    nr_phase_time,
     nr_t_phi,
     nr_transmission,
     phase_time_closed_form,
@@ -52,8 +50,6 @@ from .scattering import (
     TransmissionPoint,
     continuity_residuals,
     match_boundaries,
-    oscillatory_transmission,
-    transmission_any_zone,
     transmission_closed_form,
     transmission_magnitude_nr_form,
     unwrapped_phase,

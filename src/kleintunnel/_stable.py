@@ -16,6 +16,10 @@ import math
 # precision and avoids the 0/0 forms at rho = 0.
 _SERIES_CUT = 1e-6
 
+# Beyond this value of d2 the closed forms switch to their exp(-d)
+# asymptotes, which are exact to double precision, before sinh overflows.
+LARGE_D2 = 350.0**2
+
 
 def sinh_sq(d2: float) -> float:
     """sinh(d)^2 continued in d2 = d^2 (equals -sin(t)^2 for d2 = -t^2 < 0)."""

@@ -36,7 +36,7 @@ from .phasetime import (
 )
 from .scattering import (
     match_boundaries,
-    transmission_any_zone,
+    transmission_closed_form,
     transmission_magnitude_nr_form,
 )
 from .sweep import (
@@ -73,6 +73,11 @@ class _Config:
                 parser.error(f"cannot read config {path}: {exc}")
             if not isinstance(loaded, dict):
                 parser.error(f"config {path} must hold a JSON object")
+            # the subcommand's own argument dests (all present in args)
+            known = set(vars(args)) - {"command", "func"} | set(DEFAULTS)
+            unknown = sorted(set(loaded) - known)
+            if unknown:
+                parser.error(f"unknown config key(s) in {path}: {', '.join(unknown)}")
             for k, v in loaded.items():
                 self._table[k] = (v, _LEVEL_FILE)
         for k, v in vars(args).items():
@@ -190,7 +195,7 @@ def _cmd_amp(parser, args) -> int:
     setup = cfg.barrier()
     mode = cfg.mode(setup)
     sol = match_boundaries(setup, mode)
-    point = transmission_any_zone(setup, mode)
+    point = transmission_closed_form(setup, mode)
     payload = {
         "m": setup.m, "V0": setup.V0, "L": setup.L,
         "E": mode.E, "k": mode.k, "n2": mode.n2,

@@ -22,14 +22,6 @@ class ZoneError(KleinTunnelError):
     """Operation invoked outside the energy zone it is defined for."""
 
 
-class EdgeDegenerateError(ZoneError):
-    """Interior solution is degenerate (rho = 0 at E = V0 +/- m).
-
-    Closed forms divide by rho here; use the exact matcher or the
-    dedicated edge formulas instead.
-    """
-
-
 class ZeroLengthError(KleinTunnelError):
     """L = 0: traversal time is 0 and the normalized ratio is 0/0."""
 

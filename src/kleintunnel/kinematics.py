@@ -77,12 +77,12 @@ class BarrierSetup:
     L: float
 
     def __post_init__(self) -> None:
-        if not (self.m > 0.0):
-            raise DomainError(f"mass must be positive, got m={self.m}")
-        if not (self.V0 > 0.0):
-            raise DomainError(f"barrier height must be positive, got V0={self.V0}")
-        if not (self.L >= 0.0):
-            raise DomainError(f"barrier width must be >= 0, got L={self.L}")
+        if not (self.m > 0.0 and math.isfinite(self.m)):
+            raise DomainError(f"mass must be positive and finite, got m={self.m}")
+        if not (self.V0 > 0.0 and math.isfinite(self.V0)):
+            raise DomainError(f"barrier height must be positive and finite, got V0={self.V0}")
+        if not (self.L >= 0.0 and math.isfinite(self.L)):
+            raise DomainError(f"barrier width must be >= 0 and finite, got L={self.L}")
 
     @property
     def w(self) -> float:
@@ -102,10 +102,10 @@ class BarrierSetup:
     @classmethod
     def from_dimensionless(cls, v: float, wL: float, m: float = 1.0) -> "BarrierSetup":
         """Build a setup from (v, wL) at mass scale m (the sweep convention)."""
-        if not (v > 0.0):
-            raise DomainError(f"v must be positive, got {v}")
-        if not (wL >= 0.0):
-            raise DomainError(f"wL must be >= 0, got {wL}")
+        if not (v > 0.0 and math.isfinite(v)):
+            raise DomainError(f"v must be positive and finite, got {v}")
+        if not (wL >= 0.0 and math.isfinite(wL)):
+            raise DomainError(f"wL must be >= 0 and finite, got {wL}")
         V0 = v * m
         w = math.sqrt(2.0 * m * V0)
         return cls(m=m, V0=V0, L=wL / w)
@@ -178,6 +178,8 @@ def mode_from_energy(setup: BarrierSetup, E: float) -> IncidentMode:
     Raises NonPropagatingError for E <= m (k would not be real positive).
     """
     m = setup.m
+    if not math.isfinite(E):
+        raise DomainError(f"E must be finite, got {E}")
     if not (E > m):
         raise NonPropagatingError(f"E={E} does not exceed m={m}: no incident wave")
     # factored to keep precision for E barely above m
@@ -190,8 +192,8 @@ def mode_from_n2(setup: BarrierSetup, n2: float) -> IncidentMode:
 
     E = m*sqrt(1 + 2*n2*v); round-trips with mode_from_energy.
     """
-    if not (n2 > 0.0):
-        raise DomainError(f"n2 must be positive, got {n2}")
+    if not (n2 > 0.0 and math.isfinite(n2)):
+        raise DomainError(f"n2 must be positive and finite, got {n2}")
     E = setup.m * math.sqrt(1.0 + 2.0 * n2 * setup.v)
     k = setup.w * math.sqrt(n2)
     return IncidentMode(E=E, k=k, n2=n2)
@@ -201,9 +203,12 @@ def classify_zone(setup: BarrierSetup, E: float) -> Zone:
     """Energy-zone tag for total energy E.
 
     Edge detection uses |E - (V0 -+ m)| <= EDGE_RTOL*m; a non-propagating
-    incident wave (E <= m) wins over any other classification.
+    incident wave (E <= m) wins over any other classification.  Raises
+    DomainError for a non-finite E.
     """
     m, V0 = setup.m, setup.V0
+    if not math.isfinite(E):
+        raise DomainError(f"E must be finite, got {E}")
     if E <= m:
         return Zone.NON_PROPAGATING
     tol = EDGE_RTOL * m

@@ -37,21 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._stable import sinh_sq, sinhc_cosh, tanhc
-from .errors import (
-    DomainError,
-    EdgeDegenerateError,
-    NonConvergentError,
-    ZeroLengthError,
-    ZoneCrossingError,
-    ZoneError,
-)
+from ._stable import LARGE_D2, sinh_sq, sinhc_cosh, tanhc
+from .errors import DomainError, NonConvergentError, ZeroLengthError, ZoneCrossingError
 from .kinematics import BarrierSetup, IncidentMode, Zone, classify_zone, mode_from_energy, rho_n2
 from .scattering import unwrapped_phase
 
-_LARGE_D2 = 350.0**2
 # n2-distance from a zone edge below which the verbatim f/g cancels too
-# hard to be meaningful in doubles
+# hard to be meaningful in doubles; the exact edge value is used there
 _EDGE_N2_TOL = 1e-12
 
 
@@ -115,16 +107,15 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
 
     Continues analytically through the oscillatory zones; for huge
     rho_n*wL both f and g are rescaled by sinh^2 so nothing overflows.
-    Raises EdgeDegenerateError within ~1e-12 of a zone edge in n2, where
-    the 0/0 form loses all precision (use edge_phase_time_ratio there).
+    Within ~1e-12 of a zone edge in n2, where f/g is 0/0 in doubles, the
+    exact edge value edge_phase_time_ratio is returned.
     """
     if abs(abs(n2 - 0.5 * v) - 1.0) <= _EDGE_N2_TOL:
-        raise EdgeDegenerateError(
-            f"n2={n2} sits on a zone edge of v={v}; ratio is 0/0 there")
+        return edge_phase_time_ratio(v, wL, "upper" if n2 > 0.5 * v else "lower")
     A, B, C, D = _fg_brackets(v, n2)
     r2 = rho_n2(v, n2)
     d2 = r2 * wL * wL
-    if d2 > _LARGE_D2:
+    if d2 > LARGE_D2:
         # divide f and g by sinh^2: sc/sh2 = coth(d)/d, 1/sh2 = 4u/(1-u)^2
         d = math.sqrt(d2)
         u = math.exp(-2.0 * d)
@@ -138,17 +129,10 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
 
 
 def phase_time_closed_form(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResult:
-    """Closed-form phase time in the tunneling zone.
+    """Closed-form phase time in every zone and on both edges.
 
-    Raises ZoneError outside the tunneling zone and EdgeDegenerateError
-    at rho = 0.
+    The ratio is normalized_phase_time; at L = 0 it is flagged undefined.
     """
-    zone = classify_zone(setup, mode.E)
-    if zone in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
-        raise EdgeDegenerateError(
-            f"rho=0 at E={mode.E}; use edge_phase_time_ratio")
-    if zone is not Zone.TUNNELING:
-        raise ZoneError(f"phase_time_closed_form needs the tunneling zone, got {zone}")
     ratio = normalized_phase_time(setup.v, mode.n2, setup.wL)
     if setup.L == 0.0:
         return PhaseTimeResult(tau=0.0, t_phi=0.0, ratio=float("nan"),
@@ -330,7 +314,7 @@ def nr_magnitude_normalized(n2: float, wL: float) -> float:
     if r2 == 0.0:
         return 1.0 / math.sqrt(1.0 + 0.25 * n2 * wL * wL)
     d2 = r2 * wL * wL
-    if d2 > _LARGE_D2:
+    if d2 > LARGE_D2:
         return 2.0 * math.exp(-math.sqrt(d2)) * math.sqrt(4.0 * n2 * r2)
     return 1.0 / math.sqrt(1.0 + sinh_sq(d2) / (4.0 * n2 * r2))
 
@@ -360,7 +344,7 @@ def nr_ratio_normalized(n2: float, wL: float) -> float:
     if abs(r2) <= _EDGE_N2_TOL:
         return (1.5 + wL * wL / 3.0) / (1.0 + 0.25 * wL * wL)
     d2 = r2 * wL * wL
-    if d2 > _LARGE_D2:
+    if d2 > LARGE_D2:
         d = math.sqrt(d2)
         u = math.exp(-2.0 * d)
         inv_sh2 = 4.0 * u / (1.0 - u) ** 2
@@ -404,11 +388,6 @@ def nr_transmission(setup: BarrierSetup, e_nr: float) -> NRReference:
                        magnitude=nr_magnitude_normalized(n2, setup.wL),
                        phase=nr_phase_normalized(n2, setup.wL),
                        ratio=nr_ratio_normalized(n2, setup.wL))
-
-
-def nr_phase_time(setup: BarrierSetup, e_nr: float) -> NRReference:
-    """Alias of nr_transmission emphasizing the time observables."""
-    return nr_transmission(setup, e_nr)
 
 
 def nr_t_phi(setup: BarrierSetup, e_nr: float) -> float:

@@ -13,20 +13,22 @@ E = V0 -+ m.  Matching phi and phi' at x = 0 and x = L fixes
 provides the closed forms it implies.
 
 Ground truth is :func:`match_boundaries`; the closed forms are
-cross-checks against it.  In the tunneling zone the exact magnitude is
+cross-checks against it.  One entire function of rho_n^2 gives the exact
+magnitude in every zone and on both edges,
 
-    |T| = [1 + ((n2 + rho_n^2)^2 / (4 n2 rho_n^2)) sinh^2(rho_n wL)]^(-1/2)
+    |T|^-2 = 1 + ((n2 + rho_n^2)^2 / (4 n2)) wL^2 sinhc(rho_n^2 wL^2)^2,
 
-while :func:`transmission_magnitude_nr_form` keeps the non-relativistic
-prefactor 1/(4 n2 rho_n^2) (exact when k^2 + rho^2 = w^2, i.e. for the
-Schroedinger dispersion, but too large here); it is retained to document
-the discrepancy.  The transmitted phase is
+with sinhc(d^2) = sinh(d)/d continued to sin(t)/t for d^2 = -t^2 < 0; at
+rho_n = 0 it is |2/(2 - ikL)|.  :func:`transmission_magnitude_nr_form`
+keeps the non-relativistic prefactor 1/(4 n2 rho_n^2) (exact when
+k^2 + rho^2 = w^2, i.e. for the Schroedinger dispersion, but too large
+here); it is retained to document the discrepancy.  The transmitted
+phase is
 
-    arg T = arctan[((n2 - rho_n^2)/(2 n rho_n)) tanh(rho_n wL)].
+    arg T = arctan[((n2 - rho_n^2)/(2 n rho_n)) tanh(rho_n wL)],
 
-Both forms continue analytically through rho^2 -> -q^2 into the
-oscillatory zones, where phases are unwrapped to be continuous in n2 and
-anchored at phase -> 0 for L -> 0.
+continued the same way and unwrapped to be continuous in n2, anchored at
+phase -> 0 for L -> 0.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._stable import sinh_sq, tanhc
-from .errors import EdgeDegenerateError, NonPropagatingError, ZoneError
+from ._stable import LARGE_D2, sinh_sq, sinhc, tanhc
+from .errors import NonPropagatingError, ZoneError
 from .kinematics import (
     BarrierSetup,
     IncidentMode,
@@ -45,10 +47,6 @@ from .kinematics import (
     classify_zone,
     rho_n2,
 )
-
-# Beyond this value of (rho*L)^2 the asymptotic form of the magnitude is
-# exact to double precision and sinh would overflow.
-_LARGE_D2 = 350.0**2
 
 
 @dataclass(frozen=True)
@@ -164,14 +162,6 @@ def continuity_residuals(setup: BarrierSetup, mode: IncidentMode,
 # closed forms (cross-checks of the matcher)
 # ---------------------------------------------------------------------------
 
-def _magnitude_from_prefactor(c: float, d2: float) -> float:
-    """[1 + c*sinh_sq(d2)]^(-1/2), asymptotic branch for huge positive d2."""
-    if d2 > _LARGE_D2:
-        # sinh^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
-        return 2.0 * math.exp(-math.sqrt(d2)) / math.sqrt(c)
-    return 1.0 / math.sqrt(1.0 + c * sinh_sq(d2))
-
-
 def _phase_continuous(v: float, n2: float, wL: float) -> tuple[float, int]:
     """Unwrapped transmitted phase (value, winding) at (v, n2, wL).
 
@@ -190,26 +180,24 @@ def _phase_continuous(v: float, n2: float, wL: float) -> tuple[float, int]:
 
 
 def transmission_closed_form(setup: BarrierSetup, mode: IncidentMode) -> TransmissionPoint:
-    """Closed-form |T| and phase in the tunneling zone.
+    """Closed-form |T| and unwrapped phase in every zone and on both edges.
 
-    magnitude = [1 + ((n2+rho_n^2)^2/(4 n2 rho_n^2)) sinh^2(rho_n wL)]^(-1/2),
-    phase     = arctan[((n2-rho_n^2)/(2 n rho_n)) tanh(rho_n wL)].
-
+    magnitude = [1 + ((n2+rho_n^2)^2/(4 n2)) (wL sinhc(d2))^2]^(-1/2),
+    d2 = rho_n^2 wL^2, which is 1 at the oscillatory resonances and
+    [1 + (kL/2)^2]^(-1/2) at rho_n = 0; the phase is unwrapped to be
+    continuous in n2 (winding counts the pi steps added).
     The prefactor (n2+rho_n^2)^2 is required for agreement with
     match_boundaries (the Wronskian-conserving solution); see
     transmission_magnitude_nr_form for the variant without it.
-    Raises ZoneError outside the tunneling zone and EdgeDegenerateError
-    at rho = 0 (use match_boundaries there).
     """
-    zone = classify_zone(setup, mode.E)
-    if zone in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
-        raise EdgeDegenerateError(f"rho=0 at E={mode.E}; closed form undefined")
-    if zone is not Zone.TUNNELING:
-        raise ZoneError(f"transmission_closed_form needs the tunneling zone, got {zone}")
     v, wL, n2 = setup.v, setup.wL, mode.n2
     r2 = rho_n2(v, n2)
-    c = (n2 + r2) ** 2 / (4.0 * n2 * r2)
-    mag = _magnitude_from_prefactor(c, r2 * wL * wL)
+    d2 = r2 * wL * wL
+    if d2 > LARGE_D2:
+        # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
+        mag = 4.0 * math.sqrt(n2 * r2) * math.exp(-math.sqrt(d2)) / (n2 + r2)
+    else:
+        mag = 1.0 / math.hypot(1.0, (n2 + r2) / (2.0 * math.sqrt(n2)) * wL * sinhc(d2))
     phase, winding = _phase_continuous(v, n2, wL)
     return TransmissionPoint(magnitude=mag, phase=phase,
                              probability=mag * mag, winding=winding)
@@ -221,38 +209,24 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
     For Schroedinger kinematics k^2 + rho^2 = w^2 makes this identical to
     the exact form; with the relativistic dispersion it overestimates the
     transmission (e.g. 0.463 instead of 0.103 at v=10, n2=5, wL=2pi).
-    Provided solely so the discrepancy can be quantified; same domain and
-    errors as transmission_closed_form.
+    Provided solely so the discrepancy can be quantified.  Defined in the
+    tunneling zone and on both edges, where rho_n = 0 gives the limit
+    [1 + wL^2/(4 n2)]^(-1/2); raises ZoneError in the oscillatory zones.
     """
     zone = classify_zone(setup, mode.E)
-    if zone in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
-        raise EdgeDegenerateError(f"rho=0 at E={mode.E}; form undefined")
-    if zone is not Zone.TUNNELING:
-        raise ZoneError(f"transmission_magnitude_nr_form needs the tunneling zone, got {zone}")
+    if zone not in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
+        raise ZoneError(
+            f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
     v, wL, n2 = setup.v, setup.wL, mode.n2
     r2 = rho_n2(v, n2)
+    if r2 == 0.0:
+        return 1.0 / math.sqrt(1.0 + wL * wL / (4.0 * n2))
     c = 1.0 / (4.0 * n2 * r2)
-    return _magnitude_from_prefactor(c, r2 * wL * wL)
-
-
-def oscillatory_transmission(setup: BarrierSetup, mode: IncidentMode) -> TransmissionPoint:
-    """Analytic continuation of the closed forms to the oscillatory zones.
-
-    magnitude = [1 + ((k^2-q^2)^2/(4 k^2 q^2)) sin^2(qL)]^(-1/2), which is
-    1 exactly at the resonances qL = N*pi; the phase is unwrapped to be
-    continuous in n2 (winding N = floor(qL/pi + 1/2)).  Raises ZoneError
-    unless the zone is Klein or above-barrier.
-    """
-    zone = classify_zone(setup, mode.E)
-    if zone not in (Zone.KLEIN, Zone.ABOVE_BARRIER):
-        raise ZoneError(f"oscillatory_transmission needs Klein/AboveBarrier, got {zone}")
-    v, wL, n2 = setup.v, setup.wL, mode.n2
-    r2 = rho_n2(v, n2)  # negative here; -r2 = (q/w)^2
-    c = (n2 + r2) ** 2 / (4.0 * n2 * r2)
-    mag = 1.0 / math.sqrt(1.0 + c * sinh_sq(r2 * wL * wL))
-    phase, winding = _phase_continuous(v, n2, wL)
-    return TransmissionPoint(magnitude=mag, phase=phase,
-                             probability=mag * mag, winding=winding)
+    d2 = r2 * wL * wL
+    if d2 > LARGE_D2:
+        # sinh^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
+        return 2.0 * math.exp(-math.sqrt(d2)) / math.sqrt(c)
+    return 1.0 / math.sqrt(1.0 + c * sinh_sq(d2))
 
 
 def unwrapped_phase(setup: BarrierSetup, mode: IncidentMode) -> float:
@@ -269,21 +243,3 @@ def unwrapped_phase(setup: BarrierSetup, mode: IncidentMode) -> float:
     analytic, _ = _phase_continuous(setup.v, mode.n2, setup.wL)
     turns = round((analytic - principal) / (2.0 * math.pi))
     return principal + 2.0 * math.pi * turns
-
-
-def transmission_any_zone(setup: BarrierSetup, mode: IncidentMode) -> TransmissionPoint:
-    """|T|, unwrapped phase and |T|^2 in whatever zone the mode is in.
-
-    Dispatches to the matcher (edges), the tunneling closed form or the
-    oscillatory continuation; convenient for sweeps and spectra that
-    cross zone boundaries.
-    """
-    zone = classify_zone(setup, mode.E)
-    if zone in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
-        sol = match_boundaries(setup, mode)
-        mag = abs(sol.T)
-        return TransmissionPoint(magnitude=mag, phase=cmath.phase(sol.T),
-                                 probability=mag * mag, winding=0)
-    if zone is Zone.TUNNELING:
-        return transmission_closed_form(setup, mode)
-    return oscillatory_transmission(setup, mode)

@@ -7,7 +7,7 @@ is continuous along the grid.  v = 0 selects the self-contained
 Schroedinger pipeline in the same normalized variables.
 
 Grid points landing within 1e-9 (relative) of a zone edge are snapped to
-the edge, evaluated by the degenerate-basis path and flagged in the
+the edge, evaluated like every other point and flagged in the
 ``nudged`` column rather than dropped; per-point computation errors are
 captured in the record (empty CSV cells, ``error`` field in JSON) and
 never abort the sweep.
@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from .errors import DomainError, KleinTunnelError
 from .kinematics import BarrierSetup, Zone, classify_zone, mode_from_n2
 from .phasetime import (
-    edge_phase_time_ratio,
     normalized_phase_time,
     nr_magnitude_normalized,
     nr_phase_normalized,
@@ -40,13 +39,13 @@ from .phasetime import (
     nr_ratio_numeric,
     phase_time_numeric,
 )
-from .scattering import match_boundaries, transmission_any_zone, transmission_magnitude_nr_form
+from .scattering import match_boundaries, transmission_closed_form, transmission_magnitude_nr_form
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
 
 # relative n2 distance to a zone edge below which a grid point is snapped
-# onto the edge and handled by the degenerate path
+# onto the edge and flagged as nudged
 EDGE_SNAP_RTOL = 1e-9
 
 
@@ -136,32 +135,14 @@ def _relativistic_point(v: float, wL: float, m: float, n2: float,
     setup = BarrierSetup.from_dimensionless(v, wL, m)
     vals: dict[str, float | None] = {}
     errs: list[str] = []
-
-    if edge is not None:
-        zone = Zone.EDGE_LOWER if edge == "lower" else Zone.EDGE_UPPER
-        kL = math.sqrt(n2) * wL
-        if "T2_exact" in outputs:
-            vals["t2_exact"] = 4.0 / (4.0 + kL * kL)
-        if "T2_nr_form" in outputs:
-            vals["t2_nr_form"] = 1.0 / (1.0 + wL * wL / (4.0 * n2))
-        if "phase_rad" in outputs:
-            vals["phase_rad"] = math.atan(0.5 * kL)
-        if "ratio_closed" in outputs:
-            vals["ratio_closed"] = edge_phase_time_ratio(v, wL, edge)
-        if "ratio_numeric" in outputs:
-            errs.append("ratio_numeric: stencil cannot avoid the zone edge")
-        return SweepRecord(n2=n2, e_over_m=math.sqrt(1.0 + 2.0 * n2 * v),
-                           zone=zone.value, nudged=True,
-                           error="; ".join(errs) or None, **vals)
-
     mode = mode_from_n2(setup, n2)
     zone = classify_zone(setup, mode.E)
     if "T2_exact" in outputs:
         vals["t2_exact"] = abs(match_boundaries(setup, mode).T) ** 2
-    if "T2_nr_form" in outputs and zone is Zone.TUNNELING:
+    if "T2_nr_form" in outputs and zone in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         vals["t2_nr_form"] = transmission_magnitude_nr_form(setup, mode) ** 2
     if "phase_rad" in outputs:
-        vals["phase_rad"] = transmission_any_zone(setup, mode).phase
+        vals["phase_rad"] = transmission_closed_form(setup, mode).phase
     if "ratio_closed" in outputs:
         vals["ratio_closed"] = normalized_phase_time(v, n2, wL)
     if "ratio_numeric" in outputs:
@@ -173,7 +154,7 @@ def _relativistic_point(v: float, wL: float, m: float, n2: float,
         except KleinTunnelError as exc:
             errs.append(f"ratio_numeric: {exc}")
     return SweepRecord(n2=n2, e_over_m=mode.E / m, zone=zone.value,
-                       error="; ".join(errs) or None, **vals)
+                       nudged=edge is not None, error="; ".join(errs) or None, **vals)
 
 
 def _nr_point(wL: float, n2: float, outputs: tuple[str, ...]) -> SweepRecord:
@@ -192,8 +173,7 @@ def _nr_point(wL: float, n2: float, outputs: tuple[str, ...]) -> SweepRecord:
         # NR prefactor is the exact one for Schroedinger kinematics
         vals["t2_nr_form"] = nr_magnitude_normalized(n2, wL) ** 2
     if "phase_rad" in outputs:
-        vals["phase_rad"] = (math.atan(0.5 * math.sqrt(n2) * wL) if edge
-                             else nr_phase_normalized(n2, wL))
+        vals["phase_rad"] = nr_phase_normalized(n2, wL)
     if "ratio_closed" in outputs:
         vals["ratio_closed"] = nr_ratio_normalized(n2, wL)
     if "ratio_numeric" in outputs:

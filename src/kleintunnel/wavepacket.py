@@ -56,11 +56,13 @@ class SpectrumSpec:
     support_halfwidth: float = 6.0
 
     def __post_init__(self) -> None:
-        if not (self.sigma_k > 0.0):
-            raise DomainError(f"sigma_k must be positive, got {self.sigma_k}")
-        if not (self.support_halfwidth > 0.0):
+        if not math.isfinite(self.k0):
+            raise DomainError(f"k0 must be finite, got {self.k0}")
+        if not (self.sigma_k > 0.0 and math.isfinite(self.sigma_k)):
+            raise DomainError(f"sigma_k must be positive and finite, got {self.sigma_k}")
+        if not (self.support_halfwidth > 0.0 and math.isfinite(self.support_halfwidth)):
             raise DomainError(
-                f"support_halfwidth must be positive, got {self.support_halfwidth}")
+                f"support_halfwidth must be positive and finite, got {self.support_halfwidth}")
         if not (self.k0 - self.support_halfwidth * self.sigma_k > 0.0):
             raise SupportError(
                 f"spectrum support reaches k <= 0 "

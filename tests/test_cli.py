@@ -139,6 +139,18 @@ class TestConfigPrecedence:
                              "--config", str(cfg))
         assert code == 2
 
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"VO": 5, "E": 9.5}))
+        code, _, err = run_cli(capsys, "zone", "--config", str(cfg))
+        assert code == 2
+        assert "VO" in err
+        # a key another subcommand accepts is still unknown here
+        cfg.write_text(json.dumps({"count": 5, "E": 9.5}))
+        code, _, err = run_cli(capsys, "zone", "--config", str(cfg))
+        assert code == 2
+        assert "count" in err
+
     def test_flag_beats_conflicting_file_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"v": 4.0}))

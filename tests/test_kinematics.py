@@ -7,6 +7,7 @@ from kleintunnel import (
     BarrierSetup,
     DomainError,
     NonPropagatingError,
+    SpectrumSpec,
     Zone,
     barrier_channel,
     classify_zone,
@@ -42,6 +43,33 @@ class TestBarrierSetup:
         s = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi, m=3.0)
         assert s.v == pytest.approx(10.0, rel=1e-15)
         assert s.wL == pytest.approx(2.0 * math.pi, rel=1e-15)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: classify_zone(make(), NAN), id="classify_zone-nan"),
+    pytest.param(lambda: classify_zone(make(), INF), id="classify_zone-inf"),
+    pytest.param(lambda: mode_from_n2(make(), INF), id="mode_from_n2-inf"),
+    pytest.param(lambda: mode_from_n2(make(), NAN), id="mode_from_n2-nan"),
+    pytest.param(lambda: mode_from_energy(make(), INF), id="mode_from_energy-inf"),
+    pytest.param(lambda: mode_from_energy(make(), NAN), id="mode_from_energy-nan"),
+    pytest.param(lambda: BarrierSetup(m=1.0, V0=INF, L=1.0), id="setup-V0-inf"),
+    pytest.param(lambda: BarrierSetup(m=INF, V0=10.0, L=1.0), id="setup-m-inf"),
+    pytest.param(lambda: BarrierSetup(m=1.0, V0=10.0, L=INF), id="setup-L-inf"),
+    pytest.param(lambda: BarrierSetup.from_dimensionless(10.0, INF), id="from_dimensionless-wL-inf"),
+    pytest.param(lambda: BarrierSetup.from_dimensionless(INF, 1.0), id="from_dimensionless-v-inf"),
+    pytest.param(lambda: SpectrumSpec(k0=NAN, sigma_k=0.2), id="spectrum-k0-nan"),
+    pytest.param(lambda: SpectrumSpec(k0=INF, sigma_k=0.2), id="spectrum-k0-inf"),
+    pytest.param(lambda: SpectrumSpec(k0=10.0, sigma_k=INF), id="spectrum-sigma-inf"),
+])
+def test_non_finite_inputs_are_domain_errors(call):
+    # plain DomainError, not a subclass such as NonPropagatingError or
+    # SupportError whose message would misstate the cause
+    with pytest.raises(DomainError, match="finite") as excinfo:
+        call()
+    assert excinfo.type is DomainError
 
 
 class TestModes:

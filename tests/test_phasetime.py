@@ -5,10 +5,8 @@ import pytest
 from kleintunnel import (
     BarrierSetup,
     DomainError,
-    EdgeDegenerateError,
     ZeroLengthError,
     ZoneCrossingError,
-    ZoneError,
     classical_tau,
     edge_limit_magnitude_nr_form,
     edge_limit_ratio,
@@ -72,14 +70,15 @@ class TestClosedForm:
         numeric = phase_time_numeric(s, mode)
         assert closed.ratio == pytest.approx(numeric.ratio, rel=1e-6)
 
-    def test_zone_errors(self):
+    def test_defined_in_every_zone_and_on_edges(self):
         s = make()
-        with pytest.raises(ZoneError):
-            phase_time_closed_form(s, mode_from_energy(s, 12.0))
-        with pytest.raises(EdgeDegenerateError):
-            phase_time_closed_form(s, mode_from_energy(s, 9.0))
-        with pytest.raises(EdgeDegenerateError):
-            normalized_phase_time(10.0, 4.0, 2.0 * math.pi)
+        above = mode_from_energy(s, 12.0)
+        assert phase_time_closed_form(s, above).ratio == normalized_phase_time(
+            10.0, above.n2, s.wL)
+        edge = phase_time_closed_form(s, mode_from_energy(s, 9.0))
+        assert edge.ratio == pytest.approx(edge_phase_time_ratio(10.0, s.wL, "lower"), rel=1e-12)
+        assert normalized_phase_time(10.0, 4.0, 2.0 * math.pi) == pytest.approx(
+            EDGE_LOWER_V10_WL2PI, rel=1e-14)
 
     def test_flagged_at_zero_length(self):
         s = make(L=0.0)

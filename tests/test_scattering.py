@@ -1,12 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleintunnel import (
     BarrierSetup,
-    EdgeDegenerateError,
     Zone,
     ZoneError,
     barrier_channel,
@@ -15,13 +17,15 @@ from kleintunnel import (
     match_boundaries,
     mode_from_energy,
     mode_from_n2,
-    oscillatory_transmission,
-    transmission_any_zone,
     transmission_closed_form,
     transmission_magnitude_nr_form,
     unwrapped_phase,
 )
-from kleintunnel.phasetime import edge_limit_magnitude_nr_form
+from kleintunnel.phasetime import (
+    edge_limit_magnitude_nr_form,
+    edge_phase_time_ratio,
+    normalized_phase_time,
+)
 
 # frozen with 50-digit arithmetic during development
 MAG_V10_N5_WL2PI = 0.10293276472295702
@@ -158,10 +162,6 @@ class TestClosedForms:
     def test_zone_errors(self):
         s = make()
         with pytest.raises(ZoneError):
-            transmission_closed_form(s, mode_from_energy(s, 12.0))
-        with pytest.raises(EdgeDegenerateError):
-            transmission_closed_form(s, mode_from_energy(s, 9.0))
-        with pytest.raises(ZoneError):
             transmission_magnitude_nr_form(s, mode_from_energy(s, 5.0))
 
     def test_nr_form_frozen_point_and_gap(self):
@@ -216,7 +216,7 @@ class TestOscillatory:
         for N in (1, 2, 5):
             s = make(L=N * math.pi / q)
             mode = mode_from_energy(s, 12.0)
-            point = oscillatory_transmission(s, mode)
+            point = transmission_closed_form(s, mode)
             assert point.magnitude == pytest.approx(1.0, abs=1e-12)
             sol = match_boundaries(s, mode)
             assert abs(sol.T) == pytest.approx(1.0, abs=1e-10)
@@ -225,14 +225,14 @@ class TestOscillatory:
         q = math.sqrt(3.0)
         s = make(L=0.5 * math.pi / q)
         mode = mode_from_energy(s, 12.0)
-        point = oscillatory_transmission(s, mode)
+        point = transmission_closed_form(s, mode)
         assert point.magnitude == pytest.approx(MAG_OSC_E12_QL_HALFPI, rel=1e-12)
         sol = match_boundaries(s, mode)
         assert point.magnitude == pytest.approx(abs(sol.T), rel=1e-10)
 
     def test_no_barrier(self):
         s = make(L=0.0)
-        point = oscillatory_transmission(s, mode_from_energy(s, 12.0))
+        point = transmission_closed_form(s, mode_from_energy(s, 12.0))
         assert point.magnitude == 1.0
         assert point.phase == 0.0
         assert point.winding == 0
@@ -250,17 +250,12 @@ class TestOscillatory:
             zone = classify_zone(s, mode.E)
             if zone not in (Zone.KLEIN, Zone.ABOVE_BARRIER):
                 continue
-            point = oscillatory_transmission(s, mode)
+            point = transmission_closed_form(s, mode)
             sol = match_boundaries(s, mode)
             assert point.magnitude == pytest.approx(abs(sol.T), rel=1e-10)
             # phases agree modulo the winding bookkeeping
             assert cmath.exp(1j * point.phase) == pytest.approx(
                 sol.T / abs(sol.T), rel=1e-9)
-
-    def test_zone_error(self):
-        s = make()
-        with pytest.raises(ZoneError):
-            oscillatory_transmission(s, mode_from_energy(s, 10.0))
 
 
 class TestPhaseContinuity:
@@ -382,7 +377,69 @@ class TestAnyZoneDispatch:
     def test_dispatch_covers_all_zones(self):
         s = make(L=0.3)
         for E, winding_zero in ((5.0, False), (9.0, True), (10.0, True), (12.0, True)):
-            point = transmission_any_zone(s, mode_from_energy(s, E))
+            point = transmission_closed_form(s, mode_from_energy(s, E))
             assert 0.0 < point.magnitude <= 1.0
             if winding_zero:
                 assert point.winding == 0
+
+
+def mp_transmission(v, n2, wL):
+    """40-digit T from 1/T = cosh(rho L) - i (k^2 - rho^2)/(2 k rho) sinh(rho L).
+
+    Written in the normalized variables (rho L = rho_n wL, k = n w); rho_n
+    is imaginary in the oscillatory zones and sinh(rho L)/rho -> L at
+    rho = 0.  Independent of the library: rho_n^2 comes from the factored
+    form of sqrt(1 + 2 n2 v) - n2 - v/2.
+    """
+    with mpmath.workdps(40):
+        v, n2, wL = mpmath.mpf(v), mpmath.mpf(n2), mpmath.mpf(wL)
+        r2 = (1 - n2 + v / 2) * (1 + n2 - v / 2) / (mpmath.sqrt(1 + 2 * n2 * v) + n2 + v / 2)
+        rho = mpmath.sqrt(mpmath.mpc(r2))
+        sinh_over_rho = mpmath.sinh(rho * wL) / rho if r2 else wL
+        inv_t = mpmath.cosh(rho * wL) - 1j * (n2 - r2) / (2 * mpmath.sqrt(n2)) * sinh_over_rho
+        return 1 / inv_t
+
+
+@st.composite
+def barrier_points(draw):
+    """(v, n2, wL) over all zones, both edges and wL from 0.3 to 400."""
+    v = draw(st.floats(0.3, 60.0))
+    wL = 10.0 ** draw(st.floats(math.log10(0.3), math.log10(400.0)))
+    if draw(st.booleans()):
+        return v, draw(st.floats(1e-3, 0.5 * v + 6.0)), wL
+    edges = [0.5 * v + 1.0] + ([0.5 * v - 1.0] if v > 2.01 else [])
+    edge = draw(st.sampled_from(edges))
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-15.0, -3.0))
+    return v, edge * (1.0 + offset), wL
+
+
+class TestSingleClosedForm:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(barrier_points())
+    def test_matches_40_digit_reference(self, point):
+        v, n2, wL = point
+        s = BarrierSetup.from_dimensionless(v, wL)
+        closed = transmission_closed_form(s, mode_from_n2(s, n2))
+        ref = mp_transmission(v, n2, s.wL)
+        assert closed.magnitude == pytest.approx(float(abs(ref)), rel=1e-11)
+        gap = math.remainder(closed.phase - float(mpmath.arg(ref)), 2.0 * math.pi)
+        assert abs(gap) <= 1e-11
+
+    @pytest.mark.parametrize("v", [0.5, 3.0, 10.0, 40.0])
+    def test_exact_edge_identities(self, v):
+        wL = 2.0 * math.pi
+        s = BarrierSetup.from_dimensionless(v, wL)
+        edges = [(0.5 * v + 1.0, "upper")] + ([(0.5 * v - 1.0, "lower")] if v > 2.0 else [])
+        for n2, edge in edges:
+            mode = mode_from_n2(s, n2)
+            assert classify_zone(s, mode.E).value.startswith("Edge")
+            # the matcher's linear branch T = 2/(2 - ikL)
+            linear = 2.0 / (2.0 - 1j * mode.k * s.L)
+            point = transmission_closed_form(s, mode)
+            assert point.magnitude == pytest.approx(abs(linear), rel=1e-15)
+            assert point.phase == pytest.approx(cmath.phase(linear), rel=1e-15)
+            assert point.winding == 0
+            assert match_boundaries(s, mode).T == pytest.approx(linear, rel=1e-15)
+            assert transmission_magnitude_nr_form(s, mode) == pytest.approx(
+                edge_limit_magnitude_nr_form(v, wL, edge), rel=1e-15)
+            assert normalized_phase_time(v, n2, wL) == edge_phase_time_ratio(v, wL, edge)

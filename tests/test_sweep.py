@@ -15,7 +15,7 @@ from kleintunnel import (
     normalized_phase_time,
     read_csv,
     run_sweep,
-    transmission_any_zone,
+    transmission_closed_form,
     write_csv,
     write_json,
 )
@@ -59,7 +59,7 @@ class TestSweepIsAMap:
         for rec in recs:
             mode = mode_from_n2(setup, rec.n2)
             assert rec.t2_exact == abs(match_boundaries(setup, mode).T) ** 2
-            assert rec.phase_rad == transmission_any_zone(setup, mode).phase
+            assert rec.phase_rad == transmission_closed_form(setup, mode).phase
             assert rec.ratio_closed == normalized_phase_time(10.0, rec.n2, 2.0 * math.pi)
             assert rec.zone == "Tunneling"
             assert rec.error is None
@@ -86,7 +86,7 @@ class TestEdgeHandling:
         assert rec.nudged
         assert rec.n2 == 4.0
         assert rec.zone == "EdgeLower"
-        # degenerate-basis values: |T|^2 = 4/(4 + (kL)^2)
+        # edge values: |T|^2 = 4/(4 + (kL)^2)
         kL = 2.0 * 2.0 * math.pi
         assert rec.t2_exact == pytest.approx(4.0 / (4.0 + kL * kL), rel=1e-12)
         assert rec.ratio_numeric is None
