@@ -219,21 +219,21 @@ def _cmd_phasetime(parser, args) -> int:
     setup = cfg.barrier()
     mode = cfg.mode(setup)
     dE = cfg.pick_float("dE")
-    numeric = phase_time_numeric(setup, mode, dE=dE)
     payload = {
         "m": setup.m, "V0": setup.V0, "L": setup.L, "E": mode.E, "n2": mode.n2,
         "zone": classify_zone(setup, mode.E).value,
         "tau": classical_tau(setup, mode),
-        "t_phi_numeric": numeric.t_phi,
-        "ratio_numeric": numeric.ratio,
     }
     try:
-        closed = phase_time_closed_form(setup, mode)
-        payload["t_phi_closed"] = closed.t_phi
-        payload["ratio_closed"] = closed.ratio
-    except KleinTunnelError:
-        payload["t_phi_closed"] = None
-        payload["ratio_closed"] = None
+        numeric = phase_time_numeric(setup, mode, dE=dE)
+        payload["t_phi_numeric"] = numeric.t_phi
+        payload["ratio_numeric"] = numeric.ratio
+    except KleinTunnelError as exc:
+        # the oracle refuses e.g. on a zone edge; the closed form is still defined
+        payload.update(t_phi_numeric=None, ratio_numeric=None, numeric_error=str(exc))
+    closed = phase_time_closed_form(setup, mode)
+    payload["t_phi_closed"] = closed.t_phi
+    payload["ratio_closed"] = closed.ratio
     v, wL = setup.v, setup.wL
     if v > 2.0:
         payload["edge_ratio_lower_wL"] = edge_phase_time_ratio(v, wL, "lower")

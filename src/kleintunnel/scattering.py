@@ -12,11 +12,11 @@ E = V0 -+ m.  Matching phi and phi' at x = 0 and x = L fixes
 (R, alpha, beta, T); this module solves that system exactly and also
 provides the closed forms it implies.
 
-Ground truth is :func:`match_boundaries`; the closed forms are
-cross-checks against it.  One entire function of rho_n^2 gives the exact
-magnitude in every zone and on both edges,
+The closed form is what the library reports; :func:`match_boundaries`
+stays as its independent check.  One entire function of rho_n^2 gives
+the exact magnitude in every zone and on both edges,
 
-    |T|^-2 = 1 + ((n2 + rho_n^2)^2 / (4 n2)) wL^2 sinhc(rho_n^2 wL^2)^2,
+    |T|^-2 = 1 + X^2,   X = ((n2 + rho_n^2) / (2 n)) wL sinhc(rho_n^2 wL^2),
 
 with sinhc(d^2) = sinh(d)/d continued to sin(t)/t for d^2 = -t^2 < 0; at
 rho_n = 0 it is |2/(2 - ikL)|.  :func:`transmission_magnitude_nr_form`
@@ -28,7 +28,7 @@ phase is
     arg T = arctan[((n2 - rho_n^2)/(2 n rho_n)) tanh(rho_n wL)],
 
 continued the same way and unwrapped to be continuous in n2, anchored at
-phase -> 0 for L -> 0.
+phase -> 0 for L -> 0.  The reflected amplitude is R = -i X T.
 """
 
 from __future__ import annotations
@@ -67,17 +67,20 @@ class ScatteringSolution:
 
 @dataclass(frozen=True)
 class TransmissionPoint:
-    """|T|, unwrapped phase and |T|^2 at one incident mode.
+    """|T|, unwrapped phase, |T|^2 and the complex amplitudes at one mode.
 
     phase is continuous in n2 along a sweep and ->0 as L->0; winding is
     the integer number of pi steps added to the principal arctangent
     (always 0 in the tunneling zone), so the principal value is
-    phase - winding*pi.
+    phase - winding*pi.  T = |T| exp(i phase) and R = -i X T with the
+    real X of the magnitude formula.
     """
 
     magnitude: float
     phase: float
     probability: float
+    T: complex
+    R: complex
     winding: int = 0
 
 
@@ -159,7 +162,7 @@ def continuity_residuals(setup: BarrierSetup, mode: IncidentMode,
 
 
 # ---------------------------------------------------------------------------
-# closed forms (cross-checks of the matcher)
+# closed forms (checked against the matcher)
 # ---------------------------------------------------------------------------
 
 def _phase_continuous(v: float, n2: float, wL: float) -> tuple[float, int]:
@@ -180,12 +183,13 @@ def _phase_continuous(v: float, n2: float, wL: float) -> tuple[float, int]:
 
 
 def transmission_closed_form(setup: BarrierSetup, mode: IncidentMode) -> TransmissionPoint:
-    """Closed-form |T| and unwrapped phase in every zone and on both edges.
+    """Closed-form T, R, |T| and unwrapped phase in every zone and on both edges.
 
-    magnitude = [1 + ((n2+rho_n^2)^2/(4 n2)) (wL sinhc(d2))^2]^(-1/2),
-    d2 = rho_n^2 wL^2, which is 1 at the oscillatory resonances and
-    [1 + (kL/2)^2]^(-1/2) at rho_n = 0; the phase is unwrapped to be
-    continuous in n2 (winding counts the pi steps added).
+    magnitude = 1/hypot(1, X) with the real
+    X = ((n2+rho_n^2)/(2n)) wL sinhc(d2), d2 = rho_n^2 wL^2, which is 1 at
+    the oscillatory resonances and [1 + (kL/2)^2]^(-1/2) at rho_n = 0;
+    the phase is unwrapped to be continuous in n2 (winding counts the pi
+    steps added), T = rect(magnitude, phase) and R = -i X T.
     The prefactor (n2+rho_n^2)^2 is required for agreement with
     match_boundaries (the Wronskian-conserving solution); see
     transmission_magnitude_nr_form for the variant without it.
@@ -193,14 +197,19 @@ def transmission_closed_form(setup: BarrierSetup, mode: IncidentMode) -> Transmi
     v, wL, n2 = setup.v, setup.wL, mode.n2
     r2 = rho_n2(v, n2)
     d2 = r2 * wL * wL
+    phase, winding = _phase_continuous(v, n2, wL)
     if d2 > LARGE_D2:
         # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
         mag = 4.0 * math.sqrt(n2 * r2) * math.exp(-math.sqrt(d2)) / (n2 + r2)
+        T = cmath.rect(mag, phase)
+        R = -1j * cmath.rect(1.0, phase)  # |R| = 1 to double precision
     else:
-        mag = 1.0 / math.hypot(1.0, (n2 + r2) / (2.0 * math.sqrt(n2)) * wL * sinhc(d2))
-    phase, winding = _phase_continuous(v, n2, wL)
-    return TransmissionPoint(magnitude=mag, phase=phase,
-                             probability=mag * mag, winding=winding)
+        X = (n2 + r2) / (2.0 * math.sqrt(n2)) * wL * sinhc(d2)
+        mag = 1.0 / math.hypot(1.0, X)
+        T = cmath.rect(mag, phase)
+        R = -1j * X * T
+    return TransmissionPoint(magnitude=mag, phase=phase, probability=mag * mag,
+                             T=T, R=R, winding=winding)
 
 
 def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> float:

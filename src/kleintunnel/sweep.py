@@ -39,7 +39,7 @@ from .phasetime import (
     nr_ratio_numeric,
     phase_time_numeric,
 )
-from .scattering import match_boundaries, transmission_closed_form, transmission_magnitude_nr_form
+from .scattering import transmission_closed_form, transmission_magnitude_nr_form
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
@@ -62,16 +62,16 @@ class SweepRequest:
     outputs: tuple[str, ...] = VALUE_COLUMNS
 
     def __post_init__(self) -> None:
-        if not (self.v >= 0.0):
-            raise DomainError(f"v must be >= 0, got {self.v}")
-        if not (self.wL >= 0.0):
-            raise DomainError(f"wL must be >= 0, got {self.wL}")
-        if not (self.m > 0.0):
-            raise DomainError(f"m must be positive, got {self.m}")
+        if not (self.v >= 0.0 and math.isfinite(self.v)):
+            raise DomainError(f"v must be finite and >= 0, got {self.v}")
+        if not (self.wL >= 0.0 and math.isfinite(self.wL)):
+            raise DomainError(f"wL must be finite and >= 0, got {self.wL}")
+        if not (self.m > 0.0 and math.isfinite(self.m)):
+            raise DomainError(f"m must be positive and finite, got {self.m}")
         if not (self.n2_min > 0.0):
             raise DomainError(f"n2_min must be positive, got {self.n2_min}")
-        if not (self.n2_max > self.n2_min):
-            raise DomainError("n2_max must exceed n2_min")
+        if not (self.n2_max > self.n2_min and math.isfinite(self.n2_max)):
+            raise DomainError(f"n2_max must be finite and exceed n2_min, got {self.n2_max}")
         if self.count < 2:
             raise DomainError(f"count must be >= 2, got {self.count}")
         if not self.outputs:
@@ -101,15 +101,6 @@ class SweepRecord:
     error: str | None = None
 
 
-_FIELD_OF_COLUMN = {
-    "T2_exact": "t2_exact",
-    "T2_nr_form": "t2_nr_form",
-    "phase_rad": "phase_rad",
-    "ratio_closed": "ratio_closed",
-    "ratio_numeric": "ratio_numeric",
-}
-
-
 # ---------------------------------------------------------------------------
 # per-point evaluation (pure functions of the request parameters)
 # ---------------------------------------------------------------------------
@@ -137,12 +128,14 @@ def _relativistic_point(v: float, wL: float, m: float, n2: float,
     errs: list[str] = []
     mode = mode_from_n2(setup, n2)
     zone = classify_zone(setup, mode.E)
-    if "T2_exact" in outputs:
-        vals["t2_exact"] = abs(match_boundaries(setup, mode).T) ** 2
+    if "T2_exact" in outputs or "phase_rad" in outputs:
+        point = transmission_closed_form(setup, mode)
+        if "T2_exact" in outputs:
+            vals["t2_exact"] = point.probability
+        if "phase_rad" in outputs:
+            vals["phase_rad"] = point.phase
     if "T2_nr_form" in outputs and zone in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         vals["t2_nr_form"] = transmission_magnitude_nr_form(setup, mode) ** 2
-    if "phase_rad" in outputs:
-        vals["phase_rad"] = transmission_closed_form(setup, mode).phase
     if "ratio_closed" in outputs:
         vals["ratio_closed"] = normalized_phase_time(v, n2, wL)
     if "ratio_numeric" in outputs:

@@ -7,16 +7,18 @@ field at x >= L is
 
     psi_T(x, t) = integral g(k-k0) T(k) exp(i[k(x-L) - E(k) t]) dk,
 
-with T(k) taken from the exact matcher so spectra may span several
-energy zones, and E(k) = +sqrt(k^2 + m^2) (negative-energy components
-excluded by construction).  The integral is done with a composite
-Simpson rule whose step is halved until the reported intensities move by
-less than a relative tolerance.
+with T(k) taken per node from the closed form, which holds in every zone
+and on both edges, so spectra may span several energy zones, and
+E(k) = +sqrt(k^2 + m^2) (negative-energy components excluded by
+construction).  The integral is done with a composite Simpson rule whose
+step is halved until the reported intensities move by less than a
+relative tolerance.
 
-The peak arrival time at x = L is compared against the stationary-phase
-prediction t_phi(k0); the distortion metrics quantify how much the
-barrier filters the spectrum (transmitted norm, L2 shape distance of the
-renormalized transmitted spectrum, centroid shift toward high k).
+The peak arrival time at x = L is compared against the closed-form
+stationary-phase prediction t_phi(k0), defined on the zone edges too;
+the distortion metrics quantify how much the barrier filters the
+spectrum (transmitted norm, L2 shape distance of the renormalized
+transmitted spectrum, centroid shift toward high k).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .errors import (
     SupportError,
 )
 from .kinematics import BarrierSetup, IncidentMode
-from .phasetime import phase_time_numeric
-from .scattering import match_boundaries
+from .phasetime import phase_time_closed_form
+from .scattering import transmission_closed_form
 
 _BASE_INTERVALS = 64
 _MAX_LEVELS = 12
@@ -139,59 +141,46 @@ def _simpson_weights(nodes: np.ndarray) -> np.ndarray:
     return w * (h / 3.0)
 
 
-class _AmplitudeCache:
-    """Per-node transmission/reflection amplitudes, reused across levels."""
+def _simpson_levels(spectrum: SpectrumSpec):
+    """(nodes, weights, g) on the k support, halving the step each level."""
+    lo, hi = spectrum.support
+    n = _BASE_INTERVALS
+    for _ in range(_MAX_LEVELS):
+        ks = np.linspace(lo, hi, n + 1)
+        yield ks, _simpson_weights(ks), spectrum.amplitude(ks)
+        n *= 2
 
-    def __init__(self, setup: BarrierSetup):
-        self.setup = setup
-        self._cache: dict[float, tuple[complex, complex]] = {}
 
-    def __call__(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # keyed on the exact float: halved grids reuse every old node
-        setup = self.setup
-        m, w = setup.m, setup.w
-        T = np.empty(len(ks), dtype=complex)
-        R = np.empty(len(ks), dtype=complex)
-        for i, k in enumerate(ks.tolist()):
-            hit = self._cache.get(k)
-            if hit is None:
-                E = math.sqrt(k * k + m * m)
-                sol = match_boundaries(setup, IncidentMode(E=E, k=k, n2=(k / w) ** 2))
-                hit = (sol.T, sol.R)
-                self._cache[k] = hit
-            T[i], R[i] = hit
-        return T, R
+def _amplitudes(setup: BarrierSetup, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (T, R) at each node."""
+    m, w = setup.m, setup.w
+    points = [transmission_closed_form(setup, IncidentMode(E=math.sqrt(k * k + m * m),
+                                                           k=k, n2=(k / w) ** 2))
+              for k in ks.tolist()]
+    return (np.array([p.T for p in points], dtype=complex),
+            np.array([p.R for p in points], dtype=complex))
 
 
 def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
-                    times: np.ndarray, kind: str, tol: float,
-                    cache: _AmplitudeCache | None = None) -> np.ndarray:
+                    times: np.ndarray, kind: str, tol: float) -> np.ndarray:
     """psi(x, t_j) for all t_j, Simpson step-halved on the k support.
 
     Convergence: successive levels change no reported intensity by more
     than tol relative to the window's peak intensity (with an absolute
     floor at roundoff of the integrand scale).
     """
-    lo, hi = spectrum.support
     m = setup.m
-    if cache is None:
-        cache = _AmplitudeCache(setup)
     times = np.asarray(times, dtype=float)
     prev_I = None
-    psi = None
-    n = _BASE_INTERVALS
-    for _ in range(_MAX_LEVELS):
-        ks = np.linspace(lo, hi, n + 1)
-        wts = _simpson_weights(ks)
-        g = spectrum.amplitude(ks)
+    for ks, wts, g in _simpson_levels(spectrum):
         E = np.sqrt(ks * ks + m * m)
         if kind == "transmitted":
-            T, _R = cache(ks)
+            T, _R = _amplitudes(setup, ks)
             coeff = wts * g * T * np.exp(1j * ks * (x - setup.L))
         elif kind == "incident":
             coeff = wts * g * np.exp(1j * ks * x)
         elif kind == "reflected":
-            _T, R = cache(ks)
+            _T, R = _amplitudes(setup, ks)
             coeff = wts * g * R * np.exp(-1j * ks * x)
         else:  # pragma: no cover
             raise ValueError(kind)
@@ -206,7 +195,6 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
             if err <= tol * max(float(I.max()), 0.0) + 1e-14 * scale:
                 return psi
         prev_I = I
-        n *= 2
     raise QuadratureError(
         f"intensity did not converge to {tol} within {_MAX_LEVELS} halvings")
 
@@ -265,15 +253,9 @@ def estimate_arrival(times: np.ndarray, intensities: np.ndarray,
 def distortion(setup: BarrierSetup, spectrum: SpectrumSpec,
                tol: float = 1e-10) -> DistortionMetrics:
     """Filter-effect metrics on the (step-halved) quadrature grid."""
-    lo, hi = spectrum.support
-    cache = _AmplitudeCache(setup)
     prev = None
-    n = _BASE_INTERVALS
-    for _ in range(_MAX_LEVELS):
-        ks = np.linspace(lo, hi, n + 1)
-        wts = _simpson_weights(ks)
-        g = spectrum.amplitude(ks)
-        T, _ = cache(ks)
+    for ks, wts, g in _simpson_levels(spectrum):
+        T, _ = _amplitudes(setup, ks)
         tg = np.abs(T) * g
         norm_g2 = float(np.sum(wts * g * g))
         norm_tg2 = float(np.sum(wts * tg * tg))
@@ -296,7 +278,6 @@ def distortion(setup: BarrierSetup, spectrum: SpectrumSpec,
             if close:
                 return metrics
         prev = metrics
-        n *= 2
     raise QuadratureError(f"distortion metrics did not converge to {tol}")
 
 
@@ -304,15 +285,16 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
                n_times: int = 2001, tol: float = 1e-8) -> PacketRun:
     """Full experiment: synthesize at x = L, locate the peak, measure distortion.
 
-    The stationary-phase prediction t_phi(k0) comes from the numeric
-    phase-time oracle (valid in every zone); the search window is
-    [-5, +5] * max(tau, |t_phi|) around it (falling back to the packet's
-    own temporal width 6/sigma_k when both vanish at L = 0).
+    The stationary-phase prediction t_phi(k0) and tau(k0) come from the
+    closed-form phase time, which is defined in every zone and on both
+    edges; the search window is [-5, +5] * max(tau, |t_phi|) around it
+    (falling back to the packet's own temporal width 6/sigma_k when both
+    vanish at L = 0).
     """
     m, w = setup.m, setup.w
     k0 = spectrum.k0
     mode0 = IncidentMode(E=math.sqrt(k0 * k0 + m * m), k=k0, n2=(k0 / w) ** 2)
-    pt = phase_time_numeric(setup, mode0)
+    pt = phase_time_closed_form(setup, mode0)
     t_pred = pt.t_phi
     half = 5.0 * max(pt.tau, abs(pt.t_phi))
     if half == 0.0:

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from kleintunnel.cli import main
+from kleintunnel.phasetime import edge_phase_time_ratio
 from kleintunnel.sweep import CSV_COLUMNS
 
 
@@ -104,6 +106,17 @@ class TestJsonAgreement:
         assert vals["ratio_closed"] == pytest.approx(0.02093053305098312, rel=1e-10)
         assert vals["ratio_numeric"] == pytest.approx(vals["ratio_closed"], rel=1e-6)
         assert vals["tau"] == pytest.approx(vals["t_phi_numeric"] / vals["ratio_numeric"], rel=1e-9)
+
+    def test_phasetime_on_zone_edge(self, capsys):
+        # the numeric oracle refuses on the edge; the closed form is reported
+        code, out, _ = run_cli(capsys, "phasetime", "--m", "1", "--V0", "10",
+                               "--E", "9", "--json")
+        assert code == 0
+        vals = json.loads(out)
+        assert vals["zone"] == "EdgeLower"
+        assert vals["ratio_closed"] == edge_phase_time_ratio(10.0, 2.0 * math.pi, "lower")
+        assert vals["t_phi_numeric"] is None and vals["ratio_numeric"] is None
+        assert "edge" in vals["numeric_error"]
 
 
 class TestConfigPrecedence:

@@ -400,6 +400,16 @@ def mp_transmission(v, n2, wL):
         return 1 / inv_t
 
 
+def mp_reflection(v, n2, wL, t_mp):
+    """40-digit R = -i (k^2 + rho^2)/(2 k rho) sinh(rho L) T, same variables."""
+    with mpmath.workdps(40):
+        v, n2, wL = mpmath.mpf(v), mpmath.mpf(n2), mpmath.mpf(wL)
+        r2 = (1 - n2 + v / 2) * (1 + n2 - v / 2) / (mpmath.sqrt(1 + 2 * n2 * v) + n2 + v / 2)
+        rho = mpmath.sqrt(mpmath.mpc(r2))
+        sinh_over_rho = mpmath.sinh(rho * wL) / rho if r2 else wL
+        return -1j * (n2 + r2) / (2 * mpmath.sqrt(n2)) * sinh_over_rho * t_mp
+
+
 @st.composite
 def barrier_points(draw):
     """(v, n2, wL) over all zones, both edges and wL from 0.3 to 400."""
@@ -424,6 +434,8 @@ class TestSingleClosedForm:
         assert closed.magnitude == pytest.approx(float(abs(ref)), rel=1e-11)
         gap = math.remainder(closed.phase - float(mpmath.arg(ref)), 2.0 * math.pi)
         assert abs(gap) <= 1e-11
+        assert abs(closed.T - complex(ref)) <= 1e-11
+        assert abs(closed.R - complex(mp_reflection(v, n2, s.wL, ref))) <= 1e-11
 
     @pytest.mark.parametrize("v", [0.5, 3.0, 10.0, 40.0])
     def test_exact_edge_identities(self, v):

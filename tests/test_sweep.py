@@ -38,6 +38,12 @@ class TestRequestValidation:
         with pytest.raises(DomainError):
             small_request(count=1)
 
+    @pytest.mark.parametrize("field", ["v", "wL", "m", "n2_max"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(DomainError):
+            small_request(**{field: value})
+
     def test_rejects_empty_or_unknown_outputs(self):
         with pytest.raises(DomainError):
             small_request(outputs=())
@@ -58,7 +64,10 @@ class TestSweepIsAMap:
         setup = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi)
         for rec in recs:
             mode = mode_from_n2(setup, rec.n2)
-            assert rec.t2_exact == abs(match_boundaries(setup, mode).T) ** 2
+            assert rec.t2_exact == transmission_closed_form(setup, mode).probability
+            # the matcher stays the independent check of the column
+            assert rec.t2_exact == pytest.approx(abs(match_boundaries(setup, mode).T) ** 2,
+                                                 rel=1e-12)
             assert rec.phase_rad == transmission_closed_form(setup, mode).phase
             assert rec.ratio_closed == normalized_phase_time(10.0, rec.n2, 2.0 * math.pi)
             assert rec.zone == "Tunneling"

@@ -14,6 +14,7 @@ from kleintunnel import (
     distortion,
     estimate_arrival,
     mode_from_n2,
+    phase_time_closed_form,
     run_packet,
     synthesize_incident,
     synthesize_reflected,
@@ -182,6 +183,16 @@ class TestRunPacket:
         assert run.arrival.t_predicted == pytest.approx(0.041211386709155222, rel=1e-6)
         assert np.all(run.intensities >= 0.0)
         assert np.all(np.diff(run.times) > 0.0)
+
+    def test_centred_on_upper_edge(self):
+        # k0 exactly on the upper edge n2 = v/2 + 1: the prediction is the
+        # closed-form edge value (40-digit mpmath: 0.04845238008699547)
+        s = barrier_v10_mL(0.1)
+        k0 = s.w * math.sqrt(6.0)
+        run = run_packet(s, SpectrumSpec(k0=k0, sigma_k=0.02 * k0))
+        expected = phase_time_closed_form(s, mode_from_n2(s, 6.0)).t_phi
+        assert run.arrival.t_predicted == expected
+        assert run.arrival.t_predicted == pytest.approx(0.04845238008699547, abs=1e-12)
 
     def test_gap_decreases_with_narrower_spectrum(self):
         s = barrier_v10_mL(0.1)
