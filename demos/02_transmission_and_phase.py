@@ -35,7 +35,7 @@ print(f"{'n2':>6} {'|T| exact':>12} {'|T| closed':>12} {'|T| NR-form':>12} {'pha
 for n2 in np.linspace(4.2, 5.8, 5):
     mode = mode_from_n2(setup, float(n2))
     sol = match_boundaries(setup, mode)
-    point = transmission_closed_form(setup, mode)
+    point = transmission_closed_form(v, float(n2), wL)
     nr = transmission_magnitude_nr_form(setup, mode)
     print(f"{n2:6.2f} {abs(sol.T):12.6f} {point.magnitude:12.6f} "
           f"{nr:12.6f} {point.phase:9.4f}")
@@ -52,7 +52,7 @@ print()
 print("above-barrier resonances at q*L = N*pi (perfect transparency):")
 for n2 in np.linspace(6.05, 8.0, 8):
     mode = mode_from_n2(setup, float(n2))
-    point = transmission_closed_form(setup, mode)
+    point = transmission_closed_form(v, float(n2), wL)
     bar = "#" * int(40 * point.probability)
     print(f"  n2 = {n2:5.2f}  T^2 = {point.probability:8.6f} {bar}")
 print("(the resonance near n2 = 7.70 reaches T^2 = 1 exactly)")

@@ -3,8 +3,8 @@
 Writes the five CSV files (v = 0, 1, 2, 5, 10 at wL = 2*pi, 2000 linear
 n2 points each) into demos/output/ and sketches the v = 10 pair of
 curves as ASCII; if matplotlib is importable the same data is rendered
-to PNG.  The v = 0 file comes from the self-contained Schroedinger
-pipeline, the rest from the relativistic one.  Columns:
+to PNG.  Every file comes from the same closed forms; at v = 0 they are
+the Schroedinger barrier.  Columns:
 
     n2, E_over_m, zone, T2_exact, T2_nr_form, phase_rad,
     ratio_closed, ratio_numeric, nudged

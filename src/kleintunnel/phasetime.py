@@ -28,8 +28,10 @@ a finite value that still depends on wL,
 which only for wL -> infinity reaches the width-independent limit
 -(4/3)/(1 +- 2 n2); see edge_phase_time_ratio / edge_limit_ratio.
 
-A self-contained Schroedinger reference pipeline (dispersion
-k^2 = 2 m E_NR) is included as the v -> 0 oracle.
+At v = 0 (rho_n^2 = 1 - n2) the same closed forms are the Schroedinger
+barrier with dispersion k^2 = 2 m E_NR and n2 = E_NR/V0; nr_transmission
+and nr_t_phi evaluate them there, and nr_ratio_numeric differentiates
+the v = 0 phase numerically as that panel's oracle.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._stable import LARGE_D2, sinh_sq, sinhc_cosh, tanhc
+from ._stable import LARGE_D2, sinh_sq, sinhc_cosh
 from .errors import DomainError, NonConvergentError, ZeroLengthError, ZoneCrossingError
 from .kinematics import BarrierSetup, IncidentMode, Zone, classify_zone, mode_from_energy, rho_n2
-from .scattering import unwrapped_phase
+from .scattering import _phase_continuous, transmission_closed_form, unwrapped_phase
 
 # n2-distance from a zone edge below which the verbatim f/g cancels too
 # hard to be meaningful in doubles; the exact edge value is used there
@@ -300,73 +302,29 @@ def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Schroedinger reference pipeline (independent v -> 0 oracle)
+# Schroedinger reference: the closed forms at v = 0
 # ---------------------------------------------------------------------------
 
-def nr_rho2(n2: float) -> float:
-    """Normalized NR evanescent constant squared, kappa^2/w^2 = 1 - n2."""
-    return 1.0 - n2
-
-
-def nr_magnitude_normalized(n2: float, wL: float) -> float:
-    """NR |T| at (n2 = E_NR/V0, wL); valid on both sides of n2 = 1."""
-    r2 = nr_rho2(n2)
-    if r2 == 0.0:
-        return 1.0 / math.sqrt(1.0 + 0.25 * n2 * wL * wL)
-    d2 = r2 * wL * wL
-    if d2 > LARGE_D2:
-        return 2.0 * math.exp(-math.sqrt(d2)) * math.sqrt(4.0 * n2 * r2)
-    return 1.0 / math.sqrt(1.0 + sinh_sq(d2) / (4.0 * n2 * r2))
-
-
-def nr_phase_normalized(n2: float, wL: float) -> float:
-    """NR transmitted phase, unwrapped continuously in n2."""
-    r2 = nr_rho2(n2)
-    d2 = r2 * wL * wL
-    phase = math.atan((n2 - r2) / (2.0 * math.sqrt(n2)) * wL * tanhc(d2))
-    if d2 < 0.0:
-        phase += math.pi * math.floor(math.sqrt(-d2) / math.pi + 0.5)
-    return phase
-
-
-def nr_ratio_normalized(n2: float, wL: float) -> float:
-    """NR normalized phase time t_phi/tau_NR (tau_NR = L*m/k).
-
-    Derivative of the NR phase in closed form:
-
-        [sc(d)/(2 n2 r2) - (2 n2 - 1)/(2 r2)] / [1 + sinh^2(d)/(4 n2 r2)]
-
-    with r2 = 1 - n2, d = sqrt(r2)*wL and sc(d) = sinh(d)cosh(d)/d;
-    continues through n2 > 1.  At n2 = 1 exactly the 0/0 edge value
-    (3/2 + wL^2/3)/(1 + wL^2/4) is returned.
-    """
-    r2 = nr_rho2(n2)
-    if abs(r2) <= _EDGE_N2_TOL:
-        return (1.5 + wL * wL / 3.0) / (1.0 + 0.25 * wL * wL)
-    d2 = r2 * wL * wL
-    if d2 > LARGE_D2:
-        d = math.sqrt(d2)
-        u = math.exp(-2.0 * d)
-        inv_sh2 = 4.0 * u / (1.0 - u) ** 2
-        num = (1.0 + u) / ((1.0 - u) * d) / (2.0 * n2 * r2) \
-            - (2.0 * n2 - 1.0) / (2.0 * r2) * inv_sh2
-        den = inv_sh2 + 1.0 / (4.0 * n2 * r2)
-        return num / den
-    num = sinhc_cosh(d2) / (2.0 * n2 * r2) - (2.0 * n2 - 1.0) / (2.0 * r2)
-    den = 1.0 + sinh_sq(d2) / (4.0 * n2 * r2)
-    return num / den
-
-
 def nr_ratio_numeric(n2: float, wL: float, dn: float = 1e-6) -> float:
-    """NR ratio by central differences of the NR phase (plumbing oracle)."""
+    """NR ratio by Richardson-refined central differences of the v = 0 phase.
+
+    The step in n = sqrt(n2) stays a tenth of the distance to the zone
+    edge n2 = 1; ZoneCrossingError on the edge, ZeroLengthError at wL = 0.
+    """
+    if wL == 0.0:
+        raise ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
     n = math.sqrt(n2)
-    h = min(dn, abs(n - 1.0) / 10.0 if n != 1.0 else dn)
+    h = min(dn, abs(n - 1.0) / 10.0)
     if h <= 0.0:
         raise ZoneCrossingError("n2=1 sits on the NR zone edge")
-    d1 = (nr_phase_normalized((n + h) ** 2, wL) - nr_phase_normalized((n - h) ** 2, wL)) / (2.0 * h)
+
+    def phase(x: float) -> float:
+        return _phase_continuous(0.0, x * x, wL)[0]
+
+    d1 = (phase(n + h) - phase(n - h)) / (2.0 * h)
     h2 = 0.5 * h
-    d2_ = (nr_phase_normalized((n + h2) ** 2, wL) - nr_phase_normalized((n - h2) ** 2, wL)) / (2.0 * h2)
-    return (4.0 * d2_ - d1) / 3.0 / wL
+    d2 = (phase(n + h2) - phase(n - h2)) / (2.0 * h2)
+    return (4.0 * d2 - d1) / 3.0 / wL
 
 
 def _nr_check(setup: BarrierSetup, e_nr: float) -> None:
@@ -377,17 +335,17 @@ def _nr_check(setup: BarrierSetup, e_nr: float) -> None:
 def nr_transmission(setup: BarrierSetup, e_nr: float) -> NRReference:
     """Schroedinger rectangular-barrier reference at kinetic energy E_NR.
 
-    Own dispersion k^2 = 2 m E_NR, kappa^2 = 2 m (V0 - E_NR); fills
-    magnitude, phase and the phase-time ratio.  DomainError outside
-    (0, V0).
+    Own dispersion k^2 = 2 m E_NR, kappa^2 = 2 m (V0 - E_NR); magnitude
+    and phase are transmission_closed_form and the ratio (tau_NR = L*m/k)
+    is normalized_phase_time, both at v = 0 and n2 = E_NR/V0.
+    DomainError outside (0, V0).
     """
     _nr_check(setup, e_nr)
-    n2 = e_nr / setup.V0
+    n2, wL = e_nr / setup.V0, setup.wL
     kappa = math.sqrt(2.0 * setup.m * (setup.V0 - e_nr))
-    return NRReference(e_nr=e_nr, kappa=kappa,
-                       magnitude=nr_magnitude_normalized(n2, setup.wL),
-                       phase=nr_phase_normalized(n2, setup.wL),
-                       ratio=nr_ratio_normalized(n2, setup.wL))
+    point = transmission_closed_form(0.0, n2, wL)
+    return NRReference(e_nr=e_nr, kappa=kappa, magnitude=point.magnitude,
+                       phase=point.phase, ratio=normalized_phase_time(0.0, n2, wL))
 
 
 def nr_t_phi(setup: BarrierSetup, e_nr: float) -> float:
@@ -396,4 +354,4 @@ def nr_t_phi(setup: BarrierSetup, e_nr: float) -> float:
     if setup.L == 0.0:
         return 0.0
     k = math.sqrt(2.0 * setup.m * e_nr)
-    return nr_ratio_normalized(e_nr / setup.V0, setup.wL) * setup.L * setup.m / k
+    return normalized_phase_time(0.0, e_nr / setup.V0, setup.wL) * setup.L * setup.m / k

@@ -55,7 +55,8 @@ class ScatteringSolution:
 
     alpha and beta are the interior coefficients in the basis of the
     zone: {exp(-rho x), exp(+rho x)} (evanescent), {exp(-iqx), exp(+iqx)}
-    (oscillatory) or {1, x} (degenerate edge).
+    (oscillatory) or {1, x} (degenerate edge).  arg_T is the principal
+    argument of T, kept even where T underflows to 0 (rho L > ~745).
     """
 
     R: complex
@@ -63,6 +64,7 @@ class ScatteringSolution:
     alpha: complex
     beta: complex
     zone: Zone
+    arg_T: float
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
         T = 2.0 / (2.0 - 1j * k * L)
         R = -1j * k * L / (2.0 - 1j * k * L)
         return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * k * L) * T,
-                                  beta=1j * k * T, zone=zone)
+                                  beta=1j * k * T, zone=zone, arg_T=cmath.phase(T))
 
     kappa = complex(channel.rho) if channel.kind == "evanescent" else 1j * channel.q
     u = cmath.exp(-kappa * L)  # |u| <= 1 in both zones
@@ -124,8 +126,11 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
     det = Q + ik * P
     S = 2.0 * ik / det
     R = S * P - 1.0
-    return ScatteringSolution(R=R, T=S * u, alpha=g1 * S, beta=g2 * S * u2,
-                              zone=zone)
+    T = S * u
+    # u is real and positive in the evanescent zone, so arg T = arg S there
+    arg_T = cmath.phase(S if channel.kind == "evanescent" else T)
+    return ScatteringSolution(R=R, T=T, alpha=g1 * S, beta=g2 * S * u2,
+                              zone=zone, arg_T=arg_T)
 
 
 def continuity_residuals(setup: BarrierSetup, mode: IncidentMode,
@@ -182,8 +187,8 @@ def _phase_continuous(v: float, n2: float, wL: float) -> tuple[float, int]:
     return principal + winding * math.pi, winding
 
 
-def transmission_closed_form(setup: BarrierSetup, mode: IncidentMode) -> TransmissionPoint:
-    """Closed-form T, R, |T| and unwrapped phase in every zone and on both edges.
+def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoint:
+    """Closed-form T, R, |T| and unwrapped phase at (v, n2, wL), any zone and edge.
 
     magnitude = 1/hypot(1, X) with the real
     X = ((n2+rho_n^2)/(2n)) wL sinhc(d2), d2 = rho_n^2 wL^2, which is 1 at
@@ -192,9 +197,9 @@ def transmission_closed_form(setup: BarrierSetup, mode: IncidentMode) -> Transmi
     steps added), T = rect(magnitude, phase) and R = -i X T.
     The prefactor (n2+rho_n^2)^2 is required for agreement with
     match_boundaries (the Wronskian-conserving solution); see
-    transmission_magnitude_nr_form for the variant without it.
+    transmission_magnitude_nr_form for the variant without it.  At v = 0
+    (rho_n^2 = 1 - n2, n2 = E_NR/V0) this is the Schroedinger barrier.
     """
-    v, wL, n2 = setup.v, setup.wL, mode.n2
     r2 = rho_n2(v, n2)
     d2 = r2 * wL * wL
     phase, winding = _phase_continuous(v, n2, wL)
@@ -241,14 +246,14 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
 def unwrapped_phase(setup: BarrierSetup, mode: IncidentMode) -> float:
     """Continuous arg T(E) taken from the exact matcher.
 
-    The principal argument of match_boundaries' T is lifted onto the
+    The principal argument of match_boundaries' T (its arg_T, defined
+    even for an opaque barrier whose T underflows) is lifted onto the
     continuous branch by borrowing the integer winding from the analytic
     continuation; the returned value therefore differentiates smoothly
     in E within a zone, which is what the numeric phase-time oracle
     needs.
     """
-    sol = match_boundaries(setup, mode)
-    principal = cmath.phase(sol.T)
+    principal = match_boundaries(setup, mode).arg_T
     analytic, _ = _phase_continuous(setup.v, mode.n2, setup.wL)
     turns = round((analytic - principal) / (2.0 * math.pi))
     return principal + 2.0 * math.pi * turns

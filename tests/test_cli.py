@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from kleintunnel import BarrierSetup, transmission_closed_form
 from kleintunnel.cli import main
 from kleintunnel.phasetime import edge_phase_time_ratio
 from kleintunnel.sweep import CSV_COLUMNS
@@ -85,6 +86,21 @@ class TestLimits:
 
 
 class TestJsonAgreement:
+    def test_amp_reports_the_closed_form_as_t2_exact(self, capsys):
+        # near an edge at large width the matcher is ~1e-8 off; T2_exact
+        # is the closed form, as in the sweep CSV, and T2_matcher its check
+        n2 = 1.335 * (1.0 + 1e-11)
+        code, out, _ = run_cli(capsys, "amp", "--m", "1", "--v", "0.67", "--wL", "240",
+                               "--n2", repr(n2), "--json")
+        assert code == 0
+        vals = json.loads(out)
+        s = BarrierSetup.from_dimensionless(0.67, 240.0)
+        point = transmission_closed_form(s.v, n2, s.wL)
+        assert vals["T2_exact"] == point.probability
+        assert vals["R2"] == abs(point.R) ** 2
+        assert vals["T2_matcher"] == pytest.approx(point.probability, rel=1e-7)
+        assert "T2_closed_form" not in vals
+
     def test_amp_json_matches_human(self, capsys):
         argv = ["amp", "--m", "1", "--V0", "10", "--wL", "6.283185307179586",
                 "--n2", "5"]

@@ -11,6 +11,7 @@ from kleintunnel import (
     edge_limit_magnitude_nr_form,
     edge_limit_ratio,
     edge_phase_time_ratio,
+    match_boundaries,
     mode_from_energy,
     mode_from_n2,
     normalized_phase_time,
@@ -124,6 +125,16 @@ class TestNumericOracle:
         # and matches the analytically continued closed form
         cont = normalized_phase_time(10.0, 2.0, 2.0 * math.pi)
         assert res.ratio == pytest.approx(cont, rel=1e-6)
+
+    @pytest.mark.parametrize("wL", [3400.0, 1e4])
+    def test_opaque_barrier_where_T_underflows(self, wL):
+        # rho L > 745: |T| underflows to 0, but its phase is still defined
+        s = BarrierSetup.from_dimensionless(10.0, wL)
+        mode = mode_from_n2(s, 5.0)
+        assert match_boundaries(s, mode).T == 0.0
+        res = phase_time_numeric(s, mode)
+        assert res.ratio_defined
+        assert res.ratio == pytest.approx(normalized_phase_time(10.0, 5.0, wL), rel=1e-8)
 
     def test_zone_crossing_at_edge(self):
         s = make()
@@ -303,12 +314,24 @@ class TestNRReference:
         assert t1 == pytest.approx(2.0 / kappa, rel=1e-6)  # known plateau 2m/(k kappa)
 
     def test_nr_ratio_against_finite_difference(self):
-        from kleintunnel.phasetime import nr_ratio_normalized, nr_ratio_numeric
+        from kleintunnel.phasetime import nr_ratio_numeric
         wL = 2.0 * math.pi
         for n2 in (0.1, 0.4, 0.7, 0.95, 1.3, 2.5):
-            a = nr_ratio_normalized(n2, wL)
+            a = normalized_phase_time(0.0, n2, wL)
             b = nr_ratio_numeric(n2, wL)
             assert a == pytest.approx(b, rel=1e-5, abs=1e-9)
+
+    def test_nr_zone_edge(self):
+        from kleintunnel.phasetime import nr_ratio_numeric
+        for wL in (0.5, 2.0 * math.pi, 100.0):
+            # the closed form's edge value at v = 0
+            assert normalized_phase_time(0.0, 1.0, wL) == \
+                (1.5 + wL * wL / 3.0) / (1.0 + 0.25 * wL * wL)
+            # no stencil avoids the edge
+            with pytest.raises(ZoneCrossingError):
+                nr_ratio_numeric(1.0, wL)
+        with pytest.raises(ZeroLengthError):
+            nr_ratio_numeric(0.5, 0.0)
 
     def test_relativistic_pipeline_reduces_to_nr(self):
         v = 1e-8
@@ -317,7 +340,7 @@ class TestNRReference:
         for n2 in (0.1, 0.5, 0.9):
             mode = mode_from_n2(s, n2)
             from kleintunnel import transmission_closed_form
-            rel_mag = transmission_closed_form(s, mode).magnitude
+            rel_mag = transmission_closed_form(s.v, mode.n2, s.wL).magnitude
             rel_ratio = phase_time_closed_form(s, mode).ratio
             ref = nr_transmission(s, n2 * s.V0)
             assert rel_mag**2 == pytest.approx(ref.magnitude**2, rel=1e-6)

@@ -140,7 +140,7 @@ class TestMatchBoundaries:
 class TestClosedForms:
     def test_frozen_point(self):
         s = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi)
-        point = transmission_closed_form(s, mode_from_n2(s, 5.0))
+        point = transmission_closed_form(s.v, 5.0, s.wL)
         assert point.magnitude == pytest.approx(MAG_V10_N5_WL2PI, rel=1e-12)
         assert point.phase == pytest.approx(PHASE_V10_N5_WL2PI, rel=1e-12)
         assert point.probability == pytest.approx(point.magnitude**2, rel=1e-15)
@@ -154,7 +154,7 @@ class TestClosedForms:
             lo, hi = max(0.0, 0.5 * v - 1.0), 0.5 * v + 1.0
             n2 = float(rng.uniform(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo)))
             mode = mode_from_n2(s, n2)
-            point = transmission_closed_form(s, mode)
+            point = transmission_closed_form(s.v, mode.n2, s.wL)
             sol = match_boundaries(s, mode)
             assert point.magnitude == pytest.approx(abs(sol.T), rel=1e-10)
             assert point.phase == pytest.approx(cmath.phase(sol.T), rel=1e-10, abs=1e-12)
@@ -170,7 +170,7 @@ class TestClosedForms:
         mag = transmission_magnitude_nr_form(s, mode)
         assert mag == pytest.approx(MAG_NR_FORM_V10_N5_WL2PI, rel=1e-12)
         # the NR prefactor overestimates the relativistic transmission
-        assert mag > 4.0 * transmission_closed_form(s, mode).magnitude
+        assert mag > 4.0 * transmission_closed_form(s.v, mode.n2, s.wL).magnitude
 
     def test_nr_form_coincides_with_exact_at_v_to_zero(self):
         # k^2 + rho^2 = w^2 for Schroedinger kinematics: both prefactors agree
@@ -178,13 +178,13 @@ class TestClosedForms:
         for n2 in (0.1, 0.5, 0.9):
             mode = mode_from_n2(s, n2)
             assert transmission_magnitude_nr_form(s, mode) == pytest.approx(
-                transmission_closed_form(s, mode).magnitude, rel=1e-9)
+                transmission_closed_form(s.v, mode.n2, s.wL).magnitude, rel=1e-9)
 
     def test_symmetric_schroedinger_value_at_v_to_zero(self):
         # v -> 0, n2 = 1/2: 4 n2 rho_n^2 = 1, so |T| -> [1 + sinh^2(wL/sqrt(2))]^(-1/2)
         for wL in (1.0, 2.0 * math.pi):
             s = BarrierSetup.from_dimensionless(1e-10, wL)
-            mag = transmission_closed_form(s, mode_from_n2(s, 0.5)).magnitude
+            mag = transmission_closed_form(s.v, 0.5, s.wL).magnitude
             expected = 1.0 / math.sqrt(1.0 + math.sinh(wL / math.sqrt(2.0)) ** 2)
             assert mag == pytest.approx(expected, rel=1e-8)
 
@@ -216,7 +216,7 @@ class TestOscillatory:
         for N in (1, 2, 5):
             s = make(L=N * math.pi / q)
             mode = mode_from_energy(s, 12.0)
-            point = transmission_closed_form(s, mode)
+            point = transmission_closed_form(s.v, mode.n2, s.wL)
             assert point.magnitude == pytest.approx(1.0, abs=1e-12)
             sol = match_boundaries(s, mode)
             assert abs(sol.T) == pytest.approx(1.0, abs=1e-10)
@@ -225,14 +225,14 @@ class TestOscillatory:
         q = math.sqrt(3.0)
         s = make(L=0.5 * math.pi / q)
         mode = mode_from_energy(s, 12.0)
-        point = transmission_closed_form(s, mode)
+        point = transmission_closed_form(s.v, mode.n2, s.wL)
         assert point.magnitude == pytest.approx(MAG_OSC_E12_QL_HALFPI, rel=1e-12)
         sol = match_boundaries(s, mode)
         assert point.magnitude == pytest.approx(abs(sol.T), rel=1e-10)
 
     def test_no_barrier(self):
         s = make(L=0.0)
-        point = transmission_closed_form(s, mode_from_energy(s, 12.0))
+        point = transmission_closed_form(s.v, mode_from_energy(s, 12.0).n2, s.wL)
         assert point.magnitude == 1.0
         assert point.phase == 0.0
         assert point.winding == 0
@@ -250,7 +250,7 @@ class TestOscillatory:
             zone = classify_zone(s, mode.E)
             if zone not in (Zone.KLEIN, Zone.ABOVE_BARRIER):
                 continue
-            point = transmission_closed_form(s, mode)
+            point = transmission_closed_form(s.v, mode.n2, s.wL)
             sol = match_boundaries(s, mode)
             assert point.magnitude == pytest.approx(abs(sol.T), rel=1e-10)
             # phases agree modulo the winding bookkeeping
@@ -377,7 +377,7 @@ class TestAnyZoneDispatch:
     def test_dispatch_covers_all_zones(self):
         s = make(L=0.3)
         for E, winding_zero in ((5.0, False), (9.0, True), (10.0, True), (12.0, True)):
-            point = transmission_closed_form(s, mode_from_energy(s, E))
+            point = transmission_closed_form(s.v, mode_from_energy(s, E).n2, s.wL)
             assert 0.0 < point.magnitude <= 1.0
             if winding_zero:
                 assert point.winding == 0
@@ -412,8 +412,11 @@ def mp_reflection(v, n2, wL, t_mp):
 
 @st.composite
 def barrier_points(draw):
-    """(v, n2, wL) over all zones, both edges and wL from 0.3 to 400."""
-    v = draw(st.floats(0.3, 60.0))
+    """(v, n2, wL) over all zones, both edges and wL from 0.3 to 400.
+
+    v = 0 is the Schroedinger barrier, where rho_n^2 = 1 - n2 exactly.
+    """
+    v = draw(st.one_of(st.just(0.0), st.floats(0.3, 60.0)))
     wL = 10.0 ** draw(st.floats(math.log10(0.3), math.log10(400.0)))
     if draw(st.booleans()):
         return v, draw(st.floats(1e-3, 0.5 * v + 6.0)), wL
@@ -428,14 +431,13 @@ class TestSingleClosedForm:
     @given(barrier_points())
     def test_matches_40_digit_reference(self, point):
         v, n2, wL = point
-        s = BarrierSetup.from_dimensionless(v, wL)
-        closed = transmission_closed_form(s, mode_from_n2(s, n2))
-        ref = mp_transmission(v, n2, s.wL)
+        closed = transmission_closed_form(v, n2, wL)
+        ref = mp_transmission(v, n2, wL)
         assert closed.magnitude == pytest.approx(float(abs(ref)), rel=1e-11)
         gap = math.remainder(closed.phase - float(mpmath.arg(ref)), 2.0 * math.pi)
         assert abs(gap) <= 1e-11
         assert abs(closed.T - complex(ref)) <= 1e-11
-        assert abs(closed.R - complex(mp_reflection(v, n2, s.wL, ref))) <= 1e-11
+        assert abs(closed.R - complex(mp_reflection(v, n2, wL, ref))) <= 1e-11
 
     @pytest.mark.parametrize("v", [0.5, 3.0, 10.0, 40.0])
     def test_exact_edge_identities(self, v):
@@ -447,7 +449,7 @@ class TestSingleClosedForm:
             assert classify_zone(s, mode.E).value.startswith("Edge")
             # the matcher's linear branch T = 2/(2 - ikL)
             linear = 2.0 / (2.0 - 1j * mode.k * s.L)
-            point = transmission_closed_form(s, mode)
+            point = transmission_closed_form(s.v, mode.n2, s.wL)
             assert point.magnitude == pytest.approx(abs(linear), rel=1e-15)
             assert point.phase == pytest.approx(cmath.phase(linear), rel=1e-15)
             assert point.winding == 0

@@ -19,7 +19,6 @@ from kleintunnel import (
     write_csv,
     write_json,
 )
-from kleintunnel.phasetime import nr_magnitude_normalized, nr_phase_normalized, nr_ratio_normalized
 from kleintunnel.sweep import CSV_COLUMNS, fig1_request
 
 
@@ -64,11 +63,12 @@ class TestSweepIsAMap:
         setup = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi)
         for rec in recs:
             mode = mode_from_n2(setup, rec.n2)
-            assert rec.t2_exact == transmission_closed_form(setup, mode).probability
+            point = transmission_closed_form(10.0, rec.n2, 2.0 * math.pi)
+            assert rec.t2_exact == point.probability
             # the matcher stays the independent check of the column
             assert rec.t2_exact == pytest.approx(abs(match_boundaries(setup, mode).T) ** 2,
                                                  rel=1e-12)
-            assert rec.phase_rad == transmission_closed_form(setup, mode).phase
+            assert rec.phase_rad == point.phase
             assert rec.ratio_closed == normalized_phase_time(10.0, rec.n2, 2.0 * math.pi)
             assert rec.zone == "Tunneling"
             assert rec.error is None
@@ -115,17 +115,27 @@ class TestEdgeHandling:
 
 class TestNRPipeline:
     def test_v0_matches_nr_functions(self):
-        req = SweepRequest(v=0.0, wL=2.0 * math.pi, n2_min=0.1, n2_max=2.9, count=15)
+        # v = 0 is the closed forms at v = 0 (the Schroedinger barrier)
+        wL = 2.0 * math.pi
+        req = SweepRequest(v=0.0, wL=wL, n2_min=0.1, n2_max=2.9, count=15)
         for rec in run_sweep(req):
             assert rec.e_over_m is None
-            assert rec.t2_exact == pytest.approx(
-                nr_magnitude_normalized(rec.n2, 2.0 * math.pi) ** 2, rel=1e-14)
-            assert rec.phase_rad == pytest.approx(
-                nr_phase_normalized(rec.n2, 2.0 * math.pi), rel=1e-14)
-            assert rec.ratio_closed == pytest.approx(
-                nr_ratio_normalized(rec.n2, 2.0 * math.pi), rel=1e-14)
+            point = transmission_closed_form(0.0, rec.n2, wL)
+            assert rec.t2_exact == point.probability
+            assert rec.phase_rad == point.phase
+            assert rec.ratio_closed == normalized_phase_time(0.0, rec.n2, wL)
             expected_zone = "Tunneling" if rec.n2 < 1.0 else "AboveBarrier"
             assert rec.zone == expected_zone
+            assert rec.t2_nr_form == (point.probability if rec.n2 < 1.0 else None)
+
+    def test_v0_edge_row_refused_by_the_oracle(self):
+        wL = 2.0 * math.pi
+        req = SweepRequest(v=0.0, wL=wL, n2_min=0.5, n2_max=1.0, count=2)
+        rec = run_sweep(req)[-1]
+        assert rec.nudged and rec.zone == "EdgeUpper"
+        assert rec.ratio_closed == (1.5 + wL * wL / 3.0) / (1.0 + 0.25 * wL * wL)
+        assert rec.ratio_numeric is None
+        assert rec.error == "ratio_numeric: n2=1 sits on the NR zone edge"
 
     def test_v0_phase_continuity(self):
         req = SweepRequest(v=0.0, wL=2.0 * math.pi, n2_min=0.01, n2_max=3.0, count=800)
