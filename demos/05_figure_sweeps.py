@@ -15,7 +15,7 @@ import os
 from kleintunnel import fig1_preset, read_csv
 
 out_dir = os.path.join(os.path.dirname(__file__), "output")
-paths = fig1_preset(out_dir, workers=1)
+paths = fig1_preset(out_dir)
 for path in paths:
     print("wrote", path)
 print()

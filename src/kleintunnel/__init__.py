@@ -39,6 +39,7 @@ from .phasetime import (
     edge_limit_ratio,
     edge_phase_time_ratio,
     normalized_phase_time,
+    normalized_phase_time_numeric,
     nr_t_phi,
     nr_transmission,
     phase_time_closed_form,
@@ -52,7 +53,6 @@ from .scattering import (
     match_boundaries,
     transmission_closed_form,
     transmission_magnitude_nr_form,
-    unwrapped_phase,
 )
 from .sweep import SweepRecord, SweepRequest, fig1_preset, read_csv, run_sweep, write_csv, write_json
 from .wavepacket import (

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .errors import KleinTunnelError
+from .errors import DomainError, KleinTunnelError
 from .kinematics import (
     BarrierSetup,
     barrier_channel,
@@ -128,6 +128,8 @@ class _Config:
         name, val = self.exclusive("V0", "v")
         V0 = val if name == "V0" else val * m
         w = math.sqrt(2.0 * m * V0)
+        if w == 0.0:
+            raise DomainError(f"w = sqrt(2*m*V0) underflows to 0 at m={m}, V0={V0}")
         name, val = self.exclusive("L", "wL")
         L = val if name == "L" else val / w
         return BarrierSetup(m=m, V0=V0, L=L)
@@ -219,14 +221,13 @@ def _cmd_phasetime(parser, args) -> int:
     cfg = _Config(parser, args)
     setup = cfg.barrier()
     mode = cfg.mode(setup)
-    dE = cfg.pick_float("dE")
     payload = {
         "m": setup.m, "V0": setup.V0, "L": setup.L, "E": mode.E, "n2": mode.n2,
         "zone": classify_zone(setup, mode.E).value,
         "tau": classical_tau(setup, mode),
     }
     try:
-        numeric = phase_time_numeric(setup, mode, dE=dE)
+        numeric = phase_time_numeric(setup, mode)
         payload["t_phi_numeric"] = numeric.t_phi
         payload["ratio_numeric"] = numeric.ratio
     except KleinTunnelError as exc:
@@ -310,12 +311,11 @@ def _cmd_packet(parser, args) -> int:
 
 def _cmd_sweep(parser, args) -> int:
     cfg = _Config(parser, args)
-    workers = cfg.pick_int("workers") or 1
     preset = getattr(args, "preset", None) or cfg.pick("preset")
     if preset == "fig1":
         out_dir = getattr(args, "out_dir", None) or cfg.pick("out_dir") or "."
         fmt = cfg.pick("format") or "csv"
-        paths = fig1_preset(out_dir, fmt=str(fmt), workers=workers)
+        paths = fig1_preset(out_dir, fmt=str(fmt))
         _emit(args, {"preset": "fig1", "files": paths})
         return 0
     v = cfg.pick_float("v", required=True)
@@ -329,7 +329,7 @@ def _cmd_sweep(parser, args) -> int:
         outputs = [item.strip() for item in outputs.split(",") if item.strip()]
     req = SweepRequest(v=v, wL=wL, m=m, n2_min=n2_min, n2_max=n2_max,
                        count=count, outputs=tuple(outputs))
-    records = run_sweep(req, workers=workers)
+    records = run_sweep(req)
     out = args.out or cfg.pick("out")
     if not out:
         parser.error("sweep needs --out PATH (or an 'out' config entry)")
@@ -382,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p); barrier_flags(p)
     p.add_argument("--E", type=float, help="total energy (exclusive with --n2)")
     p.add_argument("--n2", type=float, help="normalized energy k^2/w^2")
-    p.add_argument("--dE", type=float, help="initial finite-difference step")
+    p.add_argument("--dE", type=float,
+                   help="accepted and ignored (the numeric derivative is exact)")
     p.set_defaults(func=_cmd_phasetime)
 
     p = sub.add_parser("limits", help="zone-edge limit values at (v, wL)")
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2-max", dest="n2_max", type=float)
     p.add_argument("--count", type=int, help="grid points (>= 2)")
     p.add_argument("--outputs", help="comma list of value columns")
-    p.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=int, help="accepted and ignored (sweeps run serially)")
     p.add_argument("--format", choices=["csv", "json"])
     p.set_defaults(func=_cmd_sweep)
     return parser

@@ -27,7 +27,7 @@ class ZeroLengthError(KleinTunnelError):
 
 
 class ZoneCrossingError(KleinTunnelError):
-    """Finite-difference stencil would straddle a zone edge."""
+    """The numeric phase-time oracle was asked for a point on a zone edge."""
 
 
 class NonConvergentError(KleinTunnelError):

@@ -83,6 +83,8 @@ class BarrierSetup:
             raise DomainError(f"barrier height must be positive and finite, got V0={self.V0}")
         if not (self.L >= 0.0 and math.isfinite(self.L)):
             raise DomainError(f"barrier width must be >= 0 and finite, got L={self.L}")
+        if self.w == 0.0:
+            raise DomainError(f"w = sqrt(2*m*V0) underflows to 0 at m={self.m}, V0={self.V0}")
 
     @property
     def w(self) -> float:
@@ -108,6 +110,8 @@ class BarrierSetup:
             raise DomainError(f"wL must be >= 0 and finite, got {wL}")
         V0 = v * m
         w = math.sqrt(2.0 * m * V0)
+        if w == 0.0:
+            raise DomainError(f"w = sqrt(2*m*V0) underflows to 0 at m={m}, v={v}")
         return cls(m=m, V0=V0, L=wL / w)
 
 

@@ -4,12 +4,13 @@ The transit time of a transmitted packet whose peak leaves the barrier at
 x = L is the energy derivative of the transmitted phase, t_phi = dphi/dE,
 evaluated at the spectral peak.  Normalizing by the classical traversal
 time tau = L/(dE/dk) = L*E/k gives the dimensionless ratio computed here
-in three independent ways:
+in two independent ways, plus limit formulas:
 
 * a closed form f(n,L)/g(n,L) (the exact derivative of the closed-form
   phase, written out below),
-* a Richardson-refined central difference of the matcher's unwrapped
-  phase (the oracle, independent of every closed form),
+* the oracle normalized_phase_time_numeric, the n2-derivative carried
+  by hand through the matcher's 2x2 solve (independent of every closed
+  form),
 * small-rho and zone-edge limit formulas.
 
 The closed-form ratio is f/g with s = sqrt(1 + 2*n2*v), d = rho_n*wL:
@@ -30,8 +31,8 @@ which only for wL -> infinity reaches the width-independent limit
 
 At v = 0 (rho_n^2 = 1 - n2) the same closed forms are the Schroedinger
 barrier with dispersion k^2 = 2 m E_NR and n2 = E_NR/V0; nr_transmission
-and nr_t_phi evaluate them there, and nr_ratio_numeric differentiates
-the v = 0 phase numerically as that panel's oracle.
+and nr_t_phi evaluate them there, and normalized_phase_time_numeric at
+v = 0 is that panel's oracle.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ import math
 from dataclasses import dataclass
 
 from ._stable import LARGE_D2, sinh_sq, sinhc_cosh
-from .errors import DomainError, NonConvergentError, ZeroLengthError, ZoneCrossingError
-from .kinematics import BarrierSetup, IncidentMode, Zone, classify_zone, mode_from_energy, rho_n2
-from .scattering import _phase_continuous, transmission_closed_form, unwrapped_phase
+from .errors import DomainError, ZeroLengthError, ZoneCrossingError
+from .kinematics import BarrierSetup, IncidentMode, Zone, classify_zone, rho_n2
+from .scattering import _matched, transmission_closed_form
 
 # n2-distance from a zone edge below which the verbatim f/g cancels too
 # hard to be meaningful in doubles; the exact edge value is used there
@@ -145,76 +146,64 @@ def phase_time_closed_form(setup: BarrierSetup, mode: IncidentMode) -> PhaseTime
 
 
 # ---------------------------------------------------------------------------
-# numeric oracle: Richardson-refined dphi/dE of the matched amplitude
+# numeric oracle: the n2-derivative carried through the matching solve
 # ---------------------------------------------------------------------------
+
+def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
+    """t_phi/tau at (v, n2, wL) from the derivative of the matched amplitude.
+
+    The counterpart of normalized_phase_time, independent of every closed
+    form: d/dn2 is carried by hand through the matcher's 2x2 solve
+    (scattering._matched), T = 2 i n u / det with u = exp(-kappa wL) and
+    kappa^2 = rho_n^2, so that
+
+        d log T = dn/n - d det/det - wL dkappa,
+        dkappa = (v/s - 1)/(2 kappa),   s = sqrt(1 + 2 n2 v),
+
+    (dkappa = -1/(2 kappa) at v = 0, the Schroedinger dispersion) and
+    t_phi/tau = (2n/wL) Im(d log T/dn2).  Taking Im of the logarithmic
+    derivative needs no phase unwrapping, and an opaque barrier whose u
+    underflows loses nothing.
+
+    Raises ZoneCrossingError exactly on a zone edge (rho_n^2 == 0) and
+    ZeroLengthError at wL = 0, where tau = 0.
+    """
+    if wL == 0.0:
+        raise ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
+    r2 = rho_n2(v, n2)
+    if r2 == 0.0:
+        raise ZoneCrossingError(f"n2={n2} lies on a zone edge")
+    n = math.sqrt(n2)
+    kappa = complex(math.sqrt(r2)) if r2 > 0.0 else 1j * math.sqrt(-r2)
+    u, g1, g2, P, det = _matched(n, kappa, wL)
+    u2 = u * u
+    dn = 0.5 / n
+    dkappa = (v / math.sqrt(1.0 + 2.0 * n2 * v) - 1.0) / (2.0 * kappa)
+    dir_ = 1j * (dn - n * dkappa / kappa) / kappa  # d(i n/kappa); dg1 = -dir_/2 = -dg2
+    du2 = -2.0 * wL * dkappa * u2
+    dP = 0.5 * dir_ * (u2 - 1.0) + g2 * du2
+    dQ = dkappa * (g2 * u2 - g1) + kappa * (0.5 * dir_ * (u2 + 1.0) + g2 * du2)
+    ddet = dQ + 1j * (dn * P + n * dP)
+    # dn/n is real
+    return 2.0 * n / wL * (-(ddet / det).imag - wL * dkappa.imag)
+
 
 def phase_time_numeric(setup: BarrierSetup, mode: IncidentMode,
                        dE: float | None = None) -> PhaseTimeResult:
-    """t_phi = dphi/dE by central differences of the matcher's phase.
+    """t_phi = dphi/dE from normalized_phase_time_numeric.
 
-    The step starts at dE (default 1e-6*m), clamped so the stencil stays
-    10 steps away from the nearest zone edge, and is halved with
-    Richardson extrapolation until two successive estimates agree to
-    1e-8 relative (with an absolute floor at the derivative scale).
-
-    Raises ZoneCrossingError if the point sits on an edge (no one-zone
-    stencil exists) and NonConvergentError if refinement fails.
+    dE is accepted and ignored: the derivative is exact, so there is no
+    step.  Raises ZoneCrossingError if the point is tagged as a zone edge
+    by classify_zone; at L = 0 the ratio is flagged undefined.
     """
-    m, V0 = setup.m, setup.V0
-    E = mode.E
-    zone = classify_zone(setup, E)
-    if zone in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
-        raise ZoneCrossingError(f"E={E} lies on a zone edge; stencil would straddle it")
-    boundaries = [m, V0 + m]
-    if V0 - m > m:
-        boundaries.append(V0 - m)
-    dist = min(abs(E - b) for b in boundaries)
-    h = min(dE if dE is not None else 1e-6 * m, dist / 10.0)
-    if h <= 0.0:
-        raise ZoneCrossingError(f"E={E} touches a zone boundary")
-
-    def central(step: float) -> tuple[float, float]:
-        hi = unwrapped_phase(setup, mode_from_energy(setup, E + step))
-        lo = unwrapped_phase(setup, mode_from_energy(setup, E - step))
-        return (hi - lo) / (2.0 * step), max(abs(hi), abs(lo))
-
-    d0, phi_scale = central(h)
-    # difference-quotient roundoff at the largest step bounds the
-    # achievable absolute accuracy of the whole tableau
-    noise_floor = 64.0 * math.ulp(max(phi_scale, 1.0)) / h
-    table: list[list[float]] = [[d0]]
-    t_phi, err = d0, math.inf
-    converged = setup.L == 0.0  # phase identically 0: first estimate exact
-    for _ in range(1, 20):
-        if converged:
-            break
-        h *= 0.5
-        if h < 64.0 * math.ulp(max(E, m)):
-            break
-        row = [central(h)[0]]
-        p4 = 1.0
-        for prev in table[-1]:
-            p4 *= 4.0
-            cand = (p4 * row[-1] - prev) / (p4 - 1.0)
-            errt = max(abs(cand - row[-1]), abs(cand - prev))
-            row.append(cand)
-            if errt <= err:
-                err, t_phi = errt, cand
-        diag_jump = abs(row[-1] - table[-1][-1])
-        table.append(row)
-        if err <= max(1e-8 * abs(t_phi), noise_floor):
-            converged = True
-        elif diag_jump >= 4.0 * err:
-            break  # halving further only amplifies roundoff
-    if not converged:
-        raise NonConvergentError(
-            f"step-halving stalled at error {err:.3e} "
-            f"(target {max(1e-8 * abs(t_phi), noise_floor):.3e})")
+    if classify_zone(setup, mode.E) in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
+        raise ZoneCrossingError(f"E={mode.E} lies on a zone edge")
     if setup.L == 0.0:
         return PhaseTimeResult(tau=0.0, t_phi=0.0, ratio=float("nan"),
                                method="numeric_derivative", ratio_defined=False)
     tau = classical_tau(setup, mode)
-    return PhaseTimeResult(tau=tau, t_phi=t_phi, ratio=t_phi / tau,
+    ratio = normalized_phase_time_numeric(setup.v, mode.n2, setup.wL)
+    return PhaseTimeResult(tau=tau, t_phi=ratio * tau, ratio=ratio,
                            method="numeric_derivative")
 
 
@@ -304,28 +293,6 @@ def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
 # ---------------------------------------------------------------------------
 # Schroedinger reference: the closed forms at v = 0
 # ---------------------------------------------------------------------------
-
-def nr_ratio_numeric(n2: float, wL: float, dn: float = 1e-6) -> float:
-    """NR ratio by Richardson-refined central differences of the v = 0 phase.
-
-    The step in n = sqrt(n2) stays a tenth of the distance to the zone
-    edge n2 = 1; ZoneCrossingError on the edge, ZeroLengthError at wL = 0.
-    """
-    if wL == 0.0:
-        raise ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
-    n = math.sqrt(n2)
-    h = min(dn, abs(n - 1.0) / 10.0)
-    if h <= 0.0:
-        raise ZoneCrossingError("n2=1 sits on the NR zone edge")
-
-    def phase(x: float) -> float:
-        return _phase_continuous(0.0, x * x, wL)[0]
-
-    d1 = (phase(n + h) - phase(n - h)) / (2.0 * h)
-    h2 = 0.5 * h
-    d2 = (phase(n + h2) - phase(n - h2)) / (2.0 * h2)
-    return (4.0 * d2 - d1) / 3.0 / wL
-
 
 def _nr_check(setup: BarrierSetup, e_nr: float) -> None:
     if not (0.0 < e_nr < setup.V0):

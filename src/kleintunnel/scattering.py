@@ -90,46 +90,59 @@ class TransmissionPoint:
 # exact matching
 # ---------------------------------------------------------------------------
 
+def _matched(n: float, kappa: complex,
+             wL: float) -> tuple[complex, complex, complex, complex, complex]:
+    """The reduced 2x2 matching solve in units of w: (u, g1, g2, P, det).
+
+    kappa is rho_n in the evanescent zone and i q_n in the oscillatory
+    ones, u = exp(-kappa wL) and g1,2 = (1 -+ i n/kappa)/2.  With
+    S = T/u, phi(0) = S P and phi'(0) = S Q, P = g1 + g2 u^2,
+    Q = kappa (g2 u^2 - g1); matching to 1 + R and i n (1 - R) gives
+    S = 2 i n / det, det = Q + i n P.  Only u^2 enters P and Q, so
+    nothing overflows and an opaque barrier (u underflowing to 0) is fine.
+    """
+    u = cmath.exp(-kappa * wL)  # |u| <= 1 in both zones
+    ir = 1j * n / kappa
+    g1 = 0.5 * (1.0 - ir)
+    g2 = 0.5 * (1.0 + ir)
+    u2 = u * u
+    P = g1 + g2 * u2
+    det = kappa * (g2 * u2 - g1) + 1j * n * P
+    return u, g1, g2, P, det
+
+
 def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolution:
     """Solve the four continuity equations exactly.
 
     The 4x4 system is reduced analytically: the interior pair is
-    eliminated at x = L, leaving a 2x2 solve for (R, T).  The growing
-    interior exponential is kept in the factored form exp(rho(x-L)) so
-    nothing overflows for rho*L up to ~700; the transmission is solved
-    as S = T*exp(rho L) (an O(1) quantity) and rescaled at the end.
+    eliminated at x = L, leaving the 2x2 solve of :func:`_matched` for
+    (R, T) in units of w.  The transmission is solved as S = T*exp(rho L)
+    (an O(1) quantity) and rescaled at the end.
 
     Raises NonPropagatingError for E <= m.
     """
     zone = classify_zone(setup, mode.E)
     if zone is Zone.NON_PROPAGATING:
         raise NonPropagatingError(f"E={mode.E} does not exceed m={setup.m}")
-    k, L = mode.k, setup.L
     channel = barrier_channel(setup, mode)
 
     if channel.kind == "linear":
         # interior a + b*x; per unit T: b = ik, a = 1 - ikL
+        k, L = mode.k, setup.L
         T = 2.0 / (2.0 - 1j * k * L)
         R = -1j * k * L / (2.0 - 1j * k * L)
         return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * k * L) * T,
                                   beta=1j * k * T, zone=zone, arg_T=cmath.phase(T))
 
-    kappa = complex(channel.rho) if channel.kind == "evanescent" else 1j * channel.q
-    u = cmath.exp(-kappa * L)  # |u| <= 1 in both zones
-    ik = 1j * k
-    g1 = 0.5 * (1.0 - ik / kappa)
-    g2 = 0.5 * (1.0 + ik / kappa)
-    u2 = u * u
-    # phi(0)/S and phi'(0)/S with S = T/u: both coefficients are bounded
-    P = g1 + g2 * u2
-    Q = kappa * (g2 * u2 - g1)
-    det = Q + ik * P
-    S = 2.0 * ik / det
-    R = S * P - 1.0
+    w = setup.w
+    n = mode.k / w
+    kappa = complex(channel.rho_n) if channel.kind == "evanescent" else 1j * channel.q_n
+    u, g1, g2, P, det = _matched(n, kappa, w * setup.L)
+    S = 2j * n / det
     T = S * u
     # u is real and positive in the evanescent zone, so arg T = arg S there
     arg_T = cmath.phase(S if channel.kind == "evanescent" else T)
-    return ScatteringSolution(R=R, T=T, alpha=g1 * S, beta=g2 * S * u2,
+    return ScatteringSolution(R=S * P - 1.0, T=T, alpha=g1 * S, beta=g2 * S * u * u,
                               zone=zone, arg_T=arg_T)
 
 
@@ -241,19 +254,3 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
         # sinh^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
         return 2.0 * math.exp(-math.sqrt(d2)) / math.sqrt(c)
     return 1.0 / math.sqrt(1.0 + c * sinh_sq(d2))
-
-
-def unwrapped_phase(setup: BarrierSetup, mode: IncidentMode) -> float:
-    """Continuous arg T(E) taken from the exact matcher.
-
-    The principal argument of match_boundaries' T (its arg_T, defined
-    even for an opaque barrier whose T underflows) is lifted onto the
-    continuous branch by borrowing the integer winding from the analytic
-    continuation; the returned value therefore differentiates smoothly
-    in E within a zone, which is what the numeric phase-time oracle
-    needs.
-    """
-    principal = match_boundaries(setup, mode).arg_T
-    analytic, _ = _phase_continuous(setup.v, mode.n2, setup.wL)
-    turns = round((analytic - principal) / (2.0 * math.pi))
-    return principal + 2.0 * math.pi * turns

@@ -1,12 +1,12 @@
 """Parameter sweeps over n2 with zone tags, ordered unwrapping and CSV/JSON output.
 
 A sweep is defined by (v, wL, m) and a linear n2 grid; each grid point is
-computed independently (embarrassingly parallel), results are merged in
-grid order, and a single ordered pass normalizes the phase column so it
-is continuous along the grid.  Every closed-form column comes from
-(v, n2, wL) alone, so v = 0 is the Schroedinger barrier through the same
-formulas; there E_over_m is empty, the zone follows from n2 < 1 and the
-ratio_numeric oracle is nr_ratio_numeric instead of phase_time_numeric.
+computed independently in grid order, and a single ordered pass
+normalizes the phase column so it is continuous along the grid.  Every
+closed-form column comes from (v, n2, wL) alone, so v = 0 is the
+Schroedinger barrier through the same formulas; there E_over_m is empty
+and the zone follows from n2 < 1.  The ratio_numeric oracle is
+normalized_phase_time_numeric for every v.
 
 Grid points landing within 1e-9 (relative) of a zone edge are snapped to
 the edge, evaluated like every other point and flagged in the
@@ -26,14 +26,13 @@ same field names plus ``error``.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, KleinTunnelError
 from .kinematics import BarrierSetup, Zone, classify_zone, mode_from_n2
-from .phasetime import normalized_phase_time, nr_ratio_numeric, phase_time_numeric
+from .phasetime import normalized_phase_time, normalized_phase_time_numeric
 from .scattering import transmission_closed_form, transmission_magnitude_nr_form
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
@@ -63,6 +62,8 @@ class SweepRequest:
             raise DomainError(f"wL must be finite and >= 0, got {self.wL}")
         if not (self.m > 0.0 and math.isfinite(self.m)):
             raise DomainError(f"m must be positive and finite, got {self.m}")
+        if self.v > 0.0:
+            BarrierSetup.from_dimensionless(self.v, self.wL, self.m)  # rejects w == 0
         if not (self.n2_min > 0.0):
             raise DomainError(f"n2_min must be positive, got {self.n2_min}")
         if not (self.n2_max > self.n2_min and math.isfinite(self.n2_max)):
@@ -132,48 +133,35 @@ def _point(v: float, wL: float, m: float, n2: float, outputs: tuple[str, ...]) -
     if "ratio_closed" in outputs:
         vals["ratio_closed"] = normalized_phase_time(v, n2, wL)
     if "ratio_numeric" in outputs:
-        try:
-            if setup is None:
-                vals["ratio_numeric"] = nr_ratio_numeric(n2, wL)
-            else:
-                res = phase_time_numeric(setup, mode)
-                vals["ratio_numeric"] = res.ratio if res.ratio_defined else None
-                if not res.ratio_defined:
-                    errs.append("ratio_numeric: undefined at L=0")
-        except KleinTunnelError as exc:
-            errs.append(f"ratio_numeric: {exc}")
+        if zone in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
+            errs.append(f"ratio_numeric: n2={n2} lies on a zone edge")
+        else:
+            try:
+                vals["ratio_numeric"] = normalized_phase_time_numeric(v, n2, wL)
+            except KleinTunnelError as exc:
+                errs.append(f"ratio_numeric: {exc}")
     return SweepRecord(n2=n2, e_over_m=e_over_m, zone=zone.value, nudged=edge is not None,
                        error="; ".join(errs) or None, **vals)
-
-
-def _compute_point(args: tuple[float, float, float, float, tuple[str, ...]]) -> SweepRecord:
-    v, wL, m, n2, outputs = args
-    try:
-        return _point(v, wL, m, n2, outputs)
-    except KleinTunnelError as exc:
-        # a point-level failure is captured, never fatal for the sweep
-        return SweepRecord(n2=n2, e_over_m=None, zone=Zone.NON_PROPAGATING.value,
-                           error=str(exc))
 
 
 # ---------------------------------------------------------------------------
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def run_sweep(req: SweepRequest, workers: int = 1) -> list[SweepRecord]:
+def run_sweep(req: SweepRequest) -> list[SweepRecord]:
     """Evaluate the request grid in ascending n2.
 
-    Points are computed independently (optionally across ``workers``
-    processes), merged in grid order, then a single ordered pass removes
-    any residual 2*pi steps from the phase column.  Output is identical
-    for every worker count.
+    Points are computed independently, then a single ordered pass removes
+    any residual 2*pi steps from the phase column.
     """
-    jobs = [(req.v, req.wL, req.m, n2, tuple(req.outputs)) for n2 in req.grid()]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_compute_point, jobs, chunksize=64))
-    else:
-        records = [_compute_point(job) for job in jobs]
+    records = []
+    for n2 in req.grid():
+        try:
+            records.append(_point(req.v, req.wL, req.m, n2, req.outputs))
+        except KleinTunnelError as exc:
+            # a point-level failure is captured, never fatal for the sweep
+            records.append(SweepRecord(n2=n2, e_over_m=None, zone=Zone.NON_PROPAGATING.value,
+                                       error=str(exc)))
     return _unwrap_phases(records)
 
 
@@ -292,7 +280,7 @@ def fig1_request(v: float) -> SweepRequest:
                         count=FIG1_COUNT)
 
 
-def fig1_preset(out_dir, fmt: str = "csv", workers: int = 1) -> list[str]:
+def fig1_preset(out_dir, fmt: str = "csv") -> list[str]:
     """Produce the five standard datasets (v = 0, 1, 2, 5, 10) and return paths."""
     import os
 
@@ -301,7 +289,7 @@ def fig1_preset(out_dir, fmt: str = "csv", workers: int = 1) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for v in FIG1_V_VALUES:
-        records = run_sweep(fig1_request(v), workers=workers)
+        records = run_sweep(fig1_request(v))
         path = os.path.join(str(out_dir), f"fig1_v{int(v)}.{fmt}")
         (write_csv if fmt == "csv" else write_json)(records, path)
         paths.append(path)

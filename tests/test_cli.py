@@ -62,6 +62,18 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("amp", "--m", "1e-200", "--v", "1", "--n2", "0.5"),
+        ("sweep", "--m", "1e-200", "--v", "1", "--n2-min", "0.1", "--n2-max", "0.5",
+         "--count", "2")])
+    def test_mass_so_small_that_w_underflows(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "x.csv"
+        extra = ("--out", str(out_path)) if argv[0] == "sweep" else ()
+        code, _, err = run_cli(capsys, *argv, *extra)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_success(self, capsys):
         code, _, _ = run_cli(capsys, "limits", "--v", "10")
         assert code == 0

@@ -39,6 +39,13 @@ class TestBarrierSetup:
         with pytest.raises(DomainError):
             BarrierSetup(m=1.0, V0=10.0, L=-0.1)
 
+    def test_rejects_w_underflowing_to_zero(self):
+        # w = sqrt(2*m*V0) = sqrt(2e-400) is 0 in doubles
+        with pytest.raises(DomainError):
+            BarrierSetup(m=1e-200, V0=1e-200, L=1.0)
+        with pytest.raises(DomainError):
+            BarrierSetup.from_dimensionless(1.0, 2.0 * math.pi, m=1e-200)
+
     def test_from_dimensionless_roundtrip(self):
         s = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi, m=3.0)
         assert s.v == pytest.approx(10.0, rel=1e-15)

@@ -19,7 +19,6 @@ from kleintunnel import (
     mode_from_n2,
     transmission_closed_form,
     transmission_magnitude_nr_form,
-    unwrapped_phase,
 )
 from kleintunnel.phasetime import (
     edge_limit_magnitude_nr_form,
@@ -258,6 +257,14 @@ class TestOscillatory:
                 sol.T / abs(sol.T), rel=1e-9)
 
 
+def checked_phase(s, mode):
+    """Closed-form phase, checked against the matcher's arg T modulo 2*pi."""
+    phase = transmission_closed_form(s.v, mode.n2, s.wL).phase
+    assert math.remainder(phase - match_boundaries(s, mode).arg_T, 2.0 * math.pi) == \
+        pytest.approx(0.0, abs=1e-9)
+    return phase
+
+
 class TestPhaseContinuity:
     def test_continuous_across_both_edges(self):
         eps = 1e-8
@@ -269,7 +276,7 @@ class TestPhaseContinuity:
             mags = [abs(match_boundaries(s, md).T) for md in (below, at, above)]
             assert mags[0] == pytest.approx(mags[1], abs=1e-6)
             assert mags[2] == pytest.approx(mags[1], abs=1e-6)
-            phases = [unwrapped_phase(s, md) for md in (below, at, above)]
+            phases = [checked_phase(s, md) for md in (below, at, above)]
             assert phases[0] == pytest.approx(phases[1], abs=1e-6)
             assert phases[2] == pytest.approx(phases[1], abs=1e-6)
 
@@ -280,14 +287,14 @@ class TestPhaseContinuity:
         for n2 in grid:
             if abs(abs(n2 - 5.0) - 1.0) < 1e-12:
                 continue
-            phases.append(unwrapped_phase(s, mode_from_n2(s, float(n2))))
+            phases.append(checked_phase(s, mode_from_n2(s, float(n2))))
         steps = np.abs(np.diff(phases))
         assert steps.max() < 0.5  # no branch jumps anywhere
 
     def test_anchor_at_zero_width(self):
         s = make(L=0.0)
         for n2 in (0.5, 3.0, 5.0, 7.5):
-            assert unwrapped_phase(s, mode_from_n2(s, n2)) == pytest.approx(0.0, abs=1e-14)
+            assert checked_phase(s, mode_from_n2(s, n2)) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestSymmetryAndTrends:
