@@ -59,6 +59,7 @@ from .wavepacket import (
     ArrivalEstimate,
     DistortionMetrics,
     PacketRun,
+    QuadratureReport,
     SpectrumSpec,
     distortion,
     estimate_arrival,

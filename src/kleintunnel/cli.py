@@ -104,6 +104,8 @@ class _Config:
 
     def pick_int(self, key: str, required: bool = False) -> int | None:
         val = self.pick(key, required)
+        if isinstance(val, float) and not val.is_integer():
+            self._parser.error(f"parameter {key} must be an integer, got {val!r}")
         return None if val is None else self._coerce(key, val, int)
 
     def exclusive(self, a: str, b: str, required: bool = False):
@@ -283,7 +285,7 @@ def _cmd_packet(parser, args) -> int:
     spectrum = SpectrumSpec(k0=k0, sigma_k=sigma,
                             support_halfwidth=half if half is not None else 6.0)
     n_times = cfg.pick_int("n_times")
-    run = run_packet(setup, spectrum, n_times=n_times if n_times else 2001)
+    run = run_packet(setup, spectrum, n_times=2001 if n_times is None else n_times)
     payload = {
         "m": setup.m, "V0": setup.V0, "L": setup.L,
         "k0": k0, "sigma_k": spectrum.sigma_k,
@@ -295,6 +297,10 @@ def _cmd_packet(parser, args) -> int:
         "mean_k_shift": run.distortion.mean_k_shift,
         "time_window": list(run.time_window),
     }
+    for name, q in (("field", run.field_quadrature),
+                    ("distortion", run.distortion.quadrature)):
+        payload.update({f"{name}_levels": q.levels, f"{name}_nodes": q.nodes,
+                        f"{name}_change": q.change})
     out = getattr(args, "samples_out", None)
     if out:
         try:

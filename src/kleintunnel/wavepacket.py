@@ -10,9 +10,11 @@ field at x >= L is
 with T(k) taken per node from the closed form, which holds in every zone
 and on both edges, so spectra may span several energy zones, and
 E(k) = +sqrt(k^2 + m^2) (negative-energy components excluded by
-construction).  The integral is done with a composite Simpson rule whose
-step is halved until the reported intensities move by less than a
-relative tolerance.
+construction).  The integral is done with a nested composite Simpson
+rule whose step is halved until the reported intensities move by less
+than a relative tolerance; each level keeps the previous level's nodes,
+so every node is evaluated once.  The field is sampled on a uniform time
+grid, whose phase factors exp(-i E t) come from one block phase table.
 
 The peak arrival time at x = L is compared against the closed-form
 stationary-phase prediction t_phi(k0), defined on the zone edges too;
@@ -24,6 +26,7 @@ transmitted spectrum, centroid shift toward high k).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +44,7 @@ from .scattering import transmission_closed_form
 
 _BASE_INTERVALS = 64
 _MAX_LEVELS = 12
-_TIME_CHUNK = 256
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -97,18 +100,38 @@ class ArrivalEstimate:
 
 
 @dataclass(frozen=True)
+class QuadratureReport:
+    """How a step-halved Simpson ladder on the k support converged.
+
+    levels = Simpson levels formed (level l has 64 * 2**(l-1) intervals);
+    nodes = k nodes evaluated, each once (final intervals + 1; one
+    closed-form call each for the transmitted field and distortion);
+    change = the final level-to-level change relative to its scale, the
+    number compared against tol (for the field the largest intensity
+    change over the peak intensity, for distortion the largest of the
+    three metric changes over their scales).
+    """
+
+    levels: int
+    nodes: int
+    change: float
+
+
+@dataclass(frozen=True)
 class DistortionMetrics:
     """Filter-effect metrics of the transmitted spectrum.
 
     transmitted_norm = int |T g|^2 / int |g|^2 in [0, 1];
     shape_distance = L2 distance between the unit-normalized |T(k)| g
     and g in [0, sqrt(2)]; mean_k_shift = centroid(|T g|^2) -
-    centroid(|g|^2) (> 0 when the high-k tail passes preferentially).
+    centroid(|g|^2) (> 0 when the high-k tail passes preferentially);
+    quadrature says how they converged.
     """
 
     transmitted_norm: float
     shape_distance: float
     mean_k_shift: float
+    quadrature: QuadratureReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +145,7 @@ class PacketRun:
     intensities: np.ndarray = field(repr=False)
     arrival: ArrivalEstimate
     distortion: DistortionMetrics
+    field_quadrature: QuadratureReport
 
     @property
     def samples(self) -> list[tuple[float, float]]:
@@ -131,6 +155,11 @@ class PacketRun:
 # ---------------------------------------------------------------------------
 # quadrature core
 # ---------------------------------------------------------------------------
+
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+
 
 def _simpson_weights(nodes: np.ndarray) -> np.ndarray:
     n = len(nodes) - 1  # even by construction
@@ -159,39 +188,81 @@ def _amplitudes(setup: BarrierSetup, ks: np.ndarray) -> tuple[np.ndarray, np.nda
             np.array([p.R for p in points], dtype=complex))
 
 
+def _integrand(setup: BarrierSetup, spectrum: SpectrumSpec, x: float, kind: str,
+               ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, c) at the nodes ks, with psi(x, t) = integral c(k) exp(-i E(k) t) dk."""
+    g = spectrum.amplitude(ks)
+    if kind == "transmitted":
+        c = g * _amplitudes(setup, ks)[0] * np.exp(1j * ks * (x - setup.L))
+    elif kind == "incident":
+        c = g * np.exp(1j * ks * x)
+    elif kind == "reflected":
+        c = g * _amplitudes(setup, ks)[1] * np.exp(-1j * ks * x)
+    else:  # pragma: no cover
+        raise ValueError(kind)
+    return np.sqrt(ks * ks + setup.m * setup.m), c
+
+
+def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float,
+                count: int) -> np.ndarray:
+    """sum_k c_k exp(-i t_j E_k) at t_j = t0 + j dt for j < count.
+
+    The times fall into blocks of B = min(_BLOCK, count): t_j = t_b + r dt
+    with r < B.  One B x N table exp(-i r dt E) serves every block, and
+    each block's seed exp(-i t_b E) is computed directly from t_b, so
+    (B + blocks) N exponentials replace count N and the sum is one
+    matrix product.
+    """
+    rows = min(_BLOCK, count)
+    blocks = -(-count // rows)
+    table = np.exp(-1j * np.outer(dt * np.arange(rows), E))
+    seeds = np.exp(-1j * np.outer(t0 + (rows * dt) * np.arange(blocks), E))
+    return ((seeds * c) @ table.T).reshape(-1)[:count]
+
+
 def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
-                    times: np.ndarray, kind: str, tol: float) -> np.ndarray:
-    """psi(x, t_j) for all t_j, Simpson step-halved on the k support.
+                    t0: float, dt: float, count: int, kind: str,
+                    tol: float) -> tuple[np.ndarray, QuadratureReport]:
+    """psi(x, t_j) on the uniform grid t_j = t0 + j dt (j < count), and its report.
+
+    Nested Simpson ladder on the k support: level l has 64 * 2**(l-1)
+    intervals and keeps every node of level l - 1, so the closed form, g
+    and the phase sums are evaluated once per node, at the new odd nodes
+    only.  With P_n the running trapezoid sum (end nodes halved, step not
+    applied) the Simpson value is S_2n = (4 T_2n - T_n) / 3 =
+    (h_2n / 3) (4 P_2n - 2 P_n).  The time dependence comes from the
+    block phase table of _phase_sums.
 
     Convergence: successive levels change no reported intensity by more
     than tol relative to the window's peak intensity (with an absolute
-    floor at roundoff of the integrand scale).
+    floor at roundoff of the integrand scale, 1e-14 (Simpson-weighted
+    sum |c|)^2), within _MAX_LEVELS levels, else QuadratureError.
     """
-    m = setup.m
-    times = np.asarray(times, dtype=float)
+    _check_tol(tol)
+    lo, hi = spectrum.support
+    n = _BASE_INTERVALS // 2
+    E, c = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, n + 1))
+    c[0] *= 0.5
+    c[-1] *= 0.5
+    P = _phase_sums(E, c, t0, dt, count)
+    Q = float(np.sum(np.abs(c)))  # the same running sum of |c|, for the floor
     prev_I = None
-    for ks, wts, g in _simpson_levels(spectrum):
-        E = np.sqrt(ks * ks + m * m)
-        if kind == "transmitted":
-            T, _R = _amplitudes(setup, ks)
-            coeff = wts * g * T * np.exp(1j * ks * (x - setup.L))
-        elif kind == "incident":
-            coeff = wts * g * np.exp(1j * ks * x)
-        elif kind == "reflected":
-            _T, R = _amplitudes(setup, ks)
-            coeff = wts * g * R * np.exp(-1j * ks * x)
-        else:  # pragma: no cover
-            raise ValueError(kind)
-        psi = np.empty(len(times), dtype=complex)
-        for j0 in range(0, len(times), _TIME_CHUNK):
-            tj = times[j0:j0 + _TIME_CHUNK]
-            psi[j0:j0 + _TIME_CHUNK] = np.exp(-1j * np.outer(tj, E)) @ coeff
+    for level in range(1, _MAX_LEVELS + 1):
+        n *= 2
+        E, c = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, n + 1)[1::2])
+        P2 = P + _phase_sums(E, c, t0, dt, count)
+        Q2 = Q + float(np.sum(np.abs(c)))
+        h3 = (hi - lo) / n / 3.0
+        psi = h3 * (4.0 * P2 - 2.0 * P)
+        scale = (h3 * (4.0 * Q2 - 2.0 * Q)) ** 2
+        P, Q = P2, Q2
         I = np.abs(psi) ** 2
-        scale = float(np.sum(np.abs(coeff))) ** 2
         if prev_I is not None:
             err = float(np.max(np.abs(I - prev_I)))
-            if err <= tol * max(float(I.max()), 0.0) + 1e-14 * scale:
-                return psi
+            peak = float(I.max())
+            if err <= tol * peak + 1e-14 * scale:
+                return psi, QuadratureReport(levels=level, nodes=n + 1,
+                                             change=err / peak if peak > 0.0 else err)
         prev_I = I
     raise QuadratureError(
         f"intensity did not converge to {tol} within {_MAX_LEVELS} halvings")
@@ -206,13 +277,13 @@ def synthesize_transmitted(setup: BarrierSetup, spectrum: SpectrumSpec,
     """Transmitted amplitude psi_T(x, t) for x >= L."""
     if x < setup.L:
         raise DomainError(f"transmitted field is defined for x >= L, got x={x}")
-    return complex(_field_on_times(setup, spectrum, x, np.array([t]), "transmitted", tol)[0])
+    return complex(_field_on_times(setup, spectrum, x, t, 0.0, 1, "transmitted", tol)[0][0])
 
 
 def synthesize_incident(setup: BarrierSetup, spectrum: SpectrumSpec,
                         x: float, t: float, tol: float = 1e-8) -> complex:
     """Free reference packet psi_I(x, t) (same spectrum, T = 1, phase kx)."""
-    return complex(_field_on_times(setup, spectrum, x, np.array([t]), "incident", tol)[0])
+    return complex(_field_on_times(setup, spectrum, x, t, 0.0, 1, "incident", tol)[0][0])
 
 
 def synthesize_reflected(setup: BarrierSetup, spectrum: SpectrumSpec,
@@ -220,7 +291,7 @@ def synthesize_reflected(setup: BarrierSetup, spectrum: SpectrumSpec,
     """Reflected amplitude psi_R(x, t) for x <= 0 (exposed for completeness)."""
     if x > 0.0:
         raise DomainError(f"reflected field is defined for x <= 0, got x={x}")
-    return complex(_field_on_times(setup, spectrum, x, np.array([t]), "reflected", tol)[0])
+    return complex(_field_on_times(setup, spectrum, x, t, 0.0, 1, "reflected", tol)[0][0])
 
 
 def estimate_arrival(times: np.ndarray, intensities: np.ndarray,
@@ -250,32 +321,39 @@ def estimate_arrival(times: np.ndarray, intensities: np.ndarray,
 
 def distortion(setup: BarrierSetup, spectrum: SpectrumSpec,
                tol: float = 1e-10) -> DistortionMetrics:
-    """Filter-effect metrics on the (step-halved) quadrature grid."""
-    prev = None
-    for ks, wts, g in _simpson_levels(spectrum):
-        T, _ = _amplitudes(setup, ks)
-        tg = np.abs(T) * g
+    """Filter-effect metrics on the (step-halved) quadrature grid.
+
+    Each level keeps the previous level's |T| at its even nodes and calls
+    the closed form only at the new odd nodes; the metrics are formed on
+    the full arrays, so they do not depend on that reuse.
+    """
+    _check_tol(tol)
+    prev = absT = None
+    for level, (ks, wts, g) in enumerate(_simpson_levels(spectrum), start=1):
+        if absT is None:
+            absT = np.abs(_amplitudes(setup, ks)[0])
+        else:
+            full = np.empty(len(ks))
+            full[::2] = absT
+            full[1::2] = np.abs(_amplitudes(setup, ks[1::2])[0])
+            absT = full
+        tg = absT * g
         norm_g2 = float(np.sum(wts * g * g))
         norm_tg2 = float(np.sum(wts * tg * tg))
         u = tg / math.sqrt(norm_tg2)
         ref = g / math.sqrt(norm_g2)
-        metrics = DistortionMetrics(
-            transmitted_norm=norm_tg2 / norm_g2,
-            shape_distance=math.sqrt(max(0.0, float(np.sum(wts * (u - ref) ** 2)))),
-            mean_k_shift=float(np.sum(wts * ks * tg * tg)) / norm_tg2
-            - float(np.sum(wts * ks * g * g)) / norm_g2,
-        )
+        vals = (norm_tg2 / norm_g2,
+                math.sqrt(max(0.0, float(np.sum(wts * (u - ref) ** 2)))),
+                float(np.sum(wts * ks * tg * tg)) / norm_tg2
+                - float(np.sum(wts * ks * g * g)) / norm_g2)
         if prev is not None:
-            close = (
-                abs(metrics.transmitted_norm - prev.transmitted_norm)
-                <= tol * max(1.0, abs(metrics.transmitted_norm))
-                and abs(metrics.shape_distance - prev.shape_distance) <= tol * 2.0
-                and abs(metrics.mean_k_shift - prev.mean_k_shift)
-                <= tol * max(spectrum.sigma_k, abs(metrics.mean_k_shift))
-            )
-            if close:
-                return metrics
-        prev = metrics
+            diffs = [abs(a - b) for a, b in zip(vals, prev)]
+            scales = (max(1.0, abs(vals[0])), 2.0, max(spectrum.sigma_k, abs(vals[2])))
+            if all(d <= tol * sc for d, sc in zip(diffs, scales)):
+                return DistortionMetrics(*vals, quadrature=QuadratureReport(
+                    levels=level, nodes=len(ks),
+                    change=max(d / sc for d, sc in zip(diffs, scales))))
+        prev = vals
     raise QuadratureError(f"distortion metrics did not converge to {tol}")
 
 
@@ -287,8 +365,11 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
     closed-form phase time, which is defined in every zone and on both
     edges; the search window is [-5, +5] * max(tau, |t_phi|) around it
     (falling back to the packet's own temporal width 6/sigma_k when both
-    vanish at L = 0).
+    vanish at L = 0), sampled at n_times >= 3 uniform times.
     """
+    if (isinstance(n_times, bool) or not isinstance(n_times, numbers.Integral)
+            or n_times < 3):
+        raise DomainError(f"n_times must be an integer >= 3, got {n_times!r}")
     m, w = setup.m, setup.w
     k0 = spectrum.k0
     mode0 = IncidentMode(E=math.sqrt(k0 * k0 + m * m), k=k0, n2=(k0 / w) ** 2)
@@ -298,12 +379,14 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
     if half == 0.0:
         half = 6.0 / spectrum.sigma_k
     window = (t_pred - half, t_pred + half)
-    times = np.linspace(window[0], window[1], n_times)
-    psi = _field_on_times(setup, spectrum, setup.L, times, "transmitted", tol)
+    times, dt = np.linspace(window[0], window[1], n_times, retstep=True)
+    psi, field_quadrature = _field_on_times(setup, spectrum, setup.L, window[0], dt,
+                                            n_times, "transmitted", tol)
     intensities = np.abs(psi) ** 2
     tau_ref = pt.tau if pt.tau > 0.0 else half / 5.0
     arrival = estimate_arrival(times, intensities, t_pred, tau_ref)
     metrics = distortion(setup, spectrum)
     return PacketRun(setup=setup, spectrum=spectrum, time_window=window,
                      times=times, intensities=intensities,
-                     arrival=arrival, distortion=metrics)
+                     arrival=arrival, distortion=metrics,
+                     field_quadrature=field_quadrature)

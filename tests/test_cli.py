@@ -173,6 +173,15 @@ class TestConfigPrecedence:
                              "--config", str(cfg))
         assert code == 2
 
+    def test_fractional_integer_config_value_is_usage_error(self, capsys, tmp_path):
+        # 400.9 samples used to become 400 without a word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_times": 400.9}))
+        code, _, err = run_cli(capsys, "packet", "--m", "1", "--V0", "10", "--L", "0.1",
+                               "--n2", "5", "--sigma-k", "0.2", "--config", str(cfg))
+        assert code == 2
+        assert "n_times must be an integer" in err
+
     def test_exclusive_pair_in_same_source_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"V0": 10.0, "v": 10.0}))
@@ -241,6 +250,26 @@ class TestPacketCommand:
         lines = samples.read_text().splitlines()
         assert lines[0] == "t,intensity"
         assert len(lines) == 2002
+
+    def test_packet_reports_quadrature(self, capsys):
+        code, out, _ = run_cli(capsys, "packet", "--m", "1", "--V0", "10",
+                               "--L", "0.1", "--n2", "5", "--sigma-k", "0.2",
+                               "--n-times", "401", "--json")
+        assert code == 0
+        vals = json.loads(out)
+        for name in ("field", "distortion"):
+            levels, nodes = vals[f"{name}_levels"], vals[f"{name}_nodes"]
+            assert nodes == 64 * 2 ** (levels - 1) + 1
+            assert 0.0 <= vals[f"{name}_change"] <= 1e-8
+
+    @pytest.mark.parametrize("n_times", ["0", "-5", "2"])
+    def test_bad_n_times_is_an_error(self, capsys, n_times):
+        code, out, err = run_cli(capsys, "packet", "--m", "1", "--V0", "10",
+                                 "--L", "0.1", "--n2", "5", "--sigma-k", "0.2",
+                                 "--n-times", n_times)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestUnitsDisplay:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from kleintunnel import (
     ClippedWindowError,
     DomainError,
     NoPeakError,
+    QuadratureReport,
     SpectrumSpec,
     SupportError,
     classical_tau,
@@ -20,6 +22,7 @@ from kleintunnel import (
     synthesize_reflected,
     synthesize_transmitted,
 )
+import kleintunnel.wavepacket as wp
 from kleintunnel.wavepacket import _field_on_times
 
 
@@ -97,9 +100,9 @@ class TestSynthesis:
         # peak) of a much stricter evaluation
         s = barrier_v10_mL(0.1)
         spec = SpectrumSpec(k0=10.0, sigma_k=1.0)
-        times = np.linspace(-0.3, 0.5, 41)
-        a = np.abs(_field_on_times(s, spec, s.L, times, "transmitted", 1e-8)) ** 2
-        b = np.abs(_field_on_times(s, spec, s.L, times, "transmitted", 1e-12)) ** 2
+        grid = (-0.3, 0.02, 41)  # np.linspace(-0.3, 0.5, 41)
+        a = np.abs(_field_on_times(s, spec, s.L, *grid, "transmitted", 1e-8)[0]) ** 2
+        b = np.abs(_field_on_times(s, spec, s.L, *grid, "transmitted", 1e-12)[0]) ** 2
         assert float(np.max(np.abs(a - b))) <= 1e-8 * float(b.max())
 
     def test_deterministic(self):
@@ -226,3 +229,123 @@ class TestRunPacket:
         s = barrier_v10_mL(0.0)
         run = run_packet(s, SpectrumSpec(k0=10.0, sigma_k=0.5))
         assert run.arrival.t_peak == pytest.approx(0.0, abs=1e-3)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("n_times", [0, -5, 2, 2.5, 401.0, True, None])
+    def test_run_packet_n_times(self, n_times):
+        s = barrier_v10_mL(0.1)
+        with pytest.raises(DomainError):
+            run_packet(s, SpectrumSpec(k0=10.0, sigma_k=0.2), n_times=n_times)
+
+    def test_run_packet_accepts_numpy_int(self):
+        s = barrier_v10_mL(0.1)
+        run = run_packet(s, SpectrumSpec(k0=10.0, sigma_k=0.2), n_times=np.int64(3))
+        assert len(run.times) == 3
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, monkeypatch, tol):
+        calls = []
+        monkeypatch.setattr(wp, "transmission_closed_form",
+                            lambda *a: calls.append(a))  # never reached
+        s = barrier_v10_mL(0.1)
+        spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
+        with pytest.raises(DomainError):
+            run_packet(s, spec, tol=tol)
+        for synth, x in ((synthesize_transmitted, s.L), (synthesize_incident, 0.0),
+                         (synthesize_reflected, 0.0)):
+            with pytest.raises(DomainError):
+                synth(s, spec, x, 0.0, tol=tol)
+        with pytest.raises(DomainError):
+            distortion(s, spec, tol=tol)
+        assert calls == []
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("count", [1, 41, 64, 65, 129, 2001])
+    def test_matches_direct_sum(self, count):
+        # block boundaries (64, 65, 129) and a partial last block (2001)
+        ks = np.linspace(8.0, 12.0, 257)
+        E = np.sqrt(ks * ks + 1.0)
+        c = np.exp(-0.5 * ((ks - 10.0) / 0.5) ** 2) * np.exp(0.3j * ks)
+        t0, dt = -0.8, 1.6 / 2000
+        direct = np.exp(-1j * np.outer(t0 + dt * np.arange(count), E)) @ c
+        got = wp._phase_sums(E, c, t0, dt, count)
+        assert got.shape == (count,)
+        assert float(np.max(np.abs(got - direct))) <= 1e-12 * float(np.max(np.abs(direct)))
+
+
+def _count_closed_form(monkeypatch):
+    calls = []
+    original = wp.transmission_closed_form
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(wp, "transmission_closed_form", counted)
+    return calls
+
+
+class TestNestedLadder:
+    def test_field_matches_gauss_legendre(self):
+        # absolute check of the Simpson combination and the time grid
+        # against an independent 400-node Gauss-Legendre sum
+        s = barrier_v10_mL(0.1)
+        spec = SpectrumSpec(k0=10.0, sigma_k=1.0)
+        lo, hi = spec.support
+        y, wy = np.polynomial.legendre.leggauss(400)
+        ks = 0.5 * (hi - lo) * y + 0.5 * (hi + lo)
+        c = 0.5 * (hi - lo) * wy * spec.amplitude(ks) * wp._amplitudes(s, ks)[0]
+        t0, dt, count = -0.3, 0.01, 81
+        ref = np.exp(-1j * np.outer(t0 + dt * np.arange(count), np.sqrt(ks * ks + 1.0))) @ c
+        psi, _ = _field_on_times(s, spec, s.L, t0, dt, count, "transmitted", 1e-12)
+        assert float(np.max(np.abs(psi - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+    def test_nodes_nest_bitwise(self):
+        # the ladder relies on level 2n keeping level n's nodes exactly
+        for lo, hi in ((8.8, 11.2), (0.3, 7.1), (1e-3, 2.0 / 3.0)):
+            for n in (32, 64, 1024):
+                assert np.array_equal(np.linspace(lo, hi, 2 * n + 1)[::2],
+                                      np.linspace(lo, hi, n + 1))
+
+    def test_each_node_evaluated_once(self, monkeypatch):
+        # README packet: the field converges at 128 intervals, so 129
+        # closed-form calls (not 65 + 129 = 194), and so does distortion
+        s = barrier_v10_mL(0.1)
+        spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
+        calls = _count_closed_form(monkeypatch)
+        run = run_packet(s, spec)
+        fq, dq = run.field_quadrature, run.distortion.quadrature
+        assert fq == QuadratureReport(levels=2, nodes=129, change=fq.change)
+        assert dq.nodes == 64 * 2 ** (dq.levels - 1) + 1
+        assert len(calls) == fq.nodes + dq.nodes
+        assert len(set(calls[:fq.nodes])) == fq.nodes
+        assert len(set(calls[fq.nodes:])) == dq.nodes
+
+    def test_broad_spectrum_ladder(self, monkeypatch):
+        # several levels: still one call per node, and the reports say so
+        s = BarrierSetup(m=1.0, V0=10.0, L=2.0 * math.pi / math.sqrt(20.0))
+        spec = SpectrumSpec(k0=10.0, sigma_k=1.0)
+        calls = _count_closed_form(monkeypatch)
+        psi, fq = _field_on_times(s, spec, s.L, -0.3, 0.02, 41, "transmitted", 1e-8)
+        assert fq.levels >= 3
+        assert len(calls) == fq.nodes == 64 * 2 ** (fq.levels - 1) + 1
+        assert 0.0 <= fq.change <= 1e-8
+        del calls[:]
+        dq = distortion(s, spec).quadrature
+        assert len(calls) == dq.nodes == 64 * 2 ** (dq.levels - 1) + 1
+
+    def test_distortion_matches_full_regrid(self):
+        # reusing |T| at the even nodes changes no bit of the metrics
+        s = barrier_v10_mL(0.1)
+        spec = SpectrumSpec(k0=10.0, sigma_k=1.0)
+        d = distortion(s, spec)
+        ks, wts, g = next(itertools.islice(wp._simpson_levels(spec), d.quadrature.levels - 1,
+                                           None))
+        tg = np.abs(wp._amplitudes(s, ks)[0]) * g
+        norm_tg2 = float(np.sum(wts * tg * tg))
+        norm_g2 = float(np.sum(wts * g * g))
+        assert d.transmitted_norm == norm_tg2 / norm_g2
+        assert d.mean_k_shift == (float(np.sum(wts * ks * tg * tg)) / norm_tg2
+                                  - float(np.sum(wts * ks * g * g)) / norm_g2)
