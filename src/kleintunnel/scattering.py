@@ -183,10 +183,13 @@ def continuity_residuals(setup: BarrierSetup, mode: IncidentMode,
 # closed forms (checked against the matcher)
 # ---------------------------------------------------------------------------
 
-def _phase_continuous(v: float, n2: float, wL: float) -> tuple[float, int]:
-    """Unwrapped transmitted phase (value, winding) at (v, n2, wL).
+def _closed_form(v: float, n2: float,
+                 wL: float) -> tuple[float, float, int, complex, complex]:
+    """(magnitude, phase, winding, T, R) of transmission_closed_form as a plain tuple.
 
-    One expression serves all zones: arctan of
+    The one arithmetic path of the closed form; the packet quadrature
+    reads it per k node without building a TransmissionPoint.  One phase
+    expression serves all zones: arctan of
     ((n2 - rho_n^2)/(2 sqrt(n2))) * wL * tanh(d)/d, continued through
     rho_n^2 < 0 where tanh turns into tan and the branch count
     N = floor(q_n wL / pi + 1/2) restores continuity in n2.
@@ -197,7 +200,18 @@ def _phase_continuous(v: float, n2: float, wL: float) -> tuple[float, int]:
     winding = 0
     if d2 < 0.0:
         winding = math.floor(math.sqrt(-d2) / math.pi + 0.5)
-    return principal + winding * math.pi, winding
+    phase = principal + winding * math.pi
+    if d2 > LARGE_D2:
+        # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
+        mag = 4.0 * math.sqrt(n2 * r2) * math.exp(-math.sqrt(d2)) / (n2 + r2)
+        T = cmath.rect(mag, phase)
+        R = -1j * cmath.rect(1.0, phase)  # |R| = 1 to double precision
+    else:
+        X = (n2 + r2) / (2.0 * math.sqrt(n2)) * wL * sinhc(d2)
+        mag = 1.0 / math.hypot(1.0, X)
+        T = cmath.rect(mag, phase)
+        R = -1j * X * T
+    return mag, phase, winding, T, R
 
 
 def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoint:
@@ -213,19 +227,7 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
     transmission_magnitude_nr_form for the variant without it.  At v = 0
     (rho_n^2 = 1 - n2, n2 = E_NR/V0) this is the Schroedinger barrier.
     """
-    r2 = rho_n2(v, n2)
-    d2 = r2 * wL * wL
-    phase, winding = _phase_continuous(v, n2, wL)
-    if d2 > LARGE_D2:
-        # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
-        mag = 4.0 * math.sqrt(n2 * r2) * math.exp(-math.sqrt(d2)) / (n2 + r2)
-        T = cmath.rect(mag, phase)
-        R = -1j * cmath.rect(1.0, phase)  # |R| = 1 to double precision
-    else:
-        X = (n2 + r2) / (2.0 * math.sqrt(n2)) * wL * sinhc(d2)
-        mag = 1.0 / math.hypot(1.0, X)
-        T = cmath.rect(mag, phase)
-        R = -1j * X * T
+    mag, phase, winding, T, R = _closed_form(v, n2, wL)
     return TransmissionPoint(magnitude=mag, phase=phase, probability=mag * mag,
                              T=T, R=R, winding=winding)
 

@@ -126,12 +126,19 @@ def _point(v: float, wL: float, m: float, n2: float, outputs: tuple[str, ...]) -
         vals["t2_exact"] = point.probability
     if "phase_rad" in outputs:
         vals["phase_rad"] = point.phase
+    # a refused column stays empty and is named in errs; the row keeps the rest
     if "T2_nr_form" in outputs and zone in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         # at v = 0 the NR prefactor is the exact one
-        vals["t2_nr_form"] = (point.probability if setup is None
-                              else transmission_magnitude_nr_form(setup, mode) ** 2)
+        try:
+            vals["t2_nr_form"] = (point.probability if setup is None
+                                  else transmission_magnitude_nr_form(setup, mode) ** 2)
+        except KleinTunnelError as exc:
+            errs.append(f"T2_nr_form: {exc}")
     if "ratio_closed" in outputs:
-        vals["ratio_closed"] = normalized_phase_time(v, n2, wL)
+        try:
+            vals["ratio_closed"] = normalized_phase_time(v, n2, wL)
+        except KleinTunnelError as exc:
+            errs.append(f"ratio_closed: {exc}")
     if "ratio_numeric" in outputs:
         if zone in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
             errs.append(f"ratio_numeric: n2={n2} lies on a zone edge")

@@ -15,12 +15,15 @@ rule whose step is halved until the reported intensities move by less
 than a relative tolerance; each level keeps the previous level's nodes,
 so every node is evaluated once.  The field is sampled on a uniform time
 grid, whose phase factors exp(-i E t) come from one block phase table.
+Each node costs one call of the closed-form core, read as a plain tuple.
 
 The peak arrival time at x = L is compared against the closed-form
 stationary-phase prediction t_phi(k0), defined on the zone edges too;
 the distortion metrics quantify how much the barrier filters the
 spectrum (transmitted norm, L2 shape distance of the renormalized
-transmitted spectrum, centroid shift toward high k).
+transmitted spectrum, centroid shift toward high k).  They are formed on
+the same node ladder; run_packet hands them the field's T, so they call
+the closed form only at nodes finer than the field's final level.
 """
 
 from __future__ import annotations
@@ -40,11 +43,12 @@ from .errors import (
 )
 from .kinematics import BarrierSetup, IncidentMode
 from .phasetime import phase_time_closed_form
-from .scattering import transmission_closed_form
+from .scattering import _closed_form
 
 _BASE_INTERVALS = 64
 _MAX_LEVELS = 12
 _BLOCK = 64
+_METRICS_TOL = 1e-10  # distortion's tolerance, also under run_packet
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,9 @@ class QuadratureReport:
     """How a step-halved Simpson ladder on the k support converged.
 
     levels = Simpson levels formed (level l has 64 * 2**(l-1) intervals);
-    nodes = k nodes evaluated, each once (final intervals + 1; one
-    closed-form call each for the transmitted field and distortion);
+    nodes = the size of the final grid (final intervals + 1); under
+    run_packet the field and the metrics share their nodes, so each node
+    is evaluated once across both;
     change = the final level-to-level change relative to its scale, the
     number compared against tol (for the field the largest intensity
     change over the peak intensity, for distortion the largest of the
@@ -180,27 +185,41 @@ def _simpson_levels(spectrum: SpectrumSpec):
         n *= 2
 
 
-def _amplitudes(setup: BarrierSetup, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (T, R) at each node."""
+def _amplitudes(setup: BarrierSetup, ks: np.ndarray, reflected: bool = False) -> np.ndarray:
+    """Closed-form T (R if reflected) at each node, one closed-form call per node."""
     v, w, wL = setup.v, setup.w, setup.wL
-    points = [transmission_closed_form(v, (k / w) ** 2, wL) for k in ks.tolist()]
-    return (np.array([p.T for p in points], dtype=complex),
-            np.array([p.R for p in points], dtype=complex))
+    j = 4 if reflected else 3  # index of R or T in the _closed_form tuple
+    return np.array([_closed_form(v, (k / w) ** 2, wL)[j] for k in ks.tolist()],
+                    dtype=complex)
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Values on the level-2n nodes from level n's (even nodes) and the new odd ones."""
+    full = np.empty(len(even) + len(odd), dtype=even.dtype)
+    full[::2] = even
+    full[1::2] = odd
+    return full
 
 
 def _integrand(setup: BarrierSetup, spectrum: SpectrumSpec, x: float, kind: str,
-               ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, c) at the nodes ks, with psi(x, t) = integral c(k) exp(-i E(k) t) dk."""
+               ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(E, c, a) at the nodes ks, with psi(x, t) = integral c(k) exp(-i E(k) t) dk.
+
+    a is the barrier amplitude inside c: T, R, or None for the free packet.
+    """
     g = spectrum.amplitude(ks)
     if kind == "transmitted":
-        c = g * _amplitudes(setup, ks)[0] * np.exp(1j * ks * (x - setup.L))
+        a = _amplitudes(setup, ks)
+        c = g * a * np.exp(1j * ks * (x - setup.L))
     elif kind == "incident":
+        a = None
         c = g * np.exp(1j * ks * x)
     elif kind == "reflected":
-        c = g * _amplitudes(setup, ks)[1] * np.exp(-1j * ks * x)
+        a = _amplitudes(setup, ks, reflected=True)
+        c = g * a * np.exp(-1j * ks * x)
     else:  # pragma: no cover
         raise ValueError(kind)
-    return np.sqrt(ks * ks + setup.m * setup.m), c
+    return np.sqrt(ks * ks + setup.m * setup.m), c, a
 
 
 def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float,
@@ -221,9 +240,12 @@ def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float,
 
 
 def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
-                    t0: float, dt: float, count: int, kind: str,
-                    tol: float) -> tuple[np.ndarray, QuadratureReport]:
-    """psi(x, t_j) on the uniform grid t_j = t0 + j dt (j < count), and its report.
+                    t0: float, dt: float, count: int, kind: str, tol: float
+                    ) -> tuple[np.ndarray, QuadratureReport, np.ndarray | None]:
+    """(psi, report, a): psi(x, t_j) on the uniform grid t_j = t0 + j dt (j < count).
+
+    a is the barrier amplitude (T, R, or None for the free packet) at
+    every node of the final level, in natural node order.
 
     Nested Simpson ladder on the k support: level l has 64 * 2**(l-1)
     intervals and keeps every node of level l - 1, so the closed form, g
@@ -241,7 +263,7 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
     _check_tol(tol)
     lo, hi = spectrum.support
     n = _BASE_INTERVALS // 2
-    E, c = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, n + 1))
+    E, c, a = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, n + 1))
     c[0] *= 0.5
     c[-1] *= 0.5
     P = _phase_sums(E, c, t0, dt, count)
@@ -249,7 +271,9 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
     prev_I = None
     for level in range(1, _MAX_LEVELS + 1):
         n *= 2
-        E, c = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, n + 1)[1::2])
+        E, c, a_odd = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, n + 1)[1::2])
+        if a is not None:
+            a = _interleave(a, a_odd)
         P2 = P + _phase_sums(E, c, t0, dt, count)
         Q2 = Q + float(np.sum(np.abs(c)))
         h3 = (hi - lo) / n / 3.0
@@ -262,7 +286,7 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
             peak = float(I.max())
             if err <= tol * peak + 1e-14 * scale:
                 return psi, QuadratureReport(levels=level, nodes=n + 1,
-                                             change=err / peak if peak > 0.0 else err)
+                                             change=err / peak if peak > 0.0 else err), a
         prev_I = I
     raise QuadratureError(
         f"intensity did not converge to {tol} within {_MAX_LEVELS} halvings")
@@ -320,24 +344,31 @@ def estimate_arrival(times: np.ndarray, intensities: np.ndarray,
 
 
 def distortion(setup: BarrierSetup, spectrum: SpectrumSpec,
-               tol: float = 1e-10) -> DistortionMetrics:
-    """Filter-effect metrics on the (step-halved) quadrature grid.
+               tol: float = _METRICS_TOL) -> DistortionMetrics:
+    """Filter-effect metrics on the (step-halved) quadrature grid."""
+    return _distortion(setup, spectrum, tol, None)
 
-    Each level keeps the previous level's |T| at its even nodes and calls
-    the closed form only at the new odd nodes; the metrics are formed on
-    the full arrays, so they do not depend on that reuse.
+
+def _distortion(setup: BarrierSetup, spectrum: SpectrumSpec, tol: float,
+                T: np.ndarray | None) -> DistortionMetrics:
+    """The metrics ladder, reading T wherever a known grid covers a level.
+
+    T is None or T at every node of one ladder level, in natural node
+    order (the field's final level under run_packet).  A level it covers
+    takes |T| from it at a stride; past it, each level keeps the previous
+    level's |T| at its even nodes and calls the closed form only at the
+    new odd nodes.  The nodes nest bitwise, so the metrics do not depend
+    on where |T| came from.
     """
     _check_tol(tol)
-    prev = absT = None
+    prev = None
+    absT = None if T is None else np.abs(T)
     for level, (ks, wts, g) in enumerate(_simpson_levels(spectrum), start=1):
         if absT is None:
-            absT = np.abs(_amplitudes(setup, ks)[0])
-        else:
-            full = np.empty(len(ks))
-            full[::2] = absT
-            full[1::2] = np.abs(_amplitudes(setup, ks[1::2])[0])
-            absT = full
-        tg = absT * g
+            absT = np.abs(_amplitudes(setup, ks))
+        elif len(absT) < len(ks):
+            absT = _interleave(absT, np.abs(_amplitudes(setup, ks[1::2])))
+        tg = absT[::(len(absT) - 1) // (len(ks) - 1)] * g
         norm_g2 = float(np.sum(wts * g * g))
         norm_tg2 = float(np.sum(wts * tg * tg))
         u = tg / math.sqrt(norm_tg2)
@@ -380,12 +411,12 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
         half = 6.0 / spectrum.sigma_k
     window = (t_pred - half, t_pred + half)
     times, dt = np.linspace(window[0], window[1], n_times, retstep=True)
-    psi, field_quadrature = _field_on_times(setup, spectrum, setup.L, window[0], dt,
-                                            n_times, "transmitted", tol)
+    psi, field_quadrature, T = _field_on_times(setup, spectrum, setup.L, window[0], dt,
+                                               n_times, "transmitted", tol)
     intensities = np.abs(psi) ** 2
     tau_ref = pt.tau if pt.tau > 0.0 else half / 5.0
     arrival = estimate_arrival(times, intensities, t_pred, tau_ref)
-    metrics = distortion(setup, spectrum)
+    metrics = _distortion(setup, spectrum, _METRICS_TOL, T)
     return PacketRun(setup=setup, spectrum=spectrum, time_window=window,
                      times=times, intensities=intensities,
                      arrival=arrival, distortion=metrics,

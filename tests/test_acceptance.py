@@ -391,6 +391,17 @@ def test_criterion_09_wave_packet():
 # 10. preset determinism across runs and worker counts
 # ---------------------------------------------------------------------------
 
+# SHA-256 of the five fig1 CSV files.  Only an accuracy fix that has been
+# checked against mpmath may change these, and it must say so in CHANGES.md.
+FIG1_DIGESTS = {
+    "fig1_v0.csv": "e41be4a023661e1941bc9c35b96ad2f08526ff132379420c8ad0d3baca283f2a",
+    "fig1_v1.csv": "6df67e380477eb9293dc5390fea0cf4d013e1e6742bde643f33f88fa498af4b2",
+    "fig1_v2.csv": "567b73d32332839a271a7c81d3c9ac96153d99279ebee53041356e4f1bf803be",
+    "fig1_v5.csv": "f320c657da78d771aa02597674f8e57cc758dd7f78e391f999a7b79192cfce19",
+    "fig1_v10.csv": "193f48ef7df77cec9056c365e022b47c12f0c0db60620b6a262f61e4b757553e",
+}
+
+
 def test_criterion_10_determinism(tmp_path):
     def digest(path):
         with open(path, "rb") as fh:
@@ -402,16 +413,17 @@ def test_criterion_10_determinism(tmp_path):
                          "--workers", workers, "--json"])
         assert code == 0
     names = sorted(os.listdir(dirs[0]))
-    assert len(names) == 5
+    assert names == sorted(FIG1_DIGESTS)
     identical = True
     for name in names:
         h = [digest(d / name) for d in dirs]
-        identical = identical and h[0] == h[1] == h[2]
+        identical = identical and h[0] == h[1] == h[2] == FIG1_DIGESTS[name]
         # schema check while we are here
         records = read_csv(dirs[0] / name)
         assert len(records) == 2000
         with open(dirs[0] / name, "r", encoding="utf-8") as fh:
             assert fh.readline().rstrip("\n") == ",".join(CSV_COLUMNS)
     report(10, identical, f"five datasets byte-identical across reruns and "
-                          f"worker counts (files: {', '.join(names)})")
+                          f"worker counts and to the pinned digests "
+                          f"(files: {', '.join(names)})")
     assert identical

@@ -112,6 +112,28 @@ class TestEdgeHandling:
         recs = run_sweep(req)
         assert len(recs) == 23
 
+    def test_closed_ratio_refusal_keeps_the_row(self):
+        # at v = 2 the lower edge is n2 = 0 and normalized_phase_time refuses
+        # n2 <= 1e-12 ("lower edge needs v > 2"); the refusal empties
+        # ratio_closed only, never the zone and the other columns
+        recs = run_sweep(SweepRequest(v=2.0, wL=1.0, n2_min=1e-13, n2_max=0.5, count=2))
+        edge = recs[0]  # within EDGE_RTOL of E = V0 - m, so the oracle refuses too
+        assert edge.zone == "EdgeLower"
+        assert edge.ratio_closed is None and edge.ratio_numeric is None
+        assert edge.error.startswith("ratio_closed: lower edge needs v > 2")
+        assert "ratio_numeric: n2=1e-13 lies on a zone edge" in edge.error
+        assert recs[1].error is None
+        inside = run_sweep(SweepRequest(v=2.0, wL=1.0, n2_min=8e-13, n2_max=0.5, count=2))[0]
+        assert inside.zone == "Tunneling"
+        assert inside.ratio_closed is None and inside.ratio_numeric is not None
+        assert inside.error.startswith("ratio_closed: lower edge needs v > 2")
+        for rec in (edge, inside):
+            point = transmission_closed_form(2.0, rec.n2, 1.0)
+            assert rec.e_over_m == pytest.approx(math.sqrt(1.0 + 4.0 * rec.n2), rel=1e-15)
+            assert rec.t2_exact == point.probability
+            assert rec.phase_rad == point.phase
+            assert rec.t2_nr_form is not None
+
 
 class TestNRPipeline:
     def test_v0_matches_nr_functions(self):

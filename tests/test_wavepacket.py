@@ -9,7 +9,6 @@ from kleintunnel import (
     ClippedWindowError,
     DomainError,
     NoPeakError,
-    QuadratureReport,
     SpectrumSpec,
     SupportError,
     classical_tau,
@@ -246,7 +245,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_tol_must_be_positive_and_finite(self, monkeypatch, tol):
         calls = []
-        monkeypatch.setattr(wp, "transmission_closed_form",
+        monkeypatch.setattr(wp, "_closed_form",
                             lambda *a: calls.append(a))  # never reached
         s = barrier_v10_mL(0.1)
         spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
@@ -277,14 +276,20 @@ class TestPhaseTable:
 
 def _count_closed_form(monkeypatch):
     calls = []
-    original = wp.transmission_closed_form
+    original = wp._closed_form
 
     def counted(*args):
         calls.append(args[1])
         return original(*args)
 
-    monkeypatch.setattr(wp, "transmission_closed_form", counted)
+    monkeypatch.setattr(wp, "_closed_form", counted)
     return calls
+
+
+def _broad_packet():
+    # the bench's broad packet: one spectrum across all three zones of v = 10
+    s = BarrierSetup(m=1.0, V0=10.0, L=2.0 * math.pi / math.sqrt(20.0))
+    return s, SpectrumSpec(k0=10.0, sigma_k=1.0)
 
 
 class TestNestedLadder:
@@ -296,10 +301,10 @@ class TestNestedLadder:
         lo, hi = spec.support
         y, wy = np.polynomial.legendre.leggauss(400)
         ks = 0.5 * (hi - lo) * y + 0.5 * (hi + lo)
-        c = 0.5 * (hi - lo) * wy * spec.amplitude(ks) * wp._amplitudes(s, ks)[0]
+        c = 0.5 * (hi - lo) * wy * spec.amplitude(ks) * wp._amplitudes(s, ks)
         t0, dt, count = -0.3, 0.01, 81
         ref = np.exp(-1j * np.outer(t0 + dt * np.arange(count), np.sqrt(ks * ks + 1.0))) @ c
-        psi, _ = _field_on_times(s, spec, s.L, t0, dt, count, "transmitted", 1e-12)
+        psi, _, _ = _field_on_times(s, spec, s.L, t0, dt, count, "transmitted", 1e-12)
         assert float(np.max(np.abs(psi - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
     def test_nodes_nest_bitwise(self):
@@ -310,25 +315,25 @@ class TestNestedLadder:
                                       np.linspace(lo, hi, n + 1))
 
     def test_each_node_evaluated_once(self, monkeypatch):
-        # README packet: the field converges at 128 intervals, so 129
-        # closed-form calls (not 65 + 129 = 194), and so does distortion
-        s = barrier_v10_mL(0.1)
-        spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
-        calls = _count_closed_form(monkeypatch)
-        run = run_packet(s, spec)
-        fq, dq = run.field_quadrature, run.distortion.quadrature
-        assert fq == QuadratureReport(levels=2, nodes=129, change=fq.change)
-        assert dq.nodes == 64 * 2 ** (dq.levels - 1) + 1
-        assert len(calls) == fq.nodes + dq.nodes
-        assert len(set(calls[:fq.nodes])) == fq.nodes
-        assert len(set(calls[fq.nodes:])) == dq.nodes
+        # the field and the metrics share one ladder: a run_packet makes
+        # one closed-form call per node of the finer final grid (README:
+        # 129, not 129 + 129; broad: 1025, not 1025 + 1025), all at distinct k
+        readme = (barrier_v10_mL(0.1), SpectrumSpec(k0=10.0, sigma_k=0.2))
+        for packet, levels in ((readme, (2, 2)), (_broad_packet(), (5, 5))):
+            calls = _count_closed_form(monkeypatch)
+            run = run_packet(*packet)
+            fq, dq = run.field_quadrature, run.distortion.quadrature
+            assert (fq.levels, dq.levels) == levels
+            assert fq.nodes == 64 * 2 ** (fq.levels - 1) + 1
+            assert dq.nodes == 64 * 2 ** (dq.levels - 1) + 1
+            assert len(calls) == max(fq.nodes, dq.nodes)
+            assert len(set(calls)) == len(calls)
 
     def test_broad_spectrum_ladder(self, monkeypatch):
         # several levels: still one call per node, and the reports say so
-        s = BarrierSetup(m=1.0, V0=10.0, L=2.0 * math.pi / math.sqrt(20.0))
-        spec = SpectrumSpec(k0=10.0, sigma_k=1.0)
+        s, spec = _broad_packet()
         calls = _count_closed_form(monkeypatch)
-        psi, fq = _field_on_times(s, spec, s.L, -0.3, 0.02, 41, "transmitted", 1e-8)
+        psi, fq, _ = _field_on_times(s, spec, s.L, -0.3, 0.02, 41, "transmitted", 1e-8)
         assert fq.levels >= 3
         assert len(calls) == fq.nodes == 64 * 2 ** (fq.levels - 1) + 1
         assert 0.0 <= fq.change <= 1e-8
@@ -343,9 +348,67 @@ class TestNestedLadder:
         d = distortion(s, spec)
         ks, wts, g = next(itertools.islice(wp._simpson_levels(spec), d.quadrature.levels - 1,
                                            None))
-        tg = np.abs(wp._amplitudes(s, ks)[0]) * g
+        tg = np.abs(wp._amplitudes(s, ks)) * g
         norm_tg2 = float(np.sum(wts * tg * tg))
         norm_g2 = float(np.sum(wts * g * g))
         assert d.transmitted_norm == norm_tg2 / norm_g2
         assert d.mean_k_shift == (float(np.sum(wts * ks * tg * tg)) / norm_tg2
                                   - float(np.sum(wts * ks * g * g)) / norm_g2)
+
+
+class TestSharedLadder:
+    """run_packet forms the metrics from the field ladder's T: no bit may move."""
+
+    @pytest.mark.parametrize("packet, tol, order", [
+        (_broad_packet(), 1e-4, "field first"),  # 257 field nodes, 1025 metric nodes
+        ((barrier_v10_mL(0.1), SpectrumSpec(k0=10.0, sigma_k=0.2)), 1e-12,
+         "metrics first"),  # 513 field nodes, 129 metric nodes
+        (_broad_packet(), 1e-8, "together"),  # the bench's broad packet: 1025 each
+    ])
+    def test_sharing_changes_nothing(self, packet, tol, order):
+        s, spec = packet
+        n = 401
+        run = run_packet(s, spec, n_times=n, tol=tol)
+        fq, dq = run.field_quadrature, run.distortion.quadrature
+        assert {"field first": fq.nodes < dq.nodes, "metrics first": fq.nodes > dq.nodes,
+                "together": fq.nodes == dq.nodes}[order]
+        assert run.distortion == distortion(s, spec)
+        _, dt = np.linspace(*run.time_window, n, retstep=True)
+        psi, report, T = _field_on_times(s, spec, s.L, run.time_window[0], dt, n,
+                                         "transmitted", tol)
+        assert np.array_equal(run.intensities, np.abs(psi) ** 2)
+        assert report == fq
+        assert np.array_equal(T, wp._amplitudes(s, np.linspace(*spec.support, fq.nodes)))
+
+    def test_field_error_comes_first(self, monkeypatch):
+        # a field that cannot converge raises before arrival or metrics run
+        reached = []
+
+        def refuse(name, error):
+            def fail(*args):
+                reached.append(name)
+                raise error(name)
+            return fail
+
+        monkeypatch.setattr(wp, "estimate_arrival", refuse("arrival", NoPeakError))
+        monkeypatch.setattr(wp, "_distortion", refuse("metrics", wp.QuadratureError))
+        monkeypatch.setattr(wp, "_MAX_LEVELS", 1)
+        s = barrier_v10_mL(0.1)
+        with pytest.raises(wp.QuadratureError, match="intensity did not converge"):
+            run_packet(s, SpectrumSpec(k0=10.0, sigma_k=0.2), n_times=41)
+        assert reached == []
+
+    def test_arrival_error_before_metrics_error(self, monkeypatch):
+        # broad packet at tol 1e-2: the field converges at level 2, the
+        # metrics need level 5, so two levels fail only the metrics
+        s, spec = _broad_packet()
+        monkeypatch.setattr(wp, "_MAX_LEVELS", 2)
+        with pytest.raises(wp.QuadratureError, match="distortion metrics"):
+            run_packet(s, spec, n_times=41, tol=1e-2)
+
+        def no_peak(*args):
+            raise NoPeakError("patched")
+
+        monkeypatch.setattr(wp, "estimate_arrival", no_peak)
+        with pytest.raises(NoPeakError):
+            run_packet(s, spec, n_times=41, tol=1e-2)
