@@ -326,14 +326,13 @@ def _cmd_sweep(parser, args) -> int:
         return 0
     v = cfg.pick_float("v", required=True)
     wL = cfg.pick_float("wL", required=True)
-    m = cfg.pick_float("m", required=True)
     n2_min = cfg.pick_float("n2_min", required=True)
     n2_max = cfg.pick_float("n2_max", required=True)
     count = cfg.pick_int("count", required=True)
     outputs = cfg.pick("outputs") or list(VALUE_COLUMNS)
     if isinstance(outputs, str):
         outputs = [item.strip() for item in outputs.split(",") if item.strip()]
-    req = SweepRequest(v=v, wL=wL, m=m, n2_min=n2_min, n2_max=n2_max,
+    req = SweepRequest(v=v, wL=wL, n2_min=n2_min, n2_max=n2_max,
                        count=count, outputs=tuple(outputs))
     records = run_sweep(req)
     out = args.out or cfg.pick("out")
@@ -419,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path for a single sweep")
     p.add_argument("--v", type=float, help="V0/m (0 gives the Schroedinger barrier)")
     p.add_argument("--wL", type=float, help="dimensionless width (default 2*pi)")
-    p.add_argument("--m", type=float, help="mass scale (default 1)")
+    p.add_argument("--m", type=float,
+                   help="accepted and ignored (a sweep depends on v, wL and n2 only)")
     p.add_argument("--n2-min", dest="n2_min", type=float)
     p.add_argument("--n2-max", dest="n2_max", type=float)
     p.add_argument("--count", type=int, help="grid points (>= 2)")

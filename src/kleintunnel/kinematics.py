@@ -103,7 +103,7 @@ class BarrierSetup:
 
     @classmethod
     def from_dimensionless(cls, v: float, wL: float, m: float = 1.0) -> "BarrierSetup":
-        """Build a setup from (v, wL) at mass scale m (the sweep convention)."""
+        """Build a setup from the dimensionless (v, wL) at mass scale m."""
         if not (v > 0.0 and math.isfinite(v)):
             raise DomainError(f"v must be positive and finite, got {v}")
         if not (wL >= 0.0 and math.isfinite(wL)):

@@ -246,7 +246,11 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
     if zone not in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         raise ZoneError(
             f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
-    v, wL, n2 = setup.v, setup.wL, mode.n2
+    return _magnitude_nr_form(setup.v, mode.n2, setup.wL)
+
+
+def _magnitude_nr_form(v: float, n2: float, wL: float) -> float:
+    """transmission_magnitude_nr_form at (v, n2, wL), without the zone check."""
     r2 = rho_n2(v, n2)
     if r2 == 0.0:
         return 1.0 / math.sqrt(1.0 + wL * wL / (4.0 * n2))

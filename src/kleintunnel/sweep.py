@@ -1,18 +1,18 @@
 """Parameter sweeps over n2 with zone tags, ordered unwrapping and CSV/JSON output.
 
-A sweep is defined by (v, wL, m) and a linear n2 grid; each grid point is
-computed independently in grid order, and a single ordered pass
-normalizes the phase column so it is continuous along the grid.  Every
-closed-form column comes from (v, n2, wL) alone, so v = 0 is the
-Schroedinger barrier through the same formulas; there E_over_m is empty
-and the zone follows from n2 < 1.  The ratio_numeric oracle is
-normalized_phase_time_numeric for every v.
+A sweep is defined by (v, wL) and a linear n2 grid; each grid point is a
+function of (v, n2, wL) alone, computed independently in grid order, and
+a single ordered pass normalizes the phase column so it is continuous
+along the grid.  The zone follows from comparing n2 with the edges
+v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v), for every v; v = 0 is the
+Schroedinger barrier through the same formulas, with E_over_m empty.
+The ratio_numeric oracle is normalized_phase_time_numeric for every v.
 
 Grid points landing within 1e-9 (relative) of a zone edge are snapped to
 the edge, evaluated like every other point and flagged in the
-``nudged`` column rather than dropped; per-point computation errors are
-captured in the record (empty CSV cells, ``error`` field in JSON) and
-never abort the sweep.
+``nudged`` column rather than dropped; a column whose computation
+refuses a point stays empty there (``error`` field in JSON) and never
+aborts the sweep.
 
 CSV contract: header row mandatory, columns in the fixed order
 
@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, KleinTunnelError
-from .kinematics import BarrierSetup, Zone, classify_zone, mode_from_n2
+from .kinematics import Zone
 from .phasetime import normalized_phase_time, normalized_phase_time_numeric
-from .scattering import transmission_closed_form, transmission_magnitude_nr_form
+from .scattering import _magnitude_nr_form, transmission_closed_form
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
@@ -45,14 +46,13 @@ EDGE_SNAP_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One sweep: dimensionless barrier (v, wL) at mass scale m, linear n2 grid."""
+    """One sweep: dimensionless barrier (v, wL), linear n2 grid of count points."""
 
     v: float
     wL: float
     n2_min: float
     n2_max: float
     count: int
-    m: float = 1.0
     outputs: tuple[str, ...] = VALUE_COLUMNS
 
     def __post_init__(self) -> None:
@@ -60,16 +60,13 @@ class SweepRequest:
             raise DomainError(f"v must be finite and >= 0, got {self.v}")
         if not (self.wL >= 0.0 and math.isfinite(self.wL)):
             raise DomainError(f"wL must be finite and >= 0, got {self.wL}")
-        if not (self.m > 0.0 and math.isfinite(self.m)):
-            raise DomainError(f"m must be positive and finite, got {self.m}")
-        if self.v > 0.0:
-            BarrierSetup.from_dimensionless(self.v, self.wL, self.m)  # rejects w == 0
         if not (self.n2_min > 0.0):
             raise DomainError(f"n2_min must be positive, got {self.n2_min}")
         if not (self.n2_max > self.n2_min and math.isfinite(self.n2_max)):
             raise DomainError(f"n2_max must be finite and exceed n2_min, got {self.n2_max}")
-        if self.count < 2:
-            raise DomainError(f"count must be >= 2, got {self.count}")
+        if (isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral)
+                or self.count < 2):
+            raise DomainError(f"count must be an integer >= 2, got {self.count!r}")
         if not self.outputs:
             raise DomainError("outputs must not be empty")
         unknown = set(self.outputs) - set(VALUE_COLUMNS)
@@ -101,24 +98,18 @@ class SweepRecord:
 # per-point evaluation (pure functions of the request parameters)
 # ---------------------------------------------------------------------------
 
-def _snap_to_edge(v: float, n2: float) -> tuple[float, str | None]:
-    """Snap n2 onto a zone edge when within EDGE_SNAP_RTOL of it."""
-    for e, name in ((0.5 * v - 1.0, "lower"), (0.5 * v + 1.0, "upper")):
+def _snap_to_edge(v: float, n2: float) -> tuple[float, Zone | None]:
+    """Snap n2 onto a zone edge when within EDGE_SNAP_RTOL of it; return the edge zone."""
+    for e, zone in ((0.5 * v - 1.0, Zone.EDGE_LOWER), (0.5 * v + 1.0, Zone.EDGE_UPPER)):
         if e > 0.0 and abs(n2 - e) <= EDGE_SNAP_RTOL * max(1.0, e):
-            return e, name
+            return e, zone
     return n2, None
 
 
-def _point(v: float, wL: float, m: float, n2: float, outputs: tuple[str, ...]) -> SweepRecord:
+def _point(v: float, wL: float, n2: float, outputs: tuple[str, ...]) -> SweepRecord:
     n2, edge = _snap_to_edge(v, n2)
-    setup = mode = e_over_m = None
-    if v == 0.0:
-        # no BarrierSetup at V0 = 0: the zone follows from n2 alone
-        zone = Zone.EDGE_UPPER if edge else Zone.TUNNELING if n2 < 1.0 else Zone.ABOVE_BARRIER
-    else:
-        setup = BarrierSetup.from_dimensionless(v, wL, m)
-        mode = mode_from_n2(setup, n2)
-        e_over_m, zone = mode.E / m, classify_zone(setup, mode.E)
+    zone = edge or (Zone.KLEIN if n2 < 0.5 * v - 1.0 else
+                    Zone.TUNNELING if n2 < 0.5 * v + 1.0 else Zone.ABOVE_BARRIER)
     vals: dict[str, float | None] = {}
     errs: list[str] = []
     point = transmission_closed_form(v, n2, wL)
@@ -126,28 +117,27 @@ def _point(v: float, wL: float, m: float, n2: float, outputs: tuple[str, ...]) -
         vals["t2_exact"] = point.probability
     if "phase_rad" in outputs:
         vals["phase_rad"] = point.phase
-    # a refused column stays empty and is named in errs; the row keeps the rest
     if "T2_nr_form" in outputs and zone in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
-        # at v = 0 the NR prefactor is the exact one
-        try:
-            vals["t2_nr_form"] = (point.probability if setup is None
-                                  else transmission_magnitude_nr_form(setup, mode) ** 2)
-        except KleinTunnelError as exc:
-            errs.append(f"T2_nr_form: {exc}")
+        # at v = 0 (n2 + rho_n^2 = 1) the NR prefactor is the exact one, so
+        # the column repeats T2_exact there
+        vals["t2_nr_form"] = (point.probability if v == 0.0
+                              else _magnitude_nr_form(v, n2, wL) ** 2)
+    # a refused column stays empty and is named in errs; the row keeps the rest
     if "ratio_closed" in outputs:
         try:
             vals["ratio_closed"] = normalized_phase_time(v, n2, wL)
         except KleinTunnelError as exc:
             errs.append(f"ratio_closed: {exc}")
     if "ratio_numeric" in outputs:
-        if zone in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
+        if edge:
             errs.append(f"ratio_numeric: n2={n2} lies on a zone edge")
         else:
             try:
                 vals["ratio_numeric"] = normalized_phase_time_numeric(v, n2, wL)
             except KleinTunnelError as exc:
                 errs.append(f"ratio_numeric: {exc}")
-    return SweepRecord(n2=n2, e_over_m=e_over_m, zone=zone.value, nudged=edge is not None,
+    return SweepRecord(n2=n2, e_over_m=math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None,
+                       zone=zone.value, nudged=edge is not None,
                        error="; ".join(errs) or None, **vals)
 
 
@@ -161,15 +151,7 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
     Points are computed independently, then a single ordered pass removes
     any residual 2*pi steps from the phase column.
     """
-    records = []
-    for n2 in req.grid():
-        try:
-            records.append(_point(req.v, req.wL, req.m, n2, req.outputs))
-        except KleinTunnelError as exc:
-            # a point-level failure is captured, never fatal for the sweep
-            records.append(SweepRecord(n2=n2, e_over_m=None, zone=Zone.NON_PROPAGATING.value,
-                                       error=str(exc)))
-    return _unwrap_phases(records)
+    return _unwrap_phases([_point(req.v, req.wL, n2, req.outputs) for n2 in req.grid()])
 
 
 def _unwrap_phases(records: list[SweepRecord]) -> list[SweepRecord]:

@@ -391,15 +391,48 @@ def test_criterion_09_wave_packet():
 # 10. preset determinism across runs and worker counts
 # ---------------------------------------------------------------------------
 
-# SHA-256 of the five fig1 CSV files.  Only an accuracy fix that has been
-# checked against mpmath may change these, and it must say so in CHANGES.md.
+# SHA-256 of the five fig1 CSV files, and per column (in CSV_COLUMNS
+# order) the first 12 hex digits of the SHA-256 of its cells joined by
+# newlines, so a failure names the columns that moved.  Only an accuracy
+# fix that has been checked against mpmath may change these, and it must
+# say so in CHANGES.md.
 FIG1_DIGESTS = {
-    "fig1_v0.csv": "e41be4a023661e1941bc9c35b96ad2f08526ff132379420c8ad0d3baca283f2a",
-    "fig1_v1.csv": "6df67e380477eb9293dc5390fea0cf4d013e1e6742bde643f33f88fa498af4b2",
-    "fig1_v2.csv": "567b73d32332839a271a7c81d3c9ac96153d99279ebee53041356e4f1bf803be",
-    "fig1_v5.csv": "f320c657da78d771aa02597674f8e57cc758dd7f78e391f999a7b79192cfce19",
-    "fig1_v10.csv": "193f48ef7df77cec9056c365e022b47c12f0c0db60620b6a262f61e4b757553e",
+    "fig1_v0.csv": ("e41be4a023661e1941bc9c35b96ad2f08526ff132379420c8ad0d3baca283f2a", (
+        "9d144e8dc337", "c29c1d72b7bd", "e06e9fec06e3", "95adafb95faf", "85c1fb301daa",
+        "9376d3e8aac9", "67e6db34e76b", "b5288c6ac25d", "c29c1d72b7bd")),
+    "fig1_v1.csv": ("08e0fbc4de76f28b42e72f4d06e554736dbc61a61814d57656ca7a045bebcc0a", (
+        "35bb58349a92", "ca330dcdb51b", "c6da6a16e9e7", "49e4c1643003", "e36a905139ce",
+        "bba0cd7f2f76", "3f52f828ff17", "788fb7a92691", "c29c1d72b7bd")),
+    "fig1_v2.csv": ("567b73d32332839a271a7c81d3c9ac96153d99279ebee53041356e4f1bf803be", (
+        "8a28820d5e73", "ac05138b77c7", "e018efcb267d", "ec696e5d50ab", "3514f932b775",
+        "f4f05a6479b0", "6e3f3b690490", "ea0b8c552c76", "8860c66d9946")),
+    "fig1_v5.csv": ("f320c657da78d771aa02597674f8e57cc758dd7f78e391f999a7b79192cfce19", (
+        "8c945d1ce51b", "1b8ce22964cf", "69d604bb29b2", "50f17a47c98d", "65355d85c3bc",
+        "ecf8fbfdca15", "b114ffe6c18d", "dbba6aa3ad98", "c29c1d72b7bd")),
+    "fig1_v10.csv": ("193f48ef7df77cec9056c365e022b47c12f0c0db60620b6a262f61e4b757553e", (
+        "d23e9e8ece56", "2bb7d76b58f4", "b3f31b446fcc", "13de50c1516e", "7c4694e06747",
+        "ed4db5165d47", "0262e4648cac", "4a965159f31f", "c14944055915")),
 }
+
+
+def _csv_rows(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.rstrip("\n").split(",") for line in fh][1:]
+
+
+def _column_digests(path):
+    return tuple(hashlib.sha256("\n".join(col).encode()).hexdigest()[:12]
+                 for col in zip(*_csv_rows(path)))
+
+
+def _first_difference(path_a, path_b):
+    """'row i, column c' of the first cell where two CSV files differ."""
+    rows_a, rows_b = _csv_rows(path_a), _csv_rows(path_b)
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
+        for col, ca, cb in zip(CSV_COLUMNS, ra, rb):
+            if ca != cb:
+                return f"row {i}, column {col}: {ca!r} vs {cb!r}"
+    return f"row counts {len(rows_a)} vs {len(rows_b)}"
 
 
 def test_criterion_10_determinism(tmp_path):
@@ -414,16 +447,26 @@ def test_criterion_10_determinism(tmp_path):
         assert code == 0
     names = sorted(os.listdir(dirs[0]))
     assert names == sorted(FIG1_DIGESTS)
-    identical = True
+    problems = []
     for name in names:
-        h = [digest(d / name) for d in dirs]
-        identical = identical and h[0] == h[1] == h[2] == FIG1_DIGESTS[name]
+        paths = [d / name for d in dirs]
+        for other in paths[1:]:
+            if digest(other) != digest(paths[0]):
+                problems.append(f"{name} differs between reruns at "
+                                f"{_first_difference(paths[0], other)}")
+        pinned, pinned_columns = FIG1_DIGESTS[name]
+        if digest(paths[0]) != pinned:
+            moved = [col for col, got, want in zip(CSV_COLUMNS, _column_digests(paths[0]),
+                                                   pinned_columns) if got != want]
+            problems.append(f"{name} sha256 {digest(paths[0])} is not the pinned {pinned}; "
+                            f"columns off their pinned digests: {', '.join(moved) or 'none'} "
+                            f"(now {_column_digests(paths[0])})")
         # schema check while we are here
-        records = read_csv(dirs[0] / name)
+        records = read_csv(paths[0])
         assert len(records) == 2000
-        with open(dirs[0] / name, "r", encoding="utf-8") as fh:
+        with open(paths[0], "r", encoding="utf-8") as fh:
             assert fh.readline().rstrip("\n") == ",".join(CSV_COLUMNS)
-    report(10, identical, f"five datasets byte-identical across reruns and "
-                          f"worker counts and to the pinned digests "
-                          f"(files: {', '.join(names)})")
-    assert identical
+    report(10, not problems, "; ".join(problems) or
+           f"five datasets byte-identical across reruns and worker counts and to "
+           f"the pinned digests (files: {', '.join(names)})")
+    assert not problems, "\n".join(problems)

@@ -62,17 +62,11 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("amp", "--m", "1e-200", "--v", "1", "--n2", "0.5"),
-        ("sweep", "--m", "1e-200", "--v", "1", "--n2-min", "0.1", "--n2-max", "0.5",
-         "--count", "2")])
-    def test_mass_so_small_that_w_underflows(self, capsys, tmp_path, argv):
-        out_path = tmp_path / "x.csv"
-        extra = ("--out", str(out_path)) if argv[0] == "sweep" else ()
-        code, _, err = run_cli(capsys, *argv, *extra)
+    @pytest.mark.parametrize("argv", [("amp", "--m", "1e-200", "--v", "1", "--n2", "0.5")])
+    def test_mass_so_small_that_w_underflows(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
-        assert not out_path.exists()
 
     def test_success(self, capsys):
         code, _, _ = run_cli(capsys, "limits", "--v", "10")
@@ -231,6 +225,14 @@ class TestSweepCommand:
         row = out_path.read_text().splitlines()[1].split(",")
         assert row[3] != "" and row[5] != ""  # requested
         assert row[6] == "" and row[7] == ""  # not requested
+
+    @pytest.mark.parametrize("m", ["1e-200", "3"])
+    def test_mass_flag_is_ignored(self, capsys, tmp_path, m):
+        argv = ("sweep", "--v", "1", "--n2-min", "0.1", "--n2-max", "2.5", "--count", "7")
+        plain, massive = tmp_path / "plain.csv", tmp_path / "m.csv"
+        assert run_cli(capsys, *argv, "--out", str(plain))[0] == 0
+        assert run_cli(capsys, *argv, "--m", m, "--out", str(massive))[0] == 0
+        assert massive.read_bytes() == plain.read_bytes()
 
     def test_sweep_requires_out(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "4.2",

@@ -19,6 +19,7 @@ from kleintunnel import (
     write_csv,
     write_json,
 )
+from kleintunnel.scattering import _magnitude_nr_form
 from kleintunnel.sweep import CSV_COLUMNS, fig1_request
 
 
@@ -37,7 +38,7 @@ class TestRequestValidation:
         with pytest.raises(DomainError):
             small_request(count=1)
 
-    @pytest.mark.parametrize("field", ["v", "wL", "m", "n2_max"])
+    @pytest.mark.parametrize("field", ["v", "wL", "n2_max"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_parameters(self, field, value):
         with pytest.raises(DomainError):
@@ -49,11 +50,13 @@ class TestRequestValidation:
         with pytest.raises(DomainError):
             small_request(outputs=("T2_exact", "bogus"))
 
-    def test_rejects_w_underflowing_to_zero(self):
-        with pytest.raises(DomainError):
-            small_request(v=1.0, m=1e-200)
-        # v = 0 builds no barrier, so m only labels the sweep
-        assert len(run_sweep(small_request(v=0.0, m=1e-200))) == 5
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integer_count(self, count):
+        with pytest.raises(DomainError, match="count must be an integer"):
+            small_request(count=count)
+
+    def test_accepts_numpy_integer_count(self):
+        assert len(small_request(count=np.int64(3)).grid()) == 3
 
     def test_grid_is_inclusive_linear(self):
         grid = small_request(count=5).grid()
@@ -78,6 +81,18 @@ class TestSweepIsAMap:
             assert rec.ratio_closed == normalized_phase_time(10.0, rec.n2, 2.0 * math.pi)
             assert rec.zone == "Tunneling"
             assert rec.error is None
+
+    def test_nr_form_at_the_requested_wL(self):
+        # a barrier built from (v, wL) = (1, 2 pi) has w*L one ulp off 2 pi;
+        # the sweep evaluates T2_nr_form, like every other column, at the
+        # requested wL
+        wL = 2.0 * math.pi
+        assert BarrierSetup.from_dimensionless(1.0, wL).wL != wL
+        req = SweepRequest(v=1.0, wL=wL, n2_min=0.01, n2_max=1.49, count=60,
+                           outputs=("T2_nr_form",))
+        for rec in run_sweep(req):
+            assert rec.zone == "Tunneling"
+            assert rec.t2_nr_form == _magnitude_nr_form(1.0, rec.n2, wL) ** 2
 
     def test_requested_outputs_only(self):
         recs = run_sweep(small_request(outputs=("T2_exact",)))
@@ -115,19 +130,18 @@ class TestEdgeHandling:
     def test_closed_ratio_refusal_keeps_the_row(self):
         # at v = 2 the lower edge is n2 = 0 and normalized_phase_time refuses
         # n2 <= 1e-12 ("lower edge needs v > 2"); the refusal empties
-        # ratio_closed only, never the zone and the other columns
-        recs = run_sweep(SweepRequest(v=2.0, wL=1.0, n2_min=1e-13, n2_max=0.5, count=2))
-        edge = recs[0]  # within EDGE_RTOL of E = V0 - m, so the oracle refuses too
-        assert edge.zone == "EdgeLower"
-        assert edge.ratio_closed is None and edge.ratio_numeric is None
-        assert edge.error.startswith("ratio_closed: lower edge needs v > 2")
-        assert "ratio_numeric: n2=1e-13 lies on a zone edge" in edge.error
-        assert recs[1].error is None
-        inside = run_sweep(SweepRequest(v=2.0, wL=1.0, n2_min=8e-13, n2_max=0.5, count=2))[0]
-        assert inside.zone == "Tunneling"
-        assert inside.ratio_closed is None and inside.ratio_numeric is not None
-        assert inside.error.startswith("ratio_closed: lower edge needs v > 2")
-        for rec in (edge, inside):
+        # ratio_closed only, never the zone and the other columns.  The zone
+        # compares n2 with v/2 - 1 = 0, so n2 = 1e-13 is not an edge row even
+        # though E - (V0 - m) lies within EDGE_RTOL
+        recs = []
+        for n2 in (1e-13, 8e-13):
+            first, last = run_sweep(SweepRequest(v=2.0, wL=1.0, n2_min=n2, n2_max=0.5, count=2))
+            assert last.error is None
+            recs.append(first)
+        for rec in recs:
+            assert rec.zone == "Tunneling" and not rec.nudged
+            assert rec.ratio_closed is None and rec.ratio_numeric is not None
+            assert rec.error.startswith("ratio_closed: lower edge needs v > 2")
             point = transmission_closed_form(2.0, rec.n2, 1.0)
             assert rec.e_over_m == pytest.approx(math.sqrt(1.0 + 4.0 * rec.n2), rel=1e-15)
             assert rec.t2_exact == point.probability
@@ -201,15 +215,23 @@ class TestRatioZeroCrossing:
 
 
 class TestZoneConsistency:
-    def test_zone_tags_reclassified_from_e_over_m(self):
+    # each grid crosses every edge that v has (v = 1 has only the upper one)
+    @pytest.mark.parametrize("v, n2_min, n2_max", [
+        (1.0, 0.01, 3.0), (2.5, 0.01, 4.5), (10.0, 0.5, 7.5), (100.0, 1.0, 76.0)])
+    def test_zone_tags_reclassified_from_e_over_m(self, v, n2_min, n2_max):
         from kleintunnel import classify_zone
-        req = small_request(n2_min=0.5, n2_max=7.5, count=200)
-        setup = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi)
+        req = SweepRequest(v=v, wL=2.0 * math.pi, n2_min=n2_min, n2_max=n2_max, count=200,
+                           outputs=("T2_exact",))
+        setup = BarrierSetup.from_dimensionless(v, 2.0 * math.pi)
+        zones = set()
         for rec in run_sweep(req):
             if rec.nudged:
                 continue
             zone = classify_zone(setup, rec.e_over_m * setup.m)
             assert rec.zone == zone.value
+            zones.add(zone.value)
+        assert zones == ({"Tunneling", "AboveBarrier"} if v < 2.0 else
+                         {"Klein", "Tunneling", "AboveBarrier"})
 
 
 class TestSerialization:
