@@ -156,7 +156,8 @@ def rho_n2(v: float, n2: float) -> float:
 
     whose numerator is factored as (1 - n2 + v/2)*(1 + n2 - v/2), exact
     down to rho = 0.  The value is negative in the oscillatory zones
-    (there -rho(n)^2 = q^2/w^2).
+    (there -rho(n)^2 = q^2/w^2).  Raises DomainError where the value
+    overflows (|n2 - v/2| beyond ~1e154).
     """
     if not (n2 > 0.0):
         raise DomainError(f"n2 must be positive, got {n2}")
@@ -164,7 +165,10 @@ def rho_n2(v: float, n2: float) -> float:
         raise DomainError(f"v must be >= 0, got {v}")
     num = (1.0 - n2 + 0.5 * v) * (1.0 + n2 - 0.5 * v)
     den = math.sqrt(1.0 + 2.0 * n2 * v) + n2 + 0.5 * v
-    return num / den
+    r2 = num / den
+    if not math.isfinite(r2):
+        raise DomainError(f"rho_n^2 is not finite at v={v}, n2={n2}")
+    return r2
 
 
 def tunneling_interval_n2(v: float) -> tuple[float, float]:

@@ -111,7 +111,8 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
     Continues analytically through the oscillatory zones; for huge
     rho_n*wL both f and g are rescaled by sinh^2 so nothing overflows.
     Within ~1e-12 of a zone edge in n2, where f/g is 0/0 in doubles, the
-    exact edge value edge_phase_time_ratio is returned.
+    exact edge value edge_phase_time_ratio is returned.  Raises
+    DomainError where f/g is not finite (n2 so large that f and g overflow).
     """
     if abs(abs(n2 - 0.5 * v) - 1.0) <= _EDGE_N2_TOL:
         return edge_phase_time_ratio(v, wL, "upper" if n2 > 0.5 * v else "lower")
@@ -125,10 +126,13 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
         inv_sh2 = 4.0 * u / (1.0 - u) ** 2
         f = 8.0 * n2 * A * inv_sh2 + 4.0 * B * (1.0 + u) / ((1.0 - u) * d)
         g = 16.0 * n2 * C * inv_sh2 + 2.0 * D
-        return f / g
-    f = 8.0 * n2 * A + 4.0 * B * sinhc_cosh(d2)
-    g = 16.0 * n2 * C + 2.0 * D * sinh_sq(d2)
-    return f / g
+    else:
+        f = 8.0 * n2 * A + 4.0 * B * sinhc_cosh(d2)
+        g = 16.0 * n2 * C + 2.0 * D * sinh_sq(d2)
+    ratio = f / g
+    if not math.isfinite(ratio):
+        raise DomainError(f"t_phi/tau is not finite at v={v}, n2={n2}, wL={wL}")
+    return ratio
 
 
 def phase_time_closed_form(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResult:

@@ -1,12 +1,13 @@
-"""Parameter sweeps over n2 with zone tags, ordered unwrapping and CSV/JSON output.
+"""Parameter sweeps over n2 with zone tags and CSV/JSON output.
 
 A sweep is defined by (v, wL) and a linear n2 grid; each grid point is a
-function of (v, n2, wL) alone, computed independently in grid order, and
-a single ordered pass normalizes the phase column so it is continuous
-along the grid.  The zone follows from comparing n2 with the edges
-v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v), for every v; v = 0 is the
-Schroedinger barrier through the same formulas, with E_over_m empty.
-The ratio_numeric oracle is normalized_phase_time_numeric for every v.
+function of (v, n2, wL) alone, computed independently in grid order.
+The phase column is the closed form's phase, continuous in n2 by
+construction whatever the grid spacing.  The zone follows from comparing
+n2 with the edges v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v), for every v;
+v = 0 is the Schroedinger barrier through the same formulas, with
+E_over_m empty.  The ratio_numeric oracle is
+normalized_phase_time_numeric for every v.
 
 Grid points landing within 1e-9 (relative) of a zone edge are snapped to
 the edge, evaluated like every other point and flagged in the
@@ -29,12 +30,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, KleinTunnelError
 from .kinematics import Zone
 from .phasetime import normalized_phase_time, normalized_phase_time_numeric
-from .scattering import _magnitude_nr_form, transmission_closed_form
+from .scattering import _closed_form, _magnitude_nr_form
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
@@ -78,9 +80,11 @@ class SweepRequest:
         return [self.n2_min + i * step for i in range(self.count)]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point; value fields are None when not requested or failed."""
+class SweepRecord(NamedTuple):
+    """One grid point; value fields are None when not requested or failed.
+
+    An immutable named tuple: it equals the plain tuple of its values.
+    """
 
     n2: float
     e_over_m: float | None
@@ -98,47 +102,48 @@ class SweepRecord:
 # per-point evaluation (pure functions of the request parameters)
 # ---------------------------------------------------------------------------
 
-def _snap_to_edge(v: float, n2: float) -> tuple[float, Zone | None]:
-    """Snap n2 onto a zone edge when within EDGE_SNAP_RTOL of it; return the edge zone."""
-    for e, zone in ((0.5 * v - 1.0, Zone.EDGE_LOWER), (0.5 * v + 1.0, Zone.EDGE_UPPER)):
-        if e > 0.0 and abs(n2 - e) <= EDGE_SNAP_RTOL * max(1.0, e):
-            return e, zone
-    return n2, None
+# the zone tags as the strings a record carries
+_KLEIN, _TUNNELING, _ABOVE = Zone.KLEIN.value, Zone.TUNNELING.value, Zone.ABOVE_BARRIER.value
+_EDGE_LOWER, _EDGE_UPPER = Zone.EDGE_LOWER.value, Zone.EDGE_UPPER.value
 
 
 def _point(v: float, wL: float, n2: float, outputs: tuple[str, ...]) -> SweepRecord:
-    n2, edge = _snap_to_edge(v, n2)
-    zone = edge or (Zone.KLEIN if n2 < 0.5 * v - 1.0 else
-                    Zone.TUNNELING if n2 < 0.5 * v + 1.0 else Zone.ABOVE_BARRIER)
-    vals: dict[str, float | None] = {}
-    errs: list[str] = []
-    point = transmission_closed_form(v, n2, wL)
-    if "T2_exact" in outputs:
-        vals["t2_exact"] = point.probability
-    if "phase_rad" in outputs:
-        vals["phase_rad"] = point.phase
-    if "T2_nr_form" in outputs and zone in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
+    lo = 0.5 * v - 1.0
+    hi = 0.5 * v + 1.0
+    # a point within EDGE_SNAP_RTOL of an edge is snapped onto it
+    if lo > 0.0 and abs(n2 - lo) <= EDGE_SNAP_RTOL * max(1.0, lo):
+        n2, zone, nudged = lo, _EDGE_LOWER, True
+    elif abs(n2 - hi) <= EDGE_SNAP_RTOL * hi:  # hi >= 1, so max(1, hi) = hi
+        n2, zone, nudged = hi, _EDGE_UPPER, True
+    else:
+        zone = _KLEIN if n2 < lo else _TUNNELING if n2 < hi else _ABOVE
+        nudged = False
+    mag, phase, _, _, _ = _closed_form(v, n2, wL)
+    t2 = mag * mag
+    t2_nr = ratio_closed = ratio_numeric = None
+    if "T2_nr_form" in outputs and lo <= n2 <= hi:  # tunneling or an edge
         # at v = 0 (n2 + rho_n^2 = 1) the NR prefactor is the exact one, so
         # the column repeats T2_exact there
-        vals["t2_nr_form"] = (point.probability if v == 0.0
-                              else _magnitude_nr_form(v, n2, wL) ** 2)
+        t2_nr = t2 if v == 0.0 else _magnitude_nr_form(v, n2, wL) ** 2
     # a refused column stays empty and is named in errs; the row keeps the rest
+    errs = []
     if "ratio_closed" in outputs:
         try:
-            vals["ratio_closed"] = normalized_phase_time(v, n2, wL)
+            ratio_closed = normalized_phase_time(v, n2, wL)
         except KleinTunnelError as exc:
             errs.append(f"ratio_closed: {exc}")
     if "ratio_numeric" in outputs:
-        if edge:
+        if nudged:
             errs.append(f"ratio_numeric: n2={n2} lies on a zone edge")
         else:
             try:
-                vals["ratio_numeric"] = normalized_phase_time_numeric(v, n2, wL)
+                ratio_numeric = normalized_phase_time_numeric(v, n2, wL)
             except KleinTunnelError as exc:
                 errs.append(f"ratio_numeric: {exc}")
-    return SweepRecord(n2=n2, e_over_m=math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None,
-                       zone=zone.value, nudged=edge is not None,
-                       error="; ".join(errs) or None, **vals)
+    return SweepRecord(n2, math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None, zone,
+                       t2 if "T2_exact" in outputs else None, t2_nr,
+                       phase if "phase_rad" in outputs else None,
+                       ratio_closed, ratio_numeric, nudged, "; ".join(errs) or None)
 
 
 # ---------------------------------------------------------------------------
@@ -146,49 +151,13 @@ def _point(v: float, wL: float, n2: float, outputs: tuple[str, ...]) -> SweepRec
 # ---------------------------------------------------------------------------
 
 def run_sweep(req: SweepRequest) -> list[SweepRecord]:
-    """Evaluate the request grid in ascending n2.
-
-    Points are computed independently, then a single ordered pass removes
-    any residual 2*pi steps from the phase column.
-    """
-    return _unwrap_phases([_point(req.v, req.wL, n2, req.outputs) for n2 in req.grid()])
-
-
-def _unwrap_phases(records: list[SweepRecord]) -> list[SweepRecord]:
-    out: list[SweepRecord] = []
-    prev: float | None = None
-    for rec in records:
-        if rec.phase_rad is not None:
-            if prev is not None:
-                turns = round((prev - rec.phase_rad) / (2.0 * math.pi))
-                if turns:
-                    rec = replace(rec, phase_rad=rec.phase_rad + 2.0 * math.pi * turns)
-            prev = rec.phase_rad
-        out.append(rec)
-    return out
+    """Evaluate the request grid in ascending n2, each point independently."""
+    return [_point(req.v, req.wL, n2, req.outputs) for n2 in req.grid()]
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def _record_cells(rec: SweepRecord) -> list[str]:
-    return [
-        repr(rec.n2),
-        _fmt(rec.e_over_m),
-        rec.zone,
-        _fmt(rec.t2_exact),
-        _fmt(rec.t2_nr_form),
-        _fmt(rec.phase_rad),
-        _fmt(rec.ratio_closed),
-        _fmt(rec.ratio_numeric),
-        "true" if rec.nudged else "",
-    ]
-
 
 def write_csv(records: list[SweepRecord], path) -> None:
     """Write records in the fixed CSV contract (round-trip exact floats)."""
@@ -197,8 +166,13 @@ def write_csv(records: list[SweepRecord], path) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for rec in records:
-                fh.write(",".join(_record_cells(rec)) + "\n")
+            # one call over a generator: no second copy of the file in memory
+            fh.writelines(
+                f"{n2!r},{'' if e is None else repr(e)},{zone},"
+                f"{'' if t2 is None else repr(t2)},{'' if nr is None else repr(nr)},"
+                f"{'' if ph is None else repr(ph)},{'' if rc is None else repr(rc)},"
+                f"{'' if rn is None else repr(rn)},{'true' if nudged else ''}\n"
+                for n2, e, zone, t2, nr, ph, rc, rn, nudged, _ in records)
     except OSError as exc:
         raise KleinTunnelError(f"writing {path}: {exc}") from exc
 

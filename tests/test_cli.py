@@ -234,6 +234,23 @@ class TestSweepCommand:
         assert run_cli(capsys, *argv, "--m", m, "--out", str(massive))[0] == 0
         assert massive.read_bytes() == plain.read_bytes()
 
+    def test_overflowing_grid_is_a_computation_error(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "1",
+                               "--n2-max", "1e300", "--count", "2", "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error: rho_n^2 is not finite") and "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_non_finite_ratio_is_an_empty_named_cell(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, _, err = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "1",
+                               "--n2-max", "1e150", "--count", "2", "--out", str(out_path))
+        assert code == 0 and err == ""
+        row = json.loads(out_path.read_text())[-1]
+        assert row["ratio_closed"] is None
+        assert row["error"].startswith("ratio_closed: t_phi/tau is not finite")
+
     def test_sweep_requires_out(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "4.2",
                              "--n2-max", "5.8", "--count", "3")

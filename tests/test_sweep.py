@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -94,6 +95,37 @@ class TestSweepIsAMap:
             assert rec.zone == "Tunneling"
             assert rec.t2_nr_form == _magnitude_nr_form(1.0, rec.n2, wL) ** 2
 
+    @pytest.mark.parametrize("v, wL, n2_min, n2_max, count", [
+        (10.0, 2.0 * math.pi, 0.5, 30.0, 2), (10.0, 400.0, 0.5, 3.5, 3)])
+    def test_phase_is_the_closed_form_on_coarse_grids(self, v, wL, n2_min, n2_max, count):
+        # the closed form's phase is continuous in n2 by construction; a grid
+        # too coarse to follow it must not change it
+        req = SweepRequest(v=v, wL=wL, n2_min=n2_min, n2_max=n2_max, count=count,
+                           outputs=("phase_rad",))
+        for rec in run_sweep(req):
+            assert rec.phase_rad == transmission_closed_form(v, rec.n2, wL).phase
+
+    def test_sweep_builds_no_transmission_point(self, monkeypatch):
+        import kleintunnel.scattering
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a TransmissionPoint")
+
+        monkeypatch.setattr(kleintunnel.scattering, "TransmissionPoint", refuse)
+        # n2 = 2, 3, ..., 8 at v = 10: Klein, both edges, tunneling, above
+        recs = run_sweep(SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=2.0, n2_max=8.0,
+                                      count=7))
+        assert [r.zone for r in recs] == ["Klein", "Klein", "EdgeLower", "Tunneling",
+                                          "EdgeUpper", "AboveBarrier", "AboveBarrier"]
+        assert all(r.t2_exact is not None and r.ratio_closed is not None for r in recs)
+
+    def test_record_is_an_immutable_tuple(self):
+        rec = run_sweep(small_request(count=2))[0]
+        with pytest.raises(AttributeError):
+            rec.t2_exact = 0.0
+        assert rec == tuple(rec)
+        assert SweepRecord(1.0, None, "Klein") == (1.0, None, "Klein") + (None,) * 5 + (False, None)
+
     def test_requested_outputs_only(self):
         recs = run_sweep(small_request(outputs=("T2_exact",)))
         for rec in recs:
@@ -147,6 +179,19 @@ class TestEdgeHandling:
             assert rec.t2_exact == point.probability
             assert rec.phase_rad == point.phase
             assert rec.t2_nr_form is not None
+
+
+class TestOverflow:
+    def test_rho_overflow_is_a_domain_error(self):
+        # (1 - n2 + v/2)(1 + n2 - v/2) overflows to -inf at n2 = 1e300
+        with pytest.raises(DomainError, match=r"rho_n\^2 is not finite"):
+            run_sweep(small_request(n2_min=1.0, n2_max=1e300, count=2))
+
+    def test_non_finite_ratio_empties_its_cell(self):
+        rec = run_sweep(small_request(n2_min=1.0, n2_max=1e150, count=2))[-1]
+        assert rec.ratio_closed is None
+        assert rec.error.startswith("ratio_closed: t_phi/tau is not finite")
+        assert None not in (rec.t2_exact, rec.phase_rad, rec.ratio_numeric)
 
 
 class TestNRPipeline:
@@ -258,6 +303,39 @@ class TestSerialization:
         for a, b in zip(recs, back):
             assert a == pytest.approx(b) or a == b  # exact float round trip
         assert [r.n2 for r in back] == [r.n2 for r in recs]
+
+    def test_csv_bytes_of_hand_built_records(self, tmp_path):
+        full = dict(n2=1e-300, e_over_m=1.0, zone="Tunneling", t2_exact=0.25, t2_nr_form=-0.0,
+                    phase_rad=3.141592653589793, ratio_closed=-1e-300, ratio_numeric=2.5,
+                    nudged=True)
+        # all cells empty, none empty, then each value column empty alone
+        recs = [SweepRecord(n2=0.5, e_over_m=None, zone="Klein"), SweepRecord(**full)] + [
+            SweepRecord(**{**full, field: None}) for field in (
+                "e_over_m", "t2_exact", "t2_nr_form", "phase_rad", "ratio_closed",
+                "ratio_numeric")]
+        path = tmp_path / "hand.csv"
+        write_csv(recs, path)
+        assert path.read_bytes() == (
+            b"n2,E_over_m,zone,T2_exact,T2_nr_form,phase_rad,ratio_closed,ratio_numeric,nudged\n"
+            b"0.5,,Klein,,,,,,\n"
+            b"1e-300,1.0,Tunneling,0.25,-0.0,3.141592653589793,-1e-300,2.5,true\n"
+            b"1e-300,,Tunneling,0.25,-0.0,3.141592653589793,-1e-300,2.5,true\n"
+            b"1e-300,1.0,Tunneling,,-0.0,3.141592653589793,-1e-300,2.5,true\n"
+            b"1e-300,1.0,Tunneling,0.25,,3.141592653589793,-1e-300,2.5,true\n"
+            b"1e-300,1.0,Tunneling,0.25,-0.0,,-1e-300,2.5,true\n"
+            b"1e-300,1.0,Tunneling,0.25,-0.0,3.141592653589793,,2.5,true\n"
+            b"1e-300,1.0,Tunneling,0.25,-0.0,3.141592653589793,-1e-300,,true\n")
+        assert read_csv(path) == recs
+
+    def test_opaque_klein_grid_digest_pinned(self, tmp_path):
+        # wL = 400 reaches an opaque barrier (|T|^2 down to 3e-79) and about
+        # 250 Klein windings, which the fig1 presets (wL = 2 pi) do not
+        req = SweepRequest(v=10.0, wL=400.0, n2_min=0.004, n2_max=8.0, count=2000,
+                           outputs=("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed"))
+        path = tmp_path / "wl400.csv"
+        write_csv(run_sweep(req), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cdf4b03dc71e96ee550ad275525f4e94ee3eb65fbc2877e5b006f419ab3ff83c")
 
     def test_header_and_line_endings(self, tmp_path):
         recs = run_sweep(small_request())
