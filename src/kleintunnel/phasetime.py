@@ -6,23 +6,26 @@ evaluated at the spectral peak.  Normalizing by the classical traversal
 time tau = L/(dE/dk) = L*E/k gives the dimensionless ratio computed here
 in two independent ways, plus limit formulas:
 
-* a closed form f(n,L)/g(n,L) (the exact derivative of the closed-form
-  phase, written out below),
+* a closed form, the exact n2-derivative of the closed-form phase,
 * the oracle normalized_phase_time_numeric, the n2-derivative carried
   by hand through the matcher's 2x2 solve (independent of every closed
   form),
 * small-rho and zone-edge limit formulas.
 
-The closed-form ratio is f/g with s = sqrt(1 + 2*n2*v), d = rho_n*wL:
+The closed-form phase is arctan(Y) + winding*pi with
+Y = u wL tc / (2n), u = n2 - rho_n^2, d2 = rho_n^2 wL^2 and tc = tanh(d)/d
+(scattering._closed_form).  Since t_phi/tau = (2n/wL) dphi/dn2, the chain
+rule gives, with s = sqrt(1 + 2 n2 v) and rho' = d rho_n^2/dn2 = v/s - 1,
 
-    f = 8 n2 [(2 + 8 n2 v + v^2) - (4 n2 + 3 v) s]
-        + 4 [(4 + 4 n2 v + v^2) s - 2 v (2 + 3 n2 v)] sinh(d)cosh(d)/d
-    g = 16 n2 [2 (1 + 2 n2 v) - s (2 n2 + v)]
-        + 2 [(4 + 8 n2 v + v^2) s - 4 v (1 + 2 n2 v)] sinh(d)^2
+    t_phi/tau = [P tc / (2 n2) + u rho' wL^2 h] / (1 + Y^2),
+    P = n2 + rho_n^2 - 2 n2 rho' = 1/s - v/2 + 2 n2,
+    h = d tc / d(d2) = (sech^2(d) - tc) / (2 d2) = -1/3 + 4 d2/15 - ...
 
-Both f and g are even in d, so the same expressions continue into the
-oscillatory zones (sinh -> sin).  Near the zone edges the ratio tends to
-a finite value that still depends on wL,
+u and P are evaluated in forms free of cancellation, so the ratio stays
+exact at the v = 2 threshold n2 -> 0.  tc and h are functions of d2
+that continue into the oscillatory zones (tanh -> tan, sech^2 -> sec^2),
+and on a zone edge (d2 = 0) the same expression is the edge value.  Near
+the zone edges the ratio tends to a finite value that still depends on wL,
 
     [1/2 -+ 1/(v -+ 1) -+ n2 wL^2 / (3 (v -+ 1))] / (1 + n2 wL^2 / 4),
 
@@ -40,14 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._stable import LARGE_D2, sinh_sq, sinhc_cosh
 from .errors import DomainError, ZeroLengthError, ZoneCrossingError
 from .kinematics import BarrierSetup, IncidentMode, Zone, classify_zone, rho_n2
-from .scattering import _matched, transmission_closed_form
-
-# n2-distance from a zone edge below which the verbatim f/g cancels too
-# hard to be meaningful in doubles; the exact edge value is used there
-_EDGE_N2_TOL = 1e-12
+from .scattering import _closed_form, _matched, transmission_closed_form
 
 
 @dataclass(frozen=True)
@@ -96,40 +94,16 @@ def classical_tau(setup: BarrierSetup, mode: IncidentMode) -> float:
 # closed-form ratio
 # ---------------------------------------------------------------------------
 
-def _fg_brackets(v: float, n2: float) -> tuple[float, float, float, float]:
-    s = math.sqrt(1.0 + 2.0 * n2 * v)
-    A = (2.0 + 8.0 * n2 * v + v * v) - (4.0 * n2 + 3.0 * v) * s
-    B = (4.0 + 4.0 * n2 * v + v * v) * s - 2.0 * v * (2.0 + 3.0 * n2 * v)
-    C = 2.0 * (1.0 + 2.0 * n2 * v) - s * (2.0 * n2 + v)
-    D = (4.0 + 8.0 * n2 * v + v * v) * s - 4.0 * v * (1.0 + 2.0 * n2 * v)
-    return A, B, C, D
-
-
 def normalized_phase_time(v: float, n2: float, wL: float) -> float:
-    """Closed-form t_phi/tau at (v, n2, wL), any zone.
+    """Closed-form t_phi/tau at (v, n2, wL), any zone and both edges.
 
-    Continues analytically through the oscillatory zones; for huge
-    rho_n*wL both f and g are rescaled by sinh^2 so nothing overflows.
-    Within ~1e-12 of a zone edge in n2, where f/g is 0/0 in doubles, the
-    exact edge value edge_phase_time_ratio is returned.  Raises
-    DomainError where f/g is not finite (n2 so large that f and g overflow).
+    The ratio entry of scattering._closed_form, the chain-rule derivative
+    of the closed-form phase.  It has no edge branch: on a zone edge the
+    same expression gives the exact edge value (edge_phase_time_ratio to
+    roundoff), and it stays exact at v = 2, n2 -> 0 and for opaque
+    barriers.  Raises DomainError only where the result is not finite.
     """
-    if abs(abs(n2 - 0.5 * v) - 1.0) <= _EDGE_N2_TOL:
-        return edge_phase_time_ratio(v, wL, "upper" if n2 > 0.5 * v else "lower")
-    A, B, C, D = _fg_brackets(v, n2)
-    r2 = rho_n2(v, n2)
-    d2 = r2 * wL * wL
-    if d2 > LARGE_D2:
-        # divide f and g by sinh^2: sc/sh2 = coth(d)/d, 1/sh2 = 4u/(1-u)^2
-        d = math.sqrt(d2)
-        u = math.exp(-2.0 * d)
-        inv_sh2 = 4.0 * u / (1.0 - u) ** 2
-        f = 8.0 * n2 * A * inv_sh2 + 4.0 * B * (1.0 + u) / ((1.0 - u) * d)
-        g = 16.0 * n2 * C * inv_sh2 + 2.0 * D
-    else:
-        f = 8.0 * n2 * A + 4.0 * B * sinhc_cosh(d2)
-        g = 16.0 * n2 * C + 2.0 * D * sinh_sq(d2)
-    ratio = f / g
+    ratio = _closed_form(v, n2, wL, ratio=True)[5]
     if not math.isfinite(ratio):
         raise DomainError(f"t_phi/tau is not finite at v={v}, n2={n2}, wL={wL}")
     return ratio

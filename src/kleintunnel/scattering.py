@@ -37,7 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._stable import LARGE_D2, sinh_sq, sinhc, tanhc
+from ._stable import LARGE_D2, SERIES_CUT, sinh_sq
 from .errors import NonPropagatingError, ZoneError
 from .kinematics import (
     BarrierSetup,
@@ -183,35 +183,77 @@ def continuity_residuals(setup: BarrierSetup, mode: IncidentMode,
 # closed forms (checked against the matcher)
 # ---------------------------------------------------------------------------
 
-def _closed_form(v: float, n2: float,
-                 wL: float) -> tuple[float, float, int, complex, complex]:
-    """(magnitude, phase, winding, T, R) of transmission_closed_form as a plain tuple.
+# Maclaurin coefficients of h(d2) = d(tanh(d)/d)/d(d2) = -1/3 + 4 d2/15 - ...,
+# summed below _H_SERIES_CUT where (sech^2 - tanh(d)/d)/(2 d2) cancels
+_H_SERIES = (-1.0 / 3.0, 4.0 / 15.0, -17.0 / 105.0, 248.0 / 2835.0, -1382.0 / 31185.0,
+             43688.0 / 2027025.0, -929569.0 / 91216125.0)
+_H_SERIES_CUT = 1e-2
 
-    The one arithmetic path of the closed form; the packet quadrature
-    reads it per k node without building a TransmissionPoint.  One phase
-    expression serves all zones: arctan of
-    ((n2 - rho_n^2)/(2 sqrt(n2))) * wL * tanh(d)/d, continued through
+
+def _closed_form(v: float, n2: float, wL: float, *,
+                 ratio: bool = False) -> tuple[float, float, int, complex, complex, float | None]:
+    """(magnitude, phase, winding, T, R, ratio) of the closed form as a plain tuple.
+
+    The one arithmetic path of the closed forms: transmission_closed_form,
+    the sweep and the packet quadrature all read it.  One phase expression
+    serves all zones, phase = arctan(Y) + winding*pi with
+    Y = ((n2 - rho_n^2)/(2n)) wL tc, tc = tanh(d)/d continued through
     rho_n^2 < 0 where tanh turns into tan and the branch count
     N = floor(q_n wL / pi + 1/2) restores continuity in n2.
+
+    With ratio=True the last entry is t_phi/tau, the chain-rule n2-derivative
+    of that phase (see the phasetime module); it may be inf or nan where
+    the result overflows.  Otherwise it is None and nothing else changes.
     """
     r2 = rho_n2(v, n2)
     d2 = r2 * wL * wL
-    principal = math.atan((n2 - r2) / (2.0 * math.sqrt(n2)) * wL * tanhc(d2))
+    n = math.sqrt(n2)
     winding = 0
-    if d2 < 0.0:
-        winding = math.floor(math.sqrt(-d2) / math.pi + 0.5)
-    phase = principal + winding * math.pi
+    # tc = tanh(d)/d and sc = sinh(d)/d, continued in d2 (tan, sin for d2 < 0)
+    if abs(d2) < SERIES_CUT:
+        tc = 1.0 - d2 / 3.0 * (1.0 - 2.0 * d2 / 5.0)
+        sc = 1.0 + d2 / 6.0 * (1.0 + d2 / 20.0)
+    elif d2 > 0.0:
+        d = math.sqrt(d2)
+        th = math.tanh(d)
+        tc = th / d
+        sc = math.sinh(d) / d if d2 <= LARGE_D2 else 0.0  # sc unused past LARGE_D2
+    else:
+        d = math.sqrt(-d2)
+        th = math.tan(d)
+        tc = th / d
+        sc = math.sin(d) / d
+        winding = math.floor(d / math.pi + 0.5)
+    Y = (n2 - r2) / (2.0 * n) * wL * tc
+    phase = math.atan(Y) + winding * math.pi
     if d2 > LARGE_D2:
         # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
         mag = 4.0 * math.sqrt(n2 * r2) * math.exp(-math.sqrt(d2)) / (n2 + r2)
         T = cmath.rect(mag, phase)
         R = -1j * cmath.rect(1.0, phase)  # |R| = 1 to double precision
     else:
-        X = (n2 + r2) / (2.0 * math.sqrt(n2)) * wL * sinhc(d2)
+        X = (n2 + r2) / (2.0 * n) * wL * sc
         mag = 1.0 / math.hypot(1.0, X)
         T = cmath.rect(mag, phase)
         R = -1j * X * T
-    return mag, phase, winding, T, R
+    if not ratio:
+        return mag, phase, winding, T, R, None
+    # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
+    if abs(d2) < _H_SERIES_CUT:
+        h = 0.0
+        for c in reversed(_H_SERIES):
+            h = h * d2 + c
+    else:
+        sech2 = (1.0 - th) * (1.0 + th) if d2 > 0.0 else 1.0 + th * th
+        h = (sech2 - tc) / (2.0 * d2)
+    s = math.sqrt(1.0 + 2.0 * n2 * v)
+    # u = n2 - rho_n^2 and P = 1/s - v/2 + 2 n2, both free of cancellation
+    # at v = 2, n2 -> 0 and on the zone edges
+    u = (4.0 * n2 * n2 + (0.5 * v - 1.0) * (0.5 * v + 1.0)) / (2.0 * n2 + 0.5 * v + s)
+    P = (1.0 - 0.5 * v) + 2.0 * n2 * (
+        (2.0 - v) + 2.0 * n2 * v * (s + 2.0) / (s + 1.0)) / (s * (1.0 + s))
+    t_ratio = (P * tc / (2.0 * n2) + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
+    return mag, phase, winding, T, R, t_ratio
 
 
 def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoint:
@@ -227,7 +269,7 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
     transmission_magnitude_nr_form for the variant without it.  At v = 0
     (rho_n^2 = 1 - n2, n2 = E_NR/V0) this is the Schroedinger barrier.
     """
-    mag, phase, winding, T, R = _closed_form(v, n2, wL)
+    mag, phase, winding, T, R, _ = _closed_form(v, n2, wL)
     return TransmissionPoint(magnitude=mag, phase=phase, probability=mag * mag,
                              T=T, R=R, winding=winding)
 

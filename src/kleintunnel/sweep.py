@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, KleinTunnelError
 from .kinematics import Zone
-from .phasetime import normalized_phase_time, normalized_phase_time_numeric
+from .phasetime import normalized_phase_time_numeric
 from .scattering import _closed_form, _magnitude_nr_form
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
@@ -118,20 +118,19 @@ def _point(v: float, wL: float, n2: float, outputs: tuple[str, ...]) -> SweepRec
     else:
         zone = _KLEIN if n2 < lo else _TUNNELING if n2 < hi else _ABOVE
         nudged = False
-    mag, phase, _, _, _ = _closed_form(v, n2, wL)
+    mag, phase, _, _, _, ratio_closed = _closed_form(v, n2, wL,
+                                                     ratio="ratio_closed" in outputs)
     t2 = mag * mag
-    t2_nr = ratio_closed = ratio_numeric = None
+    t2_nr = ratio_numeric = None
     if "T2_nr_form" in outputs and lo <= n2 <= hi:  # tunneling or an edge
         # at v = 0 (n2 + rho_n^2 = 1) the NR prefactor is the exact one, so
         # the column repeats T2_exact there
         t2_nr = t2 if v == 0.0 else _magnitude_nr_form(v, n2, wL) ** 2
     # a refused column stays empty and is named in errs; the row keeps the rest
     errs = []
-    if "ratio_closed" in outputs:
-        try:
-            ratio_closed = normalized_phase_time(v, n2, wL)
-        except KleinTunnelError as exc:
-            errs.append(f"ratio_closed: {exc}")
+    if ratio_closed is not None and not math.isfinite(ratio_closed):
+        ratio_closed = None
+        errs.append(f"ratio_closed: t_phi/tau is not finite at v={v}, n2={n2}, wL={wL}")
     if "ratio_numeric" in outputs:
         if nudged:
             errs.append(f"ratio_numeric: n2={n2} lies on a zone edge")

@@ -7,6 +7,7 @@ from kleintunnel import BarrierSetup, transmission_closed_form
 from kleintunnel.cli import main
 from kleintunnel.phasetime import edge_phase_time_ratio
 from kleintunnel.sweep import CSV_COLUMNS
+from test_phasetime import mp_ratio
 
 
 def run_cli(capsys, *argv):
@@ -136,7 +137,11 @@ class TestJsonAgreement:
         assert code == 0
         vals = json.loads(out)
         assert vals["zone"] == "EdgeLower"
-        assert vals["ratio_closed"] == edge_phase_time_ratio(10.0, 2.0 * math.pi, "lower")
+        # no edge branch: the closed form lands on the edge value to roundoff
+        assert vals["ratio_closed"] == pytest.approx(
+            edge_phase_time_ratio(10.0, 2.0 * math.pi, "lower"), rel=1e-14)
+        assert vals["ratio_closed"] == pytest.approx(mp_ratio(10.0, 4.0, 2.0 * math.pi),
+                                                     rel=1e-14)
         assert vals["t_phi_numeric"] is None and vals["ratio_numeric"] is None
         assert "edge" in vals["numeric_error"]
 
@@ -243,13 +248,14 @@ class TestSweepCommand:
         assert not out_path.exists()
 
     def test_non_finite_ratio_is_an_empty_named_cell(self, capsys, tmp_path):
+        # far above the barrier t_phi/tau -> 1; nothing overflows at n2 = 1e150
         out_path = tmp_path / "x.json"
         code, _, err = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "1",
                                "--n2-max", "1e150", "--count", "2", "--out", str(out_path))
         assert code == 0 and err == ""
         row = json.loads(out_path.read_text())[-1]
-        assert row["ratio_closed"] is None
-        assert row["error"].startswith("ratio_closed: t_phi/tau is not finite")
+        assert row["ratio_closed"] == pytest.approx(1.0, abs=1e-15)
+        assert row["error"] is None
 
     def test_sweep_requires_out(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "4.2",
@@ -309,3 +315,4 @@ class TestReportRedirect:
         assert out == ""
         vals = json.loads(path.read_text())
         assert vals["lower_edge_ratio_limit"] == pytest.approx(-4.0 / 27.0, rel=1e-12)
+

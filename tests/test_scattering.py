@@ -25,6 +25,8 @@ from kleintunnel.phasetime import (
     edge_phase_time_ratio,
     normalized_phase_time,
 )
+from kleintunnel.scattering import _closed_form
+from test_phasetime import mp_ratio
 
 # frozen with 50-digit arithmetic during development
 MAG_V10_N5_WL2PI = 0.10293276472295702
@@ -463,4 +465,14 @@ class TestSingleClosedForm:
             assert match_boundaries(s, mode).T == pytest.approx(linear, rel=1e-15)
             assert transmission_magnitude_nr_form(s, mode) == pytest.approx(
                 edge_limit_magnitude_nr_form(v, wL, edge), rel=1e-15)
-            assert normalized_phase_time(v, n2, wL) == edge_phase_time_ratio(v, wL, edge)
+            # the ratio has no edge branch: it lands on the edge value to roundoff
+            ratio = normalized_phase_time(v, n2, wL)
+            assert ratio == pytest.approx(edge_phase_time_ratio(v, wL, edge), rel=1e-14)
+            assert ratio == pytest.approx(mp_ratio(v, n2, wL), rel=1e-14)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(barrier_points())
+    def test_ratio_never_moves_the_amplitudes(self, point):
+        # asking the core for t_phi/tau leaves T, R and the phase bitwise alone
+        assert _closed_form(*point, ratio=True)[:5] == _closed_form(*point)[:5]
+        assert _closed_form(*point)[5] is None

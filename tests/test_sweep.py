@@ -22,6 +22,7 @@ from kleintunnel import (
 )
 from kleintunnel.scattering import _magnitude_nr_form
 from kleintunnel.sweep import CSV_COLUMNS, fig1_request
+from test_phasetime import mp_ratio
 
 
 def small_request(**kw):
@@ -160,20 +161,20 @@ class TestEdgeHandling:
         assert len(recs) == 23
 
     def test_closed_ratio_refusal_keeps_the_row(self):
-        # at v = 2 the lower edge is n2 = 0 and normalized_phase_time refuses
-        # n2 <= 1e-12 ("lower edge needs v > 2"); the refusal empties
-        # ratio_closed only, never the zone and the other columns.  The zone
-        # compares n2 with v/2 - 1 = 0, so n2 = 1e-13 is not an edge row even
-        # though E - (V0 - m) lies within EDGE_RTOL
+        # at v = 2 the lower edge is n2 = 0; within 1e-12 of it the closed
+        # ratio is filled and exact (no edge refusal), and the row keeps every
+        # other column.  The zone compares n2 with v/2 - 1 = 0, so n2 = 1e-13
+        # is not an edge row even though E - (V0 - m) lies within EDGE_RTOL
         recs = []
         for n2 in (1e-13, 8e-13):
             first, last = run_sweep(SweepRequest(v=2.0, wL=1.0, n2_min=n2, n2_max=0.5, count=2))
             assert last.error is None
             recs.append(first)
+        assert recs[0].ratio_closed == pytest.approx(2.9999999999988336e-13, rel=1e-12)
         for rec in recs:
             assert rec.zone == "Tunneling" and not rec.nudged
-            assert rec.ratio_closed is None and rec.ratio_numeric is not None
-            assert rec.error.startswith("ratio_closed: lower edge needs v > 2")
+            assert rec.ratio_closed == pytest.approx(mp_ratio(2.0, rec.n2, 1.0), rel=1e-12)
+            assert rec.ratio_numeric is not None and rec.error is None
             point = transmission_closed_form(2.0, rec.n2, 1.0)
             assert rec.e_over_m == pytest.approx(math.sqrt(1.0 + 4.0 * rec.n2), rel=1e-15)
             assert rec.t2_exact == point.probability
@@ -188,7 +189,17 @@ class TestOverflow:
             run_sweep(small_request(n2_min=1.0, n2_max=1e300, count=2))
 
     def test_non_finite_ratio_empties_its_cell(self):
+        # t_phi/tau -> 1 far above the barrier, and at n2 = 1e150 nothing
+        # in the ratio overflows: the cell is filled
         rec = run_sweep(small_request(n2_min=1.0, n2_max=1e150, count=2))[-1]
+        assert rec.ratio_closed == pytest.approx(1.0, abs=1e-15)
+        assert rec.error is None
+        assert None not in (rec.t2_exact, rec.phase_rad, rec.ratio_numeric)
+
+    def test_ratio_overflow_empties_its_cell(self):
+        # just below where rho_n^2 itself overflows, the ratio's u and P do:
+        # the cell is emptied and named, the row keeps the rest
+        rec = run_sweep(small_request(n2_min=1.0, n2_max=1e154, count=2))[-1]
         assert rec.ratio_closed is None
         assert rec.error.startswith("ratio_closed: t_phi/tau is not finite")
         assert None not in (rec.t2_exact, rec.phase_rad, rec.ratio_numeric)
@@ -335,7 +346,7 @@ class TestSerialization:
         path = tmp_path / "wl400.csv"
         write_csv(run_sweep(req), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "cdf4b03dc71e96ee550ad275525f4e94ee3eb65fbc2877e5b006f419ab3ff83c")
+            "3becc5405a8a30d8e4fa0d9f979ccb13554b694174afd811174f1ab0ffa3c997")
 
     def test_header_and_line_endings(self, tmp_path):
         recs = run_sweep(small_request())
