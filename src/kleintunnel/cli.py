@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 computation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -348,7 +349,9 @@ def _cmd_sweep(parser, args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="kleintunnel",
         description="Rectangular-barrier transmission, phase times and "

@@ -14,7 +14,7 @@ in two independent ways, plus limit formulas:
 
 The closed-form phase is arctan(Y) + winding*pi with
 Y = u wL tc / (2n), u = n2 - rho_n^2, d2 = rho_n^2 wL^2 and tc = tanh(d)/d
-(scattering._closed_form).  Since t_phi/tau = (2n/wL) dphi/dn2, the chain
+(scattering._closed_forms).  Since t_phi/tau = (2n/wL) dphi/dn2, the chain
 rule gives, with s = sqrt(1 + 2 n2 v) and rho' = d rho_n^2/dn2 = v/s - 1,
 
     t_phi/tau = [P tc / (2 n2) + u rho' wL^2 h] / (1 + Y^2),
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ZeroLengthError, ZoneCrossingError
 from .kinematics import BarrierSetup, IncidentMode, Zone, classify_zone, rho_n2
-from .scattering import _closed_form, _matched, transmission_closed_form
+from .scattering import _closed_forms, _matched, transmission_closed_form
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,13 @@ def classical_tau(setup: BarrierSetup, mode: IncidentMode) -> float:
 def normalized_phase_time(v: float, n2: float, wL: float) -> float:
     """Closed-form t_phi/tau at (v, n2, wL), any zone and both edges.
 
-    The ratio entry of scattering._closed_form, the chain-rule derivative
+    The ratio entry of scattering._closed_forms, the chain-rule derivative
     of the closed-form phase.  It has no edge branch: on a zone edge the
     same expression gives the exact edge value (edge_phase_time_ratio to
     roundoff), and it stays exact at v = 2, n2 -> 0 and for opaque
     barriers.  Raises DomainError only where the result is not finite.
     """
-    ratio = _closed_form(v, n2, wL, ratio=True)[5]
+    ratio = _closed_forms(v, (n2,), wL, ratio=True)[0][5]
     if not math.isfinite(ratio):
         raise DomainError(f"t_phi/tau is not finite at v={v}, n2={n2}, wL={wL}")
     return ratio

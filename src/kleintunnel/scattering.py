@@ -28,13 +28,15 @@ phase is
     arg T = arctan[((n2 - rho_n^2)/(2 n rho_n)) tanh(rho_n wL)],
 
 continued the same way and unwrapped to be continuous in n2, anchored at
-phase -> 0 for L -> 0.  The reflected amplitude is R = -i X T.
+phase -> 0 for L -> 0.  The reflected amplitude is R = -i X T.  One core,
+_closed_forms, evaluates all of this over a whole n2 grid per call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ._stable import LARGE_D2, SERIES_CUT, sinh_sq
@@ -189,14 +191,19 @@ _H_SERIES = (-1.0 / 3.0, 4.0 / 15.0, -17.0 / 105.0, 248.0 / 2835.0, -1382.0 / 31
              43688.0 / 2027025.0, -929569.0 / 91216125.0)
 _H_SERIES_CUT = 1e-2
 
+# q_n wL is about winding*pi; past this winding it exceeds 3e15, where one
+# ulp of it is 0.5 rad or more and the phase modulo pi is no longer resolved
+_MAX_WINDING = 10 ** 15
 
-def _closed_form(v: float, n2: float, wL: float, *,
-                 ratio: bool = False) -> tuple[float, float, int, complex, complex, float | None]:
-    """(magnitude, phase, winding, T, R, ratio) of the closed form as a plain tuple.
 
-    The one arithmetic path of the closed forms: transmission_closed_form,
-    the sweep and the packet quadrature all read it.  One phase expression
-    serves all zones, phase = arctan(Y) + winding*pi with
+def _closed_forms(v: float, n2s: Iterable[float], wL: float, *, ratio: bool = False
+                  ) -> list[tuple[float, float, int, complex, complex, float | None]]:
+    """(magnitude, phase, winding, T, R, ratio) of the closed form at each n2 of n2s.
+
+    The one arithmetic path of the closed forms, a whole grid per call:
+    each point gets the same operations whatever the rest of the grid
+    (only terms of v alone are formed once).  One phase expression serves
+    all zones, phase = arctan(Y) + winding*pi with
     Y = ((n2 - rho_n^2)/(2n)) wL tc, tc = tanh(d)/d continued through
     rho_n^2 < 0 where tanh turns into tan and the branch count
     N = floor(q_n wL / pi + 1/2) restores continuity in n2.
@@ -205,55 +212,60 @@ def _closed_form(v: float, n2: float, wL: float, *,
     of that phase (see the phasetime module); it may be inf or nan where
     the result overflows.  Otherwise it is None and nothing else changes.
     """
-    r2 = rho_n2(v, n2)
-    d2 = r2 * wL * wL
-    n = math.sqrt(n2)
-    winding = 0
-    # tc = tanh(d)/d and sc = sinh(d)/d, continued in d2 (tan, sin for d2 < 0)
-    if abs(d2) < SERIES_CUT:
-        tc = 1.0 - d2 / 3.0 * (1.0 - 2.0 * d2 / 5.0)
-        sc = 1.0 + d2 / 6.0 * (1.0 + d2 / 20.0)
-    elif d2 > 0.0:
-        d = math.sqrt(d2)
-        th = math.tanh(d)
-        tc = th / d
-        sc = math.sinh(d) / d if d2 <= LARGE_D2 else 0.0  # sc unused past LARGE_D2
-    else:
-        d = math.sqrt(-d2)
-        th = math.tan(d)
-        tc = th / d
-        sc = math.sin(d) / d
-        winding = math.floor(d / math.pi + 0.5)
-    Y = (n2 - r2) / (2.0 * n) * wL * tc
-    phase = math.atan(Y) + winding * math.pi
-    if d2 > LARGE_D2:
-        # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
-        mag = 4.0 * math.sqrt(n2 * r2) * math.exp(-math.sqrt(d2)) / (n2 + r2)
-        T = cmath.rect(mag, phase)
-        R = -1j * cmath.rect(1.0, phase)  # |R| = 1 to double precision
-    else:
-        X = (n2 + r2) / (2.0 * n) * wL * sc
-        mag = 1.0 / math.hypot(1.0, X)
-        T = cmath.rect(mag, phase)
-        R = -1j * X * T
-    if not ratio:
-        return mag, phase, winding, T, R, None
-    # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
-    if abs(d2) < _H_SERIES_CUT:
-        h = 0.0
-        for c in reversed(_H_SERIES):
-            h = h * d2 + c
-    else:
-        sech2 = (1.0 - th) * (1.0 + th) if d2 > 0.0 else 1.0 + th * th
-        h = (sech2 - tc) / (2.0 * d2)
-    s = math.sqrt(1.0 + 2.0 * n2 * v)
-    # u = n2 - rho_n^2 and P = 1/s - v/2 + 2 n2, both free of cancellation
-    # at v = 2, n2 -> 0 and on the zone edges
-    u = (4.0 * n2 * n2 + (0.5 * v - 1.0) * (0.5 * v + 1.0)) / (2.0 * n2 + 0.5 * v + s)
-    P = (1.0 - 0.5 * v) + 2.0 * n2 * (
-        (2.0 - v) + 2.0 * n2 * v * (s + 2.0) / (s + 1.0)) / (s * (1.0 + s))
-    t_ratio = (P * tc / (2.0 * n2) + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
-    return mag, phase, winding, T, R, t_ratio
+    hv, pv, qv = 0.5 * v, 1.0 - 0.5 * v, 2.0 - v  # terms of u and P below
+    uv = (hv - 1.0) * (hv + 1.0)
+    out = []
+    for n2 in n2s:
+        r2 = rho_n2(v, n2)
+        d2 = r2 * wL * wL
+        n = math.sqrt(n2)
+        winding = 0
+        # tc = tanh(d)/d and sc = sinh(d)/d, continued in d2 (tan, sin for d2 < 0)
+        if abs(d2) < SERIES_CUT:
+            tc = 1.0 - d2 / 3.0 * (1.0 - 2.0 * d2 / 5.0)
+            sc = 1.0 + d2 / 6.0 * (1.0 + d2 / 20.0)
+        elif d2 > 0.0:
+            d = math.sqrt(d2)
+            th = math.tanh(d)
+            tc = th / d
+            sc = math.sinh(d) / d if d2 <= LARGE_D2 else 0.0  # sc unused past LARGE_D2
+        else:
+            d = math.sqrt(-d2)
+            th = math.tan(d)
+            tc = th / d
+            sc = math.sin(d) / d
+            winding = math.floor(d / math.pi + 0.5)
+        Y = (n2 - r2) / (2.0 * n) * wL * tc
+        phase = math.atan(Y) + winding * math.pi
+        if d2 > LARGE_D2:
+            # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
+            mag = 4.0 * math.sqrt(n2 * r2) * math.exp(-math.sqrt(d2)) / (n2 + r2)
+            T = cmath.rect(mag, phase)
+            R = -1j * cmath.rect(1.0, phase)  # |R| = 1 to double precision
+        else:
+            X = (n2 + r2) / (2.0 * n) * wL * sc
+            mag = 1.0 / math.hypot(1.0, X)
+            T = cmath.rect(mag, phase)
+            R = -1j * X * T
+        if not ratio:
+            out.append((mag, phase, winding, T, R, None))
+            continue
+        # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
+        if abs(d2) < _H_SERIES_CUT:
+            h = 0.0
+            for c in reversed(_H_SERIES):
+                h = h * d2 + c
+        else:
+            sech2 = (1.0 - th) * (1.0 + th) if d2 > 0.0 else 1.0 + th * th
+            h = (sech2 - tc) / (2.0 * d2)
+        s = math.sqrt(1.0 + 2.0 * n2 * v)
+        # u = n2 - rho_n^2 and P = 1/s - v/2 + 2 n2, both free of cancellation
+        # at v = 2, n2 -> 0 and on the zone edges
+        u = (4.0 * n2 * n2 + uv) / (2.0 * n2 + hv + s)
+        P = pv + 2.0 * n2 * (qv + 2.0 * n2 * v * (s + 2.0) / (s + 1.0)) / (s * (1.0 + s))
+        t_ratio = (P * tc / (2.0 * n2) + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
+        out.append((mag, phase, winding, T, R, t_ratio))
+    return out
 
 
 def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoint:
@@ -269,7 +281,7 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
     transmission_magnitude_nr_form for the variant without it.  At v = 0
     (rho_n^2 = 1 - n2, n2 = E_NR/V0) this is the Schroedinger barrier.
     """
-    mag, phase, winding, T, R, _ = _closed_form(v, n2, wL)
+    (mag, phase, winding, T, R, _), = _closed_forms(v, (n2,), wL)
     return TransmissionPoint(magnitude=mag, phase=phase, probability=mag * mag,
                              T=T, R=R, winding=winding)
 

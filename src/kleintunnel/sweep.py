@@ -1,19 +1,20 @@
 """Parameter sweeps over n2 with zone tags and CSV/JSON output.
 
 A sweep is defined by (v, wL) and a linear n2 grid; each grid point is a
-function of (v, n2, wL) alone, computed independently in grid order.
-The phase column is the closed form's phase, continuous in n2 by
-construction whatever the grid spacing.  The zone follows from comparing
-n2 with the edges v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v), for every v;
-v = 0 is the Schroedinger barrier through the same formulas, with
-E_over_m empty.  The ratio_numeric oracle is
-normalized_phase_time_numeric for every v.
+function of (v, n2, wL) alone, computed independently in grid order, all
+in one closed-form core call.  The phase column is the closed form's
+phase, continuous in n2 by construction whatever the grid spacing.  The
+zone follows from comparing n2 with the edges v/2 -+ 1 and
+E_over_m = sqrt(1 + 2 n2 v), for every v; v = 0 is the Schroedinger
+barrier through the same formulas, with E_over_m empty.  The
+ratio_numeric oracle is normalized_phase_time_numeric for every v.
 
 Grid points landing within 1e-9 (relative) of a zone edge are snapped to
 the edge, evaluated like every other point and flagged in the
 ``nudged`` column rather than dropped; a column whose computation
 refuses a point stays empty there (``error`` field in JSON) and never
-aborts the sweep.
+aborts the sweep (phase_rad, for one, where q_n wL is too large to fix
+the phase modulo pi).
 
 CSV contract: header row mandatory, columns in the fixed order
 
@@ -36,7 +37,7 @@ from typing import NamedTuple
 from .errors import DomainError, KleinTunnelError
 from .kinematics import Zone
 from .phasetime import normalized_phase_time_numeric
-from .scattering import _closed_form, _magnitude_nr_form
+from .scattering import _MAX_WINDING, _closed_forms, _magnitude_nr_form
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
@@ -98,51 +99,9 @@ class SweepRecord(NamedTuple):
     error: str | None = None
 
 
-# ---------------------------------------------------------------------------
-# per-point evaluation (pure functions of the request parameters)
-# ---------------------------------------------------------------------------
-
 # the zone tags as the strings a record carries
 _KLEIN, _TUNNELING, _ABOVE = Zone.KLEIN.value, Zone.TUNNELING.value, Zone.ABOVE_BARRIER.value
 _EDGE_LOWER, _EDGE_UPPER = Zone.EDGE_LOWER.value, Zone.EDGE_UPPER.value
-
-
-def _point(v: float, wL: float, n2: float, outputs: tuple[str, ...]) -> SweepRecord:
-    lo = 0.5 * v - 1.0
-    hi = 0.5 * v + 1.0
-    # a point within EDGE_SNAP_RTOL of an edge is snapped onto it
-    if lo > 0.0 and abs(n2 - lo) <= EDGE_SNAP_RTOL * max(1.0, lo):
-        n2, zone, nudged = lo, _EDGE_LOWER, True
-    elif abs(n2 - hi) <= EDGE_SNAP_RTOL * hi:  # hi >= 1, so max(1, hi) = hi
-        n2, zone, nudged = hi, _EDGE_UPPER, True
-    else:
-        zone = _KLEIN if n2 < lo else _TUNNELING if n2 < hi else _ABOVE
-        nudged = False
-    mag, phase, _, _, _, ratio_closed = _closed_form(v, n2, wL,
-                                                     ratio="ratio_closed" in outputs)
-    t2 = mag * mag
-    t2_nr = ratio_numeric = None
-    if "T2_nr_form" in outputs and lo <= n2 <= hi:  # tunneling or an edge
-        # at v = 0 (n2 + rho_n^2 = 1) the NR prefactor is the exact one, so
-        # the column repeats T2_exact there
-        t2_nr = t2 if v == 0.0 else _magnitude_nr_form(v, n2, wL) ** 2
-    # a refused column stays empty and is named in errs; the row keeps the rest
-    errs = []
-    if ratio_closed is not None and not math.isfinite(ratio_closed):
-        ratio_closed = None
-        errs.append(f"ratio_closed: t_phi/tau is not finite at v={v}, n2={n2}, wL={wL}")
-    if "ratio_numeric" in outputs:
-        if nudged:
-            errs.append(f"ratio_numeric: n2={n2} lies on a zone edge")
-        else:
-            try:
-                ratio_numeric = normalized_phase_time_numeric(v, n2, wL)
-            except KleinTunnelError as exc:
-                errs.append(f"ratio_numeric: {exc}")
-    return SweepRecord(n2, math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None, zone,
-                       t2 if "T2_exact" in outputs else None, t2_nr,
-                       phase if "phase_rad" in outputs else None,
-                       ratio_closed, ratio_numeric, nudged, "; ".join(errs) or None)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +109,62 @@ def _point(v: float, wL: float, n2: float, outputs: tuple[str, ...]) -> SweepRec
 # ---------------------------------------------------------------------------
 
 def run_sweep(req: SweepRequest) -> list[SweepRecord]:
-    """Evaluate the request grid in ascending n2, each point independently."""
-    return [_point(req.v, req.wL, n2, req.outputs) for n2 in req.grid()]
+    """Evaluate the request grid in ascending n2, each point independently.
+
+    Edges, snap tolerances and wanted columns are decided once, and the
+    snapped grid goes through one core call; the oracle is called per point.
+    """
+    v, wL = req.v, req.wL
+    want_t2, want_nr, want_phase, want_closed, want_numeric = (
+        col in req.outputs for col in VALUE_COLUMNS)
+    lo = 0.5 * v - 1.0
+    hi = 0.5 * v + 1.0
+    # a point within EDGE_SNAP_RTOL of an edge is snapped onto it; there is
+    # no lower edge for v <= 2, and hi >= 1, so max(1, hi) = hi
+    lo_tol = EDGE_SNAP_RTOL * max(1.0, lo) if lo > 0.0 else -math.inf
+    hi_tol = EDGE_SNAP_RTOL * hi
+    snapped = []
+    for n2 in req.grid():
+        if abs(n2 - lo) <= lo_tol:
+            snapped.append((lo, _EDGE_LOWER, True))
+        elif abs(n2 - hi) <= hi_tol:
+            snapped.append((hi, _EDGE_UPPER, True))
+        else:
+            snapped.append((n2, _KLEIN if n2 < lo else _TUNNELING if n2 < hi else _ABOVE, False))
+    points = _closed_forms(v, [n2 for n2, _, _ in snapped], wL, ratio=want_closed)
+    records = []
+    for (n2, zone, nudged), (mag, phase, winding, _, _, ratio_closed) in zip(snapped, points):
+        t2 = mag * mag
+        t2_nr = ratio_numeric = None
+        if want_nr and lo <= n2 <= hi:  # tunneling or an edge
+            # at v = 0 (n2 + rho_n^2 = 1) the NR prefactor is the exact one, so
+            # the column repeats T2_exact there
+            t2_nr = t2 if v == 0.0 else _magnitude_nr_form(v, n2, wL) ** 2
+        # a refused column stays empty and is named in errs; the row keeps the rest
+        errs = []
+        if not want_phase:
+            phase = None
+        elif winding > _MAX_WINDING:
+            phase = None
+            errs.append(f"phase_rad: q_n*wL is too large to resolve the phase modulo pi "
+                        f"at v={v}, n2={n2}, wL={wL}")
+        if ratio_closed is not None and not math.isfinite(ratio_closed):
+            ratio_closed = None
+            errs.append(f"ratio_closed: t_phi/tau is not finite at v={v}, n2={n2}, wL={wL}")
+        if want_numeric:
+            if nudged:
+                errs.append(f"ratio_numeric: n2={n2} lies on a zone edge")
+            else:
+                try:
+                    ratio_numeric = normalized_phase_time_numeric(v, n2, wL)
+                except KleinTunnelError as exc:
+                    errs.append(f"ratio_numeric: {exc}")
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        records.append(tuple.__new__(SweepRecord, (
+            n2, math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None, zone,
+            t2 if want_t2 else None, t2_nr, phase, ratio_closed, ratio_numeric, nudged,
+            "; ".join(errs) or None)))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +204,8 @@ def read_csv(path) -> list[SweepRecord]:
                 cells = line.rstrip("\n").split(",")
                 if len(cells) != len(CSV_COLUMNS):
                     raise DomainError(f"{path}: malformed row {line!r}")
-                out.append(SweepRecord(
-                    n2=float(cells[0]), e_over_m=num(cells[1]), zone=cells[2],
-                    t2_exact=num(cells[3]), t2_nr_form=num(cells[4]),
-                    phase_rad=num(cells[5]), ratio_closed=num(cells[6]),
-                    ratio_numeric=num(cells[7]), nudged=cells[8] == "true"))
+                out.append(SweepRecord(float(cells[0]), num(cells[1]), cells[2],
+                                       *map(num, cells[3:8]), cells[8] == "true"))
             return out
     except OSError as exc:
         raise KleinTunnelError(f"reading {path}: {exc}") from exc
@@ -205,18 +215,9 @@ def write_json(records: list[SweepRecord], path) -> None:
     """Write records as a JSON array with the CSV field names plus ``error``."""
     if not records:
         raise DomainError("refusing to write an empty sweep")
-    payload = [{
-        "n2": rec.n2,
-        "E_over_m": rec.e_over_m,
-        "zone": rec.zone,
-        "T2_exact": rec.t2_exact,
-        "T2_nr_form": rec.t2_nr_form,
-        "phase_rad": rec.phase_rad,
-        "ratio_closed": rec.ratio_closed,
-        "ratio_numeric": rec.ratio_numeric,
-        "nudged": rec.nudged,
-        "error": rec.error,
-    } for rec in records]
+    # a record's fields are the CSV columns plus error, in that order
+    names = CSV_COLUMNS + ("error",)
+    payload = [dict(zip(names, rec)) for rec in records]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=1)

@@ -15,7 +15,8 @@ rule whose step is halved until the reported intensities move by less
 than a relative tolerance; each level keeps the previous level's nodes,
 so every node is evaluated once.  The field is sampled on a uniform time
 grid, whose phase factors exp(-i E t) come from one block phase table.
-Each node costs one call of the closed-form core, read as a plain tuple.
+Each ladder level costs one call of the closed-form core, over all of
+its new nodes at once.
 
 The peak arrival time at x = L is compared against the closed-form
 stationary-phase prediction t_phi(k0), defined on the zone edges too;
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .kinematics import BarrierSetup, IncidentMode
 from .phasetime import phase_time_closed_form
-from .scattering import _closed_form
+from .scattering import _closed_forms
 
 _BASE_INTERVALS = 64
 _MAX_LEVELS = 12
@@ -186,11 +187,11 @@ def _simpson_levels(spectrum: SpectrumSpec):
 
 
 def _amplitudes(setup: BarrierSetup, ks: np.ndarray, reflected: bool = False) -> np.ndarray:
-    """Closed-form T (R if reflected) at each node, one closed-form call per node."""
-    v, w, wL = setup.v, setup.w, setup.wL
-    j = 4 if reflected else 3  # index of R or T in the _closed_form tuple
-    return np.array([_closed_form(v, (k / w) ** 2, wL)[j] for k in ks.tolist()],
-                    dtype=complex)
+    """Closed-form T (R if reflected) at the nodes ks, in one closed-form call."""
+    w = setup.w
+    j = 4 if reflected else 3  # index of R or T in the _closed_forms tuples
+    points = _closed_forms(setup.v, [(k / w) ** 2 for k in ks.tolist()], setup.wL)
+    return np.array([p[j] for p in points], dtype=complex)
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:

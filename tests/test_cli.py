@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kleintunnel
 from kleintunnel import BarrierSetup, transmission_closed_form
-from kleintunnel.cli import main
+from kleintunnel.cli import build_parser, main
 from kleintunnel.phasetime import edge_phase_time_ratio
 from kleintunnel.sweep import CSV_COLUMNS
 from test_phasetime import mp_ratio
@@ -248,14 +253,16 @@ class TestSweepCommand:
         assert not out_path.exists()
 
     def test_non_finite_ratio_is_an_empty_named_cell(self, capsys, tmp_path):
-        # far above the barrier t_phi/tau -> 1; nothing overflows at n2 = 1e150
+        # far above the barrier t_phi/tau -> 1; nothing overflows at n2 = 1e150,
+        # where only the unresolved phase_rad is emptied and named
         out_path = tmp_path / "x.json"
         code, _, err = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "1",
                                "--n2-max", "1e150", "--count", "2", "--out", str(out_path))
         assert code == 0 and err == ""
         row = json.loads(out_path.read_text())[-1]
         assert row["ratio_closed"] == pytest.approx(1.0, abs=1e-15)
-        assert row["error"] is None
+        assert row["phase_rad"] is None
+        assert row["error"].startswith("phase_rad:") and "ratio_closed" not in row["error"]
 
     def test_sweep_requires_out(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "4.2",
@@ -316,3 +323,32 @@ class TestReportRedirect:
         vals = json.loads(path.read_text())
         assert vals["lower_edge_ratio_limit"] == pytest.approx(-4.0 / 27.0, rel=1e-12)
 
+
+
+class TestCachedParser:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        # one parser serves every main() call of a process; each call must
+        # still behave as in a fresh `python -m kleintunnel.cli`
+        assert build_parser() is build_parser()
+        csv = tmp_path / "sweep.csv"
+        # n2 is no key of zone's: amp's n2 must not leak into zone's config check
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n2": 5}')
+        calls = [
+            ("amp", "--m", "1", "--V0", "10", "--wL", "6.283185307179586", "--n2", "5"),
+            ("sweep", "--v", "10", "--n2-min", "3.9", "--n2-max", "6.1", "--count", "23",
+             "--out", str(csv)),
+            ("zone", "--m", "1", "--V0", "10", "--E", "10", "--config", str(cfg)),
+            ("zone", "--nope", "1"),
+            ("zone", "--m", "1", "--V0", "10", "--E", "10"),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(kleintunnel.__file__).parents[1]))
+        for argv in calls:
+            code, out, err = run_cli(capsys, *argv)
+            in_process = csv.read_bytes() if argv[0] == "sweep" else None
+            fresh = subprocess.run([sys.executable, "-m", "kleintunnel.cli", *argv],
+                                   env=env, capture_output=True, text=True, timeout=60)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            if in_process is not None:
+                assert csv.read_bytes() == in_process
+        assert [run_cli(capsys, *argv)[0] for argv in calls] == [0, 0, 2, 2, 0]

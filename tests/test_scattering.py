@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kleintunnel import (
@@ -25,7 +25,7 @@ from kleintunnel.phasetime import (
     edge_phase_time_ratio,
     normalized_phase_time,
 )
-from kleintunnel.scattering import _closed_form
+from kleintunnel.scattering import _closed_forms
 from test_phasetime import mp_ratio
 
 # frozen with 50-digit arithmetic during development
@@ -474,5 +474,44 @@ class TestSingleClosedForm:
     @given(barrier_points())
     def test_ratio_never_moves_the_amplitudes(self, point):
         # asking the core for t_phi/tau leaves T, R and the phase bitwise alone
-        assert _closed_form(*point, ratio=True)[:5] == _closed_form(*point)[:5]
-        assert _closed_form(*point)[5] is None
+        v, n2, wL = point
+        (with_ratio,) = _closed_forms(v, (n2,), wL, ratio=True)
+        (without,) = _closed_forms(v, (n2,), wL)
+        assert with_ratio[:5] == without[:5]
+        assert without[5] is None
+
+
+@st.composite
+def core_grids(draw):
+    """(v, grid, wL): random n2 grids over every zone and both exact edges.
+
+    v = 0, the v = 2 threshold with n2 down to 1e-13, and opaque wL = 400,
+    where d2 passes LARGE_D2 in the tunneling zone at small v.
+    """
+    v = draw(st.one_of(st.just(0.0), st.just(2.0), st.floats(0.3, 60.0)))
+    wL = draw(st.one_of(st.just(400.0),
+                        st.floats(math.log10(0.3), math.log10(400.0)).map(lambda e: 10.0 ** e)))
+    edges = [0.5 * v + 1.0] + ([0.5 * v - 1.0] if v > 2.0 else [])
+    n2 = st.one_of(
+        st.floats(1e-3, 0.5 * v + 6.0),
+        st.sampled_from(edges),
+        st.floats(-13.0, -1.0).map(lambda e: 10.0 ** e),
+        st.tuples(st.sampled_from(edges), st.floats(-15.0, -3.0), st.booleans()).map(
+            lambda t: t[0] * (1.0 + (-1.0 if t[2] else 1.0) * 10.0 ** t[1])))
+    return v, draw(st.lists(n2, min_size=1, max_size=12)), wL
+
+
+class TestGridCore:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(core_grids())
+    @example((0.0, [1e-3, 0.2, 1.0, 3.0], 400.0))
+    @example((2.0, [1e-13, 1e-7, 2.0], 1.0))
+    def test_grid_is_the_one_point_calls(self, grid_point):
+        # repr compares bitwise (signed zeros, nan and inf included)
+        v, grid, wL = grid_point
+        for ratio in (False, True):
+            points = _closed_forms(v, grid, wL, ratio=ratio)
+            one_by_one = [p for n2 in grid for p in _closed_forms(v, [n2], wL, ratio=ratio)]
+            assert repr(points) == repr(one_by_one)
+            # no state carries from one point to the next
+            assert repr(_closed_forms(v, grid[::-1], wL, ratio=ratio)) == repr(points[::-1])

@@ -120,6 +120,24 @@ class TestSweepIsAMap:
                                           "EdgeUpper", "AboveBarrier", "AboveBarrier"]
         assert all(r.t2_exact is not None and r.ratio_closed is not None for r in recs)
 
+    def test_one_core_call_per_request(self, monkeypatch):
+        import kleintunnel.sweep as sw
+
+        grids = []
+        original = sw._closed_forms
+
+        def counted(v, n2s, wL, **kwargs):
+            grids.append(list(n2s))
+            return original(v, n2s, wL, **kwargs)
+
+        monkeypatch.setattr(sw, "_closed_forms", counted)
+        # both edges are snapped before the call, and every column is on
+        recs = run_sweep(small_request(n2_min=3.9, n2_max=6.1, count=23))
+        assert grids == [[rec.n2 for rec in recs]]
+        del grids[:]
+        run_sweep(small_request(outputs=("T2_exact",)))
+        assert len(grids) == 1
+
     def test_record_is_an_immutable_tuple(self):
         rec = run_sweep(small_request(count=2))[0]
         with pytest.raises(AttributeError):
@@ -190,19 +208,37 @@ class TestOverflow:
 
     def test_non_finite_ratio_empties_its_cell(self):
         # t_phi/tau -> 1 far above the barrier, and at n2 = 1e150 nothing
-        # in the ratio overflows: the cell is filled
+        # in the ratio overflows: the cell is filled (only phase_rad is
+        # refused there, see test_unresolved_phase_is_refused)
         rec = run_sweep(small_request(n2_min=1.0, n2_max=1e150, count=2))[-1]
         assert rec.ratio_closed == pytest.approx(1.0, abs=1e-15)
-        assert rec.error is None
-        assert None not in (rec.t2_exact, rec.phase_rad, rec.ratio_numeric)
+        assert rec.error.startswith("phase_rad:") and "ratio_closed" not in rec.error
+        assert None not in (rec.t2_exact, rec.ratio_numeric)
 
     def test_ratio_overflow_empties_its_cell(self):
         # just below where rho_n^2 itself overflows, the ratio's u and P do:
         # the cell is emptied and named, the row keeps the rest
         rec = run_sweep(small_request(n2_min=1.0, n2_max=1e154, count=2))[-1]
         assert rec.ratio_closed is None
-        assert rec.error.startswith("ratio_closed: t_phi/tau is not finite")
-        assert None not in (rec.t2_exact, rec.phase_rad, rec.ratio_numeric)
+        assert "; ratio_closed: t_phi/tau is not finite" in rec.error
+        assert None not in (rec.t2_exact, rec.ratio_numeric)
+
+    def test_unresolved_phase_is_refused(self):
+        # at n2 = 1e150, q_n wL ~ 6e75 rad: one ulp of it dwarfs pi, so the
+        # phase modulo pi is unknown; the cell is emptied and named and the
+        # rest of the row, ratio_closed included, is kept
+        req = SweepRequest(v=10, wL=2.0 * math.pi, n2_min=1, n2_max=1e150, count=2)
+        first, last = run_sweep(req)
+        assert first.error is None and first.phase_rad is not None
+        assert last.phase_rad is None
+        assert last.error == ("phase_rad: q_n*wL is too large to resolve the phase modulo pi "
+                              f"at v=10, n2=1e+150, wL={2.0 * math.pi}")
+        assert last.ratio_closed == pytest.approx(1.0, abs=1e-15)
+        assert None not in (last.t2_exact, last.ratio_numeric)
+        # the cutoff lies between q_n wL = 1e15 and 1e17 (q_n ~ n far above the barrier)
+        first, last = run_sweep(SweepRequest(v=10.0, wL=1.0, n2_min=1e30, n2_max=1e34, count=2))
+        assert first.phase_rad is not None and first.error is None
+        assert last.phase_rad is None and last.error.startswith("phase_rad:")
 
 
 class TestNRPipeline:

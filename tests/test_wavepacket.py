@@ -250,7 +250,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_tol_must_be_positive_and_finite(self, monkeypatch, tol):
         calls = []
-        monkeypatch.setattr(wp, "_closed_form",
+        monkeypatch.setattr(wp, "_closed_forms",
                             lambda *a: calls.append(a))  # never reached
         s = barrier_v10_mL(0.1)
         spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
@@ -280,15 +280,18 @@ class TestPhaseTable:
 
 
 def _count_closed_form(monkeypatch):
-    calls = []
-    original = wp._closed_form
+    """(calls, grids): every n2 the closed-form core is evaluated at, summed
+    over its grid calls, and the grids it is called with."""
+    calls, grids = [], []
+    original = wp._closed_forms
 
-    def counted(*args):
-        calls.append(args[1])
-        return original(*args)
+    def counted(v, n2s, wL, **kwargs):
+        calls.extend(n2s)
+        grids.append(n2s)
+        return original(v, n2s, wL, **kwargs)
 
-    monkeypatch.setattr(wp, "_closed_form", counted)
-    return calls
+    monkeypatch.setattr(wp, "_closed_forms", counted)
+    return calls, grids
 
 
 def _broad_packet():
@@ -325,7 +328,7 @@ class TestNestedLadder:
         # 129, not 129 + 129; broad: 1025, not 1025 + 1025), all at distinct k
         readme = (barrier_v10_mL(0.1), SpectrumSpec(k0=10.0, sigma_k=0.2))
         for packet, levels in ((readme, (2, 2)), (_broad_packet(), (5, 5))):
-            calls = _count_closed_form(monkeypatch)
+            calls, _ = _count_closed_form(monkeypatch)
             run = run_packet(*packet)
             fq, dq = run.field_quadrature, run.distortion.quadrature
             assert (fq.levels, dq.levels) == levels
@@ -337,14 +340,17 @@ class TestNestedLadder:
     def test_broad_spectrum_ladder(self, monkeypatch):
         # several levels: still one call per node, and the reports say so
         s, spec = _broad_packet()
-        calls = _count_closed_form(monkeypatch)
+        calls, grids = _count_closed_form(monkeypatch)
         psi, fq, _ = _field_on_times(s, spec, s.L, -0.3, 0.02, 41, "transmitted", 1e-8)
         assert fq.levels >= 3
         assert len(calls) == fq.nodes == 64 * 2 ** (fq.levels - 1) + 1
         assert 0.0 <= fq.change <= 1e-8
-        del calls[:]
+        # one core call for the 33-node base grid, then one per level
+        assert len(grids) == fq.levels + 1
+        del calls[:], grids[:]
         dq = distortion(s, spec).quadrature
         assert len(calls) == dq.nodes == 64 * 2 ** (dq.levels - 1) + 1
+        assert len(grids) == dq.levels
 
     def test_distortion_matches_full_regrid(self):
         # reusing |T| at the even nodes changes no bit of the metrics
