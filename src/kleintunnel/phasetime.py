@@ -141,26 +141,38 @@ def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
     (dkappa = -1/(2 kappa) at v = 0, the Schroedinger dispersion) and
     t_phi/tau = (2n/wL) Im(d log T/dn2).  Taking Im of the logarithmic
     derivative needs no phase unwrapping, and an opaque barrier whose u
-    underflows loses nothing.
+    underflows loses nothing.  The only input it shares with the closed
+    form is rho_n^2 = kinematics.rho_n2(v, n2); a sweep computes that once
+    per point and passes it to both.
 
     Raises ZoneCrossingError exactly on a zone edge (rho_n^2 == 0) and
     ZeroLengthError at wL = 0, where tau = 0.
     """
+    _check_oracle_width(wL)
+    return _phase_time_numeric(v, n2, rho_n2(v, n2), wL)
+
+
+def _check_oracle_width(wL: float) -> None:
+    """ZeroLengthError at wL = 0, where the oracle's tau = 0."""
     if wL == 0.0:
         raise ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
-    r2 = rho_n2(v, n2)
+
+
+def _phase_time_numeric(v: float, n2: float, r2: float, wL: float) -> float:
+    """normalized_phase_time_numeric with r2 = rho_n2(v, n2) given and wL != 0."""
     if r2 == 0.0:
         raise ZoneCrossingError(f"n2={n2} lies on a zone edge")
     n = math.sqrt(n2)
     kappa = complex(math.sqrt(r2)) if r2 > 0.0 else 1j * math.sqrt(-r2)
-    u, g1, g2, P, det = _matched(n, kappa, wL)
-    u2 = u * u
+    _, _, g2, u2, Qk, P, det = _matched(n, kappa, wL)
     dn = 0.5 / n
     dkappa = (v / math.sqrt(1.0 + 2.0 * n2 * v) - 1.0) / (2.0 * kappa)
-    dir_ = 1j * (dn - n * dkappa / kappa) / kappa  # d(i n/kappa); dg1 = -dir_/2 = -dg2
+    # dg2 = d(i n/kappa)/2 = -dg1
+    dg2 = 0.5 * (1j * (dn - n * dkappa / kappa) / kappa)
     du2 = -2.0 * wL * dkappa * u2
-    dP = 0.5 * dir_ * (u2 - 1.0) + g2 * du2
-    dQ = dkappa * (g2 * u2 - g1) + kappa * (0.5 * dir_ * (u2 + 1.0) + g2 * du2)
+    g2du2 = g2 * du2
+    dP = dg2 * (u2 - 1.0) + g2du2
+    dQ = dkappa * Qk + kappa * (dg2 * (u2 + 1.0) + g2du2)
     ddet = dQ + 1j * (dn * P + n * dP)
     # dn/n is real
     return 2.0 * n / wL * (-(ddet / det).imag - wL * dkappa.imag)

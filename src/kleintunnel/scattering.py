@@ -29,7 +29,13 @@ phase is
 
 continued the same way and unwrapped to be continuous in n2, anchored at
 phase -> 0 for L -> 0.  The reflected amplitude is R = -i X T.  One core,
-_closed_forms, evaluates all of this over a whole n2 grid per call.
+_closed_forms, evaluates all of this over a whole n2 grid per call.  It
+returns real quantities only, (magnitude, phase, winding, X, rho_n^2,
+ratio) per point, with X None on the opaque asymptote; the complex T and
+R are built from them by _amplitude_pair, for the callers that need them
+(transmission_closed_form and the wave-packet amplitudes).  A sweep hands
+the returned rho_n^2 on to its other columns, so each point computes it
+once.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ._stable import LARGE_D2, SERIES_CUT, sinh_sq
-from .errors import NonPropagatingError, ZoneError
+from .errors import DomainError, NonPropagatingError, ZoneError
 from .kinematics import (
     BarrierSetup,
     IncidentMode,
@@ -92,14 +98,14 @@ class TransmissionPoint:
 # exact matching
 # ---------------------------------------------------------------------------
 
-def _matched(n: float, kappa: complex,
-             wL: float) -> tuple[complex, complex, complex, complex, complex]:
-    """The reduced 2x2 matching solve in units of w: (u, g1, g2, P, det).
+def _matched(n: float, kappa: complex, wL: float
+             ) -> tuple[complex, complex, complex, complex, complex, complex, complex]:
+    """The reduced 2x2 matching solve in units of w: (u, g1, g2, u2, Qk, P, det).
 
     kappa is rho_n in the evanescent zone and i q_n in the oscillatory
-    ones, u = exp(-kappa wL) and g1,2 = (1 -+ i n/kappa)/2.  With
-    S = T/u, phi(0) = S P and phi'(0) = S Q, P = g1 + g2 u^2,
-    Q = kappa (g2 u^2 - g1); matching to 1 + R and i n (1 - R) gives
+    ones, u = exp(-kappa wL), u2 = u^2 and g1,2 = (1 -+ i n/kappa)/2.
+    With S = T/u, phi(0) = S P and phi'(0) = S Q, P = g1 + g2 u^2,
+    Q = kappa Qk, Qk = g2 u^2 - g1; matching to 1 + R and i n (1 - R) gives
     S = 2 i n / det, det = Q + i n P.  Only u^2 enters P and Q, so
     nothing overflows and an opaque barrier (u underflowing to 0) is fine.
     """
@@ -108,9 +114,11 @@ def _matched(n: float, kappa: complex,
     g1 = 0.5 * (1.0 - ir)
     g2 = 0.5 * (1.0 + ir)
     u2 = u * u
-    P = g1 + g2 * u2
-    det = kappa * (g2 * u2 - g1) + 1j * n * P
-    return u, g1, g2, P, det
+    g2u2 = g2 * u2
+    P = g1 + g2u2
+    Qk = g2u2 - g1
+    det = kappa * Qk + 1j * n * P
+    return u, g1, g2, u2, Qk, P, det
 
 
 def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolution:
@@ -139,7 +147,7 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
     w = setup.w
     n = mode.k / w
     kappa = complex(channel.rho_n) if channel.kind == "evanescent" else 1j * channel.q_n
-    u, g1, g2, P, det = _matched(n, kappa, w * setup.L)
+    u, g1, g2, _, _, P, det = _matched(n, kappa, w * setup.L)
     S = 2j * n / det
     T = S * u
     # u is real and positive in the evanescent zone, so arg T = arg S there
@@ -197,13 +205,18 @@ _MAX_WINDING = 10 ** 15
 
 
 def _closed_forms(v: float, n2s: Iterable[float], wL: float, *, ratio: bool = False
-                  ) -> list[tuple[float, float, int, complex, complex, float | None]]:
-    """(magnitude, phase, winding, T, R, ratio) of the closed form at each n2 of n2s.
+                  ) -> list[tuple[float, float, int, float | None, float, float | None]]:
+    """(magnitude, phase, winding, X, r2, ratio) of the closed form at each n2 of n2s.
 
     The one arithmetic path of the closed forms, a whole grid per call:
     each point gets the same operations whatever the rest of the grid
-    (only terms of v alone are formed once).  One phase expression serves
-    all zones, phase = arctan(Y) + winding*pi with
+    (only terms of v alone are formed once).  All entries are real:
+    X = ((n2 + rho_n^2)/(2n)) wL sinhc(d2) is None on the LARGE_D2
+    asymptote, where it overflows, and r2 = rho_n^2 is the point's one
+    kinematics.rho_n2 value, for callers that need it again.  The
+    complex T and R are built from (magnitude, phase, X) by
+    _amplitude_pair, only where they are wanted.  One phase expression
+    serves all zones, phase = arctan(Y) + winding*pi with
     Y = ((n2 - rho_n^2)/(2n)) wL tc, tc = tanh(d)/d continued through
     rho_n^2 < 0 where tanh turns into tan and the branch count
     N = floor(q_n wL / pi + 1/2) restores continuity in n2.
@@ -211,6 +224,7 @@ def _closed_forms(v: float, n2s: Iterable[float], wL: float, *, ratio: bool = Fa
     With ratio=True the last entry is t_phi/tau, the chain-rule n2-derivative
     of that phase (see the phasetime module); it may be inf or nan where
     the result overflows.  Otherwise it is None and nothing else changes.
+    Raises DomainError where q_n wL is infinite, so tan(q_n wL) is undefined.
     """
     hv, pv, qv = 0.5 * v, 1.0 - 0.5 * v, 2.0 - v  # terms of u and P below
     uv = (hv - 1.0) * (hv + 1.0)
@@ -231,6 +245,8 @@ def _closed_forms(v: float, n2s: Iterable[float], wL: float, *, ratio: bool = Fa
             sc = math.sinh(d) / d if d2 <= LARGE_D2 else 0.0  # sc unused past LARGE_D2
         else:
             d = math.sqrt(-d2)
+            if d == math.inf:
+                raise DomainError(f"q_n*wL is not finite at v={v}, n2={n2}, wL={wL}")
             th = math.tan(d)
             tc = th / d
             sc = math.sin(d) / d
@@ -240,15 +256,12 @@ def _closed_forms(v: float, n2s: Iterable[float], wL: float, *, ratio: bool = Fa
         if d2 > LARGE_D2:
             # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
             mag = 4.0 * math.sqrt(n2 * r2) * math.exp(-math.sqrt(d2)) / (n2 + r2)
-            T = cmath.rect(mag, phase)
-            R = -1j * cmath.rect(1.0, phase)  # |R| = 1 to double precision
+            X = None
         else:
             X = (n2 + r2) / (2.0 * n) * wL * sc
             mag = 1.0 / math.hypot(1.0, X)
-            T = cmath.rect(mag, phase)
-            R = -1j * X * T
         if not ratio:
-            out.append((mag, phase, winding, T, R, None))
+            out.append((mag, phase, winding, X, r2, None))
             continue
         # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
         if abs(d2) < _H_SERIES_CUT:
@@ -264,8 +277,20 @@ def _closed_forms(v: float, n2s: Iterable[float], wL: float, *, ratio: bool = Fa
         u = (4.0 * n2 * n2 + uv) / (2.0 * n2 + hv + s)
         P = pv + 2.0 * n2 * (qv + 2.0 * n2 * v * (s + 2.0) / (s + 1.0)) / (s * (1.0 + s))
         t_ratio = (P * tc / (2.0 * n2) + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
-        out.append((mag, phase, winding, T, R, t_ratio))
+        out.append((mag, phase, winding, X, r2, t_ratio))
     return out
+
+
+def _amplitude_pair(mag: float, phase: float, X: float | None) -> tuple[complex, complex]:
+    """(T, R) from a _closed_forms point: T = rect(mag, phase), R = -i X T.
+
+    On the LARGE_D2 asymptote (X None) R = -i rect(1, phase): |R| = 1 to
+    double precision there.
+    """
+    T = cmath.rect(mag, phase)
+    if X is None:
+        return T, -1j * cmath.rect(1.0, phase)
+    return T, -1j * X * T
 
 
 def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoint:
@@ -280,8 +305,10 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
     match_boundaries (the Wronskian-conserving solution); see
     transmission_magnitude_nr_form for the variant without it.  At v = 0
     (rho_n^2 = 1 - n2, n2 = E_NR/V0) this is the Schroedinger barrier.
+    Raises DomainError where q_n wL is infinite.
     """
-    (mag, phase, winding, T, R, _), = _closed_forms(v, (n2,), wL)
+    (mag, phase, winding, X, _, _), = _closed_forms(v, (n2,), wL)
+    T, R = _amplitude_pair(mag, phase, X)
     return TransmissionPoint(magnitude=mag, phase=phase, probability=mag * mag,
                              T=T, R=R, winding=winding)
 
@@ -305,7 +332,11 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
 
 def _magnitude_nr_form(v: float, n2: float, wL: float) -> float:
     """transmission_magnitude_nr_form at (v, n2, wL), without the zone check."""
-    r2 = rho_n2(v, n2)
+    return _nr_form_from_r2(n2, rho_n2(v, n2), wL)
+
+
+def _nr_form_from_r2(n2: float, r2: float, wL: float) -> float:
+    """_magnitude_nr_form with rho_n^2 = r2 already known."""
     if r2 == 0.0:
         return 1.0 / math.sqrt(1.0 + wL * wL / (4.0 * n2))
     c = 1.0 / (4.0 * n2 * r2)

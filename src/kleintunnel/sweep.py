@@ -2,12 +2,13 @@
 
 A sweep is defined by (v, wL) and a linear n2 grid; each grid point is a
 function of (v, n2, wL) alone, computed independently in grid order, all
-in one closed-form core call.  The phase column is the closed form's
-phase, continuous in n2 by construction whatever the grid spacing.  The
-zone follows from comparing n2 with the edges v/2 -+ 1 and
-E_over_m = sqrt(1 + 2 n2 v), for every v; v = 0 is the Schroedinger
-barrier through the same formulas, with E_over_m empty.  The
-ratio_numeric oracle is normalized_phase_time_numeric for every v.
+in one closed-form core call.  Each point's rho_n^2 is computed once, in
+that call, and handed to the NR column and the oracle.  The phase column
+is the closed form's phase, continuous in n2 by construction whatever
+the grid spacing.  The zone follows from comparing n2 with the edges
+v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v), for every v; v = 0 is the
+Schroedinger barrier through the same formulas, with E_over_m empty.
+The ratio_numeric oracle is normalized_phase_time_numeric for every v.
 
 Grid points landing within 1e-9 (relative) of a zone edge are snapped to
 the edge, evaluated like every other point and flagged in the
@@ -36,8 +37,8 @@ from typing import NamedTuple
 
 from .errors import DomainError, KleinTunnelError
 from .kinematics import Zone
-from .phasetime import normalized_phase_time_numeric
-from .scattering import _MAX_WINDING, _closed_forms, _magnitude_nr_form
+from .phasetime import _check_oracle_width, _phase_time_numeric
+from .scattering import _MAX_WINDING, _closed_forms, _nr_form_from_r2
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
@@ -111,12 +112,20 @@ _EDGE_LOWER, _EDGE_UPPER = Zone.EDGE_LOWER.value, Zone.EDGE_UPPER.value
 def run_sweep(req: SweepRequest) -> list[SweepRecord]:
     """Evaluate the request grid in ascending n2, each point independently.
 
-    Edges, snap tolerances and wanted columns are decided once, and the
-    snapped grid goes through one core call; the oracle is called per point.
+    Edges, snap tolerances, wanted columns and the oracle's wL = 0 refusal
+    are decided once, and the snapped grid goes through one core call.
+    Each point's rho_n^2 comes from that call; the NR column and the
+    per-point oracle reuse it, so it is computed once per point.
     """
     v, wL = req.v, req.wL
     want_t2, want_nr, want_phase, want_closed, want_numeric = (
         col in req.outputs for col in VALUE_COLUMNS)
+    numeric_refusal = None
+    if want_numeric:
+        try:
+            _check_oracle_width(wL)
+        except KleinTunnelError as exc:
+            numeric_refusal = f"ratio_numeric: {exc}"
     lo = 0.5 * v - 1.0
     hi = 0.5 * v + 1.0
     # a point within EDGE_SNAP_RTOL of an edge is snapped onto it; there is
@@ -133,13 +142,13 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
             snapped.append((n2, _KLEIN if n2 < lo else _TUNNELING if n2 < hi else _ABOVE, False))
     points = _closed_forms(v, [n2 for n2, _, _ in snapped], wL, ratio=want_closed)
     records = []
-    for (n2, zone, nudged), (mag, phase, winding, _, _, ratio_closed) in zip(snapped, points):
+    for (n2, zone, nudged), (mag, phase, winding, _, r2, ratio_closed) in zip(snapped, points):
         t2 = mag * mag
         t2_nr = ratio_numeric = None
         if want_nr and lo <= n2 <= hi:  # tunneling or an edge
             # at v = 0 (n2 + rho_n^2 = 1) the NR prefactor is the exact one, so
             # the column repeats T2_exact there
-            t2_nr = t2 if v == 0.0 else _magnitude_nr_form(v, n2, wL) ** 2
+            t2_nr = t2 if v == 0.0 else _nr_form_from_r2(n2, r2, wL) ** 2
         # a refused column stays empty and is named in errs; the row keeps the rest
         errs = []
         if not want_phase:
@@ -154,9 +163,11 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
         if want_numeric:
             if nudged:
                 errs.append(f"ratio_numeric: n2={n2} lies on a zone edge")
+            elif numeric_refusal is not None:
+                errs.append(numeric_refusal)
             else:
                 try:
-                    ratio_numeric = normalized_phase_time_numeric(v, n2, wL)
+                    ratio_numeric = _phase_time_numeric(v, n2, r2, wL)
                 except KleinTunnelError as exc:
                     errs.append(f"ratio_numeric: {exc}")
         # tuple.__new__ skips the NamedTuple's Python-level __new__

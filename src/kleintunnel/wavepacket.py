@@ -29,6 +29,7 @@ the closed form only at nodes finer than the field's final level.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .kinematics import BarrierSetup, IncidentMode
 from .phasetime import phase_time_closed_form
-from .scattering import _closed_forms
+from .scattering import _amplitude_pair, _closed_forms
 
 _BASE_INTERVALS = 64
 _MAX_LEVELS = 12
@@ -189,9 +190,11 @@ def _simpson_levels(spectrum: SpectrumSpec):
 def _amplitudes(setup: BarrierSetup, ks: np.ndarray, reflected: bool = False) -> np.ndarray:
     """Closed-form T (R if reflected) at the nodes ks, in one closed-form call."""
     w = setup.w
-    j = 4 if reflected else 3  # index of R or T in the _closed_forms tuples
     points = _closed_forms(setup.v, [(k / w) ** 2 for k in ks.tolist()], setup.wL)
-    return np.array([p[j] for p in points], dtype=complex)
+    if reflected:
+        return np.array([_amplitude_pair(mag, phase, X)[1] for mag, phase, _, X, _, _ in points],
+                        dtype=complex)
+    return np.array([cmath.rect(mag, phase) for mag, phase, *_ in points], dtype=complex)
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -223,20 +226,33 @@ def _integrand(setup: BarrierSetup, spectrum: SpectrumSpec, x: float, kind: str,
     return np.sqrt(ks * ks + setup.m * setup.m), c, a
 
 
+def _phase_rows(step: float, count: int, E: np.ndarray) -> np.ndarray:
+    """The count x N table exp(-i r step E) for r < count.
+
+    With m = ceil(sqrt(count)) and r = a m + b, each row is the product of
+    exp(-i a m step E) and exp(-i b step E), so two tables of about m rows
+    take 2 m N exponentials instead of count N.
+    """
+    m = math.isqrt(count - 1) + 1
+    fine = np.exp(-1j * np.outer(step * np.arange(m), E))
+    coarse = np.exp(-1j * np.outer((m * step) * np.arange(-(-count // m)), E))
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(E))[:count]
+
+
 def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float,
                 count: int) -> np.ndarray:
     """sum_k c_k exp(-i t_j E_k) at t_j = t0 + j dt for j < count.
 
     The times fall into blocks of B = min(_BLOCK, count): t_j = t_b + r dt
     with r < B.  One B x N table exp(-i r dt E) serves every block, and
-    each block's seed exp(-i t_b E) is computed directly from t_b, so
-    (B + blocks) N exponentials replace count N and the sum is one
-    matrix product.
+    block b's seed is exp(-i t0 E) exp(-i b B dt E); both tables come from
+    _phase_rows, so about 2 (sqrt(B) + sqrt(blocks)) N + N exponentials
+    replace count N, and the sum is one matrix product.
     """
     rows = min(_BLOCK, count)
     blocks = -(-count // rows)
-    table = np.exp(-1j * np.outer(dt * np.arange(rows), E))
-    seeds = np.exp(-1j * np.outer(t0 + (rows * dt) * np.arange(blocks), E))
+    table = _phase_rows(dt, rows, E)
+    seeds = np.exp(-1j * t0 * E) * _phase_rows(rows * dt, blocks, E)
     return ((seeds * c) @ table.T).reshape(-1)[:count]
 
 

@@ -74,6 +74,14 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd", ["amp", "phasetime"])
+    def test_infinite_phase_argument(self, capsys, cmd):
+        # q_n wL overflows to inf in the Klein zone: a typed error, not a
+        # math domain error traceback
+        code, out, err = run_cli(capsys, cmd, "--v", "10", "--n2", "1", "--wL", "1e300")
+        assert code == 1 and out == ""
+        assert err == "error: q_n*wL is not finite at v=10.0, n2=1.0, wL=1e+300\n"
+
     def test_success(self, capsys):
         code, _, _ = run_cli(capsys, "limits", "--v", "10")
         assert code == 0

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from kleintunnel import (
     BarrierSetup,
+    DomainError,
+    SweepRequest,
     Zone,
     ZoneError,
     barrier_channel,
@@ -17,6 +20,7 @@ from kleintunnel import (
     match_boundaries,
     mode_from_energy,
     mode_from_n2,
+    run_sweep,
     transmission_closed_form,
     transmission_magnitude_nr_form,
 )
@@ -207,6 +211,19 @@ class TestClosedForms:
                 mag = abs(match_boundaries(s, mode_from_n2(s, n2)).T)
                 approx = 1.0 / math.sqrt(1.0 + 0.25 * n2 * wL * wL)
                 assert abs(mag - approx) <= tol * wL * wL
+
+
+    @pytest.mark.parametrize("n2, wL", [(1.0, 1e160), (1.0, 1e300), (8.0, 1e300)])
+    def test_infinite_phase_argument_is_a_domain_error(self, n2, wL):
+        # in the Klein (n2 = 1) and above-barrier (n2 = 8) zones q_n wL
+        # overflows to inf, where tan(q_n wL) is undefined
+        msg = re.escape(f"q_n*wL is not finite at v=10.0, n2={n2}, wL={wL}")
+        with pytest.raises(DomainError, match=msg):
+            transmission_closed_form(10.0, n2, wL)
+        with pytest.raises(DomainError, match=msg):
+            normalized_phase_time(10.0, n2, wL)
+        with pytest.raises(DomainError, match=msg):
+            run_sweep(SweepRequest(v=10.0, wL=wL, n2_min=n2, n2_max=n2 + 1.0, count=2))
 
 
 class TestOscillatory:

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kleintunnel import (
     BarrierSetup,
@@ -14,6 +17,7 @@ from kleintunnel import (
     match_boundaries,
     mode_from_n2,
     normalized_phase_time,
+    normalized_phase_time_numeric,
     read_csv,
     run_sweep,
     transmission_closed_form,
@@ -67,22 +71,90 @@ class TestRequestValidation:
         assert np.allclose(np.diff(grid), 0.4)
 
 
+@st.composite
+def sweep_requests(draw):
+    """Small requests over every zone, both snapped edges, v = 0, the v = 2
+    threshold down to n2 = 1e-13, an opaque wL = 400 and wL = 0."""
+    v = draw(st.one_of(st.just(0.0), st.just(2.0), st.just(10.0), st.floats(0.3, 60.0)))
+    wL = draw(st.one_of(st.just(0.0), st.just(400.0), st.just(2.0 * math.pi),
+                        st.floats(-0.5, math.log10(400.0)).map(lambda e: 10.0 ** e)))
+    edges = [0.5 * v + 1.0] + ([0.5 * v - 1.0] if v > 2.0 else [])
+    # offsets below EDGE_SNAP_RTOL = 1e-9 are snapped onto the edge
+    n2 = st.one_of(
+        st.floats(1e-3, 0.5 * v + 6.0),
+        st.floats(-13.0, -1.0).map(lambda e: 10.0 ** e),
+        st.tuples(st.sampled_from(edges), st.floats(-15.0, -3.0), st.booleans()).map(
+            lambda t: t[0] * (1.0 + (-1.0 if t[2] else 1.0) * 10.0 ** t[1])))
+    lo, hi = sorted(draw(st.lists(n2, min_size=2, max_size=2, unique=True)))
+    return SweepRequest(v=v, wL=wL, n2_min=lo, n2_max=hi, count=draw(st.integers(2, 6)))
+
+
 class TestSweepIsAMap:
-    def test_single_points_match_direct_calls_bitwise(self):
-        req = small_request(n2_min=4.7, n2_max=5.3, count=2)
-        recs = run_sweep(req)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sweep_requests())
+    @example(SweepRequest(v=2.0, wL=1.0, n2_min=1e-13, n2_max=3.0, count=3))
+    @example(SweepRequest(v=10.0, wL=400.0, n2_min=0.004, n2_max=8.0, count=6))
+    @example(SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=4.0 - 3e-10, n2_max=6.0 + 1e-10,
+                          count=5))
+    @example(SweepRequest(v=0.0, wL=2.0 * math.pi, n2_min=0.5, n2_max=1.0 + 1e-10, count=4))
+    def test_single_points_match_direct_calls_bitwise(self, req):
+        # every column is the public (or per-point) call at the row's n2,
+        # compared by repr: bitwise, signed zeros included
+        v, wL = req.v, req.wL
+        for rec in run_sweep(req):
+            n2 = rec.n2
+            point = transmission_closed_form(v, n2, wL)
+            assert repr(rec.t2_exact) == repr(point.probability)
+            assert repr(rec.phase_rad) == repr(point.phase)
+            assert repr(rec.ratio_closed) == repr(normalized_phase_time(v, n2, wL))
+            edge_or_tunneling = 0.5 * v - 1.0 <= n2 <= 0.5 * v + 1.0
+            t2_nr = None if not edge_or_tunneling else (
+                point.probability if v == 0.0 else _magnitude_nr_form(v, n2, wL) ** 2)
+            assert repr(rec.t2_nr_form) == repr(t2_nr)
+            assert repr(rec.e_over_m) == repr(math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None)
+            if rec.nudged:
+                assert rec.zone.startswith("Edge") and rec.ratio_numeric is None
+                assert rec.error == f"ratio_numeric: n2={n2} lies on a zone edge"
+                continue
+            try:
+                numeric = normalized_phase_time_numeric(v, n2, wL)
+            except KleinTunnelError:
+                numeric = None
+            assert repr(rec.ratio_numeric) == repr(numeric)
+            if wL == 0.0:
+                assert rec.error == "ratio_numeric: wL=0: tau=0 and t_phi/tau is undefined"
+            else:
+                assert rec.error is None
+
+    def test_t2_exact_is_checked_by_the_matcher(self):
+        # the matcher stays the independent check of the column
         setup = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi)
-        for rec in recs:
+        for rec in run_sweep(small_request(n2_min=4.7, n2_max=5.3, count=2)):
             mode = mode_from_n2(setup, rec.n2)
-            point = transmission_closed_form(10.0, rec.n2, 2.0 * math.pi)
-            assert rec.t2_exact == point.probability
-            # the matcher stays the independent check of the column
             assert rec.t2_exact == pytest.approx(abs(match_boundaries(setup, mode).T) ** 2,
                                                  rel=1e-12)
-            assert rec.phase_rad == point.phase
-            assert rec.ratio_closed == normalized_phase_time(10.0, rec.n2, 2.0 * math.pi)
-            assert rec.zone == "Tunneling"
-            assert rec.error is None
+
+    def test_one_rho_n2_per_grid_point(self, monkeypatch):
+        # the closed form, the NR column and the oracle share the row's rho_n^2:
+        # every module that binds kinematics.rho_n2 is counted
+        import kleintunnel.kinematics as kin
+
+        original = kin.rho_n2
+        calls = []
+
+        def counted(v, n2):
+            calls.append(n2)
+            return original(v, n2)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "kleintunnel" and getattr(module, "rho_n2", None) is original:
+                monkeypatch.setattr(module, "rho_n2", counted)
+        # Klein, both edges, tunneling and above-barrier rows, every column
+        req = SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=1.0, n2_max=8.0, count=15)
+        recs = run_sweep(req)
+        assert {r.zone for r in recs} == {"Klein", "EdgeLower", "Tunneling", "EdgeUpper",
+                                         "AboveBarrier"}
+        assert calls == [r.n2 for r in recs]
 
     def test_nr_form_at_the_requested_wL(self):
         # a barrier built from (v, wL) = (1, 2 pi) has w*L one ulp off 2 pi;

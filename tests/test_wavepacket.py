@@ -266,9 +266,11 @@ class TestInputValidation:
 
 
 class TestPhaseTable:
-    @pytest.mark.parametrize("count", [1, 41, 64, 65, 129, 2001])
+    @pytest.mark.parametrize("count", [1, 2, 3, 10, 41, 64, 65, 129, 650, 2001])
     def test_matches_direct_sum(self, count):
-        # block boundaries (64, 65, 129) and a partial last block (2001)
+        # block boundaries (64, 65, 129) and a partial last block (2001);
+        # the tables come from ceil(sqrt(n))-row factors, so n = 2, 3 and
+        # non-square n (2, 3, 10, 41 rows; 11 and 32 blocks) are covered
         ks = np.linspace(8.0, 12.0, 257)
         E = np.sqrt(ks * ks + 1.0)
         c = np.exp(-0.5 * ((ks - 10.0) / 0.5) ** 2) * np.exp(0.3j * ks)
