@@ -45,7 +45,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from ._stable import LARGE_D2, SERIES_CUT, sinh_sq
 from .errors import DomainError, NonPropagatingError, ZoneError
 from .kinematics import (
     BarrierSetup,
@@ -199,6 +198,14 @@ _H_SERIES = (-1.0 / 3.0, 4.0 / 15.0, -17.0 / 105.0, 248.0 / 2835.0, -1382.0 / 31
              43688.0 / 2027025.0, -929569.0 / 91216125.0)
 _H_SERIES_CUT = 1e-2
 
+# Even functions of d continue through d2 = rho_n^2 wL^2 < 0 (sinh into sin,
+# tanh into tan) across the oscillatory zones.  Below SERIES_CUT in |d2| the
+# Maclaurin series is exact to double precision and avoids 0/0 at rho_n = 0;
+# past LARGE_D2 so are the exp(-d) asymptotes, which replace sinh before it
+# overflows.
+SERIES_CUT = 1e-6
+LARGE_D2 = 350.0**2
+
 # q_n wL is about winding*pi; past this winding it exceeds 3e15, where one
 # ulp of it is 0.5 rad or more and the phase modulo pi is no longer resolved
 _MAX_WINDING = 10 ** 15
@@ -327,16 +334,11 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
     if zone not in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         raise ZoneError(
             f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
-    return _magnitude_nr_form(setup.v, mode.n2, setup.wL)
-
-
-def _magnitude_nr_form(v: float, n2: float, wL: float) -> float:
-    """transmission_magnitude_nr_form at (v, n2, wL), without the zone check."""
-    return _nr_form_from_r2(n2, rho_n2(v, n2), wL)
+    return _nr_form_from_r2(mode.n2, rho_n2(setup.v, mode.n2), setup.wL)
 
 
 def _nr_form_from_r2(n2: float, r2: float, wL: float) -> float:
-    """_magnitude_nr_form with rho_n^2 = r2 already known."""
+    """transmission_magnitude_nr_form with rho_n^2 = r2 known and no zone check."""
     if r2 == 0.0:
         return 1.0 / math.sqrt(1.0 + wL * wL / (4.0 * n2))
     c = 1.0 / (4.0 * n2 * r2)
@@ -344,4 +346,12 @@ def _nr_form_from_r2(n2: float, r2: float, wL: float) -> float:
     if d2 > LARGE_D2:
         # sinh^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
         return 2.0 * math.exp(-math.sqrt(d2)) / math.sqrt(c)
-    return 1.0 / math.sqrt(1.0 + c * sinh_sq(d2))
+    # sinh(d)^2 continued in d2: -sin(t)^2 for d2 = -t^2 < 0 (a snapped
+    # edge can round rho_n^2 to a tiny negative value)
+    if abs(d2) < SERIES_CUT:
+        s2 = d2 * (1.0 + d2 / 3.0 * (1.0 + 2.0 * d2 / 15.0))
+    elif d2 > 0.0:
+        s2 = math.sinh(math.sqrt(d2)) ** 2
+    else:
+        s2 = -math.sin(math.sqrt(-d2)) ** 2
+    return 1.0 / math.sqrt(1.0 + c * s2)

@@ -245,11 +245,16 @@ class TestNumericOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle called a closed form")
 
+        names = ("transmission_closed_form", "_closed_forms", "normalized_phase_time",
+                 "_nr_form_from_r2")
+        patched = set()
         for module in (pt, sc):
-            for name in ("transmission_closed_form", "_closed_forms", "normalized_phase_time",
-                         "sinh_sq", "sinhc", "sinhc_cosh", "tanhc"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
+                    patched.add(name)
+        # a renamed closed form must fail here rather than escape the check
+        assert patched == set(names)
         assert normalized_phase_time_numeric(v, n2, wL) == expected
         if v > 0.0:
             assert phase_time_numeric(s, mode_from_n2(s, n2)) == expected_res

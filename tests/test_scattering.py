@@ -29,7 +29,8 @@ from kleintunnel.phasetime import (
     edge_phase_time_ratio,
     normalized_phase_time,
 )
-from kleintunnel.scattering import _closed_forms
+from kleintunnel.kinematics import rho_n2
+from kleintunnel.scattering import LARGE_D2, SERIES_CUT, _closed_forms
 from test_phasetime import mp_ratio
 
 # frozen with 50-digit arithmetic during development
@@ -436,6 +437,21 @@ def mp_reflection(v, n2, wL, t_mp):
         return -1j * (n2 + r2) / (2 * mpmath.sqrt(n2)) * sinh_over_rho * t_mp
 
 
+def mp_nr_form(v, n2, wL):
+    """40-digit |T| with the NR prefactor, 1/sqrt(1 + wL^2 sinhc(d2)^2 / (4 n2)).
+
+    sinh(d)^2/(4 n2 rho_n^2) is written as wL^2 sinhc^2/(4 n2) with
+    sinhc = sinh(d)/d continued to sin(t)/t for d2 = -t^2 < 0 and 1 at
+    rho_n = 0; rho_n^2 is the factored form of mp_transmission.
+    """
+    with mpmath.workdps(40):
+        v, n2, wL = mpmath.mpf(v), mpmath.mpf(n2), mpmath.mpf(wL)
+        r2 = (1 - n2 + v / 2) * (1 + n2 - v / 2) / (mpmath.sqrt(1 + 2 * n2 * v) + n2 + v / 2)
+        d = mpmath.sqrt(mpmath.mpc(r2 * wL * wL))
+        sinhc = mpmath.re(mpmath.sinh(d) / d) if r2 else 1
+        return 1 / mpmath.sqrt(1 + wL * wL * sinhc * sinhc / (4 * n2))
+
+
 @st.composite
 def barrier_points(draw):
     """(v, n2, wL) over all zones, both edges and wL from 0.3 to 400.
@@ -486,6 +502,32 @@ class TestSingleClosedForm:
             ratio = normalized_phase_time(v, n2, wL)
             assert ratio == pytest.approx(edge_phase_time_ratio(v, wL, edge), rel=1e-14)
             assert ratio == pytest.approx(mp_ratio(v, n2, wL), rel=1e-14)
+
+    # one point per branch of the NR form, each bound set from the measured
+    # relative error of |T| (1.9e-16, 4.2e-17, 8.4e-15, 3.4e-14 and 3.0e-17);
+    # the -sin^2 point is an upper edge where rho_n^2 rounds to -2.2e-17
+    # (the series point sits 2e-9 below the edge: at 1e-9 the sweep snaps it)
+    @pytest.mark.parametrize("v, n2, wL, branch, rtol", [
+        (10.0, 6.0, 2.0 * math.pi, "edge", 5e-16),
+        (10.0, 6.0 * (1.0 - 2e-9), 2.0 * math.pi, "series", 5e-16),
+        (10.0, 5.0, 400.0, "sinh", 2e-14),
+        (10.0, 5.0, 1600.0, "asymptote", 5e-14),
+        (0.0137, 0.5 * 0.0137 + 1.0, 3e5, "-sin", 1e-16)])
+    def test_nr_form_matches_40_digit_reference(self, v, n2, wL, branch, rtol):
+        d2 = rho_n2(v, n2) * wL * wL
+        assert branch == ("edge" if d2 == 0.0 else "series" if abs(d2) < SERIES_CUT
+                          else "asymptote" if d2 > LARGE_D2 else "sinh" if d2 > 0.0 else "-sin")
+        ref = mp_nr_form(v, n2, wL)
+        s = BarrierSetup.from_dimensionless(v, wL)
+        assert s.wL == wL
+        mag = transmission_magnitude_nr_form(s, mode_from_n2(s, n2))
+        assert abs(mag - ref) <= rtol * ref
+        # the sweep column at the same point; at wL = 1600 |T|^2 is subnormal
+        # and keeps about 45 bits
+        (rec, _) = run_sweep(SweepRequest(v=v, wL=wL, n2_min=n2, n2_max=n2 * 1.001, count=2,
+                                          outputs=("T2_nr_form",)))
+        assert rec.n2 == n2
+        assert abs(rec.t2_nr_form - ref * ref) <= 2.0 * rtol * ref * ref + 5e-324
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(barrier_points())

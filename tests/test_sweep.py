@@ -24,7 +24,8 @@ from kleintunnel import (
     write_csv,
     write_json,
 )
-from kleintunnel.scattering import _magnitude_nr_form
+from kleintunnel.kinematics import rho_n2
+from kleintunnel.scattering import _nr_form_from_r2
 from kleintunnel.sweep import CSV_COLUMNS, fig1_request
 from test_phasetime import mp_ratio
 
@@ -109,7 +110,7 @@ class TestSweepIsAMap:
             assert repr(rec.ratio_closed) == repr(normalized_phase_time(v, n2, wL))
             edge_or_tunneling = 0.5 * v - 1.0 <= n2 <= 0.5 * v + 1.0
             t2_nr = None if not edge_or_tunneling else (
-                point.probability if v == 0.0 else _magnitude_nr_form(v, n2, wL) ** 2)
+                point.probability if v == 0.0 else _nr_form_from_r2(n2, rho_n2(v, n2), wL) ** 2)
             assert repr(rec.t2_nr_form) == repr(t2_nr)
             assert repr(rec.e_over_m) == repr(math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None)
             if rec.nudged:
@@ -166,7 +167,7 @@ class TestSweepIsAMap:
                            outputs=("T2_nr_form",))
         for rec in run_sweep(req):
             assert rec.zone == "Tunneling"
-            assert rec.t2_nr_form == _magnitude_nr_form(1.0, rec.n2, wL) ** 2
+            assert rec.t2_nr_form == _nr_form_from_r2(rec.n2, rho_n2(1.0, rec.n2), wL) ** 2
 
     @pytest.mark.parametrize("v, wL, n2_min, n2_max, count", [
         (10.0, 2.0 * math.pi, 0.5, 30.0, 2), (10.0, 400.0, 0.5, 3.5, 3)])
