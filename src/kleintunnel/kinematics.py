@@ -37,8 +37,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NonPropagatingError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Relative width (in units of m) of the band around E = V0 +/- m treated
 # as the degenerate edge; inside it the linear interior basis is used so
@@ -157,18 +161,42 @@ def rho_n2(v: float, n2: float) -> float:
     whose numerator is factored as (1 - n2 + v/2)*(1 + n2 - v/2), exact
     down to rho = 0.  The value is negative in the oscillatory zones
     (there -rho(n)^2 = q^2/w^2).  Raises DomainError where the value
-    overflows (|n2 - v/2| beyond ~1e154).
+    overflows (|n2 - v/2| beyond ~1e154).  This is _rho_n2_columns at one
+    point.
     """
-    if not (n2 > 0.0):
-        raise DomainError(f"n2 must be positive, got {n2}")
+    import numpy as np
+
+    return _rho_n2_columns(v, np.array([n2], dtype=float))[0].item()
+
+
+def _rho_n2_columns(v: float, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_n2, s) at every n2 of a float64 array, s = sqrt(1 + 2*n2*v).
+
+    The one home of the rho(n)^2 expression (see rho_n2), a whole grid
+    per call.  numpy rounds +, -, *, / and sqrt exactly like float
+    arithmetic, so each entry equals the float computation at that n2
+    alone.  s is the same square root as in the denominator, E/m of the
+    incident mode.  As in float arithmetic, an overflow gives +-inf
+    without a warning: s = inf is kept, and a rho(n)^2 that is not
+    finite raises DomainError.
+    """
+    # imported here, not at module level: the zone and channel functions,
+    # and the commands built on them alone, need no numpy
+    import numpy as np
+
+    # count_nonzero is the cheapest test of a mask on short arrays
+    good = n2 > 0.0
+    if np.count_nonzero(good) < good.size:
+        raise DomainError(f"n2 must be positive, got {n2[~good][0].item()}")
     if not (v >= 0.0):
         raise DomainError(f"v must be >= 0, got {v}")
-    num = (1.0 - n2 + 0.5 * v) * (1.0 + n2 - 0.5 * v)
-    den = math.sqrt(1.0 + 2.0 * n2 * v) + n2 + 0.5 * v
-    r2 = num / den
-    if not math.isfinite(r2):
-        raise DomainError(f"rho_n^2 is not finite at v={v}, n2={n2}")
-    return r2
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sqrt(1.0 + 2.0 * n2 * v)
+        r2 = (1.0 - n2 + 0.5 * v) * (1.0 + n2 - 0.5 * v) / (s + n2 + 0.5 * v)
+    good = np.isfinite(r2)
+    if np.count_nonzero(good) < good.size:
+        raise DomainError(f"rho_n^2 is not finite at v={v}, n2={n2[~good][0].item()}")
+    return r2, s
 
 
 def tunneling_interval_n2(v: float) -> tuple[float, float]:

@@ -43,6 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ZeroLengthError, ZoneCrossingError
 from .kinematics import BarrierSetup, IncidentMode, Zone, classify_zone, rho_n2
 from .scattering import _closed_forms, _matched, transmission_closed_form
@@ -103,7 +105,7 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
     roundoff), and it stays exact at v = 2, n2 -> 0 and for opaque
     barriers.  Raises DomainError only where the result is not finite.
     """
-    ratio = _closed_forms(v, (n2,), wL, ratio=True)[0][5]
+    ratio = _closed_forms(v, np.array([n2], dtype=float), wL, ratio=True).ratio.item()
     if not math.isfinite(ratio):
         raise DomainError(f"t_phi/tau is not finite at v={v}, n2={n2}, wL={wL}")
     return ratio

@@ -29,21 +29,28 @@ phase is
 
 continued the same way and unwrapped to be continuous in n2, anchored at
 phase -> 0 for L -> 0.  The reflected amplitude is R = -i X T.  One core,
-_closed_forms, evaluates all of this over a whole n2 grid per call.  It
-returns real quantities only, (magnitude, phase, winding, X, rho_n^2,
-ratio) per point, with X None on the opaque asymptote; the complex T and
-R are built from them by _amplitude_pair, for the callers that need them
-(transmission_closed_form and the wave-packet amplitudes).  A sweep hands
-the returned rho_n^2 on to its other columns, so each point computes it
-once.
+_closed_forms, evaluates all of this over a whole n2 grid per call, as
+float64 columns: numpy does the +, -, *, / and sqrt, which round exactly
+like float arithmetic, and math every transcendental, so a grid gives
+the bytes of its one-point calls.  The columns are real (magnitude,
+phase, winding, X, rho_n^2, s = E/m, ratio), with X nan on the opaque
+asymptote; the complex T and R are built from them by _amplitude_pair,
+for the callers that need them (transmission_closed_form and the
+wave-packet amplitudes).  A sweep hands the returned rho_n^2 on to its
+other columns, so each point computes it once.  The one-point entry
+points call the same core with a one-element array and return Python
+scalars.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, NonPropagatingError, ZoneError
 from .kinematics import (
@@ -51,8 +58,8 @@ from .kinematics import (
     IncidentMode,
     Zone,
     barrier_channel,
+    _rho_n2_columns,
     classify_zone,
-    rho_n2,
 )
 
 
@@ -211,16 +218,57 @@ LARGE_D2 = 350.0**2
 _MAX_WINDING = 10 ** 15
 
 
-def _closed_forms(v: float, n2s: Iterable[float], wL: float, *, ratio: bool = False
-                  ) -> list[tuple[float, float, int, float | None, float, float | None]]:
-    """(magnitude, phase, winding, X, r2, ratio) of the closed form at each n2 of n2s.
+class _Columns(NamedTuple):
+    """The closed forms at every n2 of a grid, one float64 array each.
 
-    The one arithmetic path of the closed forms, a whole grid per call:
-    each point gets the same operations whatever the rest of the grid
-    (only terms of v alone are formed once).  All entries are real:
-    X = ((n2 + rho_n^2)/(2n)) wL sinhc(d2) is None on the LARGE_D2
-    asymptote, where it overflows, and r2 = rho_n^2 is the point's one
-    kinematics.rho_n2 value, for callers that need it again.  The
+    See _closed_forms.  winding holds integral values, X is nan on the
+    LARGE_D2 asymptote, s = sqrt(1 + 2 n2 v) = E/m, and ratio is None
+    unless it was asked for.
+    """
+
+    mag: np.ndarray
+    phase: np.ndarray
+    winding: np.ndarray
+    X: np.ndarray
+    r2: np.ndarray
+    s: np.ndarray
+    ratio: np.ndarray | None
+
+
+def _map(f, x: np.ndarray) -> np.ndarray:
+    """f, a math function of one argument, at every entry of x.
+
+    Every transcendental of the closed forms comes from math (or cmath),
+    mapped over plain lists: through here, or directly where it takes two
+    arguments (hypot, rect).  None comes from numpy, whose SIMD exp, sin,
+    tanh, atan and the like round differently from math in up to 14 % of
+    samples and would move dataset bytes.
+    """
+    return np.array(list(map(f, x.tolist())), dtype=float)
+
+
+def _squared(x: np.ndarray) -> np.ndarray:
+    """x ** 2 at every entry, by pow as in float arithmetic (x * x rounds
+    differently in about 1e-3 of samples)."""
+    return np.array([t ** 2 for t in x.tolist()], dtype=float)
+
+
+def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False) -> _Columns:
+    """The closed forms at every n2 of the float64 array n2, as columns.
+
+    The one arithmetic path of the closed forms, a whole grid per call.
+    numpy carries only +, -, *, / and sqrt, which round exactly like
+    float arithmetic, in the operation order of the one-point formulas;
+    the series, tanh, tan and LARGE_D2 branches are chosen per entry by
+    masks, and every transcendental comes from math (_map).  So each
+    entry is what the formulas give at that n2 alone, whatever the rest
+    of the grid.  Overflow gives +-inf without a warning, as in float
+    arithmetic; a division by zero or an invalid operation still warns.
+
+    The columns: magnitude |T| = 1/hypot(1, X) with the real
+    X = ((n2 + rho_n^2)/(2n)) wL sinhc(d2), nan on the LARGE_D2 asymptote
+    where it overflows; the phase, winding, r2 = rho_n^2 and s from
+    kinematics._rho_n2_columns, for callers that need them again.  The
     complex T and R are built from (magnitude, phase, X) by
     _amplitude_pair, only where they are wanted.  One phase expression
     serves all zones, phase = arctan(Y) + winding*pi with
@@ -228,74 +276,96 @@ def _closed_forms(v: float, n2s: Iterable[float], wL: float, *, ratio: bool = Fa
     rho_n^2 < 0 where tanh turns into tan and the branch count
     N = floor(q_n wL / pi + 1/2) restores continuity in n2.
 
-    With ratio=True the last entry is t_phi/tau, the chain-rule n2-derivative
-    of that phase (see the phasetime module); it may be inf or nan where
-    the result overflows.  Otherwise it is None and nothing else changes.
-    Raises DomainError where q_n wL is infinite, so tan(q_n wL) is undefined.
+    With ratio=True the ratio column is t_phi/tau, the chain-rule
+    n2-derivative of that phase (see the phasetime module); it may be inf
+    or nan where the result overflows.  Otherwise it is None and nothing
+    else changes.  Raises DomainError where q_n wL is infinite, so
+    tan(q_n wL) is undefined.
     """
+    r2, s = _rho_n2_columns(v, n2)
+    two_n = 2.0 * np.sqrt(n2)
+    # tc = tanh(d)/d and sc = sinh(d)/d, continued in d2 (tan, sin for d2 < 0);
+    # th = tanh(d) or tan(d) off the series, sc unused past LARGE_D2.  A
+    # branch no entry takes is skipped (count_nonzero is the cheapest test).
+    tc, sc, th, mag, X = np.empty((5,) + r2.shape)
+    winding = np.zeros(r2.shape)
+    with np.errstate(over="ignore"):
+        d2 = r2 * wL * wL
+        series = np.abs(d2) < SERIES_CUT
+        pos = d2 >= SERIES_CUT
+        neg = d2 <= -SERIES_CUT
+        large = d2 > LARGE_D2
+        fin = ~large
+        if np.count_nonzero(series):
+            x = d2[series]
+            tc[series] = 1.0 - x / 3.0 * (1.0 - 2.0 * x / 5.0)
+            sc[series] = 1.0 + x / 6.0 * (1.0 + x / 20.0)
+        if np.count_nonzero(pos):
+            d = np.sqrt(d2[pos])
+            th[pos] = t = _map(math.tanh, d)
+            tc[pos] = t / d
+            mid = pos & fin
+            d = np.sqrt(d2[mid])
+            sc[mid] = _map(math.sinh, d) / d
+        if np.count_nonzero(neg):
+            d = np.sqrt(-d2[neg])
+            if np.count_nonzero(np.isinf(d)):
+                bad = n2[neg][np.isinf(d)][0].item()
+                raise DomainError(f"q_n*wL is not finite at v={v}, n2={bad}, wL={wL}")
+            th[neg] = t = _map(math.tan, d)
+            tc[neg] = t / d
+            sc[neg] = _map(math.sin, d) / d
+            winding[neg] = np.floor(d / math.pi + 0.5)
+        Y = (n2 - r2) / two_n * wL * tc
+        phase = _map(math.atan, Y) + winding * math.pi
+        if np.count_nonzero(large):
+            # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
+            a, b = n2[large], r2[large]
+            mag[large] = 4.0 * np.sqrt(a * b) * _map(math.exp, -np.sqrt(d2[large])) / (a + b)
+            X[large] = math.nan
+            X[fin] = (n2[fin] + r2[fin]) / two_n[fin] * wL * sc[fin]
+        else:
+            X = (n2 + r2) / two_n * wL * sc
+        mag[fin] = 1.0 / np.array(list(map(math.hypot, repeat(1.0), X[fin].tolist())))
+        if not ratio:
+            return _Columns(mag, phase, winding, X, r2, s, None)
+        # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
+        h = np.empty_like(r2)
+        near = np.abs(d2) < _H_SERIES_CUT
+        if np.count_nonzero(near):
+            x, acc = d2[near], 0.0
+            for c in reversed(_H_SERIES):
+                acc = acc * x + c
+            h[near] = acc
+        far = d2 >= _H_SERIES_CUT
+        if np.count_nonzero(far):
+            t = th[far]
+            h[far] = ((1.0 - t) * (1.0 + t) - tc[far]) / (2.0 * d2[far])
+        far = d2 <= -_H_SERIES_CUT
+        if np.count_nonzero(far):
+            t = th[far]
+            h[far] = (1.0 + t * t - tc[far]) / (2.0 * d2[far])
     hv, pv, qv = 0.5 * v, 1.0 - 0.5 * v, 2.0 - v  # terms of u and P below
     uv = (hv - 1.0) * (hv + 1.0)
-    out = []
-    for n2 in n2s:
-        r2 = rho_n2(v, n2)
-        d2 = r2 * wL * wL
-        n = math.sqrt(n2)
-        winding = 0
-        # tc = tanh(d)/d and sc = sinh(d)/d, continued in d2 (tan, sin for d2 < 0)
-        if abs(d2) < SERIES_CUT:
-            tc = 1.0 - d2 / 3.0 * (1.0 - 2.0 * d2 / 5.0)
-            sc = 1.0 + d2 / 6.0 * (1.0 + d2 / 20.0)
-        elif d2 > 0.0:
-            d = math.sqrt(d2)
-            th = math.tanh(d)
-            tc = th / d
-            sc = math.sinh(d) / d if d2 <= LARGE_D2 else 0.0  # sc unused past LARGE_D2
-        else:
-            d = math.sqrt(-d2)
-            if d == math.inf:
-                raise DomainError(f"q_n*wL is not finite at v={v}, n2={n2}, wL={wL}")
-            th = math.tan(d)
-            tc = th / d
-            sc = math.sin(d) / d
-            winding = math.floor(d / math.pi + 0.5)
-        Y = (n2 - r2) / (2.0 * n) * wL * tc
-        phase = math.atan(Y) + winding * math.pi
-        if d2 > LARGE_D2:
-            # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
-            mag = 4.0 * math.sqrt(n2 * r2) * math.exp(-math.sqrt(d2)) / (n2 + r2)
-            X = None
-        else:
-            X = (n2 + r2) / (2.0 * n) * wL * sc
-            mag = 1.0 / math.hypot(1.0, X)
-        if not ratio:
-            out.append((mag, phase, winding, X, r2, None))
-            continue
-        # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
-        if abs(d2) < _H_SERIES_CUT:
-            h = 0.0
-            for c in reversed(_H_SERIES):
-                h = h * d2 + c
-        else:
-            sech2 = (1.0 - th) * (1.0 + th) if d2 > 0.0 else 1.0 + th * th
-            h = (sech2 - tc) / (2.0 * d2)
-        s = math.sqrt(1.0 + 2.0 * n2 * v)
+    # a ratio that overflows is not finite, and every caller refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
         # u = n2 - rho_n^2 and P = 1/s - v/2 + 2 n2, both free of cancellation
         # at v = 2, n2 -> 0 and on the zone edges
-        u = (4.0 * n2 * n2 + uv) / (2.0 * n2 + hv + s)
-        P = pv + 2.0 * n2 * (qv + 2.0 * n2 * v * (s + 2.0) / (s + 1.0)) / (s * (1.0 + s))
-        t_ratio = (P * tc / (2.0 * n2) + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
-        out.append((mag, phase, winding, X, r2, t_ratio))
-    return out
+        m2, s1 = 2.0 * n2, s + 1.0
+        u = (4.0 * n2 * n2 + uv) / (m2 + hv + s)
+        P = pv + m2 * (qv + m2 * v * (s + 2.0) / s1) / (s * s1)
+        t_ratio = (P * tc / m2 + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
+    return _Columns(mag, phase, winding, X, r2, s, t_ratio)
 
 
-def _amplitude_pair(mag: float, phase: float, X: float | None) -> tuple[complex, complex]:
-    """(T, R) from a _closed_forms point: T = rect(mag, phase), R = -i X T.
+def _amplitude_pair(mag: float, phase: float, X: float) -> tuple[complex, complex]:
+    """(T, R) from one _closed_forms entry: T = rect(mag, phase), R = -i X T.
 
-    On the LARGE_D2 asymptote (X None) R = -i rect(1, phase): |R| = 1 to
+    On the LARGE_D2 asymptote (X nan) R = -i rect(1, phase): |R| = 1 to
     double precision there.
     """
     T = cmath.rect(mag, phase)
-    if X is None:
+    if math.isnan(X):
         return T, -1j * cmath.rect(1.0, phase)
     return T, -1j * X * T
 
@@ -314,10 +384,11 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
     (rho_n^2 = 1 - n2, n2 = E_NR/V0) this is the Schroedinger barrier.
     Raises DomainError where q_n wL is infinite.
     """
-    (mag, phase, winding, X, _, _), = _closed_forms(v, (n2,), wL)
-    T, R = _amplitude_pair(mag, phase, X)
+    point = _closed_forms(v, np.array([n2], dtype=float), wL)
+    mag, phase = point.mag.item(), point.phase.item()
+    T, R = _amplitude_pair(mag, phase, point.X.item())
     return TransmissionPoint(magnitude=mag, phase=phase, probability=mag * mag,
-                             T=T, R=R, winding=winding)
+                             T=T, R=R, winding=int(point.winding.item()))
 
 
 def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> float:
@@ -334,24 +405,35 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
     if zone not in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         raise ZoneError(
             f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
-    return _nr_form_from_r2(mode.n2, rho_n2(setup.v, mode.n2), setup.wL)
+    n2 = np.array([mode.n2], dtype=float)
+    return _nr_form_from_r2(n2, _rho_n2_columns(setup.v, n2)[0], setup.wL).item()
 
 
-def _nr_form_from_r2(n2: float, r2: float, wL: float) -> float:
-    """transmission_magnitude_nr_form with rho_n^2 = r2 known and no zone check."""
-    if r2 == 0.0:
-        return 1.0 / math.sqrt(1.0 + wL * wL / (4.0 * n2))
-    c = 1.0 / (4.0 * n2 * r2)
-    d2 = r2 * wL * wL
-    if d2 > LARGE_D2:
+def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
+    """transmission_magnitude_nr_form at every (n2, rho_n^2 = r2) of two
+    float64 arrays, with no zone check; as in _closed_forms, numpy does
+    the arithmetic and math the transcendentals."""
+    out = np.empty_like(r2)
+    edge = r2 == 0.0
+    with np.errstate(over="ignore"):
+        out[edge] = 1.0 / np.sqrt(1.0 + wL * wL / (4.0 * n2[edge]))
+        n2, r2 = n2[~edge], r2[~edge]
+        c = 1.0 / (4.0 * n2 * r2)
+        d2 = r2 * wL * wL
+        large = d2 > LARGE_D2
+        # sinh(d)^2 continued in d2: -sin(t)^2 for d2 = -t^2 < 0 (a snapped
+        # edge can round rho_n^2 to a tiny negative value)
+        s2 = np.empty_like(d2)
+        series = np.abs(d2) < SERIES_CUT
+        x = d2[series]
+        s2[series] = x * (1.0 + x / 3.0 * (1.0 + 2.0 * x / 15.0))
+        pos = (d2 >= SERIES_CUT) & ~large
+        s2[pos] = _squared(_map(math.sinh, np.sqrt(d2[pos])))
+        neg = d2 <= -SERIES_CUT
+        s2[neg] = -_squared(_map(math.sin, np.sqrt(-d2[neg])))
+        mag = np.empty_like(d2)
         # sinh^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
-        return 2.0 * math.exp(-math.sqrt(d2)) / math.sqrt(c)
-    # sinh(d)^2 continued in d2: -sin(t)^2 for d2 = -t^2 < 0 (a snapped
-    # edge can round rho_n^2 to a tiny negative value)
-    if abs(d2) < SERIES_CUT:
-        s2 = d2 * (1.0 + d2 / 3.0 * (1.0 + 2.0 * d2 / 15.0))
-    elif d2 > 0.0:
-        s2 = math.sinh(math.sqrt(d2)) ** 2
-    else:
-        s2 = -math.sin(math.sqrt(-d2)) ** 2
-    return 1.0 / math.sqrt(1.0 + c * s2)
+        mag[large] = 2.0 * _map(math.exp, -np.sqrt(d2[large])) / np.sqrt(c[large])
+        mag[~large] = 1.0 / np.sqrt(1.0 + c[~large] * s2[~large])
+    out[~edge] = mag
+    return out

@@ -33,12 +33,15 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, KleinTunnelError
 from .kinematics import Zone
 from .phasetime import _check_oracle_width, _phase_time_numeric
-from .scattering import _MAX_WINDING, _closed_forms, _nr_form_from_r2
+from .scattering import _MAX_WINDING, _closed_forms, _nr_form_from_r2, _squared
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
@@ -77,9 +80,9 @@ class SweepRequest:
         if unknown:
             raise DomainError(f"unknown outputs: {sorted(unknown)}")
 
-    def grid(self) -> list[float]:
+    def grid(self) -> np.ndarray:
         step = (self.n2_max - self.n2_min) / (self.count - 1)
-        return [self.n2_min + i * step for i in range(self.count)]
+        return self.n2_min + np.arange(self.count) * step
 
 
 class SweepRecord(NamedTuple):
@@ -100,9 +103,9 @@ class SweepRecord(NamedTuple):
     error: str | None = None
 
 
-# the zone tags as the strings a record carries
-_KLEIN, _TUNNELING, _ABOVE = Zone.KLEIN.value, Zone.TUNNELING.value, Zone.ABOVE_BARRIER.value
-_EDGE_LOWER, _EDGE_UPPER = Zone.EDGE_LOWER.value, Zone.EDGE_UPPER.value
+# the zone tags as the strings a record carries, indexed by run_sweep's zone codes
+_ZONES = tuple(z.value for z in (Zone.KLEIN, Zone.TUNNELING, Zone.ABOVE_BARRIER,
+                                 Zone.EDGE_LOWER, Zone.EDGE_UPPER))
 
 
 # ---------------------------------------------------------------------------
@@ -112,70 +115,93 @@ _EDGE_LOWER, _EDGE_UPPER = Zone.EDGE_LOWER.value, Zone.EDGE_UPPER.value
 def run_sweep(req: SweepRequest) -> list[SweepRecord]:
     """Evaluate the request grid in ascending n2, each point independently.
 
-    Edges, snap tolerances, wanted columns and the oracle's wL = 0 refusal
-    are decided once, and the snapped grid goes through one core call.
-    Each point's rho_n^2 comes from that call; the NR column and the
-    per-point oracle reuse it, so it is computed once per point.
+    The grid is handled as columns: snapping, zone tags, the closed-form
+    core (one call) and the NR column are array passes, and a refused
+    cell is emptied by a mask.  Edges, snap tolerances, wanted columns
+    and the wL = 0 refusal of both ratio columns are decided once.  Only
+    the oracle runs per row, fed each row's rho_n^2 from the core, so
+    rho_n^2 is computed once per point.  The records hold Python floats.
     """
     v, wL = req.v, req.wL
+    n2 = req.grid()
+    count = len(n2)
     want_t2, want_nr, want_phase, want_closed, want_numeric = (
         col in req.outputs for col in VALUE_COLUMNS)
-    numeric_refusal = None
-    if want_numeric:
-        try:
-            _check_oracle_width(wL)
-        except KleinTunnelError as exc:
-            numeric_refusal = f"ratio_numeric: {exc}"
+    # tau = 0 at wL = 0 leaves t_phi/tau undefined in both ratio columns
+    try:
+        _check_oracle_width(wL)
+        zero_width = None
+    except KleinTunnelError as exc:
+        zero_width = str(exc)
     lo = 0.5 * v - 1.0
     hi = 0.5 * v + 1.0
     # a point within EDGE_SNAP_RTOL of an edge is snapped onto it; there is
     # no lower edge for v <= 2, and hi >= 1, so max(1, hi) = hi
     lo_tol = EDGE_SNAP_RTOL * max(1.0, lo) if lo > 0.0 else -math.inf
     hi_tol = EDGE_SNAP_RTOL * hi
-    snapped = []
-    for n2 in req.grid():
-        if abs(n2 - lo) <= lo_tol:
-            snapped.append((lo, _EDGE_LOWER, True))
-        elif abs(n2 - hi) <= hi_tol:
-            snapped.append((hi, _EDGE_UPPER, True))
-        else:
-            snapped.append((n2, _KLEIN if n2 < lo else _TUNNELING if n2 < hi else _ABOVE, False))
-    points = _closed_forms(v, [n2 for n2, _, _ in snapped], wL, ratio=want_closed)
-    records = []
-    for (n2, zone, nudged), (mag, phase, winding, _, r2, ratio_closed) in zip(snapped, points):
-        t2 = mag * mag
-        t2_nr = ratio_numeric = None
-        if want_nr and lo <= n2 <= hi:  # tunneling or an edge
-            # at v = 0 (n2 + rho_n^2 = 1) the NR prefactor is the exact one, so
-            # the column repeats T2_exact there
-            t2_nr = t2 if v == 0.0 else _nr_form_from_r2(n2, r2, wL) ** 2
-        # a refused column stays empty and is named in errs; the row keeps the rest
-        errs = []
-        if not want_phase:
-            phase = None
-        elif winding > _MAX_WINDING:
-            phase = None
-            errs.append(f"phase_rad: q_n*wL is too large to resolve the phase modulo pi "
-                        f"at v={v}, n2={n2}, wL={wL}")
-        if ratio_closed is not None and not math.isfinite(ratio_closed):
-            ratio_closed = None
-            errs.append(f"ratio_closed: t_phi/tau is not finite at v={v}, n2={n2}, wL={wL}")
-        if want_numeric:
-            if nudged:
-                errs.append(f"ratio_numeric: n2={n2} lies on a zone edge")
-            elif numeric_refusal is not None:
-                errs.append(numeric_refusal)
+    lower = np.abs(n2 - lo) <= lo_tol
+    upper = ~lower & (np.abs(n2 - hi) <= hi_tol)
+    nudged = lower | upper
+    n2 = np.where(lower, lo, np.where(upper, hi, n2))
+    zone = (n2 >= lo).astype(int) + (n2 >= hi)
+    zone[lower] = 3
+    zone[upper] = 4
+    zones = np.array(_ZONES, dtype=object)[zone].tolist()
+    cols = _closed_forms(v, n2, wL, ratio=want_closed and zero_width is None)
+    n2_list = n2.tolist()
+    # a refused cell stays empty and is named in errors; the row keeps the rest
+    none = [None] * count
+    errors = none.copy()
+
+    def refuse(i: int, msg: str) -> None:
+        errors[i] = msg if errors[i] is None else f"{errors[i]}; {msg}"
+
+    t2 = cols.mag * cols.mag
+    t2_nr = none
+    if want_nr:
+        # tunneling or an edge; at v = 0 (n2 + rho_n^2 = 1) the NR prefactor
+        # is the exact one, so the column repeats T2_exact there
+        rows = (lo <= n2) & (n2 <= hi)
+        nr = t2
+        if v != 0.0:
+            nr = np.empty_like(t2)
+            nr[rows] = _squared(_nr_form_from_r2(n2[rows], cols.r2[rows], wL))
+        t2_nr = np.where(rows, nr, None).tolist()
+    phase = none
+    if want_phase:
+        far = cols.winding > _MAX_WINDING
+        phase = np.where(far, None, cols.phase).tolist()
+        for i in np.flatnonzero(far).tolist():
+            refuse(i, f"phase_rad: q_n*wL is too large to resolve the phase modulo pi "
+                      f"at v={v}, n2={n2_list[i]}, wL={wL}")
+    ratio_closed = none
+    if want_closed and zero_width is not None:
+        for i in range(count):
+            refuse(i, f"ratio_closed: {zero_width}")
+    elif want_closed:
+        bad = ~np.isfinite(cols.ratio)
+        ratio_closed = np.where(bad, None, cols.ratio).tolist()
+        for i in np.flatnonzero(bad).tolist():
+            refuse(i, f"ratio_closed: t_phi/tau is not finite at v={v}, n2={n2_list[i]}, "
+                      f"wL={wL}")
+    ratio_numeric = none
+    if want_numeric:
+        ratio_numeric = none.copy()
+        for i, (x, r2, edge) in enumerate(zip(n2_list, cols.r2.tolist(), nudged.tolist())):
+            if edge:
+                refuse(i, f"ratio_numeric: n2={x} lies on a zone edge")
+            elif zero_width is not None:
+                refuse(i, f"ratio_numeric: {zero_width}")
             else:
                 try:
-                    ratio_numeric = _phase_time_numeric(v, n2, r2, wL)
+                    ratio_numeric[i] = _phase_time_numeric(v, x, r2, wL)
                 except KleinTunnelError as exc:
-                    errs.append(f"ratio_numeric: {exc}")
-        # tuple.__new__ skips the NamedTuple's Python-level __new__
-        records.append(tuple.__new__(SweepRecord, (
-            n2, math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None, zone,
-            t2 if want_t2 else None, t2_nr, phase, ratio_closed, ratio_numeric, nudged,
-            "; ".join(errs) or None)))
-    return records
+                    refuse(i, f"ratio_numeric: {exc}")
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return list(map(tuple.__new__, repeat(SweepRecord), zip(
+        n2_list, cols.s.tolist() if v > 0.0 else none, zones,
+        t2.tolist() if want_t2 else none, t2_nr, phase, ratio_closed, ratio_numeric,
+        nudged.tolist(), errors)))
 
 
 # ---------------------------------------------------------------------------

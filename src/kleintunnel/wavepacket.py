@@ -16,7 +16,8 @@ than a relative tolerance; each level keeps the previous level's nodes,
 so every node is evaluated once.  The field is sampled on a uniform time
 grid, whose phase factors exp(-i E t) come from one block phase table.
 Each ladder level costs one call of the closed-form core, over all of
-its new nodes at once.
+its new nodes at once; the base grid and the first two levels, which
+every field needs, share one call.
 
 The peak arrival time at x = L is compared against the closed-form
 stationary-phase prediction t_phi(k0), defined on the zone edges too;
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .kinematics import BarrierSetup, IncidentMode
 from .phasetime import phase_time_closed_form
-from .scattering import _amplitude_pair, _closed_forms
+from .scattering import _amplitude_pair, _closed_forms, _squared
 
 _BASE_INTERVALS = 64
 _MAX_LEVELS = 12
@@ -189,12 +190,12 @@ def _simpson_levels(spectrum: SpectrumSpec):
 
 def _amplitudes(setup: BarrierSetup, ks: np.ndarray, reflected: bool = False) -> np.ndarray:
     """Closed-form T (R if reflected) at the nodes ks, in one closed-form call."""
-    w = setup.w
-    points = _closed_forms(setup.v, [(k / w) ** 2 for k in ks.tolist()], setup.wL)
+    cols = _closed_forms(setup.v, _squared(ks / setup.w), setup.wL)
+    mag, phase = cols.mag.tolist(), cols.phase.tolist()
     if reflected:
-        return np.array([_amplitude_pair(mag, phase, X)[1] for mag, phase, _, X, _, _ in points],
-                        dtype=complex)
-    return np.array([cmath.rect(mag, phase) for mag, phase, *_ in points], dtype=complex)
+        return np.array([_amplitude_pair(m, p, X)[1]
+                         for m, p, X in zip(mag, phase, cols.X.tolist())], dtype=complex)
+    return np.array(list(map(cmath.rect, mag, phase)), dtype=complex)
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -280,7 +281,11 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
     _check_tol(tol)
     lo, hi = spectrum.support
     n = _BASE_INTERVALS // 2
-    E, c, a = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, n + 1))
+    # the first convergence test comes at level 2, so the base grid and the
+    # new nodes of levels 1 and 2 are always needed: one integrand call (one
+    # closed-form call) covers them, and each level takes its slice
+    E2, c2, a = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, 4 * n + 1))
+    E, c = E2[::4], c2[::4].copy()
     c[0] *= 0.5
     c[-1] *= 0.5
     P = _phase_sums(E, c, t0, dt, count)
@@ -288,9 +293,14 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
     prev_I = None
     for level in range(1, _MAX_LEVELS + 1):
         n *= 2
-        E, c, a_odd = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, n + 1)[1::2])
-        if a is not None:
-            a = _interleave(a, a_odd)
+        if level <= 2:
+            new = slice(2, None, 4) if level == 1 else slice(1, None, 2)
+            E, c = E2[new], c2[new]
+        else:
+            E, c, a_odd = _integrand(setup, spectrum, x, kind,
+                                     np.linspace(lo, hi, n + 1)[1::2])
+            if a is not None:
+                a = _interleave(a, a_odd)
         P2 = P + _phase_sums(E, c, t0, dt, count)
         Q2 = Q + float(np.sum(np.abs(c)))
         h3 = (hi - lo) / n / 3.0

@@ -30,6 +30,11 @@ from kleintunnel.sweep import CSV_COLUMNS, fig1_request
 from test_phasetime import mp_ratio
 
 
+def nr_form(v, n2, wL):
+    """The NR-prefactor |T| at one point and the requested wL."""
+    return _nr_form_from_r2(np.array([n2]), np.array([rho_n2(v, n2)]), wL).item()
+
+
 def small_request(**kw):
     base = dict(v=10.0, wL=2.0 * math.pi, n2_min=4.2, n2_max=5.8, count=5)
     base.update(kw)
@@ -107,15 +112,20 @@ class TestSweepIsAMap:
             point = transmission_closed_form(v, n2, wL)
             assert repr(rec.t2_exact) == repr(point.probability)
             assert repr(rec.phase_rad) == repr(point.phase)
-            assert repr(rec.ratio_closed) == repr(normalized_phase_time(v, n2, wL))
+            # wL = 0 (tau = 0) leaves t_phi/tau undefined: both ratio columns refuse
+            closed = None if wL == 0.0 else normalized_phase_time(v, n2, wL)
+            assert repr(rec.ratio_closed) == repr(closed)
             edge_or_tunneling = 0.5 * v - 1.0 <= n2 <= 0.5 * v + 1.0
             t2_nr = None if not edge_or_tunneling else (
-                point.probability if v == 0.0 else _nr_form_from_r2(n2, rho_n2(v, n2), wL) ** 2)
+                point.probability if v == 0.0 else nr_form(v, n2, wL) ** 2)
             assert repr(rec.t2_nr_form) == repr(t2_nr)
             assert repr(rec.e_over_m) == repr(math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None)
+            zero_width = "wL=0: tau=0 and t_phi/tau is undefined"
+            closed_error = [f"ratio_closed: {zero_width}"] if wL == 0.0 else []
             if rec.nudged:
                 assert rec.zone.startswith("Edge") and rec.ratio_numeric is None
-                assert rec.error == f"ratio_numeric: n2={n2} lies on a zone edge"
+                assert rec.error == "; ".join(
+                    closed_error + [f"ratio_numeric: n2={n2} lies on a zone edge"])
                 continue
             try:
                 numeric = normalized_phase_time_numeric(v, n2, wL)
@@ -123,7 +133,7 @@ class TestSweepIsAMap:
                 numeric = None
             assert repr(rec.ratio_numeric) == repr(numeric)
             if wL == 0.0:
-                assert rec.error == "ratio_numeric: wL=0: tau=0 and t_phi/tau is undefined"
+                assert rec.error == "; ".join(closed_error + [f"ratio_numeric: {zero_width}"])
             else:
                 assert rec.error is None
 
@@ -137,19 +147,20 @@ class TestSweepIsAMap:
 
     def test_one_rho_n2_per_grid_point(self, monkeypatch):
         # the closed form, the NR column and the oracle share the row's rho_n^2:
-        # every module that binds kinematics.rho_n2 is counted
+        # every n2 that any module evaluates it at, by either name, is counted
         import kleintunnel.kinematics as kin
 
-        original = kin.rho_n2
         calls = []
+        for fname in ("rho_n2", "_rho_n2_columns"):
+            original = getattr(kin, fname)
 
-        def counted(v, n2):
-            calls.append(n2)
-            return original(v, n2)
+            def counted(v, n2, original=original):
+                calls.extend(np.atleast_1d(n2).tolist())
+                return original(v, n2)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "kleintunnel" and getattr(module, "rho_n2", None) is original:
-                monkeypatch.setattr(module, "rho_n2", counted)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "kleintunnel" and getattr(module, fname, None) is original:
+                    monkeypatch.setattr(module, fname, counted)
         # Klein, both edges, tunneling and above-barrier rows, every column
         req = SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=1.0, n2_max=8.0, count=15)
         recs = run_sweep(req)
@@ -167,7 +178,7 @@ class TestSweepIsAMap:
                            outputs=("T2_nr_form",))
         for rec in run_sweep(req):
             assert rec.zone == "Tunneling"
-            assert rec.t2_nr_form == _nr_form_from_r2(rec.n2, rho_n2(1.0, rec.n2), wL) ** 2
+            assert rec.t2_nr_form == nr_form(1.0, rec.n2, wL) ** 2
 
     @pytest.mark.parametrize("v, wL, n2_min, n2_max, count", [
         (10.0, 2.0 * math.pi, 0.5, 30.0, 2), (10.0, 400.0, 0.5, 3.5, 3)])
@@ -200,7 +211,7 @@ class TestSweepIsAMap:
         original = sw._closed_forms
 
         def counted(v, n2s, wL, **kwargs):
-            grids.append(list(n2s))
+            grids.append(n2s.tolist())
             return original(v, n2s, wL, **kwargs)
 
         monkeypatch.setattr(sw, "_closed_forms", counted)
@@ -456,6 +467,18 @@ class TestSerialization:
         write_csv(run_sweep(req), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "3becc5405a8a30d8e4fa0d9f979ccb13554b694174afd811174f1ab0ffa3c997")
+
+    def test_v100_grid_digest_pinned(self, tmp_path):
+        # the fig1 pins stop at v = 10; at v = 100 and wL = 2 pi this grid has
+        # 3698 Klein rows (up to 13 windings), 151 tunneling and 151
+        # above-barrier rows.  Pinned before the sweep became a column pass.
+        req = SweepRequest(v=100.0, wL=2.0 * math.pi, n2_min=53.0 / 4000, n2_max=53.0,
+                           count=4000,
+                           outputs=("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed"))
+        path = tmp_path / "v100.csv"
+        write_csv(run_sweep(req), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ae7015dfaf89c31ec7374e4b168d94ccf78244dc4303828c4bfdf4a996fe433b")
 
     def test_header_and_line_endings(self, tmp_path):
         recs = run_sweep(small_request())

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -288,12 +289,26 @@ def _count_closed_form(monkeypatch):
     original = wp._closed_forms
 
     def counted(v, n2s, wL, **kwargs):
-        calls.extend(n2s)
+        calls.extend(n2s.tolist())
         grids.append(n2s)
         return original(v, n2s, wL, **kwargs)
 
     monkeypatch.setattr(wp, "_closed_forms", counted)
     return calls, grids
+
+
+def test_amplitudes_digest_pinned():
+    # T and R at the 129 final-level nodes of the README tunneling packet,
+    # whose support (8.8 to 11.2) crosses all three zones.  No BLAS takes
+    # part, so unlike the intensities these bytes do not depend on thread
+    # counts.  Pinned before the closed forms became columns.
+    setup, spec = barrier_v10_mL(0.1), SpectrumSpec(k0=10.0, sigma_k=0.2)
+    assert run_packet(setup, spec).field_quadrature.nodes == 129
+    ks = np.linspace(*spec.support, 129)
+    digest = {kind: hashlib.sha256(wp._amplitudes(setup, ks, reflected=kind == "R").tobytes())
+              .hexdigest() for kind in "TR"}
+    assert digest == {"T": "ef1207d36038eb9d336e169410b95981a95970654568bf4b0679c6d746036644",
+                      "R": "a604f8507c19ea937759203ac175951f5a3cfe6dd6c6fb6c5eec7d24579788e5"}
 
 
 def _broad_packet():
@@ -347,8 +362,10 @@ class TestNestedLadder:
         assert fq.levels >= 3
         assert len(calls) == fq.nodes == 64 * 2 ** (fq.levels - 1) + 1
         assert 0.0 <= fq.change <= 1e-8
-        # one core call for the 33-node base grid, then one per level
-        assert len(grids) == fq.levels + 1
+        # one core call for the 129 nodes of levels 0-2, which the first
+        # convergence test needs, then one per further level
+        assert len(grids[0]) == 129
+        assert len(grids) == fq.levels - 1
         del calls[:], grids[:]
         dq = distortion(s, spec).quadrature
         assert len(calls) == dq.nodes == 64 * 2 ** (dq.levels - 1) + 1
