@@ -161,8 +161,8 @@ def rho_n2(v: float, n2: float) -> float:
     whose numerator is factored as (1 - n2 + v/2)*(1 + n2 - v/2), exact
     down to rho = 0.  The value is negative in the oscillatory zones
     (there -rho(n)^2 = q^2/w^2).  Raises DomainError where the value
-    overflows (|n2 - v/2| beyond ~1e154).  This is _rho_n2_columns at one
-    point.
+    overflows (|n2 - v/2| beyond ~1e154) or its square root does (n2*v
+    beyond ~9e307).  This is _rho_n2_columns at one point.
     """
     import numpy as np
 
@@ -177,8 +177,8 @@ def _rho_n2_columns(v: float, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arithmetic, so each entry equals the float computation at that n2
     alone.  s is the same square root as in the denominator, E/m of the
     incident mode.  As in float arithmetic, an overflow gives +-inf
-    without a warning: s = inf is kept, and a rho(n)^2 that is not
-    finite raises DomainError.
+    without a warning; a rho(n)^2 that is not finite raises DomainError,
+    and so does s = inf, which would turn rho(n)^2 into numerator/inf = 0.
     """
     # imported here, not at module level: the zone and channel functions,
     # and the commands built on them alone, need no numpy
@@ -196,6 +196,9 @@ def _rho_n2_columns(v: float, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     good = np.isfinite(r2)
     if np.count_nonzero(good) < good.size:
         raise DomainError(f"rho_n^2 is not finite at v={v}, n2={n2[~good][0].item()}")
+    good = np.isfinite(s)
+    if np.count_nonzero(good) < good.size:
+        raise DomainError(f"sqrt(1 + 2*n2*v) overflows at v={v}, n2={n2[~good][0].item()}")
     return r2, s
 
 

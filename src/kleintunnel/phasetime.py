@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ZeroLengthError, ZoneCrossingError
+from .errors import DomainError, ZoneCrossingError
 from .kinematics import BarrierSetup, IncidentMode, Zone, classify_zone, rho_n2
-from .scattering import _closed_forms, _matched, transmission_closed_form
+from .scattering import _closed_forms, _matched, _refusal, transmission_closed_form
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,10 @@ def classical_tau(setup: BarrierSetup, mode: IncidentMode) -> float:
     """Classical traversal time tau = L*(dE/dk)^(-1) = L*E/k.
 
     Raises ZeroLengthError at L = 0, where tau = 0 makes every normalized
-    ratio undefined.
+    ratio undefined (the closed ratio's wL = 0 refusal).
     """
     if setup.L == 0.0:
-        raise ZeroLengthError("L=0: tau=0 and t_phi/tau is undefined")
+        raise _refusal("ratio", setup.v, mode.n2, 0.0)
     return setup.L * mode.E / mode.k
 
 
@@ -103,12 +103,10 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
     of the closed-form phase.  It has no edge branch: on a zone edge the
     same expression gives the exact edge value (edge_phase_time_ratio to
     roundoff), and it stays exact at v = 2, n2 -> 0 and for opaque
-    barriers.  Raises DomainError only where the result is not finite.
+    barriers.  Raises ZeroLengthError at wL = 0, DomainError where it overflows.
     """
-    ratio = _closed_forms(v, np.array([n2], dtype=float), wL, ratio=True).ratio.item()
-    if not math.isfinite(ratio):
-        raise DomainError(f"t_phi/tau is not finite at v={v}, n2={n2}, wL={wL}")
-    return ratio
+    return _closed_forms(v, np.array([n2], dtype=float), wL, ratio=True,
+                         columns=("ratio",)).ratio.item()
 
 
 def phase_time_closed_form(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResult:
@@ -116,10 +114,10 @@ def phase_time_closed_form(setup: BarrierSetup, mode: IncidentMode) -> PhaseTime
 
     The ratio is normalized_phase_time; at L = 0 it is flagged undefined.
     """
-    ratio = normalized_phase_time(setup.v, mode.n2, setup.wL)
     if setup.L == 0.0:
         return PhaseTimeResult(tau=0.0, t_phi=0.0, ratio=float("nan"),
                                method="closed_form", ratio_defined=False)
+    ratio = normalized_phase_time(setup.v, mode.n2, setup.wL)
     tau = classical_tau(setup, mode)
     return PhaseTimeResult(tau=tau, t_phi=ratio * tau, ratio=ratio,
                            method="closed_form")
@@ -148,22 +146,17 @@ def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
     per point and passes it to both.
 
     Raises ZoneCrossingError exactly on a zone edge (rho_n^2 == 0) and
-    ZeroLengthError at wL = 0, where tau = 0.
+    otherwise ZeroLengthError at wL = 0, where tau = 0.
     """
-    _check_oracle_width(wL)
     return _phase_time_numeric(v, n2, rho_n2(v, n2), wL)
 
 
-def _check_oracle_width(wL: float) -> None:
-    """ZeroLengthError at wL = 0, where the oracle's tau = 0."""
-    if wL == 0.0:
-        raise ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
-
-
 def _phase_time_numeric(v: float, n2: float, r2: float, wL: float) -> float:
-    """normalized_phase_time_numeric with r2 = rho_n2(v, n2) given and wL != 0."""
+    """normalized_phase_time_numeric with r2 = rho_n2(v, n2) given."""
     if r2 == 0.0:
         raise ZoneCrossingError(f"n2={n2} lies on a zone edge")
+    if wL == 0.0:
+        raise _refusal("ratio", v, n2, wL)
     n = math.sqrt(n2)
     kappa = complex(math.sqrt(r2)) if r2 > 0.0 else 1j * math.sqrt(-r2)
     _, _, g2, u2, Qk, P, det = _matched(n, kappa, wL)

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonPropagatingError, ZoneError
+from .errors import DomainError, KleinTunnelError, NonPropagatingError, ZeroLengthError, ZoneError
 from .kinematics import (
     BarrierSetup,
     IncidentMode,
@@ -253,7 +253,8 @@ def _squared(x: np.ndarray) -> np.ndarray:
     return np.array([t ** 2 for t in x.tolist()], dtype=float)
 
 
-def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False) -> _Columns:
+def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
+                  columns: tuple[str, ...] = ()) -> _Columns:
     """The closed forms at every n2 of the float64 array n2, as columns.
 
     The one arithmetic path of the closed forms, a whole grid per call.
@@ -262,8 +263,8 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False) -
     the series, tanh, tan and LARGE_D2 branches are chosen per entry by
     masks, and every transcendental comes from math (_map).  So each
     entry is what the formulas give at that n2 alone, whatever the rest
-    of the grid.  Overflow gives +-inf without a warning, as in float
-    arithmetic; a division by zero or an invalid operation still warns.
+    of the grid.  Overflow and invalid operations give +-inf and nan
+    without a warning; a division by zero still warns.
 
     The columns: magnitude |T| = 1/hypot(1, X) with the real
     X = ((n2 + rho_n^2)/(2n)) wL sinhc(d2), nan on the LARGE_D2 asymptote
@@ -277,10 +278,10 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False) -
     N = floor(q_n wL / pi + 1/2) restores continuity in n2.
 
     With ratio=True the ratio column is t_phi/tau, the chain-rule
-    n2-derivative of that phase (see the phasetime module); it may be inf
-    or nan where the result overflows.  Otherwise it is None and nothing
-    else changes.  Raises DomainError where q_n wL is infinite, so
-    tan(q_n wL) is undefined.
+    n2-derivative of that phase (see the phasetime module); otherwise
+    None.  Every entry the core cannot vouch for is nan, the one decision
+    of each refused cell; the first among the named columns is raised as
+    its _refusal.  Raises DomainError where rho_n^2 or q_n wL is infinite.
     """
     r2, s = _rho_n2_columns(v, n2)
     two_n = 2.0 * np.sqrt(n2)
@@ -289,7 +290,7 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False) -
     # branch no entry takes is skipped (count_nonzero is the cheapest test).
     tc, sc, th, mag, X = np.empty((5,) + r2.shape)
     winding = np.zeros(r2.shape)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         d2 = r2 * wL * wL
         series = np.abs(d2) < SERIES_CUT
         pos = d2 >= SERIES_CUT
@@ -318,6 +319,8 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False) -
             winding[neg] = np.floor(d / math.pi + 0.5)
         Y = (n2 - r2) / two_n * wL * tc
         phase = _map(math.atan, Y) + winding * math.pi
+        # unresolved past the cutoff, and where d2 = inf zeroes tc (wL tc -> 1/rho_n)
+        phase[(winding > _MAX_WINDING) | (d2 == math.inf)] = math.nan
         if np.count_nonzero(large):
             # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
             a, b = n2[large], r2[large]
@@ -327,35 +330,53 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False) -
         else:
             X = (n2 + r2) / two_n * wL * sc
         mag[fin] = 1.0 / np.array(list(map(math.hypot, repeat(1.0), X[fin].tolist())))
-        if not ratio:
-            return _Columns(mag, phase, winding, X, r2, s, None)
-        # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
-        h = np.empty_like(r2)
-        near = np.abs(d2) < _H_SERIES_CUT
-        if np.count_nonzero(near):
-            x, acc = d2[near], 0.0
-            for c in reversed(_H_SERIES):
-                acc = acc * x + c
-            h[near] = acc
-        far = d2 >= _H_SERIES_CUT
-        if np.count_nonzero(far):
-            t = th[far]
-            h[far] = ((1.0 - t) * (1.0 + t) - tc[far]) / (2.0 * d2[far])
-        far = d2 <= -_H_SERIES_CUT
-        if np.count_nonzero(far):
-            t = th[far]
-            h[far] = (1.0 + t * t - tc[far]) / (2.0 * d2[far])
-    hv, pv, qv = 0.5 * v, 1.0 - 0.5 * v, 2.0 - v  # terms of u and P below
-    uv = (hv - 1.0) * (hv + 1.0)
-    # a ratio that overflows is not finite, and every caller refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        # u = n2 - rho_n^2 and P = 1/s - v/2 + 2 n2, both free of cancellation
-        # at v = 2, n2 -> 0 and on the zone edges
-        m2, s1 = 2.0 * n2, s + 1.0
-        u = (4.0 * n2 * n2 + uv) / (m2 + hv + s)
-        P = pv + m2 * (qv + m2 * v * (s + 2.0) / s1) / (s * s1)
-        t_ratio = (P * tc / m2 + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
-    return _Columns(mag, phase, winding, X, r2, s, t_ratio)
+        t_ratio = None
+        if ratio:
+            # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
+            h = np.empty_like(r2)
+            near = np.abs(d2) < _H_SERIES_CUT
+            if np.count_nonzero(near):
+                x, acc = d2[near], 0.0
+                for c in reversed(_H_SERIES):
+                    acc = acc * x + c
+                h[near] = acc
+            far = d2 >= _H_SERIES_CUT
+            if np.count_nonzero(far):
+                t = th[far]
+                h[far] = ((1.0 - t) * (1.0 + t) - tc[far]) / (2.0 * d2[far])
+            far = d2 <= -_H_SERIES_CUT
+            if np.count_nonzero(far):
+                t = th[far]
+                h[far] = (1.0 + t * t - tc[far]) / (2.0 * d2[far])
+            # u = n2 - rho_n^2 and P = 1/s - v/2 + 2 n2, both free of
+            # cancellation at v = 2, n2 -> 0 and on the zone edges
+            hv, pv, qv = 0.5 * v, 1.0 - 0.5 * v, 2.0 - v
+            m2, s1 = 2.0 * n2, s + 1.0
+            u = (4.0 * n2 * n2 + (hv - 1.0) * (hv + 1.0)) / (m2 + hv + s)
+            P = pv + m2 * (qv + m2 * v * (s + 2.0) / s1) / (s * s1)
+            t_ratio = (P * tc / m2 + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
+            t_ratio[~np.isfinite(t_ratio) | (wL == 0.0)] = math.nan  # tau = 0 at wL = 0
+    cols = _Columns(mag, phase, winding, X, r2, s, t_ratio)
+    for column in columns:
+        for i in np.flatnonzero(np.isnan(getattr(cols, column)))[:1].tolist():
+            raise _refusal(column, v, n2[i].item(), wL, winding[i], r2[i])
+    return cols
+
+
+def _refusal(column: str, v: float, n2: float, wL: float,
+             winding: float = 0.0, r2: float = 0.0) -> KleinTunnelError:
+    """The error naming why _closed_forms left column ("mag", "phase" or
+    "ratio"; "nr" for _nr_form_from_r2) nan at (v, n2, wL), given the
+    entry's winding and r2: the one text of each refused cell."""
+    noun = {"mag": "|T|", "phase": "the phase", "ratio": "t_phi/tau", "nr": "the NR-prefactor |T|"}
+    at = f"at v={v}, n2={n2}, wL={wL}"
+    if column == "ratio" and wL == 0.0:
+        return ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
+    if column == "phase" and winding > _MAX_WINDING:
+        return DomainError(f"q_n*wL is too large to resolve the phase modulo pi {at}")
+    if column == "phase" and float(r2) * wL * wL == math.inf:
+        return DomainError(f"rho_n^2*wL^2 overflows, so the phase is not resolved {at}")
+    return DomainError(f"{noun[column]} is not finite {at}")
 
 
 def _amplitude_pair(mag: float, phase: float, X: float) -> tuple[complex, complex]:
@@ -382,9 +403,9 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
     match_boundaries (the Wronskian-conserving solution); see
     transmission_magnitude_nr_form for the variant without it.  At v = 0
     (rho_n^2 = 1 - n2, n2 = E_NR/V0) this is the Schroedinger barrier.
-    Raises DomainError where q_n wL is infinite.
+    Raises the core's refusal of the magnitude or the phase (_refusal).
     """
-    point = _closed_forms(v, np.array([n2], dtype=float), wL)
+    point = _closed_forms(v, np.array([n2], dtype=float), wL, columns=("mag", "phase"))
     mag, phase = point.mag.item(), point.phase.item()
     T, R = _amplitude_pair(mag, phase, point.X.item())
     return TransmissionPoint(magnitude=mag, phase=phase, probability=mag * mag,
@@ -399,23 +420,27 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
     transmission (e.g. 0.463 instead of 0.103 at v=10, n2=5, wL=2pi).
     Provided solely so the discrepancy can be quantified.  Defined in the
     tunneling zone and on both edges, where rho_n = 0 gives the limit
-    [1 + wL^2/(4 n2)]^(-1/2); raises ZoneError in the oscillatory zones.
+    [1 + wL^2/(4 n2)]^(-1/2); raises ZoneError in the oscillatory zones
+    and _refusal where the result is not finite.
     """
     zone = classify_zone(setup, mode.E)
     if zone not in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         raise ZoneError(
             f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
     n2 = np.array([mode.n2], dtype=float)
-    return _nr_form_from_r2(n2, _rho_n2_columns(setup.v, n2)[0], setup.wL).item()
+    mag = _nr_form_from_r2(n2, _rho_n2_columns(setup.v, n2)[0], setup.wL).item()
+    if math.isnan(mag):
+        raise _refusal("nr", setup.v, mode.n2, setup.wL)
+    return mag
 
 
 def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
     """transmission_magnitude_nr_form at every (n2, rho_n^2 = r2) of two
     float64 arrays, with no zone check; as in _closed_forms, numpy does
-    the arithmetic and math the transcendentals."""
+    the arithmetic and math the transcendentals; inf * 0 gives a nan."""
     out = np.empty_like(r2)
     edge = r2 == 0.0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out[edge] = 1.0 / np.sqrt(1.0 + wL * wL / (4.0 * n2[edge]))
         n2, r2 = n2[~edge], r2[~edge]
         c = 1.0 / (4.0 * n2 * r2)

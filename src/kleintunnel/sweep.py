@@ -12,10 +12,11 @@ The ratio_numeric oracle is normalized_phase_time_numeric for every v.
 
 Grid points landing within 1e-9 (relative) of a zone edge are snapped to
 the edge, evaluated like every other point and flagged in the
-``nudged`` column rather than dropped; a column whose computation
-refuses a point stays empty there (``error`` field in JSON) and never
-aborts the sweep (phase_rad, for one, where q_n wL is too large to fix
-the phase modulo pi).
+``nudged`` column rather than dropped.  The closed-form core and the
+oracle decide every refusal, never the sweep: an input whose rho_n^2 or
+q_n wL overflows aborts the call with a DomainError, and any other cell
+they cannot vouch for stays empty, named "<column>: <reason>" in the
+row's ``error`` field (JSON) while the row keeps the rest.
 
 CSV contract: header row mandatory, columns in the fixed order
 
@@ -40,8 +41,8 @@ import numpy as np
 
 from .errors import DomainError, KleinTunnelError
 from .kinematics import Zone
-from .phasetime import _check_oracle_width, _phase_time_numeric
-from .scattering import _MAX_WINDING, _closed_forms, _nr_form_from_r2, _squared
+from .phasetime import _phase_time_numeric
+from .scattering import _closed_forms, _nr_form_from_r2, _refusal, _squared
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
@@ -116,23 +117,13 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
     """Evaluate the request grid in ascending n2, each point independently.
 
     The grid is handled as columns: snapping, zone tags, the closed-form
-    core (one call) and the NR column are array passes, and a refused
-    cell is emptied by a mask.  Edges, snap tolerances, wanted columns
-    and the wL = 0 refusal of both ratio columns are decided once.  Only
+    core (one call) and the NR column are array passes, and one pass
+    empties every cell the core left nan, named with its _refusal.  Only
     the oracle runs per row, fed each row's rho_n^2 from the core, so
     rho_n^2 is computed once per point.  The records hold Python floats.
     """
     v, wL = req.v, req.wL
     n2 = req.grid()
-    count = len(n2)
-    want_t2, want_nr, want_phase, want_closed, want_numeric = (
-        col in req.outputs for col in VALUE_COLUMNS)
-    # tau = 0 at wL = 0 leaves t_phi/tau undefined in both ratio columns
-    try:
-        _check_oracle_width(wL)
-        zero_width = None
-    except KleinTunnelError as exc:
-        zero_width = str(exc)
     lo = 0.5 * v - 1.0
     hi = 0.5 * v + 1.0
     # a point within EDGE_SNAP_RTOL of an edge is snapped onto it; there is
@@ -147,61 +138,47 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
     zone[lower] = 3
     zone[upper] = 4
     zones = np.array(_ZONES, dtype=object)[zone].tolist()
-    cols = _closed_forms(v, n2, wL, ratio=want_closed and zero_width is None)
+    cols = _closed_forms(v, n2, wL, ratio="ratio_closed" in req.outputs)
     n2_list = n2.tolist()
     # a refused cell stays empty and is named in errors; the row keeps the rest
-    none = [None] * count
+    none = [None] * len(n2)
     errors = none.copy()
 
-    def refuse(i: int, msg: str) -> None:
-        errors[i] = msg if errors[i] is None else f"{errors[i]}; {msg}"
+    def refuse(i: int, name: str, reason: object) -> None:
+        errors[i] = f"{name}: {reason}" if errors[i] is None else f"{errors[i]}; {name}: {reason}"
 
     t2 = cols.mag * cols.mag
-    t2_nr = none
-    if want_nr:
-        # tunneling or an edge; at v = 0 (n2 + rho_n^2 = 1) the NR prefactor
-        # is the exact one, so the column repeats T2_exact there
-        rows = (lo <= n2) & (n2 <= hi)
-        nr = t2
-        if v != 0.0:
-            nr = np.empty_like(t2)
-            nr[rows] = _squared(_nr_form_from_r2(n2[rows], cols.r2[rows], wL))
-        t2_nr = np.where(rows, nr, None).tolist()
-    phase = none
-    if want_phase:
-        far = cols.winding > _MAX_WINDING
-        phase = np.where(far, None, cols.phase).tolist()
-        for i in np.flatnonzero(far).tolist():
-            refuse(i, f"phase_rad: q_n*wL is too large to resolve the phase modulo pi "
-                      f"at v={v}, n2={n2_list[i]}, wL={wL}")
-    ratio_closed = none
-    if want_closed and zero_width is not None:
-        for i in range(count):
-            refuse(i, f"ratio_closed: {zero_width}")
-    elif want_closed:
-        bad = ~np.isfinite(cols.ratio)
-        ratio_closed = np.where(bad, None, cols.ratio).tolist()
-        for i in np.flatnonzero(bad).tolist():
-            refuse(i, f"ratio_closed: t_phi/tau is not finite at v={v}, n2={n2_list[i]}, "
-                      f"wL={wL}")
-    ratio_numeric = none
-    if want_numeric:
-        ratio_numeric = none.copy()
-        for i, (x, r2, edge) in enumerate(zip(n2_list, cols.r2.tolist(), nudged.tolist())):
-            if edge:
-                refuse(i, f"ratio_numeric: n2={x} lies on a zone edge")
-            elif zero_width is not None:
-                refuse(i, f"ratio_numeric: {zero_width}")
-            else:
-                try:
-                    ratio_numeric[i] = _phase_time_numeric(v, x, r2, wL)
-                except KleinTunnelError as exc:
-                    refuse(i, f"ratio_numeric: {exc}")
+    # T2_nr_form: tunneling or an edge; at v = 0 (n2 + rho_n^2 = 1) the NR
+    # prefactor is the exact one, so the column repeats T2_exact there
+    rows = (lo <= n2) & (n2 <= hi)
+    nr = t2
+    if "T2_nr_form" in req.outputs and v != 0.0:
+        nr = np.empty_like(t2)  # read on rows only
+        nr[rows] = _squared(_nr_form_from_r2(n2[rows], cols.r2[rows], wL))
+    # a nan cell is one the core refused: empty here, named with its reason
+    out = dict.fromkeys(VALUE_COLUMNS, none)
+    for name, column, values, defined in (
+            ("T2_exact", "mag", t2, True), ("T2_nr_form", "nr", nr, rows),
+            ("phase_rad", "phase", cols.phase, True), ("ratio_closed", "ratio", cols.ratio, True)):
+        if name in req.outputs:
+            bad = np.isnan(values) & defined
+            out[name] = np.where(defined & ~bad, values, None).tolist()
+            for i in np.flatnonzero(bad).tolist():
+                refuse(i, name, _refusal(column, v, n2_list[i], wL, cols.winding[i], cols.r2[i]))
+    if "ratio_numeric" in req.outputs:
+        out["ratio_numeric"] = ratio_numeric = none.copy()
+        # a snapped row lies on its edge, where rho_n^2 = 0 whatever the
+        # rounding of the core's expression; the oracle refuses it there
+        r2s = np.where(nudged, 0.0, cols.r2).tolist()
+        for i, (x, r2) in enumerate(zip(n2_list, r2s)):
+            try:
+                ratio_numeric[i] = _phase_time_numeric(v, x, r2, wL)
+            except KleinTunnelError as exc:
+                refuse(i, "ratio_numeric", exc)
     # tuple.__new__ skips the NamedTuple's Python-level __new__
     return list(map(tuple.__new__, repeat(SweepRecord), zip(
-        n2_list, cols.s.tolist() if v > 0.0 else none, zones,
-        t2.tolist() if want_t2 else none, t2_nr, phase, ratio_closed, ratio_numeric,
-        nudged.tolist(), errors)))
+        n2_list, cols.s.tolist() if v > 0.0 else none, zones, out["T2_exact"], out["T2_nr_form"],
+        out["phase_rad"], out["ratio_closed"], out["ratio_numeric"], nudged.tolist(), errors)))
 
 
 # ---------------------------------------------------------------------------

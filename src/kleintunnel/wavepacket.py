@@ -189,8 +189,9 @@ def _simpson_levels(spectrum: SpectrumSpec):
 
 
 def _amplitudes(setup: BarrierSetup, ks: np.ndarray, reflected: bool = False) -> np.ndarray:
-    """Closed-form T (R if reflected) at the nodes ks, in one closed-form call."""
-    cols = _closed_forms(setup.v, _squared(ks / setup.w), setup.wL)
+    """Closed-form T (R if reflected) at the nodes ks, in one closed-form call
+    that raises its refusal of any node's |T| or phase."""
+    cols = _closed_forms(setup.v, _squared(ks / setup.w), setup.wL, columns=("mag", "phase"))
     mag, phase = cols.mag.tolist(), cols.phase.tolist()
     if reflected:
         return np.array([_amplitude_pair(m, p, X)[1]

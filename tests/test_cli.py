@@ -82,6 +82,15 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: q_n*wL is not finite at v=10.0, n2=1.0, wL=1e+300\n"
 
+    def test_unresolved_phase_argument(self, capsys):
+        # past the phase cutoff (q_n wL ~ 6e75) amp refuses the point, with
+        # the text of the sweep's empty phase_rad cell
+        code, out, err = run_cli(capsys, "amp", "--v", "10", "--n2", "1e150",
+                                 "--wL", repr(2.0 * math.pi))
+        assert code == 1 and out == ""
+        assert err == ("error: q_n*wL is too large to resolve the phase modulo pi "
+                       f"at v=10.0, n2=1e+150, wL={2.0 * math.pi}\n")
+
     def test_success(self, capsys):
         code, _, _ = run_cli(capsys, "limits", "--v", "10")
         assert code == 0

@@ -112,3 +112,42 @@ def test_rule_guard_sees_a_breach():
     tree = ast.parse("import numpy as xp\nfrom numpy import tanh\n"
                      "y = xp.exp(1.0) + xp.sqrt(2.0)\n")
     assert _numpy_uses(tree) == ["tanh", "xp.exp (line 3)"]
+
+
+# the closed columns' refusal texts and cutoff, decided once in scattering
+_REFUSAL_TEXTS = ("is not finite", "too large to resolve the phase",
+                  "tau=0 and t_phi/tau is undefined")
+
+
+def _refusal_rule_breaches(tree: ast.AST) -> list[str]:
+    """Refusal texts of the closed columns, and uses of _MAX_WINDING, in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [f"{text!r} (line {node.lineno})" for text in _REFUSAL_TEXTS
+                      if text in node.value]
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"import {a.name} (line {node.lineno})" for a in node.names
+                      if a.name == "_MAX_WINDING"]
+        elif isinstance(node, (ast.Name, ast.Attribute)) and "_MAX_WINDING" in (
+                getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append(f"_MAX_WINDING (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", ["sweep.py", "phasetime.py", "wavepacket.py"])
+def test_one_refusal_rule(module):
+    """The closed-form core decides each refused cell (scattering._refusal);
+    the sweep, the phase-time calls and the packet only report it.  A
+    refusal text or the phase cutoff written here again would be a second
+    policy, free to disagree with the first."""
+    tree = ast.parse((_PACKAGE / module).read_text(encoding="utf-8"))
+    assert _refusal_rule_breaches(tree) == []
+
+
+def test_refusal_guard_sees_a_breach():
+    tree = ast.parse("from .scattering import _MAX_WINDING\n"
+                     "far = w > scattering._MAX_WINDING\n"
+                     "msg = f'ratio: t_phi/tau is not finite at v={v}'\n")
+    assert _refusal_rule_breaches(tree) == [
+        "import _MAX_WINDING (line 1)", "_MAX_WINDING (line 2)", "'is not finite' (line 3)"]

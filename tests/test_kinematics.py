@@ -230,3 +230,9 @@ class TestRhoN2:
     def test_nr_limit(self):
         for n2 in np.linspace(0.01, 0.99, 25):
             assert rho_n2(1e-8, float(n2)) == pytest.approx(1.0 - n2, abs=1e-6)
+
+    def test_overflowing_square_root_is_a_domain_error(self):
+        # 2 n2 v overflows in s = sqrt(1 + 2 n2 v); numerator/inf would read
+        # 0.0, where rho_n^2 is 5.0e-301 (40-digit mpmath)
+        with pytest.raises(DomainError, match=r"sqrt\(1 \+ 2\*n2\*v\) overflows"):
+            rho_n2(1e300, 5e299)

@@ -127,6 +127,15 @@ class TestClosedForm:
         assert not res.ratio_defined
         assert math.isnan(res.ratio)
 
+    def test_zero_width_ratio_is_refused(self):
+        # tau = 0 leaves t_phi/tau undefined: both ratios refuse with the
+        # text of the sweep's empty ratio cells, as does the NR reference
+        for call in (normalized_phase_time, normalized_phase_time_numeric):
+            with pytest.raises(ZeroLengthError, match="^wL=0: tau=0 and t_phi/tau is undefined$"):
+                call(10.0, 1.0, 0.0)
+        with pytest.raises(ZeroLengthError):
+            nr_transmission(make(L=0.0), 0.5)
+
     def test_huge_width_hartman_decay(self):
         # ratio ~ const/(rho wL) in the opaque limit: halving against
         # doubled width, and the overflow-safe branch must agree with the

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from kleintunnel import (
     write_json,
 )
 from kleintunnel.kinematics import rho_n2
-from kleintunnel.scattering import _nr_form_from_r2
+from kleintunnel.scattering import _closed_forms, _nr_form_from_r2
 from kleintunnel.sweep import CSV_COLUMNS, fig1_request
 from test_phasetime import mp_ratio
 
@@ -95,6 +96,19 @@ def sweep_requests(draw):
     return SweepRequest(v=v, wL=wL, n2_min=lo, n2_max=hi, count=draw(st.integers(2, 6)))
 
 
+def t2_point(v, n2, wL):
+    """T2_exact at one point: transmission_closed_form's |T|^2.  Where the call
+    refuses the phase alone, the sweep keeps |T|; it is then the one-element
+    core's."""
+    try:
+        return transmission_closed_form(v, n2, wL).probability
+    except KleinTunnelError:
+        mag = _closed_forms(v, np.array([n2]), wL).mag.item()
+        if math.isnan(mag):
+            raise
+        return mag * mag
+
+
 class TestSweepIsAMap:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(sweep_requests())
@@ -103,39 +117,55 @@ class TestSweepIsAMap:
     @example(SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=4.0 - 3e-10, n2_max=6.0 + 1e-10,
                           count=5))
     @example(SweepRequest(v=0.0, wL=2.0 * math.pi, n2_min=0.5, n2_max=1.0 + 1e-10, count=4))
+    # the phase cutoff; d2 = rho_n^2 wL^2 overflowing; an overflowed factor times wL = 0
+    @example(SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=1.0, n2_max=1e150, count=2))
+    @example(SweepRequest(v=10.0, wL=1e155, n2_min=5.0, n2_max=5.5, count=2))
+    @example(SweepRequest(v=1e150, wL=0.0, n2_min=5e-324, n2_max=1e-300, count=2))
+    @example(SweepRequest(v=1.0, wL=0.0, n2_min=5e-324, n2_max=1e-300, count=2))
+    # a snapped upper edge where the rho_n^2 expression rounds to -5.4e-17, not 0
+    @example(SweepRequest(v=15.527620836643477, wL=2.0 * math.pi, n2_min=8.0,
+                          n2_max=8.76381041832174, count=2))
     def test_single_points_match_direct_calls_bitwise(self, req):
         # every column is the public (or per-point) call at the row's n2,
-        # compared by repr: bitwise, signed zeros included
+        # compared by repr: bitwise, signed zeros included.  Where the call
+        # refuses, the cell is empty and the row's error holds the call's text
         v, wL = req.v, req.wL
         for rec in run_sweep(req):
             n2 = rec.n2
-            point = transmission_closed_form(v, n2, wL)
-            assert repr(rec.t2_exact) == repr(point.probability)
-            assert repr(rec.phase_rad) == repr(point.phase)
-            # wL = 0 (tau = 0) leaves t_phi/tau undefined: both ratio columns refuse
-            closed = None if wL == 0.0 else normalized_phase_time(v, n2, wL)
-            assert repr(rec.ratio_closed) == repr(closed)
-            edge_or_tunneling = 0.5 * v - 1.0 <= n2 <= 0.5 * v + 1.0
-            t2_nr = None if not edge_or_tunneling else (
-                point.probability if v == 0.0 else nr_form(v, n2, wL) ** 2)
-            assert repr(rec.t2_nr_form) == repr(t2_nr)
-            assert repr(rec.e_over_m) == repr(math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None)
-            zero_width = "wL=0: tau=0 and t_phi/tau is undefined"
-            closed_error = [f"ratio_closed: {zero_width}"] if wL == 0.0 else []
+
+            def agrees(column, value, call):
+                try:
+                    expected = call()
+                except KleinTunnelError as exc:
+                    assert value is None and f"{column}: " in rec.error, (column, rec)
+                    assert str(exc) in rec.error, (column, rec, exc)
+                else:
+                    assert repr(value) == repr(expected), (column, rec)
+
+            agrees("T2_exact", rec.t2_exact, lambda: t2_point(v, n2, wL))
+            agrees("phase_rad", rec.phase_rad, lambda: transmission_closed_form(v, n2, wL).phase)
+            agrees("ratio_closed", rec.ratio_closed, lambda: normalized_phase_time(v, n2, wL))
             if rec.nudged:
                 assert rec.zone.startswith("Edge") and rec.ratio_numeric is None
-                assert rec.error == "; ".join(
-                    closed_error + [f"ratio_numeric: n2={n2} lies on a zone edge"])
-                continue
-            try:
-                numeric = normalized_phase_time_numeric(v, n2, wL)
-            except KleinTunnelError:
-                numeric = None
-            assert repr(rec.ratio_numeric) == repr(numeric)
-            if wL == 0.0:
-                assert rec.error == "; ".join(closed_error + [f"ratio_numeric: {zero_width}"])
+                assert f"ratio_numeric: n2={n2} lies on a zone edge" in rec.error
             else:
-                assert rec.error is None
+                agrees("ratio_numeric", rec.ratio_numeric,
+                       lambda: normalized_phase_time_numeric(v, n2, wL))
+            # T2_nr_form is defined in the tunneling zone and on the edges only
+            edge_or_tunneling = 0.5 * v - 1.0 <= n2 <= 0.5 * v + 1.0
+            if not edge_or_tunneling:
+                assert rec.t2_nr_form is None
+            elif v == 0.0:
+                agrees("T2_nr_form", rec.t2_nr_form, lambda: t2_point(v, n2, wL))
+            elif math.isnan(nr_form(v, n2, wL)):
+                assert rec.t2_nr_form is None and "T2_nr_form: " in rec.error
+            else:
+                assert repr(rec.t2_nr_form) == repr(nr_form(v, n2, wL) ** 2)
+            # the row names its empty cells and nothing else
+            empty = (rec.t2_exact, rec.phase_rad, rec.ratio_closed, rec.ratio_numeric).count(None)
+            empty += edge_or_tunneling and rec.t2_nr_form is None
+            assert len(rec.error.split("; ") if rec.error else []) == empty
+            assert repr(rec.e_over_m) == repr(math.sqrt(1.0 + 2.0 * n2 * v) if v > 0.0 else None)
 
     def test_t2_exact_is_checked_by_the_matcher(self):
         # the matcher stays the independent check of the column
@@ -323,6 +353,64 @@ class TestOverflow:
         first, last = run_sweep(SweepRequest(v=10.0, wL=1.0, n2_min=1e30, n2_max=1e34, count=2))
         assert first.phase_rad is not None and first.error is None
         assert last.phase_rad is None and last.error.startswith("phase_rad:")
+
+
+# inputs at the ends of the float range, as (v, wL, n2 grid)
+_EXTREMES = (
+    # d2 = rho_n^2 wL^2 overflows, and tc = 1/inf = 0 would zero the phase
+    (10.0, 1e155, (5.0, 5.5)),
+    # an overflowed factor meets a zero: Y = inf * 0 and X = -inf * 0
+    (1.0, 1e200, (1e-300, 2e-300)),
+    (1e150, 0.0, (5e-324, 1e-300)),
+    (1.0, 0.0, (5e-324, 1e-300)),  # the NR prefactor 1/(4 n2 rho_n^2) = inf
+    # s = sqrt(1 + 2 n2 v) overflows, which would make rho_n^2 = 0
+    (1e300, 1.0, (5e299 * (1.0 - 1e-12), 5e299 * (1.0 + 1e-12))),
+    # the phase cutoff, wL = 0 and the ratio's overflow
+    (10.0, 2.0 * math.pi, (1.0, 1e150)),
+    (10.0, 0.0, (1.0, 6.0)),
+    (10.0, 2.0 * math.pi, (1.0, 1e154)),
+)
+
+
+class TestFiniteOrTyped:
+    """Every number out is finite, or the cell is empty and named, or the call
+    raises a KleinTunnelError (with no RuntimeWarning, which pytest makes an
+    error)."""
+
+    @pytest.mark.parametrize("v, wL, grid", _EXTREMES)
+    def test_sweep_writes_no_nan_and_names_every_empty_cell(self, v, wL, grid, tmp_path):
+        try:
+            recs = run_sweep(SweepRequest(v=v, wL=wL, n2_min=grid[0], n2_max=grid[1], count=2))
+        except KleinTunnelError:
+            return  # rho_n^2 or q_n wL overflow: the whole call aborts
+        write_csv(recs, tmp_path / "x.csv")
+        cells = (tmp_path / "x.csv").read_text().replace("\n", ",").split(",")
+        assert not {"nan", "inf", "-inf"} & set(cells)
+        write_json(recs, tmp_path / "x.json")
+        for row in json.loads((tmp_path / "x.json").read_text()):
+            named = row["error"].split("; ") if row["error"] else []
+            # T2_nr_form is defined in the tunneling zone and on the edges only
+            tunneling_or_edge = 0.5 * v - 1.0 <= row["n2"] <= 0.5 * v + 1.0
+            for column in ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed",
+                           "ratio_numeric"):
+                if row[column] is None and (column != "T2_nr_form" or tunneling_or_edge):
+                    assert any(item.startswith(f"{column}: ") for item in named), (column, row)
+            assert row["E_over_m"] is not None
+
+    @pytest.mark.parametrize("v, wL, grid", _EXTREMES)
+    def test_one_point_calls_are_finite_or_typed(self, v, wL, grid):
+        for n2 in grid:
+            for call in (lambda: transmission_closed_form(v, n2, wL),
+                         lambda: normalized_phase_time(v, n2, wL),
+                         lambda: normalized_phase_time_numeric(v, n2, wL),
+                         lambda: rho_n2(v, n2)):
+                try:
+                    out = call()
+                except KleinTunnelError:
+                    continue
+                values = (out,) if isinstance(out, float) else (
+                    out.magnitude, out.phase, out.probability, out.T, out.R)
+                assert all(cmath.isfinite(x) for x in values), (v, n2, wL, out)
 
 
 class TestNRPipeline:

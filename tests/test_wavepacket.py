@@ -265,6 +265,18 @@ class TestInputValidation:
             distortion(s, spec, tol=tol)
         assert calls == []
 
+    def test_refused_amplitudes_raise(self):
+        # at wL = 1e155 d2 = rho_n^2 wL^2 overflows in the tunneling zone and
+        # the core refuses the phase: the packet raises that refusal instead
+        # of integrating the node
+        s = BarrierSetup(m=1.0, V0=10.0, L=1e155 / math.sqrt(20.0))
+        spec = SpectrumSpec(k0=10.0, sigma_k=0.05)  # n2 within [4.7, 5.3]
+        for synth, x in ((synthesize_transmitted, s.L), (synthesize_reflected, 0.0)):
+            with pytest.raises(DomainError, match=r"rho_n\^2\*wL\^2 overflows"):
+                synth(s, spec, x, 0.0)
+        with pytest.raises(DomainError, match=r"rho_n\^2\*wL\^2 overflows"):
+            distortion(s, spec)
+
 
 class TestPhaseTable:
     @pytest.mark.parametrize("count", [1, 2, 3, 10, 41, 64, 65, 129, 650, 2001])
