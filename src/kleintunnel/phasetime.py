@@ -40,14 +40,15 @@ v = 0 is that panel's oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ZoneCrossingError
-from .kinematics import BarrierSetup, IncidentMode, Zone, classify_zone, rho_n2
-from .scattering import _closed_forms, _matched, _refusal, transmission_closed_form
+from .errors import DomainError, KleinTunnelError, ZoneCrossingError
+from .kinematics import BarrierSetup, IncidentMode, Zone, _rho_n2_columns, classify_zone
+from .scattering import _closed_forms, _past_cutoff, _refusal, transmission_closed_form
 
 
 @dataclass(frozen=True)
@@ -141,36 +142,142 @@ def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
     (dkappa = -1/(2 kappa) at v = 0, the Schroedinger dispersion) and
     t_phi/tau = (2n/wL) Im(d log T/dn2).  Taking Im of the logarithmic
     derivative needs no phase unwrapping, and an opaque barrier whose u
-    underflows loses nothing.  The only input it shares with the closed
-    form is rho_n^2 = kinematics.rho_n2(v, n2); a sweep computes that once
-    per point and passes it to both.
+    underflows loses nothing.  The only inputs it shares with the closed
+    form are rho_n^2 and s from kinematics._rho_n2_columns; a sweep
+    computes them once per point and passes them to both.  This is the
+    column oracle _phase_time_columns at a one-element array.
 
-    Raises ZoneCrossingError exactly on a zone edge (rho_n^2 == 0) and
-    otherwise ZeroLengthError at wL = 0, where tau = 0.
+    Raises ZoneCrossingError on a zone edge (n2 == v/2 -+ 1 in floats, or
+    rho_n^2 == 0), otherwise ZeroLengthError at wL = 0, where tau = 0, and
+    DomainError past the phase cutoff or where the value overflows or is nan.
     """
-    return _phase_time_numeric(v, n2, rho_n2(v, n2), wL)
+    x = np.array([n2], dtype=float)
+    r2, s = _rho_n2_columns(v, x)
+    ratio, winding = _phase_time_columns(v, x, r2, s, wL)
+    if math.isnan(ratio[0]):
+        raise _numeric_refusal(v, n2, wL, winding[0], r2[0])
+    return ratio.item()
 
 
-def _phase_time_numeric(v: float, n2: float, r2: float, wL: float) -> float:
-    """normalized_phase_time_numeric with r2 = rho_n2(v, n2) given."""
-    if r2 == 0.0:
-        raise ZoneCrossingError(f"n2={n2} lies on a zone edge")
-    if wL == 0.0:
-        raise _refusal("ratio", v, n2, wL)
-    n = math.sqrt(n2)
-    kappa = complex(math.sqrt(r2)) if r2 > 0.0 else 1j * math.sqrt(-r2)
-    _, _, g2, u2, Qk, P, det = _matched(n, kappa, wL)
+def _on_edge(v, n2, r2):
+    """Where the oracle's kappa vanishes: n2 is a zone edge v/2 -+ 1 in
+    floats (the values a sweep snaps to), whatever rho_n^2 rounds to there,
+    or rho_n^2 is 0.  Arrays or scalars."""
+    return (r2 == 0.0) | (n2 == 0.5 * v - 1.0) | (n2 == 0.5 * v + 1.0)
+
+
+def _numeric_refusal(v: float, n2: float, wL: float, winding: float,
+                     r2: float) -> KleinTunnelError:
+    """The error naming why _phase_time_columns left the entry at n2 nan,
+    given its winding and r2: a zone edge, else scattering._refusal's
+    text for wL = 0, the phase cutoff or an inf or nan value."""
+    if _on_edge(v, n2, r2):
+        return ZoneCrossingError(f"n2={n2} lies on a zone edge")
+    return _refusal("phase" if _past_cutoff(winding) else "ratio", v, n2, wL, winding, r2)
+
+
+def _phase_time_columns(v: float, n2: np.ndarray, r2: np.ndarray, s: np.ndarray,
+                        wL: float) -> tuple[np.ndarray, np.ndarray]:
+    """normalized_phase_time_numeric at every n2 of a float64 array, given
+    (r2, s) = kinematics._rho_n2_columns(v, n2): (ratio, winding).
+
+    winding = floor(q_n wL / pi + 1/2), 0 off the oscillatory zones.  The
+    ratio is nan where the oracle refuses (_numeric_refusal names why): on
+    a zone edge, at wL = 0, past the phase cutoff, where cmath.exp of a
+    huge q_n wL is an arbitrary unit number, and wherever it is inf or nan.
+    """
+    root = np.sqrt(np.abs(r2))
+    osc = r2 < 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at wL = inf
+        winding = np.floor(np.where(osc, root, 0.0) * wL / math.pi + 0.5)
+    ratio = np.full(r2.shape, math.nan)
+    keep = ~(_on_edge(v, n2, r2) | _past_cutoff(winding))
+    if wL != 0.0 and np.count_nonzero(keep):
+        with np.errstate(all="ignore"):
+            ratio[keep] = _solve_columns(v, n2[keep], root[keep], osc[keep], s[keep], wL)
+        ratio[~np.isfinite(ratio)] = math.nan
+    return ratio, winding
+
+
+def _mul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) in CPython 3.11's order (_Py_c_prod)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div(ar, ai, br, bi):
+    """(ar + i ai)/(br + i bi) in CPython 3.11's order (_Py_c_quot): Smith's
+    division by the part of larger magnitude, chosen per entry (a nan
+    takes the second branch, which gives nan as CPython does)."""
+    big = np.abs(br) >= np.abs(bi)
+    # p divides: br + bi*ratio or br*ratio + bi, the same sum commuted
+    p, q = np.where(big, br, bi), np.where(big, bi, br)
+    ratio = q / p
+    denom = p + q * ratio
+    c, d = np.where(big, ar, ai), np.where(big, ai, ar)
+    return (c + d * ratio) / denom, np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
+
+
+def _solve_columns(v: float, n2: np.ndarray, root: np.ndarray, osc: np.ndarray,
+                   s: np.ndarray, wL: float) -> np.ndarray:
+    """The oracle's solve and its n2-derivative over columns, root = |rho_n|.
+
+    Each complex quantity is a (re, im) pair of float64 arrays, and every
+    product and quotient is written out in CPython 3.11's order (_mul,
+    _div), a real operand x as complex(x, 0.0), so each entry has the
+    bytes of the scalar complex formulas at that n2 alone: numpy's own
+    complex128 * and / round differently in up to half the entries.
+    numpy does only +, -, *, / and sqrt; exp is cmath's, mapped.
+
+    The forward solve (u, g1, g2, u2, Qk, P, det) is scattering._matched
+    written out again, not called: match_boundaries keeps the scalar
+    _matched, because this solve at one element costs about 50 us against
+    1.0 us for _matched, and the test suite alone makes 17 112 matcher
+    calls (about +0.9 s, with no workload faster).
+    """
+    n = np.sqrt(n2)
+    # kappa = complex(rho_n), or 1j * q_n = (0, 1)(q_n, 0) = (0.0, q_n)
+    kr, ki = np.where(osc, 0.0, root), np.where(osc, root, 0.0)
+    # u = exp(-kappa wL)
+    er, ei = _mul(-kr, -ki, wL, 0.0)
+    u = list(map(cmath.exp, map(complex, er.tolist(), ei.tolist())))
+    ur = np.array([z.real for z in u])
+    ui = np.array([z.imag for z in u])
+    inr, ini = _mul(0.0, 1.0, n, 0.0)  # 1j * n
+    irr, iri = _div(inr, ini, kr, ki)
+    g1r, g1i = _mul(0.5, 0.0, 1.0 - irr, 0.0 - iri)
+    g2r, g2i = _mul(0.5, 0.0, 1.0 + irr, 0.0 + iri)
+    u2r, u2i = _mul(ur, ui, ur, ui)
+    gur, gui = _mul(g2r, g2i, u2r, u2i)
+    Pr, Pi = g1r + gur, g1i + gui
+    Qr, Qi = gur - g1r, gui - g1i
+    ar, ai = _mul(kr, ki, Qr, Qi)
+    br, bi = _mul(inr, ini, Pr, Pi)
+    detr, deti = ar + br, ai + bi
+    # the n2-derivative: dn, dkappa = (v/s - 1)/(2 kappa)
     dn = 0.5 / n
-    dkappa = (v / math.sqrt(1.0 + 2.0 * n2 * v) - 1.0) / (2.0 * kappa)
-    # dg2 = d(i n/kappa)/2 = -dg1
-    dg2 = 0.5 * (1j * (dn - n * dkappa / kappa) / kappa)
-    du2 = -2.0 * wL * dkappa * u2
-    g2du2 = g2 * du2
-    dP = dg2 * (u2 - 1.0) + g2du2
-    dQ = dkappa * Qk + kappa * (dg2 * (u2 + 1.0) + g2du2)
-    ddet = dQ + 1j * (dn * P + n * dP)
+    dkr, dki = _div(v / s - 1.0, 0.0, *_mul(2.0, 0.0, kr, ki))
+    # dg2 = d(i n/kappa)/2 = -dg1 = 0.5 (1j (dn - n dkappa/kappa) / kappa)
+    ar, ai = _div(*_mul(n, 0.0, dkr, dki), kr, ki)
+    ar, ai = _div(*_mul(0.0, 1.0, dn - ar, 0.0 - ai), kr, ki)
+    dgr, dgi = _mul(0.5, 0.0, ar, ai)
+    # du2 = -2 wL dkappa u2, g2du2 = g2 du2
+    dur, dui = _mul(*_mul(-2.0 * wL, 0.0, dkr, dki), u2r, u2i)
+    hr, hi = _mul(g2r, g2i, dur, dui)
+    # dP = dg2 (u2 - 1) + g2du2
+    ar, ai = _mul(dgr, dgi, u2r - 1.0, u2i - 0.0)
+    dPr, dPi = ar + hr, ai + hi
+    # dQ = dkappa Qk + kappa (dg2 (u2 + 1) + g2du2)
+    ar, ai = _mul(dgr, dgi, u2r + 1.0, u2i + 0.0)
+    ar, ai = _mul(kr, ki, ar + hr, ai + hi)
+    br, bi = _mul(dkr, dki, Qr, Qi)
+    dQr, dQi = br + ar, bi + ai
+    # ddet = dQ + 1j (dn P + n dP)
+    ar, ai = _mul(dn, 0.0, Pr, Pi)
+    br, bi = _mul(n, 0.0, dPr, dPi)
+    ar, ai = _mul(0.0, 1.0, ar + br, ai + bi)
+    ar, ai = dQr + ar, dQi + ai
     # dn/n is real
-    return 2.0 * n / wL * (-(ddet / det).imag - wL * dkappa.imag)
+    return 2.0 * n / wL * (-_div(ar, ai, detr, deti)[1] - wL * dki)
 
 
 def phase_time_numeric(setup: BarrierSetup, mode: IncidentMode,

@@ -218,6 +218,12 @@ LARGE_D2 = 350.0**2
 _MAX_WINDING = 10 ** 15
 
 
+def _past_cutoff(winding):
+    """Where a winding count floor(q_n wL/pi + 1/2) (array or scalar) is past
+    the phase cutoff: the one test of it, for the core and the oracle."""
+    return winding > _MAX_WINDING
+
+
 class _Columns(NamedTuple):
     """The closed forms at every n2 of a grid, one float64 array each.
 
@@ -320,7 +326,7 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
         Y = (n2 - r2) / two_n * wL * tc
         phase = _map(math.atan, Y) + winding * math.pi
         # unresolved past the cutoff, and where d2 = inf zeroes tc (wL tc -> 1/rho_n)
-        phase[(winding > _MAX_WINDING) | (d2 == math.inf)] = math.nan
+        phase[_past_cutoff(winding) | (d2 == math.inf)] = math.nan
         if np.count_nonzero(large):
             # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
             a, b = n2[large], r2[large]
@@ -372,7 +378,7 @@ def _refusal(column: str, v: float, n2: float, wL: float,
     at = f"at v={v}, n2={n2}, wL={wL}"
     if column == "ratio" and wL == 0.0:
         return ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
-    if column == "phase" and winding > _MAX_WINDING:
+    if column == "phase" and _past_cutoff(winding):
         return DomainError(f"q_n*wL is too large to resolve the phase modulo pi {at}")
     if column == "phase" and float(r2) * wL * wL == math.inf:
         return DomainError(f"rho_n^2*wL^2 overflows, so the phase is not resolved {at}")

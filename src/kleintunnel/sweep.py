@@ -2,13 +2,14 @@
 
 A sweep is defined by (v, wL) and a linear n2 grid; each grid point is a
 function of (v, n2, wL) alone, computed independently in grid order, all
-in one closed-form core call.  Each point's rho_n^2 is computed once, in
-that call, and handed to the NR column and the oracle.  The phase column
-is the closed form's phase, continuous in n2 by construction whatever
-the grid spacing.  The zone follows from comparing n2 with the edges
-v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v), for every v; v = 0 is the
-Schroedinger barrier through the same formulas, with E_over_m empty.
-The ratio_numeric oracle is normalized_phase_time_numeric for every v.
+in one closed-form core call and one oracle call.  Each point's rho_n^2
+is computed once, in the core call, and handed to the NR column and the
+oracle.  The phase column is the closed form's phase, continuous in n2
+by construction whatever the grid spacing.  The zone follows from
+comparing n2 with the edges v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v),
+for every v; v = 0 is the Schroedinger barrier through the same
+formulas, with E_over_m empty.  The ratio_numeric oracle is
+normalized_phase_time_numeric for every v, evaluated over the whole grid.
 
 Grid points landing within 1e-9 (relative) of a zone edge are snapped to
 the edge, evaluated like every other point and flagged in the
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, KleinTunnelError
 from .kinematics import Zone
-from .phasetime import _phase_time_numeric
+from .phasetime import _numeric_refusal, _phase_time_columns
 from .scattering import _closed_forms, _nr_form_from_r2, _refusal, _squared
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
@@ -117,10 +118,11 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
     """Evaluate the request grid in ascending n2, each point independently.
 
     The grid is handled as columns: snapping, zone tags, the closed-form
-    core (one call) and the NR column are array passes, and one pass
-    empties every cell the core left nan, named with its _refusal.  Only
-    the oracle runs per row, fed each row's rho_n^2 from the core, so
-    rho_n^2 is computed once per point.  The records hold Python floats.
+    core (one call), the NR column and the oracle (one call, fed the
+    core's rho_n^2 and s, so rho_n^2 is computed once per point) are array
+    passes, and one pass empties every cell the core or the oracle left
+    nan, named with its refusal.  Only naming refused cells and building
+    the records run per row.  The records hold Python floats.
     """
     v, wL = req.v, req.wL
     n2 = req.grid()
@@ -155,26 +157,23 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
     if "T2_nr_form" in req.outputs and v != 0.0:
         nr = np.empty_like(t2)  # read on rows only
         nr[rows] = _squared(_nr_form_from_r2(n2[rows], cols.r2[rows], wL))
-    # a nan cell is one the core refused: empty here, named with its reason
+    numeric = winding = None
+    if "ratio_numeric" in req.outputs:
+        numeric, winding = _phase_time_columns(v, n2, cols.r2, cols.s, wL)
+    # a nan cell is one the core or the oracle refused: empty here, named
+    # with its reason
     out = dict.fromkeys(VALUE_COLUMNS, none)
     for name, column, values, defined in (
             ("T2_exact", "mag", t2, True), ("T2_nr_form", "nr", nr, rows),
-            ("phase_rad", "phase", cols.phase, True), ("ratio_closed", "ratio", cols.ratio, True)):
+            ("phase_rad", "phase", cols.phase, True), ("ratio_closed", "ratio", cols.ratio, True),
+            ("ratio_numeric", None, numeric, True)):
         if name in req.outputs:
             bad = np.isnan(values) & defined
             out[name] = np.where(defined & ~bad, values, None).tolist()
             for i in np.flatnonzero(bad).tolist():
-                refuse(i, name, _refusal(column, v, n2_list[i], wL, cols.winding[i], cols.r2[i]))
-    if "ratio_numeric" in req.outputs:
-        out["ratio_numeric"] = ratio_numeric = none.copy()
-        # a snapped row lies on its edge, where rho_n^2 = 0 whatever the
-        # rounding of the core's expression; the oracle refuses it there
-        r2s = np.where(nudged, 0.0, cols.r2).tolist()
-        for i, (x, r2) in enumerate(zip(n2_list, r2s)):
-            try:
-                ratio_numeric[i] = _phase_time_numeric(v, x, r2, wL)
-            except KleinTunnelError as exc:
-                refuse(i, "ratio_numeric", exc)
+                x, r2 = n2_list[i], cols.r2[i]
+                refuse(i, name, _refusal(column, v, x, wL, cols.winding[i], r2) if column
+                       else _numeric_refusal(v, x, wL, winding[i], r2))
     # tuple.__new__ skips the NamedTuple's Python-level __new__
     return list(map(tuple.__new__, repeat(SweepRecord), zip(
         n2_list, cols.s.tolist() if v > 0.0 else none, zones, out["T2_exact"], out["T2_nr_form"],

@@ -225,6 +225,25 @@ class TestNumericOracle:
         with pytest.raises(ZoneCrossingError):
             phase_time_numeric(s, mode_from_energy(s, 9.0))
 
+    @pytest.mark.parametrize("v, n2", [(15.527620836643477, 8.76381041832174),
+                                       (10.0, 4.0), (10.0, 6.0), (0.0, 1.0)])
+    def test_refuses_every_float_edge(self, v, n2):
+        # n2 == v/2 -+ 1 in floats, the values a sweep snaps to; at the first
+        # point the rho_n^2 expression rounds to -5.4e-17, not 0, and the
+        # oracle used to return -494159 there (the closed form gives 0.086)
+        assert n2 in (0.5 * v - 1.0, 0.5 * v + 1.0)
+        with pytest.raises(ZoneCrossingError, match=f"^n2={n2} lies on a zone edge$"):
+            normalized_phase_time_numeric(v, n2, 2.0 * math.pi)
+
+    @pytest.mark.parametrize("wL", [1e17, 1e300])
+    def test_refuses_past_the_phase_cutoff(self, wL):
+        # q_n wL ~ 2 wL: exp(-i q_n wL) is an arbitrary unit number there
+        # (the oracle used to return -1.008 and -1.0058); below the cutoff
+        # it is still a value
+        with pytest.raises(DomainError, match="q_n\\*wL is too large to resolve the phase"):
+            normalized_phase_time_numeric(10.0, 1.0, wL)
+        assert math.isfinite(normalized_phase_time_numeric(10.0, 1.0, 1e14))
+
     def test_zero_length_flagged(self):
         s = make(L=0.0)
         res = phase_time_numeric(s, mode_from_energy(s, 10.0))

@@ -145,12 +145,12 @@ class TestSweepIsAMap:
             agrees("T2_exact", rec.t2_exact, lambda: t2_point(v, n2, wL))
             agrees("phase_rad", rec.phase_rad, lambda: transmission_closed_form(v, n2, wL).phase)
             agrees("ratio_closed", rec.ratio_closed, lambda: normalized_phase_time(v, n2, wL))
+            # the oracle refuses a snapped edge row, and so does its one-point call
+            agrees("ratio_numeric", rec.ratio_numeric,
+                   lambda: normalized_phase_time_numeric(v, n2, wL))
             if rec.nudged:
                 assert rec.zone.startswith("Edge") and rec.ratio_numeric is None
                 assert f"ratio_numeric: n2={n2} lies on a zone edge" in rec.error
-            else:
-                agrees("ratio_numeric", rec.ratio_numeric,
-                       lambda: normalized_phase_time_numeric(v, n2, wL))
             # T2_nr_form is defined in the tunneling zone and on the edges only
             edge_or_tunneling = 0.5 * v - 1.0 <= n2 <= 0.5 * v + 1.0
             if not edge_or_tunneling:
@@ -322,12 +322,12 @@ class TestOverflow:
 
     def test_non_finite_ratio_empties_its_cell(self):
         # t_phi/tau -> 1 far above the barrier, and at n2 = 1e150 nothing
-        # in the ratio overflows: the cell is filled (only phase_rad is
-        # refused there, see test_unresolved_phase_is_refused)
+        # in the ratio overflows: the cell is filled (only phase_rad and the
+        # oracle are refused there, see test_unresolved_phase_is_refused)
         rec = run_sweep(small_request(n2_min=1.0, n2_max=1e150, count=2))[-1]
         assert rec.ratio_closed == pytest.approx(1.0, abs=1e-15)
         assert rec.error.startswith("phase_rad:") and "ratio_closed" not in rec.error
-        assert None not in (rec.t2_exact, rec.ratio_numeric)
+        assert rec.t2_exact is not None and rec.ratio_numeric is None
 
     def test_ratio_overflow_empties_its_cell(self):
         # just below where rho_n^2 itself overflows, the ratio's u and P do:
@@ -335,20 +335,23 @@ class TestOverflow:
         rec = run_sweep(small_request(n2_min=1.0, n2_max=1e154, count=2))[-1]
         assert rec.ratio_closed is None
         assert "; ratio_closed: t_phi/tau is not finite" in rec.error
-        assert None not in (rec.t2_exact, rec.ratio_numeric)
+        # past the phase cutoff, like phase_rad, the oracle is refused
+        assert "; ratio_numeric: q_n*wL is too large to resolve the phase" in rec.error
+        assert rec.t2_exact is not None and rec.ratio_numeric is None
 
     def test_unresolved_phase_is_refused(self):
         # at n2 = 1e150, q_n wL ~ 6e75 rad: one ulp of it dwarfs pi, so the
-        # phase modulo pi is unknown; the cell is emptied and named and the
-        # rest of the row, ratio_closed included, is kept
+        # phase modulo pi is unknown, and so is the oracle's exp(-i q_n wL);
+        # both cells are emptied and named and the rest of the row,
+        # ratio_closed included, is kept
         req = SweepRequest(v=10, wL=2.0 * math.pi, n2_min=1, n2_max=1e150, count=2)
         first, last = run_sweep(req)
         assert first.error is None and first.phase_rad is not None
-        assert last.phase_rad is None
-        assert last.error == ("phase_rad: q_n*wL is too large to resolve the phase modulo pi "
-                              f"at v=10, n2=1e+150, wL={2.0 * math.pi}")
+        assert last.phase_rad is None and last.ratio_numeric is None
+        cutoff = f"q_n*wL is too large to resolve the phase modulo pi at v=10, n2=1e+150, wL={2.0 * math.pi}"
+        assert last.error == f"phase_rad: {cutoff}; ratio_numeric: {cutoff}"
         assert last.ratio_closed == pytest.approx(1.0, abs=1e-15)
-        assert None not in (last.t2_exact, last.ratio_numeric)
+        assert last.t2_exact is not None
         # the cutoff lies between q_n wL = 1e15 and 1e17 (q_n ~ n far above the barrier)
         first, last = run_sweep(SweepRequest(v=10.0, wL=1.0, n2_min=1e30, n2_max=1e34, count=2))
         assert first.phase_rad is not None and first.error is None
