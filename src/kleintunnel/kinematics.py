@@ -44,10 +44,9 @@ from .errors import DomainError, NonPropagatingError
 if TYPE_CHECKING:
     import numpy as np
 
-# Relative width (in units of m) of the band around E = V0 +/- m treated
-# as the degenerate edge; inside it the linear interior basis is used so
-# rho -> 0 never enters a denominator.
-EDGE_RTOL = 1e-12
+# Relative half-width, in n2, of the band around each zone edge v/2 -+ 1
+# that counts as the edge itself (_edges, the one edge rule)
+_EDGE_RTOL = 1e-9
 
 
 class Zone(enum.Enum):
@@ -238,26 +237,36 @@ def mode_from_n2(setup: BarrierSetup, n2: float) -> IncidentMode:
     return IncidentMode(E=E, k=k, n2=n2)
 
 
-def classify_zone(setup: BarrierSetup, E: float) -> Zone:
-    """Energy-zone tag for total energy E.
+def _edges(v, n2):
+    """(lower, upper): whether n2, a float or a float64 array, lies within
+    _EDGE_RTOL * max(1, edge) of the edge v/2 - 1 (only for v > 2; it wins
+    where the bands overlap) or v/2 + 1.  The one edge rule, read by the
+    zone tags, the sweep's snapping and the oracle's refusals; it uses only
+    abs and comparisons, so it needs no numpy."""
+    lo, hi = 0.5 * v - 1.0, 0.5 * v + 1.0
+    # hi >= 1, so max(1, hi) = hi; no n2 lies within -inf of lo
+    lo_tol = _EDGE_RTOL * max(1.0, lo) if lo > 0.0 else -math.inf
+    off_lo = abs(n2 - lo)
+    return off_lo <= lo_tol, (abs(n2 - hi) <= _EDGE_RTOL * hi) & (off_lo > lo_tol)
 
-    Edge detection uses |E - (V0 -+ m)| <= EDGE_RTOL*m; a non-propagating
-    incident wave (E <= m) wins over any other classification.  Raises
-    DomainError for a non-finite E.
+
+def classify_zone(setup: BarrierSetup, E: float) -> Zone:
+    """Energy-zone tag for total energy E: NonPropagating for E <= m, else
+    the tag a sweep row at n2 = mode_from_energy(setup, E).n2 gets (an edge
+    by _edges, else by n2 against v/2 -+ 1).  Raises DomainError for a
+    non-finite E.
     """
-    m, V0 = setup.m, setup.V0
     if not math.isfinite(E):
         raise DomainError(f"E must be finite, got {E}")
-    if E <= m:
+    if E <= setup.m:
         return Zone.NON_PROPAGATING
-    tol = EDGE_RTOL * m
-    if abs(E - (V0 - m)) <= tol:
-        return Zone.EDGE_LOWER
-    if abs(E - (V0 + m)) <= tol:
-        return Zone.EDGE_UPPER
-    if E > V0 + m:
+    v, n2 = setup.v, mode_from_energy(setup, E).n2
+    lower, upper = _edges(v, n2)
+    if lower or upper:
+        return Zone.EDGE_LOWER if lower else Zone.EDGE_UPPER
+    if n2 >= 0.5 * v + 1.0:
         return Zone.ABOVE_BARRIER
-    if E > V0 - m:
+    if n2 >= 0.5 * v - 1.0:
         return Zone.TUNNELING
     return Zone.KLEIN
 
@@ -265,21 +274,20 @@ def classify_zone(setup: BarrierSetup, E: float) -> Zone:
 def barrier_channel(setup: BarrierSetup, mode: IncidentMode) -> BarrierChannel:
     """Interior channel (evanescent / oscillatory / linear) for a mode.
 
-    rho^2 = m^2 - (E - V0)^2 and q^2 = (E - V0)^2 - m^2 are computed in
-    factored form, so w^2*rho_n^2 == rho^2 holds to roundoff even at the
-    edges.
+    rho^2 = m^2 - (E - V0)^2 and q^2 = (E - V0)^2 - m^2, in factored form
+    so w^2*rho_n^2 == rho^2 holds to roundoff even at the edges, choose it
+    by sign, with no zone tag: evanescent where rho^2 > 0, else oscillatory
+    where q^2 > 0, else linear {1, x}.  NonPropagatingError for E <= m.
     """
-    zone = classify_zone(setup, mode.E)
-    m, V0, w = setup.m, setup.V0, setup.w
-    E = mode.E
-    if zone in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
-        return BarrierChannel(kind="linear")
-    if zone is Zone.TUNNELING:
-        rho2 = (m - E + V0) * (m + E - V0)
+    m, V0, w, E = setup.m, setup.V0, setup.w, mode.E
+    if not (E > m):
+        raise NonPropagatingError(f"E={E} does not exceed m={m}: no incident wave")
+    rho2 = (m - E + V0) * (m + E - V0)
+    if rho2 > 0.0:
         rho = math.sqrt(rho2)
         return BarrierChannel(kind="evanescent", rho=rho, rho_n=rho / w)
-    if zone in (Zone.KLEIN, Zone.ABOVE_BARRIER):
-        q2 = (E - V0 - m) * (E - V0 + m)
+    q2 = (E - V0 - m) * (E - V0 + m)
+    if q2 > 0.0:
         q = math.sqrt(q2)
         return BarrierChannel(kind="oscillatory", q=q, q_n=q / w)
-    raise NonPropagatingError(f"E={E} does not exceed m={m}: no incident wave")
+    return BarrierChannel(kind="linear")

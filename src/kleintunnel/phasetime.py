@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError, ZoneCrossingError
-from .kinematics import BarrierSetup, IncidentMode, Zone, _rho_n2_columns, classify_zone
+from .kinematics import BarrierSetup, IncidentMode, _edges, _rho_n2_columns
 from .scattering import _closed_forms, _past_cutoff, _refusal, transmission_closed_form
 
 
@@ -104,7 +104,8 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
     of the closed-form phase.  It has no edge branch: on a zone edge the
     same expression gives the exact edge value (edge_phase_time_ratio to
     roundoff), and it stays exact at v = 2, n2 -> 0 and for opaque
-    barriers.  Raises ZeroLengthError at wL = 0, DomainError where it overflows.
+    barriers.  Raises ZeroLengthError at wL = 0, DomainError for wL < 0,
+    nan or where it overflows.
     """
     return _closed_forms(v, np.array([n2], dtype=float), wL, ratio=True,
                          columns=("ratio",)).ratio.item()
@@ -147,9 +148,10 @@ def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
     computes them once per point and passes them to both.  This is the
     column oracle _phase_time_columns at a one-element array.
 
-    Raises ZoneCrossingError on a zone edge (n2 == v/2 -+ 1 in floats, or
-    rho_n^2 == 0), otherwise ZeroLengthError at wL = 0, where tau = 0, and
-    DomainError past the phase cutoff or where the value overflows or is nan.
+    Raises ZoneCrossingError on a zone edge (kinematics._edges, the band a
+    sweep snaps), otherwise ZeroLengthError at wL = 0, where tau = 0, and
+    DomainError for wL < 0 or nan, past the phase cutoff or where the
+    value overflows or is nan.
     """
     x = np.array([n2], dtype=float)
     r2, s = _rho_n2_columns(v, x)
@@ -159,19 +161,12 @@ def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
     return ratio.item()
 
 
-def _on_edge(v, n2, r2):
-    """Where the oracle's kappa vanishes: n2 is a zone edge v/2 -+ 1 in
-    floats (the values a sweep snaps to), whatever rho_n^2 rounds to there,
-    or rho_n^2 is 0.  Arrays or scalars."""
-    return (r2 == 0.0) | (n2 == 0.5 * v - 1.0) | (n2 == 0.5 * v + 1.0)
-
-
 def _numeric_refusal(v: float, n2: float, wL: float, winding: float,
                      r2: float) -> KleinTunnelError:
     """The error naming why _phase_time_columns left the entry at n2 nan,
     given its winding and r2: a zone edge, else scattering._refusal's
     text for wL = 0, the phase cutoff or an inf or nan value."""
-    if _on_edge(v, n2, r2):
+    if any(_edges(v, n2)):
         return ZoneCrossingError(f"n2={n2} lies on a zone edge")
     return _refusal("phase" if _past_cutoff(winding) else "ratio", v, n2, wL, winding, r2)
 
@@ -183,15 +178,19 @@ def _phase_time_columns(v: float, n2: np.ndarray, r2: np.ndarray, s: np.ndarray,
 
     winding = floor(q_n wL / pi + 1/2), 0 off the oscillatory zones.  The
     ratio is nan where the oracle refuses (_numeric_refusal names why): on
-    a zone edge, at wL = 0, past the phase cutoff, where cmath.exp of a
-    huge q_n wL is an arbitrary unit number, and wherever it is inf or nan.
+    a zone edge by kinematics._edges (kappa rounds to 0 only there and at
+    v = 2, n2 < 2e-16), at wL = 0, past the phase cutoff, where cmath.exp
+    of a huge q_n wL is an arbitrary unit number, and wherever it is inf
+    or nan.  Raises DomainError for wL < 0 or nan.
     """
+    if not (wL >= 0.0):
+        raise DomainError(f"wL must be >= 0, got {wL}")
     root = np.sqrt(np.abs(r2))
     osc = r2 < 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at wL = inf
         winding = np.floor(np.where(osc, root, 0.0) * wL / math.pi + 0.5)
     ratio = np.full(r2.shape, math.nan)
-    keep = ~(_on_edge(v, n2, r2) | _past_cutoff(winding))
+    keep = ~(np.logical_or(*_edges(v, n2)) | _past_cutoff(winding))
     if wL != 0.0 and np.count_nonzero(keep):
         with np.errstate(all="ignore"):
             ratio[keep] = _solve_columns(v, n2[keep], root[keep], osc[keep], s[keep], wL)
@@ -285,11 +284,9 @@ def phase_time_numeric(setup: BarrierSetup, mode: IncidentMode,
     """t_phi = dphi/dE from normalized_phase_time_numeric.
 
     dE is accepted and ignored: the derivative is exact, so there is no
-    step.  Raises ZoneCrossingError if the point is tagged as a zone edge
-    by classify_zone; at L = 0 the ratio is flagged undefined.
+    step.  At L = 0 the ratio is flagged undefined; otherwise raises as
+    normalized_phase_time_numeric does: ZoneCrossingError on the edge band.
     """
-    if classify_zone(setup, mode.E) in (Zone.EDGE_LOWER, Zone.EDGE_UPPER):
-        raise ZoneCrossingError(f"E={mode.E} lies on a zone edge")
     if setup.L == 0.0:
         return PhaseTimeResult(tau=0.0, t_phi=0.0, ratio=float("nan"),
                                method="numeric_derivative", ratio_defined=False)

@@ -7,10 +7,11 @@ The stationary ansatz is
     phi3 = T exp(ik(x - L))                x > L
 
 with the oscillatory interior basis {exp(-iqx), exp(+iqx)} in the Klein
-and above-barrier zones and the degenerate basis {1, x} exactly at
-E = V0 -+ m.  Matching phi and phi' at x = 0 and x = L fixes
-(R, alpha, beta, T); this module solves that system exactly and also
-provides the closed forms it implies.
+and above-barrier zones and the degenerate basis {1, x} where neither
+rho^2 nor q^2 is positive, within a few ulps of E = V0 -+ m (the signs
+decide, not a zone tag: kinematics.barrier_channel).  Matching phi and
+phi' at x = 0 and x = L fixes (R, alpha, beta, T); this module solves
+that system exactly and also provides the closed forms it implies.
 
 The closed form is what the library reports; :func:`match_boundaries`
 stays as its independent check.  One entire function of rho_n^2 gives
@@ -52,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, KleinTunnelError, NonPropagatingError, ZeroLengthError, ZoneError
+from .errors import DomainError, KleinTunnelError, ZeroLengthError, ZoneError
 from .kinematics import (
     BarrierSetup,
     IncidentMode,
@@ -68,8 +69,9 @@ class ScatteringSolution:
     """Exact amplitudes of the matched stationary solution.
 
     alpha and beta are the interior coefficients in the basis of the
-    zone: {exp(-rho x), exp(+rho x)} (evanescent), {exp(-iqx), exp(+iqx)}
-    (oscillatory) or {1, x} (degenerate edge).  arg_T is the principal
+    channel (barrier_channel): {exp(-rho x), exp(+rho x)} (evanescent),
+    {exp(-iqx), exp(+iqx)} (oscillatory) or {1, x} (linear), whatever the
+    classify_zone tag in zone says.  arg_T is the principal
     argument of T, kept even where T underflows to 0 (rho L > ~745).
     """
 
@@ -137,10 +139,8 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
 
     Raises NonPropagatingError for E <= m.
     """
-    zone = classify_zone(setup, mode.E)
-    if zone is Zone.NON_PROPAGATING:
-        raise NonPropagatingError(f"E={mode.E} does not exceed m={setup.m}")
     channel = barrier_channel(setup, mode)
+    zone = classify_zone(setup, mode.E)
 
     if channel.kind == "linear":
         # interior a + b*x; per unit T: b = ik, a = 1 - ikL
@@ -287,8 +287,11 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
     n2-derivative of that phase (see the phasetime module); otherwise
     None.  Every entry the core cannot vouch for is nan, the one decision
     of each refused cell; the first among the named columns is raised as
-    its _refusal.  Raises DomainError where rho_n^2 or q_n wL is infinite.
+    its _refusal.  Raises DomainError for wL < 0 or nan, and where
+    rho_n^2 or q_n wL is infinite.
     """
+    if not (wL >= 0.0):
+        raise DomainError(f"wL must be >= 0, got {wL}")
     r2, s = _rho_n2_columns(v, n2)
     two_n = 2.0 * np.sqrt(n2)
     # tc = tanh(d)/d and sc = sinh(d)/d, continued in d2 (tan, sin for d2 < 0);
@@ -409,7 +412,8 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
     match_boundaries (the Wronskian-conserving solution); see
     transmission_magnitude_nr_form for the variant without it.  At v = 0
     (rho_n^2 = 1 - n2, n2 = E_NR/V0) this is the Schroedinger barrier.
-    Raises the core's refusal of the magnitude or the phase (_refusal).
+    Raises DomainError for wL < 0 or nan, and the core's refusal of the
+    magnitude or the phase (_refusal).
     """
     point = _closed_forms(v, np.array([n2], dtype=float), wL, columns=("mag", "phase"))
     mag, phase = point.mag.item(), point.phase.item()

@@ -11,8 +11,9 @@ for every v; v = 0 is the Schroedinger barrier through the same
 formulas, with E_over_m empty.  The ratio_numeric oracle is
 normalized_phase_time_numeric for every v, evaluated over the whole grid.
 
-Grid points landing within 1e-9 (relative) of a zone edge are snapped to
-the edge, evaluated like every other point and flagged in the
+Grid points on a zone edge by the one edge rule (kinematics._edges,
+which also sets classify_zone's tags and the oracle's refusals) are
+snapped to the edge, evaluated like every other point and flagged in the
 ``nudged`` column rather than dropped.  The closed-form core and the
 oracle decide every refusal, never the sweep: an input whose rho_n^2 or
 q_n wL overflows aborts the call with a DomainError, and any other cell
@@ -41,16 +42,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError
-from .kinematics import Zone
+from .kinematics import Zone, _edges
 from .phasetime import _numeric_refusal, _phase_time_columns
 from .scattering import _closed_forms, _nr_form_from_r2, _refusal, _squared
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
-
-# relative n2 distance to a zone edge below which a grid point is snapped
-# onto the edge and flagged as nudged
-EDGE_SNAP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,19 +123,12 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
     """
     v, wL = req.v, req.wL
     n2 = req.grid()
-    lo = 0.5 * v - 1.0
-    hi = 0.5 * v + 1.0
-    # a point within EDGE_SNAP_RTOL of an edge is snapped onto it; there is
-    # no lower edge for v <= 2, and hi >= 1, so max(1, hi) = hi
-    lo_tol = EDGE_SNAP_RTOL * max(1.0, lo) if lo > 0.0 else -math.inf
-    hi_tol = EDGE_SNAP_RTOL * hi
-    lower = np.abs(n2 - lo) <= lo_tol
-    upper = ~lower & (np.abs(n2 - hi) <= hi_tol)
+    lo, hi = 0.5 * v - 1.0, 0.5 * v + 1.0
+    # a point on an edge by the one edge rule is snapped onto it
+    lower, upper = _edges(v, n2)
     nudged = lower | upper
     n2 = np.where(lower, lo, np.where(upper, hi, n2))
-    zone = (n2 >= lo).astype(int) + (n2 >= hi)
-    zone[lower] = 3
-    zone[upper] = 4
+    zone = np.where(lower, 3, np.where(upper, 4, (n2 >= lo).astype(int) + (n2 >= hi)))
     zones = np.array(_ZONES, dtype=object)[zone].tolist()
     cols = _closed_forms(v, n2, wL, ratio="ratio_closed" in req.outputs)
     n2_list = n2.tolist()

@@ -23,7 +23,7 @@ from kleintunnel import (
     run_sweep,
     transmission_closed_form,
 )
-from kleintunnel.kinematics import _rho_n2_columns
+from kleintunnel.kinematics import _edges, _rho_n2_columns
 from kleintunnel.phasetime import _phase_time_columns
 from kleintunnel.sweep import fig1_request
 
@@ -223,6 +223,64 @@ def test_refusal_guard_sees_a_breach():
         "import _MAX_WINDING (line 1)", "_MAX_WINDING (line 2)", "'is not finite' (line 3)"]
 
 
+def _is_edge_expr(node: ast.AST) -> bool:
+    """0.5 * v + 1.0 or 0.5 * v - 1.0, a zone edge written out."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and isinstance(node.right, ast.Constant) and node.right.value == 1.0
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+            and isinstance(node.left.left, ast.Constant) and node.left.left.value == 0.5)
+
+
+def _edge_rule_breaches(tree: ast.AST) -> list[str]:
+    """Names of edge tolerances (*_RTOL), equality tests against a
+    written-out edge 0.5 * v -+ 1.0 and imports of classify_zone in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"import {a.name} (line {node.lineno})" for a in node.names
+                      if a.name == "classify_zone" or a.name.endswith("_RTOL")]
+        elif isinstance(node, (ast.Name, ast.Attribute)) and (
+                getattr(node, "id", None) or node.attr).endswith("_RTOL"):
+            found.append(f"{getattr(node, 'id', None) or node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+            sides = [node.left] + node.comparators
+            sides += [e for side in sides if isinstance(side, (ast.Tuple, ast.List, ast.Set))
+                      for e in side.elts]
+            if any(_is_edge_expr(side) for side in sides):
+                found.append(f"edge equality (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", ["sweep.py", "phasetime.py"])
+def test_one_edge_rule(module):
+    """Whether n2 is on a zone edge is decided once, by kinematics._edges
+    with its one tolerance: the zone tags, the sweep's snapping and the
+    oracle's refusals read it.  A tolerance, an exact float comparison
+    with v/2 -+ 1 or a zone tag used here instead would be a second rule,
+    free to disagree with the first, as three such rules once did."""
+    tree = ast.parse((_PACKAGE / module).read_text(encoding="utf-8"))
+    assert _edge_rule_breaches(tree) == []
+
+
+def test_edge_tolerance_lives_in_kinematics():
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.name != "kinematics.py":
+            breaches = _edge_rule_breaches(ast.parse(path.read_text(encoding="utf-8")))
+            assert [b for b in breaches if "_RTOL" in b] == [], path.name
+
+
+def test_edge_guard_sees_a_breach():
+    tree = ast.parse("from .kinematics import classify_zone, _EDGE_RTOL\n"
+                     "EDGE_SNAP_RTOL = 1e-9\n"
+                     "on = (r2 == 0.0) | (n2 == 0.5 * v - 1.0)\n"
+                     "top = x in (0.5 * v - 1.0, 0.5 * v + 1.0)\n"
+                     "near = abs(n2 - (0.5 * v + 1.0)) <= kinematics._EDGE_RTOL\n")
+    assert sorted(_edge_rule_breaches(tree)) == [
+        "EDGE_SNAP_RTOL (line 2)", "_EDGE_RTOL (line 5)", "edge equality (line 3)",
+        "edge equality (line 4)", "import _EDGE_RTOL (line 1)", "import classify_zone (line 1)"]
+
+
 # ---------------------------------------------------------------------------
 # the column oracle against plain complex arithmetic
 # ---------------------------------------------------------------------------
@@ -277,8 +335,9 @@ _MIXED_AS_COMPLEX = pytest.mark.skipif(
 
 
 def _refused_on(v, n2):
-    """A refusal the scalar oracle did not make: the float zone edges."""
-    return n2 in (0.5 * v - 1.0, 0.5 * v + 1.0)
+    """A refusal the scalar oracle did not make: the zone-edge band of the
+    one edge rule, kinematics._edges."""
+    return any(_edges(v, n2))
 
 
 @_MIXED_AS_COMPLEX

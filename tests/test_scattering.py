@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 
@@ -79,6 +80,13 @@ def brute_solve(setup, mode):
     return R, T, c1, c2 * u
 
 
+# the near-edge probe of the matcher: every edge of each v, at each offset
+# (relative in n2) and each width
+_PROBE_V = (1e-6, 1e-3, 0.67, 3.0, 10.0, 100.0)
+_PROBE_WL = (1e-7, 1e-5, 1e-3, 0.5, 2.0 * math.pi, 60.0, 400.0)
+_PROBE_OFFSETS = (0.0, 1e-15, -1e-15, 1e-11, -1e-11, 1e-7, -1e-7, 1e-3, -1e-3)
+
+
 class TestMatchBoundaries:
     def test_no_barrier_is_transparent(self):
         s = make(L=0.0)
@@ -114,6 +122,23 @@ class TestMatchBoundaries:
         assert sol.T == pytest.approx(expected, rel=1e-14)
         assert abs(sol.T) == pytest.approx(1.0 / math.sqrt(1.0 + 0.25 * kL * kL), rel=1e-14)
         assert sol.zone is Zone.EDGE_LOWER
+
+    def test_near_edges_against_50_digit_reference(self):
+        # the basis follows the signs of rho^2 and q^2, never the zone tag:
+        # the linear basis {1, x} on a band of tagged edge points was 2.7e-3
+        # off at v = 1e-6, wL = 400, 1e-7 (relative) below the upper edge.
+        # What is left is mostly the rounding of n2 into E, about eps/v
+        # relative in rho_n^2, which a wide barrier amplifies
+        far = []
+        for v, wL, offset in itertools.product(_PROBE_V, _PROBE_WL, _PROBE_OFFSETS):
+            s = BarrierSetup.from_dimensionless(v, wL)
+            for edge in [0.5 * v + 1.0] + ([0.5 * v - 1.0] if v > 2.0 else []):
+                n2 = edge * (1.0 + offset)
+                want = abs(mp_transmission(v, n2, wL, dps=50))
+                got = abs(match_boundaries(s, mode_from_n2(s, n2)).T)
+                if abs(got - want) > (1e-8 if v >= 0.5 else 1e-5) * want:
+                    far.append((v, wL, n2, float(abs(got - want) / want)))
+        assert far == []
 
     def test_continuity_residuals_small(self):
         rng = np.random.default_rng(5)
@@ -423,15 +448,15 @@ class TestAnyZoneDispatch:
                 assert point.winding == 0
 
 
-def mp_transmission(v, n2, wL):
-    """40-digit T from 1/T = cosh(rho L) - i (k^2 - rho^2)/(2 k rho) sinh(rho L).
+def mp_transmission(v, n2, wL, dps=40):
+    """dps-digit T from 1/T = cosh(rho L) - i (k^2 - rho^2)/(2 k rho) sinh(rho L).
 
     Written in the normalized variables (rho L = rho_n wL, k = n w); rho_n
     is imaginary in the oscillatory zones and sinh(rho L)/rho -> L at
     rho = 0.  Independent of the library: rho_n^2 comes from the factored
     form of sqrt(1 + 2 n2 v) - n2 - v/2.
     """
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         v, n2, wL = mpmath.mpf(v), mpmath.mpf(n2), mpmath.mpf(wL)
         r2 = (1 - n2 + v / 2) * (1 + n2 - v / 2) / (mpmath.sqrt(1 + 2 * n2 * v) + n2 + v / 2)
         rho = mpmath.sqrt(mpmath.mpc(r2))

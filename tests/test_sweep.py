@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kleintunnel import (
@@ -15,6 +15,8 @@ from kleintunnel import (
     KleinTunnelError,
     SweepRecord,
     SweepRequest,
+    ZoneCrossingError,
+    classify_zone,
     match_boundaries,
     mode_from_n2,
     normalized_phase_time,
@@ -86,7 +88,7 @@ def sweep_requests(draw):
     wL = draw(st.one_of(st.just(0.0), st.just(400.0), st.just(2.0 * math.pi),
                         st.floats(-0.5, math.log10(400.0)).map(lambda e: 10.0 ** e)))
     edges = [0.5 * v + 1.0] + ([0.5 * v - 1.0] if v > 2.0 else [])
-    # offsets below EDGE_SNAP_RTOL = 1e-9 are snapped onto the edge
+    # offsets inside the edge band (1e-9 relative) are snapped onto the edge
     n2 = st.one_of(
         st.floats(1e-3, 0.5 * v + 6.0),
         st.floats(-13.0, -1.0).map(lambda e: 10.0 ** e),
@@ -293,10 +295,10 @@ class TestEdgeHandling:
         assert len(recs) == 23
 
     def test_closed_ratio_refusal_keeps_the_row(self):
-        # at v = 2 the lower edge is n2 = 0; within 1e-12 of it the closed
-        # ratio is filled and exact (no edge refusal), and the row keeps every
-        # other column.  The zone compares n2 with v/2 - 1 = 0, so n2 = 1e-13
-        # is not an edge row even though E - (V0 - m) lies within EDGE_RTOL
+        # at v = 2 the tunneling zone starts at n2 = 0; within 1e-12 of it the
+        # closed ratio is filled and exact (no edge refusal), and the row keeps
+        # every other column.  The edge rule has no lower edge for v <= 2, so
+        # n2 = 1e-13 is not an edge row
         recs = []
         for n2 in (1e-13, 8e-13):
             first, last = run_sweep(SweepRequest(v=2.0, wL=1.0, n2_min=n2, n2_max=0.5, count=2))
@@ -400,6 +402,16 @@ class TestFiniteOrTyped:
                     assert any(item.startswith(f"{column}: ") for item in named), (column, row)
             assert row["E_over_m"] is not None
 
+    @pytest.mark.parametrize("wL", [-1.0, math.nan])
+    @pytest.mark.parametrize("call", [transmission_closed_form, normalized_phase_time,
+                                      normalized_phase_time_numeric])
+    def test_one_point_calls_refuse_a_negative_or_nan_width(self, call, wL):
+        # wL = -1 used to give the mirror of wL = +1 as ordinary values
+        # (probability 0.4355, both ratios 0.2331); nan was refused only as
+        # a non-finite |T|
+        with pytest.raises(DomainError, match=f"^wL must be >= 0, got {wL}$"):
+            call(10.0, 5.0, wL)
+
     @pytest.mark.parametrize("v, wL, grid", _EXTREMES)
     def test_one_point_calls_are_finite_or_typed(self, v, wL, grid):
         for n2 in grid:
@@ -481,24 +493,62 @@ class TestRatioZeroCrossing:
         assert 4.0 < crossing < 6.0
 
 
+@st.composite
+def edge_band_probes(draw):
+    """(v, n2, inside): n2 on a zone edge, 1 ulp off it, or 0.5, 0.9, 1.1 or 2
+    times the band's half-width 1e-9 max(1, edge) off it, and whether n2
+    lies inside the band.  classify_zone rounds n2 into E and back, which
+    loses about eps/v relative, a fifth of the band at v = 1e-6, the
+    smallest v drawn, so below v = 1e-3 the margins widen to 0.5 and 2."""
+    v = draw(st.one_of(st.floats(1e-6, 2.0, exclude_max=True), st.just(2.0),
+                       st.floats(2.0, 1e3, exclude_min=True),
+                       st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)))
+    edge = draw(st.sampled_from([0.5 * v + 1.0] + ([0.5 * v - 1.0] if v > 2.0 else [])))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    where = draw(st.sampled_from(("on", "ulp") + ((0.5, 2.0) if v <= 1e-3 else
+                                                  (0.5, 0.9, 1.1, 2.0))))
+    if where == "on":
+        return v, edge, True
+    if where == "ulp":
+        return v, math.nextafter(edge, sign * math.inf), True
+    return v, edge + sign * where * 1e-9 * max(1.0, edge), where < 1.0
+
+
 class TestZoneConsistency:
     # each grid crosses every edge that v has (v = 1 has only the upper one)
     @pytest.mark.parametrize("v, n2_min, n2_max", [
         (1.0, 0.01, 3.0), (2.5, 0.01, 4.5), (10.0, 0.5, 7.5), (100.0, 1.0, 76.0)])
     def test_zone_tags_reclassified_from_e_over_m(self, v, n2_min, n2_max):
-        from kleintunnel import classify_zone
         req = SweepRequest(v=v, wL=2.0 * math.pi, n2_min=n2_min, n2_max=n2_max, count=200,
                            outputs=("T2_exact",))
         setup = BarrierSetup.from_dimensionless(v, 2.0 * math.pi)
         zones = set()
         for rec in run_sweep(req):
-            if rec.nudged:
-                continue
             zone = classify_zone(setup, rec.e_over_m * setup.m)
             assert rec.zone == zone.value
             zones.add(zone.value)
         assert zones == ({"Tunneling", "AboveBarrier"} if v < 2.0 else
                          {"Klein", "Tunneling", "AboveBarrier"})
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(edge_band_probes())
+    def test_one_edge_rule_at_the_band_borders(self, probe):
+        # the zone tag, the sweep's snapping and the oracle's refusal read one
+        # rule: n2 is an edge iff it lies inside the band
+        v, n2, inside = probe
+        assume(n2 > 0.0)
+        wL = 2.0 * math.pi
+        setup = BarrierSetup.from_dimensionless(v, wL)
+        tag = classify_zone(setup, mode_from_n2(setup, n2).E).value
+        rec = run_sweep(SweepRequest(v=v, wL=wL, n2_min=n2, n2_max=n2 + 1.0, count=2,
+                                     outputs=("T2_exact",)))[0]
+        try:
+            normalized_phase_time_numeric(v, n2, wL)
+            refused = False
+        except ZoneCrossingError:
+            refused = True
+        assert (tag.startswith("Edge"), rec.nudged, refused) == (inside, inside, inside)
+        assert rec.zone == tag
 
 
 class TestSerialization:
