@@ -21,6 +21,7 @@ import sys
 from .errors import DomainError, KleinTunnelError
 from .kinematics import (
     BarrierSetup,
+    _zone,
     barrier_channel,
     classify_zone,
     mode_from_energy,
@@ -204,7 +205,7 @@ def _cmd_amp(parser, args) -> int:
     payload = {
         "m": setup.m, "V0": setup.V0, "L": setup.L,
         "E": mode.E, "k": mode.k, "n2": mode.n2,
-        "zone": classify_zone(setup, mode.E).value,
+        "zone": _zone(setup.v, mode.n2).value,
         "T2_exact": point.probability,
         "phase_rad": point.phase,
         "R2": abs(point.R) ** 2,
@@ -226,7 +227,7 @@ def _cmd_phasetime(parser, args) -> int:
     mode = cfg.mode(setup)
     payload = {
         "m": setup.m, "V0": setup.V0, "L": setup.L, "E": mode.E, "n2": mode.n2,
-        "zone": classify_zone(setup, mode.E).value,
+        "zone": _zone(setup.v, mode.n2).value,
         "tau": classical_tau(setup, mode),
     }
     try:

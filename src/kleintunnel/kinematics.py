@@ -250,17 +250,11 @@ def _edges(v, n2):
     return off_lo <= lo_tol, (abs(n2 - hi) <= _EDGE_RTOL * hi) & (off_lo > lo_tol)
 
 
-def classify_zone(setup: BarrierSetup, E: float) -> Zone:
-    """Energy-zone tag for total energy E: NonPropagating for E <= m, else
-    the tag a sweep row at n2 = mode_from_energy(setup, E).n2 gets (an edge
-    by _edges, else by n2 against v/2 -+ 1).  Raises DomainError for a
-    non-finite E.
-    """
-    if not math.isfinite(E):
-        raise DomainError(f"E must be finite, got {E}")
-    if E <= setup.m:
-        return Zone.NON_PROPAGATING
-    v, n2 = setup.v, mode_from_energy(setup, E).n2
+def _zone(v: float, n2: float) -> Zone:
+    """The zone tag a sweep row at n2 gets: an edge by _edges, else
+    AboveBarrier from v/2 + 1, Tunneling from v/2 - 1, Klein below.  The
+    callers that hold a mode tag its n2 here, not its E, which loses about
+    eps/v relative in n2 and cannot resolve the edge band at small v."""
     lower, upper = _edges(v, n2)
     if lower or upper:
         return Zone.EDGE_LOWER if lower else Zone.EDGE_UPPER
@@ -269,6 +263,18 @@ def classify_zone(setup: BarrierSetup, E: float) -> Zone:
     if n2 >= 0.5 * v - 1.0:
         return Zone.TUNNELING
     return Zone.KLEIN
+
+
+def classify_zone(setup: BarrierSetup, E: float) -> Zone:
+    """Energy-zone tag for total energy E: NonPropagating for E <= m, else
+    the tag of n2 = mode_from_energy(setup, E).n2 (_zone).  Raises
+    DomainError for a non-finite E.
+    """
+    if not math.isfinite(E):
+        raise DomainError(f"E must be finite, got {E}")
+    if E <= setup.m:
+        return Zone.NON_PROPAGATING
+    return _zone(setup.v, mode_from_energy(setup, E).n2)
 
 
 def barrier_channel(setup: BarrierSetup, mode: IncidentMode) -> BarrierChannel:

@@ -238,9 +238,8 @@ def _solve_columns(v: float, n2: np.ndarray, root: np.ndarray, osc: np.ndarray,
     kr, ki = np.where(osc, 0.0, root), np.where(osc, root, 0.0)
     # u = exp(-kappa wL)
     er, ei = _mul(-kr, -ki, wL, 0.0)
-    u = list(map(cmath.exp, map(complex, er.tolist(), ei.tolist())))
-    ur = np.array([z.real for z in u])
-    ui = np.array([z.imag for z in u])
+    u = np.fromiter(map(cmath.exp, map(complex, er.tolist(), ei.tolist())), complex, er.size)
+    ur, ui = u.real, u.imag
     inr, ini = _mul(0.0, 1.0, n, 0.0)  # 1j * n
     irr, iri = _div(inr, ini, kr, ki)
     g1r, g1i = _mul(0.5, 0.0, 1.0 - irr, 0.0 - iri)

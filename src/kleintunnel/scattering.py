@@ -60,7 +60,7 @@ from .kinematics import (
     Zone,
     barrier_channel,
     _rho_n2_columns,
-    classify_zone,
+    _zone,
 )
 
 
@@ -71,8 +71,9 @@ class ScatteringSolution:
     alpha and beta are the interior coefficients in the basis of the
     channel (barrier_channel): {exp(-rho x), exp(+rho x)} (evanescent),
     {exp(-iqx), exp(+iqx)} (oscillatory) or {1, x} (linear), whatever the
-    classify_zone tag in zone says.  arg_T is the principal
-    argument of T, kept even where T underflows to 0 (rho L > ~745).
+    tag in zone (the mode's n2 tagged as a sweep row is) says.  arg_T is
+    the principal argument of T, kept even where T underflows to 0
+    (rho L > ~745).
     """
 
     R: complex
@@ -140,7 +141,7 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
     Raises NonPropagatingError for E <= m.
     """
     channel = barrier_channel(setup, mode)
-    zone = classify_zone(setup, mode.E)
+    zone = _zone(setup.v, mode.n2)
 
     if channel.kind == "linear":
         # interior a + b*x; per unit T: b = ik, a = 1 - ikL
@@ -250,13 +251,13 @@ def _map(f, x: np.ndarray) -> np.ndarray:
     tanh, atan and the like round differently from math in up to 14 % of
     samples and would move dataset bytes.
     """
-    return np.array(list(map(f, x.tolist())), dtype=float)
+    return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
 def _squared(x: np.ndarray) -> np.ndarray:
     """x ** 2 at every entry, by pow as in float arithmetic (x * x rounds
     differently in about 1e-3 of samples)."""
-    return np.array([t ** 2 for t in x.tolist()], dtype=float)
+    return np.fromiter(map(pow, x.tolist(), repeat(2.0)), float, x.size)
 
 
 def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
@@ -287,7 +288,8 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
     n2-derivative of that phase (see the phasetime module); otherwise
     None.  Every entry the core cannot vouch for is nan, the one decision
     of each refused cell; the first among the named columns is raised as
-    its _refusal.  Raises DomainError for wL < 0 or nan, and where
+    its _refusal.  At wL = 0 there is no barrier: |T| = 1 and the phase
+    is 0 at every n2.  Raises DomainError for wL < 0 or nan, and where
     rho_n^2 or q_n wL is infinite.
     """
     if not (wL >= 0.0):
@@ -327,6 +329,10 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             sc[neg] = _map(math.sin, d) / d
             winding[neg] = np.floor(d / math.pi + 0.5)
         Y = (n2 - r2) / two_n * wL * tc
+        if wL == 0.0:
+            # no barrier: X = Y = 0, so T = 1 and R = 0 exactly, also where
+            # (n2 -+ rho_n^2)/(2n) overflows and the product is inf * 0
+            Y[np.isnan(Y)] = 0.0
         phase = _map(math.atan, Y) + winding * math.pi
         # unresolved past the cutoff, and where d2 = inf zeroes tc (wL tc -> 1/rho_n)
         phase[_past_cutoff(winding) | (d2 == math.inf)] = math.nan
@@ -338,7 +344,10 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             X[fin] = (n2[fin] + r2[fin]) / two_n[fin] * wL * sc[fin]
         else:
             X = (n2 + r2) / two_n * wL * sc
-        mag[fin] = 1.0 / np.array(list(map(math.hypot, repeat(1.0), X[fin].tolist())))
+        if wL == 0.0:
+            X[np.isnan(X)] = 0.0
+        x = X[fin]
+        mag[fin] = 1.0 / np.fromiter(map(math.hypot, repeat(1.0), x.tolist()), float, x.size)
         t_ratio = None
         if ratio:
             # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
@@ -433,7 +442,7 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
     [1 + wL^2/(4 n2)]^(-1/2); raises ZoneError in the oscillatory zones
     and _refusal where the result is not finite.
     """
-    zone = classify_zone(setup, mode.E)
+    zone = _zone(setup.v, mode.n2)
     if zone not in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         raise ZoneError(
             f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
@@ -447,7 +456,11 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
 def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
     """transmission_magnitude_nr_form at every (n2, rho_n^2 = r2) of two
     float64 arrays, with no zone check; as in _closed_forms, numpy does
-    the arithmetic and math the transcendentals; inf * 0 gives a nan."""
+    the arithmetic and math the transcendentals; inf * 0 gives a nan.
+    At wL = 0 there is no barrier and every entry is 1 exactly, also where
+    the prefactor 1/(4 n2 rho_n^2) overflows."""
+    if wL == 0.0:
+        return np.ones_like(r2)
     out = np.empty_like(r2)
     edge = r2 == 0.0
     with np.errstate(over="ignore", invalid="ignore"):

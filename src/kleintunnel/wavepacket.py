@@ -14,10 +14,11 @@ construction).  The integral is done with a nested composite Simpson
 rule whose step is halved until the reported intensities move by less
 than a relative tolerance; each level keeps the previous level's nodes,
 so every node is evaluated once.  The field is sampled on a uniform time
-grid, whose phase factors exp(-i E t) come from one block phase table.
-Each ladder level costs one call of the closed-form core, over all of
-its new nodes at once; the base grid and the first two levels, which
-every field needs, share one call.
+grid, whose phase factors exp(-i E t) come from two tables of running
+products, three complex exponentials per node.  Each ladder level costs
+one call of the closed-form core and one phase-sum pass, over all of its
+new nodes at once; the base grid and the first two levels, which every
+field needs, share one of each.
 
 The peak arrival time at x = L is compared against the closed-form
 stationary-phase prediction t_phi(k0), defined on the zone edges too;
@@ -196,7 +197,7 @@ def _amplitudes(setup: BarrierSetup, ks: np.ndarray, reflected: bool = False) ->
     if reflected:
         return np.array([_amplitude_pair(m, p, X)[1]
                          for m, p, X in zip(mag, phase, cols.X.tolist())], dtype=complex)
-    return np.array(list(map(cmath.rect, mag, phase)), dtype=complex)
+    return np.fromiter(map(cmath.rect, mag, phase), complex, len(mag))
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -216,7 +217,9 @@ def _integrand(setup: BarrierSetup, spectrum: SpectrumSpec, x: float, kind: str,
     g = spectrum.amplitude(ks)
     if kind == "transmitted":
         a = _amplitudes(setup, ks)
-        c = g * a * np.exp(1j * ks * (x - setup.L))
+        c = g * a
+        if x != setup.L:  # the factor is exp(0) = 1 at x = L, where run_packet samples
+            c = c * np.exp(1j * ks * (x - setup.L))
     elif kind == "incident":
         a = None
         c = g * np.exp(1j * ks * x)
@@ -228,34 +231,42 @@ def _integrand(setup: BarrierSetup, spectrum: SpectrumSpec, x: float, kind: str,
     return np.sqrt(ks * ks + setup.m * setup.m), c, a
 
 
-def _phase_rows(step: float, count: int, E: np.ndarray) -> np.ndarray:
-    """The count x N table exp(-i r step E) for r < count.
+def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
+    """The count x N table first * ratio**r (r < count) by running products:
+    each pass doubles the rows, rows [k, 2k) being rows [0, k) times
+    ratio**k (a repeated square), so row r carries about r roundings."""
+    rows = np.empty((count, len(ratio)), dtype=complex)
+    rows[0] = first
+    k, step = 1, ratio
+    while k < count:
+        np.multiply(rows[:min(k, count - k)], step, out=rows[k:2 * k])
+        k, step = 2 * k, step * step
+    return rows
 
-    With m = ceil(sqrt(count)) and r = a m + b, each row is the product of
-    exp(-i a m step E) and exp(-i b step E), so two tables of about m rows
-    take 2 m N exponentials instead of count N.
-    """
-    m = math.isqrt(count - 1) + 1
-    fine = np.exp(-1j * np.outer(step * np.arange(m), E))
-    coarse = np.exp(-1j * np.outer((m * step) * np.arange(-(-count // m)), E))
-    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(E))[:count]
 
-
-def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float,
-                count: int) -> np.ndarray:
-    """sum_k c_k exp(-i t_j E_k) at t_j = t0 + j dt for j < count.
+def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float, count: int,
+                splits: tuple[int, ...] = ()) -> np.ndarray:
+    """sum_k c_k exp(-i t_j E_k) at t_j = t0 + j dt (j < count): one row per
+    group of nodes, the contiguous groups split at the indices splits.
 
     The times fall into blocks of B = min(_BLOCK, count): t_j = t_b + r dt
     with r < B.  One B x N table exp(-i r dt E) serves every block, and
-    block b's seed is exp(-i t0 E) exp(-i b B dt E); both tables come from
-    _phase_rows, so about 2 (sqrt(B) + sqrt(blocks)) N + N exponentials
-    replace count N, and the sum is one matrix product.
+    block b's seed is exp(-i t0 E) exp(-i b B dt E) c; both tables are
+    running products (_powers) of exp(-i dt E) and exp(-i B dt E), so
+    three exponentials per node replace count, and each group's sum is one
+    matrix product.  The chained roundings move the sums from a direct sum
+    by about 1e-14 of their peak.
     """
     rows = min(_BLOCK, count)
     blocks = -(-count // rows)
-    table = _phase_rows(dt, rows, E)
-    seeds = np.exp(-1j * t0 * E) * _phase_rows(rows * dt, blocks, E)
-    return ((seeds * c) @ table.T).reshape(-1)[:count]
+    table = _powers(1.0, np.exp(-1j * dt * E), rows)
+    seeds = _powers(np.exp(-1j * t0 * E) * c, np.exp(-1j * (rows * dt) * E), blocks)
+    bounds = (0, *splits, len(E))
+    out = np.empty((len(bounds) - 1, blocks, rows), dtype=complex)
+    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        # column slices of C-ordered tables: BLAS reads them in place
+        np.matmul(seeds[:, a:b], table[:, a:b].T, out=out[g])
+    return out.reshape(len(out), -1)[:, :count]
 
 
 def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
@@ -284,26 +295,32 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
     n = _BASE_INTERVALS // 2
     # the first convergence test comes at level 2, so the base grid and the
     # new nodes of levels 1 and 2 are always needed: one integrand call (one
-    # closed-form call) covers them, and each level takes its slice
-    E2, c2, a = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, 4 * n + 1))
-    E, c = E2[::4], c2[::4].copy()
+    # closed-form call) and one _phase_sums pass cover them, the nodes
+    # regrouped so each group is contiguous (the base with its ends halved,
+    # then level 1's and level 2's new nodes); a keeps natural node order
+    E, c, a = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, 4 * n + 1))
+    first = np.concatenate((np.arange(0, 4 * n + 1, 4), np.arange(2, 4 * n, 4),
+                            np.arange(1, 4 * n, 2)))
+    E, c = E[first], c[first]
     c[0] *= 0.5
-    c[-1] *= 0.5
-    P = _phase_sums(E, c, t0, dt, count)
-    Q = float(np.sum(np.abs(c)))  # the same running sum of |c|, for the floor
+    c[n] *= 0.5
+    splits = (n + 1, 2 * n + 1)
+    sums, groups = _phase_sums(E, c, t0, dt, count, splits), np.split(c, splits)
+    P = sums[0]
+    Q = float(np.sum(np.abs(groups[0])))  # the same running sum of |c|, for the floor
     prev_I = None
     for level in range(1, _MAX_LEVELS + 1):
         n *= 2
         if level <= 2:
-            new = slice(2, None, 4) if level == 1 else slice(1, None, 2)
-            E, c = E2[new], c2[new]
+            S, c_new = sums[level], groups[level]
         else:
-            E, c, a_odd = _integrand(setup, spectrum, x, kind,
-                                     np.linspace(lo, hi, n + 1)[1::2])
+            E, c_new, a_odd = _integrand(setup, spectrum, x, kind,
+                                         np.linspace(lo, hi, n + 1)[1::2])
             if a is not None:
                 a = _interleave(a, a_odd)
-        P2 = P + _phase_sums(E, c, t0, dt, count)
-        Q2 = Q + float(np.sum(np.abs(c)))
+            S = _phase_sums(E, c_new, t0, dt, count)[0]
+        P2 = P + S
+        Q2 = Q + float(np.sum(np.abs(c_new)))
         h3 = (hi - lo) / n / 3.0
         psi = h3 * (4.0 * P2 - 2.0 * P)
         scale = (h3 * (4.0 * Q2 - 2.0 * Q)) ** 2

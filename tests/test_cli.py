@@ -8,7 +8,16 @@ from pathlib import Path
 import pytest
 
 import kleintunnel
-from kleintunnel import BarrierSetup, transmission_closed_form
+from kleintunnel import (
+    BarrierSetup,
+    SweepRequest,
+    ZoneError,
+    match_boundaries,
+    mode_from_n2,
+    run_sweep,
+    transmission_closed_form,
+    transmission_magnitude_nr_form,
+)
 from kleintunnel.cli import build_parser, main
 from kleintunnel.phasetime import edge_phase_time_ratio
 from kleintunnel.sweep import CSV_COLUMNS
@@ -46,6 +55,38 @@ class TestZone:
         code, out, _ = run_cli(capsys, "zone", "--m", "1", "--V0", "10", "--E", "0.5")
         assert code == 0
         assert parse_human(out)["zone"] == "NonPropagating"
+
+
+class TestZoneTagsFollowN2:
+    """Every caller that holds a mode tags its n2 as the sweep row is tagged.
+
+    At small v, E = m sqrt(1 + 2 n2 v) loses about eps/v relative in n2,
+    so a tag read from E missed the 1e-9 edge band: at v = 1e-8 the
+    points half a band off the upper edge read Tunneling, and at
+    v = 1e-10 every point within two bands read AboveBarrier.
+    """
+
+    @pytest.mark.parametrize("v", [1e-8, 1e-10])
+    @pytest.mark.parametrize("offset", [-2e-9, -0.5e-9, 0.5e-9, 2e-9])
+    def test_callers_agree_with_the_sweep(self, capsys, v, offset):
+        n2 = (0.5 * v + 1.0) * (1.0 + offset)
+        wL = 60.0
+        tag = run_sweep(SweepRequest(v=v, wL=wL, n2_min=n2, n2_max=n2 + 1.0, count=2))[0].zone
+        assert tag == ("EdgeUpper" if abs(offset) < 1e-9 else
+                       "AboveBarrier" if offset > 0.0 else "Tunneling")
+        setup = BarrierSetup.from_dimensionless(v, wL)
+        mode = mode_from_n2(setup, n2)
+        assert match_boundaries(setup, mode).zone.value == tag
+        if tag == "AboveBarrier":
+            with pytest.raises(ZoneError):
+                transmission_magnitude_nr_form(setup, mode)
+        else:
+            assert 0.0 < transmission_magnitude_nr_form(setup, mode) <= 1.0
+        for command in ("amp", "phasetime"):
+            code, out, _ = run_cli(capsys, command, "--m", "1", "--v", repr(v),
+                                   "--wL", repr(wL), "--n2", repr(n2), "--json")
+            assert code == 0
+            assert json.loads(out)["zone"] == tag
 
 
 class TestExitCodes:

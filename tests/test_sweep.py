@@ -402,6 +402,21 @@ class TestFiniteOrTyped:
                     assert any(item.startswith(f"{column}: ") for item in named), (column, row)
             assert row["E_over_m"] is not None
 
+    @pytest.mark.parametrize("v, n2", [(1e150, 5e-324), (1e150, 1e-300), (1.0, 5e-324),
+                                       (10.0, 5.0), (10.0, 1.0), (10.0, 9.0)])
+    def test_zero_width_transmits_exactly(self, v, n2):
+        # no barrier: T = 1, R = 0 and the phase 0 at every n2, also where
+        # the prefactors overflow (X = -inf * 0 was refused as |T| not finite)
+        point = transmission_closed_form(v, n2, 0.0)
+        assert (point.magnitude, point.phase, point.T, point.R) == (1.0, 0.0, 1.0, 0.0)
+        rec = run_sweep(SweepRequest(v=v, wL=0.0, n2_min=n2, n2_max=2.0 * n2 + 1.0,
+                                     count=2))[0]
+        assert (rec.t2_exact, rec.phase_rad) == (1.0, 0.0)
+        if 0.5 * v - 1.0 <= n2 <= 0.5 * v + 1.0:
+            assert rec.t2_nr_form == 1.0  # 1/(4 n2 rho_n^2) = inf met 0 at n2 = 5e-324
+        assert rec.error.split("; ") == ["ratio_closed: wL=0: tau=0 and t_phi/tau is undefined",
+                                         "ratio_numeric: wL=0: tau=0 and t_phi/tau is undefined"]
+
     @pytest.mark.parametrize("wL", [-1.0, math.nan])
     @pytest.mark.parametrize("call", [transmission_closed_form, normalized_phase_time,
                                       normalized_phase_time_numeric])

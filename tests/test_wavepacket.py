@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from kleintunnel import (
 import kleintunnel.wavepacket as wp
 from kleintunnel.wavepacket import _field_on_times
 from test_phasetime import mp_ratio
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def barrier_v10_mL(mL):
@@ -282,16 +288,48 @@ class TestPhaseTable:
     @pytest.mark.parametrize("count", [1, 2, 3, 10, 41, 64, 65, 129, 650, 2001])
     def test_matches_direct_sum(self, count):
         # block boundaries (64, 65, 129) and a partial last block (2001);
-        # the tables come from ceil(sqrt(n))-row factors, so n = 2, 3 and
-        # non-square n (2, 3, 10, 41 rows; 11 and 32 blocks) are covered
+        # the tables double their rows per pass, so row counts that are not
+        # powers of two (3, 10, 41 rows; 11 and 32 blocks) are covered
         ks = np.linspace(8.0, 12.0, 257)
         E = np.sqrt(ks * ks + 1.0)
         c = np.exp(-0.5 * ((ks - 10.0) / 0.5) ** 2) * np.exp(0.3j * ks)
         t0, dt = -0.8, 1.6 / 2000
         direct = np.exp(-1j * np.outer(t0 + dt * np.arange(count), E)) @ c
         got = wp._phase_sums(E, c, t0, dt, count)
-        assert got.shape == (count,)
+        assert got.shape == (1, count)
+        assert float(np.max(np.abs(got[0] - direct))) <= 1e-12 * float(np.max(np.abs(direct)))
+
+    @pytest.mark.parametrize("nodes, t0, dt, count", [
+        # the broad packet's window: E up to 16 over 14 time units, 2001 times
+        (1025, -7.0, 14.0 / 2000, 2001),
+        # a long window: |t0 E| about 1e3, 64 dt E about 300 rad per block
+        (513, -64.0, 0.29, 257),
+    ])
+    def test_matches_direct_sum_at_packet_scale(self, nodes, t0, dt, count):
+        # the running products chain up to 63 table and 31 seed factors
+        ks = np.linspace(4.0, 16.0, nodes)
+        E = np.sqrt(ks * ks + 1.0)
+        c = np.exp(-0.5 * ((ks - 10.0) / 1.0) ** 2) * np.exp(0.3j * ks)
+        direct = np.exp(-1j * np.outer(t0 + dt * np.arange(count), E)) @ c
+        got = wp._phase_sums(E, c, t0, dt, count)[0]
         assert float(np.max(np.abs(got - direct))) <= 1e-12 * float(np.max(np.abs(direct)))
+
+    def test_grouped_sums_equal_separate_calls(self):
+        # the shared base pass of _field_on_times: base nodes, then level 1's
+        # and level 2's new nodes, summed per contiguous group in one call
+        s, spec = _broad_packet()
+        n = wp._BASE_INTERVALS // 2
+        ks = np.linspace(*spec.support, 4 * n + 1)
+        E, c, _ = wp._integrand(s, spec, s.L, "transmitted", ks)
+        order = np.concatenate((np.arange(0, 4 * n + 1, 4), np.arange(2, 4 * n, 4),
+                                np.arange(1, 4 * n, 2)))
+        E, c = E[order], c[order]
+        t0, dt, count, splits = -7.0, 14.0 / 2000, 2001, (n + 1, 2 * n + 1)
+        sums = wp._phase_sums(E, c, t0, dt, count, splits)
+        assert sums.shape == (3, count)
+        for got, E_g, c_g in zip(sums, np.split(E, splits), np.split(c, splits)):
+            alone = wp._phase_sums(E_g, c_g, t0, dt, count)[0]
+            assert float(np.max(np.abs(got - alone))) <= 1e-15 * float(np.max(np.abs(alone)))
 
 
 def _count_closed_form(monkeypatch):
@@ -329,6 +367,35 @@ def _broad_packet():
     return s, SpectrumSpec(k0=10.0, sigma_k=1.0)
 
 
+_THREADED_RUN = """
+import sys
+import numpy as np
+from kleintunnel import BarrierSetup, SpectrumSpec, run_packet
+runs = [run_packet(BarrierSetup(m=1.0, V0=10.0, L=0.1), SpectrumSpec(k0=10.0, sigma_k=0.2)),
+        run_packet(BarrierSetup(m=1.0, V0=10.0, L=2.0 * np.pi / np.sqrt(20.0)),
+                   SpectrumSpec(k0=10.0, sigma_k=1.0))]
+np.save(sys.argv[1], np.array([r.intensities for r in runs]))
+"""
+
+
+def test_intensities_do_not_depend_on_blas_threads(tmp_path):
+    # the field's matrix products run on BLAS threads; a packet must not
+    # depend on how many (the README and the broad packet, in fresh
+    # processes since the thread count is read at import)
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))
+        path = tmp_path / f"threads{threads}.npy"
+        subprocess.run([sys.executable, "-c", _THREADED_RUN, str(path)], env=env,
+                       check=True, timeout=300)
+        out[threads] = np.load(path)
+    for one, two in zip(out["1"], out["2"]):
+        assert float(np.max(np.abs(one - two))) <= 1e-13 * float(one.max())
+
+
 class TestNestedLadder:
     def test_field_matches_gauss_legendre(self):
         # absolute check of the Simpson combination and the time grid
@@ -342,6 +409,22 @@ class TestNestedLadder:
         t0, dt, count = -0.3, 0.01, 81
         ref = np.exp(-1j * np.outer(t0 + dt * np.arange(count), np.sqrt(ks * ks + 1.0))) @ c
         psi, _, _ = _field_on_times(s, spec, s.L, t0, dt, count, "transmitted", 1e-12)
+        assert float(np.max(np.abs(psi - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("halfwidth, dx", [(1.0, 0.0), (6.0, 0.3)])
+    def test_field_matches_gauss_legendre_at_the_ends_and_past_the_barrier(self, halfwidth, dx):
+        # a support cut at one sigma gives the halved end nodes of the base
+        # grid real weight, and x > L keeps the factor exp(i k (x - L))
+        s = barrier_v10_mL(0.1)
+        spec = SpectrumSpec(k0=10.0, sigma_k=1.0, support_halfwidth=halfwidth)
+        lo, hi = spec.support
+        y, wy = np.polynomial.legendre.leggauss(400)
+        ks = 0.5 * (hi - lo) * y + 0.5 * (hi + lo)
+        c = (0.5 * (hi - lo) * wy * spec.amplitude(ks) * wp._amplitudes(s, ks)
+             * np.exp(1j * ks * dx))
+        t0, dt, count = -0.3, 0.01, 81
+        ref = np.exp(-1j * np.outer(t0 + dt * np.arange(count), np.sqrt(ks * ks + 1.0))) @ c
+        psi, _, _ = _field_on_times(s, spec, s.L + dx, t0, dt, count, "transmitted", 1e-12)
         assert float(np.max(np.abs(psi - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
     def test_nodes_nest_bitwise(self):
