@@ -44,6 +44,8 @@ from .scattering import (
 from .sweep import (
     VALUE_COLUMNS,
     SweepRequest,
+    _float_cells,
+    _write_table,
     fig1_preset,
     run_sweep,
     write_csv,
@@ -305,13 +307,7 @@ def _cmd_packet(parser, args) -> int:
                         f"{name}_change": q.change})
     out = getattr(args, "samples_out", None)
     if out:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("t,intensity\n")
-                for t, inten in run.samples:
-                    fh.write(f"{t!r},{inten!r}\n")
-        except OSError as exc:
-            raise KleinTunnelError(f"writing {out}: {exc}") from exc
+        _write_table(out, ("t", "intensity"), run.samples, (_float_cells, _float_cells))
         payload["samples_path"] = str(out)
     _emit(args, payload)
     return 0

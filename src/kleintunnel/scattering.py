@@ -225,6 +225,24 @@ def _past_cutoff(winding):
     return winding > _MAX_WINDING
 
 
+def _phase_blind(winding, n2, r2):
+    """Where |T| and t_phi/tau depend on the phase the cutoff leaves
+    unresolved (arrays or scalars, like _past_cutoff).
+
+    Past the cutoff (rho_n^2 < 0 there) X = A sin(q_n wL) is known only up
+    to its amplitude A = (n2 + rho_n^2)/(2 n |rho_n|), and t_phi/tau only to
+    about A^2, relative.  Where 1 + A^2 rounds to 1 (n2 far above the
+    barrier), |T| = 1/hypot(1, X) = 1 and t_phi/tau are resolved at every
+    phase and are kept; elsewhere past the cutoff both are refused.
+    """
+    far = _past_cutoff(winding)
+    if not np.any(far):
+        return far
+    with np.errstate(all="ignore"):  # read only past the cutoff
+        a = (n2 + r2) / (2.0 * np.sqrt(n2) * np.sqrt(-r2))
+    return far & ~(np.abs(a) < 2.0 ** -27)
+
+
 class _Columns(NamedTuple):
     """The closed forms at every n2 of a grid, one float64 array each.
 
@@ -348,6 +366,8 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             X[np.isnan(X)] = 0.0
         x = X[fin]
         mag[fin] = 1.0 / np.fromiter(map(math.hypot, repeat(1.0), x.tolist()), float, x.size)
+        blind = _phase_blind(winding, n2, r2)
+        mag[blind] = math.nan
         t_ratio = None
         if ratio:
             # h = d tc / d(d2); sech^2 turns into sec^2 = 1 + tan^2 for d2 < 0
@@ -373,7 +393,8 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             u = (4.0 * n2 * n2 + (hv - 1.0) * (hv + 1.0)) / (m2 + hv + s)
             P = pv + m2 * (qv + m2 * v * (s + 2.0) / s1) / (s * s1)
             t_ratio = (P * tc / m2 + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
-            t_ratio[~np.isfinite(t_ratio) | (wL == 0.0)] = math.nan  # tau = 0 at wL = 0
+            # tau = 0 at wL = 0; blind: unresolved past the cutoff
+            t_ratio[~np.isfinite(t_ratio) | (wL == 0.0) | blind] = math.nan
     cols = _Columns(mag, phase, winding, X, r2, s, t_ratio)
     for column in columns:
         for i in np.flatnonzero(np.isnan(getattr(cols, column)))[:1].tolist():
@@ -390,7 +411,7 @@ def _refusal(column: str, v: float, n2: float, wL: float,
     at = f"at v={v}, n2={n2}, wL={wL}"
     if column == "ratio" and wL == 0.0:
         return ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
-    if column == "phase" and _past_cutoff(winding):
+    if _past_cutoff(winding) and (column == "phase" or _phase_blind(winding, n2, r2)):
         return DomainError(f"q_n*wL is too large to resolve the phase modulo pi {at}")
     if column == "phase" and float(r2) * wL * wL == math.inf:
         return DomainError(f"rho_n^2*wL^2 overflows, so the phase is not resolved {at}")

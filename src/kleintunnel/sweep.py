@@ -25,9 +25,12 @@ CSV contract: header row mandatory, columns in the fixed order
     n2, E_over_m, zone, T2_exact, T2_nr_form, phase_rad,
     ratio_closed, ratio_numeric, nudged
 
-UTF-8, LF line endings, floats as shortest round-trip decimals, absent
-values as empty fields.  JSON output is an array of records with the
-same field names plus ``error``.
+UTF-8, LF line endings, absent values as empty fields.  Floats are
+written in Python repr notation, the shortest decimal that reads back to
+the same double: exponent form below 1e-4 and from 1e16 on (1e-05,
+1e+16), fixed form between.  nan and inf are refused with a DomainError
+naming the column, never written.  JSON output is an array of records
+with the same field names plus ``error``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -174,22 +178,85 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
 # serialization
 # ---------------------------------------------------------------------------
 
-def write_csv(records: list[SweepRecord], path) -> None:
-    """Write records in the fixed CSV contract (round-trip exact floats)."""
-    if not records:
-        raise DomainError("refusing to write an empty sweep")
+# orjson prints the shortest round-trip digits that repr prints (Ryu), in
+# its own notation: 1e16 and 1e-7 where repr writes 1e+16 and 1e-07, and
+# fixed notation for 1e-5 <= |x| < 1e-4, where repr writes 1.5e-05.  On
+# comma-delimited cells these rewrites give repr's bytes; positive
+# exponents (from 16 on) have two digits already, negative ones from 10 on.
+_EXPONENT_REWRITES = ((b"e", b"e+"), (b"e+-", b"e-")) + tuple(
+    (b"e-%d," % d, b"e-0%d," % d) for d in range(6, 10))
+# a cell in [1e-5, 1e-4): its first digit and the rest of its mantissa
+_DECADE = re.compile(rb",(-?)0\.0000([1-9])(\d*)(?=,)")
+# rows per block: each block is formatted, checked and then written
+_BLOCK = 4096
+
+
+def _decade_cell(match: re.Match) -> bytes:
+    sign, first, rest = match.groups()
+    return b",%s%s%s%se-05" % (sign, first, b"." if rest else b"", rest)
+
+
+def _float_cells(values: tuple, name: str) -> list[bytes]:
+    """Each float as repr writes it and None as an empty cell, from one
+    orjson.dumps of the column.  orjson writes nan and inf as null, so a
+    null that is not a None is refused with a DomainError naming the column.
+    """
+    import orjson  # loaded on the first write, not on import
+
+    data = orjson.dumps(values)
+    # "[a,b]" -> ",a,b,": every cell between two commas.  The guards test
+    # one byte: no number holds an n, and only an exponent holds an e.
+    data = b"," + data[1:-1] + b","
+    if b"n" in data:
+        if data.count(b"n") != values.count(None):
+            raise DomainError(f"{name}: nan or inf cannot be written")
+        data = data.replace(b"null", b"")
+    if b"e" in data:
+        for old, new in _EXPONENT_REWRITES:
+            data = data.replace(old, new)
+    if b"0.0000" in data:
+        data = _DECADE.sub(_decade_cell, data)
+    return data.split(b",")[1:-1]
+
+
+def _text_cells(values: tuple, name: str) -> list[bytes]:
+    return list(map(str.encode, values))
+
+
+def _flag_cells(values: tuple, name: str) -> list[bytes]:
+    return [b"true" if x else b"" for x in values]
+
+
+def _write_table(path, names: tuple[str, ...], rows, formats) -> None:
+    """Write rows (tuples, fields past len(names) ignored) under a header of
+    names: UTF-8, LF endings, one formats[j](values, name) -> cells per
+    column.  Blocks of _BLOCK rows are formatted column by column, and each
+    is checked before it is written, so a refused cell raises with the
+    header and the earlier blocks on disk.  An OSError is raised as a
+    KleinTunnelError naming the path.
+    """
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            # one call over a generator: no second copy of the file in memory
-            fh.writelines(
-                f"{n2!r},{'' if e is None else repr(e)},{zone},"
-                f"{'' if t2 is None else repr(t2)},{'' if nr is None else repr(nr)},"
-                f"{'' if ph is None else repr(ph)},{'' if rc is None else repr(rc)},"
-                f"{'' if rn is None else repr(rn)},{'true' if nudged else ''}\n"
-                for n2, e, zone, t2, nr, ph, rc, rn, nudged, _ in records)
+        with open(path, "wb") as fh:
+            fh.write(",".join(names).encode() + b"\n")
+            for start in range(0, len(rows), _BLOCK):
+                columns = zip(*rows[start:start + _BLOCK])
+                cells = [f(values, name) for f, values, name in zip(formats, columns, names)]
+                fh.write(b"\n".join(map(b",".join, zip(*cells))) + b"\n")
     except OSError as exc:
         raise KleinTunnelError(f"writing {path}: {exc}") from exc
+
+
+def write_csv(records: list[SweepRecord], path) -> None:
+    """Write records in the fixed CSV contract (floats as repr writes them).
+
+    Raises DomainError for an empty sweep and for nan or inf in any float
+    column (naming the column), and KleinTunnelError when writing fails.
+    """
+    if not records:
+        raise DomainError("refusing to write an empty sweep")
+    _write_table(path, CSV_COLUMNS, records,
+                 (_float_cells, _float_cells, _text_cells) + (_float_cells,) * 5
+                 + (_flag_cells,))
 
 
 def read_csv(path) -> list[SweepRecord]:

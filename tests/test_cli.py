@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -340,6 +341,9 @@ class TestPacketCommand:
         lines = samples.read_text().splitlines()
         assert lines[0] == "t,intensity"
         assert len(lines) == 2002
+        # the README packet's samples, pinned while they were written by repr
+        assert hashlib.sha256(samples.read_bytes()).hexdigest() == (
+            "63a2db85105ea20b2344bdad6ec1cd143e483c85b0974a61caf0b2ed3a59b28a")
 
     def test_packet_reports_quadrature(self, capsys):
         code, out, _ = run_cli(capsys, "packet", "--m", "1", "--V0", "10",
@@ -410,3 +414,14 @@ class TestCachedParser:
             if in_process is not None:
                 assert csv.read_bytes() == in_process
         assert [run_cli(capsys, *argv)[0] for argv in calls] == [0, 0, 2, 2, 0]
+
+
+def test_orjson_is_loaded_by_the_first_csv_write_only():
+    # the CSV writer imports orjson when it runs: importing the package and
+    # `zone` go without it
+    code = ("import sys, kleintunnel.cli as c; c.main(['zone', '--m', '1', '--V0', '10', "
+            "'--E', '10']); print('orjson' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(kleintunnel.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=60)
+    assert fresh.returncode == 0 and fresh.stdout.splitlines()[-1] == "False"

@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from kleintunnel import (
 )
 from kleintunnel.kinematics import rho_n2
 from kleintunnel.scattering import _closed_forms, _nr_form_from_r2
-from kleintunnel.sweep import CSV_COLUMNS, fig1_request
+from kleintunnel.sweep import _BLOCK, CSV_COLUMNS, _float_cells, fig1_preset, fig1_request
 from test_phasetime import mp_ratio
 
 
@@ -359,6 +360,24 @@ class TestOverflow:
         assert first.phase_rad is not None and first.error is None
         assert last.phase_rad is None and last.error.startswith("phase_rad:")
 
+    def test_magnitude_and_ratio_past_the_cutoff_are_refused(self):
+        # at v = 10, n2 = 1 and wL = 1e17 (q_n wL ~ 1.2e17) |T|^2 read 0.99996,
+        # and 0.976 at 1.1e17: sin(q_n wL) is as unknown as the phase there
+        cutoff = "q_n*wL is too large to resolve the phase modulo pi at v=10.0, n2=1.0"
+        for wL in (1e17, 1.1e17):
+            with pytest.raises(DomainError, match=re.escape(f"{cutoff}, wL={wL}")):
+                transmission_closed_form(10.0, 1.0, wL)
+            with pytest.raises(DomainError, match=re.escape(f"{cutoff}, wL={wL}")):
+                normalized_phase_time(10.0, 1.0, wL)
+        row = run_sweep(SweepRequest(v=10.0, wL=1e17, n2_min=1.0, n2_max=2.0, count=2))[0]
+        assert (row.t2_exact, row.phase_rad, row.ratio_closed, row.ratio_numeric) == (None,) * 4
+        text = "q_n*wL is too large to resolve the phase modulo pi at v=10.0, n2=1.0, wL=1e+17"
+        assert row.error == "; ".join(f"{name}: {text}" for name in (
+            "T2_exact", "phase_rad", "ratio_closed", "ratio_numeric"))
+        # below the cutoff both are values
+        assert transmission_closed_form(10.0, 1.0, 1e14).probability > 0.0
+        assert math.isfinite(normalized_phase_time(10.0, 1.0, 1e14))
+
 
 # inputs at the ends of the float range, as (v, wL, n2 grid)
 _EXTREMES = (
@@ -600,6 +619,12 @@ class TestSerialization:
             SweepRecord(**{**full, field: None}) for field in (
                 "e_over_m", "t2_exact", "t2_nr_form", "phase_rad", "ratio_closed",
                 "ratio_numeric")]
+        # every notation repr and orjson's digits differ in: the decade
+        # [1e-5, 1e-4), one-digit negative exponents, positive exponents and
+        # integral floats below 1e16
+        recs += [SweepRecord(3e-05, -1.5e-05, "Klein", 2.5e-07, 1e16, -1.2345e300,
+                             9.999999999999999e-05, 1e15),
+                 SweepRecord(1e-4, 1.2e-5, "Klein", -1e-10, 1.5e16, 1e-300, 2e-06, -9e-09)]
         path = tmp_path / "hand.csv"
         write_csv(recs, path)
         assert path.read_bytes() == (
@@ -611,8 +636,62 @@ class TestSerialization:
             b"1e-300,1.0,Tunneling,0.25,,3.141592653589793,-1e-300,2.5,true\n"
             b"1e-300,1.0,Tunneling,0.25,-0.0,,-1e-300,2.5,true\n"
             b"1e-300,1.0,Tunneling,0.25,-0.0,3.141592653589793,,2.5,true\n"
-            b"1e-300,1.0,Tunneling,0.25,-0.0,3.141592653589793,-1e-300,,true\n")
+            b"1e-300,1.0,Tunneling,0.25,-0.0,3.141592653589793,-1e-300,,true\n"
+            b"3e-05,-1.5e-05,Klein,2.5e-07,1e+16,-1.2345e+300,9.999999999999999e-05,"
+            b"1000000000000000.0,\n"
+            b"0.0001,1.2e-05,Klein,-1e-10,1.5e+16,1e-300,2e-06,-9e-09,\n")
         assert read_csv(path) == recs
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, column", [
+        ("n2", "n2"), ("e_over_m", "E_over_m"), ("t2_exact", "T2_exact"),
+        ("t2_nr_form", "T2_nr_form"), ("phase_rad", "phase_rad"),
+        ("ratio_closed", "ratio_closed"), ("ratio_numeric", "ratio_numeric")])
+    def test_non_finite_value_is_refused(self, tmp_path, field, column, bad):
+        # a file never holds nan or inf: the cell's column is named, and
+        # each block of rows is checked before it is written, so the file
+        # keeps the header and the blocks before the refused one
+        good = SweepRecord(n2=1.0, e_over_m=2.0, zone="Klein", t2_exact=0.5, t2_nr_form=0.5,
+                           phase_rad=1.0, ratio_closed=1.5, ratio_numeric=1.5)
+        path = tmp_path / "bad.csv"
+        for before in (0, _BLOCK):
+            recs = [good] * before + [good, good._replace(**{field: bad}), good]
+            with pytest.raises(DomainError, match=f"^{column}: nan or inf cannot be written$"):
+                write_csv(recs, path)
+            lines = path.read_bytes().split(b"\n")
+            assert lines[0] == ",".join(CSV_COLUMNS).encode()
+            assert len(lines) == 2 + before and lines[-1] == b""
+            assert set(lines[1:-1]) <= {b"1.0,2.0,Klein,0.5,0.5,1.0,1.5,1.5,"}
+
+    def test_float_cells_equal_repr_token_for_token(self):
+        # over a million doubles: random 64-bit patterns (finite only),
+        # log-uniform magnitudes in 1e-8 ... 1e20 of either sign, and every
+        # switch of notation with its neighbours; a later orjson that writes
+        # another notation fails here, not in a digest
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2 ** 64, 600_000, dtype=np.uint64).view(np.float64)
+        spread = 10.0 ** rng.uniform(-8.0, 20.0, 450_000) * rng.choice((-1.0, 1.0), 450_000)
+        special = [0.0, 5e-324, sys.float_info.max, 1e-5, 1e-4, 1e16, 1e-7, 1e-10]
+        special += [y for x in special for y in (math.nextafter(x, 0.0),
+                                                 math.nextafter(x, math.inf))
+                    if math.isfinite(y)]
+        special += [10.0 ** k for k in range(-20, 23)] + [1e15, 2.0 ** 53, 123.0, 0.1]
+        values = bits[np.isfinite(bits)].tolist() + spread.tolist() + special + [
+            -x for x in special]
+        assert len(values) >= 1_000_000
+        for start in range(0, len(values), 100_000):
+            chunk = tuple(values[start:start + 100_000])
+            cells = _float_cells(chunk, "x")
+            assert len(cells) == len(chunk)
+            if b",".join(cells) != ",".join(map(repr, chunk)).encode():
+                assert [(x, c) for x, c in zip(chunk, cells) if c != repr(x).encode()] == []
+
+    def test_fig1_files_round_trip_byte_for_byte(self, tmp_path):
+        for path in fig1_preset(tmp_path):
+            again = tmp_path / "again.csv"
+            write_csv(read_csv(path), again)
+            with open(path, "rb") as fh:
+                assert again.read_bytes() == fh.read(), path
 
     def test_opaque_klein_grid_digest_pinned(self, tmp_path):
         # wL = 400 reaches an opaque barrier (|T|^2 down to 3e-79) and about
