@@ -69,6 +69,6 @@ from .wavepacket import (
     synthesize_transmitted,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

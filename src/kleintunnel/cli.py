@@ -77,8 +77,8 @@ class _Config:
                 parser.error(f"cannot read config {path}: {exc}")
             if not isinstance(loaded, dict):
                 parser.error(f"config {path} must hold a JSON object")
-            # the subcommand's own argument dests (all present in args)
-            known = set(vars(args)) - {"command", "func"} | set(DEFAULTS)
+            # only the subcommand's own argument dests (all present in args)
+            known = set(vars(args)) - {"command", "func"}
             unknown = sorted(set(loaded) - known)
             if unknown:
                 parser.error(f"unknown config key(s) in {path}: {', '.join(unknown)}")
@@ -387,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p); barrier_flags(p)
     p.add_argument("--E", type=float, help="total energy (exclusive with --n2)")
     p.add_argument("--n2", type=float, help="normalized energy k^2/w^2")
-    p.add_argument("--dE", type=float,
-                   help="accepted and ignored (the numeric derivative is exact)")
     p.set_defaults(func=_cmd_phasetime)
 
     p = sub.add_parser("limits", help="zone-edge limit values at (v, wL)")
@@ -418,13 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path for a single sweep")
     p.add_argument("--v", type=float, help="V0/m (0 gives the Schroedinger barrier)")
     p.add_argument("--wL", type=float, help="dimensionless width (default 2*pi)")
-    p.add_argument("--m", type=float,
-                   help="accepted and ignored (a sweep depends on v, wL and n2 only)")
     p.add_argument("--n2-min", dest="n2_min", type=float)
     p.add_argument("--n2-max", dest="n2_max", type=float)
     p.add_argument("--count", type=int, help="grid points (>= 2)")
     p.add_argument("--outputs", help="comma list of value columns")
-    p.add_argument("--workers", type=int, help="accepted and ignored (sweeps run serially)")
     p.add_argument("--format", choices=["csv", "json"])
     p.set_defaults(func=_cmd_sweep)
     return parser

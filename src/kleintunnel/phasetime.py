@@ -278,12 +278,9 @@ def _solve_columns(v: float, n2: np.ndarray, root: np.ndarray, osc: np.ndarray,
     return 2.0 * n / wL * (-_div(ar, ai, detr, deti)[1] - wL * dki)
 
 
-def phase_time_numeric(setup: BarrierSetup, mode: IncidentMode,
-                       dE: float | None = None) -> PhaseTimeResult:
-    """t_phi = dphi/dE from normalized_phase_time_numeric.
-
-    dE is accepted and ignored: the derivative is exact, so there is no
-    step.  At L = 0 the ratio is flagged undefined; otherwise raises as
+def phase_time_numeric(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResult:
+    """t_phi = dphi/dE from normalized_phase_time_numeric (exact, no step).
+    At L = 0 the ratio is flagged undefined; otherwise raises as
     normalized_phase_time_numeric does: ZoneCrossingError on the edge band.
     """
     if setup.L == 0.0:

@@ -7,11 +7,11 @@ The stationary ansatz is
     phi3 = T exp(ik(x - L))                x > L
 
 with the oscillatory interior basis {exp(-iqx), exp(+iqx)} in the Klein
-and above-barrier zones and the degenerate basis {1, x} where neither
-rho^2 nor q^2 is positive, within a few ulps of E = V0 -+ m (the signs
-decide, not a zone tag: kinematics.barrier_channel).  Matching phi and
-phi' at x = 0 and x = L fixes (R, alpha, beta, T); this module solves
-that system exactly and also provides the closed forms it implies.
+and above-barrier zones and the degenerate basis {1, x} where rho_n^2 =
+kinematics.rho_n2(v, n2) is 0 (its sign decides, not a zone tag; n2 is
+read directly, never through E).  Matching phi and phi' at x = 0 and
+x = L fixes (R, alpha, beta, T); this module solves that system exactly
+and also provides the closed forms it implies.
 
 The closed form is what the library reports; :func:`match_boundaries`
 stays as its independent check.  One entire function of rho_n^2 gives
@@ -58,9 +58,9 @@ from .kinematics import (
     BarrierSetup,
     IncidentMode,
     Zone,
-    barrier_channel,
     _rho_n2_columns,
     _zone,
+    rho_n2,
 )
 
 
@@ -68,12 +68,11 @@ from .kinematics import (
 class ScatteringSolution:
     """Exact amplitudes of the matched stationary solution.
 
-    alpha and beta are the interior coefficients in the basis of the
-    channel (barrier_channel): {exp(-rho x), exp(+rho x)} (evanescent),
-    {exp(-iqx), exp(+iqx)} (oscillatory) or {1, x} (linear), whatever the
-    tag in zone (the mode's n2 tagged as a sweep row is) says.  arg_T is
-    the principal argument of T, kept even where T underflows to 0
-    (rho L > ~745).
+    alpha and beta are the interior coefficients in the basis the sign of
+    rho_n^2 (kinematics.rho_n2) picks: {exp(-rho x), exp(+rho x)}, else
+    {exp(-iqx), exp(+iqx)}, else {1, x} where it is 0, whatever zone (the
+    tag of the mode's n2) says.  arg_T is the principal argument of T,
+    kept even where T underflows to 0 (rho L > ~745).
     """
 
     R: complex
@@ -136,14 +135,14 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
     The 4x4 system is reduced analytically: the interior pair is
     eliminated at x = L, leaving the 2x2 solve of :func:`_matched` for
     (R, T) in units of w.  The transmission is solved as S = T*exp(rho L)
-    (an O(1) quantity) and rescaled at the end.
-
-    Raises NonPropagatingError for E <= m.
+    (an O(1) quantity) and rescaled at the end.  The basis follows the
+    sign of rho_n^2 = kinematics.rho_n2 at the mode's n2, not mode.E;
+    raises DomainError for n2 <= 0.
     """
-    channel = barrier_channel(setup, mode)
+    r2 = rho_n2(setup.v, mode.n2)
     zone = _zone(setup.v, mode.n2)
 
-    if channel.kind == "linear":
+    if r2 == 0.0:
         # interior a + b*x; per unit T: b = ik, a = 1 - ikL
         k, L = mode.k, setup.L
         T = 2.0 / (2.0 - 1j * k * L)
@@ -151,14 +150,13 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
         return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * k * L) * T,
                                   beta=1j * k * T, zone=zone, arg_T=cmath.phase(T))
 
-    w = setup.w
-    n = mode.k / w
-    kappa = complex(channel.rho_n) if channel.kind == "evanescent" else 1j * channel.q_n
-    u, g1, g2, _, _, P, det = _matched(n, kappa, w * setup.L)
+    n = math.sqrt(mode.n2)
+    # the principal root: rho_n where rho_n^2 > 0, else i q_n = i sqrt(-rho_n^2)
+    u, g1, g2, _, _, P, det = _matched(n, cmath.sqrt(r2), setup.wL)
     S = 2j * n / det
     T = S * u
     # u is real and positive in the evanescent zone, so arg T = arg S there
-    arg_T = cmath.phase(S if channel.kind == "evanescent" else T)
+    arg_T = cmath.phase(S if r2 > 0.0 else T)
     return ScatteringSolution(R=S * P - 1.0, T=T, alpha=g1 * S, beta=g2 * S * u * u,
                               zone=zone, arg_T=arg_T)
 
@@ -173,12 +171,12 @@ def continuity_residuals(setup: BarrierSetup, mode: IncidentMode,
     rho*L (the growing term overflows near rho*L ~ 700).
     """
     k, L = mode.k, setup.L
-    channel = barrier_channel(setup, mode)
-    if channel.kind == "linear":
+    r2 = rho_n2(setup.v, mode.n2)
+    if r2 == 0.0:
         def interior(x):
             return sol.alpha + sol.beta * x, sol.beta
     else:
-        kappa = complex(channel.rho) if channel.kind == "evanescent" else 1j * channel.q
+        kappa = setup.w * cmath.sqrt(r2)
         def interior(x):
             e1 = cmath.exp(-kappa * x)
             e2 = cmath.exp(kappa * x)

@@ -199,11 +199,15 @@ def _decade_cell(match: re.Match) -> bytes:
 def _float_cells(values: tuple, name: str) -> list[bytes]:
     """Each float as repr writes it and None as an empty cell, from one
     orjson.dumps of the column.  orjson writes nan and inf as null, so a
-    null that is not a None is refused with a DomainError naming the column.
+    null that is not a None is refused with a DomainError naming the column,
+    and so is a cell orjson cannot write, such as a numpy float64.
     """
     import orjson  # loaded on the first write, not on import
 
-    data = orjson.dumps(values)
+    try:
+        data = orjson.dumps(values)
+    except TypeError as exc:
+        raise DomainError(f"{name}: {exc}") from exc
     # "[a,b]" -> ",a,b,": every cell between two commas.  The guards test
     # one byte: no number holds an n, and only an exponent holds an e.
     data = b"," + data[1:-1] + b","
@@ -282,12 +286,17 @@ def read_csv(path) -> list[SweepRecord]:
 
 
 def write_json(records: list[SweepRecord], path) -> None:
-    """Write records as a JSON array with the CSV field names plus ``error``."""
+    """Write records as a JSON array with the CSV field names plus ``error``;
+    raises as write_csv does (nan or inf refused, naming the field)."""
     if not records:
         raise DomainError("refusing to write an empty sweep")
     # a record's fields are the CSV columns plus error, in that order
     names = CSV_COLUMNS + ("error",)
     payload = [dict(zip(names, rec)) for rec in records]
+    for row in payload:
+        for name, x in row.items():
+            if isinstance(x, float) and not math.isfinite(x):
+                raise DomainError(f"{name}: nan or inf cannot be written")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=1)

@@ -441,9 +441,8 @@ def test_criterion_10_determinism(tmp_path):
             return hashlib.sha256(fh.read()).hexdigest()
 
     dirs = [tmp_path / name for name in ("a", "b", "c")]
-    for d, workers in zip(dirs, ("1", "1", "2")):
-        code = cli_main(["sweep", "--preset", "fig1", "--out-dir", str(d),
-                         "--workers", workers, "--json"])
+    for d in dirs:
+        code = cli_main(["sweep", "--preset", "fig1", "--out-dir", str(d), "--json"])
         assert code == 0
     names = sorted(os.listdir(dirs[0]))
     assert names == sorted(FIG1_DIGESTS)
@@ -467,6 +466,6 @@ def test_criterion_10_determinism(tmp_path):
         with open(paths[0], "r", encoding="utf-8") as fh:
             assert fh.readline().rstrip("\n") == ",".join(CSV_COLUMNS)
     report(10, not problems, "; ".join(problems) or
-           f"five datasets byte-identical across reruns and worker counts and to "
+           f"five datasets byte-identical across three reruns and to "
            f"the pinned digests (files: {', '.join(names)})")
     assert not problems, "\n".join(problems)

@@ -1,5 +1,8 @@
 import math
+import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -197,7 +200,83 @@ class TestBarrierChannel:
                 assert ch.q**2 - (E - 10.0) ** 2 == pytest.approx(-1.0, rel=1e-12)
 
 
+def mp_rho_n2(v, n2):
+    """40-digit (1 - (n2 - v/2)^2) / (sqrt(1 + 2 n2 v) + n2 + v/2), its
+    numerator exact (fractions) so that it cancels at no n2."""
+    d = Fraction(n2) - Fraction(v) / 2
+    num = 1 - d * d
+    with mpmath.workdps(40):
+        return (mpmath.mpf(num.numerator) / num.denominator) / (
+            mpmath.sqrt(1 + 2 * mpmath.mpf(n2) * v) + mpmath.mpf(n2) + mpmath.mpf(v) / 2)
+
+
+def rho_n2_error(v, n2):
+    """Relative error of rho_n2 against mp_rho_n2 (0 or inf where that is 0)."""
+    want, got = mp_rho_n2(v, n2), rho_n2(v, n2)
+    if want == 0:
+        return 0.0 if got == 0.0 else math.inf
+    return float(abs(got - want) / abs(want))
+
+
+def factor_rounding(v, n2):
+    """The known error of rho_n2, relative: its factors are formed as
+    (1 + n2) - v/2 and (1 - n2) + v/2, so 1 + n2 and 1 - n2 round first.
+    The sum, over both factors, of that rounding over the exact factor
+    (inf where the factor is 0); 0 where 1 -+ n2 is exact."""
+    x, h = Fraction(n2), Fraction(v) / 2
+    total = 0.0
+    for rounded, exact, factor in ((1.0 + n2, 1 + x, 1 + x - h), (1.0 - n2, 1 - x, 1 - x + h)):
+        gap = abs(Fraction(rounded) - exact)
+        if gap:
+            total += math.inf if factor == 0 else float(gap / abs(factor))
+    return total
+
+
+def rho_n2_points():
+    """Both sides of every edge at relative offsets 1e-15 ... 1e-3 and the
+    float edges; v = 2 with n2 from 5e-324 to 1e-3; v from 0 to 1e150; and
+    2000 random points, uniform and log-uniform."""
+    for v in (1e-8, 1e-6, 1e-3, 0.5, 0.67, 1.0, 2.0, 2.5, 3.0, 4.33, 10.0, 100.0, 1e4, 1e8):
+        for edge in [0.5 * v + 1.0] + ([0.5 * v - 1.0] if v > 2.0 else []):
+            yield v, edge
+            for k in range(3, 16):
+                yield v, edge * (1.0 + 10.0 ** -k)
+                yield v, edge * (1.0 - 10.0 ** -k)
+    for n2 in [5e-324] + [10.0 ** -k for k in range(3, 324, 8)]:
+        yield 2.0, n2
+    for v in [0.0] + [10.0 ** k for k in range(-300, 151, 10)]:
+        for n2 in (0.3, 1.0, 0.5 * v + 0.5, 2.0 * v + 0.1):
+            yield v, n2
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        v = float(rng.uniform(0.0, 60.0))
+        yield v, float(rng.uniform(1e-3, 0.5 * v + 6.0))
+    for _ in range(1000):
+        v = float(10.0 ** rng.uniform(-8.0, 8.0))
+        yield v, float(10.0 ** rng.uniform(-8.0, math.log10(5.0 * v + 60.0)))
+
+
+# Besides factor_rounding, rho_n2 was at most 4.4e-16 (2 eps) off mp_rho_n2
+# over rho_n2_points; the bound is twice that
+RHO_N2_RTOL = 4.0 * sys.float_info.epsilon
+
+
 class TestRhoN2:
+    def test_matches_40_digit_reference(self):
+        far = [(v, n2, err) for v, n2 in rho_n2_points()
+               if (err := rho_n2_error(v, n2)) > RHO_N2_RTOL + factor_rounding(v, n2)]
+        assert far == []
+
+    # measured: 0.2 at v = 4.33, 1e-15 below the lower edge; 1.1e-7 at
+    # v = 10, n2 = 3.999999996; rho_n2(2, 1e-16) is 0.0 (mpmath: 1.0e-16)
+    @pytest.mark.xfail(strict=True, reason=(
+        "the lower-edge factor is formed as (1 + n2) - v/2, so 1 + n2 rounds first: "
+        "an error of about eps (1 + n2) / |n2 - (v/2 - 1)|, relative"))
+    @pytest.mark.parametrize("v, n2", [(4.33, (0.5 * 4.33 - 1.0) * (1.0 - 1e-15)),
+                                       (10.0, 3.999999996), (2.0, 1e-16)])
+    def test_lower_edge_factor_rounds_first(self, v, n2):
+        assert rho_n2_error(v, n2) <= RHO_N2_RTOL
+
     def test_matches_direct_form_interior(self):
         # away from the edges the naive sqrt form is accurate enough to
         # compare against

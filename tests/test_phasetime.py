@@ -250,6 +250,12 @@ class TestNumericOracle:
         assert res.t_phi == 0.0
         assert not res.ratio_defined
 
+    def test_step_keyword_is_gone(self):
+        # dE was accepted and ignored (the derivative is exact); 0.2.0 removed it
+        s = make()
+        with pytest.raises(TypeError, match="dE"):
+            phase_time_numeric(s, mode_from_energy(s, 10.0), dE=1e-6)
+
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(oracle_points())
     def test_matches_40_digit_reference(self, point):

@@ -662,6 +662,18 @@ class TestSerialization:
             assert lines[0] == ",".join(CSV_COLUMNS).encode()
             assert len(lines) == 2 + before and lines[-1] == b""
             assert set(lines[1:-1]) <= {b"1.0,2.0,Klein,0.5,0.5,1.0,1.5,1.5,"}
+        # the JSON writer refuses it too (json.dump would write NaN or
+        # Infinity), before it opens the file
+        path = tmp_path / "bad.json"
+        with pytest.raises(DomainError, match=f"^{column}: nan or inf cannot be written$"):
+            write_json([good, good._replace(**{field: bad})], path)
+        assert not path.exists()
+
+    def test_numpy_scalar_cell_is_refused_by_name(self, tmp_path):
+        # orjson writes Python floats only; its TypeError becomes a DomainError
+        rec = SweepRecord(n2=1.0, e_over_m=2.0, zone="Klein", t2_exact=np.float64(0.5))
+        with pytest.raises(DomainError, match="^T2_exact: .*numpy.float64"):
+            write_csv([rec], tmp_path / "x.csv")
 
     def test_float_cells_equal_repr_token_for_token(self):
         # over a million doubles: random 64-bit patterns (finite only),
