@@ -106,13 +106,13 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("argv, flag", [
-        (("sweep", "--v", "1", "--n2-min", "0.1", "--n2-max", "2.5", "--count", "7"), "--m"),
         (("sweep", "--v", "1", "--n2-min", "0.1", "--n2-max", "2.5", "--count", "7"),
          "--workers"),
         (("phasetime", "--m", "1", "--V0", "10", "--n2", "5"), "--dE"),
-    ], ids=["sweep-m", "sweep-workers", "phasetime-dE"])
+    ], ids=["sweep-workers", "phasetime-dE"])
     def test_removed_flags_are_usage_errors(self, capsys, tmp_path, argv, flag):
-        # 0.2.0 removed these flags, which earlier versions accepted and ignored
+        # 0.2.0 removed these flags, which earlier versions accepted and ignored;
+        # sweep --m is checked in TestSweepCommand::test_mass_flag_is_ignored
         out = ("--out", str(tmp_path / "s.csv")) if argv[0] == "sweep" else ()
         assert run_cli(capsys, *argv, *out)[0] == 0
         code, _, err = run_cli(capsys, *argv, *out, flag, "1")
@@ -316,6 +316,18 @@ class TestSweepCommand:
         row = out_path.read_text().splitlines()[1].split(",")
         assert row[3] != "" and row[5] != ""  # requested
         assert row[6] == "" and row[7] == ""  # not requested
+
+    @pytest.mark.parametrize("m", ["1e-200", "3"])
+    def test_mass_flag_is_ignored(self, capsys, tmp_path, m):
+        # the sweep is a function of (v, n^2) alone; before 0.2.0 it accepted --m and
+        # ignored it, and since 0.2.0 it refuses it as a usage error and writes nothing
+        argv = ("sweep", "--v", "1", "--n2-min", "0.1", "--n2-max", "2.5", "--count", "7")
+        plain, massive = tmp_path / "plain.csv", tmp_path / "m.csv"
+        assert run_cli(capsys, *argv, "--out", str(plain))[0] == 0
+        code, _, err = run_cli(capsys, *argv, "--m", m, "--out", str(massive))
+        assert code == 2
+        assert f"unrecognized arguments: --m {m}" in err
+        assert not massive.exists()
 
     def test_overflowing_grid_is_a_computation_error(self, capsys, tmp_path):
         out_path = tmp_path / "x.csv"
