@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands expose the library computations with a JSON config file and
-flag overrides (flag > file > default; defaults m=1, wL=2*pi, v=10).
-Numeric results print in natural units (hbar = c = 1); ``--json`` emits
-the same numbers as a JSON object; ``--units ev-pm`` additionally
-annotates human output with MeV/pm/zeptosecond conversions (display
-only, computation always stays in natural units).
+Each call reads one table of parameters: defaults < a JSON ``--config``
+file < flags.  A config key is a flag's dest (``n2_min`` for
+``--n2-min``), checked on loading by that flag's own type and choices; a
+key the subcommand has no flag for, or that the chosen path does not
+read, is a usage error.  Results print in natural units (hbar = c = 1),
+as JSON with ``json``; ``units = ev-pm`` annotates human output with
+MeV/pm/zeptosecond conversions (display only).  No command prints nan
+or inf: a non-finite result is a computation error.
 
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
@@ -56,102 +58,112 @@ from .wavepacket import SpectrumSpec, run_packet
 HBARC_MEV_PM = 0.1973269804  # hbar*c in MeV*pm
 HBAR_MEV_ZS = 0.6582119569   # hbar in MeV * zeptoseconds
 
-DEFAULTS = {"m": 1.0, "wL": 2.0 * math.pi, "v": 10.0}
+DEFAULTS = {"m": 1.0, "wL": 2.0 * math.pi, "v": 10.0,
+            "support_halfwidth": 6.0, "n_times": 2001}
 
-_LEVEL_DEFAULT, _LEVEL_FILE, _LEVEL_FLAG = 0, 1, 2
+# a source that names either member replaces the whole pair from the sources below it
+_PAIRS = (("V0", "v"), ("L", "wL"), ("E", "n2"), ("k0", "n2"))
+
+# all that sweep --preset reads; any other key the user sets is refused there
+_PRESET_KEYS = {"preset", "out_dir", "format", "json", "units"}
 
 
-class _Config:
-    """Merged (value, precedence) table: flag > file > default."""
+@functools.cache
+def _flags(command: str) -> dict[str, argparse.Action]:
+    """The flags of one subcommand by dest, without --help and --config."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest not in ("help", "config")}
+
+
+class _Config(dict):
+    """One call's typed parameters by dest: defaults < config file < flags.
+    Reading with [] a key that no source gives is a usage error."""
 
     def __init__(self, parser: argparse.ArgumentParser, args: argparse.Namespace):
-        self._parser = parser
-        self._table: dict[str, tuple[object, int]] = {
-            k: (v, _LEVEL_DEFAULT) for k, v in DEFAULTS.items()}
-        path = getattr(args, "config", None)
-        if path:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    loaded = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                parser.error(f"cannot read config {path}: {exc}")
-            if not isinstance(loaded, dict):
-                parser.error(f"config {path} must hold a JSON object")
-            # only the subcommand's own argument dests (all present in args)
-            known = set(vars(args)) - {"command", "func"}
-            unknown = sorted(set(loaded) - known)
-            if unknown:
-                parser.error(f"unknown config key(s) in {path}: {', '.join(unknown)}")
-            for k, v in loaded.items():
-                self._table[k] = (v, _LEVEL_FILE)
-        for k, v in vars(args).items():
-            if k in ("config", "func", "json", "units", "out", "out_dir") or v is None:
-                continue
-            self._table[k.replace("-", "_")] = (v, _LEVEL_FLAG)
+        super().__init__()
+        self.error = parser.error
+        flags = _flags(args.command)
+        given: dict = {}
+        if args.config:
+            self._merge(given, self._load(args.config, flags))
+        self._merge(given, {k: val for k, val in vars(args).items()
+                            if k in flags and val is not None and val is not False})
+        if "preset" in given:
+            unread = sorted(set(given) - _PRESET_KEYS)
+            if unread:
+                self.error(f"sweep --preset reads no {', '.join(unread)}")
+        elif "out_dir" in given:
+            self.error("sweep reads out_dir only with --preset")
+        self._merge(self, {k: val for k, val in DEFAULTS.items() if k in flags})
+        self._merge(self, given)
 
-    def pick(self, key: str, required: bool = False):
-        if key in self._table:
-            return self._table[key][0]
-        if required:
-            self._parser.error(f"missing required parameter: {key}")
-        return None
+    def _merge(self, table: dict, source: dict) -> None:
+        for a, b in _PAIRS:
+            if a in source and b in source:
+                self.error(f"supply either {a} or {b}, not both")
+            if a in source or b in source:
+                table.pop(a, None); table.pop(b, None)
+        table.update(source)
 
-    def _coerce(self, key: str, val, kind):
+    def _load(self, path: str, flags: dict[str, argparse.Action]) -> dict:
         try:
-            return kind(val)
+            with open(path, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            self.error(f"cannot read config {path}: {exc}")
+        if not isinstance(loaded, dict):
+            self.error(f"config {path} must hold a JSON object")
+        unknown = sorted(set(loaded) - set(flags))
+        if unknown:
+            self.error(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+        return {k: self._typed(k, val, flags[k]) for k, val in loaded.items()}
+
+    def _typed(self, key: str, val, action: argparse.Action):
+        """A config value as its flag reads it; a JSON number is read as its repr."""
+        kind = bool if action.nargs == 0 else action.type or str  # nargs 0: the --json switch
+        try:
+            if isinstance(val, bool) != (kind is bool) or not isinstance(val, (int, float, str)):
+                raise TypeError
+            typed = val if kind is bool else kind(val if isinstance(val, str) else repr(val))
         except (TypeError, ValueError):
-            self._parser.error(f"parameter {key} must be a number, got {val!r}")
+            noun = {bool: "true or false", float: "a number", int: "an integer", str: "a string"}
+            self.error(f"parameter {key} must be {noun[kind]}, got {val!r}")
+        if action.choices is not None and typed not in action.choices:
+            self.error(f"parameter {key} must be one of {', '.join(action.choices)}, got {val!r}")
+        return typed
 
-    def pick_float(self, key: str, required: bool = False) -> float | None:
-        val = self.pick(key, required)
-        return None if val is None else self._coerce(key, val, float)
+    def __missing__(self, key: str):
+        self.error(f"missing required parameter: {key}")
 
-    def pick_int(self, key: str, required: bool = False) -> int | None:
-        val = self.pick(key, required)
-        if isinstance(val, float) and not val.is_integer():
-            self._parser.error(f"parameter {key} must be an integer, got {val!r}")
-        return None if val is None else self._coerce(key, val, int)
-
-    def exclusive(self, a: str, b: str, required: bool = False):
-        """Return (name, value) of the winner of an exclusive pair."""
-        ta, tb = self._table.get(a), self._table.get(b)
-        if ta is not None and tb is not None:
-            if ta[1] == tb[1]:
-                self._parser.error(f"supply either {a} or {b}, not both")
-            name, val = (a, ta[0]) if ta[1] > tb[1] else (b, tb[0])
-        elif ta is not None:
-            name, val = a, ta[0]
-        elif tb is not None:
-            name, val = b, tb[0]
-        else:
-            if required:
-                self._parser.error(f"one of {a} or {b} is required")
-            return (None, None)
-        return name, self._coerce(name, val, float)
-
-    def barrier(self) -> BarrierSetup:
-        m = self.pick_float("m", required=True)
-        name, val = self.exclusive("V0", "v")
-        V0 = val if name == "V0" else val * m
-        w = math.sqrt(2.0 * m * V0)
-        if w == 0.0:
-            raise DomainError(f"w = sqrt(2*m*V0) underflows to 0 at m={m}, V0={V0}")
-        name, val = self.exclusive("L", "wL")
-        L = val if name == "L" else val / w
-        return BarrierSetup(m=m, V0=V0, L=L)
-
-    def mode(self, setup: BarrierSetup):
-        name, val = self.exclusive("E", "n2", required=True)
-        if name == "E":
-            return mode_from_energy(setup, val)
-        return mode_from_n2(setup, val)
+    def either(self, a: str, b: str) -> tuple[str, float]:
+        """(name, value) of the member of an exclusive pair that the table holds."""
+        key = a if a in self else b if b in self else self.error(f"one of {a} or {b} is required")
+        return key, self[key]
 
 
-def _emit(args: argparse.Namespace, payload: dict) -> None:
-    if args.json:
-        text = json.dumps(payload, indent=2)
+def _barrier(p: _Config) -> BarrierSetup:
+    m = p["m"]
+    V0 = p["V0"] if "V0" in p else p["v"] * m
+    if "L" in p:
+        return BarrierSetup(m=m, V0=V0, L=p["L"])
+    w = BarrierSetup(m=m, V0=V0, L=0.0).w  # m and V0 checked before the root is taken
+    return BarrierSetup(m=m, V0=V0, L=p["wL"] / w)
+
+
+def _mode(p: _Config, setup: BarrierSetup):
+    name, val = p.either("E", "n2")
+    return (mode_from_energy if name == "E" else mode_from_n2)(setup, val)
+
+
+def _emit(p: _Config, payload: dict) -> None:
+    for key, value in payload.items():
+        if any(isinstance(x, float) and not math.isfinite(x)
+               for x in (value if isinstance(value, list) else [value])):
+            raise DomainError(f"{key} is not finite: {value!r}")
+    if p.get("json"):
+        text = json.dumps(payload, indent=2, allow_nan=False)
     else:
-        units = getattr(args, "units", None)
+        units = p.get("units")
         lines = []
         for key, value in payload.items():
             if isinstance(value, float):
@@ -168,8 +180,8 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
             else:
                 lines.append(f"{key} = {value}")
         text = "\n".join(lines)
-    out = getattr(args, "out", None)
-    if out and getattr(args, "command", None) != "sweep":
+    out = p.get("out")
+    if out:
         try:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text + "\n")
@@ -183,10 +195,9 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_zone(parser, args) -> int:
-    cfg = _Config(parser, args)
-    setup = cfg.barrier()
-    E = cfg.pick_float("E", required=True)
+def _cmd_zone(p: _Config) -> int:
+    setup = _barrier(p)
+    E = p["E"]
     zone = classify_zone(setup, E)
     payload = {"m": setup.m, "V0": setup.V0, "E": E, "zone": zone.value}
     if zone.value != "NonPropagating":
@@ -194,14 +205,13 @@ def _cmd_zone(parser, args) -> int:
         ch = barrier_channel(setup, mode)
         payload.update({"k": mode.k, "n2": mode.n2, "channel": ch.kind,
                         "rho": ch.rho, "q": ch.q, "rho_n": ch.rho_n, "q_n": ch.q_n})
-    _emit(args, payload)
+    _emit(p, payload)
     return 0
 
 
-def _cmd_amp(parser, args) -> int:
-    cfg = _Config(parser, args)
-    setup = cfg.barrier()
-    mode = cfg.mode(setup)
+def _cmd_amp(p: _Config) -> int:
+    setup = _barrier(p)
+    mode = _mode(p, setup)
     sol = match_boundaries(setup, mode)
     point = transmission_closed_form(setup.v, mode.n2, setup.wL)
     payload = {
@@ -219,14 +229,13 @@ def _cmd_amp(parser, args) -> int:
         payload["T2_nr_form"] = transmission_magnitude_nr_form(setup, mode) ** 2
     except KleinTunnelError:
         payload["T2_nr_form"] = None
-    _emit(args, payload)
+    _emit(p, payload)
     return 0
 
 
-def _cmd_phasetime(parser, args) -> int:
-    cfg = _Config(parser, args)
-    setup = cfg.barrier()
-    mode = cfg.mode(setup)
+def _cmd_phasetime(p: _Config) -> int:
+    setup = _barrier(p)
+    mode = _mode(p, setup)
     payload = {
         "m": setup.m, "V0": setup.V0, "L": setup.L, "E": mode.E, "n2": mode.n2,
         "zone": _zone(setup.v, mode.n2).value,
@@ -248,15 +257,20 @@ def _cmd_phasetime(parser, args) -> int:
         payload["edge_ratio_lower_limit"] = edge_limit_ratio(v, "lower")
     payload["edge_ratio_upper_wL"] = edge_phase_time_ratio(v, wL, "upper")
     payload["edge_ratio_upper_limit"] = edge_limit_ratio(v, "upper")
-    _emit(args, payload)
+    _emit(p, payload)
     return 0
 
 
-def _cmd_limits(parser, args) -> int:
-    cfg = _Config(parser, args)
-    v = cfg.pick_float("v", required=True)
-    wL = cfg.pick_float("wL", required=True)
-    payload: dict = {"v": v, "wL": wL, "mL": wL / math.sqrt(2.0 * v)}
+def _cmd_limits(p: _Config) -> int:
+    v, wL = p["v"], p["wL"]
+    if not v > 0.0:
+        raise DomainError(f"limits needs v > 0, got v={v}")
+    mL = wL / math.sqrt(2.0 * v)
+    try:
+        high_v = 1.0 / math.sqrt(1.0 + mL ** 2)
+    except OverflowError:  # mL^2 overflows, and 1 + mL^2 rounds to mL^2 long before
+        high_v = 1.0 / mL
+    payload: dict = {"v": v, "wL": wL, "mL": mL}
     if v > 2.0:
         n2 = 0.5 * v - 1.0
         payload.update({
@@ -273,23 +287,19 @@ def _cmd_limits(parser, args) -> int:
         "upper_edge_ratio_at_wL": edge_phase_time_ratio(v, wL, "upper"),
         "upper_edge_small_rho": small_rho_ratio(v, n2),
         "upper_edge_magnitude_nr_form": edge_limit_magnitude_nr_form(v, wL, "upper"),
-        "high_v_magnitude_form": 1.0 / math.sqrt(1.0 + (wL / math.sqrt(2.0 * v)) ** 2),
+        "high_v_magnitude_form": high_v,
     })
-    _emit(args, payload)
+    _emit(p, payload)
     return 0
 
 
-def _cmd_packet(parser, args) -> int:
-    cfg = _Config(parser, args)
-    setup = cfg.barrier()
-    name, val = cfg.exclusive("k0", "n2", required=True)
+def _cmd_packet(p: _Config) -> int:
+    setup = _barrier(p)
+    name, val = p.either("k0", "n2")
     k0 = val if name == "k0" else setup.w * math.sqrt(val)
-    sigma = cfg.pick_float("sigma_k", required=True)
-    half = cfg.pick_float("support_halfwidth")
-    spectrum = SpectrumSpec(k0=k0, sigma_k=sigma,
-                            support_halfwidth=half if half is not None else 6.0)
-    n_times = cfg.pick_int("n_times")
-    run = run_packet(setup, spectrum, n_times=2001 if n_times is None else n_times)
+    spectrum = SpectrumSpec(k0=k0, sigma_k=p["sigma_k"],
+                            support_halfwidth=p["support_halfwidth"])
+    run = run_packet(setup, spectrum, n_times=p["n_times"])
     payload = {
         "m": setup.m, "V0": setup.V0, "L": setup.L,
         "k0": k0, "sigma_k": spectrum.sigma_k,
@@ -305,40 +315,29 @@ def _cmd_packet(parser, args) -> int:
                     ("distortion", run.distortion.quadrature)):
         payload.update({f"{name}_levels": q.levels, f"{name}_nodes": q.nodes,
                         f"{name}_change": q.change})
-    out = getattr(args, "samples_out", None)
+    out = p.get("samples_out")
     if out:
         _write_table(out, ("t", "intensity"), run.samples, (_float_cells, _float_cells))
         payload["samples_path"] = str(out)
-    _emit(args, payload)
+    _emit(p, payload)
     return 0
 
 
-def _cmd_sweep(parser, args) -> int:
-    cfg = _Config(parser, args)
-    preset = getattr(args, "preset", None) or cfg.pick("preset")
-    if preset == "fig1":
-        out_dir = getattr(args, "out_dir", None) or cfg.pick("out_dir") or "."
-        fmt = cfg.pick("format") or "csv"
-        paths = fig1_preset(out_dir, fmt=str(fmt))
-        _emit(args, {"preset": "fig1", "files": paths})
+def _cmd_sweep(p: _Config) -> int:
+    if "preset" in p:
+        paths = fig1_preset(p.get("out_dir") or ".", fmt=p.get("format", "csv"))
+        _emit(p, {"preset": "fig1", "files": paths})
         return 0
-    v = cfg.pick_float("v", required=True)
-    wL = cfg.pick_float("wL", required=True)
-    n2_min = cfg.pick_float("n2_min", required=True)
-    n2_max = cfg.pick_float("n2_max", required=True)
-    count = cfg.pick_int("count", required=True)
-    outputs = cfg.pick("outputs") or list(VALUE_COLUMNS)
-    if isinstance(outputs, str):
-        outputs = [item.strip() for item in outputs.split(",") if item.strip()]
-    req = SweepRequest(v=v, wL=wL, n2_min=n2_min, n2_max=n2_max,
-                       count=count, outputs=tuple(outputs))
+    # the data's path; the report goes to stdout
+    out = p.pop("out", None) or p.error("sweep needs --out PATH (or an 'out' config entry)")
+    outputs = p.get("outputs")
+    outputs = tuple(s.strip() for s in outputs.split(",") if s.strip()) if outputs else VALUE_COLUMNS
+    req = SweepRequest(v=p["v"], wL=p["wL"], n2_min=p["n2_min"], n2_max=p["n2_max"],
+                       count=p["count"], outputs=outputs)
     records = run_sweep(req)
-    out = args.out or cfg.pick("out")
-    if not out:
-        parser.error("sweep needs --out PATH (or an 'out' config entry)")
-    fmt = cfg.pick("format") or ("json" if str(out).endswith(".json") else "csv")
+    fmt = p.get("format") or ("json" if out.endswith(".json") else "csv")
     (write_csv if fmt == "csv" else write_json)(records, out)
-    _emit(args, {"rows": len(records), "path": str(out), "format": fmt})
+    _emit(p, {"rows": len(records), "path": out, "format": fmt})
     return 0
 
 
@@ -429,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(parser, args)
+        return args.func(_Config(parser, args))
     except SystemExit as exc:  # argparse/usage errors carry their own code
         return int(exc.code or 0)
     except KleinTunnelError as exc:

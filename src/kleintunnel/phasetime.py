@@ -295,6 +295,7 @@ def phase_time_numeric(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResu
 # ---------------------------------------------------------------------------
 # limit formulas
 # ---------------------------------------------------------------------------
+# each raises DomainError where its result is nan or inf (_finite)
 
 def small_rho_ratio(v: float, n2: float) -> float:
     """Leading small-rho term of the normalized phase time.
@@ -312,7 +313,14 @@ def small_rho_ratio(v: float, n2: float) -> float:
     s = math.sqrt(1.0 + 2.0 * n2 * v)
     num = (4.0 + 4.0 * n2 * v + v * v) * s - 2.0 * v * (2.0 + 3.0 * n2 * v)
     den = (4.0 + 8.0 * n2 * v + v * v) * s - 4.0 * v * (1.0 + 2.0 * n2 * v)
-    return (4.0 / 3.0) * num / den
+    return _finite((4.0 / 3.0) * num / den, "the small-rho ratio", f"v={v}, n2={n2}")
+
+
+def _finite(value: float, name: str, at: str) -> float:
+    """value, or the DomainError of a limit formula whose value is nan or inf at its point."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} evaluates to {value} at {at}")
+    return value
 
 
 def _check_edge(v: float, edge: str) -> float:
@@ -334,9 +342,8 @@ def edge_limit_ratio(v: float, edge: str) -> float:
     v -> infinity.
     """
     n2 = _check_edge(v, edge)
-    if edge == "lower":
-        return -(4.0 / 3.0) / (1.0 + 2.0 * n2)
-    return -(4.0 / 3.0) / (1.0 - 2.0 * n2)
+    ratio = -(4.0 / 3.0) / (1.0 + 2.0 * n2 if edge == "lower" else 1.0 - 2.0 * n2)
+    return _finite(ratio, "the edge limit ratio", f"v={v}, edge={edge}")
 
 
 def edge_phase_time_ratio(v: float, wL: float, edge: str) -> float:
@@ -356,7 +363,8 @@ def edge_phase_time_ratio(v: float, wL: float, edge: str) -> float:
         raise DomainError(f"wL must be >= 0, got {wL}")
     sgn = 1.0 if edge == "lower" else -1.0
     num = 0.5 - sgn / (v - sgn) - sgn * n2 * wL * wL / (3.0 * (v - sgn))
-    return num / (1.0 + 0.25 * n2 * wL * wL)
+    return _finite(num / (1.0 + 0.25 * n2 * wL * wL), "the edge ratio",
+                   f"v={v}, wL={wL}, edge={edge}")
 
 
 def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
@@ -372,7 +380,8 @@ def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
     if not (wL >= 0.0):
         raise DomainError(f"wL must be >= 0, got {wL}")
     den = 2.0 * v - 4.0 if edge == "lower" else 2.0 * v + 4.0
-    return 1.0 / math.sqrt(1.0 + wL * wL / den)
+    return _finite(1.0 / math.sqrt(1.0 + wL * wL / den), "the edge NR-prefactor |T|",
+                   f"v={v}, wL={wL}, edge={edge}")
 
 
 # ---------------------------------------------------------------------------

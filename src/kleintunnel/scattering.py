@@ -477,13 +477,16 @@ def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
     float64 arrays, with no zone check; as in _closed_forms, numpy does
     the arithmetic and math the transcendentals; inf * 0 gives a nan.
     At wL = 0 there is no barrier and every entry is 1 exactly, also where
-    the prefactor 1/(4 n2 rho_n^2) overflows."""
+    the prefactor 1/(4 n2 rho_n^2) overflows.  Where the prefactor or its
+    product with sinh^2 overflows (a tiny n2), 1/sqrt(|prefactor|) is
+    formed as 2 sqrt(n2) sqrt(|rho_n^2|) instead, so |T| does not drop to 0."""
     if wL == 0.0:
         return np.ones_like(r2)
     out = np.empty_like(r2)
     edge = r2 == 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        out[edge] = 1.0 / np.sqrt(1.0 + wL * wL / (4.0 * n2[edge]))
+        a = wL * wL / (4.0 * n2[edge])
+        out[edge] = np.where(np.isinf(a), 2.0 * np.sqrt(n2[edge]) / wL, 1.0 / np.sqrt(1.0 + a))
         n2, r2 = n2[~edge], r2[~edge]
         c = 1.0 / (4.0 * n2 * r2)
         d2 = r2 * wL * wL
@@ -500,7 +503,17 @@ def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
         s2[neg] = -_squared(_map(math.sin, np.sqrt(-d2[neg])))
         mag = np.empty_like(d2)
         # sinh^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
-        mag[large] = 2.0 * _map(math.exp, -np.sqrt(d2[large])) / np.sqrt(c[large])
-        mag[~large] = 1.0 / np.sqrt(1.0 + c[~large] * s2[~large])
+        e = 2.0 * _map(math.exp, -np.sqrt(d2[large]))
+        mag[large] = e / np.sqrt(c[large])
+        cs2 = c[~large] * s2[~large]
+        mag[~large] = 1.0 / np.sqrt(1.0 + cs2)
+        over = np.zeros_like(large)
+        over[large], over[~large] = np.isinf(c[large]), np.isinf(cs2)
+        if over.any():
+            # 1/sqrt(|c|), and 1 + c s2 = c (4 n2 rho_n^2 + s2) off the asymptote
+            root = 2.0 * np.sqrt(n2) * np.sqrt(np.abs(r2))
+            i, j = over & large, over & ~large
+            mag[i] = e[over[large]] * root[i]
+            mag[j] = root[j] / np.sqrt(np.abs(4.0 * n2[j] * r2[j] + s2[j]))
     out[~edge] = mag
     return out

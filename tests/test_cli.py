@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from kleintunnel import (
     transmission_closed_form,
     transmission_magnitude_nr_form,
 )
+import kleintunnel.cli
 from kleintunnel.cli import build_parser, main
 from kleintunnel.phasetime import edge_phase_time_ratio
 from kleintunnel.sweep import CSV_COLUMNS
@@ -131,6 +133,14 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [("phasetime", "--V0", "-1", "--n2", "1"),
+                                      ("amp", "--v", "-1", "--n2", "1")])
+    def test_non_positive_barrier_height(self, capsys, argv):
+        # sqrt(2 m V0) of a negative V0 was a math domain error traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: barrier height must be positive and finite, got V0=-1.0\n"
+
     @pytest.mark.parametrize("cmd", ["amp", "phasetime"])
     def test_infinite_phase_argument(self, capsys, cmd):
         # q_n wL overflows to inf in the Klein zone: a typed error, not a
@@ -169,6 +179,43 @@ class TestLimits:
         vals = parse_human(out)
         assert "lower_edge_ratio_limit" not in vals
         assert "upper_edge_ratio_limit" in vals
+
+
+class TestLimitsDomain:
+    @pytest.mark.parametrize("v", ["0", "-1"])
+    def test_non_positive_v_is_a_computation_error(self, capsys, v):
+        # v = 0 divided by zero in mL and v = -1 took sqrt of a negative number
+        code, out, err = run_cli(capsys, "limits", "--v", v)
+        assert (code, out) == (1, "")
+        assert err == f"error: limits needs v > 0, got v={float(v)}\n"
+
+    def test_tiny_v_does_not_overflow(self, capsys):
+        # mL^2 overflowed in high_v_magnitude_form; 1 + mL^2 = mL^2 long before
+        code, out, _ = run_cli(capsys, "limits", "--v", "1e-320", "--json")
+        assert code == 0
+        vals = json.loads(out)
+        mL = 2.0 * math.pi / math.sqrt(2e-320)
+        assert vals["mL"] == mL and vals["high_v_magnitude_form"] == 1.0 / mL
+
+    def test_finite_values_keep_their_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "limits", "--v", "10", "--json")
+        assert code == 0
+        vals = json.loads(out)
+        mL = 2.0 * math.pi / math.sqrt(20.0)
+        assert vals["mL"] == mL
+        assert vals["high_v_magnitude_form"] == 1.0 / math.sqrt(1.0 + mL ** 2)
+
+    @pytest.mark.parametrize("argv, err", [
+        (("--v", "1e308", "--wL", "1e308"),
+         "error: the edge ratio evaluates to nan at v=1e+308, wL=1e+308, edge=lower\n"),
+        (("--v", "1e-320", "--wL", "1e150"), "error: mL is not finite: inf\n"),
+    ], ids=["formula", "emit"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_non_finite_values_are_refused(self, capsys, argv, err, as_json):
+        # the first printed the non-JSON token NaN with exit 0; in the second every
+        # limit formula is finite and only mL = wL/sqrt(2v) overflows
+        code, out, got = run_cli(capsys, "limits", *argv, *(("--json",) if as_json else ()))
+        assert (code, out, got) == (1, "", err)
 
 
 class TestJsonAgreement:
@@ -293,6 +340,118 @@ class TestConfigPrecedence:
                                "--V0", "10", "--config", str(cfg))
         assert code == 0
         assert parse_human(out)["V0"] == 10.0
+
+
+def _subcommand_flags():
+    """(command, action) for every flag of every subcommand but --help and --config."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action) for command, parser in sub.choices.items()
+            for action in parser._actions if action.dest not in ("help", "config")]
+
+
+# each subcommand's run without the flag under test, and the value each dest is given
+_BASE = {
+    "zone": ("--E", "10"),
+    "amp": ("--n2", "5"),
+    "phasetime": ("--n2", "5"),
+    "limits": (),
+    "packet": ("--n2", "5", "--sigma-k", "0.2", "--L", "0.1", "--n-times", "401"),
+    "sweep": ("--n2-min", "4.2", "--n2-max", "5.8", "--count", "3", "--out", "s.csv"),
+}
+_BASE_FOR = {("sweep", "preset"): (), ("sweep", "out_dir"): ("--preset", "fig1")}
+_VALUE = {"m": "2", "V0": "12", "v": "3", "L": "0.2", "wL": "3", "E": "12", "n2": "4",
+          "k0": "9.5", "sigma_k": "0.3", "support_halfwidth": "5", "n_times": "301",
+          "samples_out": "samples.csv", "out": "out.txt", "units": "ev-pm", "n2_min": "4.5",
+          "n2_max": "5.5", "count": "4", "outputs": "T2_exact,phase_rad", "format": "json",
+          "preset": "fig1", "out_dir": "d", "json": None}
+_PARTNERS = {"V0": "v", "v": "V0", "L": "wL", "wL": "L", "E": "n2", "k0": "n2", "n2": "E k0"}
+
+
+def _stub_preset(out_dir, fmt="csv"):
+    # the five fig1 panels take a second; the test needs only where they would go
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"fig1.{fmt}")
+    Path(path).write_text("stub\n")
+    return [path]
+
+
+class TestOneParameterPath:
+    """A config key is its flag: the same value, the same run."""
+
+    def run_in(self, capsys, monkeypatch, where, argv):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        code, out, err = run_cli(capsys, *argv)
+        files = {str(f.relative_to(where)): f.read_bytes()
+                 for f in sorted(where.rglob("*")) if f.is_file()}
+        return code, out, err, files
+
+    @pytest.mark.parametrize("command, action", _subcommand_flags(),
+                             ids=lambda x: x if isinstance(x, str) else x.dest)
+    def test_config_key_equals_flag(self, capsys, monkeypatch, tmp_path, command, action):
+        monkeypatch.setattr(kleintunnel.cli, "fig1_preset", _stub_preset)
+        dest, text = action.dest, _VALUE[action.dest]
+        base = _BASE_FOR.get((command, dest), _BASE[command])
+        dests = {a.option_strings[0]: a.dest for _, a in _subcommand_flags()}
+        drop = {dest, *_PARTNERS.get(dest, "").split()}
+        base = [tok for flag, val in zip(base[::2], base[1::2]) if dests[flag] not in drop
+                for tok in (flag, val)]
+        flag = [action.option_strings[0]] + ([] if text is None else [text])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({dest: True if text is None else (action.type or str)(text)}))
+        by_flag = self.run_in(capsys, monkeypatch, tmp_path / "flag", [command, *base, *flag])
+        by_file = self.run_in(capsys, monkeypatch, tmp_path / "file",
+                              [command, *base, "--config", str(cfg)])
+        assert by_flag[0] == 0, by_flag[2]
+        assert by_file[:2] == by_flag[:2] and by_file[3] == by_flag[3]
+
+    @pytest.mark.parametrize("argv, config, names", [
+        # xml once wrote JSON into o.csv, and reached fig1_preset as a DomainError
+        (("--out", "o.csv", "--v", "1", "--n2-min", "1", "--n2-max", "2", "--count", "2"),
+         {"format": "xml"}, ["format"]),
+        (("--preset", "fig1"), {"format": "xml"}, ["format"]),
+        (("--out", "o.csv", "--v", "1", "--n2-min", "1", "--n2-max", "2", "--count", "2"),
+         {"preset": "fig2"}, ["preset"]),
+        (("--preset", "fig1", "--v", "3", "--count", "7", "--out", "zz.csv",
+          "--outputs", "T2_exact"), None, ["count", "out", "outputs", "v"]),
+        (("--preset", "fig1"), {"wL": 3.0, "n2_min": 1.0, "n2_max": 2.0}, ["n2_max, n2_min, wL"]),
+        (("--out-dir", "d", "--out", "o.csv", "--v", "1", "--n2-min", "1", "--n2-max", "2",
+          "--count", "2"), None, ["out_dir"]),
+        (("--out", "o.csv", "--v", "1", "--n2-min", "1", "--n2-max", "2", "--count", "2"),
+         {"out_dir": "d"}, ["out_dir"]),
+    ], ids=["format", "preset-format", "preset-fig2", "preset-flags", "preset-file",
+            "out-dir-flag", "out-dir-file"])
+    def test_unread_parameter_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
+                                               argv, config, names):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ("--config", "cfg.json")
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert (code, out) == (2, "")
+        assert all(name in err.splitlines()[-1] for name in names)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+
+    @pytest.mark.parametrize("command, argv", [
+        ("zone", ("--E", "10")), ("amp", ("--n2", "5")), ("phasetime", ("--n2", "5")),
+        ("limits", ()), ("packet", ("--n2", "5", "--sigma-k", "0.2", "--L", "0.1",
+                                    "--n-times", "401"))],
+        ids=["zone", "amp", "phasetime", "limits", "packet"])
+    def test_output_keys_from_a_file_are_honoured(self, capsys, tmp_path, command, argv):
+        # json, units, out and samples_out were read from flags only
+        config = {"json": True, "units": "ev-pm", "out": str(tmp_path / "report.txt")}
+        if command == "packet":
+            config["samples_out"] = str(tmp_path / "samples.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, command, *argv, "--config", str(cfg))
+        assert (code, out) == (0, "")
+        report = json.loads((tmp_path / "report.txt").read_text())
+        assert command != "packet" or report["samples_path"] == config["samples_out"]
+        assert command != "packet" or (tmp_path / "samples.csv").read_text().startswith("t,")
+        code, human, _ = run_cli(capsys, command, *argv, "--units", "ev-pm")
+        cfg.write_text(json.dumps({"units": "ev-pm"}))
+        assert run_cli(capsys, command, *argv, "--config", str(cfg))[:2] == (code, human)
 
 
 class TestSweepCommand:

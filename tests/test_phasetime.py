@@ -416,6 +416,30 @@ class TestEdgeMagnitudeNRForm:
             edge_limit_magnitude_nr_form(1.5, 1.0, "lower")
 
 
+class TestLimitFormulasRefuseNonFinite:
+    # each of these returned nan before, and `kleintunnel limits` printed it
+    @pytest.mark.parametrize("call, args", [
+        (small_rho_ratio, (1e200, 5e199)),
+        (edge_phase_time_ratio, (1e200, 1e200, "upper")),
+        (edge_limit_magnitude_nr_form, (1e308, 1e308, "upper")),
+        (edge_limit_ratio, (math.nan, "upper")),
+    ], ids=["small_rho", "edge_ratio", "edge_magnitude", "edge_limit"])
+    def test_non_finite_result_is_a_domain_error(self, call, args):
+        with pytest.raises(DomainError, match=" evaluates to nan at v="):
+            call(*args)
+
+    def test_finite_values_keep_their_bytes(self):
+        # the formulas as written before the refusal, at points where they are finite
+        v, wL = 10.0, 2.0 * math.pi
+        for edge, n2, sgn in (("lower", 4.0, 1.0), ("upper", 6.0, -1.0)):
+            assert edge_limit_ratio(v, edge) == -(4.0 / 3.0) / (1.0 + sgn * 2.0 * n2)
+            num = 0.5 - sgn / (v - sgn) - sgn * n2 * wL * wL / (3.0 * (v - sgn))
+            assert edge_phase_time_ratio(v, wL, edge) == num / (1.0 + 0.25 * n2 * wL * wL)
+            den = 2.0 * v - 4.0 if edge == "lower" else 2.0 * v + 4.0
+            assert edge_limit_magnitude_nr_form(v, wL, edge) == 1.0 / math.sqrt(1.0 + wL * wL / den)
+        assert small_rho_ratio(0.0, 0.5) == 4.0 / 3.0
+
+
 class TestNRReference:
     def test_symmetric_point_magnitude(self):
         # E_NR = V0/2: k = kappa, |T| = [1 + sinh^2(kappa L)]^(-1/2)

@@ -567,6 +567,24 @@ class TestSingleClosedForm:
         assert rec.n2 == n2
         assert abs(rec.t2_nr_form - ref * ref) <= 2.0 * rtol * ref * ref + 5e-324
 
+    # a tiny n2 overflows the prefactor 1/(4 n2 rho_n^2), or its product with sinh^2,
+    # where |T| is about 3e-156 (and |T|^2 subnormal): both read 0.0 there before.
+    # v = 2 reaches the rho_n^2 = 0 lane, as rho_n2(2, 1e-310) rounds to 0.0
+    @pytest.mark.parametrize("v, n2, wL, rtol", [
+        (1.0, 1e-310, 2.0 * math.pi, 5e-16),
+        (2.0, 1e-310, 2.0 * math.pi, 5e-16),
+        (0.5, 4e-308, 2.0 * math.pi, 5e-16),
+        (1.0, 1e-310, 500.0, 5e-14)])
+    def test_nr_form_where_the_prefactor_overflows(self, v, n2, wL, rtol):
+        ref = mp_nr_form(v, n2, wL)
+        s = BarrierSetup.from_dimensionless(v, wL)
+        mag = transmission_magnitude_nr_form(s, mode_from_n2(s, n2))
+        assert mag > 0.0 and abs(mag - ref) <= rtol * ref
+        (rec, _) = run_sweep(SweepRequest(v=v, wL=wL, n2_min=n2, n2_max=1e-3, count=2,
+                                          outputs=("T2_nr_form",)))
+        assert rec.n2 == n2
+        assert abs(rec.t2_nr_form - ref * ref) <= 2.0 * rtol * ref * ref + 5e-324
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(barrier_points())
     def test_ratio_never_moves_the_amplitudes(self, point):
