@@ -8,8 +8,7 @@ in two independent ways, plus limit formulas:
 
 * a closed form, the exact n2-derivative of the closed-form phase,
 * the oracle normalized_phase_time_numeric, the n2-derivative carried
-  by hand through the matcher's 2x2 solve (independent of every closed
-  form),
+  through the matcher's own 2x2 solve (independent of every closed form),
 * small-rho and zone-edge limit formulas.
 
 The closed-form phase is arctan(Y) + winding*pi with
@@ -48,7 +47,8 @@ import numpy as np
 
 from .errors import DomainError, KleinTunnelError, ZoneCrossingError
 from .kinematics import BarrierSetup, IncidentMode, _edges, _rho_n2_columns
-from .scattering import _closed_forms, _past_cutoff, _refusal, transmission_closed_form
+from .scattering import (_closed_forms, _matched, _past_cutoff, _refusal,
+                         transmission_closed_form)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
     """t_phi/tau at (v, n2, wL) from the derivative of the matched amplitude.
 
     The counterpart of normalized_phase_time, independent of every closed
-    form: d/dn2 is carried by hand through the matcher's 2x2 solve
+    form: d/dn2 is carried through the matcher's own 2x2 solve
     (scattering._matched), T = 2 i n u / det with u = exp(-kappa wL) and
     kappa^2 = rho_n^2, so that
 
@@ -145,8 +145,7 @@ def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
     derivative needs no phase unwrapping, and an opaque barrier whose u
     underflows loses nothing.  The only inputs it shares with the closed
     form are rho_n^2 and s from kinematics._rho_n2_columns; a sweep
-    computes them once per point and passes them to both.  This is the
-    column oracle _phase_time_columns at a one-element array.
+    computes them once per point and passes them to both.
 
     Raises ZoneCrossingError on a zone edge (kinematics._edges, the band a
     sweep snaps), otherwise ZeroLengthError at wL = 0, where tau = 0, and
@@ -198,84 +197,85 @@ def _phase_time_columns(v: float, n2: np.ndarray, r2: np.ndarray, s: np.ndarray,
     return ratio, winding
 
 
-def _mul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) in CPython 3.11's order (_Py_c_prod)."""
-    return ar * br - ai * bi, ar * bi + ai * br
+class _Pair:
+    """Complex columns, float64 arrays re and im, whose binary +, -, *, /
+    (either order, with a _Pair, float, complex or float64 array), unary -
+    and exp() give each entry the bytes of CPython 3.11's complex arithmetic:
+    a real x is complex(x, 0.0), * is _Py_c_prod, / _Py_c_quot and exp is
+    cmath.exp, mapped (numpy's complex128 * and / round differently in up to
+    half the entries).  __array_ufunc__ = None sends ndarray op _Pair here."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __add__(self, b):
+        b = _as_pair(b)
+        return _Pair(self.re + b.re, self.im + b.im)
+
+    def __sub__(self, b):
+        b = _as_pair(b)
+        return _Pair(self.re - b.re, self.im - b.im)
+
+    def __mul__(self, b):
+        b = _as_pair(b)
+        return _Pair(self.re * b.re - self.im * b.im, self.re * b.im + self.im * b.re)
+
+    # float sums do not depend on the order of their terms, nor then _Py_c_prod
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, b):
+        # Smith's division by the part of b of larger magnitude, per entry: p
+        # divides, br + bi*ratio or br*ratio + bi (the same sum commuted); a
+        # nan takes the second branch (nan, as in CPython), a zero b gives nan
+        b = _as_pair(b)
+        big = np.abs(b.re) >= np.abs(b.im)
+        p, q = np.where(big, b.re, b.im), np.where(big, b.im, b.re)
+        ratio = q / p
+        denom = p + q * ratio
+        c, d = np.where(big, self.re, self.im), np.where(big, self.im, self.re)
+        return _Pair((c + d * ratio) / denom, np.where(big, d - c * ratio, c * ratio - d) / denom)
+
+    def __rsub__(self, a):
+        return _as_pair(a) - self
+
+    def __rtruediv__(self, a):
+        return _as_pair(a) / self
+
+    def __neg__(self):
+        return _Pair(-self.re, -self.im)
+
+    def exp(self) -> _Pair:
+        re, im = np.broadcast_arrays(self.re, self.im)
+        z = np.fromiter(map(cmath.exp, map(complex, re.tolist(), im.tolist())), complex, re.size)
+        return _Pair(z.real, z.imag)
 
 
-def _div(ar, ai, br, bi):
-    """(ar + i ai)/(br + i bi) in CPython 3.11's order (_Py_c_quot): Smith's
-    division by the part of larger magnitude, chosen per entry (a nan
-    takes the second branch, which gives nan as CPython does)."""
-    big = np.abs(br) >= np.abs(bi)
-    # p divides: br + bi*ratio or br*ratio + bi, the same sum commuted
-    p, q = np.where(big, br, bi), np.where(big, bi, br)
-    ratio = q / p
-    denom = p + q * ratio
-    c, d = np.where(big, ar, ai), np.where(big, ai, ar)
-    return (c + d * ratio) / denom, np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
+def _as_pair(x) -> _Pair:
+    """An operand of _Pair as a _Pair; a float's or a float64 array's imag is 0.0."""
+    return x if isinstance(x, _Pair) else _Pair(x.real, x.imag)
 
 
 def _solve_columns(v: float, n2: np.ndarray, root: np.ndarray, osc: np.ndarray,
                    s: np.ndarray, wL: float) -> np.ndarray:
-    """The oracle's solve and its n2-derivative over columns, root = |rho_n|.
-
-    Each complex quantity is a (re, im) pair of float64 arrays, and every
-    product and quotient is written out in CPython 3.11's order (_mul,
-    _div), a real operand x as complex(x, 0.0), so each entry has the
-    bytes of the scalar complex formulas at that n2 alone: numpy's own
-    complex128 * and / round differently in up to half the entries.
-    numpy does only +, -, *, / and sqrt; exp is cmath's, mapped.
-
-    The forward solve (u, g1, g2, u2, Qk, P, det) is scattering._matched
-    written out again, not called: match_boundaries keeps the scalar
-    _matched, because this solve at one element costs about 50 us against
-    1.0 us for _matched, and the test suite alone makes 17 112 matcher
-    calls (about +0.9 s, with no workload faster).
-    """
+    """The oracle over columns, root = |rho_n|: scattering._matched on _Pair
+    columns, then its n2-derivative, each entry the scalar formulas' bytes."""
     n = np.sqrt(n2)
-    # kappa = complex(rho_n), or 1j * q_n = (0, 1)(q_n, 0) = (0.0, q_n)
-    kr, ki = np.where(osc, 0.0, root), np.where(osc, root, 0.0)
-    # u = exp(-kappa wL)
-    er, ei = _mul(-kr, -ki, wL, 0.0)
-    u = np.fromiter(map(cmath.exp, map(complex, er.tolist(), ei.tolist())), complex, er.size)
-    ur, ui = u.real, u.imag
-    inr, ini = _mul(0.0, 1.0, n, 0.0)  # 1j * n
-    irr, iri = _div(inr, ini, kr, ki)
-    g1r, g1i = _mul(0.5, 0.0, 1.0 - irr, 0.0 - iri)
-    g2r, g2i = _mul(0.5, 0.0, 1.0 + irr, 0.0 + iri)
-    u2r, u2i = _mul(ur, ui, ur, ui)
-    gur, gui = _mul(g2r, g2i, u2r, u2i)
-    Pr, Pi = g1r + gur, g1i + gui
-    Qr, Qi = gur - g1r, gui - g1i
-    ar, ai = _mul(kr, ki, Qr, Qi)
-    br, bi = _mul(inr, ini, Pr, Pi)
-    detr, deti = ar + br, ai + bi
-    # the n2-derivative: dn, dkappa = (v/s - 1)/(2 kappa)
+    i = _Pair(0.0, 1.0)  # 1j: a complex literal would meet float arrays by numpy's rules
+    # kappa = complex(rho_n) or 1j * q_n = (0.0, q_n); n a _Pair for _matched's 1j * n
+    kappa = _Pair(np.where(osc, 0.0, root), np.where(osc, root, 0.0))
+    g1, g2, u2, Qk, P, det = _matched(_Pair(n, 0.0), kappa, (-kappa * wL).exp())
     dn = 0.5 / n
-    dkr, dki = _div(v / s - 1.0, 0.0, *_mul(2.0, 0.0, kr, ki))
-    # dg2 = d(i n/kappa)/2 = -dg1 = 0.5 (1j (dn - n dkappa/kappa) / kappa)
-    ar, ai = _div(*_mul(n, 0.0, dkr, dki), kr, ki)
-    ar, ai = _div(*_mul(0.0, 1.0, dn - ar, 0.0 - ai), kr, ki)
-    dgr, dgi = _mul(0.5, 0.0, ar, ai)
-    # du2 = -2 wL dkappa u2, g2du2 = g2 du2
-    dur, dui = _mul(*_mul(-2.0 * wL, 0.0, dkr, dki), u2r, u2i)
-    hr, hi = _mul(g2r, g2i, dur, dui)
-    # dP = dg2 (u2 - 1) + g2du2
-    ar, ai = _mul(dgr, dgi, u2r - 1.0, u2i - 0.0)
-    dPr, dPi = ar + hr, ai + hi
-    # dQ = dkappa Qk + kappa (dg2 (u2 + 1) + g2du2)
-    ar, ai = _mul(dgr, dgi, u2r + 1.0, u2i + 0.0)
-    ar, ai = _mul(kr, ki, ar + hr, ai + hi)
-    br, bi = _mul(dkr, dki, Qr, Qi)
-    dQr, dQi = br + ar, bi + ai
-    # ddet = dQ + 1j (dn P + n dP)
-    ar, ai = _mul(dn, 0.0, Pr, Pi)
-    br, bi = _mul(n, 0.0, dPr, dPi)
-    ar, ai = _mul(0.0, 1.0, ar + br, ai + bi)
-    ar, ai = dQr + ar, dQi + ai
-    # dn/n is real
-    return 2.0 * n / wL * (-_div(ar, ai, detr, deti)[1] - wL * dki)
+    dkappa = (v / s - 1.0) / (2.0 * kappa)
+    # dg2 = d(i n/kappa)/2 = -dg1, and d(u2) = -2 wL dkappa u2
+    dg2 = 0.5 * (i * (dn - n * dkappa / kappa) / kappa)
+    g2du2 = g2 * (-2.0 * wL * dkappa * u2)
+    dP = dg2 * (u2 - 1.0) + g2du2
+    dQ = dkappa * Qk + kappa * (dg2 * (u2 + 1.0) + g2du2)
+    ddet = dQ + i * (dn * P + n * dP)
+    # d log T = dn/n - d det/det - wL dkappa, and dn/n is real
+    return 2.0 * n / wL * (-(ddet / det).im - wL * dkappa.im)
 
 
 def phase_time_numeric(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResult:
@@ -326,6 +326,8 @@ def _finite(value: float, name: str, at: str) -> float:
 def _check_edge(v: float, edge: str) -> float:
     if edge not in ("lower", "upper"):
         raise DomainError(f"edge must be 'lower' or 'upper', got {edge!r}")
+    if v < 0.0:  # a nan v is left to _finite
+        raise DomainError(f"v must be >= 0, got {v}")
     if edge == "lower":
         if not (v > 2.0):
             raise DomainError(f"lower edge needs v > 2 (n2 = v/2 - 1 > 0), got v={v}")

@@ -106,18 +106,17 @@ class TransmissionPoint:
 # exact matching
 # ---------------------------------------------------------------------------
 
-def _matched(n: float, kappa: complex, wL: float
-             ) -> tuple[complex, complex, complex, complex, complex, complex, complex]:
-    """The reduced 2x2 matching solve in units of w: (u, g1, g2, u2, Qk, P, det).
+def _matched(n, kappa, u):
+    """The reduced 2x2 matching solve in units of w: (g1, g2, u2, Qk, P, det).
 
     kappa is rho_n in the evanescent zone and i q_n in the oscillatory
-    ones, u = exp(-kappa wL), u2 = u^2 and g1,2 = (1 -+ i n/kappa)/2.
+    ones, the caller's u = exp(-kappa wL), u2 = u^2 and g1,2 = (1 -+ i n/kappa)/2.
     With S = T/u, phi(0) = S P and phi'(0) = S Q, P = g1 + g2 u^2,
     Q = kappa Qk, Qk = g2 u^2 - g1; matching to 1 + R and i n (1 - R) gives
     S = 2 i n / det, det = Q + i n P.  Only u^2 enters P and Q, so
     nothing overflows and an opaque barrier (u underflowing to 0) is fine.
+    It uses only +, -, * and /, so it runs on phasetime._Pair columns too.
     """
-    u = cmath.exp(-kappa * wL)  # |u| <= 1 in both zones
     ir = 1j * n / kappa
     g1 = 0.5 * (1.0 - ir)
     g2 = 0.5 * (1.0 + ir)
@@ -126,7 +125,7 @@ def _matched(n: float, kappa: complex, wL: float
     P = g1 + g2u2
     Qk = g2u2 - g1
     det = kappa * Qk + 1j * n * P
-    return u, g1, g2, u2, Qk, P, det
+    return g1, g2, u2, Qk, P, det
 
 
 def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolution:
@@ -150,9 +149,10 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
         return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * k * L) * T,
                                   beta=1j * k * T, zone=zone, arg_T=cmath.phase(T))
 
-    n = math.sqrt(mode.n2)
     # the principal root: rho_n where rho_n^2 > 0, else i q_n = i sqrt(-rho_n^2)
-    u, g1, g2, _, _, P, det = _matched(n, cmath.sqrt(r2), setup.wL)
+    n, kappa = math.sqrt(mode.n2), cmath.sqrt(r2)
+    u = cmath.exp(-kappa * setup.wL)  # |u| <= 1 in both zones
+    g1, g2, _, _, P, det = _matched(n, kappa, u)
     S = 2j * n / det
     T = S * u
     # u is real and positive in the evanescent zone, so arg T = arg S there
@@ -245,8 +245,8 @@ class _Columns(NamedTuple):
     """The closed forms at every n2 of a grid, one float64 array each.
 
     See _closed_forms.  winding holds integral values, X is nan on the
-    LARGE_D2 asymptote, s = sqrt(1 + 2 n2 v) = E/m, and ratio is None
-    unless it was asked for.
+    LARGE_D2 asymptote and +-inf where it overflows, s = sqrt(1 + 2 n2 v)
+    = E/m, and ratio is None unless it was asked for.
     """
 
     mag: np.ndarray
@@ -291,7 +291,8 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
 
     The columns: magnitude |T| = 1/hypot(1, X) with the real
     X = ((n2 + rho_n^2)/(2n)) wL sinhc(d2), nan on the LARGE_D2 asymptote
-    where it overflows; the phase, winding, r2 = rho_n^2 and s from
+    where sinh overflows (and |T| = 1/|X| formed without X where X itself
+    overflows at a tiny n2); the phase, winding, r2 = rho_n^2 and s from
     kinematics._rho_n2_columns, for callers that need them again.  The
     complex T and R are built from (magnitude, phase, X) by
     _amplitude_pair, only where they are wanted.  One phase expression
@@ -364,6 +365,10 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             X[np.isnan(X)] = 0.0
         x = X[fin]
         mag[fin] = 1.0 / np.fromiter(map(math.hypot, repeat(1.0), x.tolist()), float, x.size)
+        over = np.isinf(X)
+        if np.count_nonzero(over):
+            # X overflows at a tiny n2: |T| = 1/|X| < 6e-309, formed without X
+            mag[over] = two_n[over] / np.abs(n2[over] + r2[over]) / wL / np.abs(sc[over])
         blind = _phase_blind(winding, n2, r2)
         mag[blind] = math.nan
         t_ratio = None
@@ -419,12 +424,12 @@ def _refusal(column: str, v: float, n2: float, wL: float,
 def _amplitude_pair(mag: float, phase: float, X: float) -> tuple[complex, complex]:
     """(T, R) from one _closed_forms entry: T = rect(mag, phase), R = -i X T.
 
-    On the LARGE_D2 asymptote (X nan) R = -i rect(1, phase): |R| = 1 to
-    double precision there.
+    On the LARGE_D2 asymptote (X nan, where X > 0) and where X overflows,
+    R = -i sign(X) rect(1, phase): |R| = 1 to double precision there.
     """
     T = cmath.rect(mag, phase)
-    if math.isnan(X):
-        return T, -1j * cmath.rect(1.0, phase)
+    if not math.isfinite(X):
+        return T, -1j * cmath.rect(1.0 if math.isnan(X) else math.copysign(1.0, X), phase)
     return T, -1j * X * T
 
 

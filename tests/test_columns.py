@@ -4,6 +4,7 @@ arithmetic only."""
 import ast
 import cmath
 import math
+import operator
 import pathlib
 import sys
 
@@ -24,7 +25,7 @@ from kleintunnel import (
     transmission_closed_form,
 )
 from kleintunnel.kinematics import _edges, _rho_n2_columns
-from kleintunnel.phasetime import _phase_time_columns
+from kleintunnel.phasetime import _Pair, _phase_time_columns
 from kleintunnel.sweep import fig1_request
 
 _PACKAGE = pathlib.Path(kleintunnel.__file__).parent
@@ -388,3 +389,60 @@ def test_one_point_oracle_is_the_scalar_arithmetic_bitwise(point):
         assert not math.isfinite(want)
     else:
         assert repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# the column type against Python complex
+# ---------------------------------------------------------------------------
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                                   2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300]),
+                  st.floats())
+
+
+def _column(values):
+    return _Pair(np.array([z.real for z in values]), np.array([z.imag for z in values]))
+
+
+def _entry(pair, i):
+    return repr(pair.re.tolist()[i]), repr(pair.im.tolist()[i])
+
+
+@_MIXED_AS_COMPLEX
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_PART, _PART, _PART, _PART), min_size=1, max_size=6),
+       st.sampled_from(["pair", "complex", "float", "array"]))
+def test_pair_is_cpython_complex_bitwise(rows, kind):
+    """Every operator of the oracle's column type gives each entry the bytes
+    of Python complex arithmetic, in both operand orders, against a _Pair, a
+    float64 array (entry by entry) or one float or complex (every entry)."""
+    a = [complex(re, im) for re, im, _, _ in rows]
+    if kind == "pair":
+        b = [complex(re, im) for _, _, re, im in rows]
+        other = _column(b)
+    elif kind == "array":
+        b = [re for _, _, re, _ in rows]
+        other = np.array(b)
+    else:
+        other = complex(*rows[0][2:]) if kind == "complex" else rows[0][2]
+        b = [other] * len(rows)
+    column_a = _column(a)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with np.errstate(all="ignore"):
+            results = ((a, b, op(column_a, other)), (b, a, op(other, column_a)))
+        for left, right, column in results:
+            for i, (x, y) in enumerate(zip(left, right)):
+                try:
+                    want = op(x, y)
+                except ZeroDivisionError:
+                    continue  # CPython raises where the column holds nan or inf
+                assert _entry(column, i) == (repr(want.real), repr(want.imag)), (op, x, y)
+    for i, z in enumerate(a):
+        assert _entry(-column_a, i) == (repr((-z).real), repr((-z).imag))
+        try:
+            want = cmath.exp(z)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                _column([z]).exp()
+        else:
+            assert _entry(_column([z]).exp(), 0) == (repr(want.real), repr(want.imag))

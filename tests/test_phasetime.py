@@ -440,6 +440,20 @@ class TestLimitFormulasRefuseNonFinite:
         assert small_rho_ratio(0.0, 0.5) == 4.0 / 3.0
 
 
+class TestEdgeFormulasRefuseNegativeV:
+    # no barrier has v < 0: at v = -1 these raised a bare ZeroDivisionError,
+    # edge_limit_ratio(-0.5, "upper") gave 2.67 and the NR form at v = -3 |T| = 1.41
+    @pytest.mark.parametrize("v", [-1.0, -0.5, -1e-300])
+    @pytest.mark.parametrize("call, args", [
+        (edge_limit_ratio, ("upper",)),
+        (edge_phase_time_ratio, (1.0, "upper")),
+        (edge_limit_magnitude_nr_form, (1.0, "upper")),
+    ], ids=["edge_limit", "edge_ratio", "edge_magnitude"])
+    def test_negative_v_is_a_domain_error(self, call, args, v):
+        with pytest.raises(DomainError, match="v must be >= 0"):
+            call(v, *args)
+
+
 class TestNRReference:
     def test_symmetric_point_magnitude(self):
         # E_NR = V0/2: k = kappa, |T| = [1 + sinh^2(kappa L)]^(-1/2)

@@ -585,6 +585,20 @@ class TestSingleClosedForm:
         assert rec.n2 == n2
         assert abs(rec.t2_nr_form - ref * ref) <= 2.0 * rtol * ref * ref + 5e-324
 
+    # a tiny n2 overflows X = ((n2 + rho_n^2)/(2n)) wL sinhc(d2) itself, where |T| < 6e-309:
+    # |T| read 0.0 and R nan there before.  |T| is subnormal, so the bound allows one
+    # ulp of it (5e-324, 2e-11 relative at n2 = 5e-324)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n2", [1e-320, 1e-315, 5e-324])
+    def test_magnitude_and_reflection_where_x_overflows(self, n2):
+        v, wL = 1.0, 494.0
+        ref = mp_transmission(v, n2, wL, dps=60)
+        point = transmission_closed_form(v, n2, wL)
+        assert abs(point.magnitude - float(abs(ref))) <= 1e-12 * float(abs(ref)) + 5e-324
+        assert abs(point.T - complex(ref)) <= 1e-12 * float(abs(ref)) + 5e-324
+        assert abs(point.R - complex(mp_reflection(v, n2, wL, ref))) <= 1e-12
+        assert point.probability == 0.0
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(barrier_points())
     def test_ratio_never_moves_the_amplitudes(self, point):
