@@ -47,10 +47,11 @@ from .sweep import (
     VALUE_COLUMNS,
     SweepRequest,
     _float_cells,
+    _sweep_table,
+    _write_csv_columns,
     _write_table,
     fig1_preset,
     run_sweep,
-    write_csv,
     write_json,
 )
 from .wavepacket import SpectrumSpec, run_packet
@@ -317,7 +318,8 @@ def _cmd_packet(p: _Config) -> int:
                         f"{name}_change": q.change})
     out = p.get("samples_out")
     if out:
-        _write_table(out, ("t", "intensity"), run.samples, (_float_cells, _float_cells))
+        _write_table(out, ("t", "intensity"), (run.times.tolist(), run.intensities.tolist()),
+                     (_float_cells, _float_cells))
         payload["samples_path"] = str(out)
     _emit(p, payload)
     return 0
@@ -334,10 +336,12 @@ def _cmd_sweep(p: _Config) -> int:
     outputs = tuple(s.strip() for s in outputs.split(",") if s.strip()) if outputs else VALUE_COLUMNS
     req = SweepRequest(v=p["v"], wL=p["wL"], n2_min=p["n2_min"], n2_max=p["n2_max"],
                        count=p["count"], outputs=outputs)
-    records = run_sweep(req)
     fmt = p.get("format") or ("json" if out.endswith(".json") else "csv")
-    (write_csv if fmt == "csv" else write_json)(records, out)
-    _emit(p, {"rows": len(records), "path": out, "format": fmt})
+    if fmt == "csv":  # the columns go to the file as they are: no record is built
+        _write_csv_columns(_sweep_table(req), out)
+    else:
+        write_json(run_sweep(req), out)
+    _emit(p, {"rows": req.count, "path": out, "format": fmt})
     return 0
 
 

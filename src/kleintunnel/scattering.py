@@ -396,6 +396,13 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             u = (4.0 * n2 * n2 + (hv - 1.0) * (hv + 1.0)) / (m2 + hv + s)
             P = pv + m2 * (qv + m2 * v * (s + 2.0) / s1) / (s * s1)
             t_ratio = (P * tc / m2 + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
+            big = np.isinf(Y * Y) & np.isfinite(Y)
+            if np.count_nonzero(big):
+                # 1 + Y^2 overflows at a tiny n2 (and P tc/m2 may): divide
+                # by Y twice instead, the first time inside each term
+                y, k = Y[big], wL * wL * h[big]
+                t_ratio[big] = (P[big] * tc[big] / (m2[big] * y)
+                                + u[big] * (v / s[big] - 1.0) * k / y) / y
             # tau = 0 at wL = 0; blind: unresolved past the cutoff
             t_ratio[~np.isfinite(t_ratio) | (wL == 0.0) | blind] = math.nan
     cols = _Columns(mag, phase, winding, X, r2, s, t_ratio)

@@ -10,6 +10,9 @@ comparing n2 with the edges v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v),
 for every v; v = 0 is the Schroedinger barrier through the same
 formulas, with E_over_m empty.  The ratio_numeric oracle is
 normalized_phase_time_numeric for every v, evaluated over the whole grid.
+The driver returns the fields as columns; run_sweep zips them into
+records, while the CLI and the fig1 preset hand them to the CSV writer
+as they are, so a CSV sweep builds no per-row tuple.
 
 Grid points on a zone edge by the one edge rule (kinematics._edges,
 which also sets classify_zone's tags and the oracle's refusals) are
@@ -115,15 +118,17 @@ _ZONES = tuple(z.value for z in (Zone.KLEIN, Zone.TUNNELING, Zone.ABOVE_BARRIER,
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def run_sweep(req: SweepRequest) -> list[SweepRecord]:
-    """Evaluate the request grid in ascending n2, each point independently.
+def _sweep_table(req: SweepRequest) -> list[list]:
+    """Evaluate the request grid in ascending n2, each point independently,
+    as the record fields' columns (lists, in SweepRecord._fields order).
 
     The grid is handled as columns: snapping, zone tags, the closed-form
     core (one call), the NR column and the oracle (one call, fed the
     core's rho_n^2 and s, so rho_n^2 is computed once per point) are array
     passes, and one pass empties every cell the core or the oracle left
-    nan, named with its refusal.  Only naming refused cells and building
-    the records run per row.  The records hold Python floats.
+    nan, named with its refusal.  Only naming refused cells runs per row.
+    The columns hold Python floats; the CSV writer formats them as they
+    are, with no row built.
     """
     v, wL = req.v, req.wL
     n2 = req.grid()
@@ -168,10 +173,15 @@ def run_sweep(req: SweepRequest) -> list[SweepRecord]:
                 x, r2 = n2_list[i], cols.r2[i]
                 refuse(i, name, _refusal(column, v, x, wL, cols.winding[i], r2) if column
                        else _numeric_refusal(v, x, wL, winding[i], r2))
+    return [n2_list, cols.s.tolist() if v > 0.0 else none, zones,
+            *(out[name] for name in VALUE_COLUMNS), nudged.tolist(), errors]
+
+
+def run_sweep(req: SweepRequest) -> list[SweepRecord]:
+    """Evaluate the request grid in ascending n2 (see _sweep_table), one
+    record per point."""
     # tuple.__new__ skips the NamedTuple's Python-level __new__
-    return list(map(tuple.__new__, repeat(SweepRecord), zip(
-        n2_list, cols.s.tolist() if v > 0.0 else none, zones, out["T2_exact"], out["T2_nr_form"],
-        out["phase_rad"], out["ratio_closed"], out["ratio_numeric"], nudged.tolist(), errors)))
+    return list(map(tuple.__new__, repeat(SweepRecord), zip(*_sweep_table(req))))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +206,7 @@ def _decade_cell(match: re.Match) -> bytes:
     return b",%s%s%s%se-05" % (sign, first, b"." if rest else b"", rest)
 
 
-def _float_cells(values: tuple, name: str) -> list[bytes]:
+def _float_cells(values: list | tuple, name: str) -> list[bytes]:
     """Each float as repr writes it and None as an empty cell, from one
     orjson.dumps of the column.  orjson writes nan and inf as null, so a
     null that is not a None is refused with a DomainError naming the column,
@@ -223,31 +233,39 @@ def _float_cells(values: tuple, name: str) -> list[bytes]:
     return data.split(b",")[1:-1]
 
 
-def _text_cells(values: tuple, name: str) -> list[bytes]:
+def _text_cells(values: list | tuple, name: str) -> list[bytes]:
     return list(map(str.encode, values))
 
 
-def _flag_cells(values: tuple, name: str) -> list[bytes]:
+def _flag_cells(values: list | tuple, name: str) -> list[bytes]:
     return [b"true" if x else b"" for x in values]
 
 
-def _write_table(path, names: tuple[str, ...], rows, formats) -> None:
-    """Write rows (tuples, fields past len(names) ignored) under a header of
-    names: UTF-8, LF endings, one formats[j](values, name) -> cells per
-    column.  Blocks of _BLOCK rows are formatted column by column, and each
-    is checked before it is written, so a refused cell raises with the
-    header and the earlier blocks on disk.  An OSError is raised as a
-    KleinTunnelError naming the path.
+def _write_table(path, names: tuple[str, ...], columns, formats) -> None:
+    """Write columns (equal-length sequences, those past len(names) ignored)
+    under a header of names: UTF-8, LF endings, one formats[j](values, name)
+    -> cells per column.  Each column is sliced into blocks of _BLOCK rows,
+    and each block is formatted and checked before it is written, so a
+    refused cell raises with the header and the earlier blocks on disk.  An
+    OSError is raised as a KleinTunnelError naming the path.
     """
     try:
         with open(path, "wb") as fh:
             fh.write(",".join(names).encode() + b"\n")
-            for start in range(0, len(rows), _BLOCK):
-                columns = zip(*rows[start:start + _BLOCK])
-                cells = [f(values, name) for f, values, name in zip(formats, columns, names)]
+            for start in range(0, len(columns[0]), _BLOCK):
+                stop = start + _BLOCK
+                cells = [f(values[start:stop], name)
+                         for f, values, name in zip(formats, columns, names)]
                 fh.write(b"\n".join(map(b",".join, zip(*cells))) + b"\n")
     except OSError as exc:
         raise KleinTunnelError(f"writing {path}: {exc}") from exc
+
+
+def _write_csv_columns(columns, path) -> None:
+    """Write a sweep's columns (those of _sweep_table, the record fields in
+    order) in the fixed CSV contract; raises as write_csv does."""
+    _write_table(path, CSV_COLUMNS, columns, (_float_cells, _float_cells, _text_cells)
+                 + (_float_cells,) * 5 + (_flag_cells,))
 
 
 def write_csv(records: list[SweepRecord], path) -> None:
@@ -258,9 +276,7 @@ def write_csv(records: list[SweepRecord], path) -> None:
     """
     if not records:
         raise DomainError("refusing to write an empty sweep")
-    _write_table(path, CSV_COLUMNS, records,
-                 (_float_cells, _float_cells, _text_cells) + (_float_cells,) * 5
-                 + (_flag_cells,))
+    _write_csv_columns(list(zip(*records)), path)
 
 
 def read_csv(path) -> list[SweepRecord]:
@@ -331,8 +347,11 @@ def fig1_preset(out_dir, fmt: str = "csv") -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for v in FIG1_V_VALUES:
-        records = run_sweep(fig1_request(v))
+        req = fig1_request(v)
         path = os.path.join(str(out_dir), f"fig1_v{int(v)}.{fmt}")
-        (write_csv if fmt == "csv" else write_json)(records, path)
+        if fmt == "csv":
+            _write_csv_columns(_sweep_table(req), path)
+        else:
+            write_json(run_sweep(req), path)
         paths.append(path)
     return paths

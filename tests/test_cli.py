@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,11 +21,13 @@ from kleintunnel import (
     run_sweep,
     transmission_closed_form,
     transmission_magnitude_nr_form,
+    write_csv,
 )
 import kleintunnel.cli
+import kleintunnel.sweep
 from kleintunnel.cli import build_parser, main
 from kleintunnel.phasetime import edge_phase_time_ratio
-from kleintunnel.sweep import CSV_COLUMNS
+from kleintunnel.sweep import CSV_COLUMNS, VALUE_COLUMNS, fig1_preset
 from test_phasetime import mp_ratio
 
 
@@ -507,6 +510,43 @@ class TestSweepCommand:
         assert row["ratio_closed"] == pytest.approx(1.0, abs=1e-15)
         assert row["phase_rad"] is None
         assert row["error"].startswith("phase_rad:") and "ratio_closed" not in row["error"]
+
+    @pytest.mark.parametrize("wL", [2.0 * math.pi, 0.0])
+    def test_csv_equals_the_library_route_byte_for_byte(self, capsys, tmp_path, wL):
+        # the CLI writes the sweep's columns, the library its records: the same
+        # bytes for every outputs subset.  The grid crosses both v = 10 edges
+        # 1e-13 off them, so two rows are snapped and the oracle refuses them;
+        # at wL = 0 every ratio cell is refused
+        grid = dict(v=10.0, wL=wL, n2_min=3.0 + 1e-13, n2_max=7.0 + 1e-13, count=401)
+        argv = ["sweep", "--v", "10", "--wL", repr(wL), "--n2-min", repr(grid["n2_min"]),
+                "--n2-max", repr(grid["n2_max"]), "--count", "401"]
+        cli_path, lib_path = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        subsets = [c for k in range(1, 6) for c in itertools.combinations(VALUE_COLUMNS, k)]
+        assert len(subsets) == 31
+        for outputs in subsets:
+            code, _, err = run_cli(capsys, *argv, "--outputs", ",".join(outputs),
+                                   "--out", str(cli_path))
+            assert code == 0 and err == ""
+            records = run_sweep(SweepRequest(**grid, outputs=outputs))
+            write_csv(records, lib_path)
+            assert cli_path.read_bytes() == lib_path.read_bytes(), outputs
+        assert sum(r.nudged for r in records) == 2
+        assert all("ratio_numeric" in r.error for r in records if r.nudged)
+        assert wL != 0.0 or all(r.ratio_closed is None and "ratio_closed: " in r.error
+                                for r in records)
+
+    def test_csv_routes_build_no_records(self, capsys, monkeypatch, tmp_path):
+        def refuse(req):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(kleintunnel.sweep, "run_sweep", refuse)
+        monkeypatch.setattr(kleintunnel.cli, "run_sweep", refuse)
+        out_path = tmp_path / "s.csv"
+        code, _, err = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "4.2",
+                               "--n2-max", "5.8", "--count", "4", "--out", str(out_path))
+        assert code == 0 and err == ""
+        assert len(out_path.read_text().splitlines()) == 5
+        assert len(fig1_preset(tmp_path / "fig1")) == 5
 
     def test_sweep_requires_out(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "4.2",

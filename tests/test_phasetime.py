@@ -165,6 +165,13 @@ class TestClosedForm:
         assert normalized_phase_time(2.0, n2, wL) == pytest.approx(mp_ratio(2.0, n2, wL),
                                                                    rel=1e-12)
 
+    @pytest.mark.parametrize("n2", [1e-320, 1e-300, 1e-200])
+    def test_ratio_where_one_plus_y_squared_overflows(self, n2):
+        # Y ~ -3.5e159 at n2 = 1e-320: 1 + Y^2 is inf, and the ratio was
+        # refused as not finite; the oracle has the value there
+        assert normalized_phase_time(1.0, n2, 494.0) == pytest.approx(
+            normalized_phase_time_numeric(1.0, n2, 494.0), rel=1e-12)
+
     def test_far_above_the_barrier_tends_to_one(self):
         assert normalized_phase_time(10.0, 1e150, 2.0 * math.pi) == pytest.approx(1.0, abs=1e-15)
 
