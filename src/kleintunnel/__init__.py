@@ -54,7 +54,16 @@ from .scattering import (
     transmission_closed_form,
     transmission_magnitude_nr_form,
 )
-from .sweep import SweepRecord, SweepRequest, fig1_preset, read_csv, run_sweep, write_csv, write_json
+from .sweep import (
+    SweepRecord,
+    SweepRecords,
+    SweepRequest,
+    fig1_preset,
+    read_csv,
+    run_sweep,
+    write_csv,
+    write_json,
+)
 from .wavepacket import (
     ArrivalEstimate,
     DistortionMetrics,

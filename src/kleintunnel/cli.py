@@ -47,11 +47,10 @@ from .sweep import (
     VALUE_COLUMNS,
     SweepRequest,
     _float_cells,
-    _sweep_table,
-    _write_csv_columns,
     _write_table,
     fig1_preset,
     run_sweep,
+    write_csv,
     write_json,
 )
 from .wavepacket import SpectrumSpec, run_packet
@@ -337,10 +336,7 @@ def _cmd_sweep(p: _Config) -> int:
     req = SweepRequest(v=p["v"], wL=p["wL"], n2_min=p["n2_min"], n2_max=p["n2_max"],
                        count=p["count"], outputs=outputs)
     fmt = p.get("format") or ("json" if out.endswith(".json") else "csv")
-    if fmt == "csv":  # the columns go to the file as they are: no record is built
-        _write_csv_columns(_sweep_table(req), out)
-    else:
-        write_json(run_sweep(req), out)
+    (write_csv if fmt == "csv" else write_json)(run_sweep(req), out)
     _emit(p, {"rows": req.count, "path": out, "format": fmt})
     return 0
 

@@ -10,9 +10,11 @@ comparing n2 with the edges v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v),
 for every v; v = 0 is the Schroedinger barrier through the same
 formulas, with E_over_m empty.  The ratio_numeric oracle is
 normalized_phase_time_numeric for every v, evaluated over the whole grid.
-The driver returns the fields as columns; run_sweep zips them into
-records, while the CLI and the fig1 preset hand them to the CSV writer
-as they are, so a CSV sweep builds no per-row tuple.
+The driver returns the fields as columns, and run_sweep returns them as
+SweepRecords: a read-only sequence of records that builds each record
+only when it is read (list(run_sweep(req)) gives a mutable list).
+write_csv writes such a view's columns as they are, so a CSV sweep, from
+the library, the CLI or the fig1 preset, builds no per-row tuple.
 
 Grid points on a zone edge by the one edge rule (kinematics._edges,
 which also sets classify_zone's tags and the oracle's refusals) are
@@ -41,7 +43,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -177,11 +181,49 @@ def _sweep_table(req: SweepRequest) -> list[list]:
             *(out[name] for name in VALUE_COLUMNS), nudged.tolist(), errors]
 
 
-def run_sweep(req: SweepRequest) -> list[SweepRecord]:
+class SweepRecords(Sequence):
+    """A sweep's records as a read-only sequence over its columns.
+
+    A record is built only when it is read: by iteration, or one per
+    index.  Slicing gives a view of the same kind; the view equals a list
+    of the same records, either way round, and is unhashable.
+    list(records) gives a mutable list.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: list[list]):
+        # the record fields' columns, in SweepRecord._fields order
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self):
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return map(tuple.__new__, repeat(SweepRecord), zip(*self._columns))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepRecords([column[index] for column in self._columns])
+        return tuple.__new__(SweepRecord, [column[index] for column in self._columns])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SweepRecords):
+            return self._columns == other._columns
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SweepRecords({list(self)!r})"
+
+
+def run_sweep(req: SweepRequest) -> SweepRecords:
     """Evaluate the request grid in ascending n2 (see _sweep_table), one
-    record per point."""
-    # tuple.__new__ skips the NamedTuple's Python-level __new__
-    return list(map(tuple.__new__, repeat(SweepRecord), zip(*_sweep_table(req))))
+    record per point, as a read-only SweepRecords view over the driver's
+    columns; list(run_sweep(req)) gives a mutable list of the records."""
+    return SweepRecords(_sweep_table(req))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +254,8 @@ def _float_cells(values: list | tuple, name: str) -> list[bytes]:
     null that is not a None is refused with a DomainError naming the column,
     and so is a cell orjson cannot write, such as a numpy float64.
     """
+    if (not values or values[0] is None) and values.count(None) == len(values):
+        return [b""] * len(values)  # no value: nothing to format or check
     import orjson  # loaded on the first write, not on import
 
     try:
@@ -261,22 +305,20 @@ def _write_table(path, names: tuple[str, ...], columns, formats) -> None:
         raise KleinTunnelError(f"writing {path}: {exc}") from exc
 
 
-def _write_csv_columns(columns, path) -> None:
-    """Write a sweep's columns (those of _sweep_table, the record fields in
-    order) in the fixed CSV contract; raises as write_csv does."""
-    _write_table(path, CSV_COLUMNS, columns, (_float_cells, _float_cells, _text_cells)
-                 + (_float_cells,) * 5 + (_flag_cells,))
-
-
-def write_csv(records: list[SweepRecord], path) -> None:
+def write_csv(records: Sequence[SweepRecord], path) -> None:
     """Write records in the fixed CSV contract (floats as repr writes them).
 
+    A SweepRecords view is written from its columns, with no record
+    built; any other sequence of records is transposed into columns first.
     Raises DomainError for an empty sweep and for nan or inf in any float
     column (naming the column), and KleinTunnelError when writing fails.
     """
     if not records:
         raise DomainError("refusing to write an empty sweep")
-    _write_csv_columns(list(zip(*records)), path)
+    columns = (records._columns if isinstance(records, SweepRecords)
+               else list(zip(*records)))
+    _write_table(path, CSV_COLUMNS, columns, (_float_cells, _float_cells, _text_cells)
+                 + (_float_cells,) * 5 + (_flag_cells,))
 
 
 def read_csv(path) -> list[SweepRecord]:
@@ -301,7 +343,7 @@ def read_csv(path) -> list[SweepRecord]:
         raise KleinTunnelError(f"reading {path}: {exc}") from exc
 
 
-def write_json(records: list[SweepRecord], path) -> None:
+def write_json(records: Sequence[SweepRecord], path) -> None:
     """Write records as a JSON array with the CSV field names plus ``error``;
     raises as write_csv does (nan or inf refused, naming the field)."""
     if not records:
@@ -349,9 +391,6 @@ def fig1_preset(out_dir, fmt: str = "csv") -> list[str]:
     for v in FIG1_V_VALUES:
         req = fig1_request(v)
         path = os.path.join(str(out_dir), f"fig1_v{int(v)}.{fmt}")
-        if fmt == "csv":
-            _write_csv_columns(_sweep_table(req), path)
-        else:
-            write_json(run_sweep(req), path)
+        (write_csv if fmt == "csv" else write_json)(run_sweep(req), path)
         paths.append(path)
     return paths

@@ -513,8 +513,8 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("wL", [2.0 * math.pi, 0.0])
     def test_csv_equals_the_library_route_byte_for_byte(self, capsys, tmp_path, wL):
-        # the CLI writes the sweep's columns, the library its records: the same
-        # bytes for every outputs subset.  The grid crosses both v = 10 edges
+        # the CLI's flags give the library's request: the same bytes for every
+        # outputs subset.  The grid crosses both v = 10 edges
         # 1e-13 off them, so two rows are snapped and the oracle refuses them;
         # at wL = 0 every ratio cell is refused
         grid = dict(v=10.0, wL=wL, n2_min=3.0 + 1e-13, n2_max=7.0 + 1e-13, count=401)
@@ -536,17 +536,23 @@ class TestSweepCommand:
                                 for r in records)
 
     def test_csv_routes_build_no_records(self, capsys, monkeypatch, tmp_path):
-        def refuse(req):
-            raise AssertionError("run_sweep called")
+        # every CSV route runs run_sweep and writes the view's columns: reading
+        # a record from the view fails the test
+        def refuse(*args):
+            raise AssertionError("a SweepRecord was built")
 
-        monkeypatch.setattr(kleintunnel.sweep, "run_sweep", refuse)
-        monkeypatch.setattr(kleintunnel.cli, "run_sweep", refuse)
+        monkeypatch.setattr(kleintunnel.sweep.SweepRecords, "__iter__", refuse)
+        monkeypatch.setattr(kleintunnel.sweep.SweepRecords, "__getitem__", refuse)
         out_path = tmp_path / "s.csv"
         code, _, err = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "4.2",
                                "--n2-max", "5.8", "--count", "4", "--out", str(out_path))
         assert code == 0 and err == ""
         assert len(out_path.read_text().splitlines()) == 5
         assert len(fig1_preset(tmp_path / "fig1")) == 5
+        lib_path = tmp_path / "lib.csv"
+        write_csv(run_sweep(SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=4.2, n2_max=5.8,
+                                         count=4)), lib_path)
+        assert lib_path.read_bytes() == out_path.read_bytes()
 
     def test_sweep_requires_out(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "4.2",

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -15,6 +16,7 @@ from kleintunnel import (
     DomainError,
     KleinTunnelError,
     SweepRecord,
+    SweepRecords,
     SweepRequest,
     ZoneCrossingError,
     classify_zone,
@@ -30,7 +32,15 @@ from kleintunnel import (
 )
 from kleintunnel.kinematics import rho_n2
 from kleintunnel.scattering import _closed_forms, _nr_form_from_r2
-from kleintunnel.sweep import _BLOCK, CSV_COLUMNS, _float_cells, fig1_preset, fig1_request
+from kleintunnel.sweep import (
+    _BLOCK,
+    CSV_COLUMNS,
+    VALUE_COLUMNS,
+    _float_cells,
+    _sweep_table,
+    fig1_preset,
+    fig1_request,
+)
 from test_phasetime import mp_ratio
 
 
@@ -675,6 +685,17 @@ class TestSerialization:
         with pytest.raises(DomainError, match="^T2_exact: .*numpy.float64"):
             write_csv([rec], tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("at", [0, 1, _BLOCK - 1])
+    def test_one_nan_in_an_empty_column_is_refused(self, at):
+        # an all-None column is written without formatting; a single nan
+        # among the Nones still reaches the check and is named
+        values = [None] * _BLOCK
+        assert _float_cells(values, "ratio_numeric") == [b""] * _BLOCK
+        assert _float_cells([], "ratio_numeric") == []
+        values[at] = math.nan
+        with pytest.raises(DomainError, match="^ratio_numeric: nan or inf cannot be written$"):
+            _float_cells(values, "ratio_numeric")
+
     def test_float_cells_equal_repr_token_for_token(self):
         # over a million doubles: random 64-bit patterns (finite only),
         # log-uniform magnitudes in 1e-8 ... 1e20 of either sign, and every
@@ -761,6 +782,77 @@ class TestSerialization:
         bad = tmp_path / "no" / "such" / "dir" / "x.csv"
         with pytest.raises(KleinTunnelError, match="x.csv"):
             write_csv(recs, bad)
+
+
+class TestSweepRecords:
+    """run_sweep's read-only view over the driver's columns."""
+
+    # the v = 10 grid 1e-13 off both edges: two rows snapped, the oracle
+    # refuses them
+    EDGE_GRID = dict(v=10.0, wL=2.0 * math.pi, n2_min=3.0 + 1e-13, n2_max=7.0 + 1e-13,
+                     count=401)
+
+    def test_records_are_the_zip_of_the_columns(self):
+        req = small_request(n2_min=3.9, n2_max=6.1, count=31)
+        view = run_sweep(req)
+        records = [SweepRecord(*row) for row in zip(*_sweep_table(req))]
+        assert isinstance(view, SweepRecords) and len(view) == 31
+        assert list(view) == records
+        assert all(type(rec) is SweepRecord for rec in view)
+
+    def test_indices(self):
+        view = run_sweep(small_request(n2_min=3.9, n2_max=6.1, count=31))
+        records = list(view)
+        for i in (0, 7, 30, -1, -31, np.int64(5)):
+            assert view[i] == records[i] and type(view[i]) is SweepRecord
+        for i in (31, -32):
+            with pytest.raises(IndexError):
+                view[i]
+        with pytest.raises(TypeError):
+            view["n2"]
+
+    @pytest.mark.parametrize("s", [slice(None), slice(3, 9), slice(-4, None), slice(None, None, -3),
+                                   slice(20, 5), slice(40, 50)])
+    def test_slices(self, s):
+        view = run_sweep(small_request(n2_min=3.9, n2_max=6.1, count=31))
+        part = view[s]
+        assert isinstance(part, SweepRecords)
+        assert part == list(view)[s] and len(part) == len(list(view)[s])
+
+    def test_equality_and_hash(self):
+        view = run_sweep(small_request())
+        records = list(view)
+        assert view == records and records == view
+        assert view == run_sweep(small_request()) and view == [tuple(r) for r in records]
+        assert view != records[:-1] and records[:-1] != view
+        assert view != records[::-1] and view != tuple(records)
+        assert view != run_sweep(small_request(count=6))
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_read_only(self):
+        view = run_sweep(small_request())
+        with pytest.raises(TypeError):
+            view[0] = view[1]
+        with pytest.raises(AttributeError):
+            view.append(view[0])
+
+    def test_csv_of_the_view_and_of_its_list_agree(self, tmp_path):
+        view_path, list_path = tmp_path / "view.csv", tmp_path / "list.csv"
+        subsets = [c for k in range(1, 6) for c in itertools.combinations(VALUE_COLUMNS, k)]
+        assert len(subsets) == 31
+        for outputs in subsets:
+            view = run_sweep(SweepRequest(**self.EDGE_GRID, outputs=outputs))
+            write_csv(view, view_path)
+            write_csv(list(view), list_path)
+            assert view_path.read_bytes() == list_path.read_bytes(), outputs
+        assert sum(r.nudged for r in view) == 2
+
+    def test_json_of_the_view_and_of_its_list_agree(self, tmp_path):
+        view = run_sweep(SweepRequest(**self.EDGE_GRID))
+        write_json(view, tmp_path / "view.json")
+        write_json(list(view), tmp_path / "list.json")
+        assert (tmp_path / "view.json").read_bytes() == (tmp_path / "list.json").read_bytes()
 
 
 class TestFig1Request:
