@@ -1,7 +1,7 @@
 """kleintunnel: relativistic spin-0 tunneling through a rectangular barrier.
 
 Exact boundary-matched transmission amplitudes, closed forms, stationary
-phase (tunneling) times, transmitted wave-packet synthesis and parameter
+phase (tunneling) times, the transmitted wave packet at x = L and parameter
 sweeps for the 1D rectangular electrostatic barrier in natural units
 (hbar = c = 1).
 """
@@ -73,11 +73,8 @@ from .wavepacket import (
     distortion,
     estimate_arrival,
     run_packet,
-    synthesize_incident,
-    synthesize_reflected,
-    synthesize_transmitted,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

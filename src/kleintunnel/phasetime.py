@@ -53,18 +53,11 @@ from .scattering import (_closed_forms, _matched, _past_cutoff, _refusal,
 
 @dataclass(frozen=True)
 class PhaseTimeResult:
-    """tau, t_phi and the normalized ratio t_phi/tau from one method.
-
-    method is "closed_form" or "numeric_derivative".  At L = 0 the ratio
-    is 0/0; it is then reported as nan with ratio_defined False instead
-    of being silently divided.
-    """
+    """tau, t_phi and the normalized ratio t_phi/tau from one method."""
 
     tau: float
     t_phi: float
     ratio: float
-    method: str
-    ratio_defined: bool = True
 
 
 @dataclass(frozen=True)
@@ -114,15 +107,11 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
 def phase_time_closed_form(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResult:
     """Closed-form phase time in every zone and on both edges.
 
-    The ratio is normalized_phase_time; at L = 0 it is flagged undefined.
+    The ratio is normalized_phase_time; raises ZeroLengthError at L = 0.
     """
-    if setup.L == 0.0:
-        return PhaseTimeResult(tau=0.0, t_phi=0.0, ratio=float("nan"),
-                               method="closed_form", ratio_defined=False)
-    ratio = normalized_phase_time(setup.v, mode.n2, setup.wL)
     tau = classical_tau(setup, mode)
-    return PhaseTimeResult(tau=tau, t_phi=ratio * tau, ratio=ratio,
-                           method="closed_form")
+    ratio = normalized_phase_time(setup.v, mode.n2, setup.wL)
+    return PhaseTimeResult(tau=tau, t_phi=ratio * tau, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +269,12 @@ def _solve_columns(v: float, n2: np.ndarray, root: np.ndarray, osc: np.ndarray,
 
 def phase_time_numeric(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResult:
     """t_phi = dphi/dE from normalized_phase_time_numeric (exact, no step).
-    At L = 0 the ratio is flagged undefined; otherwise raises as
+    Raises as classical_tau does (ZeroLengthError at L = 0), then as
     normalized_phase_time_numeric does: ZoneCrossingError on the edge band.
     """
-    if setup.L == 0.0:
-        return PhaseTimeResult(tau=0.0, t_phi=0.0, ratio=float("nan"),
-                               method="numeric_derivative", ratio_defined=False)
     tau = classical_tau(setup, mode)
     ratio = normalized_phase_time_numeric(setup.v, mode.n2, setup.wL)
-    return PhaseTimeResult(tau=tau, t_phi=ratio * tau, ratio=ratio,
-                           method="numeric_derivative")
+    return PhaseTimeResult(tau=tau, t_phi=ratio * tau, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +349,15 @@ def edge_phase_time_ratio(v: float, wL: float, edge: str) -> float:
     if not (wL >= 0.0):
         raise DomainError(f"wL must be >= 0, got {wL}")
     sgn = 1.0 if edge == "lower" else -1.0
-    num = 0.5 - sgn / (v - sgn) - sgn * n2 * wL * wL / (3.0 * (v - sgn))
-    return _finite(num / (1.0 + 0.25 * n2 * wL * wL), "the edge ratio",
-                   f"v={v}, wL={wL}, edge={edge}")
+    if math.isinf(n2 * wL * wL):
+        # num and den divided by wL^2, whose inverse is 0 where wL^2 overflows too
+        w2 = 1.0 / (wL * wL)
+        num = (0.5 - sgn / (v - sgn)) * w2 - sgn * n2 / (v - sgn) / 3.0
+        ratio = num / (w2 + 0.25 * n2)
+    else:
+        num = 0.5 - sgn / (v - sgn) - sgn * n2 * wL * wL / (3.0 * (v - sgn))
+        ratio = num / (1.0 + 0.25 * n2 * wL * wL)
+    return _finite(ratio, "the edge ratio", f"v={v}, wL={wL}, edge={edge}")
 
 
 def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
@@ -382,6 +373,9 @@ def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
     if not (wL >= 0.0):
         raise DomainError(f"wL must be >= 0, got {wL}")
     den = 2.0 * v - 4.0 if edge == "lower" else 2.0 * v + 4.0
+    if math.isinf(wL * wL / den):  # the same (1 + a^2)^(-1/2) with a = wL/sqrt(den)
+        a = wL / math.sqrt(den)
+        return 1.0 / a if math.isinf(a * a) else 1.0 / math.sqrt(1.0 + a * a)
     return _finite(1.0 / math.sqrt(1.0 + wL * wL / den), "the edge NR-prefactor |T|",
                    f"v={v}, wL={wL}, edge={edge}")
 

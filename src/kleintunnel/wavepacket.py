@@ -1,11 +1,11 @@
-"""Wave-packet synthesis, arrival-time measurement and spectral distortion.
+"""Transmitted wave packet at x = L, its arrival time and spectral distortion.
 
 A positive-energy packet with a symmetric momentum amplitude g(k - k0)
 (Gaussian here, truncated at support_halfwidth sigmas) impinges on the
 barrier so its free peak would reach x = 0 at t = 0.  The transmitted
-field at x >= L is
+field at the barrier's exit x = L is
 
-    psi_T(x, t) = integral g(k-k0) T(k) exp(i[k(x-L) - E(k) t]) dk,
+    psi_T(L, t) = integral g(k-k0) T(k) exp(-i E(k) t) dk,
 
 with T(k) taken per node from the closed form, which holds in every zone
 and on both edges, so spectra may span several energy zones, and
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .kinematics import BarrierSetup, IncidentMode
 from .phasetime import phase_time_closed_form
-from .scattering import _amplitude_pair, _closed_forms, _squared
+from .scattering import _closed_forms, _squared
 
 _BASE_INTERVALS = 64
 _MAX_LEVELS = 12
@@ -98,7 +98,8 @@ class ArrivalEstimate:
 
     t_peak is the parabolic-refined argmax of the intensity samples,
     t_predicted the stationary-phase time t_phi(k0), and relative_gap
-    |t_peak - t_predicted| / max(|t_predicted|, tau(k0)).
+    |t_peak - t_predicted| / max(|t_predicted|, tau(k0)).  clipped is
+    always False: estimate_arrival raises ClippedWindowError instead.
     """
 
     t_peak: float
@@ -189,15 +190,11 @@ def _simpson_levels(spectrum: SpectrumSpec):
         n *= 2
 
 
-def _amplitudes(setup: BarrierSetup, ks: np.ndarray, reflected: bool = False) -> np.ndarray:
-    """Closed-form T (R if reflected) at the nodes ks, in one closed-form call
-    that raises its refusal of any node's |T| or phase."""
+def _amplitudes(setup: BarrierSetup, ks: np.ndarray) -> np.ndarray:
+    """Closed-form T at the nodes ks, in one closed-form call that raises its
+    refusal of any node's |T| or phase."""
     cols = _closed_forms(setup.v, _squared(ks / setup.w), setup.wL, columns=("mag", "phase"))
-    mag, phase = cols.mag.tolist(), cols.phase.tolist()
-    if reflected:
-        return np.array([_amplitude_pair(m, p, X)[1]
-                         for m, p, X in zip(mag, phase, cols.X.tolist())], dtype=complex)
-    return np.fromiter(map(cmath.rect, mag, phase), complex, len(mag))
+    return np.fromiter(map(cmath.rect, cols.mag.tolist(), cols.phase.tolist()), complex, len(ks))
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -208,27 +205,12 @@ def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return full
 
 
-def _integrand(setup: BarrierSetup, spectrum: SpectrumSpec, x: float, kind: str,
-               ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(E, c, a) at the nodes ks, with psi(x, t) = integral c(k) exp(-i E(k) t) dk.
-
-    a is the barrier amplitude inside c: T, R, or None for the free packet.
-    """
+def _integrand(setup: BarrierSetup, spectrum: SpectrumSpec,
+               ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, g T, T) at the nodes ks, with psi_T(L, t) = integral g T exp(-i E t) dk."""
     g = spectrum.amplitude(ks)
-    if kind == "transmitted":
-        a = _amplitudes(setup, ks)
-        c = g * a
-        if x != setup.L:  # the factor is exp(0) = 1 at x = L, where run_packet samples
-            c = c * np.exp(1j * ks * (x - setup.L))
-    elif kind == "incident":
-        a = None
-        c = g * np.exp(1j * ks * x)
-    elif kind == "reflected":
-        a = _amplitudes(setup, ks, reflected=True)
-        c = g * a * np.exp(-1j * ks * x)
-    else:  # pragma: no cover
-        raise ValueError(kind)
-    return np.sqrt(ks * ks + setup.m * setup.m), c, a
+    T = _amplitudes(setup, ks)
+    return np.sqrt(ks * ks + setup.m * setup.m), g * T, T
 
 
 def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
@@ -269,13 +251,10 @@ def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float, count: int,
     return out.reshape(len(out), -1)[:, :count]
 
 
-def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
-                    t0: float, dt: float, count: int, kind: str, tol: float
-                    ) -> tuple[np.ndarray, QuadratureReport, np.ndarray | None]:
-    """(psi, report, a): psi(x, t_j) on the uniform grid t_j = t0 + j dt (j < count).
-
-    a is the barrier amplitude (T, R, or None for the free packet) at
-    every node of the final level, in natural node order.
+def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, t0: float, dt: float,
+                    count: int, tol: float) -> tuple[np.ndarray, QuadratureReport, np.ndarray]:
+    """(psi, report, T): psi_T(L, t_j) on the uniform grid t_j = t0 + j dt (j < count),
+    with T at every node of the final level, in natural node order.
 
     Nested Simpson ladder on the k support: level l has 64 * 2**(l-1)
     intervals and keeps every node of level l - 1, so the closed form, g
@@ -297,8 +276,8 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
     # new nodes of levels 1 and 2 are always needed: one integrand call (one
     # closed-form call) and one _phase_sums pass cover them, the nodes
     # regrouped so each group is contiguous (the base with its ends halved,
-    # then level 1's and level 2's new nodes); a keeps natural node order
-    E, c, a = _integrand(setup, spectrum, x, kind, np.linspace(lo, hi, 4 * n + 1))
+    # then level 1's and level 2's new nodes); T keeps natural node order
+    E, c, T = _integrand(setup, spectrum, np.linspace(lo, hi, 4 * n + 1))
     first = np.concatenate((np.arange(0, 4 * n + 1, 4), np.arange(2, 4 * n, 4),
                             np.arange(1, 4 * n, 2)))
     E, c = E[first], c[first]
@@ -314,10 +293,8 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
         if level <= 2:
             S, c_new = sums[level], groups[level]
         else:
-            E, c_new, a_odd = _integrand(setup, spectrum, x, kind,
-                                         np.linspace(lo, hi, n + 1)[1::2])
-            if a is not None:
-                a = _interleave(a, a_odd)
+            E, c_new, T_odd = _integrand(setup, spectrum, np.linspace(lo, hi, n + 1)[1::2])
+            T = _interleave(T, T_odd)
             S = _phase_sums(E, c_new, t0, dt, count)[0]
         P2 = P + S
         Q2 = Q + float(np.sum(np.abs(c_new)))
@@ -331,7 +308,7 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
             peak = float(I.max())
             if err <= tol * peak + 1e-14 * scale:
                 return psi, QuadratureReport(levels=level, nodes=n + 1,
-                                             change=err / peak if peak > 0.0 else err), a
+                                             change=err / peak if peak > 0.0 else err), T
         prev_I = I
     raise QuadratureError(
         f"intensity did not converge to {tol} within {_MAX_LEVELS} halvings")
@@ -340,28 +317,6 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, x: float,
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def synthesize_transmitted(setup: BarrierSetup, spectrum: SpectrumSpec,
-                           x: float, t: float, tol: float = 1e-8) -> complex:
-    """Transmitted amplitude psi_T(x, t) for x >= L."""
-    if x < setup.L:
-        raise DomainError(f"transmitted field is defined for x >= L, got x={x}")
-    return complex(_field_on_times(setup, spectrum, x, t, 0.0, 1, "transmitted", tol)[0][0])
-
-
-def synthesize_incident(setup: BarrierSetup, spectrum: SpectrumSpec,
-                        x: float, t: float, tol: float = 1e-8) -> complex:
-    """Free reference packet psi_I(x, t) (same spectrum, T = 1, phase kx)."""
-    return complex(_field_on_times(setup, spectrum, x, t, 0.0, 1, "incident", tol)[0][0])
-
-
-def synthesize_reflected(setup: BarrierSetup, spectrum: SpectrumSpec,
-                         x: float, t: float, tol: float = 1e-8) -> complex:
-    """Reflected amplitude psi_R(x, t) for x <= 0 (exposed for completeness)."""
-    if x > 0.0:
-        raise DomainError(f"reflected field is defined for x <= 0, got x={x}")
-    return complex(_field_on_times(setup, spectrum, x, t, 0.0, 1, "reflected", tol)[0][0])
-
 
 def estimate_arrival(times: np.ndarray, intensities: np.ndarray,
                      t_predicted: float, tau: float) -> ArrivalEstimate:
@@ -439,27 +394,29 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
 
     The stationary-phase prediction t_phi(k0) and tau(k0) come from the
     closed-form phase time, which is defined in every zone and on both
-    edges; the search window is [-5, +5] * max(tau, |t_phi|) around it
-    (falling back to the packet's own temporal width 6/sigma_k when both
-    vanish at L = 0), sampled at n_times >= 3 uniform times.
+    edges (both are 0 at L = 0, where the ratio is refused); the search
+    window is [-5, +5] * max(tau, |t_phi|) around it (falling back to the
+    packet's own temporal width 6/sigma_k when both vanish at L = 0),
+    sampled at n_times >= 3 uniform times.
     """
     if (isinstance(n_times, bool) or not isinstance(n_times, numbers.Integral)
             or n_times < 3):
         raise DomainError(f"n_times must be an integer >= 3, got {n_times!r}")
-    m, w = setup.m, setup.w
-    k0 = spectrum.k0
-    mode0 = IncidentMode(E=math.sqrt(k0 * k0 + m * m), k=k0, n2=(k0 / w) ** 2)
-    pt = phase_time_closed_form(setup, mode0)
-    t_pred = pt.t_phi
-    half = 5.0 * max(pt.tau, abs(pt.t_phi))
+    if setup.L == 0.0:  # no barrier: t_phi = tau = 0, and t_phi/tau is undefined
+        tau = t_pred = 0.0
+    else:
+        m, w, k0 = setup.m, setup.w, spectrum.k0
+        pt = phase_time_closed_form(
+            setup, IncidentMode(E=math.sqrt(k0 * k0 + m * m), k=k0, n2=(k0 / w) ** 2))
+        tau, t_pred = pt.tau, pt.t_phi
+    half = 5.0 * max(tau, abs(t_pred))
     if half == 0.0:
         half = 6.0 / spectrum.sigma_k
     window = (t_pred - half, t_pred + half)
     times, dt = np.linspace(window[0], window[1], n_times, retstep=True)
-    psi, field_quadrature, T = _field_on_times(setup, spectrum, setup.L, window[0], dt,
-                                               n_times, "transmitted", tol)
+    psi, field_quadrature, T = _field_on_times(setup, spectrum, window[0], dt, n_times, tol)
     intensities = np.abs(psi) ** 2
-    tau_ref = pt.tau if pt.tau > 0.0 else half / 5.0
+    tau_ref = tau if tau > 0.0 else half / 5.0
     arrival = estimate_arrival(times, intensities, t_pred, tau_ref)
     metrics = _distortion(setup, spectrum, _METRICS_TOL, T)
     return PacketRun(setup=setup, spectrum=spectrum, time_window=window,

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -208,9 +209,19 @@ class TestLimitsDomain:
         assert vals["mL"] == mL
         assert vals["high_v_magnitude_form"] == 1.0 / math.sqrt(1.0 + mL ** 2)
 
+    def test_overflowing_width_gives_values(self, capsys):
+        # wL^2 overflows: the NR-prefactor |T| read 0.0 and the edge ratio
+        # refused; every edge value exists and is printed
+        code, out, _ = run_cli(capsys, "limits", "--v", "10", "--wL", "1e160", "--json")
+        assert code == 0
+        vals = json.loads(out)
+        edge = {k: x for k, x in vals.items() if k.startswith(("lower_edge_", "upper_edge_"))}
+        assert len(edge) == 10
+        assert all(math.isfinite(x) and x != 0.0 for x in edge.values())
+
     @pytest.mark.parametrize("argv, err", [
         (("--v", "1e308", "--wL", "1e308"),
-         "error: the edge ratio evaluates to nan at v=1e+308, wL=1e+308, edge=lower\n"),
+         "error: the small-rho ratio evaluates to nan at v=1e+308, n2=5e+307\n"),
         (("--v", "1e-320", "--wL", "1e150"), "error: mL is not finite: inf\n"),
     ], ids=["formula", "emit"])
     @pytest.mark.parametrize("as_json", [False, True])
@@ -662,3 +673,29 @@ def test_version_is_the_pyproject_version():
     # a regex, not tomllib: Python 3.10 has no tomllib
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r'^version = "([^"]+)"$', text, re.M) == [kleintunnel.__version__]
+
+
+def test_public_surface_is_pinned():
+    # a name cut from or added to the package shows up as a diff of this
+    # list; the last six are the submodules, which dir() lists too
+    assert sorted(kleintunnel.__all__) == sorted([
+        "ArrivalEstimate", "BarrierChannel", "BarrierSetup", "ClippedWindowError",
+        "DistortionMetrics", "DomainError", "IncidentMode", "KleinTunnelError",
+        "NRReference", "NoPeakError", "NonConvergentError", "NonPropagatingError",
+        "PacketRun", "PhaseTimeResult", "QuadratureError", "QuadratureReport",
+        "ScatteringSolution", "SpectrumSpec", "SupportError", "SweepRecord",
+        "SweepRecords", "SweepRequest", "TransmissionPoint", "ZeroLengthError", "Zone",
+        "ZoneCrossingError", "ZoneError", "barrier_channel", "classical_tau",
+        "classify_zone", "continuity_residuals", "distortion",
+        "edge_limit_magnitude_nr_form", "edge_limit_ratio", "edge_phase_time_ratio",
+        "estimate_arrival", "fig1_preset", "match_boundaries", "mode_from_energy",
+        "mode_from_n2", "normalized_phase_time", "normalized_phase_time_numeric",
+        "nr_t_phi", "nr_transmission", "phase_time_closed_form", "phase_time_numeric",
+        "read_csv", "rho_n2", "run_packet", "run_sweep", "small_rho_ratio",
+        "transmission_closed_form", "transmission_magnitude_nr_form",
+        "tunneling_interval_n2", "write_csv", "write_json",
+        "errors", "kinematics", "phasetime", "scattering", "sweep", "wavepacket",
+    ])
+    assert len(kleintunnel.__all__) == 62
+    fields = [f.name for f in dataclasses.fields(kleintunnel.PhaseTimeResult)]
+    assert fields == ["tau", "t_phi", "ratio"]

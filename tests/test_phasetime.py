@@ -101,7 +101,6 @@ class TestClosedForm:
         res = phase_time_closed_form(s, mode_from_n2(s, 5.0))
         assert res.ratio == pytest.approx(RATIO_V10_N5_WL2PI, rel=1e-12)
         assert res.t_phi == pytest.approx(res.ratio * res.tau, rel=1e-14)
-        assert res.method == "closed_form"
 
     def test_agrees_with_numeric_oracle(self):
         s = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi)
@@ -120,12 +119,11 @@ class TestClosedForm:
         assert normalized_phase_time(10.0, 4.0, 2.0 * math.pi) == pytest.approx(
             EDGE_LOWER_V10_WL2PI, rel=1e-14)
 
-    def test_flagged_at_zero_length(self):
+    def test_zero_length_is_refused(self):
+        # tau = 0: the ratio is undefined, and no nan stands in for it
         s = make(L=0.0)
-        res = phase_time_closed_form(s, mode_from_energy(s, 10.0))
-        assert res.tau == 0.0 and res.t_phi == 0.0
-        assert not res.ratio_defined
-        assert math.isnan(res.ratio)
+        with pytest.raises(ZeroLengthError, match="^wL=0: tau=0 and t_phi/tau is undefined$"):
+            phase_time_closed_form(s, mode_from_energy(s, 10.0))
 
     def test_zero_width_ratio_is_refused(self):
         # tau = 0 leaves t_phi/tau undefined: both ratios refuse with the
@@ -224,7 +222,6 @@ class TestNumericOracle:
         mode = mode_from_n2(s, 5.0)
         assert match_boundaries(s, mode).T == 0.0
         res = phase_time_numeric(s, mode)
-        assert res.ratio_defined
         assert res.ratio == pytest.approx(normalized_phase_time(10.0, 5.0, wL), rel=1e-12)
 
     def test_zone_crossing_at_edge(self):
@@ -251,11 +248,10 @@ class TestNumericOracle:
             normalized_phase_time_numeric(10.0, 1.0, wL)
         assert math.isfinite(normalized_phase_time_numeric(10.0, 1.0, 1e14))
 
-    def test_zero_length_flagged(self):
+    def test_zero_length_is_refused(self):
         s = make(L=0.0)
-        res = phase_time_numeric(s, mode_from_energy(s, 10.0))
-        assert res.t_phi == 0.0
-        assert not res.ratio_defined
+        with pytest.raises(ZeroLengthError, match="^wL=0: tau=0 and t_phi/tau is undefined$"):
+            phase_time_numeric(s, mode_from_energy(s, 10.0))
 
     def test_step_keyword_is_gone(self):
         # dE was accepted and ignored (the derivative is exact); 0.2.0 removed it
@@ -427,7 +423,7 @@ class TestLimitFormulasRefuseNonFinite:
     # each of these returned nan before, and `kleintunnel limits` printed it
     @pytest.mark.parametrize("call, args", [
         (small_rho_ratio, (1e200, 5e199)),
-        (edge_phase_time_ratio, (1e200, 1e200, "upper")),
+        (edge_phase_time_ratio, (math.nan, 1.0, "upper")),
         (edge_limit_magnitude_nr_form, (1e308, 1e308, "upper")),
         (edge_limit_ratio, (math.nan, "upper")),
     ], ids=["small_rho", "edge_ratio", "edge_magnitude", "edge_limit"])
@@ -445,6 +441,49 @@ class TestLimitFormulasRefuseNonFinite:
             den = 2.0 * v - 4.0 if edge == "lower" else 2.0 * v + 4.0
             assert edge_limit_magnitude_nr_form(v, wL, edge) == 1.0 / math.sqrt(1.0 + wL * wL / den)
         assert small_rho_ratio(0.0, 0.5) == 4.0 / 3.0
+
+
+class TestEdgeFormulasPastOverflow:
+    # past the overflow of wL^2/den or of n2 wL^2 both values still exist:
+    # 40-digit mpmath of the formulas in their docstrings, on each side of it
+    @staticmethod
+    def mp_edge(v, wL, edge):
+        with mpmath.workdps(40):
+            v, wL = mpmath.mpf(v), mpmath.mpf(wL)
+            sgn = 1 if edge == "lower" else -1
+            n2, den = v / 2 - sgn, 2 * v - 4 * sgn
+            num = mpmath.mpf(1) / 2 - sgn / (v - sgn) - sgn * n2 * wL**2 / (3 * (v - sgn))
+            return (float(num / (1 + n2 * wL**2 / 4)),
+                    float(1 / mpmath.sqrt(1 + wL**2 / den)))
+
+    @pytest.mark.parametrize("v, wL", [
+        (10.0, 1e160), (1e200, 1e200), (3.0, 1e300), (1e300, 1e200),
+        (10.0, 1.4e154),  # wL^2 just overflows
+        (2.0000000000000004, 1e150),  # wL^2 is finite, wL^2/(2v - 4) is not
+        (10.0, 1.3e154), (10.0, 1e153),  # just below the overflow: the formulas as written
+    ])
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_agrees_with_mpmath(self, v, wL, edge):
+        ratio, magnitude = self.mp_edge(v, wL, edge)
+        assert edge_phase_time_ratio(v, wL, edge) == pytest.approx(ratio, rel=1e-15)
+        assert edge_limit_magnitude_nr_form(v, wL, edge) == pytest.approx(magnitude, rel=1e-15)
+
+    @pytest.mark.parametrize("v, wL", [
+        (1e300, 2e4),  # n2 wL^2 overflows, wL^2 does not: 1/2 -+ 1/(v -+ 1) still counts
+        (1e308, 1e308), (1e308, 2.0),  # 3 (v -+ 1) overflows
+    ])
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_ratio_at_huge_v_agrees_with_mpmath(self, v, wL, edge):
+        # the wL -> infinity limit -+4/(3 (v -+ 1)) is 7.5e-9 off at the first point
+        assert edge_phase_time_ratio(v, wL, edge) == pytest.approx(
+            self.mp_edge(v, wL, edge)[0], rel=1e-15)
+
+    def test_infinite_width_gives_the_limits(self):
+        # wL = inf: the width-independent edge ratio and a closed barrier
+        for edge in ("lower", "upper"):
+            assert edge_phase_time_ratio(10.0, math.inf, edge) == pytest.approx(
+                edge_limit_ratio(10.0, edge), rel=1e-15)
+            assert edge_limit_magnitude_nr_form(10.0, math.inf, edge) == 0.0
 
 
 class TestEdgeFormulasRefuseNegativeV:

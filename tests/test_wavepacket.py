@@ -22,9 +22,7 @@ from kleintunnel import (
     mode_from_n2,
     phase_time_closed_form,
     run_packet,
-    synthesize_incident,
-    synthesize_reflected,
-    synthesize_transmitted,
+    transmission_closed_form,
 )
 import kleintunnel.wavepacket as wp
 from kleintunnel.wavepacket import _field_on_times
@@ -52,64 +50,14 @@ class TestSpectrumSpec:
 
 
 class TestSynthesis:
-    def test_identity_filter_at_zero_width(self):
-        # L = 0: T = 1 and the transmitted field equals the free one
-        s = barrier_v10_mL(0.0)
-        spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
-        for t in (-0.05, 0.0, 0.1):
-            a = synthesize_transmitted(s, spec, 0.0, t)
-            b = synthesize_incident(s, spec, 0.0, t)
-            assert a == pytest.approx(b, rel=1e-12)
-
-    def test_incident_peak_at_origin_at_t0(self):
-        s = barrier_v10_mL(0.1)
-        spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
-        i0 = abs(synthesize_incident(s, spec, 0.0, 0.0)) ** 2
-        for x in (-0.5, -0.1, 0.1, 0.5):
-            assert abs(synthesize_incident(s, spec, x, 0.0)) ** 2 < i0
-
-    def test_free_peak_moves_at_group_velocity(self):
-        s = barrier_v10_mL(0.1)
-        k0 = 10.0
-        spec = SpectrumSpec(k0=k0, sigma_k=0.02 * k0)
-        E0 = math.sqrt(k0 * k0 + 1.0)
-        vg = k0 / E0
-        t = 0.8
-        xs = np.linspace(vg * t - 0.4, vg * t + 0.4, 321)
-        vals = [abs(synthesize_incident(s, spec, float(x), t)) ** 2 for x in xs]
-        x_peak = float(xs[int(np.argmax(vals))])
-        assert x_peak == pytest.approx(vg * t, rel=0.01)
-
-    def test_norm_conserved_over_time(self):
-        s = barrier_v10_mL(0.1)
-        spec = SpectrumSpec(k0=10.0, sigma_k=0.5)
-        E0 = math.sqrt(101.0)
-        vg = 10.0 / E0
-
-        def norm(t):
-            xs = np.linspace(vg * t - 14.0, vg * t + 14.0, 3001)
-            vals = np.array([abs(synthesize_incident(s, spec, float(x), t)) ** 2 for x in xs])
-            return float(np.trapezoid(vals, xs))
-
-        n0, n1 = norm(0.0), norm(0.6)
-        assert n1 == pytest.approx(n0, rel=1e-6)
-
-    def test_domain_checks(self):
-        s = barrier_v10_mL(0.1)
-        spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
-        with pytest.raises(DomainError):
-            synthesize_transmitted(s, spec, 0.05, 0.0)  # x < L
-        with pytest.raises(DomainError):
-            synthesize_reflected(s, spec, 0.5, 0.0)  # x > 0
-
     def test_quadrature_self_consistency(self):
         # result at the default tolerance sits within 1e-8 (relative to
         # peak) of a much stricter evaluation
         s = barrier_v10_mL(0.1)
         spec = SpectrumSpec(k0=10.0, sigma_k=1.0)
         grid = (-0.3, 0.02, 41)  # np.linspace(-0.3, 0.5, 41)
-        a = np.abs(_field_on_times(s, spec, s.L, *grid, "transmitted", 1e-8)[0]) ** 2
-        b = np.abs(_field_on_times(s, spec, s.L, *grid, "transmitted", 1e-12)[0]) ** 2
+        a = np.abs(_field_on_times(s, spec, *grid, 1e-8)[0]) ** 2
+        b = np.abs(_field_on_times(s, spec, *grid, 1e-12)[0]) ** 2
         assert float(np.max(np.abs(a - b))) <= 1e-8 * float(b.max())
 
     def test_deterministic(self):
@@ -128,7 +76,7 @@ class TestSynthesis:
         s = barrier_v10_mL(0.1)
         spec = SpectrumSpec(k0=10.0, sigma_k=0.5)
         with pytest.raises(QuadratureError):
-            wp.synthesize_transmitted(s, spec, s.L, 0.1)
+            _field_on_times(s, spec, 0.1, 0.0, 1, 1e-8)
 
 
 class TestEstimateArrival:
@@ -263,23 +211,20 @@ class TestInputValidation:
         spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
         with pytest.raises(DomainError):
             run_packet(s, spec, tol=tol)
-        for synth, x in ((synthesize_transmitted, s.L), (synthesize_incident, 0.0),
-                         (synthesize_reflected, 0.0)):
-            with pytest.raises(DomainError):
-                synth(s, spec, x, 0.0, tol=tol)
+        with pytest.raises(DomainError):
+            _field_on_times(s, spec, 0.0, 0.0, 1, tol)
         with pytest.raises(DomainError):
             distortion(s, spec, tol=tol)
         assert calls == []
 
     def test_refused_amplitudes_raise(self):
         # at wL = 1e155 d2 = rho_n^2 wL^2 overflows in the tunneling zone and
-        # the core refuses the phase: the packet raises that refusal instead
-        # of integrating the node
+        # the core refuses the phase: the field and the metrics raise that
+        # refusal instead of integrating the node
         s = BarrierSetup(m=1.0, V0=10.0, L=1e155 / math.sqrt(20.0))
         spec = SpectrumSpec(k0=10.0, sigma_k=0.05)  # n2 within [4.7, 5.3]
-        for synth, x in ((synthesize_transmitted, s.L), (synthesize_reflected, 0.0)):
-            with pytest.raises(DomainError, match=r"rho_n\^2\*wL\^2 overflows"):
-                synth(s, spec, x, 0.0)
+        with pytest.raises(DomainError, match=r"rho_n\^2\*wL\^2 overflows"):
+            _field_on_times(s, spec, 0.0, 0.0, 1, 1e-8)
         with pytest.raises(DomainError, match=r"rho_n\^2\*wL\^2 overflows"):
             distortion(s, spec)
 
@@ -320,7 +265,7 @@ class TestPhaseTable:
         s, spec = _broad_packet()
         n = wp._BASE_INTERVALS // 2
         ks = np.linspace(*spec.support, 4 * n + 1)
-        E, c, _ = wp._integrand(s, spec, s.L, "transmitted", ks)
+        E, c, _ = wp._integrand(s, spec, ks)
         order = np.concatenate((np.arange(0, 4 * n + 1, 4), np.arange(2, 4 * n, 4),
                                 np.arange(1, 4 * n, 2)))
         E, c = E[order], c[order]
@@ -351,12 +296,15 @@ def test_amplitudes_digest_pinned():
     # T and R at the 129 final-level nodes of the README tunneling packet,
     # whose support (8.8 to 11.2) crosses all three zones.  No BLAS takes
     # part, so unlike the intensities these bytes do not depend on thread
-    # counts.  Pinned before the closed forms became columns.
+    # counts.  Pinned before the closed forms became columns, when the
+    # packet carried a reflected field; R is now the one-point closed form's.
     setup, spec = barrier_v10_mL(0.1), SpectrumSpec(k0=10.0, sigma_k=0.2)
     assert run_packet(setup, spec).field_quadrature.nodes == 129
     ks = np.linspace(*spec.support, 129)
-    digest = {kind: hashlib.sha256(wp._amplitudes(setup, ks, reflected=kind == "R").tobytes())
-              .hexdigest() for kind in "TR"}
+    R = np.array([transmission_closed_form(setup.v, (k / setup.w) ** 2, setup.wL).R
+                  for k in ks.tolist()], dtype=complex)
+    digest = {kind: hashlib.sha256(a.tobytes()).hexdigest()
+              for kind, a in (("T", wp._amplitudes(setup, ks)), ("R", R))}
     assert digest == {"T": "ef1207d36038eb9d336e169410b95981a95970654568bf4b0679c6d746036644",
                       "R": "a604f8507c19ea937759203ac175951f5a3cfe6dd6c6fb6c5eec7d24579788e5"}
 
@@ -397,34 +345,24 @@ def test_intensities_do_not_depend_on_blas_threads(tmp_path):
 
 
 class TestNestedLadder:
-    def test_field_matches_gauss_legendre(self):
+    @pytest.mark.parametrize("L, halfwidth", [(0.1, 6.0), (0.0, 6.0), (0.1, 1.0)],
+                             ids=["tunneling", "zero_width", "one_sigma_support"])
+    def test_field_matches_gauss_legendre(self, L, halfwidth):
         # absolute check of the Simpson combination and the time grid
-        # against an independent 400-node Gauss-Legendre sum
-        s = barrier_v10_mL(0.1)
-        spec = SpectrumSpec(k0=10.0, sigma_k=1.0)
-        lo, hi = spec.support
-        y, wy = np.polynomial.legendre.leggauss(400)
-        ks = 0.5 * (hi - lo) * y + 0.5 * (hi + lo)
-        c = 0.5 * (hi - lo) * wy * spec.amplitude(ks) * wp._amplitudes(s, ks)
-        t0, dt, count = -0.3, 0.01, 81
-        ref = np.exp(-1j * np.outer(t0 + dt * np.arange(count), np.sqrt(ks * ks + 1.0))) @ c
-        psi, _, _ = _field_on_times(s, spec, s.L, t0, dt, count, "transmitted", 1e-12)
-        assert float(np.max(np.abs(psi - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
-
-    @pytest.mark.parametrize("halfwidth, dx", [(1.0, 0.0), (6.0, 0.3)])
-    def test_field_matches_gauss_legendre_at_the_ends_and_past_the_barrier(self, halfwidth, dx):
-        # a support cut at one sigma gives the halved end nodes of the base
-        # grid real weight, and x > L keeps the factor exp(i k (x - L))
-        s = barrier_v10_mL(0.1)
+        # against an independent 400-node Gauss-Legendre sum; at L = 0 the
+        # sum takes T = 1, so the field must be the free packet's, and a
+        # support cut at one sigma gives the halved end nodes of the base
+        # grid real weight
+        s = barrier_v10_mL(L)
         spec = SpectrumSpec(k0=10.0, sigma_k=1.0, support_halfwidth=halfwidth)
         lo, hi = spec.support
         y, wy = np.polynomial.legendre.leggauss(400)
         ks = 0.5 * (hi - lo) * y + 0.5 * (hi + lo)
-        c = (0.5 * (hi - lo) * wy * spec.amplitude(ks) * wp._amplitudes(s, ks)
-             * np.exp(1j * ks * dx))
+        T = wp._amplitudes(s, ks) if L > 0.0 else 1.0
+        c = 0.5 * (hi - lo) * wy * spec.amplitude(ks) * T
         t0, dt, count = -0.3, 0.01, 81
         ref = np.exp(-1j * np.outer(t0 + dt * np.arange(count), np.sqrt(ks * ks + 1.0))) @ c
-        psi, _, _ = _field_on_times(s, spec, s.L + dx, t0, dt, count, "transmitted", 1e-12)
+        psi, _, _ = _field_on_times(s, spec, t0, dt, count, 1e-12)
         assert float(np.max(np.abs(psi - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
     def test_nodes_nest_bitwise(self):
@@ -453,7 +391,7 @@ class TestNestedLadder:
         # several levels: still one call per node, and the reports say so
         s, spec = _broad_packet()
         calls, grids = _count_closed_form(monkeypatch)
-        psi, fq, _ = _field_on_times(s, spec, s.L, -0.3, 0.02, 41, "transmitted", 1e-8)
+        psi, fq, _ = _field_on_times(s, spec, -0.3, 0.02, 41, 1e-8)
         assert fq.levels >= 3
         assert len(calls) == fq.nodes == 64 * 2 ** (fq.levels - 1) + 1
         assert 0.0 <= fq.change <= 1e-8
@@ -499,8 +437,7 @@ class TestSharedLadder:
                 "together": fq.nodes == dq.nodes}[order]
         assert run.distortion == distortion(s, spec)
         _, dt = np.linspace(*run.time_window, n, retstep=True)
-        psi, report, T = _field_on_times(s, spec, s.L, run.time_window[0], dt, n,
-                                         "transmitted", tol)
+        psi, report, T = _field_on_times(s, spec, run.time_window[0], dt, n, tol)
         assert np.array_equal(run.intensities, np.abs(psi) ** 2)
         assert report == fq
         assert np.array_equal(T, wp._amplitudes(s, np.linspace(*spec.support, fq.nodes)))
