@@ -354,6 +354,11 @@ def edge_phase_time_ratio(v: float, wL: float, edge: str) -> float:
         w2 = 1.0 / (wL * wL)
         num = (0.5 - sgn / (v - sgn)) * w2 - sgn * n2 / (v - sgn) / 3.0
         ratio = num / (w2 + 0.25 * n2)
+    elif math.isinf(3.0 * (v - sgn)):
+        # 3 (v -+ 1) overflows: the n2 wL^2 term over v above and below, where
+        # 1 -+ 1/v rounds to 1
+        num = 0.5 - sgn / (v - sgn) - sgn * (n2 / v) * wL * wL / 3.0
+        ratio = num / (1.0 + 0.25 * n2 * wL * wL)
     else:
         num = 0.5 - sgn / (v - sgn) - sgn * n2 * wL * wL / (3.0 * (v - sgn))
         ratio = num / (1.0 + 0.25 * n2 * wL * wL)
@@ -373,11 +378,15 @@ def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
     if not (wL >= 0.0):
         raise DomainError(f"wL must be >= 0, got {wL}")
     den = 2.0 * v - 4.0 if edge == "lower" else 2.0 * v + 4.0
-    if math.isinf(wL * wL / den):  # the same (1 + a^2)^(-1/2) with a = wL/sqrt(den)
-        a = wL / math.sqrt(den)
-        return 1.0 / a if math.isinf(a * a) else 1.0 / math.sqrt(1.0 + a * a)
-    return _finite(1.0 / math.sqrt(1.0 + wL * wL / den), "the edge NR-prefactor |T|",
-                   f"v={v}, wL={wL}, edge={edge}")
+    if math.isinf(den) or math.isinf(wL * wL / den):
+        # past an overflow, the same (1 + a^2)^(-1/2) with a = wL/sqrt(den),
+        # and den = 2 (v -+ 2) where 2v -+ 4 overflows
+        a = (wL / math.sqrt(2.0) / math.sqrt(v - 2.0 if edge == "lower" else v + 2.0)
+             if math.isinf(den) else wL / math.sqrt(den))
+        magnitude = 1.0 / a if math.isinf(a * a) else 1.0 / math.sqrt(1.0 + a * a)
+    else:
+        magnitude = 1.0 / math.sqrt(1.0 + wL * wL / den)
+    return _finite(magnitude, "the edge NR-prefactor |T|", f"v={v}, wL={wL}, edge={edge}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ comparing n2 with the edges v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v),
 for every v; v = 0 is the Schroedinger barrier through the same
 formulas, with E_over_m empty.  The ratio_numeric oracle is
 normalized_phase_time_numeric for every v, evaluated over the whole grid.
-The driver returns the fields as columns, and run_sweep returns them as
-SweepRecords: a read-only sequence of records that builds each record
-only when it is read (list(run_sweep(req)) gives a mutable list).
-write_csv writes such a view's columns as they are, so a CSV sweep, from
-the library, the CLI or the fig1 preset, builds no per-row tuple.
+The driver returns the fields as the core's and the oracle's arrays:
+float64 value columns with nan marking an empty cell, zone codes and the
+nudged mask.  run_sweep returns them as SweepRecords, a read-only
+sequence of records that converts the columns to Python values only
+when a record is read (list(run_sweep(req)) gives a mutable list).
+write_csv writes such a view's arrays as they are, so a CSV sweep, from
+the library, the CLI or the fig1 preset, builds no per-row tuple and
+boxes no float.
 
 Grid points on a zone edge by the one edge rule (kinematics._edges,
 which also sets classify_zone's tags and the oracle's refusals) are
@@ -33,9 +36,10 @@ CSV contract: header row mandatory, columns in the fixed order
 UTF-8, LF line endings, absent values as empty fields.  Floats are
 written in Python repr notation, the shortest decimal that reads back to
 the same double: exponent form below 1e-4 and from 1e16 on (1e-05,
-1e+16), fixed form between.  nan and inf are refused with a DomainError
-naming the column, never written.  JSON output is an array of records
-with the same field names plus ``error``.
+1e+16), fixed form between.  A record's nan and inf, and an inf in a
+view's columns (where nan is an absent value), are refused with a
+DomainError naming the column, never written.  JSON output is an array
+of records with the same field names plus ``error``.
 """
 
 from __future__ import annotations
@@ -113,26 +117,30 @@ class SweepRecord(NamedTuple):
     error: str | None = None
 
 
-# the zone tags as the strings a record carries, indexed by run_sweep's zone codes
+# the zone tags as the strings a record carries, indexed by the driver's zone codes
 _ZONES = tuple(z.value for z in (Zone.KLEIN, Zone.TUNNELING, Zone.ABOVE_BARRIER,
                                  Zone.EDGE_LOWER, Zone.EDGE_UPPER))
+_ZONE_TAGS = np.array(_ZONES, dtype=object)
 
 
 # ---------------------------------------------------------------------------
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def _sweep_table(req: SweepRequest) -> list[list]:
+def _sweep_table(req: SweepRequest) -> list:
     """Evaluate the request grid in ascending n2, each point independently,
-    as the record fields' columns (lists, in SweepRecord._fields order).
+    as the record fields' columns (in SweepRecord._fields order).
 
     The grid is handled as columns: snapping, zone tags, the closed-form
     core (one call), the NR column and the oracle (one call, fed the
     core's rho_n^2 and s, so rho_n^2 is computed once per point) are array
-    passes, and one pass empties every cell the core or the oracle left
-    nan, named with its refusal.  Only naming refused cells runs per row.
-    The columns hold Python floats; the CSV writer formats them as they
-    are, with no row built.
+    passes, and one pass names every cell the core or the oracle left
+    nan with its refusal.  Only naming refused cells runs per row.  The
+    columns stay the arrays the core and the oracle return: n2, E_over_m
+    and the value columns are float64, with nan marking every empty cell
+    (refused, off the tunneling rows for T2_nr_form, or not requested);
+    zone holds int codes into _ZONES, nudged a bool mask, and the errors
+    a list.  The CSV writer formats them as they are, with no value boxed.
     """
     v, wL = req.v, req.wL
     n2 = req.grid()
@@ -142,12 +150,10 @@ def _sweep_table(req: SweepRequest) -> list[list]:
     nudged = lower | upper
     n2 = np.where(lower, lo, np.where(upper, hi, n2))
     zone = np.where(lower, 3, np.where(upper, 4, (n2 >= lo).astype(int) + (n2 >= hi)))
-    zones = np.array(_ZONES, dtype=object)[zone].tolist()
     cols = _closed_forms(v, n2, wL, ratio="ratio_closed" in req.outputs)
-    n2_list = n2.tolist()
     # a refused cell stays empty and is named in errors; the row keeps the rest
-    none = [None] * len(n2)
-    errors = none.copy()
+    empty = np.full(len(n2), np.nan)
+    errors = [None] * len(n2)
 
     def refuse(i: int, name: str, reason: object) -> None:
         errors[i] = f"{name}: {reason}" if errors[i] is None else f"{errors[i]}; {name}: {reason}"
@@ -165,52 +171,68 @@ def _sweep_table(req: SweepRequest) -> list[list]:
         numeric, winding = _phase_time_columns(v, n2, cols.r2, cols.s, wL)
     # a nan cell is one the core or the oracle refused: empty here, named
     # with its reason
-    out = dict.fromkeys(VALUE_COLUMNS, none)
+    out = dict.fromkeys(VALUE_COLUMNS, empty)
     for name, column, values, defined in (
             ("T2_exact", "mag", t2, True), ("T2_nr_form", "nr", nr, rows),
             ("phase_rad", "phase", cols.phase, True), ("ratio_closed", "ratio", cols.ratio, True),
             ("ratio_numeric", None, numeric, True)):
         if name in req.outputs:
             bad = np.isnan(values) & defined
-            out[name] = np.where(defined & ~bad, values, None).tolist()
+            out[name] = values if defined is True else np.where(defined, values, np.nan)
             for i in np.flatnonzero(bad).tolist():
-                x, r2 = n2_list[i], cols.r2[i]
+                x, r2 = float(n2[i]), cols.r2[i]
                 refuse(i, name, _refusal(column, v, x, wL, cols.winding[i], r2) if column
                        else _numeric_refusal(v, x, wL, winding[i], r2))
-    return [n2_list, cols.s.tolist() if v > 0.0 else none, zones,
-            *(out[name] for name in VALUE_COLUMNS), nudged.tolist(), errors]
+    return [n2, cols.s if v > 0.0 else empty, zone,
+            *(out[name] for name in VALUE_COLUMNS), nudged, errors]
+
+
+def _optional(values: np.ndarray) -> list[float | None]:
+    """A float64 column as Python floats, with None for each nan."""
+    return np.where(np.isnan(values), None, values).tolist()
 
 
 class SweepRecords(Sequence):
     """A sweep's records as a read-only sequence over its columns.
 
-    A record is built only when it is read: by iteration, or one per
-    index.  Slicing gives a view of the same kind; the view equals a list
-    of the same records, either way round, and is unhashable.
-    list(records) gives a mutable list.
+    The columns are the driver's arrays (see _sweep_table).  They are
+    converted to Python float, None, str and bool the first time a record
+    is read (by iteration, index, equality or write_json), once per view;
+    write_csv never converts them.  Slicing gives a view of the same kind;
+    the view equals a list of the same records, either way round, and is
+    unhashable.  list(records) gives a mutable list.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_columns", "_plain")
 
-    def __init__(self, columns: list[list]):
-        # the record fields' columns, in SweepRecord._fields order
+    def __init__(self, columns: list):
+        # the driver's columns, in SweepRecord._fields order
         self._columns = columns
+        self._plain = None
+
+    def _plain_columns(self) -> list[list]:
+        """The columns as lists of the records' Python values, built once."""
+        if self._plain is None:
+            n2, s, zone, *values, nudged, errors = self._columns
+            self._plain = [n2.tolist(), _optional(s), _ZONE_TAGS[zone].tolist(),
+                           *map(_optional, values), nudged.tolist(), errors]
+        return self._plain
 
     def __len__(self) -> int:
         return len(self._columns[0])
 
     def __iter__(self):
         # tuple.__new__ skips the NamedTuple's Python-level __new__
-        return map(tuple.__new__, repeat(SweepRecord), zip(*self._columns))
+        return map(tuple.__new__, repeat(SweepRecord), zip(*self._plain_columns()))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return SweepRecords([column[index] for column in self._columns])
-        return tuple.__new__(SweepRecord, [column[index] for column in self._columns])
+        return tuple.__new__(SweepRecord, [column[index] for column in self._plain_columns()])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SweepRecords):
-            return self._columns == other._columns
+            return self._plain_columns() == other._plain_columns()
         if isinstance(other, list):
             return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
@@ -248,25 +270,37 @@ def _decade_cell(match: re.Match) -> bytes:
     return b",%s%s%s%se-05" % (sign, first, b"." if rest else b"", rest)
 
 
-def _float_cells(values: list | tuple, name: str) -> list[bytes]:
-    """Each float as repr writes it and None as an empty cell, from one
-    orjson.dumps of the column.  orjson writes nan and inf as null, so a
-    null that is not a None is refused with a DomainError naming the column,
-    and so is a cell orjson cannot write, such as a numpy float64.
+def _empty_cells(values: list | tuple | np.ndarray) -> int:
+    """The empty cells of a float column: each nan of a float64 array, each
+    None of a list or tuple (where a nan is a value, refused when written)."""
+    if isinstance(values, np.ndarray):
+        return int(np.count_nonzero(np.isnan(values)))
+    return values.count(None)
+
+
+def _float_cells(values: list | tuple | np.ndarray, name: str) -> list[bytes]:
+    """Each float as repr writes it, from one orjson.dumps of the column,
+    and an empty cell for each None of a list or tuple or each nan of a
+    float64 array.  orjson writes nan and inf as null, so a null that is
+    not an empty cell is refused with a DomainError naming the column, and
+    so is a cell orjson cannot write, such as a numpy float64 in a list.
     """
-    if (not values or values[0] is None) and values.count(None) == len(values):
+    # counted only when the first cell may be empty (None, or nan in an array)
+    if (not len(values) or values[0] is None or values[0] != values[0]) and (
+            _empty_cells(values) == len(values)):
         return [b""] * len(values)  # no value: nothing to format or check
     import orjson  # loaded on the first write, not on import
 
     try:
-        data = orjson.dumps(values)
+        data = (orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+                if isinstance(values, np.ndarray) else orjson.dumps(values))
     except TypeError as exc:
         raise DomainError(f"{name}: {exc}") from exc
     # "[a,b]" -> ",a,b,": every cell between two commas.  The guards test
     # one byte: no number holds an n, and only an exponent holds an e.
     data = b"," + data[1:-1] + b","
     if b"n" in data:
-        if data.count(b"n") != values.count(None):
+        if data.count(b"n") != _empty_cells(values):
             raise DomainError(f"{name}: nan or inf cannot be written")
         data = data.replace(b"null", b"")
     if b"e" in data:
@@ -277,11 +311,21 @@ def _float_cells(values: list | tuple, name: str) -> list[bytes]:
     return data.split(b",")[1:-1]
 
 
-def _text_cells(values: list | tuple, name: str) -> list[bytes]:
+# the cells of a view's zone codes and nudged mask, indexed by code and flag
+_ZONE_CELLS = np.array([z.encode() for z in _ZONES], dtype=object)
+_FLAG_CELLS = np.array([b"", b"true"], dtype=object)
+
+
+def _zone_cells(values: list | tuple | np.ndarray, name: str) -> list[bytes]:
+    """Zone tags (str) or a view's zone codes (an int array) as cells."""
+    if isinstance(values, np.ndarray):
+        return _ZONE_CELLS[values].tolist()
     return list(map(str.encode, values))
 
 
-def _flag_cells(values: list | tuple, name: str) -> list[bytes]:
+def _flag_cells(values: list | tuple | np.ndarray, name: str) -> list[bytes]:
+    if isinstance(values, np.ndarray):
+        return _FLAG_CELLS[values.view(np.uint8)].tolist()
     return [b"true" if x else b"" for x in values]
 
 
@@ -308,8 +352,9 @@ def _write_table(path, names: tuple[str, ...], columns, formats) -> None:
 def write_csv(records: Sequence[SweepRecord], path) -> None:
     """Write records in the fixed CSV contract (floats as repr writes them).
 
-    A SweepRecords view is written from its columns, with no record
-    built; any other sequence of records is transposed into columns first.
+    A SweepRecords view is written from its float64 columns, with no
+    record built and no value boxed; any other sequence of records is
+    transposed into columns first.
     Raises DomainError for an empty sweep and for nan or inf in any float
     column (naming the column), and KleinTunnelError when writing fails.
     """
@@ -317,7 +362,7 @@ def write_csv(records: Sequence[SweepRecord], path) -> None:
         raise DomainError("refusing to write an empty sweep")
     columns = (records._columns if isinstance(records, SweepRecords)
                else list(zip(*records)))
-    _write_table(path, CSV_COLUMNS, columns, (_float_cells, _float_cells, _text_cells)
+    _write_table(path, CSV_COLUMNS, columns, (_float_cells, _float_cells, _zone_cells)
                  + (_float_cells,) * 5 + (_flag_cells,))
 
 

@@ -424,7 +424,7 @@ class TestLimitFormulasRefuseNonFinite:
     @pytest.mark.parametrize("call, args", [
         (small_rho_ratio, (1e200, 5e199)),
         (edge_phase_time_ratio, (math.nan, 1.0, "upper")),
-        (edge_limit_magnitude_nr_form, (1e308, 1e308, "upper")),
+        (edge_limit_magnitude_nr_form, (math.nan, 1.0, "upper")),
         (edge_limit_ratio, (math.nan, "upper")),
     ], ids=["small_rho", "edge_ratio", "edge_magnitude", "edge_limit"])
     def test_non_finite_result_is_a_domain_error(self, call, args):
@@ -465,8 +465,10 @@ class TestEdgeFormulasPastOverflow:
     @pytest.mark.parametrize("edge", ["lower", "upper"])
     def test_agrees_with_mpmath(self, v, wL, edge):
         ratio, magnitude = self.mp_edge(v, wL, edge)
-        assert edge_phase_time_ratio(v, wL, edge) == pytest.approx(ratio, rel=1e-15)
-        assert edge_limit_magnitude_nr_form(v, wL, edge) == pytest.approx(magnitude, rel=1e-15)
+        # abs=0: pytest.approx would pass any two values within 1e-12
+        assert edge_phase_time_ratio(v, wL, edge) == pytest.approx(ratio, rel=1e-15, abs=0.0)
+        assert edge_limit_magnitude_nr_form(v, wL, edge) == pytest.approx(
+            magnitude, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("v, wL", [
         (1e300, 2e4),  # n2 wL^2 overflows, wL^2 does not: 1/2 -+ 1/(v -+ 1) still counts
@@ -476,7 +478,23 @@ class TestEdgeFormulasPastOverflow:
     def test_ratio_at_huge_v_agrees_with_mpmath(self, v, wL, edge):
         # the wL -> infinity limit -+4/(3 (v -+ 1)) is 7.5e-9 off at the first point
         assert edge_phase_time_ratio(v, wL, edge) == pytest.approx(
-            self.mp_edge(v, wL, edge)[0], rel=1e-15)
+            self.mp_edge(v, wL, edge)[0], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("v", [9e307, 1e308])
+    @pytest.mark.parametrize("wL", [1.0, 1e154, 1e300, 1e308])
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_magnitude_where_2v_overflows(self, v, wL, edge):
+        # 2v -+ 4 is inf: wL^2/den read 0 (|T| = 1.0) or inf/inf (refused)
+        assert edge_limit_magnitude_nr_form(v, wL, edge) == pytest.approx(
+            self.mp_edge(v, wL, edge)[1], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("v", [7e307, 9e307, 1e308])
+    @pytest.mark.parametrize("wL", [1.0, 1.2])
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_ratio_where_3v_overflows(self, v, wL, edge):
+        # 3 (v -+ 1) is inf and n2 wL^2 is not: the n2 wL^2 term read 0
+        assert edge_phase_time_ratio(v, wL, edge) == pytest.approx(
+            self.mp_edge(v, wL, edge)[0], rel=1e-15, abs=0.0)
 
     def test_infinite_width_gives_the_limits(self):
         # wL = inf: the width-independent edge ratio and a closed barrier

@@ -34,6 +34,7 @@ from kleintunnel.kinematics import rho_n2
 from kleintunnel.scattering import _closed_forms, _nr_form_from_r2
 from kleintunnel.sweep import (
     _BLOCK,
+    _ZONES,
     CSV_COLUMNS,
     VALUE_COLUMNS,
     _float_cells,
@@ -696,11 +697,12 @@ class TestSerialization:
         with pytest.raises(DomainError, match="^ratio_numeric: nan or inf cannot be written$"):
             _float_cells(values, "ratio_numeric")
 
-    def test_float_cells_equal_repr_token_for_token(self):
-        # over a million doubles: random 64-bit patterns (finite only),
-        # log-uniform magnitudes in 1e-8 ... 1e20 of either sign, and every
-        # switch of notation with its neighbours; a later orjson that writes
-        # another notation fails here, not in a digest
+    @staticmethod
+    def assert_cells_are_repr(route):
+        # over a million doubles, each column chunk passed as route(tuple):
+        # random 64-bit patterns (finite only), log-uniform magnitudes in
+        # 1e-8 ... 1e20 of either sign, and every switch of notation with
+        # its neighbours
         rng = np.random.default_rng(20)
         bits = rng.integers(0, 2 ** 64, 600_000, dtype=np.uint64).view(np.float64)
         spread = 10.0 ** rng.uniform(-8.0, 20.0, 450_000) * rng.choice((-1.0, 1.0), 450_000)
@@ -714,10 +716,38 @@ class TestSerialization:
         assert len(values) >= 1_000_000
         for start in range(0, len(values), 100_000):
             chunk = tuple(values[start:start + 100_000])
-            cells = _float_cells(chunk, "x")
+            cells = _float_cells(route(chunk), "x")
             assert len(cells) == len(chunk)
             if b",".join(cells) != ",".join(map(repr, chunk)).encode():
                 assert [(x, c) for x, c in zip(chunk, cells) if c != repr(x).encode()] == []
+
+    def test_float_cells_equal_repr_token_for_token(self):
+        # a later orjson that writes another notation fails here, not in a
+        # digest
+        self.assert_cells_are_repr(tuple)
+
+    def test_float64_array_cells_equal_repr_token_for_token(self):
+        # the sweep's columns reach orjson as float64 arrays, through its
+        # numpy route: its notation must be the list route's
+        self.assert_cells_are_repr(np.array)
+
+    @pytest.mark.parametrize("at", [0, 1, _BLOCK - 1])
+    def test_array_nan_is_an_empty_cell_and_inf_is_refused(self, at):
+        values = np.linspace(0.5, 2.0, _BLOCK)
+        expected = [repr(x).encode() for x in values.tolist()]
+        values[at] = math.nan
+        expected[at] = b""
+        assert _float_cells(values, "T2_exact") == expected
+        assert _float_cells(np.full(_BLOCK, math.nan), "T2_exact") == [b""] * _BLOCK
+        for bad in (math.inf, -math.inf):
+            values[at] = bad
+            with pytest.raises(DomainError, match="^T2_exact: nan or inf cannot be written$"):
+                _float_cells(values, "T2_exact")
+        # an inf among nans, with no value in the column, is refused too
+        values[:] = math.nan
+        values[at] = math.inf
+        with pytest.raises(DomainError, match="^T2_exact: nan or inf cannot be written$"):
+            _float_cells(values, "T2_exact")
 
     def test_fig1_files_round_trip_byte_for_byte(self, tmp_path):
         for path in fig1_preset(tmp_path):
@@ -792,13 +822,57 @@ class TestSweepRecords:
     EDGE_GRID = dict(v=10.0, wL=2.0 * math.pi, n2_min=3.0 + 1e-13, n2_max=7.0 + 1e-13,
                      count=401)
 
+    # the same v = 2 grid with every ratio cell refused (wL = 0) and with
+    # one snapped edge row whose oracle cell is refused (wL = 1)
+    V2_GRIDS = [dict(v=2.0, wL=wL, n2_min=1e-13, n2_max=3.0 + 1e-13, count=4)
+                for wL in (0.0, 1.0)]
+
     def test_records_are_the_zip_of_the_columns(self):
         req = small_request(n2_min=3.9, n2_max=6.1, count=31)
         view = run_sweep(req)
-        records = [SweepRecord(*row) for row in zip(*_sweep_table(req))]
+        n2, s, zone, *values, nudged, errors = _sweep_table(req)
+        # the driver's columns: float64 with nan for an empty cell, zone
+        # codes, the nudged mask and the errors as a list
+        assert all(c.dtype == np.float64 for c in (n2, s, *values))
+        assert zone.dtype.kind == "i" and nudged.dtype == bool and type(errors) is list
+
+        def cells(column):
+            return [None if math.isnan(x) else x for x in column.tolist()]
+
+        records = [SweepRecord(*row) for row in zip(
+            n2.tolist(), cells(s), [_ZONES[z] for z in zone.tolist()], *map(cells, values),
+            nudged.tolist(), errors)]
         assert isinstance(view, SweepRecords) and len(view) == 31
         assert list(view) == records
         assert all(type(rec) is SweepRecord for rec in view)
+
+    def test_records_hold_python_values_only(self):
+        # no np.float64, no nan and no numpy bool reach a record, read by
+        # iteration, index or slice, on grids where cells are refused
+        def plain(rec):
+            assert type(rec) is SweepRecord and type(rec.n2) is float
+            assert type(rec.zone) is str and type(rec.nudged) is bool
+            assert rec.error is None or type(rec.error) is str
+            for x in (rec.e_over_m, *rec[3:8]):
+                assert x is None or (type(x) is float and not math.isnan(x)), rec
+
+        refused = 0
+        for grid in [self.EDGE_GRID, *self.V2_GRIDS]:
+            view = run_sweep(SweepRequest(**grid))
+            for rec in [*view, view[0], view[-1], *view[::-2]]:
+                plain(rec)
+            refused += sum(rec.error is not None for rec in view)
+            assert [r.nudged for r in view].count(True) >= 1
+        assert refused >= 2 + 4 + 1
+        plain(run_sweep(small_request(v=0.0, n2_min=0.5, n2_max=0.9, count=3))[1])
+
+    def test_csv_of_a_strided_slice_equals_its_list(self, tmp_path):
+        # a slice with a step holds strided columns; they are written as
+        # the same cells as the records read from them
+        view = run_sweep(SweepRequest(**self.EDGE_GRID))[::-3]
+        write_csv(view, tmp_path / "view.csv")
+        write_csv(list(view), tmp_path / "list.csv")
+        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
     def test_indices(self):
         view = run_sweep(small_request(n2_min=3.9, n2_max=6.1, count=31))
