@@ -32,7 +32,6 @@ from .kinematics import (
     tunneling_interval_n2,
 )
 from .phasetime import (
-    NRReference,
     PhaseTimeResult,
     classical_tau,
     edge_limit_magnitude_nr_form,
@@ -40,8 +39,6 @@ from .phasetime import (
     edge_phase_time_ratio,
     normalized_phase_time,
     normalized_phase_time_numeric,
-    nr_t_phi,
-    nr_transmission,
     phase_time_closed_form,
     phase_time_numeric,
     small_rho_ratio,
@@ -75,6 +72,6 @@ from .wavepacket import (
     run_packet,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

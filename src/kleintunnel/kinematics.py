@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,6 +44,9 @@ from .errors import DomainError, NonPropagatingError
 
 if TYPE_CHECKING:
     import numpy as np
+
+# The smallest normal double: a product below it has lost digits to underflow
+_MIN_NORMAL = sys.float_info.min
 
 # Relative half-width, in n2, of the band around each zone edge v/2 -+ 1
 # that counts as the edge itself (_edges, the one edge rule)
@@ -88,6 +92,12 @@ class BarrierSetup:
             raise DomainError(f"barrier width must be >= 0 and finite, got L={self.L}")
         if self.w == 0.0:
             raise DomainError(f"w = sqrt(2*m*V0) underflows to 0 at m={self.m}, V0={self.V0}")
+        if math.isinf(self.w):
+            raise DomainError(f"w = sqrt(2*m*V0) is not finite at m={self.m}, V0={self.V0}")
+        if math.isinf(self.v):
+            raise DomainError(f"v = V0/m is not finite at m={self.m}, V0={self.V0}")
+        if math.isinf(self.wL):
+            raise DomainError(f"wL = w*L is not finite at m={self.m}, V0={self.V0}, L={self.L}")
 
     @property
     def w(self) -> float:
@@ -210,30 +220,57 @@ def tunneling_interval_n2(v: float) -> tuple[float, float]:
 # operations
 # ---------------------------------------------------------------------------
 
+def _root_of_product(a: float, b: float) -> float:
+    """sqrt(a*b) for factors of one sign, as sqrt(|a|)*sqrt(|b|) only where
+    a*b leaves the normal range (it overflows, or underflows and loses
+    digits)."""
+    ab = a * b
+    if _MIN_NORMAL <= ab < math.inf:
+        return math.sqrt(ab)
+    return math.sqrt(abs(a)) * math.sqrt(abs(b))
+
+
+def _k_n2(setup: BarrierSetup, E: float) -> tuple[float, float]:
+    """(k, n2) at a finite E > m: k = sqrt((E - m)(E + m)), factored to keep
+    precision for E barely above m (_root_of_product); n2 = (k/w)^2 is inf
+    where it overflows (float ** raises OverflowError there)."""
+    m = setup.m
+    k = _root_of_product(E - m, E + m)
+    try:
+        return k, (k / setup.w) ** 2
+    except OverflowError:
+        return k, math.inf
+
+
 def mode_from_energy(setup: BarrierSetup, E: float) -> IncidentMode:
     """Incident mode at total energy E, using k^2 = E^2 - m^2.
 
-    Raises NonPropagatingError for E <= m (k would not be real positive).
+    Raises NonPropagatingError for E <= m (k would not be real positive)
+    and DomainError where k or n2 overflows.
     """
     m = setup.m
     if not math.isfinite(E):
         raise DomainError(f"E must be finite, got {E}")
     if not (E > m):
         raise NonPropagatingError(f"E={E} does not exceed m={m}: no incident wave")
-    # factored to keep precision for E barely above m
-    k = math.sqrt((E - m) * (E + m))
-    return IncidentMode(E=E, k=k, n2=(k / setup.w) ** 2)
+    k, n2 = _k_n2(setup, E)
+    if math.isinf(n2):
+        raise DomainError(f"n2 = (k/w)^2 is not finite at E={E}, m={m}, V0={setup.V0}")
+    return IncidentMode(E=E, k=k, n2=n2)
 
 
 def mode_from_n2(setup: BarrierSetup, n2: float) -> IncidentMode:
     """Incident mode at normalized energy coordinate n2 = k^2/w^2.
 
-    E = m*sqrt(1 + 2*n2*v); round-trips with mode_from_energy.
+    E = m*sqrt(1 + 2*n2*v); round-trips with mode_from_energy.  Raises
+    DomainError where E or k overflows.
     """
     if not (n2 > 0.0 and math.isfinite(n2)):
         raise DomainError(f"n2 must be positive and finite, got {n2}")
     E = setup.m * math.sqrt(1.0 + 2.0 * n2 * setup.v)
     k = setup.w * math.sqrt(n2)
+    if not (math.isfinite(E) and math.isfinite(k)):
+        raise DomainError(f"E or k is not finite at n2={n2}, m={setup.m}, V0={setup.V0}")
     return IncidentMode(E=E, k=k, n2=n2)
 
 
@@ -274,7 +311,8 @@ def classify_zone(setup: BarrierSetup, E: float) -> Zone:
         raise DomainError(f"E must be finite, got {E}")
     if E <= setup.m:
         return Zone.NON_PROPAGATING
-    return _zone(setup.v, mode_from_energy(setup, E).n2)
+    # an n2 that overflows is above every edge
+    return _zone(setup.v, _k_n2(setup, E)[1])
 
 
 def barrier_channel(setup: BarrierSetup, mode: IncidentMode) -> BarrierChannel:
@@ -283,17 +321,21 @@ def barrier_channel(setup: BarrierSetup, mode: IncidentMode) -> BarrierChannel:
     rho^2 = m^2 - (E - V0)^2 and q^2 = (E - V0)^2 - m^2, in factored form
     so w^2*rho_n^2 == rho^2 holds to roundoff even at the edges, choose it
     by sign, with no zone tag: evanescent where rho^2 > 0, else oscillatory
-    where q^2 > 0, else linear {1, x}.  NonPropagatingError for E <= m.
+    where q^2 > 0, else linear {1, x}; the root is _root_of_product's.
+    NonPropagatingError for E <= m, DomainError where rho_n or q_n
+    overflows.
     """
     m, V0, w, E = setup.m, setup.V0, setup.w, mode.E
     if not (E > m):
         raise NonPropagatingError(f"E={E} does not exceed m={m}: no incident wave")
-    rho2 = (m - E + V0) * (m + E - V0)
-    if rho2 > 0.0:
-        rho = math.sqrt(rho2)
-        return BarrierChannel(kind="evanescent", rho=rho, rho_n=rho / w)
-    q2 = (E - V0 - m) * (E - V0 + m)
-    if q2 > 0.0:
-        q = math.sqrt(q2)
-        return BarrierChannel(kind="oscillatory", q=q, q_n=q / w)
+    for kind, a, b in (("evanescent", m - E + V0, m + E - V0),
+                       ("oscillatory", E - V0 - m, E - V0 + m)):
+        if a * b > 0.0:
+            root = _root_of_product(a, b)
+            if math.isinf(root / w):
+                raise DomainError(f"the {kind} root over w is not finite at E={E}, "
+                                  f"m={m}, V0={V0}")
+            if kind == "evanescent":
+                return BarrierChannel(kind=kind, rho=root, rho_n=root / w)
+            return BarrierChannel(kind=kind, q=root, q_n=root / w)
     return BarrierChannel(kind="linear")

@@ -32,9 +32,9 @@ which only for wL -> infinity reaches the width-independent limit
 -(4/3)/(1 +- 2 n2); see edge_phase_time_ratio / edge_limit_ratio.
 
 At v = 0 (rho_n^2 = 1 - n2) the same closed forms are the Schroedinger
-barrier with dispersion k^2 = 2 m E_NR and n2 = E_NR/V0; nr_transmission
-and nr_t_phi evaluate them there, and normalized_phase_time_numeric at
-v = 0 is that panel's oracle.
+barrier with dispersion k^2 = 2 m E_NR and n2 = E_NR/V0, whose classical
+time is tau_NR = L*m/k; normalized_phase_time_numeric at v = 0 is that
+panel's oracle.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError, ZoneCrossingError
-from .kinematics import BarrierSetup, IncidentMode, _edges, _rho_n2_columns
-from .scattering import (_closed_forms, _matched, _past_cutoff, _refusal,
-                         transmission_closed_form)
+from .kinematics import _MIN_NORMAL, BarrierSetup, IncidentMode, _edges, _rho_n2_columns
+from .scattering import _closed_forms, _matched, _past_cutoff, _refusal
 
 
 @dataclass(frozen=True)
@@ -60,17 +59,6 @@ class PhaseTimeResult:
     ratio: float
 
 
-@dataclass(frozen=True)
-class NRReference:
-    """Schroedinger rectangular-barrier reference point (own dispersion)."""
-
-    e_nr: float
-    kappa: float
-    magnitude: float
-    phase: float
-    ratio: float
-
-
 # ---------------------------------------------------------------------------
 # classical traversal time
 # ---------------------------------------------------------------------------
@@ -79,11 +67,18 @@ def classical_tau(setup: BarrierSetup, mode: IncidentMode) -> float:
     """Classical traversal time tau = L*(dE/dk)^(-1) = L*E/k.
 
     Raises ZeroLengthError at L = 0, where tau = 0 makes every normalized
-    ratio undefined (the closed ratio's wL = 0 refusal).
+    ratio undefined (the closed ratio's wL = 0 refusal).  Only where L*E
+    leaves the normal range is tau formed as L*(E/k); DomainError where tau
+    still overflows.
     """
-    if setup.L == 0.0:
+    L, E, k = setup.L, mode.E, mode.k
+    if L == 0.0:
         raise _refusal("ratio", setup.v, mode.n2, 0.0)
-    return setup.L * mode.E / mode.k
+    LE = L * E
+    tau = LE / k if _MIN_NORMAL <= LE < math.inf else L * (E / k)
+    if math.isinf(tau):
+        raise DomainError(f"tau = L*E/k overflows at L={L}, E={E}, k={k}")
+    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -387,37 +382,3 @@ def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
     else:
         magnitude = 1.0 / math.sqrt(1.0 + wL * wL / den)
     return _finite(magnitude, "the edge NR-prefactor |T|", f"v={v}, wL={wL}, edge={edge}")
-
-
-# ---------------------------------------------------------------------------
-# Schroedinger reference: the closed forms at v = 0
-# ---------------------------------------------------------------------------
-
-def _nr_check(setup: BarrierSetup, e_nr: float) -> None:
-    if not (0.0 < e_nr < setup.V0):
-        raise DomainError(f"E_NR must lie in (0, V0)=(0, {setup.V0}), got {e_nr}")
-
-
-def nr_transmission(setup: BarrierSetup, e_nr: float) -> NRReference:
-    """Schroedinger rectangular-barrier reference at kinetic energy E_NR.
-
-    Own dispersion k^2 = 2 m E_NR, kappa^2 = 2 m (V0 - E_NR); magnitude
-    and phase are transmission_closed_form and the ratio (tau_NR = L*m/k)
-    is normalized_phase_time, both at v = 0 and n2 = E_NR/V0.
-    DomainError outside (0, V0).
-    """
-    _nr_check(setup, e_nr)
-    n2, wL = e_nr / setup.V0, setup.wL
-    kappa = math.sqrt(2.0 * setup.m * (setup.V0 - e_nr))
-    point = transmission_closed_form(0.0, n2, wL)
-    return NRReference(e_nr=e_nr, kappa=kappa, magnitude=point.magnitude,
-                       phase=point.phase, ratio=normalized_phase_time(0.0, n2, wL))
-
-
-def nr_t_phi(setup: BarrierSetup, e_nr: float) -> float:
-    """Dimensionful NR phase time t_phi = ratio * tau_NR, tau_NR = L*m/k."""
-    _nr_check(setup, e_nr)
-    if setup.L == 0.0:
-        return 0.0
-    k = math.sqrt(2.0 * setup.m * e_nr)
-    return normalized_phase_time(0.0, e_nr / setup.V0, setup.wL) * setup.L * setup.m / k

@@ -64,6 +64,14 @@ class TestZone:
         assert code == 0
         assert parse_human(out)["zone"] == "NonPropagating"
 
+    def test_energy_whose_k_squared_overflows(self, capsys):
+        # (E - m)(E + m) overflows: it exited 1 with "k is not finite: inf"
+        code, out, err = run_cli(capsys, "zone", "--m", "1", "--V0", "10", "--E", "1.4e154")
+        assert (code, err) == (0, "")
+        vals = parse_human(out)
+        assert vals["zone"] == "AboveBarrier" and vals["channel"] == "oscillatory"
+        assert vals["k"] == pytest.approx(1.4e154, rel=1e-15)
+
 
 class TestZoneTagsFollowN2:
     """Every caller that holds a mode tags its n2 as the sweep row is tagged.
@@ -681,7 +689,7 @@ def test_public_surface_is_pinned():
     assert sorted(kleintunnel.__all__) == sorted([
         "ArrivalEstimate", "BarrierChannel", "BarrierSetup", "ClippedWindowError",
         "DistortionMetrics", "DomainError", "IncidentMode", "KleinTunnelError",
-        "NRReference", "NoPeakError", "NonConvergentError", "NonPropagatingError",
+        "NoPeakError", "NonConvergentError", "NonPropagatingError",
         "PacketRun", "PhaseTimeResult", "QuadratureError", "QuadratureReport",
         "ScatteringSolution", "SpectrumSpec", "SupportError", "SweepRecord",
         "SweepRecords", "SweepRequest", "TransmissionPoint", "ZeroLengthError", "Zone",
@@ -690,12 +698,12 @@ def test_public_surface_is_pinned():
         "edge_limit_magnitude_nr_form", "edge_limit_ratio", "edge_phase_time_ratio",
         "estimate_arrival", "fig1_preset", "match_boundaries", "mode_from_energy",
         "mode_from_n2", "normalized_phase_time", "normalized_phase_time_numeric",
-        "nr_t_phi", "nr_transmission", "phase_time_closed_form", "phase_time_numeric",
+        "phase_time_closed_form", "phase_time_numeric",
         "read_csv", "rho_n2", "run_packet", "run_sweep", "small_rho_ratio",
         "transmission_closed_form", "transmission_magnitude_nr_form",
         "tunneling_interval_n2", "write_csv", "write_json",
         "errors", "kinematics", "phasetime", "scattering", "sweep", "wavepacket",
     ])
-    assert len(kleintunnel.__all__) == 62
+    assert len(kleintunnel.__all__) == 59
     fields = [f.name for f in dataclasses.fields(kleintunnel.PhaseTimeResult)]
     assert fields == ["tau", "t_phi", "ratio"]

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -9,10 +11,12 @@ import pytest
 from kleintunnel import (
     BarrierSetup,
     DomainError,
+    KleinTunnelError,
     NonPropagatingError,
     SpectrumSpec,
     Zone,
     barrier_channel,
+    classical_tau,
     classify_zone,
     mode_from_energy,
     mode_from_n2,
@@ -315,3 +319,100 @@ class TestRhoN2:
         # 0.0, where rho_n^2 is 5.0e-301 (40-digit mpmath)
         with pytest.raises(DomainError, match=r"sqrt\(1 \+ 2\*n2\*v\) overflows"):
             rho_n2(1e300, 5e299)
+
+
+# every value quoted in the kinematics overflow fixes, within a log grid from
+# the smallest subnormal to 1e308
+EXTREMES = sorted({5e-324, 1e-300, 1e-200, 1e-154, 1e-100, 1e-10, 0.5, 1.0, 10.0, 1e10,
+                   1e100, 1.4e154, 1e200, 1e300, 1e308})
+
+
+def finite_or_typed(call, *args):
+    """call(*args), or None where it raised a KleinTunnelError; every float
+    field of what it returned must be finite."""
+    try:
+        out = call(*args)
+    except KleinTunnelError:
+        return None
+    if isinstance(out, Zone):
+        return out
+    fields = [out] if isinstance(out, float) else [
+        getattr(out, name) for name in ("m", "V0", "L", "w", "v", "wL", "E", "k", "n2",
+                                        "rho", "q", "rho_n", "q_n") if hasattr(out, name)]
+    assert fields and all(isinstance(x, float) and math.isfinite(x) for x in fields), (
+        call.__name__, args, out)
+    return out
+
+
+class TestFiniteOrTyped:
+    """Every kinematics function returns finite float fields or raises a
+    KleinTunnelError, over a fixed grid of m, V0, L, E and n2."""
+
+    @pytest.mark.parametrize("m", EXTREMES)
+    def test_setups_and_modes(self, m):
+        for V0, L in itertools.product(EXTREMES, [0.0] + EXTREMES):
+            s = finite_or_typed(BarrierSetup, m, V0, L)
+            if s is None:
+                continue
+            for x in EXTREMES:
+                finite_or_typed(classify_zone, s, x)
+                for mode in (finite_or_typed(mode_from_energy, s, x),
+                             finite_or_typed(mode_from_n2, s, x)):
+                    if mode is not None:
+                        finite_or_typed(barrier_channel, s, mode)
+                        if L > 0.0:
+                            finite_or_typed(classical_tau, s, mode)
+
+    def test_from_dimensionless(self):
+        for v, wL, m in itertools.product(EXTREMES, [0.0] + EXTREMES, EXTREMES):
+            finite_or_typed(BarrierSetup.from_dimensionless, v, wL, m)
+
+    @pytest.mark.parametrize("m, V0, L", [(1.0, 1e308, 0.0), (1e-200, 1e200, 1.0),
+                                          (1.0, 1e300, 1e300)])
+    def test_setup_whose_w_or_v_overflows_is_refused(self, m, V0, L):
+        # w = inf made wL = inf * 0 = nan; v = 1e400 read inf; so did wL = 1.4e450
+        with pytest.raises(DomainError, match=re.escape(f"m={m}, V0={V0}")):
+            BarrierSetup(m=m, V0=V0, L=L)
+
+    def test_width_that_overflows_w_is_refused(self):
+        # L = wL/w was 1e308/inf = 0: a barrier became no barrier at all
+        with pytest.raises(DomainError, match=re.escape("m=1.0, V0=1e+308")):
+            BarrierSetup.from_dimensionless(1e308, 1e308)
+
+    def test_mode_whose_k_squared_overflows(self):
+        # (E - m)(E + m) overflowed: k and n2 read inf, and tau = L*E/k read 0.0
+        s = BarrierSetup(m=1.0, V0=10.0, L=0.5)
+        mode = mode_from_energy(s, 1.4e154)
+        assert mode.k == pytest.approx(1.4e154, rel=1e-15)
+        assert mode.n2 == pytest.approx(9.8e306, rel=1e-14)  # (E^2 - 1)/w^2
+        assert classical_tau(s, mode) == pytest.approx(0.5, rel=1e-15)
+        channel = barrier_channel(s, mode)
+        assert (channel.kind, channel.q) == ("oscillatory", pytest.approx(1.4e154, rel=1e-15))
+
+    def test_mode_whose_n2_overflows_is_refused_but_its_zone_is_not(self):
+        s = BarrierSetup(m=1.0, V0=10.0, L=0.5)
+        with pytest.raises(DomainError, match="not finite"):
+            mode_from_energy(s, 1e200)
+        assert classify_zone(s, 1e200) is Zone.ABOVE_BARRIER
+
+    def test_mode_whose_energy_overflows_is_refused(self):
+        # 1 + 2*n2*v overflows: E read inf
+        with pytest.raises(DomainError, match="^E or k is not finite at n2=1e"):
+            mode_from_n2(BarrierSetup(m=1.0, V0=10.0, L=0.5), 1e308)
+
+    def test_mode_whose_k_squared_underflows(self):
+        # (E - m)(E + m) = 1e-340 read k = 0, and classical_tau divided by it
+        s = BarrierSetup(m=1e-200, V0=1e-100, L=1.0)
+        mode = mode_from_energy(s, 1e-170)
+        assert mode.k == pytest.approx(1e-170, rel=1e-15)
+        assert classical_tau(s, mode) == pytest.approx(1.0, rel=1e-15)
+
+    def test_tau_whose_product_overflows(self):
+        # L*E = 1e350 overflowed, where tau = L*E/k is about L
+        s = BarrierSetup(m=1.0, V0=1e100, L=1e250)
+        mode = mode_from_energy(s, 1e100)
+        assert classical_tau(s, mode) == pytest.approx(1e250, rel=1e-15)
+        # and where L*(E/k) overflows too, tau itself does not exist
+        s = BarrierSetup(m=1.0, V0=1e-10, L=1e308)
+        with pytest.raises(DomainError, match="^tau = L\\*E/k overflows"):
+            classical_tau(s, mode_from_energy(s, 1.0 + 1e-10))

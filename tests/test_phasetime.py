@@ -19,11 +19,10 @@ from kleintunnel import (
     mode_from_n2,
     normalized_phase_time,
     normalized_phase_time_numeric,
-    nr_t_phi,
-    nr_transmission,
     phase_time_closed_form,
     phase_time_numeric,
     small_rho_ratio,
+    transmission_closed_form,
 )
 
 SQRT101 = 10.04987562112089
@@ -36,6 +35,13 @@ EDGE_MAG_NR_FORM_LOWER_V10_WL2PI = 0.53702927214631508
 
 def make(m=1.0, V0=10.0, L=1.0):
     return BarrierSetup(m=m, V0=V0, L=L)
+
+
+def nr_phase_time(s, e_nr):
+    """The Schroedinger phase time at kinetic energy e_nr: the v = 0 ratio
+    at n2 = e_nr/V0 times tau_NR = L*m/k, k = sqrt(2 m e_nr)."""
+    k = math.sqrt(2.0 * s.m * e_nr)
+    return normalized_phase_time(0.0, e_nr / s.V0, s.wL) * s.L * s.m / k
 
 
 def mp_ratio(v, n2, wL):
@@ -127,12 +133,10 @@ class TestClosedForm:
 
     def test_zero_width_ratio_is_refused(self):
         # tau = 0 leaves t_phi/tau undefined: both ratios refuse with the
-        # text of the sweep's empty ratio cells, as does the NR reference
+        # text of the sweep's empty ratio cells
         for call in (normalized_phase_time, normalized_phase_time_numeric):
             with pytest.raises(ZeroLengthError, match="^wL=0: tau=0 and t_phi/tau is undefined$"):
                 call(10.0, 1.0, 0.0)
-        with pytest.raises(ZeroLengthError):
-            nr_transmission(make(L=0.0), 0.5)
 
     def test_huge_width_hartman_decay(self):
         # ratio ~ const/(rho wL) in the opaque limit: halving against
@@ -519,21 +523,14 @@ class TestEdgeFormulasRefuseNegativeV:
 
 
 class TestNRReference:
+    # the Schroedinger barrier is the closed forms at v = 0, n2 = E_NR/V0
     def test_symmetric_point_magnitude(self):
         # E_NR = V0/2: k = kappa, |T| = [1 + sinh^2(kappa L)]^(-1/2)
-        s = make(V0=1.0, L=2.0)
-        ref = nr_transmission(s, 0.5)
-        kappaL = ref.kappa * s.L
-        assert ref.magnitude == pytest.approx(1.0 / math.sqrt(1.0 + math.sinh(kappaL) ** 2),
-                                              rel=1e-12)
-        assert ref.kappa == pytest.approx(math.sqrt(2.0 * 0.5), rel=1e-14)
-
-    def test_domain(self):
-        s = make(V0=1.0)
-        with pytest.raises(DomainError):
-            nr_transmission(s, 0.0)
-        with pytest.raises(DomainError):
-            nr_transmission(s, 1.0)
+        s, e_nr = make(V0=1.0, L=2.0), 0.5
+        magnitude = transmission_closed_form(0.0, e_nr / s.V0, s.wL).magnitude
+        kappaL = math.sqrt(2.0 * s.m * (s.V0 - e_nr)) * s.L
+        assert magnitude == pytest.approx(1.0 / math.sqrt(1.0 + math.sinh(kappaL) ** 2),
+                                          rel=1e-12)
 
     def test_hartman_plateau_in_t_phi(self):
         # opaque limit kappa*L = 20: the phase time saturates with L
@@ -542,8 +539,8 @@ class TestNRReference:
         V0, e_nr = 1.0, 0.5
         kappa = math.sqrt(2.0 * (V0 - e_nr))
         L = 20.0 / kappa
-        t1 = nr_t_phi(make(V0=V0, L=L), e_nr)
-        t2 = nr_t_phi(make(V0=V0, L=2.0 * L), e_nr)
+        t1 = nr_phase_time(make(V0=V0, L=L), e_nr)
+        t2 = nr_phase_time(make(V0=V0, L=2.0 * L), e_nr)
         assert abs(t1 - t2) < 1e-6
         assert t1 == pytest.approx(2.0 / kappa, rel=1e-6)  # known plateau 2m/(k kappa)
 
@@ -573,9 +570,9 @@ class TestNRReference:
         s = BarrierSetup.from_dimensionless(v, wL)
         for n2 in (0.1, 0.5, 0.9):
             mode = mode_from_n2(s, n2)
-            from kleintunnel import transmission_closed_form
             rel_mag = transmission_closed_form(s.v, mode.n2, s.wL).magnitude
             rel_ratio = phase_time_closed_form(s, mode).ratio
-            ref = nr_transmission(s, n2 * s.V0)
-            assert rel_mag**2 == pytest.approx(ref.magnitude**2, rel=1e-6)
-            assert rel_ratio == pytest.approx(ref.ratio, rel=1e-6)
+            n2_nr = n2 * s.V0 / s.V0  # E_NR = n2 V0, read back as E_NR/V0
+            nr_mag = transmission_closed_form(0.0, n2_nr, s.wL).magnitude
+            assert rel_mag**2 == pytest.approx(nr_mag**2, rel=1e-6)
+            assert rel_ratio == pytest.approx(normalized_phase_time(0.0, n2_nr, s.wL), rel=1e-6)
