@@ -67,11 +67,9 @@ from .wavepacket import (
     PacketRun,
     QuadratureReport,
     SpectrumSpec,
-    distortion,
-    estimate_arrival,
     run_packet,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

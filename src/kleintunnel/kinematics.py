@@ -262,12 +262,16 @@ def mode_from_energy(setup: BarrierSetup, E: float) -> IncidentMode:
 def mode_from_n2(setup: BarrierSetup, n2: float) -> IncidentMode:
     """Incident mode at normalized energy coordinate n2 = k^2/w^2.
 
-    E = m*sqrt(1 + 2*n2*v); round-trips with mode_from_energy.  Raises
-    DomainError where E or k overflows.
+    E = m*sqrt(1 + 2*n2*v), or m*sqrt(2)*sqrt(v)*sqrt(n2) where 1 + 2*n2*v
+    overflows (the 1 is then below its rounding); round-trips with
+    mode_from_energy.  Raises DomainError where E or k overflows.
     """
     if not (n2 > 0.0 and math.isfinite(n2)):
         raise DomainError(f"n2 must be positive and finite, got {n2}")
-    E = setup.m * math.sqrt(1.0 + 2.0 * n2 * setup.v)
+    m, v = setup.m, setup.v
+    E = m * math.sqrt(1.0 + 2.0 * n2 * v)
+    if math.isinf(E):
+        E = m * math.sqrt(2.0) * math.sqrt(v) * math.sqrt(n2)
     k = setup.w * math.sqrt(n2)
     if not (math.isfinite(E) and math.isfinite(k)):
         raise DomainError(f"E or k is not finite at n2={n2}, m={setup.m}, V0={setup.V0}")
@@ -321,7 +325,10 @@ def barrier_channel(setup: BarrierSetup, mode: IncidentMode) -> BarrierChannel:
     rho^2 = m^2 - (E - V0)^2 and q^2 = (E - V0)^2 - m^2, in factored form
     so w^2*rho_n^2 == rho^2 holds to roundoff even at the edges, choose it
     by sign, with no zone tag: evanescent where rho^2 > 0, else oscillatory
-    where q^2 > 0, else linear {1, x}; the root is _root_of_product's.
+    where q^2 > 0, else linear {1, x}.  The sign is read from the two
+    factors (both nonzero and of one sign), not from their product, which
+    underflows to 0 where both are below about 1e-162; the root is
+    _root_of_product's.
     NonPropagatingError for E <= m, DomainError where rho_n or q_n
     overflows.
     """
@@ -330,7 +337,7 @@ def barrier_channel(setup: BarrierSetup, mode: IncidentMode) -> BarrierChannel:
         raise NonPropagatingError(f"E={E} does not exceed m={m}: no incident wave")
     for kind, a, b in (("evanescent", m - E + V0, m + E - V0),
                        ("oscillatory", E - V0 - m, E - V0 + m)):
-        if a * b > 0.0:
+        if min(a, b) > 0.0 or max(a, b) < 0.0:
             root = _root_of_product(a, b)
             if math.isinf(root / w):
                 raise DomainError(f"the {kind} root over w is not finite at E={E}, "

@@ -25,8 +25,9 @@ stationary-phase prediction t_phi(k0), defined on the zone edges too;
 the distortion metrics quantify how much the barrier filters the
 spectrum (transmitted norm, L2 shape distance of the renormalized
 transmitted spectrum, centroid shift toward high k).  They are formed on
-the same node ladder; run_packet hands them the field's T, so they call
-the closed form only at nodes finer than the field's final level.
+the same node ladder from the field's T, so they call the closed form
+only at nodes finer than the field's final level.  run_packet is the one
+entry point for all three.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +54,12 @@ from .scattering import _closed_forms, _squared
 _BASE_INTERVALS = 64
 _MAX_LEVELS = 12
 _BLOCK = 64
-_METRICS_TOL = 1e-10  # distortion's tolerance, also under run_packet
+_FIELD_TOL = 1e-8  # the field's relative intensity tolerance
+_METRICS_TOL = 1e-10  # the distortion metrics' tolerance
+# The largest x whose square x ** 2 is finite (pow raises OverflowError past it)
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+# Past 2**53 a double is not resolved to 1, so a phase t*E beyond it is noise
+_PHASE_MAX = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,7 @@ class ArrivalEstimate:
     t_peak is the parabolic-refined argmax of the intensity samples,
     t_predicted the stationary-phase time t_phi(k0), and relative_gap
     |t_peak - t_predicted| / max(|t_predicted|, tau(k0)).  clipped is
-    always False: estimate_arrival raises ClippedWindowError instead.
+    always False: a clipped window raises ClippedWindowError instead.
     """
 
     t_peak: float
@@ -113,13 +120,14 @@ class QuadratureReport:
     """How a step-halved Simpson ladder on the k support converged.
 
     levels = Simpson levels formed (level l has 64 * 2**(l-1) intervals);
-    nodes = the size of the final grid (final intervals + 1); under
-    run_packet the field and the metrics share their nodes, so each node
-    is evaluated once across both;
+    nodes = the size of the final grid (final intervals + 1); the field
+    and the metrics share their nodes, so each node is evaluated once
+    across both;
     change = the final level-to-level change relative to its scale, the
-    number compared against tol (for the field the largest intensity
-    change over the peak intensity, for distortion the largest of the
-    three metric changes over their scales).
+    number compared against the tolerance (for the field the largest
+    intensity change over the peak intensity, against _FIELD_TOL; for the
+    metrics the largest of the three metric changes over their scales,
+    against _METRICS_TOL).
     """
 
     levels: int
@@ -157,19 +165,10 @@ class PacketRun:
     distortion: DistortionMetrics
     field_quadrature: QuadratureReport
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.times.tolist(), self.intensities.tolist()))
-
 
 # ---------------------------------------------------------------------------
 # quadrature core
 # ---------------------------------------------------------------------------
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-
 
 def _simpson_weights(nodes: np.ndarray) -> np.ndarray:
     n = len(nodes) - 1  # even by construction
@@ -252,7 +251,7 @@ def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float, count: int,
 
 
 def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, t0: float, dt: float,
-                    count: int, tol: float) -> tuple[np.ndarray, QuadratureReport, np.ndarray]:
+                    count: int) -> tuple[np.ndarray, QuadratureReport, np.ndarray]:
     """(psi, report, T): psi_T(L, t_j) on the uniform grid t_j = t0 + j dt (j < count),
     with T at every node of the final level, in natural node order.
 
@@ -265,11 +264,10 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, t0: float, dt: 
     block phase table of _phase_sums.
 
     Convergence: successive levels change no reported intensity by more
-    than tol relative to the window's peak intensity (with an absolute
+    than _FIELD_TOL relative to the window's peak intensity (with an absolute
     floor at roundoff of the integrand scale, 1e-14 (Simpson-weighted
     sum |c|)^2), within _MAX_LEVELS levels, else QuadratureError.
     """
-    _check_tol(tol)
     lo, hi = spectrum.support
     n = _BASE_INTERVALS // 2
     # the first convergence test comes at level 2, so the base grid and the
@@ -306,20 +304,20 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, t0: float, dt: 
         if prev_I is not None:
             err = float(np.max(np.abs(I - prev_I)))
             peak = float(I.max())
-            if err <= tol * peak + 1e-14 * scale:
+            if err <= _FIELD_TOL * peak + 1e-14 * scale:
                 return psi, QuadratureReport(levels=level, nodes=n + 1,
                                              change=err / peak if peak > 0.0 else err), T
         prev_I = I
     raise QuadratureError(
-        f"intensity did not converge to {tol} within {_MAX_LEVELS} halvings")
+        f"intensity did not converge to {_FIELD_TOL} within {_MAX_LEVELS} halvings")
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def estimate_arrival(times: np.ndarray, intensities: np.ndarray,
-                     t_predicted: float, tau: float) -> ArrivalEstimate:
+def _estimate_arrival(times: np.ndarray, intensities: np.ndarray,
+                      t_predicted: float, tau: float) -> ArrivalEstimate:
     """Peak arrival from sampled intensity, 3-point parabolic refinement.
 
     Raises NoPeakError if the intensity is monotone over the window and
@@ -343,34 +341,28 @@ def estimate_arrival(times: np.ndarray, intensities: np.ndarray,
                            relative_gap=float(gap))
 
 
-def distortion(setup: BarrierSetup, spectrum: SpectrumSpec,
-               tol: float = _METRICS_TOL) -> DistortionMetrics:
-    """Filter-effect metrics on the (step-halved) quadrature grid."""
-    return _distortion(setup, spectrum, tol, None)
+def _distortion(setup: BarrierSetup, spectrum: SpectrumSpec,
+                T: np.ndarray) -> DistortionMetrics:
+    """Filter-effect metrics on the step-halved Simpson ladder, converged to
+    _METRICS_TOL, reading |T| from the field's ladder.
 
-
-def _distortion(setup: BarrierSetup, spectrum: SpectrumSpec, tol: float,
-                T: np.ndarray | None) -> DistortionMetrics:
-    """The metrics ladder, reading T wherever a known grid covers a level.
-
-    T is None or T at every node of one ladder level, in natural node
-    order (the field's final level under run_packet).  A level it covers
-    takes |T| from it at a stride; past it, each level keeps the previous
-    level's |T| at its even nodes and calls the closed form only at the
-    new odd nodes.  The nodes nest bitwise, so the metrics do not depend
-    on where |T| came from.
+    T is T at every node of one ladder level (the field's final level), in
+    natural node order.  A level it covers takes |T| from it at a stride;
+    past it, each level keeps the previous level's |T| at its even nodes
+    and calls the closed form only at the new odd nodes.  The nodes nest
+    bitwise, so the metrics do not depend on where |T| came from.
     """
-    _check_tol(tol)
     prev = None
-    absT = None if T is None else np.abs(T)
+    absT = np.abs(T)
     for level, (ks, wts, g) in enumerate(_simpson_levels(spectrum), start=1):
-        if absT is None:
-            absT = np.abs(_amplitudes(setup, ks))
-        elif len(absT) < len(ks):
+        if len(absT) < len(ks):
             absT = _interleave(absT, np.abs(_amplitudes(setup, ks[1::2])))
         tg = absT[::(len(absT) - 1) // (len(ks) - 1)] * g
         norm_g2 = float(np.sum(wts * g * g))
         norm_tg2 = float(np.sum(wts * tg * tg))
+        if norm_tg2 < sys.float_info.min:
+            raise DomainError(f"the transmitted norm integral |T g|^2 = {norm_tg2} "
+                              f"leaves the normal range at level {level}")
         u = tg / math.sqrt(norm_tg2)
         ref = g / math.sqrt(norm_g2)
         vals = (norm_tg2 / norm_g2,
@@ -380,16 +372,16 @@ def _distortion(setup: BarrierSetup, spectrum: SpectrumSpec, tol: float,
         if prev is not None:
             diffs = [abs(a - b) for a, b in zip(vals, prev)]
             scales = (max(1.0, abs(vals[0])), 2.0, max(spectrum.sigma_k, abs(vals[2])))
-            if all(d <= tol * sc for d, sc in zip(diffs, scales)):
+            if all(d <= _METRICS_TOL * sc for d, sc in zip(diffs, scales)):
                 return DistortionMetrics(*vals, quadrature=QuadratureReport(
                     levels=level, nodes=len(ks),
                     change=max(d / sc for d, sc in zip(diffs, scales))))
         prev = vals
-    raise QuadratureError(f"distortion metrics did not converge to {tol}")
+    raise QuadratureError(f"distortion metrics did not converge to {_METRICS_TOL}")
 
 
 def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
-               n_times: int = 2001, tol: float = 1e-8) -> PacketRun:
+               n_times: int = 2001) -> PacketRun:
     """Full experiment: synthesize at x = L, locate the peak, measure distortion.
 
     The stationary-phase prediction t_phi(k0) and tau(k0) come from the
@@ -398,14 +390,23 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
     window is [-5, +5] * max(tau, |t_phi|) around it (falling back to the
     packet's own temporal width 6/sigma_k when both vanish at L = 0),
     sampled at n_times >= 3 uniform times.
+
+    Raises DomainError, before any quadrature, where the top of the
+    support overflows n2 = (k/w)^2 or E = sqrt(k^2 + m^2) (every node
+    lies below it), and where a phase t*E over the window exceeds 2**53,
+    where doubles no longer resolve it.
     """
     if (isinstance(n_times, bool) or not isinstance(n_times, numbers.Integral)
             or n_times < 3):
         raise DomainError(f"n_times must be an integer >= 3, got {n_times!r}")
+    m, w, k0, k_top = setup.m, setup.w, spectrum.k0, spectrum.support[1]
+    E_top = math.sqrt(k_top * k_top + m * m)
+    if k_top / w > _SQRT_MAX or math.isinf(E_top):
+        raise DomainError(f"n2 = (k/w)^2 or E = sqrt(k^2 + m^2) overflows at the top of "
+                          f"the support, k={k_top}, w={w}, m={m}")
     if setup.L == 0.0:  # no barrier: t_phi = tau = 0, and t_phi/tau is undefined
         tau = t_pred = 0.0
     else:
-        m, w, k0 = setup.m, setup.w, spectrum.k0
         pt = phase_time_closed_form(
             setup, IncidentMode(E=math.sqrt(k0 * k0 + m * m), k=k0, n2=(k0 / w) ** 2))
         tau, t_pred = pt.tau, pt.t_phi
@@ -413,12 +414,15 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
     if half == 0.0:
         half = 6.0 / spectrum.sigma_k
     window = (t_pred - half, t_pred + half)
+    if not (abs(t_pred) + half) * E_top < _PHASE_MAX:
+        raise DomainError(f"the phase t*E over the window {window} reaches "
+                          f"{(abs(t_pred) + half) * E_top:.3g}, past 2**53")
     times, dt = np.linspace(window[0], window[1], n_times, retstep=True)
-    psi, field_quadrature, T = _field_on_times(setup, spectrum, window[0], dt, n_times, tol)
+    psi, field_quadrature, T = _field_on_times(setup, spectrum, window[0], dt, n_times)
     intensities = np.abs(psi) ** 2
     tau_ref = tau if tau > 0.0 else half / 5.0
-    arrival = estimate_arrival(times, intensities, t_pred, tau_ref)
-    metrics = _distortion(setup, spectrum, _METRICS_TOL, T)
+    arrival = _estimate_arrival(times, intensities, t_pred, tau_ref)
+    metrics = _distortion(setup, spectrum, T)
     return PacketRun(setup=setup, spectrum=spectrum, time_window=window,
                      times=times, intensities=intensities,
                      arrival=arrival, distortion=metrics,

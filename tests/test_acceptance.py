@@ -24,7 +24,6 @@ from kleintunnel import (
     SpectrumSpec,
     Zone,
     classify_zone,
-    distortion,
     edge_limit_magnitude_nr_form,
     edge_phase_time_ratio,
     match_boundaries,
@@ -373,7 +372,7 @@ def test_criterion_09_wave_packet():
     # spectrum inside the flat part of |T(k)|
     setup_t1 = BarrierSetup(m=1.0, V0=100.0, L=0.05)
     k0 = setup_t1.w * math.sqrt(50.0)
-    d_t1 = distortion(setup_t1, SpectrumSpec(k0=k0, sigma_k=0.01 * k0))
+    d_t1 = run_packet(setup_t1, SpectrumSpec(k0=k0, sigma_k=0.01 * k0)).distortion
     ok_shape = d_t1.shape_distance < 0.01
     details.append(f"shape_distance (mL=0.05, v=100) = {d_t1.shape_distance:.5f} (< 0.01)")
 
@@ -382,7 +381,7 @@ def test_criterion_09_wave_packet():
     w = math.sqrt(2.0 * v_nr)
     k_nr = w * math.sqrt(0.5)
     setup_nr = BarrierSetup(m=1.0, V0=v_nr, L=10.0 / k_nr)
-    d_nr = distortion(setup_nr, SpectrumSpec(k0=k_nr, sigma_k=0.02 * k_nr))
+    d_nr = run_packet(setup_nr, SpectrumSpec(k0=k_nr, sigma_k=0.02 * k_nr)).distortion
     ok_nr = d_nr.mean_k_shift > 0.0
     details.append(f"NR opaque mean_k_shift = {d_nr.mean_k_shift:+.3e} (> 0), "
                    f"transmitted_norm = {d_nr.transmitted_norm:.2e}")

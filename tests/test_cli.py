@@ -615,6 +615,14 @@ class TestPacketCommand:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_support_whose_n2_overflows_is_an_error(self, capsys):
+        # (k0/w)^2 = 5e319 at w = 1.4e-150 was an OverflowError traceback
+        code, out, err = run_cli(capsys, "packet", "--m", "1e-200", "--V0", "1e-100",
+                                 "--L", "1", "--k0", "1e10", "--sigma-k", "1e9")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestUnitsDisplay:
     def test_ev_pm_annotations(self, capsys):
@@ -694,9 +702,9 @@ def test_public_surface_is_pinned():
         "ScatteringSolution", "SpectrumSpec", "SupportError", "SweepRecord",
         "SweepRecords", "SweepRequest", "TransmissionPoint", "ZeroLengthError", "Zone",
         "ZoneCrossingError", "ZoneError", "barrier_channel", "classical_tau",
-        "classify_zone", "continuity_residuals", "distortion",
+        "classify_zone", "continuity_residuals",
         "edge_limit_magnitude_nr_form", "edge_limit_ratio", "edge_phase_time_ratio",
-        "estimate_arrival", "fig1_preset", "match_boundaries", "mode_from_energy",
+        "fig1_preset", "match_boundaries", "mode_from_energy",
         "mode_from_n2", "normalized_phase_time", "normalized_phase_time_numeric",
         "phase_time_closed_form", "phase_time_numeric",
         "read_csv", "rho_n2", "run_packet", "run_sweep", "small_rho_ratio",
@@ -704,6 +712,6 @@ def test_public_surface_is_pinned():
         "tunneling_interval_n2", "write_csv", "write_json",
         "errors", "kinematics", "phasetime", "scattering", "sweep", "wavepacket",
     ])
-    assert len(kleintunnel.__all__) == 59
+    assert len(kleintunnel.__all__) == 57
     fields = [f.name for f in dataclasses.fields(kleintunnel.PhaseTimeResult)]
     assert fields == ["tau", "t_phi", "ratio"]

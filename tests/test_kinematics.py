@@ -179,6 +179,18 @@ class TestBarrierChannel:
         assert ch.rho_n == pytest.approx(0.22332850494482398, rel=1e-12)
         assert s.w**2 * ch.rho_n**2 == pytest.approx(ch.rho**2, rel=1e-12)
 
+    def test_sign_where_the_product_of_factors_underflows(self):
+        # (m - E + V0)(m + E - V0) is about 1e-324 and read 0.0: the channel
+        # was linear with rho = 0, where the true rho is m.  Each factor
+        # carries the rounding of m -+ E, at most ulp(E)/2, so rho is within
+        # ulp(E)/(2m) of m, relative.
+        s = BarrierSetup(m=1e-162, V0=1e-150, L=1.0)
+        ch = barrier_channel(s, mode_from_energy(s, 1e-150))
+        assert ch.kind == "evanescent"
+        bound = math.ulp(1e-150) / (2.0 * 1e-162)
+        assert ch.rho == pytest.approx(1e-162, rel=bound)
+        assert ch.rho_n == pytest.approx(1e-162 / s.w, rel=bound)
+
     def test_linear_at_edges(self):
         s = make()
         assert barrier_channel(s, mode_from_energy(s, 9.0)).kind == "linear"
@@ -395,10 +407,17 @@ class TestFiniteOrTyped:
             mode_from_energy(s, 1e200)
         assert classify_zone(s, 1e200) is Zone.ABOVE_BARRIER
 
-    def test_mode_whose_energy_overflows_is_refused(self):
-        # 1 + 2*n2*v overflows: E read inf
-        with pytest.raises(DomainError, match="^E or k is not finite at n2=1e"):
-            mode_from_n2(BarrierSetup(m=1.0, V0=10.0, L=0.5), 1e308)
+    def test_mode_whose_energy_sum_overflows_has_a_value(self):
+        # 1 + 2*n2*v overflows: E read inf and was refused, though
+        # E = m*sqrt(2)*sqrt(v)*sqrt(n2) = 4.47e154 (40-digit mpmath)
+        mode = mode_from_n2(BarrierSetup(m=1.0, V0=10.0, L=0.5), 1e308)
+        with mpmath.workdps(40):
+            n2 = mpmath.mpf(1e308)
+            E = mpmath.sqrt(1 + 2 * n2 * 10)
+            k = mpmath.sqrt(2 * 10 * n2)
+        assert mode.E == pytest.approx(float(E), rel=1e-15)
+        assert mode.k == pytest.approx(float(k), rel=1e-15)
+        assert mode.n2 == 1e308
 
     def test_mode_whose_k_squared_underflows(self):
         # (E - m)(E + m) = 1e-340 read k = 0, and classical_tau divided by it

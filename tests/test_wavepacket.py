@@ -13,19 +13,18 @@ from kleintunnel import (
     BarrierSetup,
     ClippedWindowError,
     DomainError,
+    KleinTunnelError,
     NoPeakError,
     SpectrumSpec,
     SupportError,
     classical_tau,
-    distortion,
-    estimate_arrival,
     mode_from_n2,
     phase_time_closed_form,
     run_packet,
     transmission_closed_form,
 )
 import kleintunnel.wavepacket as wp
-from kleintunnel.wavepacket import _field_on_times
+from kleintunnel.wavepacket import _estimate_arrival, _field_on_times
 from test_phasetime import mp_ratio
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -50,14 +49,16 @@ class TestSpectrumSpec:
 
 
 class TestSynthesis:
-    def test_quadrature_self_consistency(self):
+    def test_quadrature_self_consistency(self, monkeypatch):
         # result at the default tolerance sits within 1e-8 (relative to
         # peak) of a much stricter evaluation
         s = barrier_v10_mL(0.1)
         spec = SpectrumSpec(k0=10.0, sigma_k=1.0)
         grid = (-0.3, 0.02, 41)  # np.linspace(-0.3, 0.5, 41)
-        a = np.abs(_field_on_times(s, spec, *grid, 1e-8)[0]) ** 2
-        b = np.abs(_field_on_times(s, spec, *grid, 1e-12)[0]) ** 2
+        assert wp._FIELD_TOL == 1e-8
+        a = np.abs(_field_on_times(s, spec, *grid)[0]) ** 2
+        monkeypatch.setattr(wp, "_FIELD_TOL", 1e-12)
+        b = np.abs(_field_on_times(s, spec, *grid)[0]) ** 2
         assert float(np.max(np.abs(a - b))) <= 1e-8 * float(b.max())
 
     def test_deterministic(self):
@@ -76,7 +77,7 @@ class TestSynthesis:
         s = barrier_v10_mL(0.1)
         spec = SpectrumSpec(k0=10.0, sigma_k=0.5)
         with pytest.raises(QuadratureError):
-            _field_on_times(s, spec, 0.1, 0.0, 1, 1e-8)
+            _field_on_times(s, spec, 0.1, 0.0, 1)
 
 
 class TestEstimateArrival:
@@ -84,7 +85,7 @@ class TestEstimateArrival:
         times = np.linspace(-1.0, 1.0, 201)
         t_true = 0.1234
         intensities = 5.0 - (times - t_true) ** 2
-        est = estimate_arrival(times, intensities, t_predicted=0.1, tau=1.0)
+        est = _estimate_arrival(times, intensities, t_predicted=0.1, tau=1.0)
         assert est.t_peak == pytest.approx(t_true, abs=1e-12)
         assert est.relative_gap == pytest.approx(abs(t_true - 0.1), rel=1e-6)
 
@@ -92,19 +93,19 @@ class TestEstimateArrival:
         times = np.linspace(0.0, 1.0, 50)
         bumpy = np.concatenate([[0.5], np.linspace(0.0, 2.0, 49)])
         with pytest.raises(ClippedWindowError):
-            estimate_arrival(times, bumpy, 0.5, 1.0)
+            _estimate_arrival(times, bumpy, 0.5, 1.0)
 
     def test_no_peak(self):
         times = np.linspace(0.0, 1.0, 50)
         with pytest.raises(NoPeakError):
-            estimate_arrival(times, np.linspace(0.0, 1.0, 50), 0.5, 1.0)
+            _estimate_arrival(times, np.linspace(0.0, 1.0, 50), 0.5, 1.0)
 
 
 class TestDistortion:
     def test_identity_filter(self):
         s = barrier_v10_mL(0.0)
         spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
-        d = distortion(s, spec)
+        d = run_packet(s, spec).distortion
         assert d.transmitted_norm == pytest.approx(1.0, abs=1e-12)
         assert d.shape_distance == pytest.approx(0.0, abs=1e-9)
         assert d.mean_k_shift == pytest.approx(0.0, abs=1e-12)
@@ -115,7 +116,7 @@ class TestDistortion:
         from kleintunnel import match_boundaries, mode_from_energy
         T2 = abs(match_boundaries(s, mode_from_energy(s, math.sqrt(k0**2 + 1.0))).T) ** 2
         sigma = 0.005 * k0
-        d = distortion(s, SpectrumSpec(k0=k0, sigma_k=sigma))
+        d = run_packet(s, SpectrumSpec(k0=k0, sigma_k=sigma)).distortion
         assert d.transmitted_norm == pytest.approx(T2, abs=5.0 * sigma**2)
 
     def test_nr_opaque_filter_effect(self):
@@ -127,7 +128,7 @@ class TestDistortion:
         k0 = w * math.sqrt(0.5)
         L = 10.0 / k0  # kappa = k at the symmetric point
         s = BarrierSetup(m=m, V0=v, L=L)
-        d = distortion(s, SpectrumSpec(k0=k0, sigma_k=0.02 * k0))
+        d = run_packet(s, SpectrumSpec(k0=k0, sigma_k=0.02 * k0)).distortion
         assert d.transmitted_norm < 1e-3
         assert d.mean_k_shift > 0.0
 
@@ -202,31 +203,72 @@ class TestInputValidation:
         run = run_packet(s, SpectrumSpec(k0=10.0, sigma_k=0.2), n_times=np.int64(3))
         assert len(run.times) == 3
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
-    def test_tol_must_be_positive_and_finite(self, monkeypatch, tol):
-        calls = []
-        monkeypatch.setattr(wp, "_closed_forms",
-                            lambda *a: calls.append(a))  # never reached
-        s = barrier_v10_mL(0.1)
-        spec = SpectrumSpec(k0=10.0, sigma_k=0.2)
-        with pytest.raises(DomainError):
-            run_packet(s, spec, tol=tol)
-        with pytest.raises(DomainError):
-            _field_on_times(s, spec, 0.0, 0.0, 1, tol)
-        with pytest.raises(DomainError):
-            distortion(s, spec, tol=tol)
-        assert calls == []
-
     def test_refused_amplitudes_raise(self):
         # at wL = 1e155 d2 = rho_n^2 wL^2 overflows in the tunneling zone and
-        # the core refuses the phase: the field and the metrics raise that
-        # refusal instead of integrating the node
+        # the core refuses the phase: the field raises that refusal instead
+        # of integrating the node
         s = BarrierSetup(m=1.0, V0=10.0, L=1e155 / math.sqrt(20.0))
         spec = SpectrumSpec(k0=10.0, sigma_k=0.05)  # n2 within [4.7, 5.3]
         with pytest.raises(DomainError, match=r"rho_n\^2\*wL\^2 overflows"):
-            _field_on_times(s, spec, 0.0, 0.0, 1, 1e-8)
-        with pytest.raises(DomainError, match=r"rho_n\^2\*wL\^2 overflows"):
-            distortion(s, spec)
+            _field_on_times(s, spec, 0.0, 0.0, 1)
+
+
+# corners of m, V0, L, k0/w and sigma_k/k0; among them m = 1e-200, V0 = 1e-100,
+# k0/w = 1e160, where (k0/w)^2 raised OverflowError, m = 1e200, where E^2 =
+# k^2 + m^2 overflowed, and k0/w = 1e-160 at L = 0, where the window half-width
+# 6/sigma_k overflowed
+PACKET_CORNERS = {"V0": [1e-100, 10.0, 1e100], "L": [0.0, 0.1, 1e300],
+                  "k0/w": [1e-160, 1e-3, 0.5, 2.0, 1e160], "sigma_k/k0": [1e-3, 0.02, 0.16]}
+
+
+class TestFiniteOrTyped:
+    """run_packet returns finite times, intensities, arrival and metrics, or
+    raises a KleinTunnelError."""
+
+    @pytest.mark.parametrize("m", [1e-200, 1.0, 1e200])
+    def test_corners(self, m):
+        for V0, L, r, f in itertools.product(*PACKET_CORNERS.values()):
+            try:
+                s = BarrierSetup(m=m, V0=V0, L=L)
+                spec = SpectrumSpec(k0=r * s.w, sigma_k=f * r * s.w)
+            except KleinTunnelError:
+                continue
+            try:
+                run = run_packet(s, spec, n_times=41)
+            except KleinTunnelError:
+                continue
+            a, d = run.arrival, run.distortion
+            values = [*run.times.tolist(), *run.intensities.tolist(), a.t_peak,
+                      a.t_predicted, a.relative_gap, d.transmitted_norm, d.shape_distance,
+                      d.mean_k_shift]
+            assert all(math.isfinite(x) for x in values), (m, V0, L, r, f)
+
+    @pytest.mark.parametrize("m, V0, L, k0, sigma_k, message", [
+        # (k0/w)^2 = 5e319 raised OverflowError, which is no KleinTunnelError
+        (1e-200, 1e-100, 1.0, 1e10, 1e9,
+         r"^n2 = \(k/w\)\^2 or E = sqrt\(k\^2 \+ m\^2\) overflows .* k=16000000000\.0, w=1\.4"),
+        # m*m = inf made E = inf, and exp(-i dt E) nan
+        (1e200, 10.0, 0.0, 1e101, 1e98, r"^n2 = .* k=1\.006e\+101, w=4\.47"),
+        # 6/sigma_k = inf made the window (-inf, inf) and the times nan
+        (1e-200, 1e-100, 0.0, 1e-310, 1e-313, r"^the phase t\*E over the window \(-inf, inf\)"),
+        # |t| E = 6/sigma_k * E = 6e16 rad: exp(-i t E) is noise, and so were the
+        # intensities (the nodes, 2e-17 apart at k = 10, are not even distinct)
+        (1.0, 10.0, 0.0, 10.0, 1e-15,
+         r"^the phase t\*E over the window .* 6\.03e\+16, past 2\*\*53"),
+    ])
+    def test_refused_before_any_quadrature(self, monkeypatch, m, V0, L, k0, sigma_k, message):
+        calls, _ = _count_closed_form(monkeypatch)
+        with pytest.raises(DomainError, match=message):
+            run_packet(BarrierSetup(m=m, V0=V0, L=L), SpectrumSpec(k0=k0, sigma_k=sigma_k))
+        assert calls == []
+
+    def test_metrics_refuse_a_norm_below_the_normal_range(self):
+        # |T| ~ 1e-170 at wL = 2100: the field, scaled by sigma_k ~ 1e48, has a
+        # peak, but |T g|^2 underflows and the metrics divided by a zero norm
+        s = BarrierSetup.from_dimensionless(v=10.0, wL=2100.0, m=1e50)
+        k0 = s.w * math.sqrt(5.0)
+        with pytest.raises(DomainError, match=r"^the transmitted norm .* leaves the normal"):
+            run_packet(s, SpectrumSpec(k0=k0, sigma_k=1e-3 * k0), n_times=41)
 
 
 class TestPhaseTable:
@@ -347,7 +389,7 @@ def test_intensities_do_not_depend_on_blas_threads(tmp_path):
 class TestNestedLadder:
     @pytest.mark.parametrize("L, halfwidth", [(0.1, 6.0), (0.0, 6.0), (0.1, 1.0)],
                              ids=["tunneling", "zero_width", "one_sigma_support"])
-    def test_field_matches_gauss_legendre(self, L, halfwidth):
+    def test_field_matches_gauss_legendre(self, monkeypatch, L, halfwidth):
         # absolute check of the Simpson combination and the time grid
         # against an independent 400-node Gauss-Legendre sum; at L = 0 the
         # sum takes T = 1, so the field must be the free packet's, and a
@@ -362,7 +404,8 @@ class TestNestedLadder:
         c = 0.5 * (hi - lo) * wy * spec.amplitude(ks) * T
         t0, dt, count = -0.3, 0.01, 81
         ref = np.exp(-1j * np.outer(t0 + dt * np.arange(count), np.sqrt(ks * ks + 1.0))) @ c
-        psi, _, _ = _field_on_times(s, spec, t0, dt, count, 1e-12)
+        monkeypatch.setattr(wp, "_FIELD_TOL", 1e-12)
+        psi, _, _ = _field_on_times(s, spec, t0, dt, count)
         assert float(np.max(np.abs(psi - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
     def test_nodes_nest_bitwise(self):
@@ -391,7 +434,7 @@ class TestNestedLadder:
         # several levels: still one call per node, and the reports say so
         s, spec = _broad_packet()
         calls, grids = _count_closed_form(monkeypatch)
-        psi, fq, _ = _field_on_times(s, spec, -0.3, 0.02, 41, 1e-8)
+        psi, fq, _ = _field_on_times(s, spec, -0.3, 0.02, 41)
         assert fq.levels >= 3
         assert len(calls) == fq.nodes == 64 * 2 ** (fq.levels - 1) + 1
         assert 0.0 <= fq.change <= 1e-8
@@ -399,16 +442,12 @@ class TestNestedLadder:
         # convergence test needs, then one per further level
         assert len(grids[0]) == 129
         assert len(grids) == fq.levels - 1
-        del calls[:], grids[:]
-        dq = distortion(s, spec).quadrature
-        assert len(calls) == dq.nodes == 64 * 2 ** (dq.levels - 1) + 1
-        assert len(grids) == dq.levels
 
     def test_distortion_matches_full_regrid(self):
         # reusing |T| at the even nodes changes no bit of the metrics
         s = barrier_v10_mL(0.1)
         spec = SpectrumSpec(k0=10.0, sigma_k=1.0)
-        d = distortion(s, spec)
+        d = run_packet(s, spec).distortion
         ks, wts, g = next(itertools.islice(wp._simpson_levels(spec), d.quadrature.levels - 1,
                                            None))
         tg = np.abs(wp._amplitudes(s, ks)) * g
@@ -417,6 +456,20 @@ class TestNestedLadder:
         assert d.transmitted_norm == norm_tg2 / norm_g2
         assert d.mean_k_shift == (float(np.sum(wts * ks * tg * tg)) / norm_tg2
                                   - float(np.sum(wts * ks * g * g)) / norm_g2)
+
+
+def _regrid_metrics(setup, spectrum, level):
+    """(transmitted_norm, shape_distance, mean_k_shift) at one metrics ladder
+    level, with |T| from the closed form at every node of that level."""
+    ks, wts, g = next(itertools.islice(wp._simpson_levels(spectrum), level - 1, None))
+    tg = np.abs(wp._amplitudes(setup, ks)) * g
+    norm_tg2 = float(np.sum(wts * tg * tg))
+    norm_g2 = float(np.sum(wts * g * g))
+    u, ref = tg / math.sqrt(norm_tg2), g / math.sqrt(norm_g2)
+    return (norm_tg2 / norm_g2,
+            math.sqrt(max(0.0, float(np.sum(wts * (u - ref) ** 2)))),
+            float(np.sum(wts * ks * tg * tg)) / norm_tg2
+            - float(np.sum(wts * ks * g * g)) / norm_g2)
 
 
 class TestSharedLadder:
@@ -428,16 +481,23 @@ class TestSharedLadder:
          "metrics first"),  # 513 field nodes, 129 metric nodes
         (_broad_packet(), 1e-8, "together"),  # the bench's broad packet: 1025 each
     ])
-    def test_sharing_changes_nothing(self, packet, tol, order):
+    def test_sharing_changes_nothing(self, monkeypatch, packet, tol, order):
         s, spec = packet
         n = 401
-        run = run_packet(s, spec, n_times=n, tol=tol)
-        fq, dq = run.field_quadrature, run.distortion.quadrature
+        monkeypatch.setattr(wp, "_FIELD_TOL", tol)
+        run = run_packet(s, spec, n_times=n)
+        d = run.distortion
+        fq, dq = run.field_quadrature, d.quadrature
         assert {"field first": fq.nodes < dq.nodes, "metrics first": fq.nodes > dq.nodes,
                 "together": fq.nodes == dq.nodes}[order]
-        assert run.distortion == distortion(s, spec)
+        # the metrics and their last change equal a ladder that evaluates
+        # every node of its last two levels afresh
+        prev, vals = (_regrid_metrics(s, spec, level) for level in (dq.levels - 1, dq.levels))
+        assert (d.transmitted_norm, d.shape_distance, d.mean_k_shift) == vals
+        scales = (max(1.0, abs(vals[0])), 2.0, max(spec.sigma_k, abs(vals[2])))
+        assert dq.change == max(abs(a - b) / sc for a, b, sc in zip(vals, prev, scales))
         _, dt = np.linspace(*run.time_window, n, retstep=True)
-        psi, report, T = _field_on_times(s, spec, run.time_window[0], dt, n, tol)
+        psi, report, T = _field_on_times(s, spec, run.time_window[0], dt, n)
         assert np.array_equal(run.intensities, np.abs(psi) ** 2)
         assert report == fq
         assert np.array_equal(T, wp._amplitudes(s, np.linspace(*spec.support, fq.nodes)))
@@ -452,7 +512,7 @@ class TestSharedLadder:
                 raise error(name)
             return fail
 
-        monkeypatch.setattr(wp, "estimate_arrival", refuse("arrival", NoPeakError))
+        monkeypatch.setattr(wp, "_estimate_arrival", refuse("arrival", NoPeakError))
         monkeypatch.setattr(wp, "_distortion", refuse("metrics", wp.QuadratureError))
         monkeypatch.setattr(wp, "_MAX_LEVELS", 1)
         s = barrier_v10_mL(0.1)
@@ -461,16 +521,17 @@ class TestSharedLadder:
         assert reached == []
 
     def test_arrival_error_before_metrics_error(self, monkeypatch):
-        # broad packet at tol 1e-2: the field converges at level 2, the
-        # metrics need level 5, so two levels fail only the metrics
+        # broad packet at a field tolerance of 1e-2: the field converges at
+        # level 2, the metrics need level 5, so two levels fail only the metrics
         s, spec = _broad_packet()
         monkeypatch.setattr(wp, "_MAX_LEVELS", 2)
+        monkeypatch.setattr(wp, "_FIELD_TOL", 1e-2)
         with pytest.raises(wp.QuadratureError, match="distortion metrics"):
-            run_packet(s, spec, n_times=41, tol=1e-2)
+            run_packet(s, spec, n_times=41)
 
         def no_peak(*args):
             raise NoPeakError("patched")
 
-        monkeypatch.setattr(wp, "estimate_arrival", no_peak)
+        monkeypatch.setattr(wp, "_estimate_arrival", no_peak)
         with pytest.raises(NoPeakError):
-            run_packet(s, spec, n_times=41, tol=1e-2)
+            run_packet(s, spec, n_times=41)
