@@ -46,7 +46,6 @@ from .phasetime import (
 from .scattering import (
     ScatteringSolution,
     TransmissionPoint,
-    continuity_residuals,
     match_boundaries,
     transmission_closed_form,
     transmission_magnitude_nr_form,
@@ -70,6 +69,6 @@ from .wavepacket import (
     run_packet,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

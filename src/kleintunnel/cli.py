@@ -317,7 +317,7 @@ def _cmd_packet(p: _Config) -> int:
                         f"{name}_change": q.change})
     out = p.get("samples_out")
     if out:
-        _write_table(out, ("t", "intensity"), (run.times.tolist(), run.intensities.tolist()),
+        _write_table(out, ("t", "intensity"), (run.times, run.intensities),
                      (_float_cells, _float_cells))
         payload["samples_path"] = str(out)
     _emit(p, payload)

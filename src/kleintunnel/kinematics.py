@@ -335,8 +335,8 @@ def barrier_channel(setup: BarrierSetup, mode: IncidentMode) -> BarrierChannel:
     m, V0, w, E = setup.m, setup.V0, setup.w, mode.E
     if not (E > m):
         raise NonPropagatingError(f"E={E} does not exceed m={m}: no incident wave")
-    for kind, a, b in (("evanescent", m - E + V0, m + E - V0),
-                       ("oscillatory", E - V0 - m, E - V0 + m)):
+    d = E - V0  # both pairs from E - V0, so m -+ E never rounds first
+    for kind, a, b in (("evanescent", m - d, m + d), ("oscillatory", d - m, d + m)):
         if min(a, b) > 0.0 or max(a, b) < 0.0:
             root = _root_of_product(a, b)
             if math.isinf(root / w):

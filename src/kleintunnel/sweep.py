@@ -14,10 +14,12 @@ The driver returns the fields as the core's and the oracle's arrays:
 float64 value columns with nan marking an empty cell, zone codes and the
 nudged mask.  run_sweep returns them as SweepRecords, a read-only
 sequence of records that converts the columns to Python values only
-when a record is read (list(run_sweep(req)) gives a mutable list).
-write_csv writes such a view's arrays as they are, so a CSV sweep, from
-the library, the CLI or the fig1 preset, builds no per-row tuple and
-boxes no float.
+when a record is read, and read_csv parses a file back into the same
+columns.  SweepRecords is the one sweep type the writers take
+(list(run_sweep(req)) gives a mutable list, which they refuse), and
+write_csv writes a view's arrays as they are, so a CSV sweep, from the
+library, the CLI, the fig1 preset or a file read back, builds no
+per-row tuple and boxes no float.
 
 Grid points on a zone edge by the one edge rule (kinematics._edges,
 which also sets classify_zone's tags and the oracle's refusals) are
@@ -36,10 +38,10 @@ CSV contract: header row mandatory, columns in the fixed order
 UTF-8, LF line endings, absent values as empty fields.  Floats are
 written in Python repr notation, the shortest decimal that reads back to
 the same double: exponent form below 1e-4 and from 1e16 on (1e-05,
-1e+16), fixed form between.  A record's nan and inf, and an inf in a
-view's columns (where nan is an absent value), are refused with a
-DomainError naming the column, never written.  JSON output is an array
-of records with the same field names plus ``error``.
+1e+16), fixed form between.  A view's nan is an absent value; an inf
+is refused with a DomainError naming the column, never written, and
+read_csv refuses a cell write_csv never writes.  JSON output is an
+array of records with the same field names plus ``error``.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ class SweepRecords(Sequence):
     is read (by iteration, index, equality or write_json), once per view;
     write_csv never converts them.  Slicing gives a view of the same kind;
     the view equals a list of the same records, either way round, and is
-    unhashable.  list(records) gives a mutable list.
+    unhashable.  list(records) gives a mutable list, which cannot be
+    written.
     """
 
     __slots__ = ("_columns", "_plain")
@@ -244,7 +247,7 @@ class SweepRecords(Sequence):
 def run_sweep(req: SweepRequest) -> SweepRecords:
     """Evaluate the request grid in ascending n2 (see _sweep_table), one
     record per point, as a read-only SweepRecords view over the driver's
-    columns; list(run_sweep(req)) gives a mutable list of the records."""
+    columns."""
     return SweepRecords(_sweep_table(req))
 
 
@@ -270,37 +273,24 @@ def _decade_cell(match: re.Match) -> bytes:
     return b",%s%s%s%se-05" % (sign, first, b"." if rest else b"", rest)
 
 
-def _empty_cells(values: list | tuple | np.ndarray) -> int:
-    """The empty cells of a float column: each nan of a float64 array, each
-    None of a list or tuple (where a nan is a value, refused when written)."""
-    if isinstance(values, np.ndarray):
-        return int(np.count_nonzero(np.isnan(values)))
-    return values.count(None)
-
-
-def _float_cells(values: list | tuple | np.ndarray, name: str) -> list[bytes]:
-    """Each float as repr writes it, from one orjson.dumps of the column,
-    and an empty cell for each None of a list or tuple or each nan of a
-    float64 array.  orjson writes nan and inf as null, so a null that is
-    not an empty cell is refused with a DomainError naming the column, and
-    so is a cell orjson cannot write, such as a numpy float64 in a list.
+def _float_cells(values: np.ndarray, name: str) -> list[bytes]:
+    """Each float of a float64 array as repr writes it, from one
+    orjson.dumps of the column, and an empty cell for each nan.  orjson
+    writes nan and inf as null, so a null that is not a nan is refused with
+    a DomainError naming the column.
     """
-    # counted only when the first cell may be empty (None, or nan in an array)
-    if (not len(values) or values[0] is None or values[0] != values[0]) and (
-            _empty_cells(values) == len(values)):
+    # counted only when the first cell is empty
+    if (not len(values) or values[0] != values[0]) and (
+            np.count_nonzero(np.isnan(values)) == len(values)):
         return [b""] * len(values)  # no value: nothing to format or check
     import orjson  # loaded on the first write, not on import
 
-    try:
-        data = (orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
-                if isinstance(values, np.ndarray) else orjson.dumps(values))
-    except TypeError as exc:
-        raise DomainError(f"{name}: {exc}") from exc
+    data = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
     # "[a,b]" -> ",a,b,": every cell between two commas.  The guards test
     # one byte: no number holds an n, and only an exponent holds an e.
     data = b"," + data[1:-1] + b","
     if b"n" in data:
-        if data.count(b"n") != _empty_cells(values):
+        if data.count(b"n") != np.count_nonzero(np.isnan(values)):
             raise DomainError(f"{name}: nan or inf cannot be written")
         data = data.replace(b"null", b"")
     if b"e" in data:
@@ -316,17 +306,13 @@ _ZONE_CELLS = np.array([z.encode() for z in _ZONES], dtype=object)
 _FLAG_CELLS = np.array([b"", b"true"], dtype=object)
 
 
-def _zone_cells(values: list | tuple | np.ndarray, name: str) -> list[bytes]:
-    """Zone tags (str) or a view's zone codes (an int array) as cells."""
-    if isinstance(values, np.ndarray):
-        return _ZONE_CELLS[values].tolist()
-    return list(map(str.encode, values))
+def _zone_cells(values: np.ndarray, name: str) -> list[bytes]:
+    """A view's zone codes (an int array) as their tags' cells."""
+    return _ZONE_CELLS[values].tolist()
 
 
-def _flag_cells(values: list | tuple | np.ndarray, name: str) -> list[bytes]:
-    if isinstance(values, np.ndarray):
-        return _FLAG_CELLS[values.view(np.uint8)].tolist()
-    return [b"true" if x else b"" for x in values]
+def _flag_cells(values: np.ndarray, name: str) -> list[bytes]:
+    return _FLAG_CELLS[values.view(np.uint8)].tolist()
 
 
 def _write_table(path, names: tuple[str, ...], columns, formats) -> None:
@@ -349,57 +335,89 @@ def _write_table(path, names: tuple[str, ...], columns, formats) -> None:
         raise KleinTunnelError(f"writing {path}: {exc}") from exc
 
 
-def write_csv(records: Sequence[SweepRecord], path) -> None:
-    """Write records in the fixed CSV contract (floats as repr writes them).
-
-    A SweepRecords view is written from its float64 columns, with no
-    record built and no value boxed; any other sequence of records is
-    transposed into columns first.
-    Raises DomainError for an empty sweep and for nan or inf in any float
-    column (naming the column), and KleinTunnelError when writing fails.
-    """
+def _writable(records: SweepRecords) -> None:
+    """Refuse anything but a non-empty SweepRecords, before a file is opened."""
+    if not isinstance(records, SweepRecords):
+        raise TypeError(f"a sweep is written from SweepRecords, not {type(records).__name__}")
     if not records:
         raise DomainError("refusing to write an empty sweep")
-    columns = (records._columns if isinstance(records, SweepRecords)
-               else list(zip(*records)))
-    _write_table(path, CSV_COLUMNS, columns, (_float_cells, _float_cells, _zone_cells)
+
+
+def write_csv(records: SweepRecords, path) -> None:
+    """Write a sweep in the fixed CSV contract (floats as repr writes them),
+    from the view's float64 columns, with no record built and no value
+    boxed.
+
+    Raises TypeError for anything but a SweepRecords, DomainError for an
+    empty sweep and for an inf in any float column (naming the column),
+    and KleinTunnelError when writing fails.
+    """
+    _writable(records)
+    _write_table(path, CSV_COLUMNS, records._columns, (_float_cells, _float_cells, _zone_cells)
                  + (_float_cells,) * 5 + (_flag_cells,))
 
 
-def read_csv(path) -> list[SweepRecord]:
-    """Parse a file written by write_csv back into records (exact floats)."""
-    def num(cell: str) -> float | None:
-        return None if cell == "" else float(cell)
+def _finite(cell: str) -> float:
+    x = float(cell)  # an empty cell raises here too
+    if not math.isfinite(x):
+        raise ValueError(cell)
+    return x
 
+
+def _finite_or_empty(cell: str) -> float:
+    return _finite(cell) if cell else math.nan
+
+
+# each CSV column's cell parser and its column's dtype in the driver's layout
+_ZONE_CODES = {tag: code for code, tag in enumerate(_ZONES)}
+_READERS = (_finite, _finite_or_empty, _ZONE_CODES.__getitem__) + (
+    _finite_or_empty,) * 5 + ({"": False, "true": True}.__getitem__,)
+_DTYPES = (float, float, int) + (float,) * 5 + (bool,)
+
+
+def read_csv(path) -> SweepRecords:
+    """Parse a file written by write_csv into a SweepRecords view over the
+    driver's column layout (see _sweep_table): exact float64 with nan for
+    an empty cell, zone codes, the nudged mask, and every error None.
+
+    A file holds only what write_csv writes.  A DomainError names the path
+    for a wrong header or a malformed row, and the path, the row (row 1 is
+    the first after the header) and the column for a cell that float()
+    cannot read, a non-finite float, a zone outside the five tags, or a
+    nudged cell other than empty or true.
+    """
+    columns = [[] for _ in CSV_COLUMNS]
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
             header = fh.readline().rstrip("\n")
             if header != ",".join(CSV_COLUMNS):
                 raise DomainError(f"{path}: unexpected header {header!r}")
-            out = []
-            for line in fh:
+            for row, line in enumerate(fh, 1):
                 cells = line.rstrip("\n").split(",")
                 if len(cells) != len(CSV_COLUMNS):
                     raise DomainError(f"{path}: malformed row {line!r}")
-                out.append(SweepRecord(float(cells[0]), num(cells[1]), cells[2],
-                                       *map(num, cells[3:8]), cells[8] == "true"))
-            return out
+                for name, read, cell, column in zip(CSV_COLUMNS, _READERS, cells, columns):
+                    try:
+                        column.append(read(cell))
+                    except (ValueError, KeyError):
+                        raise DomainError(f"{path}: row {row}, {name}: {cell!r} is not a "
+                                          f"cell write_csv writes") from None
     except OSError as exc:
         raise KleinTunnelError(f"reading {path}: {exc}") from exc
+    return SweepRecords([np.array(column, dtype=dtype) for column, dtype in zip(columns, _DTYPES)]
+                        + [[None] * len(columns[0])])
 
 
-def write_json(records: Sequence[SweepRecord], path) -> None:
-    """Write records as a JSON array with the CSV field names plus ``error``;
-    raises as write_csv does (nan or inf refused, naming the field)."""
-    if not records:
-        raise DomainError("refusing to write an empty sweep")
+def write_json(records: SweepRecords, path) -> None:
+    """Write a sweep as a JSON array with the CSV field names plus ``error``;
+    raises as write_csv does (an inf refused, naming the field)."""
+    _writable(records)
+    for name, column in zip(CSV_COLUMNS, records._columns):
+        if column.dtype.kind == "f" and np.isinf(column).any():
+            raise DomainError(f"{name}: nan or inf cannot be written")
     # a record's fields are the CSV columns plus error, in that order
     names = CSV_COLUMNS + ("error",)
     payload = [dict(zip(names, rec)) for rec in records]
-    for row in payload:
-        for name, x in row.items():
-            if isinstance(x, float) and not math.isfinite(x):
-                raise DomainError(f"{name}: nan or inf cannot be written")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=1)

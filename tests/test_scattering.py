@@ -17,7 +17,6 @@ from kleintunnel import (
     ZoneError,
     barrier_channel,
     classify_zone,
-    continuity_residuals,
     match_boundaries,
     mode_from_energy,
     mode_from_n2,
@@ -43,6 +42,38 @@ MAG_OSC_E12_QL_HALFPI = 0.28373034489325999
 
 def make(m=1.0, V0=10.0, L=1.0):
     return BarrierSetup(m=m, V0=V0, L=L)
+
+
+def continuity_residuals(setup, mode, sol):
+    """Relative continuity mismatch of (phi, phi') at x=0 and x=L.
+
+    Evaluates both sides of each matching condition from the stored
+    amplitudes and returns the larger relative residual per interface.
+    Direct exponentials are used, so this check is meant for moderate
+    rho*L (the growing term overflows near rho*L ~ 700).
+    """
+    k, L = mode.k, setup.L
+    r2 = rho_n2(setup.v, mode.n2)
+    if r2 == 0.0:
+        def interior(x):
+            return sol.alpha + sol.beta * x, sol.beta
+    else:
+        kappa = setup.w * cmath.sqrt(r2)
+        def interior(x):
+            e1 = cmath.exp(-kappa * x)
+            e2 = cmath.exp(kappa * x)
+            val = sol.alpha * e1 + sol.beta * e2
+            der = -kappa * sol.alpha * e1 + kappa * sol.beta * e2
+            return val, der
+
+    def rel(a, b):
+        return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+    v0, d0 = interior(0.0)
+    r0 = max(rel(1.0 + sol.R, v0), rel(1j * k * (1.0 - sol.R), d0))
+    vL, dL = interior(L)
+    rL = max(rel(sol.T, vL), rel(1j * k * sol.T, dL))
+    return r0, rL
 
 
 def brute_solve(setup, mode):

@@ -50,6 +50,24 @@ def nr_form(v, n2, wL):
     return _nr_form_from_r2(np.array([n2]), np.array([rho_n2(v, n2)]), wL).item()
 
 
+def view_of(records):
+    """A SweepRecords view over hand-made columns: the records' fields in
+    the driver's layout (float64 with nan for None, zone codes, the nudged
+    mask and the errors)."""
+    n2, s, zone, *values, nudged, errors = zip(*records)
+
+    def floats(column):
+        return np.array([math.nan if x is None else x for x in column])
+
+    return SweepRecords([floats(n2), floats(s), np.array([_ZONES.index(z) for z in zone]),
+                         *map(floats, values), np.array(nudged), list(errors)])
+
+
+def without_errors(records):
+    """The records as read_csv gives them back: a CSV has no error column."""
+    return [rec._replace(error=None) for rec in records]
+
+
 def small_request(**kw):
     base = dict(v=10.0, wL=2.0 * math.pi, n2_min=4.2, n2_max=5.8, count=5)
     base.update(kw)
@@ -615,7 +633,7 @@ class TestSerialization:
                 ratio_closed=maybe(), ratio_numeric=maybe(),
                 nudged=bool(rng.random() < 0.1)))
         path = tmp_path / "rand.csv"
-        write_csv(recs, path)
+        write_csv(view_of(recs), path)
         back = read_csv(path)
         for a, b in zip(recs, back):
             assert a == pytest.approx(b) or a == b  # exact float round trip
@@ -637,7 +655,7 @@ class TestSerialization:
                              9.999999999999999e-05, 1e15),
                  SweepRecord(1e-4, 1.2e-5, "Klein", -1e-10, 1.5e16, 1e-300, 2e-06, -9e-09)]
         path = tmp_path / "hand.csv"
-        write_csv(recs, path)
+        write_csv(view_of(recs), path)
         assert path.read_bytes() == (
             b"n2,E_over_m,zone,T2_exact,T2_nr_form,phase_rad,ratio_closed,ratio_numeric,nudged\n"
             b"0.5,,Klein,,,,,,\n"
@@ -653,56 +671,40 @@ class TestSerialization:
             b"0.0001,1.2e-05,Klein,-1e-10,1.5e+16,1e-300,2e-06,-9e-09,\n")
         assert read_csv(path) == recs
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
     @pytest.mark.parametrize("field, column", [
         ("n2", "n2"), ("e_over_m", "E_over_m"), ("t2_exact", "T2_exact"),
         ("t2_nr_form", "T2_nr_form"), ("phase_rad", "phase_rad"),
         ("ratio_closed", "ratio_closed"), ("ratio_numeric", "ratio_numeric")])
     def test_non_finite_value_is_refused(self, tmp_path, field, column, bad):
-        # a file never holds nan or inf: the cell's column is named, and
-        # each block of rows is checked before it is written, so the file
-        # keeps the header and the blocks before the refused one
+        # a file never holds inf (a view's nan is an empty cell): the cell's
+        # column is named, and each block of rows is checked before it is
+        # written, so the file keeps the header and the blocks before the
+        # refused one
         good = SweepRecord(n2=1.0, e_over_m=2.0, zone="Klein", t2_exact=0.5, t2_nr_form=0.5,
                            phase_rad=1.0, ratio_closed=1.5, ratio_numeric=1.5)
         path = tmp_path / "bad.csv"
         for before in (0, _BLOCK):
             recs = [good] * before + [good, good._replace(**{field: bad}), good]
             with pytest.raises(DomainError, match=f"^{column}: nan or inf cannot be written$"):
-                write_csv(recs, path)
+                write_csv(view_of(recs), path)
             lines = path.read_bytes().split(b"\n")
             assert lines[0] == ",".join(CSV_COLUMNS).encode()
             assert len(lines) == 2 + before and lines[-1] == b""
             assert set(lines[1:-1]) <= {b"1.0,2.0,Klein,0.5,0.5,1.0,1.5,1.5,"}
-        # the JSON writer refuses it too (json.dump would write NaN or
-        # Infinity), before it opens the file
+        # the JSON writer refuses it too (json.dump would write Infinity),
+        # before it opens the file
         path = tmp_path / "bad.json"
         with pytest.raises(DomainError, match=f"^{column}: nan or inf cannot be written$"):
-            write_json([good, good._replace(**{field: bad})], path)
+            write_json(view_of([good, good._replace(**{field: bad})]), path)
         assert not path.exists()
 
-    def test_numpy_scalar_cell_is_refused_by_name(self, tmp_path):
-        # orjson writes Python floats only; its TypeError becomes a DomainError
-        rec = SweepRecord(n2=1.0, e_over_m=2.0, zone="Klein", t2_exact=np.float64(0.5))
-        with pytest.raises(DomainError, match="^T2_exact: .*numpy.float64"):
-            write_csv([rec], tmp_path / "x.csv")
-
-    @pytest.mark.parametrize("at", [0, 1, _BLOCK - 1])
-    def test_one_nan_in_an_empty_column_is_refused(self, at):
-        # an all-None column is written without formatting; a single nan
-        # among the Nones still reaches the check and is named
-        values = [None] * _BLOCK
-        assert _float_cells(values, "ratio_numeric") == [b""] * _BLOCK
-        assert _float_cells([], "ratio_numeric") == []
-        values[at] = math.nan
-        with pytest.raises(DomainError, match="^ratio_numeric: nan or inf cannot be written$"):
-            _float_cells(values, "ratio_numeric")
-
-    @staticmethod
-    def assert_cells_are_repr(route):
-        # over a million doubles, each column chunk passed as route(tuple):
-        # random 64-bit patterns (finite only), log-uniform magnitudes in
-        # 1e-8 ... 1e20 of either sign, and every switch of notation with
-        # its neighbours
+    def test_float64_array_cells_equal_repr_token_for_token(self):
+        # over a million doubles, each column chunk passed as a float64
+        # array, the sweep's columns' route: random 64-bit patterns (finite
+        # only), log-uniform magnitudes in 1e-8 ... 1e20 of either sign, and
+        # every switch of notation with its neighbours.  A later orjson that
+        # writes another notation fails here, not in a digest
         rng = np.random.default_rng(20)
         bits = rng.integers(0, 2 ** 64, 600_000, dtype=np.uint64).view(np.float64)
         spread = 10.0 ** rng.uniform(-8.0, 20.0, 450_000) * rng.choice((-1.0, 1.0), 450_000)
@@ -715,21 +717,11 @@ class TestSerialization:
             -x for x in special]
         assert len(values) >= 1_000_000
         for start in range(0, len(values), 100_000):
-            chunk = tuple(values[start:start + 100_000])
-            cells = _float_cells(route(chunk), "x")
+            chunk = values[start:start + 100_000]
+            cells = _float_cells(np.array(chunk), "x")
             assert len(cells) == len(chunk)
             if b",".join(cells) != ",".join(map(repr, chunk)).encode():
                 assert [(x, c) for x, c in zip(chunk, cells) if c != repr(x).encode()] == []
-
-    def test_float_cells_equal_repr_token_for_token(self):
-        # a later orjson that writes another notation fails here, not in a
-        # digest
-        self.assert_cells_are_repr(tuple)
-
-    def test_float64_array_cells_equal_repr_token_for_token(self):
-        # the sweep's columns reach orjson as float64 arrays, through its
-        # numpy route: its notation must be the list route's
-        self.assert_cells_are_repr(np.array)
 
     @pytest.mark.parametrize("at", [0, 1, _BLOCK - 1])
     def test_array_nan_is_an_empty_cell_and_inf_is_refused(self, at):
@@ -752,7 +744,9 @@ class TestSerialization:
     def test_fig1_files_round_trip_byte_for_byte(self, tmp_path):
         for path in fig1_preset(tmp_path):
             again = tmp_path / "again.csv"
-            write_csv(read_csv(path), again)
+            records = read_csv(path)
+            assert type(records) is SweepRecords
+            write_csv(records, again)
             with open(path, "rb") as fh:
                 assert again.read_bytes() == fh.read(), path
 
@@ -789,12 +783,47 @@ class TestSerialization:
         assert first == "n2,E_over_m,zone,T2_exact,T2_nr_form,phase_rad,ratio_closed,ratio_numeric,nudged"
 
     def test_empty_records_error_and_no_file(self, tmp_path):
-        path = tmp_path / "never.csv"
-        with pytest.raises(DomainError):
-            write_csv([], path)
-        assert not path.exists()
-        with pytest.raises(DomainError):
-            write_json([], tmp_path / "never.json")
+        # an empty view is refused as a DomainError; anything but a view,
+        # empty or not, as a TypeError naming SweepRecords; neither opens
+        # the file
+        view = run_sweep(small_request())
+        for records, error, message in ((view[:0], DomainError, "empty sweep"),
+                                        ([], TypeError, "SweepRecords"),
+                                        (list(view), TypeError, "SweepRecords"),
+                                        (tuple(view), TypeError, "SweepRecords")):
+            for write, path in ((write_csv, tmp_path / "never.csv"),
+                                (write_json, tmp_path / "never.json")):
+                with pytest.raises(error, match=message):
+                    write(records, path)
+                assert not path.exists()
+
+    @pytest.mark.parametrize("row, column, cell", [
+        (1, "n2", ""), (2, "T2_exact", "abc"), (2, "E_over_m", "nan"), (3, "phase_rad", "inf"),
+        (5, "ratio_numeric", "-inf"), (2, "zone", "Bogus"), (2, "zone", ""),
+        (4, "nudged", "yes"), (4, "nudged", "True")])
+    def test_read_csv_refuses_a_cell_write_csv_never_writes(self, tmp_path, row, column, cell):
+        # the path, the row after the header, the column and the cell are named
+        path = tmp_path / "sweep.csv"
+        write_csv(run_sweep(small_request()), path)
+        lines = path.read_text().split("\n")
+        cells = lines[row].split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        message = f"{path}: row {row}, {column}: {cell!r} is not a cell write_csv writes"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            read_csv(path)
+
+    def test_read_csv_refuses_a_wrong_header_or_row_length(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_csv(run_sweep(small_request()), path)
+        text = path.read_text()
+        path.write_text(text.replace("nudged\n", "flag\n", 1))
+        with pytest.raises(DomainError, match="unexpected header"):
+            read_csv(path)
+        path.write_text(text + "1.0,2.0\n")
+        with pytest.raises(DomainError, match=re.escape(f"{path}: malformed row '1.0,2.0\\n'")):
+            read_csv(path)
 
     def test_json_same_field_names(self, tmp_path):
         recs = run_sweep(small_request())
@@ -866,13 +895,12 @@ class TestSweepRecords:
         assert refused >= 2 + 4 + 1
         plain(run_sweep(small_request(v=0.0, n2_min=0.5, n2_max=0.9, count=3))[1])
 
-    def test_csv_of_a_strided_slice_equals_its_list(self, tmp_path):
+    def test_csv_of_a_strided_slice_reads_back_as_its_records(self, tmp_path):
         # a slice with a step holds strided columns; they are written as
         # the same cells as the records read from them
         view = run_sweep(SweepRequest(**self.EDGE_GRID))[::-3]
         write_csv(view, tmp_path / "view.csv")
-        write_csv(list(view), tmp_path / "list.csv")
-        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+        assert read_csv(tmp_path / "view.csv") == without_errors(view)
 
     def test_indices(self):
         view = run_sweep(small_request(n2_min=3.9, n2_max=6.1, count=31))
@@ -911,22 +939,23 @@ class TestSweepRecords:
         with pytest.raises(AttributeError):
             view.append(view[0])
 
-    def test_csv_of_the_view_and_of_its_list_agree(self, tmp_path):
-        view_path, list_path = tmp_path / "view.csv", tmp_path / "list.csv"
+    def test_csv_of_every_outputs_subset_reads_back_as_its_records(self, tmp_path):
+        path = tmp_path / "view.csv"
         subsets = [c for k in range(1, 6) for c in itertools.combinations(VALUE_COLUMNS, k)]
         assert len(subsets) == 31
         for outputs in subsets:
             view = run_sweep(SweepRequest(**self.EDGE_GRID, outputs=outputs))
-            write_csv(view, view_path)
-            write_csv(list(view), list_path)
-            assert view_path.read_bytes() == list_path.read_bytes(), outputs
+            write_csv(view, path)
+            assert read_csv(path) == without_errors(view), outputs
         assert sum(r.nudged for r in view) == 2
 
-    def test_json_of_the_view_and_of_its_list_agree(self, tmp_path):
+    def test_json_is_the_records_as_dicts(self, tmp_path):
         view = run_sweep(SweepRequest(**self.EDGE_GRID))
         write_json(view, tmp_path / "view.json")
-        write_json(list(view), tmp_path / "list.json")
-        assert (tmp_path / "view.json").read_bytes() == (tmp_path / "list.json").read_bytes()
+        names = CSV_COLUMNS + ("error",)
+        assert json.loads((tmp_path / "view.json").read_text()) == [
+            dict(zip(names, rec)) for rec in view]
+        assert sum(rec.error is not None for rec in view) == 2
 
 
 class TestFig1Request:
