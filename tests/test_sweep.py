@@ -699,6 +699,30 @@ class TestSerialization:
             write_json(view_of([good, good._replace(**{field: bad})]), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("field, column", [
+        ("e_over_m", "E_over_m"), ("t2_exact", "T2_exact"), ("t2_nr_form", "T2_nr_form"),
+        ("phase_rad", "phase_rad"), ("ratio_closed", "ratio_closed"),
+        ("ratio_numeric", "ratio_numeric")])
+    def test_nan_in_a_view_is_an_empty_cell(self, tmp_path, field, column):
+        # a view's nan is the empty value of every optional column: an empty
+        # CSV cell and a JSON null, read back as None; its neighbours keep
+        # their cells
+        good = SweepRecord(n2=1.0, e_over_m=2.0, zone="Klein", t2_exact=0.5, t2_nr_form=0.5,
+                           phase_rad=1.0, ratio_closed=1.5, ratio_numeric=1.5)
+        recs = [good, good._replace(**{field: math.nan}), good]
+        path = tmp_path / "nan.csv"
+        write_csv(view_of(recs), path)
+        lines = path.read_bytes().split(b"\n")
+        cells = b"1.0,2.0,Klein,0.5,0.5,1.0,1.5,1.5,".split(b",")
+        assert lines[1] == lines[3] == b",".join(cells)
+        cells[CSV_COLUMNS.index(column)] = b""
+        assert lines[2] == b",".join(cells)
+        assert read_csv(path) == [good, good._replace(**{field: None}), good]
+        path = tmp_path / "nan.json"
+        write_json(view_of(recs), path)
+        assert [row[column] for row in json.loads(path.read_text())] == [
+            getattr(good, field), None, getattr(good, field)]
+
     def test_float64_array_cells_equal_repr_token_for_token(self):
         # over a million doubles, each column chunk passed as a float64
         # array, the sweep's columns' route: random 64-bit patterns (finite
