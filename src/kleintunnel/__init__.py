@@ -32,15 +32,12 @@ from .kinematics import (
     tunneling_interval_n2,
 )
 from .phasetime import (
-    PhaseTimeResult,
     classical_tau,
     edge_limit_magnitude_nr_form,
     edge_limit_ratio,
     edge_phase_time_ratio,
     normalized_phase_time,
     normalized_phase_time_numeric,
-    phase_time_closed_form,
-    phase_time_numeric,
     small_rho_ratio,
 )
 from .scattering import (
@@ -69,6 +66,6 @@ from .wavepacket import (
     run_packet,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,8 +34,8 @@ from .phasetime import (
     edge_limit_magnitude_nr_form,
     edge_limit_ratio,
     edge_phase_time_ratio,
-    phase_time_closed_form,
-    phase_time_numeric,
+    normalized_phase_time,
+    normalized_phase_time_numeric,
     small_rho_ratio,
 )
 from .scattering import (
@@ -236,22 +236,20 @@ def _cmd_amp(p: _Config) -> int:
 def _cmd_phasetime(p: _Config) -> int:
     setup = _barrier(p)
     mode = _mode(p, setup)
+    v, n2, wL = setup.v, mode.n2, setup.wL
+    tau = classical_tau(setup, mode)
     payload = {
-        "m": setup.m, "V0": setup.V0, "L": setup.L, "E": mode.E, "n2": mode.n2,
-        "zone": _zone(setup.v, mode.n2).value,
-        "tau": classical_tau(setup, mode),
+        "m": setup.m, "V0": setup.V0, "L": setup.L, "E": mode.E, "n2": n2,
+        "zone": _zone(v, n2).value, "tau": tau,
     }
     try:
-        numeric = phase_time_numeric(setup, mode)
-        payload["t_phi_numeric"] = numeric.t_phi
-        payload["ratio_numeric"] = numeric.ratio
+        ratio = normalized_phase_time_numeric(v, n2, wL)
+        payload.update(t_phi_numeric=ratio * tau, ratio_numeric=ratio)
     except KleinTunnelError as exc:
         # the oracle refuses e.g. on a zone edge; the closed form is still defined
         payload.update(t_phi_numeric=None, ratio_numeric=None, numeric_error=str(exc))
-    closed = phase_time_closed_form(setup, mode)
-    payload["t_phi_closed"] = closed.t_phi
-    payload["ratio_closed"] = closed.ratio
-    v, wL = setup.v, setup.wL
+    ratio = normalized_phase_time(v, n2, wL)
+    payload.update(t_phi_closed=ratio * tau, ratio_closed=ratio)
     if v > 2.0:
         payload["edge_ratio_lower_wL"] = edge_phase_time_ratio(v, wL, "lower")
         payload["edge_ratio_lower_limit"] = edge_limit_ratio(v, "lower")

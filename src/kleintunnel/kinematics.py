@@ -90,8 +90,6 @@ class BarrierSetup:
             raise DomainError(f"barrier height must be positive and finite, got V0={self.V0}")
         if not (self.L >= 0.0 and math.isfinite(self.L)):
             raise DomainError(f"barrier width must be >= 0 and finite, got L={self.L}")
-        if self.w == 0.0:
-            raise DomainError(f"w = sqrt(2*m*V0) underflows to 0 at m={self.m}, V0={self.V0}")
         if math.isinf(self.w):
             raise DomainError(f"w = sqrt(2*m*V0) is not finite at m={self.m}, V0={self.V0}")
         if math.isinf(self.v):
@@ -101,8 +99,9 @@ class BarrierSetup:
 
     @property
     def w(self) -> float:
-        """Normalization momentum sqrt(2*m*V0)."""
-        return math.sqrt(2.0 * self.m * self.V0)
+        """Normalization momentum sqrt(2*m*V0), taken from the factors where
+        2*m*V0 leaves the normal range (_root_of_product)."""
+        return _root_of_product(2.0 * self.m, self.V0)
 
     @property
     def v(self) -> float:
@@ -122,9 +121,7 @@ class BarrierSetup:
         if not (wL >= 0.0 and math.isfinite(wL)):
             raise DomainError(f"wL must be >= 0 and finite, got {wL}")
         V0 = v * m
-        w = math.sqrt(2.0 * m * V0)
-        if w == 0.0:
-            raise DomainError(f"w = sqrt(2*m*V0) underflows to 0 at m={m}, v={v}")
+        w = cls(m=m, V0=V0, L=0.0).w  # m and V0 checked before the root is taken
         return cls(m=m, V0=V0, L=wL / w)
 
 
@@ -264,7 +261,8 @@ def mode_from_n2(setup: BarrierSetup, n2: float) -> IncidentMode:
 
     E = m*sqrt(1 + 2*n2*v), or m*sqrt(2)*sqrt(v)*sqrt(n2) where 1 + 2*n2*v
     overflows (the 1 is then below its rounding); round-trips with
-    mode_from_energy.  Raises DomainError where E or k overflows.
+    mode_from_energy.  Raises DomainError where E or k overflows, and
+    where k = w*sqrt(n2) underflows to 0 (a subnormal w).
     """
     if not (n2 > 0.0 and math.isfinite(n2)):
         raise DomainError(f"n2 must be positive and finite, got {n2}")
@@ -275,6 +273,9 @@ def mode_from_n2(setup: BarrierSetup, n2: float) -> IncidentMode:
     k = setup.w * math.sqrt(n2)
     if not (math.isfinite(E) and math.isfinite(k)):
         raise DomainError(f"E or k is not finite at n2={n2}, m={setup.m}, V0={setup.V0}")
+    if k == 0.0:
+        raise DomainError(f"k = w*sqrt(n2) underflows to 0 at n2={n2}, m={setup.m}, "
+                          f"V0={setup.V0}")
     return IncidentMode(E=E, k=k, n2=n2)
 
 

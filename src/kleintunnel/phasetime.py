@@ -11,6 +11,9 @@ in two independent ways, plus limit formulas:
   through the matcher's own 2x2 solve (independent of every closed form),
 * small-rho and zone-edge limit formulas.
 
+Both ratios take (v, n2, wL); the phase time itself is
+t_phi = classical_tau(setup, mode) * ratio.
+
 The closed-form phase is arctan(Y) + winding*pi with
 Y = u wL tc / (2n), u = n2 - rho_n^2, d2 = rho_n^2 wL^2 and tc = tanh(d)/d
 (scattering._closed_forms).  Since t_phi/tau = (2n/wL) dphi/dn2, the chain
@@ -41,22 +44,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError, ZoneCrossingError
 from .kinematics import _MIN_NORMAL, BarrierSetup, IncidentMode, _edges, _rho_n2_columns
 from .scattering import _closed_forms, _matched, _past_cutoff, _refusal
-
-
-@dataclass(frozen=True)
-class PhaseTimeResult:
-    """tau, t_phi and the normalized ratio t_phi/tau from one method."""
-
-    tau: float
-    t_phi: float
-    ratio: float
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +59,12 @@ class PhaseTimeResult:
 def classical_tau(setup: BarrierSetup, mode: IncidentMode) -> float:
     """Classical traversal time tau = L*(dE/dk)^(-1) = L*E/k.
 
-    Raises ZeroLengthError at L = 0, where tau = 0 makes every normalized
-    ratio undefined (the closed ratio's wL = 0 refusal).  Only where L*E
-    leaves the normal range is tau formed as L*(E/k); DomainError where tau
-    still overflows.
+    The phase time is t_phi = classical_tau(setup, mode) * ratio, with the
+    ratio normalized_phase_time(v, n2, wL) or its oracle.  Raises
+    ZeroLengthError at L = 0, where tau = 0 makes every normalized ratio
+    undefined (the closed ratio's wL = 0 refusal).  Only where L*E leaves
+    the normal range is tau formed as L*(E/k); DomainError where tau still
+    overflows.
     """
     L, E, k = setup.L, mode.E, mode.k
     if L == 0.0:
@@ -97,16 +92,6 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
     """
     return _closed_forms(v, np.array([n2], dtype=float), wL, ratio=True,
                          columns=("ratio",)).ratio.item()
-
-
-def phase_time_closed_form(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResult:
-    """Closed-form phase time in every zone and on both edges.
-
-    The ratio is normalized_phase_time; raises ZeroLengthError at L = 0.
-    """
-    tau = classical_tau(setup, mode)
-    ratio = normalized_phase_time(setup.v, mode.n2, setup.wL)
-    return PhaseTimeResult(tau=tau, t_phi=ratio * tau, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +245,6 @@ def _solve_columns(v: float, n2: np.ndarray, root: np.ndarray, osc: np.ndarray,
     ddet = dQ + i * (dn * P + n * dP)
     # d log T = dn/n - d det/det - wL dkappa, and dn/n is real
     return 2.0 * n / wL * (-(ddet / det).im - wL * dkappa.im)
-
-
-def phase_time_numeric(setup: BarrierSetup, mode: IncidentMode) -> PhaseTimeResult:
-    """t_phi = dphi/dE from normalized_phase_time_numeric (exact, no step).
-    Raises as classical_tau does (ZeroLengthError at L = 0), then as
-    normalized_phase_time_numeric does: ZoneCrossingError on the edge band.
-    """
-    tau = classical_tau(setup, mode)
-    ratio = normalized_phase_time_numeric(setup.v, mode.n2, setup.wL)
-    return PhaseTimeResult(tau=tau, t_phi=ratio * tau, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ x = L fixes (R, alpha, beta, T); this module solves that system exactly
 and also provides the closed forms it implies.
 
 The closed form is what the library reports; :func:`match_boundaries`
-stays as its independent check.  One entire function of rho_n^2 gives
+stays as its independent check and returns amplitudes only (a mode's
+zone tag is kinematics.classify_zone's).  One entire function of rho_n^2 gives
 the exact magnitude in every zone and on both edges,
 
     |T|^-2 = 1 + X^2,   X = ((n2 + rho_n^2) / (2 n)) wL sinhc(rho_n^2 wL^2),
@@ -70,16 +71,16 @@ class ScatteringSolution:
 
     alpha and beta are the interior coefficients in the basis the sign of
     rho_n^2 (kinematics.rho_n2) picks: {exp(-rho x), exp(+rho x)}, else
-    {exp(-iqx), exp(+iqx)}, else {1, x} where it is 0, whatever zone (the
-    tag of the mode's n2) says.  arg_T is the principal argument of T,
-    kept even where T underflows to 0 (rho L > ~745).
+    {exp(-iqx), exp(+iqx)}, else {1, x} where it is 0.  The solution
+    carries no zone tag; kinematics.classify_zone gives a mode's.  arg_T
+    is the principal argument of T, kept even where T underflows to 0
+    (rho L > ~745).
     """
 
     R: complex
     T: complex
     alpha: complex
     beta: complex
-    zone: Zone
     arg_T: float
 
 
@@ -139,7 +140,6 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
     raises DomainError for n2 <= 0.
     """
     r2 = rho_n2(setup.v, mode.n2)
-    zone = _zone(setup.v, mode.n2)
 
     if r2 == 0.0:
         # interior a + b*x; per unit T: b = ik, a = 1 - ikL
@@ -147,7 +147,7 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
         T = 2.0 / (2.0 - 1j * k * L)
         R = -1j * k * L / (2.0 - 1j * k * L)
         return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * k * L) * T,
-                                  beta=1j * k * T, zone=zone, arg_T=cmath.phase(T))
+                                  beta=1j * k * T, arg_T=cmath.phase(T))
 
     # the principal root: rho_n where rho_n^2 > 0, else i q_n = i sqrt(-rho_n^2)
     n, kappa = math.sqrt(mode.n2), cmath.sqrt(r2)
@@ -158,7 +158,7 @@ def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolut
     # u is real and positive in the evanescent zone, so arg T = arg S there
     arg_T = cmath.phase(S if r2 > 0.0 else T)
     return ScatteringSolution(R=S * P - 1.0, T=T, alpha=g1 * S, beta=g2 * S * u * u,
-                              zone=zone, arg_T=arg_T)
+                              arg_T=arg_T)
 
 
 # ---------------------------------------------------------------------------

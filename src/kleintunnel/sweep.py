@@ -38,9 +38,10 @@ CSV contract: header row mandatory, columns in the fixed order
 UTF-8, LF line endings, absent values as empty fields.  Floats are
 written in Python repr notation, the shortest decimal that reads back to
 the same double: exponent form below 1e-4 and from 1e16 on (1e-05,
-1e+16), fixed form between.  A view's nan is an absent value; an inf
-is refused with a DomainError naming the column, never written, and
-read_csv refuses a cell write_csv never writes.  JSON output is an
+1e+16), fixed form between.  A view's nan is an absent value, except in
+n2, which every row has; an inf, or a nan n2, is refused with a
+DomainError naming the column, never written, and read_csv refuses a
+cell write_csv never writes.  JSON output is an
 array of records with the same field names plus ``error``.
 """
 
@@ -53,6 +54,7 @@ import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -273,14 +275,15 @@ def _decade_cell(match: re.Match) -> bytes:
     return b",%s%s%s%se-05" % (sign, first, b"." if rest else b"", rest)
 
 
-def _float_cells(values: np.ndarray, name: str) -> list[bytes]:
+def _float_cells(values: np.ndarray, name: str, empty: bool = True) -> list[bytes]:
     """Each float of a float64 array as repr writes it, from one
-    orjson.dumps of the column, and an empty cell for each nan.  orjson
-    writes nan and inf as null, so a null that is not a nan is refused with
-    a DomainError naming the column.
+    orjson.dumps of the column, and an empty cell for each nan; with
+    empty=False (n2, a cell every row has) a nan is refused too.  orjson
+    writes nan and inf as null, so a null that is not an empty cell is
+    refused with a DomainError naming the column.
     """
     # counted only when the first cell is empty
-    if (not len(values) or values[0] != values[0]) and (
+    if empty and (not len(values) or values[0] != values[0]) and (
             np.count_nonzero(np.isnan(values)) == len(values)):
         return [b""] * len(values)  # no value: nothing to format or check
     import orjson  # loaded on the first write, not on import
@@ -290,7 +293,7 @@ def _float_cells(values: np.ndarray, name: str) -> list[bytes]:
     # one byte: no number holds an n, and only an exponent holds an e.
     data = b"," + data[1:-1] + b","
     if b"n" in data:
-        if data.count(b"n") != np.count_nonzero(np.isnan(values)):
+        if not empty or data.count(b"n") != np.count_nonzero(np.isnan(values)):
             raise DomainError(f"{name}: nan or inf cannot be written")
         data = data.replace(b"null", b"")
     if b"e" in data:
@@ -349,17 +352,19 @@ def write_csv(records: SweepRecords, path) -> None:
     boxed.
 
     Raises TypeError for anything but a SweepRecords, DomainError for an
-    empty sweep and for an inf in any float column (naming the column),
-    and KleinTunnelError when writing fails.
+    empty sweep, for an inf in any float column and for a nan n2 (naming
+    the column), and KleinTunnelError when writing fails.
     """
     _writable(records)
-    _write_table(path, CSV_COLUMNS, records._columns, (_float_cells, _float_cells, _zone_cells)
+    _write_table(path, CSV_COLUMNS, records._columns,
+                 (partial(_float_cells, empty=False), _float_cells, _zone_cells)
                  + (_float_cells,) * 5 + (_flag_cells,))
 
 
 def _finite(cell: str) -> float:
+    """A finite float cell in the one spelling write_csv gives it, repr's."""
     x = float(cell)  # an empty cell raises here too
-    if not math.isfinite(x):
+    if not math.isfinite(x) or repr(x) != cell:
         raise ValueError(cell)
     return x
 
@@ -381,10 +386,11 @@ def read_csv(path) -> SweepRecords:
     an empty cell, zone codes, the nudged mask, and every error None.
 
     A file holds only what write_csv writes.  A DomainError names the path
-    for a wrong header or a malformed row, and the path, the row (row 1 is
-    the first after the header) and the column for a cell that float()
-    cannot read, a non-finite float, a zone outside the five tags, or a
-    nudged cell other than empty or true.
+    for a file that is not UTF-8, a wrong header or a malformed row, and
+    the path, the row (row 1 is the first after the header) and the column
+    for a cell that float() cannot read, a non-finite float, a float not
+    spelled as repr spells it (1e5, 1.50, +1.5, .5, 1_0.0, blanks), a zone
+    outside the five tags, or a nudged cell other than empty or true.
     """
     columns = [[] for _ in CSV_COLUMNS]
     try:
@@ -402,6 +408,8 @@ def read_csv(path) -> SweepRecords:
                     except (ValueError, KeyError):
                         raise DomainError(f"{path}: row {row}, {name}: {cell!r} is not a "
                                           f"cell write_csv writes") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8: {exc}") from None
     except OSError as exc:
         raise KleinTunnelError(f"reading {path}: {exc}") from exc
     return SweepRecords([np.array(column, dtype=dtype) for column, dtype in zip(columns, _DTYPES)]
@@ -410,10 +418,12 @@ def read_csv(path) -> SweepRecords:
 
 def write_json(records: SweepRecords, path) -> None:
     """Write a sweep as a JSON array with the CSV field names plus ``error``;
-    raises as write_csv does (an inf refused, naming the field)."""
+    raises as write_csv does (an inf or a nan n2 refused, naming the field)."""
     _writable(records)
     for name, column in zip(CSV_COLUMNS, records._columns):
-        if column.dtype.kind == "f" and np.isinf(column).any():
+        # a nan is null, the empty value, except in n2
+        if column.dtype.kind == "f" and (
+                np.isinf(column).any() or name == "n2" and np.isnan(column).any()):
             raise DomainError(f"{name}: nan or inf cannot be written")
     # a record's fields are the CSV columns plus error, in that order
     names = CSV_COLUMNS + ("error",)

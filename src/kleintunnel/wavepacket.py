@@ -48,7 +48,7 @@ from .errors import (
     SupportError,
 )
 from .kinematics import BarrierSetup, IncidentMode
-from .phasetime import phase_time_closed_form
+from .phasetime import classical_tau, normalized_phase_time
 from .scattering import _closed_forms, _squared
 
 _BASE_INTERVALS = 64
@@ -384,12 +384,12 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
                n_times: int = 2001) -> PacketRun:
     """Full experiment: synthesize at x = L, locate the peak, measure distortion.
 
-    The stationary-phase prediction t_phi(k0) and tau(k0) come from the
-    closed-form phase time, which is defined in every zone and on both
-    edges (both are 0 at L = 0, where the ratio is refused); the search
-    window is [-5, +5] * max(tau, |t_phi|) around it (falling back to the
-    packet's own temporal width 6/sigma_k when both vanish at L = 0),
-    sampled at n_times >= 3 uniform times.
+    The stationary-phase prediction is t_phi(k0) = normalized_phase_time *
+    classical_tau at k0, from the closed-form ratio, which is defined in
+    every zone and on both edges (both times are 0 at L = 0, where the
+    ratio is refused); the search window is [-5, +5] * max(tau, |t_phi|)
+    around it (falling back to the packet's own temporal width 6/sigma_k
+    when both vanish at L = 0), sampled at n_times >= 3 uniform times.
 
     Raises DomainError, before any quadrature, where the top of the
     support overflows n2 = (k/w)^2 or E = sqrt(k^2 + m^2) (every node
@@ -407,9 +407,9 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
     if setup.L == 0.0:  # no barrier: t_phi = tau = 0, and t_phi/tau is undefined
         tau = t_pred = 0.0
     else:
-        pt = phase_time_closed_form(
-            setup, IncidentMode(E=math.sqrt(k0 * k0 + m * m), k=k0, n2=(k0 / w) ** 2))
-        tau, t_pred = pt.tau, pt.t_phi
+        n2 = (k0 / w) ** 2
+        tau = classical_tau(setup, IncidentMode(E=math.sqrt(k0 * k0 + m * m), k=k0, n2=n2))
+        t_pred = normalized_phase_time(setup.v, n2, setup.wL) * tau
     half = 5.0 * max(tau, abs(t_pred))
     if half == 0.0:
         half = 6.0 / spectrum.sigma_k

@@ -18,9 +18,10 @@ FIGURE_DEMO = ROOT / "demos" / "05_figure_sweeps.py"
 
 
 def run_demo(path, cwd):
+    # a RuntimeWarning (overflow, invalid value) fails a demo, as it fails the suite
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(path)], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(path)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_demo_set_found():

@@ -46,12 +46,20 @@ class TestBarrierSetup:
         with pytest.raises(DomainError):
             BarrierSetup(m=1.0, V0=10.0, L=-0.1)
 
-    def test_rejects_w_underflowing_to_zero(self):
-        # w = sqrt(2*m*V0) = sqrt(2e-400) is 0 in doubles
-        with pytest.raises(DomainError):
-            BarrierSetup(m=1e-200, V0=1e-200, L=1.0)
-        with pytest.raises(DomainError):
-            BarrierSetup.from_dimensionless(1.0, 2.0 * math.pi, m=1e-200)
+    def test_w_where_the_product_underflows(self):
+        # 2*m*V0 = 2e-400 is 0 in doubles, and w = sqrt(2e-400) was refused;
+        # w is formed from the factors there, a setup at m = 1e-200 is the
+        # m = 1 one scaled, and from_dimensionless keeps its wL
+        s = BarrierSetup(m=1e-200, V0=1e-200, L=1.0)
+        with mpmath.workdps(40):
+            w = float(mpmath.sqrt(2 * mpmath.mpf(1e-200) * mpmath.mpf(1e-200)))
+        assert s.w == pytest.approx(w, rel=3e-16)
+        assert s.v == 1.0
+        s = BarrierSetup.from_dimensionless(1.0, 2.0 * math.pi, m=1e-200)
+        assert s.v == 1.0
+        assert s.wL == pytest.approx(2.0 * math.pi, rel=1e-15)
+        assert s.L == pytest.approx(1e200 * BarrierSetup.from_dimensionless(1.0, 2.0 * math.pi).L,
+                                    rel=1e-15)
 
     def test_from_dimensionless_roundtrip(self):
         s = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi, m=3.0)
@@ -182,13 +190,17 @@ class TestBarrierChannel:
     def test_sign_where_the_product_of_factors_underflows(self):
         # (m - E + V0)(m + E - V0) is about 1e-324 and read 0.0: the channel
         # was linear with rho = 0, where the true rho is m.  The factors are
-        # m -+ (E - V0), exact here since E - V0 = 0, so rho is m exactly;
-        # rho_n keeps w's own error (w of a subnormal m V0 is 4.7e-13 off)
+        # m -+ (E - V0), exact here since E - V0 = 0, so rho is m exactly,
+        # and rho_n = m/w with w of the subnormal 2 m V0 taken from its
+        # factors (40-digit mpmath; w was 4.7e-13 off when taken from the product)
         s = BarrierSetup(m=1e-162, V0=1e-150, L=1.0)
         ch = barrier_channel(s, mode_from_energy(s, 1e-150))
         assert ch.kind == "evanescent"
         assert ch.rho == 1e-162
-        assert ch.rho_n == 1e-162 / s.w
+        with mpmath.workdps(40):
+            m, V0 = mpmath.mpf(1e-162), mpmath.mpf(1e-150)
+            assert s.w == pytest.approx(float(mpmath.sqrt(2 * m * V0)), rel=3e-16)
+            assert ch.rho_n == pytest.approx(float(m / mpmath.sqrt(2 * m * V0)), rel=3e-16)
 
     def test_linear_at_edges(self):
         s = make()
@@ -378,17 +390,23 @@ class TestFiniteOrTyped:
         for v, wL, m in itertools.product(EXTREMES, [0.0] + EXTREMES, EXTREMES):
             finite_or_typed(BarrierSetup.from_dimensionless, v, wL, m)
 
-    @pytest.mark.parametrize("m, V0, L", [(1.0, 1e308, 0.0), (1e-200, 1e200, 1.0),
-                                          (1.0, 1e300, 1e300)])
-    def test_setup_whose_w_or_v_overflows_is_refused(self, m, V0, L):
-        # w = inf made wL = inf * 0 = nan; v = 1e400 read inf; so did wL = 1.4e450
+    @pytest.mark.parametrize("m, V0, L", [(1e-200, 1e200, 1.0), (1.0, 1e300, 1e300)])
+    def test_setup_whose_v_or_wL_overflows_is_refused(self, m, V0, L):
+        # v = 1e400 read inf; so did wL = 1.4e450
         with pytest.raises(DomainError, match=re.escape(f"m={m}, V0={V0}")):
             BarrierSetup(m=m, V0=V0, L=L)
 
-    def test_width_that_overflows_w_is_refused(self):
-        # L = wL/w was 1e308/inf = 0: a barrier became no barrier at all
-        with pytest.raises(DomainError, match=re.escape("m=1.0, V0=1e+308")):
-            BarrierSetup.from_dimensionless(1e308, 1e308)
+    def test_w_where_the_product_overflows(self):
+        # 2*m*V0 = 2e308 overflows, where w = sqrt(2e308) = 1.4e154: w = inf
+        # was refused (inf * 0 made wL nan), and from_dimensionless(1e308,
+        # 1e308) took L = wL/inf = 0, so a barrier became no barrier at all
+        with mpmath.workdps(40):
+            w = float(mpmath.sqrt(2 * mpmath.mpf(1e308)))
+        assert BarrierSetup(m=1.0, V0=1e308, L=0.0).w == pytest.approx(w, rel=3e-16)
+        s = BarrierSetup.from_dimensionless(1e308, 1e308)
+        assert (s.m, s.V0, s.v) == (1.0, 1e308, 1e308)
+        assert s.L == pytest.approx(1e308 / w, rel=3e-16)
+        assert s.wL == pytest.approx(1e308, rel=3e-16)
 
     def test_mode_whose_k_squared_overflows(self):
         # (E - m)(E + m) overflowed: k and n2 read inf, and tau = L*E/k read 0.0

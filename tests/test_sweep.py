@@ -671,16 +671,18 @@ class TestSerialization:
             b"0.0001,1.2e-05,Klein,-1e-10,1.5e+16,1e-300,2e-06,-9e-09,\n")
         assert read_csv(path) == recs
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
-    @pytest.mark.parametrize("field, column", [
-        ("n2", "n2"), ("e_over_m", "E_over_m"), ("t2_exact", "T2_exact"),
-        ("t2_nr_form", "T2_nr_form"), ("phase_rad", "phase_rad"),
-        ("ratio_closed", "ratio_closed"), ("ratio_numeric", "ratio_numeric")])
+    @pytest.mark.parametrize("field, column, bad", [
+        (field, column, bad) for bad in (math.inf, -math.inf) for field, column in (
+            ("n2", "n2"), ("e_over_m", "E_over_m"), ("t2_exact", "T2_exact"),
+            ("t2_nr_form", "T2_nr_form"), ("phase_rad", "phase_rad"),
+            ("ratio_closed", "ratio_closed"), ("ratio_numeric", "ratio_numeric"))
+    ] + [("n2", "n2", math.nan)])
     def test_non_finite_value_is_refused(self, tmp_path, field, column, bad):
-        # a file never holds inf (a view's nan is an empty cell): the cell's
-        # column is named, and each block of rows is checked before it is
-        # written, so the file keeps the header and the blocks before the
-        # refused one
+        # a file never holds inf, nor an empty n2 (elsewhere a view's nan is
+        # an empty cell; an empty n2 cell, once written, did not read back):
+        # the cell's column is named, and each block of rows is checked
+        # before it is written, so the file keeps the header and the blocks
+        # before the refused one
         good = SweepRecord(n2=1.0, e_over_m=2.0, zone="Klein", t2_exact=0.5, t2_nr_form=0.5,
                            phase_rad=1.0, ratio_closed=1.5, ratio_numeric=1.5)
         path = tmp_path / "bad.csv"
@@ -824,7 +826,11 @@ class TestSerialization:
     @pytest.mark.parametrize("row, column, cell", [
         (1, "n2", ""), (2, "T2_exact", "abc"), (2, "E_over_m", "nan"), (3, "phase_rad", "inf"),
         (5, "ratio_numeric", "-inf"), (2, "zone", "Bogus"), (2, "zone", ""),
-        (4, "nudged", "yes"), (4, "nudged", "True")])
+        (4, "nudged", "yes"), (4, "nudged", "True"),
+        # float() reads these, but write_csv writes repr's spelling only, so
+        # a file holding them did not write back byte for byte
+        (2, "n2", " 1_0.0 "), (3, "T2_exact", "1e5"), (2, "phase_rad", "1.50"),
+        (3, "ratio_closed", "+1.5"), (4, "E_over_m", ".5")])
     def test_read_csv_refuses_a_cell_write_csv_never_writes(self, tmp_path, row, column, cell):
         # the path, the row after the header, the column and the cell are named
         path = tmp_path / "sweep.csv"
@@ -836,6 +842,16 @@ class TestSerialization:
         path.write_text("\n".join(lines))
         message = f"{path}: row {row}, {column}: {cell!r} is not a cell write_csv writes"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            read_csv(path)
+
+    def test_read_csv_refuses_a_file_that_is_not_utf8(self, tmp_path):
+        # a 0xff byte raised a bare UnicodeDecodeError, no KleinTunnelError
+        path = tmp_path / "sweep.csv"
+        write_csv(run_sweep(small_request()), path)
+        data = path.read_bytes()
+        at = data.index(b"Tunneling")
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: not UTF-8: "):
             read_csv(path)
 
     def test_read_csv_refuses_a_wrong_header_or_row_length(self, tmp_path):

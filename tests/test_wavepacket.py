@@ -19,7 +19,7 @@ from kleintunnel import (
     SupportError,
     classical_tau,
     mode_from_n2,
-    phase_time_closed_form,
+    normalized_phase_time,
     run_packet,
     transmission_closed_form,
 )
@@ -151,10 +151,12 @@ class TestRunPacket:
         run = run_packet(s, SpectrumSpec(k0=k0, sigma_k=0.02 * k0))
         # n2 = (k0/w)^2 sits one ulp off the edge; the closed form has no
         # edge branch and lands on the edge value to roundoff
-        edge = phase_time_closed_form(s, mode_from_n2(s, 6.0))
-        assert run.arrival.t_predicted == pytest.approx(edge.t_phi, rel=1e-14)
+        mode = mode_from_n2(s, 6.0)
+        tau = classical_tau(s, mode)
+        t_phi = normalized_phase_time(s.v, mode.n2, s.wL) * tau
+        assert run.arrival.t_predicted == pytest.approx(t_phi, rel=1e-14)
         assert run.arrival.t_predicted == pytest.approx(
-            mp_ratio(10.0, (k0 / s.w) ** 2, s.wL) * edge.tau, rel=1e-14)
+            mp_ratio(10.0, (k0 / s.w) ** 2, s.wL) * tau, rel=1e-14)
         assert run.arrival.t_predicted == pytest.approx(0.04845238008699547, abs=1e-12)
 
     def test_gap_decreases_with_narrower_spectrum(self):
