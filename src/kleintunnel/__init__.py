@@ -66,6 +66,6 @@ from .wavepacket import (
     run_packet,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -212,12 +212,13 @@ def _cmd_zone(p: _Config) -> int:
 def _cmd_amp(p: _Config) -> int:
     setup = _barrier(p)
     mode = _mode(p, setup)
-    sol = match_boundaries(setup, mode)
-    point = transmission_closed_form(setup.v, mode.n2, setup.wL)
+    v, n2, wL = setup.v, mode.n2, setup.wL
+    sol = match_boundaries(v, n2, wL)
+    point = transmission_closed_form(v, n2, wL)
     payload = {
         "m": setup.m, "V0": setup.V0, "L": setup.L,
-        "E": mode.E, "k": mode.k, "n2": mode.n2,
-        "zone": _zone(setup.v, mode.n2).value,
+        "E": mode.E, "k": mode.k, "n2": n2,
+        "zone": _zone(v, n2).value,
         "T2_exact": point.probability,
         "phase_rad": point.phase,
         "R2": abs(point.R) ** 2,
@@ -226,7 +227,7 @@ def _cmd_amp(p: _Config) -> int:
         "unitarity_residual": abs(sol.R) ** 2 + abs(sol.T) ** 2 - 1.0,
     }
     try:
-        payload["T2_nr_form"] = transmission_magnitude_nr_form(setup, mode) ** 2
+        payload["T2_nr_form"] = transmission_magnitude_nr_form(v, n2, wL) ** 2
     except KleinTunnelError:
         payload["T2_nr_form"] = None
     _emit(p, payload)
@@ -294,7 +295,7 @@ def _cmd_limits(p: _Config) -> int:
 def _cmd_packet(p: _Config) -> int:
     setup = _barrier(p)
     name, val = p.either("k0", "n2")
-    k0 = val if name == "k0" else setup.w * math.sqrt(val)
+    k0 = val if name == "k0" else mode_from_n2(setup, val).k
     spectrum = SpectrumSpec(k0=k0, sigma_k=p["sigma_k"],
                             support_halfwidth=p["support_halfwidth"])
     run = run_packet(setup, spectrum, n_times=p["n_times"])

@@ -100,8 +100,15 @@ class BarrierSetup:
     @property
     def w(self) -> float:
         """Normalization momentum sqrt(2*m*V0), taken from the factors where
-        2*m*V0 leaves the normal range (_root_of_product)."""
-        return _root_of_product(2.0 * self.m, self.V0)
+        2*m*V0 leaves the normal range (_root_of_product), and as
+        2*sqrt((m/2)*V0) where 2*m itself overflows."""
+        m, V0 = self.m, self.V0
+        w2 = 2.0 * m * V0
+        if _MIN_NORMAL <= w2 < math.inf:
+            return math.sqrt(w2)
+        if 2.0 * m == math.inf:
+            return 2.0 * _root_of_product(0.5 * m, V0)
+        return _root_of_product(2.0 * m, V0)
 
     @property
     def v(self) -> float:

@@ -7,11 +7,16 @@ The stationary ansatz is
     phi3 = T exp(ik(x - L))                x > L
 
 with the oscillatory interior basis {exp(-iqx), exp(+iqx)} in the Klein
-and above-barrier zones and the degenerate basis {1, x} where rho_n^2 =
-kinematics.rho_n2(v, n2) is 0 (its sign decides, not a zone tag; n2 is
-read directly, never through E).  Matching phi and phi' at x = 0 and
-x = L fixes (R, alpha, beta, T); this module solves that system exactly
-and also provides the closed forms it implies.
+and above-barrier zones and the degenerate basis {1, xi}, xi = w x, where
+rho_n^2 = kinematics.rho_n2(v, n2) is 0 (its sign decides, not a zone
+tag; n2 is read directly, never through E).  Matching phi and phi' at
+x = 0 and x = L fixes (R, alpha, beta, T); this module solves that
+system exactly and also provides the closed forms it implies.
+
+Every point function takes the dimensionless barrier (v, n2, wL) and
+nothing else: with k = n w, rho x = rho_n xi and kL = n wL, the matched
+solution depends on no other number, and a v = 0 barrier (the
+Schroedinger one) is as reachable as any other.
 
 The closed form is what the library reports; :func:`match_boundaries`
 stays as its independent check and returns amplitudes only (a mode's
@@ -21,7 +26,7 @@ the exact magnitude in every zone and on both edges,
     |T|^-2 = 1 + X^2,   X = ((n2 + rho_n^2) / (2 n)) wL sinhc(rho_n^2 wL^2),
 
 with sinhc(d^2) = sinh(d)/d continued to sin(t)/t for d^2 = -t^2 < 0; at
-rho_n = 0 it is |2/(2 - ikL)|.  :func:`transmission_magnitude_nr_form`
+rho_n = 0 it is |2/(2 - i n wL)|.  :func:`transmission_magnitude_nr_form`
 keeps the non-relativistic prefactor 1/(4 n2 rho_n^2) (exact when
 k^2 + rho^2 = w^2, i.e. for the Schroedinger dispersion, but too large
 here); it is retained to document the discrepancy.  The transmitted
@@ -55,14 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError, ZeroLengthError, ZoneError
-from .kinematics import (
-    BarrierSetup,
-    IncidentMode,
-    Zone,
-    _rho_n2_columns,
-    _zone,
-    rho_n2,
-)
+from .kinematics import Zone, _rho_n2_columns, _zone, rho_n2
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,9 @@ class ScatteringSolution:
 
     alpha and beta are the interior coefficients in the basis the sign of
     rho_n^2 (kinematics.rho_n2) picks: {exp(-rho x), exp(+rho x)}, else
-    {exp(-iqx), exp(+iqx)}, else {1, x} where it is 0.  The solution
+    {exp(-iqx), exp(+iqx)}, else {1, xi} with xi = w x where it is 0, so
+    every coefficient is in units of w (beta = i n T on an edge, and
+    dphi/dx = w beta there).  The solution
     carries no zone tag; kinematics.classify_zone gives a mode's.  arg_T
     is the principal argument of T, kept even where T underflows to 0
     (rho L > ~745).
@@ -129,29 +129,38 @@ def _matched(n, kappa, u):
     return g1, g2, u2, Qk, P, det
 
 
-def match_boundaries(setup: BarrierSetup, mode: IncidentMode) -> ScatteringSolution:
-    """Solve the four continuity equations exactly.
+def match_boundaries(v: float, n2: float, wL: float) -> ScatteringSolution:
+    """Solve the four continuity equations exactly at (v, n2, wL).
 
     The 4x4 system is reduced analytically: the interior pair is
     eliminated at x = L, leaving the 2x2 solve of :func:`_matched` for
     (R, T) in units of w.  The transmission is solved as S = T*exp(rho L)
     (an O(1) quantity) and rescaled at the end.  The basis follows the
-    sign of rho_n^2 = kinematics.rho_n2 at the mode's n2, not mode.E;
-    raises DomainError for n2 <= 0.
+    sign of rho_n^2 = kinematics.rho_n2(v, n2), and every coefficient is
+    in units of w (see ScatteringSolution).  Raises DomainError for
+    n2 <= 0, for wL < 0 or nan, and where n wL (on an exact edge) or
+    q_n wL (in the oscillatory zones) is infinite.
     """
-    r2 = rho_n2(setup.v, mode.n2)
+    if not (wL >= 0.0):
+        raise DomainError(f"wL must be >= 0, got {wL}")
+    r2 = rho_n2(v, n2)
+    n = math.sqrt(n2)
 
     if r2 == 0.0:
-        # interior a + b*x; per unit T: b = ik, a = 1 - ikL
-        k, L = mode.k, setup.L
-        T = 2.0 / (2.0 - 1j * k * L)
-        R = -1j * k * L / (2.0 - 1j * k * L)
-        return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * k * L) * T,
-                                  beta=1j * k * T, arg_T=cmath.phase(T))
+        # interior a + b*xi, xi = w*x; per unit T: b = i n, a = 1 - i n wL
+        nwL = n * wL
+        if math.isinf(nwL):
+            raise DomainError(f"n*wL is not finite at v={v}, n2={n2}, wL={wL}")
+        T = 2.0 / (2.0 - 1j * nwL)
+        R = -1j * nwL / (2.0 - 1j * nwL)
+        return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * nwL) * T,
+                                  beta=1j * n * T, arg_T=cmath.phase(T))
 
     # the principal root: rho_n where rho_n^2 > 0, else i q_n = i sqrt(-rho_n^2)
-    n, kappa = math.sqrt(mode.n2), cmath.sqrt(r2)
-    u = cmath.exp(-kappa * setup.wL)  # |u| <= 1 in both zones
+    kappa = cmath.sqrt(r2)
+    if r2 < 0.0 and math.isinf(kappa.imag * wL):
+        raise DomainError(f"q_n*wL is not finite at v={v}, n2={n2}, wL={wL}")
+    u = cmath.exp(-kappa * wL)  # |u| <= 1 in both zones
     g1, g2, _, _, P, det = _matched(n, kappa, u)
     S = 2j * n / det
     T = S * u
@@ -429,8 +438,8 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
                              T=T, R=R, winding=int(point.winding.item()))
 
 
-def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> float:
-    """|T| with the non-relativistic prefactor 1/(4 n2 rho_n^2).
+def transmission_magnitude_nr_form(v: float, n2: float, wL: float) -> float:
+    """|T| with the non-relativistic prefactor 1/(4 n2 rho_n^2) at (v, n2, wL).
 
     For Schroedinger kinematics k^2 + rho^2 = w^2 makes this identical to
     the exact form; with the relativistic dispersion it overestimates the
@@ -438,16 +447,20 @@ def transmission_magnitude_nr_form(setup: BarrierSetup, mode: IncidentMode) -> f
     Provided solely so the discrepancy can be quantified.  Defined in the
     tunneling zone and on both edges, where rho_n = 0 gives the limit
     [1 + wL^2/(4 n2)]^(-1/2); raises ZoneError in the oscillatory zones
-    and _refusal where the result is not finite.
+    and _refusal where the result is not finite; DomainError for n2 <= 0
+    and for wL < 0 or nan.
     """
-    zone = _zone(setup.v, mode.n2)
+    if not (wL >= 0.0):
+        raise DomainError(f"wL must be >= 0, got {wL}")
+    n2s = np.array([n2], dtype=float)
+    r2 = _rho_n2_columns(v, n2s)[0]  # refuses n2 <= 0 or nan before the zone tag
+    zone = _zone(v, n2)
     if zone not in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         raise ZoneError(
             f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
-    n2 = np.array([mode.n2], dtype=float)
-    mag = _nr_form_from_r2(n2, _rho_n2_columns(setup.v, n2)[0], setup.wL).item()
+    mag = _nr_form_from_r2(n2s, r2, wL).item()
     if math.isnan(mag):
-        raise _refusal("nr", setup.v, mode.n2, setup.wL)
+        raise _refusal("nr", v, n2, wL)
     return mag
 
 

@@ -59,7 +59,7 @@ def test_criterion_01_unitarity():
         wL = float(rng.uniform(0.0, 20.0))
         n2 = float(rng.uniform(1e-4, 0.5 * v + 4.0))
         setup = BarrierSetup.from_dimensionless(v, wL)
-        sol = match_boundaries(setup, mode_from_n2(setup, n2))
+        sol = match_boundaries(setup.v, n2, setup.wL)
         worst = max(worst, abs(abs(sol.R) ** 2 + abs(sol.T) ** 2 - 1.0))
     ok = worst <= 1e-10
     report(1, ok, f"max ||R|^2+|T|^2 - 1| = {worst:.3e} over 10^4 draws (tol 1e-10)")
@@ -83,7 +83,7 @@ def test_criterion_02_oracle_equivalence():
             setup = BarrierSetup.from_dimensionless(v, wL)
             mode = mode_from_n2(setup, n2)
             point = transmission_closed_form(setup.v, mode.n2, setup.wL)
-            sol = match_boundaries(setup, mode)
+            sol = match_boundaries(setup.v, mode.n2, setup.wL)
             worst_mag = max(worst_mag, abs(point.magnitude - abs(sol.T)) / abs(sol.T))
             worst_phase = max(worst_phase, abs(point.phase - cmath.phase(sol.T)))
             count += 1
@@ -227,11 +227,11 @@ def test_criterion_06_edge_magnitudes():
     # (a) rho->0 limit of the NR-prefactor magnitude equals the
     #     width-formula value [1 + wL^2/(2v-4)]^(-1/2)
     lim = edge_limit_magnitude_nr_form(v, WL, "lower")
-    near = transmission_magnitude_nr_form(setup, mode_from_n2(setup, 4.0 + 1e-9))
+    near = transmission_magnitude_nr_form(setup.v, 4.0 + 1e-9, setup.wL)
     err_a = abs(near - lim)
     # (b) exact matcher at the edge equals |2/(2 - i k L)|
     mode_edge = mode_from_energy(setup, 9.0)
-    sol = match_boundaries(setup, mode_edge)
+    sol = match_boundaries(setup.v, mode_edge.n2, setup.wL)
     kL = mode_edge.k * setup.L
     exact_edge = 2.0 / math.sqrt(4.0 + kL * kL)
     err_b = abs(abs(sol.T) - exact_edge)
@@ -330,7 +330,7 @@ def test_criterion_08_curve_properties():
         roots.append(0.5 * (a + b))
     res_ok = len(roots) == 1
     for root in roots:
-        t2 = abs(match_boundaries(setup, mode_from_n2(setup, root)).T) ** 2
+        t2 = abs(match_boundaries(setup.v, root, setup.wL).T) ** 2
         res_ok = res_ok and abs(t2 - 1.0) <= 1e-8
         details.append(f"resonance at n2={root:.6f}: T^2-1 = {t2 - 1.0:.2e}")
     for r in records:

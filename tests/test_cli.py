@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -93,9 +94,9 @@ class TestZoneTagsFollowN2:
         mode = mode_from_n2(setup, n2)
         if tag == "AboveBarrier":
             with pytest.raises(ZoneError):
-                transmission_magnitude_nr_form(setup, mode)
+                transmission_magnitude_nr_form(setup.v, mode.n2, setup.wL)
         else:
-            assert 0.0 < transmission_magnitude_nr_form(setup, mode) <= 1.0
+            assert 0.0 < transmission_magnitude_nr_form(setup.v, mode.n2, setup.wL) <= 1.0
         for command in ("amp", "phasetime"):
             code, out, _ = run_cli(capsys, command, "--m", "1", "--v", repr(v),
                                    "--wL", repr(wL), "--n2", repr(n2), "--json")
@@ -160,6 +161,14 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == "error: barrier height must be positive and finite, got V0=-1.0\n"
+
+    @pytest.mark.parametrize("n2", ["-1", "0"])
+    def test_packet_at_a_non_positive_n2(self, capsys, n2):
+        # k0 = w*sqrt(n2) of n2 = -1 was a math domain error traceback
+        code, out, err = run_cli(capsys, "packet", "--m", "1", "--V0", "10", "--L", "0.1",
+                                 "--n2", n2, "--sigma-k", "0.2")
+        assert (code, out) == (1, "")
+        assert err == f"error: n2 must be positive and finite, got {float(n2)}\n"
 
     @pytest.mark.parametrize("cmd", ["amp", "phasetime"])
     def test_infinite_phase_argument(self, capsys, cmd):
@@ -724,3 +733,28 @@ def test_public_surface_is_pinned():
         "errors", "kinematics", "phasetime", "scattering", "sweep", "wavepacket",
     ])
     assert len(kleintunnel.__all__) == 53
+
+
+def test_point_functions_take_v_n2_wL():
+    # one calling convention for the dimensionless layer: every public
+    # function of scattering and phasetime that reads an n2 takes (v, n2, wL)
+    # first (small_rho_ratio, a limit with no width, takes (v, n2)); only
+    # classical_tau, which works in physical units, takes a setup and a mode
+    first = {}
+    for module in (kleintunnel.scattering, kleintunnel.phasetime):
+        for name in kleintunnel.__all__:
+            f = getattr(module, name, None)
+            if inspect.isfunction(f) and f.__module__ == module.__name__:
+                first[name] = tuple(inspect.signature(f).parameters)[:3]
+    vnw = ("v", "n2", "wL")
+    assert {name: p for name, p in first.items() if "n2" in p} == {
+        "match_boundaries": vnw, "transmission_closed_form": vnw,
+        "transmission_magnitude_nr_form": vnw, "normalized_phase_time": vnw,
+        "normalized_phase_time_numeric": vnw, "small_rho_ratio": ("v", "n2")}
+    assert [name for name, p in first.items() if "setup" in p] == ["classical_tau"]
+    # the 0.7.0 (setup, mode) form is gone
+    setup = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi)
+    mode = mode_from_n2(setup, 5.0)
+    for f in (kleintunnel.match_boundaries, kleintunnel.transmission_magnitude_nr_form):
+        with pytest.raises(TypeError):
+            f(setup, mode)

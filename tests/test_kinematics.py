@@ -339,7 +339,9 @@ class TestRhoN2:
 
     def test_overflowing_square_root_is_a_domain_error(self):
         # 2 n2 v overflows in s = sqrt(1 + 2 n2 v); numerator/inf would read
-        # 0.0, where rho_n^2 is 5.0e-301 (40-digit mpmath)
+        # 0.0, where rho_n^2 is 5.0e-301 (40-digit mpmath).  Mending s alone
+        # still gives 0.0: the numerator's (1 - n2) + v/2 rounds 1 - n2 to
+        # -n2 first, so the mend belongs with an exact form of that factor
         with pytest.raises(DomainError, match=r"sqrt\(1 \+ 2\*n2\*v\) overflows"):
             rho_n2(1e300, 5e299)
 
@@ -407,6 +409,18 @@ class TestFiniteOrTyped:
         assert (s.m, s.V0, s.v) == (1.0, 1e308, 1e308)
         assert s.L == pytest.approx(1e308 / w, rel=3e-16)
         assert s.wL == pytest.approx(1e308, rel=3e-16)
+
+    @pytest.mark.parametrize("m, V0", [(1e308, 1.0), (1.7976931348623157e308, 1e-300),
+                                       (1e308, 1e10)])
+    def test_w_where_2_m_overflows(self, m, V0):
+        # 2*m = inf: w = sqrt(2e308) = 1.4e154 was refused as not finite.
+        # w = 2*sqrt((m/2)*V0), from the factors where (m/2)*V0 overflows too
+        # (V0 = 1e10); measured within 7e-17 of 40-digit mpmath
+        with mpmath.workdps(40):
+            w = float(mpmath.sqrt(2 * mpmath.mpf(m) * mpmath.mpf(V0)))
+        s = BarrierSetup(m=m, V0=V0, L=1.0)
+        assert s.w == pytest.approx(w, rel=3e-16)
+        assert s.wL == s.w
 
     def test_mode_whose_k_squared_overflows(self):
         # (E - m)(E + m) overflowed: k and n2 read inf, and tau = L*E/k read 0.0

@@ -52,13 +52,14 @@ def continuity_residuals(setup, mode, sol):
     Direct exponentials are used, so this check is meant for moderate
     rho*L (the growing term overflows near rho*L ~ 700).
     """
-    k, L = mode.k, setup.L
+    k, L, w = mode.k, setup.L, setup.w
     r2 = rho_n2(setup.v, mode.n2)
     if r2 == 0.0:
+        # the linear basis {1, xi}, xi = w*x: dphi/dx = w*beta
         def interior(x):
-            return sol.alpha + sol.beta * x, sol.beta
+            return sol.alpha + sol.beta * (w * x), w * sol.beta
     else:
-        kappa = setup.w * cmath.sqrt(r2)
+        kappa = w * cmath.sqrt(r2)
         def interior(x):
             e1 = cmath.exp(-kappa * x)
             e2 = cmath.exp(kappa * x)
@@ -96,7 +97,7 @@ def brute_solve(setup, mode):
         ], dtype=complex)
         rhs = np.array([1.0, ik, 0.0, 0.0], dtype=complex)
         R, a, b, T = np.linalg.solve(A, rhs)
-        return R, T, a, b
+        return R, T, a, b / setup.w  # the matcher's beta multiplies xi = w*x
     kappa = complex(ch.rho) if ch.kind == "evanescent" else 1j * ch.q
     u = cmath.exp(-kappa * L)
     # unknowns (R, c1, c2, T), interior c1 e^{-kx} + c2 e^{k(x-L)}
@@ -122,7 +123,7 @@ class TestMatchBoundaries:
     def test_no_barrier_is_transparent(self):
         s = make(L=0.0)
         for E in (1.001, 2.0, 9.0, 10.5, 11.0, 50.0):
-            sol = match_boundaries(s, mode_from_energy(s, E))
+            sol = match_boundaries(s.v, mode_from_energy(s, E).n2, s.wL)
             assert sol.T == pytest.approx(1.0, abs=1e-14)
             assert abs(sol.R) < 1e-14
 
@@ -136,7 +137,7 @@ class TestMatchBoundaries:
             if abs(abs(n2 - 0.5 * v) - 1.0) < 1e-7:
                 continue
             mode = mode_from_n2(s, n2)
-            sol = match_boundaries(s, mode)
+            sol = match_boundaries(s.v, mode.n2, s.wL)
             R, T, alpha, beta = brute_solve(s, mode)
             assert sol.R == pytest.approx(R, rel=1e-9, abs=1e-12)
             assert sol.T == pytest.approx(T, rel=1e-9, abs=1e-12)
@@ -147,7 +148,7 @@ class TestMatchBoundaries:
         # hand-solved degenerate matching: T = 2/(2 - ikL)
         s = make(L=0.7)
         mode = mode_from_energy(s, 9.0)
-        sol = match_boundaries(s, mode)
+        sol = match_boundaries(s.v, mode.n2, s.wL)
         kL = mode.k * s.L
         expected = 2.0 / (2.0 - 1j * kL)
         assert sol.T == pytest.approx(expected, rel=1e-14)
@@ -165,7 +166,7 @@ class TestMatchBoundaries:
             for edge in [0.5 * v + 1.0] + ([0.5 * v - 1.0] if v > 2.0 else []):
                 n2 = edge * (1.0 + offset)
                 want = abs(mp_transmission(v, n2, wL, dps=50))
-                got = abs(match_boundaries(s, mode_from_n2(s, n2)).T)
+                got = abs(match_boundaries(s.v, n2, s.wL).T)
                 if abs(got - want) > 1e-8 * want:
                     far.append((v, wL, n2, float(abs(got - want) / want)))
         assert far == []
@@ -177,7 +178,7 @@ class TestMatchBoundaries:
             s = BarrierSetup.from_dimensionless(v, float(rng.uniform(0.0, 10.0)))
             n2 = float(rng.uniform(1e-2, 0.5 * v + 3.0))
             mode = mode_from_n2(s, n2)
-            sol = match_boundaries(s, mode)
+            sol = match_boundaries(s.v, mode.n2, s.wL)
             r0, rL = continuity_residuals(s, mode, sol)
             assert r0 < 1e-10
             assert rL < 1e-10
@@ -185,14 +186,40 @@ class TestMatchBoundaries:
     def test_unitarity_spot(self):
         s = make(L=2.0 * math.pi / math.sqrt(20.0))
         for n2 in (0.5, 2.0, 4.5, 5.0, 5.9, 7.0, 30.0):
-            sol = match_boundaries(s, mode_from_n2(s, n2))
+            sol = match_boundaries(s.v, n2, s.wL)
             assert abs(sol.R) ** 2 + abs(sol.T) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+    # exact edges (rho_n^2 == 0.0): v = 0, both edges of v = 10 and of v = 1e6
+    @pytest.mark.parametrize("v, n2", [(0.0, 1.0), (10.0, 4.0), (10.0, 6.0),
+                                       (1e6, 5e5 - 1.0), (1e6, 5e5 + 1.0)])
+    @pytest.mark.parametrize("wL", [2.0 * math.pi, 400.0])
+    def test_exact_edge_against_40_digit_reference(self, v, n2, wL):
+        # the linear basis {1, xi}, xi = w*x: alpha = (1 - i n wL) T and
+        # beta = i n T, in units of w.  The measured relative errors of T, R,
+        # alpha and beta are at most 2.2e-16; the bound allows 2 ulp
+        assert rho_n2(v, n2) == 0.0
+        sol = match_boundaries(v, n2, wL)
+        T = mp_transmission(v, n2, wL)
+        with mpmath.workdps(40):
+            n = mpmath.sqrt(mpmath.mpf(n2))
+            refs = (T, mp_reflection(v, n2, wL, T), (1 - 1j * n * mpmath.mpf(wL)) * T, 1j * n * T)
+        for got, ref in zip((sol.T, sol.R, sol.alpha, sol.beta), refs):
+            assert abs(got - complex(ref)) <= 4e-16 * abs(complex(ref))
+
+    @pytest.mark.parametrize("v, n2, name", [(10.0, 100.0, "q_n"), (2.0, 2.0, "n")])
+    def test_infinite_phase_is_a_domain_error(self, v, n2, name):
+        # q_n wL in the above-barrier zone, and n wL on the exact edge, overflow:
+        # cmath.exp raised a bare ValueError, and the edge branch gave nan
+        wL = 1.7e308
+        msg = re.escape(f"{name}*wL is not finite at v={v}, n2={n2}, wL={wL}")
+        with pytest.raises(DomainError, match=msg):
+            match_boundaries(v, n2, wL)
 
     def test_huge_barrier_width_no_overflow(self):
         # rho*L up to ~700: amplitudes stay finite, reflection saturates
         s = BarrierSetup(m=1.0, V0=10.0, L=700.0 / 0.2233)
         mode = mode_from_n2(s, 5.0)
-        sol = match_boundaries(s, mode)
+        sol = match_boundaries(s.v, mode.n2, s.wL)
         assert math.isfinite(abs(sol.T))
         assert abs(sol.T) < 1e-250
         assert abs(sol.R) == pytest.approx(1.0, abs=1e-12)
@@ -216,19 +243,19 @@ class TestClosedForms:
             n2 = float(rng.uniform(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo)))
             mode = mode_from_n2(s, n2)
             point = transmission_closed_form(s.v, mode.n2, s.wL)
-            sol = match_boundaries(s, mode)
+            sol = match_boundaries(s.v, mode.n2, s.wL)
             assert point.magnitude == pytest.approx(abs(sol.T), rel=1e-10)
             assert point.phase == pytest.approx(cmath.phase(sol.T), rel=1e-10, abs=1e-12)
 
     def test_zone_errors(self):
         s = make()
         with pytest.raises(ZoneError):
-            transmission_magnitude_nr_form(s, mode_from_energy(s, 5.0))
+            transmission_magnitude_nr_form(s.v, mode_from_energy(s, 5.0).n2, s.wL)
 
     def test_nr_form_frozen_point_and_gap(self):
         s = BarrierSetup.from_dimensionless(10.0, 2.0 * math.pi)
         mode = mode_from_n2(s, 5.0)
-        mag = transmission_magnitude_nr_form(s, mode)
+        mag = transmission_magnitude_nr_form(s.v, mode.n2, s.wL)
         assert mag == pytest.approx(MAG_NR_FORM_V10_N5_WL2PI, rel=1e-12)
         # the NR prefactor overestimates the relativistic transmission
         assert mag > 4.0 * transmission_closed_form(s.v, mode.n2, s.wL).magnitude
@@ -238,7 +265,7 @@ class TestClosedForms:
         s = BarrierSetup.from_dimensionless(1e-10, 2.0 * math.pi)
         for n2 in (0.1, 0.5, 0.9):
             mode = mode_from_n2(s, n2)
-            assert transmission_magnitude_nr_form(s, mode) == pytest.approx(
+            assert transmission_magnitude_nr_form(s.v, mode.n2, s.wL) == pytest.approx(
                 transmission_closed_form(s.v, mode.n2, s.wL).magnitude, rel=1e-9)
 
     def test_symmetric_schroedinger_value_at_v_to_zero(self):
@@ -254,7 +281,7 @@ class TestClosedForms:
         s = BarrierSetup.from_dimensionless(v, wL)
         for edge_n2, edge in ((4.0, "lower"), (6.0, "upper")):
             mode = mode_from_n2(s, edge_n2 + (1e-9 if edge == "lower" else -1e-9))
-            assert transmission_magnitude_nr_form(s, mode) == pytest.approx(
+            assert transmission_magnitude_nr_form(s.v, mode.n2, s.wL) == pytest.approx(
                 edge_limit_magnitude_nr_form(v, wL, edge), rel=1e-8)
 
     def test_transparent_width_limit_at_fixed_n2(self):
@@ -264,7 +291,7 @@ class TestClosedForms:
         for n2, tol in ((4.0 + 1e-6, 1e-6), (5.0, 2e-2)):
             for wL in (1e-2, 1e-3):
                 s = BarrierSetup.from_dimensionless(v, wL)
-                mag = abs(match_boundaries(s, mode_from_n2(s, n2)).T)
+                mag = abs(match_boundaries(s.v, n2, s.wL).T)
                 approx = 1.0 / math.sqrt(1.0 + 0.25 * n2 * wL * wL)
                 assert abs(mag - approx) <= tol * wL * wL
 
@@ -305,7 +332,7 @@ class TestOscillatory:
             mode = mode_from_energy(s, 12.0)
             point = transmission_closed_form(s.v, mode.n2, s.wL)
             assert point.magnitude == pytest.approx(1.0, abs=1e-12)
-            sol = match_boundaries(s, mode)
+            sol = match_boundaries(s.v, mode.n2, s.wL)
             assert abs(sol.T) == pytest.approx(1.0, abs=1e-10)
 
     def test_quarter_wave_point(self):
@@ -314,7 +341,7 @@ class TestOscillatory:
         mode = mode_from_energy(s, 12.0)
         point = transmission_closed_form(s.v, mode.n2, s.wL)
         assert point.magnitude == pytest.approx(MAG_OSC_E12_QL_HALFPI, rel=1e-12)
-        sol = match_boundaries(s, mode)
+        sol = match_boundaries(s.v, mode.n2, s.wL)
         assert point.magnitude == pytest.approx(abs(sol.T), rel=1e-10)
 
     def test_no_barrier(self):
@@ -338,7 +365,7 @@ class TestOscillatory:
             if zone not in (Zone.KLEIN, Zone.ABOVE_BARRIER):
                 continue
             point = transmission_closed_form(s.v, mode.n2, s.wL)
-            sol = match_boundaries(s, mode)
+            sol = match_boundaries(s.v, mode.n2, s.wL)
             assert point.magnitude == pytest.approx(abs(sol.T), rel=1e-10)
             # phases agree modulo the winding bookkeeping
             assert cmath.exp(1j * point.phase) == pytest.approx(
@@ -348,7 +375,7 @@ class TestOscillatory:
 def checked_phase(s, mode):
     """Closed-form phase, checked against the matcher's arg T modulo 2*pi."""
     phase = transmission_closed_form(s.v, mode.n2, s.wL).phase
-    assert math.remainder(phase - match_boundaries(s, mode).arg_T, 2.0 * math.pi) == \
+    assert math.remainder(phase - match_boundaries(s.v, mode.n2, s.wL).arg_T, 2.0 * math.pi) == \
         pytest.approx(0.0, abs=1e-9)
     return phase
 
@@ -361,7 +388,7 @@ class TestPhaseContinuity:
             below = mode_from_energy(s, edge_E - eps)
             above = mode_from_energy(s, edge_E + eps)
             at = mode_from_energy(s, edge_E)
-            mags = [abs(match_boundaries(s, md).T) for md in (below, at, above)]
+            mags = [abs(match_boundaries(s.v, md.n2, s.wL).T) for md in (below, at, above)]
             assert mags[0] == pytest.approx(mags[1], abs=1e-6)
             assert mags[2] == pytest.approx(mags[1], abs=1e-6)
             phases = [checked_phase(s, md) for md in (below, at, above)]
@@ -397,7 +424,7 @@ class TestSymmetryAndTrends:
             if abs(abs(n2 - 0.5 * v) - 1.0) < 1e-7:
                 continue
             mode = mode_from_n2(s, n2)
-            sol = match_boundaries(s, mode)
+            sol = match_boundaries(s.v, mode.n2, s.wL)
             # mirrored problem x -> L - x leaves V(x) invariant, so the
             # right-incidence solution is the brute solve unchanged
             _R, T, _a, _b = brute_solve(s, mode)
@@ -433,7 +460,7 @@ class TestSymmetryAndTrends:
             if abs(abs(n2 - 0.5 * v) - 1.0) < 1e-7:
                 continue
             mode = mode_from_n2(s, n2)
-            sol = match_boundaries(s, mode)
+            sol = match_boundaries(s.v, mode.n2, s.wL)
             a = float(rng.uniform(0.2, 3.0))
             R_shift, T_shift = shifted_solve(s, mode, a)
             # shifting to [a, a+L]: |R| and |T| invariant; R gains exp(2ika)
@@ -452,7 +479,7 @@ class TestSymmetryAndTrends:
         mags = []
         for v in np.geomspace(10.0, 1e4, 7):
             s = BarrierSetup(m=1.0, V0=float(v), L=mL)
-            mags.append(abs(match_boundaries(s, mode_from_n2(s, 0.5 * float(v))).T))
+            mags.append(abs(match_boundaries(s.v, 0.5 * float(v), s.wL).T))
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
     def test_nr_form_edge_magnitude_approaches_width_only_value(self):
@@ -563,8 +590,8 @@ class TestSingleClosedForm:
             assert point.magnitude == pytest.approx(abs(linear), rel=1e-15)
             assert point.phase == pytest.approx(cmath.phase(linear), rel=1e-15)
             assert point.winding == 0
-            assert match_boundaries(s, mode).T == pytest.approx(linear, rel=1e-15)
-            assert transmission_magnitude_nr_form(s, mode) == pytest.approx(
+            assert match_boundaries(s.v, mode.n2, s.wL).T == pytest.approx(linear, rel=1e-15)
+            assert transmission_magnitude_nr_form(s.v, mode.n2, s.wL) == pytest.approx(
                 edge_limit_magnitude_nr_form(v, wL, edge), rel=1e-15)
             # the ratio has no edge branch: it lands on the edge value to roundoff
             ratio = normalized_phase_time(v, n2, wL)
@@ -588,7 +615,7 @@ class TestSingleClosedForm:
         ref = mp_nr_form(v, n2, wL)
         s = BarrierSetup.from_dimensionless(v, wL)
         assert s.wL == wL
-        mag = transmission_magnitude_nr_form(s, mode_from_n2(s, n2))
+        mag = transmission_magnitude_nr_form(s.v, n2, s.wL)
         assert abs(mag - ref) <= rtol * ref
         # the sweep column at the same point; at wL = 1600 |T|^2 is subnormal
         # and keeps about 45 bits
@@ -608,7 +635,7 @@ class TestSingleClosedForm:
     def test_nr_form_where_the_prefactor_overflows(self, v, n2, wL, rtol):
         ref = mp_nr_form(v, n2, wL)
         s = BarrierSetup.from_dimensionless(v, wL)
-        mag = transmission_magnitude_nr_form(s, mode_from_n2(s, n2))
+        mag = transmission_magnitude_nr_form(s.v, n2, s.wL)
         assert mag > 0.0 and abs(mag - ref) <= rtol * ref
         (rec, _) = run_sweep(SweepRequest(v=v, wL=wL, n2_min=n2, n2_max=1e-3, count=2,
                                           outputs=("T2_nr_form",)))

@@ -114,7 +114,8 @@ class TestDistortion:
         s = barrier_v10_mL(0.1)
         k0 = 10.0
         from kleintunnel import match_boundaries, mode_from_energy
-        T2 = abs(match_boundaries(s, mode_from_energy(s, math.sqrt(k0**2 + 1.0))).T) ** 2
+        mode = mode_from_energy(s, math.sqrt(k0**2 + 1.0))
+        T2 = abs(match_boundaries(s.v, mode.n2, s.wL).T) ** 2
         sigma = 0.005 * k0
         d = run_packet(s, SpectrumSpec(k0=k0, sigma_k=sigma)).distortion
         assert d.transmitted_norm == pytest.approx(T2, abs=5.0 * sigma**2)
