@@ -138,8 +138,10 @@ def match_boundaries(v: float, n2: float, wL: float) -> ScatteringSolution:
     (an O(1) quantity) and rescaled at the end.  The basis follows the
     sign of rho_n^2 = kinematics.rho_n2(v, n2), and every coefficient is
     in units of w (see ScatteringSolution).  Raises DomainError for
-    n2 <= 0, for wL < 0 or nan, and where n wL (on an exact edge) or
-    q_n wL (in the oscillatory zones) is infinite.
+    n2 <= 0, for wL < 0 or nan, where n wL (on an exact edge) or q_n wL
+    (in the oscillatory zones) is infinite, and past the phase cutoff,
+    where exp(-i q_n wL) is noise: the closed form's refusals of the
+    phase, with the same text (_winding).
     """
     if not (wL >= 0.0):
         raise DomainError(f"wL must be >= 0, got {wL}")
@@ -156,10 +158,11 @@ def match_boundaries(v: float, n2: float, wL: float) -> ScatteringSolution:
         return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * nwL) * T,
                                   beta=1j * n * T, arg_T=cmath.phase(T))
 
+    winding = _winding(v, n2, wL, r2)
+    if _past_cutoff(winding):
+        raise _refusal("phase", v, n2, wL, winding, r2)
     # the principal root: rho_n where rho_n^2 > 0, else i q_n = i sqrt(-rho_n^2)
     kappa = cmath.sqrt(r2)
-    if r2 < 0.0 and math.isinf(kappa.imag * wL):
-        raise DomainError(f"q_n*wL is not finite at v={v}, n2={n2}, wL={wL}")
     u = cmath.exp(-kappa * wL)  # |u| <= 1 in both zones
     g1, g2, _, _, P, det = _matched(n, kappa, u)
     S = 2j * n / det
@@ -197,6 +200,19 @@ def _past_cutoff(winding):
     """Where a winding count floor(q_n wL/pi + 1/2) (array or scalar) is past
     the phase cutoff: the one test of it, for the core and the oracle."""
     return winding > _MAX_WINDING
+
+
+def _winding(v: float, n2: float, wL: float, r2: float) -> int:
+    """The winding floor(q_n wL/pi + 1/2) at one point, with q_n wL formed
+    from d2 = rho_n^2 wL^2 as _closed_forms forms it (0 where d2 >= 0);
+    DomainError where q_n wL is infinite, as in _closed_forms."""
+    d2 = r2 * wL * wL
+    if not d2 < 0.0:
+        return 0
+    d = math.sqrt(-d2)
+    if math.isinf(d):
+        raise DomainError(f"q_n*wL is not finite at v={v}, n2={n2}, wL={wL}")
+    return math.floor(d / math.pi + 0.5)
 
 
 def _phase_blind(winding, n2, r2):
@@ -447,8 +463,9 @@ def transmission_magnitude_nr_form(v: float, n2: float, wL: float) -> float:
     Provided solely so the discrepancy can be quantified.  Defined in the
     tunneling zone and on both edges, where rho_n = 0 gives the limit
     [1 + wL^2/(4 n2)]^(-1/2); raises ZoneError in the oscillatory zones
-    and _refusal where the result is not finite; DomainError for n2 <= 0
-    and for wL < 0 or nan.
+    and _refusal where the result is not finite or, on a snapped edge
+    where rho_n^2 rounds below 0, past the phase cutoff; DomainError for
+    n2 <= 0, for wL < 0 or nan and where q_n wL is infinite there.
     """
     if not (wL >= 0.0):
         raise DomainError(f"wL must be >= 0, got {wL}")
@@ -460,7 +477,7 @@ def transmission_magnitude_nr_form(v: float, n2: float, wL: float) -> float:
             f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
     mag = _nr_form_from_r2(n2s, r2, wL).item()
     if math.isnan(mag):
-        raise _refusal("nr", v, n2, wL)
+        raise _refusal("nr", v, n2, wL, _winding(v, n2, wL, r2.item()), r2.item())
     return mag
 
 
@@ -471,7 +488,8 @@ def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
     At wL = 0 there is no barrier and every entry is 1 exactly, also where
     the prefactor 1/(4 n2 rho_n^2) overflows.  Where the prefactor or its
     product with sinh^2 overflows (a tiny n2), 1/sqrt(|prefactor|) is
-    formed as 2 sqrt(n2) sqrt(|rho_n^2|) instead, so |T| does not drop to 0."""
+    formed as 2 sqrt(n2) sqrt(|rho_n^2|) instead, so |T| does not drop to 0.
+    Where rho_n^2 rounds below 0, an entry past the phase cutoff is nan."""
     if wL == 0.0:
         return np.ones_like(r2)
     out = np.empty_like(r2)
@@ -492,7 +510,10 @@ def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
         pos = (d2 >= SERIES_CUT) & ~large
         s2[pos] = _squared(_map(math.sinh, np.sqrt(d2[pos])))
         neg = d2 <= -SERIES_CUT
-        s2[neg] = -_squared(_map(math.sin, np.sqrt(-d2[neg])))
+        d = np.sqrt(-d2[neg])
+        # sin(d) is noise past the cutoff, and math.sin(inf) raises
+        d[_past_cutoff(np.floor(d / math.pi + 0.5))] = math.nan
+        s2[neg] = -_squared(_map(math.sin, d))
         mag = np.empty_like(d2)
         # sinh^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
         e = 2.0 * _map(math.exp, -np.sqrt(d2[large]))

@@ -16,9 +16,9 @@ than a relative tolerance; each level keeps the previous level's nodes,
 so every node is evaluated once.  The field is sampled on a uniform time
 grid, whose phase factors exp(-i E t) come from two tables of running
 products, three complex exponentials per node.  Each ladder level costs
-one call of the closed-form core and one phase-sum pass, over all of its
-new nodes at once; the base grid and the first two levels, which every
-field needs, share one of each.
+one phase-sum call over all of its new nodes at once, and one call of
+the closed-form core; the base grid and the first two levels, which
+every field needs, share one core call over their 129 nodes.
 
 The peak arrival time at x = L is compared against the closed-form
 stationary-phase prediction t_phi(k0), defined on the zone edges too;
@@ -225,16 +225,14 @@ def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
     return rows
 
 
-def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float, count: int,
-                splits: tuple[int, ...] = ()) -> np.ndarray:
-    """sum_k c_k exp(-i t_j E_k) at t_j = t0 + j dt (j < count): one row per
-    group of nodes, the contiguous groups split at the indices splits.
+def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float, count: int) -> np.ndarray:
+    """sum_k c_k exp(-i t_j E_k) at t_j = t0 + j dt (j < count).
 
     The times fall into blocks of B = min(_BLOCK, count): t_j = t_b + r dt
     with r < B.  One B x N table exp(-i r dt E) serves every block, and
     block b's seed is exp(-i t0 E) exp(-i b B dt E) c; both tables are
     running products (_powers) of exp(-i dt E) and exp(-i B dt E), so
-    three exponentials per node replace count, and each group's sum is one
+    three exponentials per node replace count, and the sums are one
     matrix product.  The chained roundings move the sums from a direct sum
     by about 1e-14 of their peak.
     """
@@ -242,12 +240,7 @@ def _phase_sums(E: np.ndarray, c: np.ndarray, t0: float, dt: float, count: int,
     blocks = -(-count // rows)
     table = _powers(1.0, np.exp(-1j * dt * E), rows)
     seeds = _powers(np.exp(-1j * t0 * E) * c, np.exp(-1j * (rows * dt) * E), blocks)
-    bounds = (0, *splits, len(E))
-    out = np.empty((len(bounds) - 1, blocks, rows), dtype=complex)
-    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        # column slices of C-ordered tables: BLAS reads them in place
-        np.matmul(seeds[:, a:b], table[:, a:b].T, out=out[g])
-    return out.reshape(len(out), -1)[:, :count]
+    return (seeds @ table.T).reshape(-1)[:count]
 
 
 def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, t0: float, dt: float,
@@ -261,7 +254,7 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, t0: float, dt: 
     only.  With P_n the running trapezoid sum (end nodes halved, step not
     applied) the Simpson value is S_2n = (4 T_2n - T_n) / 3 =
     (h_2n / 3) (4 P_2n - 2 P_n).  The time dependence comes from the
-    block phase table of _phase_sums.
+    block phase table of _phase_sums, one call per level.
 
     Convergence: successive levels change no reported intensity by more
     than _FIELD_TOL relative to the window's peak intensity (with an absolute
@@ -272,29 +265,22 @@ def _field_on_times(setup: BarrierSetup, spectrum: SpectrumSpec, t0: float, dt: 
     n = _BASE_INTERVALS // 2
     # the first convergence test comes at level 2, so the base grid and the
     # new nodes of levels 1 and 2 are always needed: one integrand call (one
-    # closed-form call) and one _phase_sums pass cover them, the nodes
-    # regrouped so each group is contiguous (the base with its ends halved,
-    # then level 1's and level 2's new nodes); T keeps natural node order
-    E, c, T = _integrand(setup, spectrum, np.linspace(lo, hi, 4 * n + 1))
-    first = np.concatenate((np.arange(0, 4 * n + 1, 4), np.arange(2, 4 * n, 4),
-                            np.arange(1, 4 * n, 2)))
-    E, c = E[first], c[first]
-    c[0] *= 0.5
-    c[n] *= 0.5
-    splits = (n + 1, 2 * n + 1)
-    sums, groups = _phase_sums(E, c, t0, dt, count, splits), np.split(c, splits)
-    P = sums[0]
-    Q = float(np.sum(np.abs(groups[0])))  # the same running sum of |c|, for the floor
+    # closed-form call) covers their 129 nodes, read per level by stride
+    E_first, c_first, T = _integrand(setup, spectrum, np.linspace(lo, hi, 4 * n + 1))
+    c_first[0] *= 0.5  # the base's end nodes
+    c_first[-1] *= 0.5
+    strides = {1: slice(2, None, 4), 2: slice(1, None, 2)}
+    P = _phase_sums(E_first[::4], c_first[::4], t0, dt, count)
+    Q = float(np.sum(np.abs(c_first[::4])))  # the same running sum of |c|, for the floor
     prev_I = None
     for level in range(1, _MAX_LEVELS + 1):
         n *= 2
-        if level <= 2:
-            S, c_new = sums[level], groups[level]
+        if level in strides:
+            E, c_new = E_first[strides[level]], c_first[strides[level]]
         else:
             E, c_new, T_odd = _integrand(setup, spectrum, np.linspace(lo, hi, n + 1)[1::2])
             T = _interleave(T, T_odd)
-            S = _phase_sums(E, c_new, t0, dt, count)[0]
-        P2 = P + S
+        P2 = P + _phase_sums(E, c_new, t0, dt, count)
         Q2 = Q + float(np.sum(np.abs(c_new)))
         h3 = (hi - lo) / n / 3.0
         psi = h3 * (4.0 * P2 - 2.0 * P)

@@ -162,6 +162,25 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: barrier height must be positive and finite, got V0=-1.0\n"
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config"), ("[1, 2]", "must hold a JSON object")],
+        ids=["missing", "array"])
+    def test_unreadable_config_is_a_usage_error(self, capsys, tmp_path, content, message):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        code, out, err = run_cli(capsys, "zone", "--m", "1", "--V0", "10", "--E", "10",
+                                 "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"config {cfg}" in err and message in err
+
+    def test_report_into_a_missing_directory(self, capsys, tmp_path):
+        report = tmp_path / "no" / "report.txt"
+        code, out, err = run_cli(capsys, "zone", "--m", "1", "--V0", "10", "--E", "10",
+                                 "--out", str(report))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: writing {report}: ")
+
     @pytest.mark.parametrize("n2", ["-1", "0"])
     def test_packet_at_a_non_positive_n2(self, capsys, n2):
         # k0 = w*sqrt(n2) of n2 = -1 was a math domain error traceback

@@ -85,6 +85,12 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(lambda: SpectrumSpec(k0=NAN, sigma_k=0.2), id="spectrum-k0-nan"),
     pytest.param(lambda: SpectrumSpec(k0=INF, sigma_k=0.2), id="spectrum-k0-inf"),
     pytest.param(lambda: SpectrumSpec(k0=10.0, sigma_k=INF), id="spectrum-sigma-inf"),
+    pytest.param(lambda: SpectrumSpec(k0=10.0, sigma_k=0.2, support_halfwidth=NAN),
+                 id="spectrum-halfwidth-nan"),
+    pytest.param(lambda: SpectrumSpec(k0=10.0, sigma_k=0.2, support_halfwidth=INF),
+                 id="spectrum-halfwidth-inf"),
+    # w = 2 sqrt((m/2) V0) overflows itself, not only the product 2 m V0
+    pytest.param(lambda: BarrierSetup(m=1.7e308, V0=1.7e308, L=1.0), id="setup-w-overflows"),
 ])
 def test_non_finite_inputs_are_domain_errors(call):
     # plain DomainError, not a subclass such as NonPropagatingError or
@@ -303,6 +309,13 @@ class TestRhoN2:
                                        (10.0, 3.999999996), (2.0, 1e-16)])
     def test_lower_edge_factor_rounds_first(self, v, n2):
         assert rho_n2_error(v, n2) <= RHO_N2_RTOL
+
+    @pytest.mark.parametrize("v, n2, message", [
+        (10.0, -1.0, "n2 must be positive, got -1.0"), (10.0, 0.0, "n2 must be positive, got 0.0"),
+        (10.0, NAN, "n2 must be positive, got nan"), (-1.0, 1.0, "v must be >= 0, got -1.0")])
+    def test_refuses_outside_its_domain(self, v, n2, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            rho_n2(v, n2)
 
     def test_matches_direct_form_interior(self):
         # away from the edges the naive sqrt form is accurate enough to

@@ -506,6 +506,13 @@ class TestEdgeFormulasRefuseNegativeV:
             call(v, *args)
 
 
+@pytest.mark.parametrize("call", [edge_phase_time_ratio, edge_limit_magnitude_nr_form],
+                         ids=["edge_ratio", "edge_magnitude"])
+def test_edge_formulas_refuse_a_negative_width(call):
+    with pytest.raises(DomainError, match="^wL must be >= 0, got -1.0$"):
+        call(10.0, -1.0, "upper")
+
+
 class TestNRReference:
     # the Schroedinger barrier is the closed forms at v = 0, n2 = E_NR/V0
     def test_symmetric_point_magnitude(self):

@@ -215,6 +215,33 @@ class TestMatchBoundaries:
         with pytest.raises(DomainError, match=msg):
             match_boundaries(v, n2, wL)
 
+    # past the phase cutoff (q_n wL above about 3e15) exp(-i q_n wL) is noise:
+    # the matcher returned T = -0.99926-0.03797j at (10, 1, 1e17), where the
+    # closed form refuses the phase.  Each cutoff wL is the first float whose
+    # winding floor(q_n wL/pi + 1/2) passes 1e15, in the Klein zone (n2 = 1)
+    # and above the barrier (n2 = 7); at 1e200 rho_n^2 wL^2 overflows
+    @pytest.mark.parametrize("v, n2, wL, reason", [
+        (10.0, 1.0, 1e17, "too large"), (10.0, 7.0, 1e17, "too large"),
+        (1.0, 3.0, 5e15, "too large"), (10.0, 1.0, 3e15, "too large"),
+        (10.0, 1.0, math.nextafter(2638760260094343.5, 0.0), None),
+        (10.0, 1.0, 2638760260094343.5, "too large"),
+        (10.0, 1.0, math.nextafter(2638760260094343.5, math.inf), "too large"),
+        (10.0, 7.0, math.nextafter(8862473539882316.0, 0.0), None),
+        (10.0, 7.0, 8862473539882316.0, "too large"),
+        (10.0, 7.0, math.nextafter(8862473539882316.0, math.inf), "too large"),
+        (10.0, 1.0, 1e200, "not finite")])
+    def test_refuses_where_the_closed_form_refuses_the_phase(self, v, n2, wL, reason):
+        if reason is None:
+            transmission_closed_form(v, n2, wL)
+            assert cmath.isfinite(match_boundaries(v, n2, wL).T)
+            return
+        text = {"too large": "q_n*wL is too large to resolve the phase modulo pi",
+                "not finite": "q_n*wL is not finite"}[reason]
+        msg = f"^{re.escape(f'{text} at v={v}, n2={n2}, wL={wL}')}$"
+        for call in (transmission_closed_form, match_boundaries):
+            with pytest.raises(DomainError, match=msg):
+                call(v, n2, wL)
+
     def test_huge_barrier_width_no_overflow(self):
         # rho*L up to ~700: amplitudes stay finite, reflection saturates
         s = BarrierSetup(m=1.0, V0=10.0, L=700.0 / 0.2233)
@@ -641,6 +668,23 @@ class TestSingleClosedForm:
                                           outputs=("T2_nr_form",)))
         assert rec.n2 == n2
         assert abs(rec.t2_nr_form - ref * ref) <= 2.0 * rtol * ref * ref + 5e-324
+
+    # on the snapped upper edge of v = 15.527620836643477 rho_n^2 rounds to
+    # -5.4e-17, so the NR form takes its sin^2 lane: at wL = 1e154 it returned
+    # 4.3445e-08 from a noise phase (|T| on the exact edge is about 5.9e-154), and at
+    # 1e200 it raised a bare ValueError from math.sin(inf).  It refuses as
+    # the closed form does, which has |T| refused there too
+    @pytest.mark.parametrize("wL, text", [
+        (1e154, "q_n*wL is too large to resolve the phase modulo pi"),
+        (1e200, "q_n*wL is not finite")], ids=["cutoff", "infinite"])
+    def test_nr_form_past_the_cutoff_on_a_snapped_edge(self, wL, text):
+        v = 15.527620836643477
+        n2 = 0.5 * v + 1.0
+        assert -6e-17 < rho_n2(v, n2) < 0.0
+        msg = f"^{re.escape(f'{text} at v={v}, n2={n2}, wL={wL}')}$"
+        for call in (transmission_magnitude_nr_form, transmission_closed_form):
+            with pytest.raises(DomainError, match=msg):
+                call(v, n2, wL)
 
     # a tiny n2 overflows X = ((n2 + rho_n^2)/(2n)) wL sinhc(d2) itself, where |T| < 6e-309:
     # |T| read 0.0 and R nan there before.  |T| is subnormal, so the bound allows one

@@ -428,6 +428,10 @@ _EXTREMES = (
     (10.0, 2.0 * math.pi, (1.0, 1e150)),
     (10.0, 0.0, (1.0, 6.0)),
     (10.0, 2.0 * math.pi, (1.0, 1e154)),
+    # a snapped upper edge where rho_n^2 rounds to -5.4e-17: the NR form's
+    # sin^2 lane past the phase cutoff, and where q_n wL overflows
+    (15.527620836643477, 1e154, (8.76381041832174 * (1.0 - 1e-3), 8.76381041832174)),
+    (15.527620836643477, 1e200, (8.76381041832174 * (1.0 - 1e-3), 8.76381041832174)),
 )
 
 
@@ -455,6 +459,17 @@ class TestFiniteOrTyped:
                 if row[column] is None and (column != "T2_nr_form" or tunneling_or_edge):
                     assert any(item.startswith(f"{column}: ") for item in named), (column, row)
             assert row["E_over_m"] is not None
+
+    def test_nr_form_past_the_cutoff_on_a_snapped_edge_is_named(self):
+        # T2_nr_form read 1.887501396735269e-15 from a noise phase on the
+        # EdgeUpper row, where T2_exact, phase_rad and ratio_closed are refused
+        # as past the cutoff (the edge value is about 3.5e-307)
+        v, n2 = 15.527620836643477, 8.76381041832174
+        rec = run_sweep(SweepRequest(v=v, wL=1e154, n2_min=n2 * (1.0 - 1e-3), n2_max=n2,
+                                     count=2))[1]
+        assert (rec.zone, rec.t2_exact, rec.t2_nr_form) == ("EdgeUpper", None, None)
+        text = f"q_n*wL is too large to resolve the phase modulo pi at v={v}, n2={n2}, wL=1e+154"
+        assert rec.error.split("; ")[:2] == [f"T2_exact: {text}", f"T2_nr_form: {text}"]
 
     @pytest.mark.parametrize("v, n2", [(1e150, 5e-324), (1e150, 1e-300), (1.0, 5e-324),
                                        (10.0, 5.0), (10.0, 1.0), (10.0, 9.0)])
@@ -890,6 +905,16 @@ class TestSerialization:
         bad = tmp_path / "no" / "such" / "dir" / "x.csv"
         with pytest.raises(KleinTunnelError, match="x.csv"):
             write_csv(recs, bad)
+        with pytest.raises(KleinTunnelError, match=f"^{re.escape(f'reading {bad}: ')}"):
+            read_csv(bad)
+        with pytest.raises(KleinTunnelError, match=f"^{re.escape(f'writing {tmp_path}: ')}"):
+            write_json(recs, tmp_path)  # a directory
+
+    def test_fig1_preset_refuses_an_unknown_format(self, tmp_path):
+        out = tmp_path / "preset"
+        with pytest.raises(DomainError, match="^fmt must be 'csv' or 'json', got 'xml'$"):
+            fig1_preset(out, fmt="xml")
+        assert not out.exists()
 
 
 class TestSweepRecords:

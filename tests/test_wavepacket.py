@@ -40,6 +40,8 @@ class TestSpectrumSpec:
             SpectrumSpec(k0=10.0, sigma_k=0.0)
         with pytest.raises(SupportError):
             SpectrumSpec(k0=1.0, sigma_k=0.2)  # support crosses k = 0
+        with pytest.raises(DomainError, match="support_halfwidth must be positive and finite"):
+            SpectrumSpec(k0=10.0, sigma_k=0.2, support_halfwidth=0.0)
         SpectrumSpec(k0=10.0, sigma_k=0.2)
 
     def test_amplitude_symmetric(self):
@@ -286,8 +288,8 @@ class TestPhaseTable:
         t0, dt = -0.8, 1.6 / 2000
         direct = np.exp(-1j * np.outer(t0 + dt * np.arange(count), E)) @ c
         got = wp._phase_sums(E, c, t0, dt, count)
-        assert got.shape == (1, count)
-        assert float(np.max(np.abs(got[0] - direct))) <= 1e-12 * float(np.max(np.abs(direct)))
+        assert got.shape == (count,)
+        assert float(np.max(np.abs(got - direct))) <= 1e-12 * float(np.max(np.abs(direct)))
 
     @pytest.mark.parametrize("nodes, t0, dt, count", [
         # the broad packet's window: E up to 16 over 14 time units, 2001 times
@@ -301,25 +303,8 @@ class TestPhaseTable:
         E = np.sqrt(ks * ks + 1.0)
         c = np.exp(-0.5 * ((ks - 10.0) / 1.0) ** 2) * np.exp(0.3j * ks)
         direct = np.exp(-1j * np.outer(t0 + dt * np.arange(count), E)) @ c
-        got = wp._phase_sums(E, c, t0, dt, count)[0]
+        got = wp._phase_sums(E, c, t0, dt, count)
         assert float(np.max(np.abs(got - direct))) <= 1e-12 * float(np.max(np.abs(direct)))
-
-    def test_grouped_sums_equal_separate_calls(self):
-        # the shared base pass of _field_on_times: base nodes, then level 1's
-        # and level 2's new nodes, summed per contiguous group in one call
-        s, spec = _broad_packet()
-        n = wp._BASE_INTERVALS // 2
-        ks = np.linspace(*spec.support, 4 * n + 1)
-        E, c, _ = wp._integrand(s, spec, ks)
-        order = np.concatenate((np.arange(0, 4 * n + 1, 4), np.arange(2, 4 * n, 4),
-                                np.arange(1, 4 * n, 2)))
-        E, c = E[order], c[order]
-        t0, dt, count, splits = -7.0, 14.0 / 2000, 2001, (n + 1, 2 * n + 1)
-        sums = wp._phase_sums(E, c, t0, dt, count, splits)
-        assert sums.shape == (3, count)
-        for got, E_g, c_g in zip(sums, np.split(E, splits), np.split(c, splits)):
-            alone = wp._phase_sums(E_g, c_g, t0, dt, count)[0]
-            assert float(np.max(np.abs(got - alone))) <= 1e-15 * float(np.max(np.abs(alone)))
 
 
 def _count_closed_form(monkeypatch):
@@ -389,6 +374,18 @@ def test_intensities_do_not_depend_on_blas_threads(tmp_path):
         assert float(np.max(np.abs(one - two))) <= 1e-13 * float(one.max())
 
 
+def test_broad_packet_intensities_pinned():
+    # the bench's fig1_broad packet at n2 = 5 climbs to ladder level 5, so
+    # its bytes cover the levels past the 129 nodes of the first pass,
+    # which the README packet (converged at level 2) never reaches; the
+    # digest was the same at 1 and 2 OpenBLAS threads when it was pinned
+    s = BarrierSetup(m=1.0, V0=10.0, L=2.0 * math.pi / math.sqrt(20.0))
+    run = run_packet(s, SpectrumSpec(k0=math.sqrt(20.0) * math.sqrt(5.0), sigma_k=1.0))
+    assert run.field_quadrature.levels == 5
+    assert hashlib.sha256(run.intensities.tobytes()).hexdigest() == (
+        "29b90acd0c093cfeaede0952100bf774814f4d8cb05e8b0eb071a60a1c1b2114")
+
+
 class TestNestedLadder:
     @pytest.mark.parametrize("L, halfwidth", [(0.1, 6.0), (0.0, 6.0), (0.1, 1.0)],
                              ids=["tunneling", "zero_width", "one_sigma_support"])
@@ -437,6 +434,13 @@ class TestNestedLadder:
         # several levels: still one call per node, and the reports say so
         s, spec = _broad_packet()
         calls, grids = _count_closed_form(monkeypatch)
+        sums, phase_sums = [], wp._phase_sums
+
+        def counted(E, *rest):
+            sums.append(len(E))
+            return phase_sums(E, *rest)
+
+        monkeypatch.setattr(wp, "_phase_sums", counted)
         psi, fq, _ = _field_on_times(s, spec, -0.3, 0.02, 41)
         assert fq.levels >= 3
         assert len(calls) == fq.nodes == 64 * 2 ** (fq.levels - 1) + 1
@@ -445,6 +449,9 @@ class TestNestedLadder:
         # convergence test needs, then one per further level
         assert len(grids[0]) == 129
         assert len(grids) == fq.levels - 1
+        # one phase-sum call for the base grid and one per level, each over
+        # that level's new nodes
+        assert sums == [33] + [32 * 2 ** level for level in range(fq.levels)]
 
     def test_distortion_matches_full_regrid(self):
         # reusing |T| at the even nodes changes no bit of the metrics
