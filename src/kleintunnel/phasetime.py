@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError, ZoneCrossingError
 from .kinematics import _MIN_NORMAL, BarrierSetup, IncidentMode, _edges, _rho_n2_columns
-from .scattering import _closed_forms, _matched, _past_cutoff, _refusal
+from .scattering import _closed_forms, _map, _matched, _past_cutoff, _refusal
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
     same expression gives the exact edge value (edge_phase_time_ratio to
     roundoff), and it stays exact at v = 2, n2 -> 0 and for opaque
     barriers.  Raises ZeroLengthError at wL = 0, DomainError for wL < 0,
-    nan or where it overflows.
+    nan or inf (tau is infinite there) or where it overflows.
     """
     return _closed_forms(v, np.array([n2], dtype=float), wL, ratio=True,
                          columns=("ratio",)).ratio.item()
@@ -147,9 +148,9 @@ def _phase_time_columns(v: float, n2: np.ndarray, r2: np.ndarray, s: np.ndarray,
     winding = floor(q_n wL / pi + 1/2), 0 off the oscillatory zones.  The
     ratio is nan where the oracle refuses (_numeric_refusal names why): on
     a zone edge by kinematics._edges (kappa rounds to 0 only there and at
-    v = 2, n2 < 2e-16), at wL = 0, past the phase cutoff, where cmath.exp
-    of a huge q_n wL is an arbitrary unit number, and wherever it is inf
-    or nan.  Raises DomainError for wL < 0 or nan.
+    v = 2, n2 < 2e-16), at wL = 0, past the phase cutoff, where
+    exp(-i q_n wL) of a huge q_n wL is an arbitrary unit number, and
+    wherever it is inf or nan.  Raises DomainError for wL < 0 or nan.
     """
     if not (wL >= 0.0):
         raise DomainError(f"wL must be >= 0, got {wL}")
@@ -167,12 +168,13 @@ def _phase_time_columns(v: float, n2: np.ndarray, r2: np.ndarray, s: np.ndarray,
 
 
 class _Pair:
-    """Complex columns, float64 arrays re and im, whose binary +, -, *, /
-    (either order, with a _Pair, float, complex or float64 array), unary -
-    and exp() give each entry the bytes of CPython 3.11's complex arithmetic:
-    a real x is complex(x, 0.0), * is _Py_c_prod, / _Py_c_quot and exp is
-    cmath.exp, mapped (numpy's complex128 * and / round differently in up to
-    half the entries).  __array_ufunc__ = None sends ndarray op _Pair here."""
+    """Complex columns, float64 arrays (or floats) re and im, whose binary
+    +, -, *, / (either order, with a _Pair, float, complex or float64
+    array) and unary - give each entry the bytes of CPython 3.11's complex
+    arithmetic: a real x is complex(x, 0.0), * is _Py_c_prod and /
+    _Py_c_quot (numpy's complex128 * and / round differently in up to half
+    the entries).  The one transcendental, u = exp(-kappa wL), is _decay's.
+    __array_ufunc__ = None sends ndarray op _Pair here."""
 
     __array_ufunc__ = None
 
@@ -215,26 +217,40 @@ class _Pair:
     def __neg__(self):
         return _Pair(-self.re, -self.im)
 
-    def exp(self) -> _Pair:
-        re, im = np.broadcast_arrays(self.re, self.im)
-        z = np.fromiter(map(cmath.exp, map(complex, re.tolist(), im.tolist())), complex, re.size)
-        return _Pair(z.real, z.imag)
-
 
 def _as_pair(x) -> _Pair:
     """An operand of _Pair as a _Pair; a float's or a float64 array's imag is 0.0."""
     return x if isinstance(x, _Pair) else _Pair(x.real, x.imag)
 
 
+def _decay(root: np.ndarray, osc: np.ndarray, wL: float) -> _Pair:
+    """u = exp(-kappa wL) for kappa = complex(root), or (0.0, root) where
+    osc, each entry the bytes of cmath.exp(-kappa * wL) at a finite wL > 0.
+
+    That argument is (-rho_n wL, -0.0) on an evanescent lane, where
+    cmath.exp gives (exp(x), -0.0), and (0.0, -q_n wL) on an oscillatory
+    one, where it gives (cos y, sin y) = cmath.rect(1.0, y): one real map
+    per lane, with no complex boxed per entry.
+    """
+    x = -(root * wL)
+    z = np.fromiter(map(cmath.rect, repeat(1.0), x[osc].tolist()), complex, np.count_nonzero(osc))
+    re, im = np.empty_like(x), np.full_like(x, -0.0)
+    decays = ~osc
+    re[decays] = _map(math.exp, x[decays])
+    re[osc], im[osc] = z.real, z.imag
+    return _Pair(re, im)
+
+
 def _solve_columns(v: float, n2: np.ndarray, root: np.ndarray, osc: np.ndarray,
                    s: np.ndarray, wL: float) -> np.ndarray:
-    """The oracle over columns, root = |rho_n|: scattering._matched on _Pair
-    columns, then its n2-derivative, each entry the scalar formulas' bytes."""
+    """The oracle over columns, root = |rho_n| and osc where rho_n^2 < 0:
+    scattering._matched on _Pair columns with u = _decay(root, osc, wL),
+    then its n2-derivative, each entry the scalar formulas' bytes."""
     n = np.sqrt(n2)
     i = _Pair(0.0, 1.0)  # 1j: a complex literal would meet float arrays by numpy's rules
     # kappa = complex(rho_n) or 1j * q_n = (0.0, q_n); n a _Pair for _matched's 1j * n
     kappa = _Pair(np.where(osc, 0.0, root), np.where(osc, root, 0.0))
-    g1, g2, u2, Qk, P, det = _matched(_Pair(n, 0.0), kappa, (-kappa * wL).exp())
+    g1, g2, u2, Qk, P, det = _matched(_Pair(n, 0.0), kappa, _decay(root, osc, wL))
     dn = 0.5 / n
     dkappa = (v / s - 1.0) / (2.0 * kappa)
     # dg2 = d(i n/kappa)/2 = -dg1, and d(u2) = -2 wL dkappa u2

@@ -291,15 +291,22 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
     serves all zones, phase = arctan(Y) + winding*pi with
     Y = ((n2 - rho_n^2)/(2n)) wL tc, tc = tanh(d)/d continued through
     rho_n^2 < 0 where tanh turns into tan and the branch count
-    N = floor(q_n wL / pi + 1/2) restores continuity in n2.
+    N = floor(q_n wL / pi + 1/2) restores continuity in n2.  On the
+    LARGE_D2 asymptote tanh(d) = 1, so tc = 1/d; where d2 itself overflows
+    (wL beyond about 1e154, and wL = inf) wL tc is taken as 1/rho_n, so
+    the phase there is its wL -> inf value arctan((n2 - rho_n^2)/(2 n rho_n))
+    and |T| = 0.
 
     With ratio=True the ratio column is t_phi/tau, the chain-rule
     n2-derivative of that phase (see the phasetime module); otherwise
-    None.  Every entry the core cannot vouch for is nan, the one decision
-    of each refused cell; the first among the named columns is raised as
-    its _refusal.  At wL = 0 there is no barrier: |T| = 1 and the phase
-    is 0 at every n2.  Raises DomainError for wL < 0 or nan, and where
-    rho_n^2 or q_n wL is infinite.
+    None; on the LARGE_D2 asymptote its term in h = dtc/d(d2) = -tc/(2 d2)
+    is formed as wL^2 h = -tc/(2 rho_n^2), which neither loses digits nor
+    underflows as wL grows.  At wL = inf tau is infinite and the ratio is
+    refused, as the oracle refuses it.  Every entry the core cannot vouch
+    for is nan, the one decision of each refused cell; the first among the
+    named columns is raised as its _refusal.  At wL = 0 there is no
+    barrier: |T| = 1 and the phase is 0 at every n2.  Raises DomainError
+    for wL < 0 or nan, and where rho_n^2 or q_n wL is infinite.
     """
     if not (wL >= 0.0):
         raise DomainError(f"wL must be >= 0, got {wL}")
@@ -342,17 +349,23 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             # no barrier: X = Y = 0, so T = 1 and R = 0 exactly, also where
             # (n2 -+ rho_n^2)/(2n) overflows and the product is inf * 0
             Y[np.isnan(Y)] = 0.0
-        phase = _map(math.atan, Y) + winding * math.pi
-        # unresolved past the cutoff, and where d2 = inf zeroes tc (wL tc -> 1/rho_n)
-        phase[_past_cutoff(winding) | (d2 == math.inf)] = math.nan
-        if np.count_nonzero(large):
+        opaque = np.count_nonzero(large)
+        if opaque:
             # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
             a, b = n2[large], r2[large]
             mag[large] = 4.0 * np.sqrt(a * b) * _map(math.exp, -np.sqrt(d2[large])) / (a + b)
             X[large] = math.nan
             X[fin] = (n2[fin] + r2[fin]) / two_n[fin] * wL * sc[fin]
+            # d2 = inf zeroes tc = 1/d, but wL tc = 1/rho_n
+            top = d2 == math.inf
+            if np.count_nonzero(top):
+                rho = np.sqrt(r2[top])
+                tc[top] = 1.0 / rho / wL
+                Y[top] = (n2[top] - r2[top]) / two_n[top] / rho
         else:
             X = (n2 + r2) / two_n * wL * sc
+        phase = _map(math.atan, Y) + winding * math.pi
+        phase[_past_cutoff(winding)] = math.nan  # unresolved past the cutoff
         if wL == 0.0:
             X[np.isnan(X)] = 0.0
         x = X[fin]
@@ -387,16 +400,26 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             m2, s1 = 2.0 * n2, s + 1.0
             u = (4.0 * n2 * n2 + (hv - 1.0) * (hv + 1.0)) / (m2 + hv + s)
             P = pv + m2 * (qv + m2 * v * (s + 2.0) / s1) / (s * s1)
-            t_ratio = (P * tc / m2 + u * (v / s - 1.0) * wL * wL * h) / (1.0 + Y * Y)
+            u_rho = u * (v / s - 1.0)  # u rho', rho' = d rho_n^2/dn2
+            t_ratio = (P * tc / m2 + u_rho * wL * wL * h) / (1.0 + Y * Y)
             big = np.isinf(Y * Y) & np.isfinite(Y)
             if np.count_nonzero(big):
                 # 1 + Y^2 overflows at a tiny n2 (and P tc/m2 may): divide
                 # by Y twice instead, the first time inside each term
                 y, k = Y[big], wL * wL * h[big]
-                t_ratio[big] = (P[big] * tc[big] / (m2[big] * y)
-                                + u[big] * (v / s[big] - 1.0) * k / y) / y
-            # tau = 0 at wL = 0; blind: unresolved past the cutoff
-            t_ratio[~np.isfinite(t_ratio) | (wL == 0.0) | blind] = math.nan
+                t_ratio[big] = (P[big] * tc[big] / (m2[big] * y) + u_rho[big] * k / y) / y
+            if opaque:
+                # tanh(d) = 1 on the asymptote, so h = -tc/(2 d2), which loses
+                # digits from wL ~ 1e104 and underflows from 1e109: there both
+                # forms above take wL^2 h = -tc/(2 rho_n^2) instead (z = 1
+                # where 1 + Y^2 is finite turns the second into the first)
+                y, i = Y[large], big[large]
+                z, k = np.where(i, y, 1.0), -tc[large] / (2.0 * r2[large])
+                t_ratio[large] = ((P[large] * tc[large] / (m2[large] * z) + u_rho[large] * k / z)
+                                  / np.where(i, y, 1.0 + y * y))
+            # tau = 0 at wL = 0 and inf at wL = inf (as the oracle refuses
+            # there); blind: unresolved past the cutoff
+            t_ratio[~np.isfinite(t_ratio) | (wL == 0.0) | (wL == math.inf) | blind] = math.nan
     cols = _Columns(mag, phase, winding, X, r2, s, t_ratio)
     for column in columns:
         for i in np.flatnonzero(np.isnan(getattr(cols, column)))[:1].tolist():
@@ -415,8 +438,6 @@ def _refusal(column: str, v: float, n2: float, wL: float,
         return ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
     if _past_cutoff(winding) and (column == "phase" or _phase_blind(winding, n2, r2)):
         return DomainError(f"q_n*wL is too large to resolve the phase modulo pi {at}")
-    if column == "phase" and float(r2) * wL * wL == math.inf:
-        return DomainError(f"rho_n^2*wL^2 overflows, so the phase is not resolved {at}")
     return DomainError(f"{noun[column]} is not finite {at}")
 
 

@@ -25,7 +25,7 @@ from kleintunnel import (
     transmission_closed_form,
 )
 from kleintunnel.kinematics import _edges, _rho_n2_columns
-from kleintunnel.phasetime import _Pair, _phase_time_columns
+from kleintunnel.phasetime import _decay, _Pair, _phase_time_columns
 from kleintunnel.sweep import fig1_request
 
 _PACKAGE = pathlib.Path(kleintunnel.__file__).parent
@@ -142,14 +142,19 @@ def _is_complex_type(node: ast.AST, aliases: set[str]) -> bool:
 def _complex_uses(tree: ast.AST) -> list[str]:
     """Complex literals, complex dtypes and numpy complex types in a module.
 
-    The builtin complex is allowed as a constructor (the oracle builds the
-    arguments of the mapped cmath.exp with it), not as a dtype.
+    The builtin complex may name the type of np.fromiter's buffer (a
+    positional argument, not dtype=) that holds the mapped cmath.rect
+    until the oracle splits it into re and im.  A call of it, a Python
+    complex boxed per entry, counts: the oracle makes none.
     """
     aliases = _numpy_aliases(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, complex):
             found.append(f"{node.value!r} (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "complex"):
+            found.append(f"complex() (line {node.lineno})")
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
             found += [a.name for a in node.names if a.name.startswith("complex")]
         elif (isinstance(node, ast.Attribute) and node.attr.startswith("complex")
@@ -182,7 +187,7 @@ def test_complex_guard_sees_a_breach():
                      "b = xp.complex128(a).astype(complex)\n")
     assert sorted(_complex_uses(tree)) == [
         "1j (line 3)", "astype to complex (line 5)", "complex dtype (line 4)",
-        "complex dtype (line 4)", "complex128", "xp.complex128 (line 5)"]
+        "complex dtype (line 4)", "complex() (line 3)", "complex128", "xp.complex128 (line 5)"]
 
 
 # the closed columns' refusal texts and cutoff, decided once in scattering
@@ -439,10 +444,38 @@ def test_pair_is_cpython_complex_bitwise(rows, kind):
                 assert _entry(column, i) == (repr(want.real), repr(want.imag)), (op, x, y)
     for i, z in enumerate(a):
         assert _entry(-column_a, i) == (repr((-z).real), repr((-z).imag))
-        try:
-            want = cmath.exp(z)
-        except (OverflowError, ValueError) as exc:
-            with pytest.raises(type(exc)):
-                _column([z]).exp()
-        else:
-            assert _entry(_column([z]).exp(), 0) == (repr(want.real), repr(want.imag))
+
+
+# (r2, wL): rho_n^2 < 0 is an oscillatory lane, q_n = sqrt(-r2)
+_DECAY_LANES = (
+    [(0.05, 2.0 * math.pi), (1.0, 400.0), (0.5, 1e4)]
+    # exp(-rho_n wL) underflows to a subnormal, to the least one and to 0
+    + [(1.0, 720.0), (1.0, 744.4), (1.0, 746.0), (4.0, 1e3), (1.0, 1e300)]
+    # rho_n wL or q_n wL rounds to 0 (or, at r2 = +-1e-230, to a subnormal)
+    + [(r2, 1e-200) for r2 in (1e-300, -1e-300, 5e-324, -5e-324, 1e-230, -1e-230)]
+    # q_n wL at and next to multiples of pi, where sin and cos change sign
+    + [(-1.0, w) for k in (1, 2, 3, 100, 10 ** 6) for w in (
+        math.nextafter(k * math.pi, 0.0), k * math.pi, math.nextafter(k * math.pi, math.inf))]
+    + [(-4.0, 0.5 * math.pi), (-2.0, math.pi / math.sqrt(2.0))]
+    # q_n wL at the phase cutoff: winding 10**15, the last one not refused
+    + [(-1.0, 10 ** 15 * math.pi), (-0.25, 2.0 * 10 ** 15 * math.pi)]
+)
+
+
+@pytest.mark.parametrize("lanes", ["mixed", "evanescent", "oscillatory"])
+def test_decay_is_cmath_exp_bitwise(lanes):
+    """The oracle's u = exp(-kappa wL), one real map per lane, gives each
+    entry the bytes of cmath.exp(-kappa * wL) with kappa = cmath.sqrt(r2),
+    the argument the scalar oracle formed, signed zeros included."""
+    points = [(r2, wL) for r2, wL in _DECAY_LANES
+              if lanes == "mixed" or (r2 < 0.0) == (lanes == "oscillatory")]
+    # each lane is one the oracle evaluates, none past the phase cutoff
+    assert all(math.floor(math.sqrt(-r2) * wL / math.pi + 0.5) <= 10 ** 15
+               for r2, wL in points if r2 < 0.0)
+    for wL in sorted({wL for _, wL in points}):
+        r2 = np.array([r for r, w in points if w == wL])
+        # the oracle's kappa: root = |rho_n|, osc where rho_n^2 < 0 (_phase_time_columns)
+        u = _decay(np.sqrt(np.abs(r2)), r2 < 0.0, wL)
+        for i, r in enumerate(r2.tolist()):
+            want = cmath.exp(-cmath.sqrt(r) * wL)
+            assert _entry(u, i) == (repr(want.real), repr(want.imag)), (r, wL)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -19,6 +20,7 @@ from kleintunnel import (
     mode_from_n2,
     normalized_phase_time,
     normalized_phase_time_numeric,
+    rho_n2,
     small_rho_ratio,
     transmission_closed_form,
 )
@@ -186,6 +188,132 @@ class TestClosedForm:
     def test_opaque_matches_40_digit_reference(self, wL):
         assert normalized_phase_time(10.0, 5.0, wL) == pytest.approx(mp_ratio(10.0, 5.0, wL),
                                                                      rel=1e-12)
+
+
+def _asymptote_ratio(v, n2, wL, fl):
+    """The closed ratio on the LARGE_D2 asymptote (tanh(rho_n wL) = 1) in
+    mpmath, operation by operation as kinematics._rho_n2_columns and
+    scattering._closed_forms form it from the floats v, n2 and wL: fl(x)
+    wraps every result that rounds; products by 2, 4 or 1/2 are exact."""
+    sqrt = mpmath.sqrt
+    v, n2, wL = mpmath.mpf(v), mpmath.mpf(n2), mpmath.mpf(wL)
+    hv, m2 = v / 2, 2 * n2
+    s = fl(sqrt(fl(1 + fl(m2 * v))))
+    r2 = fl(fl(fl(fl(1 - n2) + hv) * fl(fl(1 + n2) - hv)) / fl(fl(s + n2) + hv))
+    two_n = 2 * fl(sqrt(n2))
+    if r2 * wL * wL > mpmath.mpf(sys.float_info.max):
+        # d2 overflows: wL tc = 1/rho_n
+        rho = fl(sqrt(r2))
+        tc = fl(fl(1 / rho) / wL)
+        Y = fl(fl(fl(n2 - r2) / two_n) / rho)
+    else:
+        tc = fl(1 / fl(sqrt(fl(fl(r2 * wL) * wL))))
+        Y = fl(fl(fl(fl(n2 - r2) / two_n) * wL) * tc)
+    s1 = fl(s + 1)
+    u = fl(fl(fl(4 * n2 * n2) + fl(fl(hv - 1) * fl(hv + 1))) / fl(fl(m2 + hv) + s))
+    P = fl(fl(1 - hv) + fl(fl(m2 * fl(fl(2 - v) + fl(fl(fl(m2 * v) * fl(s + 2)) / s1)))
+                           / fl(s * s1)))
+    k = fl(-tc / (2 * r2))
+    u_rho = fl(u * fl(fl(v / s) - 1))
+    return fl(fl(fl(fl(P * tc) / m2) + fl(u_rho * k)) / fl(1 + fl(Y * Y)))
+
+
+def _first_order_bound(v, n2, wL):
+    """(exact, bound): the closed ratio on the asymptote in exact arithmetic
+    and Wilkinson's first-order bound on the relative error of its float
+    evaluation, 2^-53 sum_i |dR/d delta_i| / |R| over the roundings
+    x(1 + delta_i) of _asymptote_ratio, each derivative by perturbing one
+    rounding by 1e-25 at 40 digits.  Second-order terms are ~50 * 2^-53
+    times smaller."""
+    with mpmath.workdps(40):
+        eta = mpmath.mpf(10) ** -25
+        exact = _asymptote_ratio(v, n2, wL, lambda x: x)
+        total, at = mpmath.mpf(0), 0
+        while True:
+            seen = [0]
+
+            def fl(x):
+                seen[0] += 1
+                return x * (1 + eta) if seen[0] == at + 1 else x
+
+            total += abs(_asymptote_ratio(v, n2, wL, fl) - exact) / eta
+            if at >= seen[0]:
+                break
+            at += 1
+        return exact, float(total / abs(exact)) * 2.0 ** -53
+
+
+def mp_opaque_ratio(v, n2, wL):
+    """40-digit t_phi/tau = (2n/wL) dphi/dn2 with the transfer-form phase
+    phi = arctan[(n2 - rho_n^2)/(2n) tanh(rho_n wL)/rho_n], for an opaque
+    barrier, where D = 1/T itself (mp_ratio) is too steep in n2 for a
+    numerical derivative.  mpmath rounds tanh(rho_n wL) to 1 here, as the
+    true value is within exp(-700) of it."""
+    with mpmath.workdps(40):
+        v, wL = mpmath.mpf(v), mpmath.mpf(wL)
+
+        def phase(x):
+            r2 = (1 - x + v / 2) * (1 + x - v / 2) / (mpmath.sqrt(1 + 2 * x * v) + x + v / 2)
+            rho = mpmath.sqrt(r2)
+            return mpmath.atan((x - r2) / (2 * mpmath.sqrt(x)) * mpmath.tanh(rho * wL) / rho)
+
+        x = mpmath.mpf(n2)
+        return 2 * mpmath.sqrt(x) / wL * mpmath.diff(phase, x)
+
+
+class TestOpaqueAsymptote:
+    """The closed ratio and phase on the LARGE_D2 asymptote, d2 > 350^2.
+
+    h = -tc/(2 d2) lost digits from wL ~ 1e104 and underflowed from 1e109,
+    which dropped the ratio's u rho' wL^2 h term (at (10, 4.5, 1e110) it
+    read +7.9e-112 for -3.95e-111), and from wL ~ 1.3e154 d2 overflowed
+    and the phase and the ratio were refused."""
+
+    WLS = (1e100, 1e104, 1e110, 1e150, 1e154, 1e155, 1e200, 1e300)
+
+    @pytest.mark.parametrize("v, n2", [
+        (0.0, 0.5), (0.0, 0.9), (1.0, 0.2), (1.0, 1.2), (2.0, 0.5), (3.0, 1.0), (3.0, 2.2),
+        (10.0, 4.5), (10.0, 5.0), (10.0, 5.9), (100.0, 49.2), (100.0, 50.5)])
+    def test_ratio_within_its_rounding_bound(self, v, n2):
+        # the closed form's tolerance B is _first_order_bound's, derived
+        # from the float operations it makes.  The oracle's 2 B is not
+        # derived but assumed: it shares the rounded rho_n^2 and s and forms
+        # rho' = v/s - 1 too, which make most of B where B is large (half to
+        # three quarters at v = 10 and 100), and its own complex arithmetic
+        # is allowed one more B.  The worst seen over these 96 cells is
+        # 0.21 B from the reference for the closed form, 0.23 B for the
+        # oracle and 0.28 B between the two
+        for wL in self.WLS:
+            exact, bound = _first_order_bound(v, n2, wL)
+            want = mp_opaque_ratio(v, n2, wL)
+            # the asymptote's algebra is the exact derivative to 40 digits
+            assert abs(exact - want) <= 1e-35 * abs(want)
+            closed = normalized_phase_time(v, n2, wL)
+            assert abs(closed - want) <= bound * abs(want), (wL, closed, float(want))
+            oracle = normalized_phase_time_numeric(v, n2, wL)
+            assert abs(closed - oracle) <= 2.0 * bound * abs(want), (wL, closed, oracle)
+
+    @pytest.mark.parametrize("v, n2", [(0.0, 0.5), (1.0, 0.2), (2.0, 0.5), (3.0, 1.0),
+                                       (10.0, 4.5), (10.0, 5.0)])
+    @pytest.mark.parametrize("wL", [1e155, 1e200, 1e300, math.inf])
+    def test_phase_where_d2_overflows(self, v, n2, wL):
+        # d2 = rho_n^2 wL^2 is inf, tc = 1/d would be 0, and wL tc = 1/rho_n:
+        # the phase is arctan(Y) with Y = (n2 - rho_n^2)/(2 n rho_n) as the
+        # core forms it, and the matcher's arg T to a few roundings
+        r2 = rho_n2(v, n2)
+        assert math.isinf(r2 * wL * wL)
+        phase = transmission_closed_form(v, n2, wL).phase
+        assert phase == math.atan((n2 - r2) / (2.0 * math.sqrt(n2)) / math.sqrt(r2))
+        assert phase == pytest.approx(match_boundaries(v, n2, wL).arg_T, rel=0.0,
+                                      abs=4.0 * 2.0 ** -52)
+
+    @pytest.mark.parametrize("v, n2", [(0.0, 0.5), (3.0, 1.0), (10.0, 5.0)])
+    def test_infinite_width_refuses_the_ratio(self, v, n2):
+        # tau is infinite at wL = inf: both ratios refuse, though the phase
+        # has its limit there (above)
+        for ratio in (normalized_phase_time, normalized_phase_time_numeric):
+            with pytest.raises(DomainError, match="t_phi/tau is not finite"):
+                ratio(v, n2, math.inf)
 
 
 class TestNumericOracle:

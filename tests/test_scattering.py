@@ -335,18 +335,21 @@ class TestClosedForms:
         with pytest.raises(DomainError, match=msg):
             run_sweep(SweepRequest(v=10.0, wL=wL, n2_min=n2, n2_max=n2 + 1.0, count=2))
 
-    def test_overflowing_d2_refuses_the_phase(self):
+    def test_overflowing_d2_gives_the_opaque_phase(self):
         # d2 = rho_n^2 wL^2 = inf makes tc = 1/inf = 0, although wL tc tends
-        # to 1/rho_n: the phase read 0.0 instead of 1.3717...
-        assert transmission_closed_form(10.0, 5.0, 1e154).phase == 1.371705473018485
-        text = ("rho_n^2*wL^2 overflows, so the phase is not resolved "
-                "at v=10.0, n2=5.0, wL=1e+155")
-        with pytest.raises(DomainError, match=re.escape(text)):
-            transmission_closed_form(10.0, 5.0, 1e155)
-        # the sweep empties and names the phase and keeps the exact |T| = 0
+        # to 1/rho_n: the phase read 0.0 instead of 1.3717..., and was then
+        # refused from wL ~ 1.3e154.  It is the wL -> inf value, arctan of
+        # Y = (n2 - rho_n^2)/(2 n rho_n), and the matcher's arg T there.
+        phase = 1.371705473018485
+        assert transmission_closed_form(10.0, 5.0, 1e154).phase == phase
+        for wL in (1e155, 1e200, 1e300):
+            point = transmission_closed_form(10.0, 5.0, wL)
+            assert (point.phase, point.magnitude, point.winding) == (phase, 0.0, 0)
+            assert match_boundaries(10.0, 5.0, wL).arg_T == phase
+        # the sweep fills the row: the exact |T| = 0, the phase and both
+        # ratios (TestOpaqueAsymptote in test_phasetime checks their values)
         rec = run_sweep(SweepRequest(v=10.0, wL=1e155, n2_min=5.0, n2_max=5.5, count=2))[0]
-        assert rec.t2_exact == 0.0 and rec.phase_rad is None
-        assert rec.error.startswith(f"phase_rad: {text}")
+        assert (rec.t2_exact, rec.phase_rad, rec.error) == (0.0, phase, None)
 
 
 class TestOscillatory:

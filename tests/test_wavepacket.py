@@ -209,12 +209,12 @@ class TestInputValidation:
         assert len(run.times) == 3
 
     def test_refused_amplitudes_raise(self):
-        # at wL = 1e155 d2 = rho_n^2 wL^2 overflows in the tunneling zone and
+        # at wL = 1e17 a Klein-zone spectrum lies past the phase cutoff, where
         # the core refuses the phase: the field raises that refusal instead
         # of integrating the node
-        s = BarrierSetup(m=1.0, V0=10.0, L=1e155 / math.sqrt(20.0))
-        spec = SpectrumSpec(k0=10.0, sigma_k=0.05)  # n2 within [4.7, 5.3]
-        with pytest.raises(DomainError, match=r"rho_n\^2\*wL\^2 overflows"):
+        s = BarrierSetup(m=1.0, V0=10.0, L=1e17 / math.sqrt(20.0))
+        spec = SpectrumSpec(k0=math.sqrt(20.0), sigma_k=0.05)  # n2 near 1
+        with pytest.raises(DomainError, match="too large to resolve the phase modulo pi"):
             _field_on_times(s, spec, 0.0, 0.0, 1)
 
 
