@@ -23,6 +23,7 @@ import sys
 from .errors import DomainError, KleinTunnelError
 from .kinematics import (
     BarrierSetup,
+    _in_domain,
     _zone,
     barrier_channel,
     classify_zone,
@@ -142,6 +143,8 @@ class _Config(dict):
 
 
 def _barrier(p: _Config) -> BarrierSetup:
+    # the flags as given, so a refusal names the flag, not a product of flags
+    _in_domain(**{key: p[key] for key in ("m", "V0", "v", "L", "wL") if key in p})
     m = p["m"]
     V0 = p["V0"] if "V0" in p else p["v"] * m
     if "L" in p:
@@ -262,13 +265,11 @@ def _cmd_phasetime(p: _Config) -> int:
 
 def _cmd_limits(p: _Config) -> int:
     v, wL = p["v"], p["wL"]
-    if not v > 0.0:
+    _in_domain(v=v, wL=wL)
+    if v == 0.0:
         raise DomainError(f"limits needs v > 0, got v={v}")
     mL = wL / math.sqrt(2.0 * v)
-    try:
-        high_v = 1.0 / math.sqrt(1.0 + mL ** 2)
-    except OverflowError:  # mL^2 overflows, and 1 + mL^2 rounds to mL^2 long before
-        high_v = 1.0 / mL
+    high_v = 1.0 / math.sqrt(1.0 + mL ** 2)
     payload: dict = {"v": v, "wL": wL, "mL": mL}
     if v > 2.0:
         n2 = 0.5 * v - 1.0

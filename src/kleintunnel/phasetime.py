@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError, ZoneCrossingError
-from .kinematics import _MIN_NORMAL, BarrierSetup, IncidentMode, _edges, _rho_n2_columns
+from .kinematics import BarrierSetup, IncidentMode, _edges, _in_domain, _rho_n2_columns
 from .scattering import _closed_forms, _map, _matched, _past_cutoff, _refusal
 
 
@@ -63,18 +64,14 @@ def classical_tau(setup: BarrierSetup, mode: IncidentMode) -> float:
     The phase time is t_phi = classical_tau(setup, mode) * ratio, with the
     ratio normalized_phase_time(v, n2, wL) or its oracle.  Raises
     ZeroLengthError at L = 0, where tau = 0 makes every normalized ratio
-    undefined (the closed ratio's wL = 0 refusal).  Only where L*E leaves
-    the normal range is tau formed as L*(E/k); DomainError where tau still
-    overflows.
+    undefined (the closed ratio's wL = 0 refusal), and the domain's
+    DomainError for a mode's n2 outside it.
     """
     L, E, k = setup.L, mode.E, mode.k
+    _in_domain(n2=mode.n2)
     if L == 0.0:
         raise _refusal("ratio", setup.v, mode.n2, 0.0)
-    LE = L * E
-    tau = LE / k if _MIN_NORMAL <= LE < math.inf else L * (E / k)
-    if math.isinf(tau):
-        raise DomainError(f"tau = L*E/k overflows at L={L}, E={E}, k={k}")
-    return tau
+    return L * E / k
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +85,11 @@ def normalized_phase_time(v: float, n2: float, wL: float) -> float:
     of the closed-form phase.  It has no edge branch: on a zone edge the
     same expression gives the exact edge value (edge_phase_time_ratio to
     roundoff), and it stays exact at v = 2, n2 -> 0 and for opaque
-    barriers.  Raises ZeroLengthError at wL = 0, DomainError for wL < 0,
-    nan or inf (tau is infinite there) or where it overflows.
+    barriers.  Raises ZeroLengthError at wL = 0, the domain's DomainError
+    outside it, and DomainError past the phase cutoff or where the value
+    is inf or nan.
     """
+    _in_domain(v=v, n2=n2, wL=wL)
     return _closed_forms(v, np.array([n2], dtype=float), wL, ratio=True,
                          columns=("ratio",)).ratio.item()
 
@@ -117,11 +116,12 @@ def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
     form are rho_n^2 and s from kinematics._rho_n2_columns; a sweep
     computes them once per point and passes them to both.
 
-    Raises ZoneCrossingError on a zone edge (kinematics._edges, the band a
-    sweep snaps), otherwise ZeroLengthError at wL = 0, where tau = 0, and
-    DomainError for wL < 0 or nan, past the phase cutoff or where the
-    value overflows or is nan.
+    Raises the domain's DomainError outside it, ZoneCrossingError on a
+    zone edge (kinematics._edges, the band a sweep snaps), otherwise
+    ZeroLengthError at wL = 0, where tau = 0, and DomainError past the
+    phase cutoff or where the value is inf or nan.
     """
+    _in_domain(v=v, n2=n2, wL=wL)
     x = np.array([n2], dtype=float)
     r2, s = _rho_n2_columns(v, x)
     ratio, winding = _phase_time_columns(v, x, r2, s, wL)
@@ -150,14 +150,11 @@ def _phase_time_columns(v: float, n2: np.ndarray, r2: np.ndarray, s: np.ndarray,
     a zone edge by kinematics._edges (kappa rounds to 0 only there and at
     v = 2, n2 < 2e-16), at wL = 0, past the phase cutoff, where
     exp(-i q_n wL) of a huge q_n wL is an arbitrary unit number, and
-    wherever it is inf or nan.  Raises DomainError for wL < 0 or nan.
+    wherever it is inf or nan.
     """
-    if not (wL >= 0.0):
-        raise DomainError(f"wL must be >= 0, got {wL}")
     root = np.sqrt(np.abs(r2))
     osc = r2 < 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at wL = inf
-        winding = np.floor(np.where(osc, root, 0.0) * wL / math.pi + 0.5)
+    winding = np.floor(np.where(osc, root, 0.0) * wL / math.pi + 0.5)
     ratio = np.full(r2.shape, math.nan)
     keep = ~(np.logical_or(*_edges(v, n2)) | _past_cutoff(winding))
     if wL != 0.0 and np.count_nonzero(keep):
@@ -266,7 +263,6 @@ def _solve_columns(v: float, n2: np.ndarray, root: np.ndarray, osc: np.ndarray,
 # ---------------------------------------------------------------------------
 # limit formulas
 # ---------------------------------------------------------------------------
-# each raises DomainError where its result is nan or inf (_finite)
 
 def small_rho_ratio(v: float, n2: float) -> float:
     """Leading small-rho term of the normalized phase time.
@@ -275,30 +271,35 @@ def small_rho_ratio(v: float, n2: float) -> float:
         / [(4 + 8 n2 v + v^2) s - 4 v (1 + 2 n2 v)],   s = sqrt(1+2 n2 v).
 
     Equals 4/3 for every n2 at v = 0 and reproduces the zone-edge limit
-    values when evaluated at n2 = v/2 -+ 1.
+    values when evaluated at n2 = v/2 -+ 1.  Both brackets cancel (at the
+    v = 2 threshold, at n2 ~ v/2 for large v), so it is evaluated as
+
+        (4/3) [(C s + D)/(A s + B)] Q / ((1 + 2x) p),   x = n2 v,
+
+    with the brackets A s - B and C s - D, p = v^2 - 8x - 4 and
+    Q = (v^2 - 4)(1 + 2x) - 4x^2 (num (A s + B) = p Q, den (C s + D) =
+    (1 + 2x) p^2): the first factor sums positive terms only, and the
+    rational Q/((1 + 2x) p) is formed exactly, so the value is within a
+    few ulps of the formula at every (v, n2) of the domain.  Raises
+    DomainError at its pole p = 0, n2 = (v^2 - 4)/(8v), and the domain's
+    DomainError outside it.
     """
-    if not (v >= 0.0):
-        raise DomainError(f"v must be >= 0, got {v}")
-    if not (n2 > 0.0):
-        raise DomainError(f"n2 must be positive, got {n2}")
-    s = math.sqrt(1.0 + 2.0 * n2 * v)
-    num = (4.0 + 4.0 * n2 * v + v * v) * s - 2.0 * v * (2.0 + 3.0 * n2 * v)
-    den = (4.0 + 8.0 * n2 * v + v * v) * s - 4.0 * v * (1.0 + 2.0 * n2 * v)
-    return _finite((4.0 / 3.0) * num / den, "the small-rho ratio", f"v={v}, n2={n2}")
-
-
-def _finite(value: float, name: str, at: str) -> float:
-    """value, or the DomainError of a limit formula whose value is nan or inf at its point."""
-    if not math.isfinite(value):
-        raise DomainError(f"{name} evaluates to {value} at {at}")
-    return value
+    _in_domain(v=v, n2=n2)
+    fv, fx = Fraction(v), Fraction(n2) * Fraction(v)
+    p = fv * fv - 8 * fx - 4
+    if p == 0:
+        raise DomainError(f"the small-rho ratio has its pole at v={v}, n2={n2}")
+    q = ((fv * fv - 4) * (1 + 2 * fx) - 4 * fx * fx) / ((1 + 2 * fx) * p)
+    x = n2 * v
+    s = math.sqrt(1.0 + 2.0 * x)
+    conj = (((4.0 + 8.0 * x + v * v) * s + 4.0 * v * (1.0 + 2.0 * x))
+            / ((4.0 + 4.0 * x + v * v) * s + 2.0 * v * (2.0 + 3.0 * x)))
+    return 4.0 / 3.0 * conj * float(q)
 
 
 def _check_edge(v: float, edge: str) -> float:
     if edge not in ("lower", "upper"):
         raise DomainError(f"edge must be 'lower' or 'upper', got {edge!r}")
-    if v < 0.0:  # a nan v is left to _finite
-        raise DomainError(f"v must be >= 0, got {v}")
     if edge == "lower":
         if not (v > 2.0):
             raise DomainError(f"lower edge needs v > 2 (n2 = v/2 - 1 > 0), got v={v}")
@@ -314,9 +315,9 @@ def edge_limit_ratio(v: float, edge: str) -> float:
     wL -> infinity limit of edge_phase_time_ratio; both tend to 0 as
     v -> infinity.
     """
+    _in_domain(v=v)
     n2 = _check_edge(v, edge)
-    ratio = -(4.0 / 3.0) / (1.0 + 2.0 * n2 if edge == "lower" else 1.0 - 2.0 * n2)
-    return _finite(ratio, "the edge limit ratio", f"v={v}, edge={edge}")
+    return -(4.0 / 3.0) / (1.0 + 2.0 * n2 if edge == "lower" else 1.0 - 2.0 * n2)
 
 
 def edge_phase_time_ratio(v: float, wL: float, edge: str) -> float:
@@ -331,24 +332,11 @@ def edge_phase_time_ratio(v: float, wL: float, edge: str) -> float:
     the width-independent limit values are approached only as
     wL grows, at the sweep's wL = 2*pi they are still ~5-10% away.
     """
+    _in_domain(v=v, wL=wL)
     n2 = _check_edge(v, edge)
-    if not (wL >= 0.0):
-        raise DomainError(f"wL must be >= 0, got {wL}")
     sgn = 1.0 if edge == "lower" else -1.0
-    if math.isinf(n2 * wL * wL):
-        # num and den divided by wL^2, whose inverse is 0 where wL^2 overflows too
-        w2 = 1.0 / (wL * wL)
-        num = (0.5 - sgn / (v - sgn)) * w2 - sgn * n2 / (v - sgn) / 3.0
-        ratio = num / (w2 + 0.25 * n2)
-    elif math.isinf(3.0 * (v - sgn)):
-        # 3 (v -+ 1) overflows: the n2 wL^2 term over v above and below, where
-        # 1 -+ 1/v rounds to 1
-        num = 0.5 - sgn / (v - sgn) - sgn * (n2 / v) * wL * wL / 3.0
-        ratio = num / (1.0 + 0.25 * n2 * wL * wL)
-    else:
-        num = 0.5 - sgn / (v - sgn) - sgn * n2 * wL * wL / (3.0 * (v - sgn))
-        ratio = num / (1.0 + 0.25 * n2 * wL * wL)
-    return _finite(ratio, "the edge ratio", f"v={v}, wL={wL}, edge={edge}")
+    num = 0.5 - sgn / (v - sgn) - sgn * n2 * wL * wL / (3.0 * (v - sgn))
+    return num / (1.0 + 0.25 * n2 * wL * wL)
 
 
 def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
@@ -360,16 +348,7 @@ def edge_limit_magnitude_nr_form(v: float, wL: float, edge: str) -> float:
     limit of transmission_magnitude_nr_form, not of the exact matcher,
     whose edge value is |2/(2 - i k L)|.
     """
+    _in_domain(v=v, wL=wL)
     _check_edge(v, edge)
-    if not (wL >= 0.0):
-        raise DomainError(f"wL must be >= 0, got {wL}")
     den = 2.0 * v - 4.0 if edge == "lower" else 2.0 * v + 4.0
-    if math.isinf(den) or math.isinf(wL * wL / den):
-        # past an overflow, the same (1 + a^2)^(-1/2) with a = wL/sqrt(den),
-        # and den = 2 (v -+ 2) where 2v -+ 4 overflows
-        a = (wL / math.sqrt(2.0) / math.sqrt(v - 2.0 if edge == "lower" else v + 2.0)
-             if math.isinf(den) else wL / math.sqrt(den))
-        magnitude = 1.0 / a if math.isinf(a * a) else 1.0 / math.sqrt(1.0 + a * a)
-    else:
-        magnitude = 1.0 / math.sqrt(1.0 + wL * wL / den)
-    return _finite(magnitude, "the edge NR-prefactor |T|", f"v={v}, wL={wL}, edge={edge}")
+    return 1.0 / math.sqrt(1.0 + wL * wL / den)

@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError, ZeroLengthError, ZoneError
-from .kinematics import Zone, _rho_n2_columns, _zone, rho_n2
+from .kinematics import Zone, _in_domain, _rho_n2_columns, _zone
 
 
 @dataclass(frozen=True)
@@ -137,28 +137,24 @@ def match_boundaries(v: float, n2: float, wL: float) -> ScatteringSolution:
     (R, T) in units of w.  The transmission is solved as S = T*exp(rho L)
     (an O(1) quantity) and rescaled at the end.  The basis follows the
     sign of rho_n^2 = kinematics.rho_n2(v, n2), and every coefficient is
-    in units of w (see ScatteringSolution).  Raises DomainError for
-    n2 <= 0, for wL < 0 or nan, where n wL (on an exact edge) or q_n wL
-    (in the oscillatory zones) is infinite, and past the phase cutoff,
-    where exp(-i q_n wL) is noise: the closed form's refusals of the
-    phase, with the same text (_winding).
+    in units of w (see ScatteringSolution).  Raises the domain's
+    DomainError outside it, and past the phase cutoff, where
+    exp(-i q_n wL) is noise, the closed form's refusal of the phase, with
+    the same text.
     """
-    if not (wL >= 0.0):
-        raise DomainError(f"wL must be >= 0, got {wL}")
-    r2 = rho_n2(v, n2)
+    _in_domain(v=v, n2=n2, wL=wL)
+    r2 = _rho_n2_columns(v, np.array([n2], dtype=float))[0].item()
     n = math.sqrt(n2)
 
     if r2 == 0.0:
         # interior a + b*xi, xi = w*x; per unit T: b = i n, a = 1 - i n wL
         nwL = n * wL
-        if math.isinf(nwL):
-            raise DomainError(f"n*wL is not finite at v={v}, n2={n2}, wL={wL}")
         T = 2.0 / (2.0 - 1j * nwL)
         R = -1j * nwL / (2.0 - 1j * nwL)
         return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * nwL) * T,
                                   beta=1j * n * T, arg_T=cmath.phase(T))
 
-    winding = _winding(v, n2, wL, r2)
+    winding = _winding(r2, wL)
     if _past_cutoff(winding):
         raise _refusal("phase", v, n2, wL, winding, r2)
     # the principal root: rho_n where rho_n^2 > 0, else i q_n = i sqrt(-rho_n^2)
@@ -202,17 +198,13 @@ def _past_cutoff(winding):
     return winding > _MAX_WINDING
 
 
-def _winding(v: float, n2: float, wL: float, r2: float) -> int:
+def _winding(r2: float, wL: float) -> int:
     """The winding floor(q_n wL/pi + 1/2) at one point, with q_n wL formed
-    from d2 = rho_n^2 wL^2 as _closed_forms forms it (0 where d2 >= 0);
-    DomainError where q_n wL is infinite, as in _closed_forms."""
+    from d2 = rho_n^2 wL^2 as _closed_forms forms it (0 where d2 >= 0)."""
     d2 = r2 * wL * wL
     if not d2 < 0.0:
         return 0
-    d = math.sqrt(-d2)
-    if math.isinf(d):
-        raise DomainError(f"q_n*wL is not finite at v={v}, n2={n2}, wL={wL}")
-    return math.floor(d / math.pi + 0.5)
+    return math.floor(math.sqrt(-d2) / math.pi + 0.5)
 
 
 def _phase_blind(winding, n2, r2):
@@ -237,7 +229,7 @@ class _Columns(NamedTuple):
     """The closed forms at every n2 of a grid, one float64 array each.
 
     See _closed_forms.  winding holds integral values, X is nan on the
-    LARGE_D2 asymptote and +-inf where it overflows, s = sqrt(1 + 2 n2 v)
+    LARGE_D2 asymptote, s = sqrt(1 + 2 n2 v)
     = E/m, and ratio is None unless it was asked for.
     """
 
@@ -272,10 +264,11 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
                   columns: tuple[str, ...] = ()) -> _Columns:
     """The closed forms at every n2 of the float64 array n2, as columns.
 
-    The one arithmetic path of the closed forms, a whole grid per call.
-    numpy carries only +, -, *, / and sqrt, which round exactly like
-    float arithmetic, in the operation order of the one-point formulas;
-    the series, tanh, tan and LARGE_D2 branches are chosen per entry by
+    The one arithmetic path of the closed forms, a whole grid per call,
+    for v, n2 and wL in the input domain (the callers check it).  numpy
+    carries only +, -, *, / and sqrt, which round exactly like float
+    arithmetic, in the operation order of the one-point formulas; the
+    series, tanh, tan and LARGE_D2 branches are chosen per entry by
     masks, and every transcendental comes from math (_map).  So each
     entry is what the formulas give at that n2 alone, whatever the rest
     of the grid.  Overflow and invalid operations give +-inf and nan
@@ -283,8 +276,7 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
 
     The columns: magnitude |T| = 1/hypot(1, X) with the real
     X = ((n2 + rho_n^2)/(2n)) wL sinhc(d2), nan on the LARGE_D2 asymptote
-    where sinh overflows (and |T| = 1/|X| formed without X where X itself
-    overflows at a tiny n2); the phase, winding, r2 = rho_n^2 and s from
+    where sinh overflows; the phase, winding, r2 = rho_n^2 and s from
     kinematics._rho_n2_columns, for callers that need them again.  The
     complex T and R are built from (magnitude, phase, X) by
     _amplitude_pair, only where they are wanted.  One phase expression
@@ -292,24 +284,17 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
     Y = ((n2 - rho_n^2)/(2n)) wL tc, tc = tanh(d)/d continued through
     rho_n^2 < 0 where tanh turns into tan and the branch count
     N = floor(q_n wL / pi + 1/2) restores continuity in n2.  On the
-    LARGE_D2 asymptote tanh(d) = 1, so tc = 1/d; where d2 itself overflows
-    (wL beyond about 1e154, and wL = inf) wL tc is taken as 1/rho_n, so
-    the phase there is its wL -> inf value arctan((n2 - rho_n^2)/(2 n rho_n))
-    and |T| = 0.
+    LARGE_D2 asymptote tanh(d) = 1, so tc = 1/d.
 
     With ratio=True the ratio column is t_phi/tau, the chain-rule
     n2-derivative of that phase (see the phasetime module); otherwise
     None; on the LARGE_D2 asymptote its term in h = dtc/d(d2) = -tc/(2 d2)
-    is formed as wL^2 h = -tc/(2 rho_n^2), which neither loses digits nor
-    underflows as wL grows.  At wL = inf tau is infinite and the ratio is
-    refused, as the oracle refuses it.  Every entry the core cannot vouch
-    for is nan, the one decision of each refused cell; the first among the
-    named columns is raised as its _refusal.  At wL = 0 there is no
-    barrier: |T| = 1 and the phase is 0 at every n2.  Raises DomainError
-    for wL < 0 or nan, and where rho_n^2 or q_n wL is infinite.
+    is formed as wL^2 h = -tc/(2 rho_n^2), which does not lose digits as
+    wL grows.  Every entry the core cannot vouch for is nan, the one
+    decision of each refused cell; the first among the named columns is
+    raised as its _refusal.  At wL = 0 there is no barrier: |T| = 1 and
+    the phase is 0 at every n2.
     """
-    if not (wL >= 0.0):
-        raise DomainError(f"wL must be >= 0, got {wL}")
     r2, s = _rho_n2_columns(v, n2)
     two_n = 2.0 * np.sqrt(n2)
     # tc = tanh(d)/d and sc = sinh(d)/d, continued in d2 (tan, sin for d2 < 0);
@@ -337,18 +322,11 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             sc[mid] = _map(math.sinh, d) / d
         if np.count_nonzero(neg):
             d = np.sqrt(-d2[neg])
-            if np.count_nonzero(np.isinf(d)):
-                bad = n2[neg][np.isinf(d)][0].item()
-                raise DomainError(f"q_n*wL is not finite at v={v}, n2={bad}, wL={wL}")
             th[neg] = t = _map(math.tan, d)
             tc[neg] = t / d
             sc[neg] = _map(math.sin, d) / d
             winding[neg] = np.floor(d / math.pi + 0.5)
         Y = (n2 - r2) / two_n * wL * tc
-        if wL == 0.0:
-            # no barrier: X = Y = 0, so T = 1 and R = 0 exactly, also where
-            # (n2 -+ rho_n^2)/(2n) overflows and the product is inf * 0
-            Y[np.isnan(Y)] = 0.0
         opaque = np.count_nonzero(large)
         if opaque:
             # sinh(d)^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
@@ -356,24 +334,12 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             mag[large] = 4.0 * np.sqrt(a * b) * _map(math.exp, -np.sqrt(d2[large])) / (a + b)
             X[large] = math.nan
             X[fin] = (n2[fin] + r2[fin]) / two_n[fin] * wL * sc[fin]
-            # d2 = inf zeroes tc = 1/d, but wL tc = 1/rho_n
-            top = d2 == math.inf
-            if np.count_nonzero(top):
-                rho = np.sqrt(r2[top])
-                tc[top] = 1.0 / rho / wL
-                Y[top] = (n2[top] - r2[top]) / two_n[top] / rho
         else:
             X = (n2 + r2) / two_n * wL * sc
         phase = _map(math.atan, Y) + winding * math.pi
         phase[_past_cutoff(winding)] = math.nan  # unresolved past the cutoff
-        if wL == 0.0:
-            X[np.isnan(X)] = 0.0
         x = X[fin]
         mag[fin] = 1.0 / np.fromiter(map(math.hypot, repeat(1.0), x.tolist()), float, x.size)
-        over = np.isinf(X)
-        if np.count_nonzero(over):
-            # X overflows at a tiny n2: |T| = 1/|X| < 6e-309, formed without X
-            mag[over] = two_n[over] / np.abs(n2[over] + r2[over]) / wL / np.abs(sc[over])
         blind = _phase_blind(winding, n2, r2)
         mag[blind] = math.nan
         t_ratio = None
@@ -402,24 +368,14 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             P = pv + m2 * (qv + m2 * v * (s + 2.0) / s1) / (s * s1)
             u_rho = u * (v / s - 1.0)  # u rho', rho' = d rho_n^2/dn2
             t_ratio = (P * tc / m2 + u_rho * wL * wL * h) / (1.0 + Y * Y)
-            big = np.isinf(Y * Y) & np.isfinite(Y)
-            if np.count_nonzero(big):
-                # 1 + Y^2 overflows at a tiny n2 (and P tc/m2 may): divide
-                # by Y twice instead, the first time inside each term
-                y, k = Y[big], wL * wL * h[big]
-                t_ratio[big] = (P[big] * tc[big] / (m2[big] * y) + u_rho[big] * k / y) / y
             if opaque:
-                # tanh(d) = 1 on the asymptote, so h = -tc/(2 d2), which loses
-                # digits from wL ~ 1e104 and underflows from 1e109: there both
-                # forms above take wL^2 h = -tc/(2 rho_n^2) instead (z = 1
-                # where 1 + Y^2 is finite turns the second into the first)
-                y, i = Y[large], big[large]
-                z, k = np.where(i, y, 1.0), -tc[large] / (2.0 * r2[large])
-                t_ratio[large] = ((P[large] * tc[large] / (m2[large] * z) + u_rho[large] * k / z)
-                                  / np.where(i, y, 1.0 + y * y))
-            # tau = 0 at wL = 0 and inf at wL = inf (as the oracle refuses
-            # there); blind: unresolved past the cutoff
-            t_ratio[~np.isfinite(t_ratio) | (wL == 0.0) | (wL == math.inf) | blind] = math.nan
+                # tanh(d) = 1 on the asymptote, so h = -tc/(2 d2): wL^2 h is
+                # formed as -tc/(2 rho_n^2), free of the roundings of wL^2 and d2
+                y, k = Y[large], -tc[large] / (2.0 * r2[large])
+                t_ratio[large] = ((P[large] * tc[large] / m2[large] + u_rho[large] * k)
+                                  / (1.0 + y * y))
+            # tau = 0 at wL = 0; blind: unresolved past the cutoff
+            t_ratio[~np.isfinite(t_ratio) | (wL == 0.0) | blind] = math.nan
     cols = _Columns(mag, phase, winding, X, r2, s, t_ratio)
     for column in columns:
         for i in np.flatnonzero(np.isnan(getattr(cols, column)))[:1].tolist():
@@ -444,12 +400,12 @@ def _refusal(column: str, v: float, n2: float, wL: float,
 def _amplitude_pair(mag: float, phase: float, X: float) -> tuple[complex, complex]:
     """(T, R) from one _closed_forms entry: T = rect(mag, phase), R = -i X T.
 
-    On the LARGE_D2 asymptote (X nan, where X > 0) and where X overflows,
-    R = -i sign(X) rect(1, phase): |R| = 1 to double precision there.
+    On the LARGE_D2 asymptote (X nan, where X > 0) R = -i rect(1, phase):
+    |R| = 1 to double precision there.
     """
     T = cmath.rect(mag, phase)
-    if not math.isfinite(X):
-        return T, -1j * cmath.rect(1.0 if math.isnan(X) else math.copysign(1.0, X), phase)
+    if math.isnan(X):
+        return T, -1j * cmath.rect(1.0, phase)
     return T, -1j * X * T
 
 
@@ -465,9 +421,10 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
     match_boundaries (the Wronskian-conserving solution); see
     transmission_magnitude_nr_form for the variant without it.  At v = 0
     (rho_n^2 = 1 - n2, n2 = E_NR/V0) this is the Schroedinger barrier.
-    Raises DomainError for wL < 0 or nan, and the core's refusal of the
-    magnitude or the phase (_refusal).
+    Raises the domain's DomainError outside it, and the core's refusal of
+    the magnitude or the phase (_refusal).
     """
+    _in_domain(v=v, n2=n2, wL=wL)
     point = _closed_forms(v, np.array([n2], dtype=float), wL, columns=("mag", "phase"))
     mag, phase = point.mag.item(), point.phase.item()
     T, R = _amplitude_pair(mag, phase, point.X.item())
@@ -485,40 +442,35 @@ def transmission_magnitude_nr_form(v: float, n2: float, wL: float) -> float:
     tunneling zone and on both edges, where rho_n = 0 gives the limit
     [1 + wL^2/(4 n2)]^(-1/2); raises ZoneError in the oscillatory zones
     and _refusal where the result is not finite or, on a snapped edge
-    where rho_n^2 rounds below 0, past the phase cutoff; DomainError for
-    n2 <= 0, for wL < 0 or nan and where q_n wL is infinite there.
+    where rho_n^2 rounds below 0, past the phase cutoff; the domain's
+    DomainError outside it.
     """
-    if not (wL >= 0.0):
-        raise DomainError(f"wL must be >= 0, got {wL}")
+    _in_domain(v=v, n2=n2, wL=wL)
     n2s = np.array([n2], dtype=float)
-    r2 = _rho_n2_columns(v, n2s)[0]  # refuses n2 <= 0 or nan before the zone tag
+    r2 = _rho_n2_columns(v, n2s)[0]
     zone = _zone(v, n2)
     if zone not in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
         raise ZoneError(
             f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
     mag = _nr_form_from_r2(n2s, r2, wL).item()
     if math.isnan(mag):
-        raise _refusal("nr", v, n2, wL, _winding(v, n2, wL, r2.item()), r2.item())
+        raise _refusal("nr", v, n2, wL, _winding(r2.item(), wL), r2.item())
     return mag
 
 
 def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
     """transmission_magnitude_nr_form at every (n2, rho_n^2 = r2) of two
     float64 arrays, with no zone check; as in _closed_forms, numpy does
-    the arithmetic and math the transcendentals; inf * 0 gives a nan.
-    At wL = 0 there is no barrier and every entry is 1 exactly, also where
-    the prefactor 1/(4 n2 rho_n^2) overflows.  Where the prefactor or its
-    product with sinh^2 overflows (a tiny n2), 1/sqrt(|prefactor|) is
-    formed as 2 sqrt(n2) sqrt(|rho_n^2|) instead, so |T| does not drop to 0.
+    the arithmetic and math the transcendentals.  Where the prefactor's
+    product with sinh^2 overflows (a tiny n2 and a wide barrier),
+    1/sqrt(1 + c sinh^2) is formed as 2 sqrt(n2) sqrt(|rho_n^2|) over
+    sqrt(|4 n2 rho_n^2 + sinh^2|) instead, so |T| does not drop to 0.
     Where rho_n^2 rounds below 0, an entry past the phase cutoff is nan."""
-    if wL == 0.0:
-        return np.ones_like(r2)
     out = np.empty_like(r2)
     edge = r2 == 0.0
+    out[edge] = 1.0 / np.sqrt(1.0 + wL * wL / (4.0 * n2[edge]))
+    n2, r2 = n2[~edge], r2[~edge]
     with np.errstate(over="ignore", invalid="ignore"):
-        a = wL * wL / (4.0 * n2[edge])
-        out[edge] = np.where(np.isinf(a), 2.0 * np.sqrt(n2[edge]) / wL, 1.0 / np.sqrt(1.0 + a))
-        n2, r2 = n2[~edge], r2[~edge]
         c = 1.0 / (4.0 * n2 * r2)
         d2 = r2 * wL * wL
         large = d2 > LARGE_D2
@@ -532,22 +484,21 @@ def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
         s2[pos] = _squared(_map(math.sinh, np.sqrt(d2[pos])))
         neg = d2 <= -SERIES_CUT
         d = np.sqrt(-d2[neg])
-        # sin(d) is noise past the cutoff, and math.sin(inf) raises
+        # sin(d) is noise past the cutoff
         d[_past_cutoff(np.floor(d / math.pi + 0.5))] = math.nan
         s2[neg] = -_squared(_map(math.sin, d))
         mag = np.empty_like(d2)
         # sinh^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff
-        e = 2.0 * _map(math.exp, -np.sqrt(d2[large]))
-        mag[large] = e / np.sqrt(c[large])
-        cs2 = c[~large] * s2[~large]
-        mag[~large] = 1.0 / np.sqrt(1.0 + cs2)
+        mag[large] = 2.0 * _map(math.exp, -np.sqrt(d2[large])) / np.sqrt(c[large])
+        fin = ~large
+        cs2 = c[fin] * s2[fin]
+        mag[fin] = 1.0 / np.sqrt(1.0 + cs2)
         over = np.zeros_like(large)
-        over[large], over[~large] = np.isinf(c[large]), np.isinf(cs2)
+        over[fin] = np.isinf(cs2)
         if over.any():
-            # 1/sqrt(|c|), and 1 + c s2 = c (4 n2 rho_n^2 + s2) off the asymptote
-            root = 2.0 * np.sqrt(n2) * np.sqrt(np.abs(r2))
-            i, j = over & large, over & ~large
-            mag[i] = e[over[large]] * root[i]
-            mag[j] = root[j] / np.sqrt(np.abs(4.0 * n2[j] * r2[j] + s2[j]))
+            # 1 + c s2 = c (4 n2 rho_n^2 + s2), and 1/sqrt(c) = 2 sqrt(n2) sqrt(|rho_n^2|)
+            n2, r2 = n2[over], r2[over]
+            mag[over] = (2.0 * np.sqrt(n2) * np.sqrt(np.abs(r2))
+                         / np.sqrt(np.abs(4.0 * n2 * r2 + s2[over])))
     out[~edge] = mag
     return out

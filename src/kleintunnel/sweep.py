@@ -24,11 +24,11 @@ per-row tuple and boxes no float.
 Grid points on a zone edge by the one edge rule (kinematics._edges,
 which also sets classify_zone's tags and the oracle's refusals) are
 snapped to the edge, evaluated like every other point and flagged in the
-``nudged`` column rather than dropped.  The closed-form core and the
-oracle decide every refusal, never the sweep: an input whose rho_n^2 or
-q_n wL overflows aborts the call with a DomainError, and any other cell
-they cannot vouch for stays empty, named "<column>: <reason>" in the
-row's ``error`` field (JSON) while the row keeps the rest.
+``nudged`` column rather than dropped.  A request outside the input
+domain (kinematics) is refused when it is built; past that, the
+closed-form core and the oracle decide every refusal, never the sweep:
+any cell they cannot vouch for stays empty, named "<column>: <reason>"
+in the row's ``error`` field (JSON) while the row keeps the rest.
 
 CSV contract: header row mandatory, columns in the fixed order
 
@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError
-from .kinematics import Zone, _edges
+from .kinematics import Zone, _edges, _in_domain
 from .phasetime import _numeric_refusal, _phase_time_columns
 from .scattering import _closed_forms, _nr_form_from_r2, _refusal, _squared
 
@@ -81,14 +81,9 @@ class SweepRequest:
     outputs: tuple[str, ...] = VALUE_COLUMNS
 
     def __post_init__(self) -> None:
-        if not (self.v >= 0.0 and math.isfinite(self.v)):
-            raise DomainError(f"v must be finite and >= 0, got {self.v}")
-        if not (self.wL >= 0.0 and math.isfinite(self.wL)):
-            raise DomainError(f"wL must be finite and >= 0, got {self.wL}")
-        if not (self.n2_min > 0.0):
-            raise DomainError(f"n2_min must be positive, got {self.n2_min}")
-        if not (self.n2_max > self.n2_min and math.isfinite(self.n2_max)):
-            raise DomainError(f"n2_max must be finite and exceed n2_min, got {self.n2_max}")
+        _in_domain(v=self.v, wL=self.wL, n2_min=self.n2_min, n2_max=self.n2_max)
+        if not (self.n2_max > self.n2_min):
+            raise DomainError(f"n2_max must exceed n2_min, got {self.n2_max}")
         if (isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral)
                 or self.count < 2):
             raise DomainError(f"count must be an integer >= 2, got {self.count!r}")

@@ -47,7 +47,7 @@ from .errors import (
     QuadratureError,
     SupportError,
 )
-from .kinematics import BarrierSetup, IncidentMode
+from .kinematics import BarrierSetup, IncidentMode, _in_domain, _n2_of
 from .phasetime import classical_tau, normalized_phase_time
 from .scattering import _closed_forms, _squared
 
@@ -56,8 +56,6 @@ _MAX_LEVELS = 12
 _BLOCK = 64
 _FIELD_TOL = 1e-8  # the field's relative intensity tolerance
 _METRICS_TOL = 1e-10  # the distortion metrics' tolerance
-# The largest x whose square x ** 2 is finite (pow raises OverflowError past it)
-_SQRT_MAX = math.sqrt(sys.float_info.max)
 # Past 2**53 a double is not resolved to 1, so a phase t*E beyond it is noise
 _PHASE_MAX = 2.0 ** 53
 
@@ -76,10 +74,7 @@ class SpectrumSpec:
     support_halfwidth: float = 6.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.k0):
-            raise DomainError(f"k0 must be finite, got {self.k0}")
-        if not (self.sigma_k > 0.0 and math.isfinite(self.sigma_k)):
-            raise DomainError(f"sigma_k must be positive and finite, got {self.sigma_k}")
+        _in_domain(k0=self.k0, sigma_k=self.sigma_k)
         if not (self.support_halfwidth > 0.0 and math.isfinite(self.support_halfwidth)):
             raise DomainError(
                 f"support_halfwidth must be positive and finite, got {self.support_halfwidth}")
@@ -377,19 +372,18 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
     around it (falling back to the packet's own temporal width 6/sigma_k
     when both vanish at L = 0), sampled at n_times >= 3 uniform times.
 
-    Raises DomainError, before any quadrature, where the top of the
-    support overflows n2 = (k/w)^2 or E = sqrt(k^2 + m^2) (every node
-    lies below it), and where a phase t*E over the window exceeds 2**53,
-    where doubles no longer resolve it.
+    Raises, before any quadrature, the domain's DomainError where n2 =
+    (k/w)^2 at either end of the support is outside it (every node lies
+    between them), and DomainError where a phase t*E over the window
+    exceeds 2**53, where doubles no longer resolve it.
     """
     if (isinstance(n_times, bool) or not isinstance(n_times, numbers.Integral)
             or n_times < 3):
         raise DomainError(f"n_times must be an integer >= 3, got {n_times!r}")
-    m, w, k0, k_top = setup.m, setup.w, spectrum.k0, spectrum.support[1]
+    m, w, k0 = setup.m, setup.w, spectrum.k0
+    k_low, k_top = spectrum.support
+    _in_domain(n2=np.array([_n2_of(k_low, w), _n2_of(k_top, w)]))
     E_top = math.sqrt(k_top * k_top + m * m)
-    if k_top / w > _SQRT_MAX or math.isinf(E_top):
-        raise DomainError(f"n2 = (k/w)^2 or E = sqrt(k^2 + m^2) overflows at the top of "
-                          f"the support, k={k_top}, w={w}, m={m}")
     if setup.L == 0.0:  # no barrier: t_phi = tau = 0, and t_phi/tau is undefined
         tau = t_pred = 0.0
     else:

@@ -31,6 +31,9 @@ from kleintunnel.phasetime import edge_phase_time_ratio
 from kleintunnel.sweep import CSV_COLUMNS, VALUE_COLUMNS, fig1_preset
 from test_phasetime import mp_ratio
 
+# the one DomainError text of the input domain, after "<name>=<value> "
+DOMAIN = "is outside the input domain: 1e-100 to 1e100, or 0 for v, wL and L"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -65,12 +68,16 @@ class TestZone:
         assert parse_human(out)["zone"] == "NonPropagating"
 
     def test_energy_whose_k_squared_overflows(self, capsys):
-        # (E - m)(E + m) overflows: it exited 1 with "k is not finite: inf"
+        # (E - m)(E + m) overflows at E = 1.4e154, outside the input domain:
+        # it exited 1 with "k is not finite: inf", and 0.8.0 printed a mode.
+        # At the domain's top end (and n2 = (k/w)^2 inside it) k is a value
         code, out, err = run_cli(capsys, "zone", "--m", "1", "--V0", "10", "--E", "1.4e154")
+        assert (code, out, err) == (1, "", f"error: E=1.4e+154 {DOMAIN}\n")
+        code, out, err = run_cli(capsys, "zone", "--m", "1", "--V0", "1e100", "--E", "2e99")
         assert (code, err) == (0, "")
         vals = parse_human(out)
-        assert vals["zone"] == "AboveBarrier" and vals["channel"] == "oscillatory"
-        assert vals["k"] == pytest.approx(1.4e154, rel=1e-15)
+        assert vals["zone"] == "Klein" and vals["channel"] == "oscillatory"
+        assert vals["k"] == 2e99 and vals["q"] == pytest.approx(8e99, rel=1e-15)
 
 
 class TestZoneTagsFollowN2:
@@ -140,9 +147,12 @@ class TestExitCodes:
 
     def test_mass_so_small_that_2_m_V0_underflows(self, capsys):
         # 2 m V0 = 2e-400 is 0 in doubles, and w = sqrt(2 m V0) was refused;
-        # w from the factors gives the m = 1 barrier scaled, whose
+        # 0.8.0 took w from the factors.  m = 1e-200 is outside the input
+        # domain.  At m = 1e-90 the barrier is the m = 1 one scaled, whose
         # dimensionless results are the same to roundoff
-        code, out, err = run_cli(capsys, "amp", "--m", "1e-200", "--v", "1", "--n2", "0.5",
+        code, out, err = run_cli(capsys, "amp", "--m", "1e-200", "--v", "1", "--n2", "0.5")
+        assert (code, out, err) == (1, "", f"error: m=1e-200 {DOMAIN}\n")
+        code, out, err = run_cli(capsys, "amp", "--m", "1e-90", "--v", "1", "--n2", "0.5",
                                  "--json")
         assert (code, err) == (0, "")
         tiny = json.loads(out)
@@ -152,15 +162,16 @@ class TestExitCodes:
         assert tiny["zone"] == unit["zone"] == "Tunneling"
         for key in ("n2", "T2_exact", "phase_rad", "R2", "T2_matcher", "T2_nr_form"):
             assert tiny[key] == pytest.approx(unit[key], rel=1e-14), key
-        assert tiny["L"] == pytest.approx(1e200 * unit["L"], rel=1e-15)
+        assert tiny["L"] == pytest.approx(1e90 * unit["L"], rel=1e-15)
 
     @pytest.mark.parametrize("argv", [("phasetime", "--V0", "-1", "--n2", "1"),
                                       ("amp", "--v", "-1", "--n2", "1")])
     def test_non_positive_barrier_height(self, capsys, argv):
-        # sqrt(2 m V0) of a negative V0 was a math domain error traceback
+        # sqrt(2 m V0) of a negative V0 was a math domain error traceback;
+        # the refusal names the flag as given
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == "error: barrier height must be positive and finite, got V0=-1.0\n"
+        assert err == f"error: {argv[1][2:]}=-1.0 {DOMAIN}\n"
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read config"), ("[1, 2]", "must hold a JSON object")],
@@ -187,24 +198,25 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "packet", "--m", "1", "--V0", "10", "--L", "0.1",
                                  "--n2", n2, "--sigma-k", "0.2")
         assert (code, out) == (1, "")
-        assert err == f"error: n2 must be positive and finite, got {float(n2)}\n"
+        assert err == f"error: n2={float(n2)} {DOMAIN}\n"
 
     @pytest.mark.parametrize("cmd", ["amp", "phasetime"])
     def test_infinite_phase_argument(self, capsys, cmd):
-        # q_n wL overflows to inf in the Klein zone: a typed error, not a
-        # math domain error traceback
+        # q_n wL overflowed to inf in the Klein zone at wL = 1e300: it was a
+        # math domain error traceback, and then a typed error of its own.
+        # That width is outside the input domain
         code, out, err = run_cli(capsys, cmd, "--v", "10", "--n2", "1", "--wL", "1e300")
         assert code == 1 and out == ""
-        assert err == "error: q_n*wL is not finite at v=10.0, n2=1.0, wL=1e+300\n"
+        assert err == f"error: wL=1e+300 {DOMAIN}\n"
 
     def test_unresolved_phase_argument(self, capsys):
-        # past the phase cutoff (q_n wL ~ 6e75) amp refuses the point, with
+        # past the phase cutoff (q_n wL ~ 6e50) amp refuses the point, with
         # the text of the sweep's empty phase_rad cell
-        code, out, err = run_cli(capsys, "amp", "--v", "10", "--n2", "1e150",
+        code, out, err = run_cli(capsys, "amp", "--v", "10", "--n2", "1e100",
                                  "--wL", repr(2.0 * math.pi))
         assert code == 1 and out == ""
         assert err == ("error: q_n*wL is too large to resolve the phase modulo pi "
-                       f"at v=10.0, n2=1e+150, wL={2.0 * math.pi}\n")
+                       f"at v=10.0, n2=1e+100, wL={2.0 * math.pi}\n")
 
     def test_success(self, capsys):
         code, _, _ = run_cli(capsys, "limits", "--v", "10")
@@ -230,20 +242,25 @@ class TestLimits:
 
 
 class TestLimitsDomain:
-    @pytest.mark.parametrize("v", ["0", "-1"])
-    def test_non_positive_v_is_a_computation_error(self, capsys, v):
-        # v = 0 divided by zero in mL and v = -1 took sqrt of a negative number
-        code, out, err = run_cli(capsys, "limits", "--v", v)
+    @pytest.mark.parametrize("v, err", [("0", "limits needs v > 0, got v=0.0"),
+                                        ("-1", f"v=-1.0 {DOMAIN}")], ids=["0", "-1"])
+    def test_non_positive_v_is_a_computation_error(self, capsys, v, err):
+        # v = 0 divided by zero in mL and v = -1 took sqrt of a negative number;
+        # v = 0 is in the input domain (the Schroedinger barrier), but not here
+        code, out, got = run_cli(capsys, "limits", "--v", v)
         assert (code, out) == (1, "")
-        assert err == f"error: limits needs v > 0, got v={float(v)}\n"
+        assert got == f"error: {err}\n"
 
     def test_tiny_v_does_not_overflow(self, capsys):
-        # mL^2 overflowed in high_v_magnitude_form; 1 + mL^2 = mL^2 long before
-        code, out, _ = run_cli(capsys, "limits", "--v", "1e-320", "--json")
+        # mL^2 overflowed in high_v_magnitude_form at v = 1e-320, outside the
+        # input domain; at its lower end mL^2 = 2e101 is a plain value
+        code, out, err = run_cli(capsys, "limits", "--v", "1e-320")
+        assert (code, out, err) == (1, "", f"error: v=1e-320 {DOMAIN}\n")
+        code, out, _ = run_cli(capsys, "limits", "--v", "1e-100", "--json")
         assert code == 0
         vals = json.loads(out)
-        mL = 2.0 * math.pi / math.sqrt(2e-320)
-        assert vals["mL"] == mL and vals["high_v_magnitude_form"] == 1.0 / mL
+        mL = 2.0 * math.pi / math.sqrt(2e-100)
+        assert vals["mL"] == mL and vals["high_v_magnitude_form"] == 1.0 / math.sqrt(1.0 + mL ** 2)
 
     def test_finite_values_keep_their_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "limits", "--v", "10", "--json")
@@ -254,9 +271,12 @@ class TestLimitsDomain:
         assert vals["high_v_magnitude_form"] == 1.0 / math.sqrt(1.0 + mL ** 2)
 
     def test_overflowing_width_gives_values(self, capsys):
-        # wL^2 overflows: the NR-prefactor |T| read 0.0 and the edge ratio
-        # refused; every edge value exists and is printed
-        code, out, _ = run_cli(capsys, "limits", "--v", "10", "--wL", "1e160", "--json")
+        # wL^2 overflowed at wL = 1e160: the NR-prefactor |T| read 0.0 and the
+        # edge ratio refused.  That width is outside the input domain; at its
+        # top end every edge value exists and is printed
+        code, out, err = run_cli(capsys, "limits", "--v", "10", "--wL", "1e160")
+        assert (code, out, err) == (1, "", f"error: wL=1e+160 {DOMAIN}\n")
+        code, out, _ = run_cli(capsys, "limits", "--v", "10", "--wL", "1e100", "--json")
         assert code == 0
         vals = json.loads(out)
         edge = {k: x for k, x in vals.items() if k.startswith(("lower_edge_", "upper_edge_"))}
@@ -264,14 +284,14 @@ class TestLimitsDomain:
         assert all(math.isfinite(x) and x != 0.0 for x in edge.values())
 
     @pytest.mark.parametrize("argv, err", [
-        (("--v", "1e308", "--wL", "1e308"),
-         "error: the small-rho ratio evaluates to nan at v=1e+308, n2=5e+307\n"),
-        (("--v", "1e-320", "--wL", "1e150"), "error: mL is not finite: inf\n"),
+        (("--v", "1e308", "--wL", "1e308"), f"error: v=1e+308 {DOMAIN}\n"),
+        (("--v", "1e-320", "--wL", "1e150"), f"error: v=1e-320 {DOMAIN}\n"),
     ], ids=["formula", "emit"])
     @pytest.mark.parametrize("as_json", [False, True])
     def test_non_finite_values_are_refused(self, capsys, argv, err, as_json):
-        # the first printed the non-JSON token NaN with exit 0; in the second every
-        # limit formula is finite and only mL = wL/sqrt(2v) overflows
+        # the first printed the non-JSON token NaN with exit 0, and the second
+        # overflowed mL = wL/sqrt(2v); both lie outside the input domain, in
+        # which every limit value is finite
         code, out, got = run_cli(capsys, "limits", *argv, *(("--json",) if as_json else ()))
         assert (code, out, got) == (1, "", err)
 
@@ -547,19 +567,20 @@ class TestSweepCommand:
         assert not massive.exists()
 
     def test_overflowing_grid_is_a_computation_error(self, capsys, tmp_path):
+        # rho_n^2 overflowed at n2 = 1e300, outside the input domain
         out_path = tmp_path / "x.csv"
         code, _, err = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "1",
                                "--n2-max", "1e300", "--count", "2", "--out", str(out_path))
         assert code == 1
-        assert err.startswith("error: rho_n^2 is not finite") and "Traceback" not in err
+        assert err == f"error: n2_max=1e+300 {DOMAIN}\n"
         assert not out_path.exists()
 
     def test_non_finite_ratio_is_an_empty_named_cell(self, capsys, tmp_path):
-        # far above the barrier t_phi/tau -> 1; nothing overflows at n2 = 1e150,
+        # far above the barrier t_phi/tau -> 1; nothing overflows at n2 = 1e100,
         # where only the unresolved phase_rad is emptied and named
         out_path = tmp_path / "x.json"
         code, _, err = run_cli(capsys, "sweep", "--v", "10", "--n2-min", "1",
-                               "--n2-max", "1e150", "--count", "2", "--out", str(out_path))
+                               "--n2-max", "1e100", "--count", "2", "--out", str(out_path))
         assert code == 0 and err == ""
         row = json.loads(out_path.read_text())[-1]
         assert row["ratio_closed"] == pytest.approx(1.0, abs=1e-15)

@@ -11,6 +11,7 @@ import pytest
 from kleintunnel import (
     BarrierSetup,
     DomainError,
+    IncidentMode,
     KleinTunnelError,
     NonPropagatingError,
     SpectrumSpec,
@@ -25,6 +26,13 @@ from kleintunnel import (
 )
 
 SQRT101 = 10.04987562112089
+# the one DomainError text of the input domain, after "<name>=<value> "
+DOMAIN = "is outside the input domain: 1e-100 to 1e100, or 0 for v, wL and L"
+
+
+def refused(name, value):
+    """The full text of the domain's refusal of name=value."""
+    return f"^{re.escape(f'{name}={value!r} {DOMAIN}')}$"
 
 
 def make(m=1.0, V0=10.0, L=1.0):
@@ -47,18 +55,23 @@ class TestBarrierSetup:
             BarrierSetup(m=1.0, V0=10.0, L=-0.1)
 
     def test_w_where_the_product_underflows(self):
-        # 2*m*V0 = 2e-400 is 0 in doubles, and w = sqrt(2e-400) was refused;
-        # w is formed from the factors there, a setup at m = 1e-200 is the
-        # m = 1 one scaled, and from_dimensionless keeps its wL
-        s = BarrierSetup(m=1e-200, V0=1e-200, L=1.0)
+        # 2*m*V0 = 2e-400 is 0 in doubles; 0.8.0 formed w from the factors
+        # there.  m = 1e-200 is outside the input domain and refused, and so
+        # is a product 2*m*V0 whose root leaves it (w = 1.4e-150)
+        with pytest.raises(DomainError, match=refused("m", 1e-200)):
+            BarrierSetup(m=1e-200, V0=1e-200, L=1.0)
+        with pytest.raises(DomainError, match=refused("m", 1e-200)):
+            BarrierSetup.from_dimensionless(1.0, 2.0 * math.pi, m=1e-200)
+        with pytest.raises(DomainError, match=refused("V0", 1e-200)):
+            BarrierSetup.from_dimensionless(1e-100, 2.0 * math.pi, m=1e-100)
+        # at the lower end of the domain w is the plain root, and the setup
+        # is the m = 1 one scaled
+        s = BarrierSetup.from_dimensionless(1.0, 2.0 * math.pi, m=1e-90)
         with mpmath.workdps(40):
-            w = float(mpmath.sqrt(2 * mpmath.mpf(1e-200) * mpmath.mpf(1e-200)))
-        assert s.w == pytest.approx(w, rel=3e-16)
-        assert s.v == 1.0
-        s = BarrierSetup.from_dimensionless(1.0, 2.0 * math.pi, m=1e-200)
-        assert s.v == 1.0
+            w = float(mpmath.sqrt(2 * mpmath.mpf(1e-90) * mpmath.mpf(1e-90)))
+        assert (s.v, s.w) == (1.0, pytest.approx(w, rel=3e-16))
         assert s.wL == pytest.approx(2.0 * math.pi, rel=1e-15)
-        assert s.L == pytest.approx(1e200 * BarrierSetup.from_dimensionless(1.0, 2.0 * math.pi).L,
+        assert s.L == pytest.approx(1e90 * BarrierSetup.from_dimensionless(1.0, 2.0 * math.pi).L,
                                     rel=1e-15)
 
     def test_from_dimensionless_roundtrip(self):
@@ -89,13 +102,15 @@ NAN, INF = float("nan"), float("inf")
                  id="spectrum-halfwidth-nan"),
     pytest.param(lambda: SpectrumSpec(k0=10.0, sigma_k=0.2, support_halfwidth=INF),
                  id="spectrum-halfwidth-inf"),
-    # w = 2 sqrt((m/2) V0) overflows itself, not only the product 2 m V0
+    # w = 2 sqrt((m/2) V0) would overflow itself, not only the product 2 m V0
     pytest.param(lambda: BarrierSetup(m=1.7e308, V0=1.7e308, L=1.0), id="setup-w-overflows"),
 ])
 def test_non_finite_inputs_are_domain_errors(call):
     # plain DomainError, not a subclass such as NonPropagatingError or
-    # SupportError whose message would misstate the cause
-    with pytest.raises(DomainError, match="finite") as excinfo:
+    # SupportError whose message would misstate the cause: the domain's one
+    # text, or the support halfwidth's (a count of sigmas, not in the domain)
+    with pytest.raises(DomainError, match=f"{re.escape(DOMAIN)}$|^support_halfwidth must be "
+                                          f"positive and finite") as excinfo:
         call()
     assert excinfo.type is DomainError
 
@@ -194,19 +209,28 @@ class TestBarrierChannel:
         assert s.w**2 * ch.rho_n**2 == pytest.approx(ch.rho**2, rel=1e-12)
 
     def test_sign_where_the_product_of_factors_underflows(self):
-        # (m - E + V0)(m + E - V0) is about 1e-324 and read 0.0: the channel
-        # was linear with rho = 0, where the true rho is m.  The factors are
-        # m -+ (E - V0), exact here since E - V0 = 0, so rho is m exactly,
-        # and rho_n = m/w with w of the subnormal 2 m V0 taken from its
-        # factors (40-digit mpmath; w was 4.7e-13 off when taken from the product)
-        s = BarrierSetup(m=1e-162, V0=1e-150, L=1.0)
-        ch = barrier_channel(s, mode_from_energy(s, 1e-150))
-        assert ch.kind == "evanescent"
-        assert ch.rho == 1e-162
+        # (m - E + V0)(m + E - V0) is about 1e-324 at m = 1e-162, which 0.8.0
+        # read from the factors.  That mass is outside the input domain; in it
+        # a nonzero factor is at least ulp(m) and the product stays normal, so
+        # at its lower end rho is m exactly and rho_n = m/w (40-digit mpmath)
+        with pytest.raises(DomainError, match=refused("m", 1e-162)):
+            BarrierSetup(m=1e-162, V0=1e-150, L=1.0)
+        s = BarrierSetup(m=1e-100, V0=1e-90, L=1.0)
+        ch = barrier_channel(s, mode_from_energy(s, 1e-90))
+        assert (ch.kind, ch.rho) == ("evanescent", 1e-100)
         with mpmath.workdps(40):
-            m, V0 = mpmath.mpf(1e-162), mpmath.mpf(1e-150)
+            m, V0 = mpmath.mpf(1e-100), mpmath.mpf(1e-90)
             assert s.w == pytest.approx(float(mpmath.sqrt(2 * m * V0)), rel=3e-16)
             assert ch.rho_n == pytest.approx(float(m / mpmath.sqrt(2 * m * V0)), rel=3e-16)
+
+    def test_a_mode_built_by_hand_is_checked(self):
+        # a mode is checked by its n2, as the constructors check theirs
+        s = make()
+        for n2 in (-1.0, 0.0, 1e-101, 1.1e100, NAN, INF):
+            with pytest.raises(DomainError, match=refused("n2", n2)):
+                barrier_channel(s, IncidentMode(E=SQRT101, k=10.0, n2=n2))
+            with pytest.raises(DomainError, match=refused("n2", n2)):
+                classical_tau(s, IncidentMode(E=SQRT101, k=10.0, n2=n2))
 
     def test_linear_at_edges(self):
         s = make()
@@ -265,10 +289,16 @@ def factor_rounding(v, n2):
     return total
 
 
+def in_domain(x, zero=False):
+    """Whether x lies in the input domain [1e-100, 1e100] (or is an allowed 0)."""
+    return 1e-100 <= x <= 1e100 or zero and x == 0.0
+
+
 def rho_n2_points():
     """Both sides of every edge at relative offsets 1e-15 ... 1e-3 and the
     float edges; v = 2 with n2 from 5e-324 to 1e-3; v from 0 to 1e150; and
-    2000 random points, uniform and log-uniform."""
+    2000 random points, uniform and log-uniform.  The points outside the
+    input domain are among them (rho_n2 refuses those)."""
     for v in (1e-8, 1e-6, 1e-3, 0.5, 0.67, 1.0, 2.0, 2.5, 3.0, 4.33, 10.0, 100.0, 1e4, 1e8):
         for edge in [0.5 * v + 1.0] + ([0.5 * v - 1.0] if v > 2.0 else []):
             yield v, edge
@@ -296,9 +326,14 @@ RHO_N2_RTOL = 4.0 * sys.float_info.epsilon
 
 class TestRhoN2:
     def test_matches_40_digit_reference(self):
-        far = [(v, n2, err) for v, n2 in rho_n2_points()
+        points = list(rho_n2_points())
+        inside = [(v, n2) for v, n2 in points if in_domain(v, zero=True) and in_domain(n2)]
+        far = [(v, n2, err) for v, n2 in inside
                if (err := rho_n2_error(v, n2)) > RHO_N2_RTOL + factor_rounding(v, n2)]
         assert far == []
+        for v, n2 in set(points) - set(inside):
+            with pytest.raises(DomainError, match=f"{re.escape(DOMAIN)}$"):
+                rho_n2(v, n2)
 
     # measured: 0.2 at v = 4.33, 1e-15 below the lower edge; 1.1e-7 at
     # v = 10, n2 = 3.999999996; rho_n2(2, 1e-16) is 0.0 (mpmath: 1.0e-16)
@@ -311,8 +346,8 @@ class TestRhoN2:
         assert rho_n2_error(v, n2) <= RHO_N2_RTOL
 
     @pytest.mark.parametrize("v, n2, message", [
-        (10.0, -1.0, "n2 must be positive, got -1.0"), (10.0, 0.0, "n2 must be positive, got 0.0"),
-        (10.0, NAN, "n2 must be positive, got nan"), (-1.0, 1.0, "v must be >= 0, got -1.0")])
+        (10.0, -1.0, f"n2=-1.0 {DOMAIN}"), (10.0, 0.0, f"n2=0.0 {DOMAIN}"),
+        (10.0, NAN, f"n2=nan {DOMAIN}"), (-1.0, 1.0, f"v=-1.0 {DOMAIN}")])
     def test_refuses_outside_its_domain(self, v, n2, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             rho_n2(v, n2)
@@ -351,27 +386,40 @@ class TestRhoN2:
             assert rho_n2(1e-8, float(n2)) == pytest.approx(1.0 - n2, abs=1e-6)
 
     def test_overflowing_square_root_is_a_domain_error(self):
-        # 2 n2 v overflows in s = sqrt(1 + 2 n2 v); numerator/inf would read
-        # 0.0, where rho_n^2 is 5.0e-301 (40-digit mpmath).  Mending s alone
-        # still gives 0.0: the numerator's (1 - n2) + v/2 rounds 1 - n2 to
-        # -n2 first, so the mend belongs with an exact form of that factor
-        with pytest.raises(DomainError, match=r"sqrt\(1 \+ 2\*n2\*v\) overflows"):
+        # 2 n2 v overflows in s = sqrt(1 + 2 n2 v), where rho_n^2 is 5.0e-301
+        # (40-digit mpmath): v = 1e300 is outside the input domain.  At its
+        # upper end s and both factors stay finite
+        with pytest.raises(DomainError, match=refused("v", 1e300)):
             rho_n2(1e300, 5e299)
+        assert rho_n2(1e100, 5e99) == pytest.approx(float(mp_rho_n2(1e100, 5e99)), rel=1e-15)
 
 
 # every value quoted in the kinematics overflow fixes, within a log grid from
-# the smallest subnormal to 1e308
+# the smallest subnormal to 1e308: both ends of the input domain and values
+# on either side of it
 EXTREMES = sorted({5e-324, 1e-300, 1e-200, 1e-154, 1e-100, 1e-10, 0.5, 1.0, 10.0, 1e10,
                    1e100, 1.4e154, 1e200, 1e300, 1e308})
 
 
-def finite_or_typed(call, *args):
+def finite_or_typed(call, *args, inputs=None):
     """call(*args), or None where it raised a KleinTunnelError; every float
-    field of what it returned must be finite."""
+    field of what it returned must be finite.  inputs maps the call's
+    inputs of the domain to (value, zero allowed): where one is outside
+    the domain the call raises the domain's refusal, and wherever the
+    call raises it, it names a value outside the domain (an input, or a
+    quantity derived from inside ones)."""
+    outside = any(not in_domain(x, zero) for x, zero in (inputs or {}).values())
     try:
         out = call(*args)
-    except KleinTunnelError:
+    except KleinTunnelError as exc:
+        text = str(exc)
+        if text.endswith(DOMAIN):
+            value = float(text[:-len(DOMAIN) - 1].partition("=")[2])
+            assert not in_domain(value, zero=value == 0.0 and text[0] in "vwL"), text
+        else:
+            assert not outside, (call.__name__, args, text)
         return None
+    assert not outside, (call.__name__, args, out)
     if isinstance(out, Zone):
         return out
     fields = [out] if isinstance(out, float) else [
@@ -384,18 +432,21 @@ def finite_or_typed(call, *args):
 
 class TestFiniteOrTyped:
     """Every kinematics function returns finite float fields or raises a
-    KleinTunnelError, over a fixed grid of m, V0, L, E and n2."""
+    KleinTunnelError, over a fixed grid of m, V0, L, E and n2: inside the
+    input domain a value or a typed error other than the domain's refusal,
+    outside it that refusal."""
 
     @pytest.mark.parametrize("m", EXTREMES)
     def test_setups_and_modes(self, m):
         for V0, L in itertools.product(EXTREMES, [0.0] + EXTREMES):
-            s = finite_or_typed(BarrierSetup, m, V0, L)
+            s = finite_or_typed(BarrierSetup, m, V0, L,
+                                inputs={"m": (m, False), "V0": (V0, False), "L": (L, True)})
             if s is None:
                 continue
             for x in EXTREMES:
-                finite_or_typed(classify_zone, s, x)
-                for mode in (finite_or_typed(mode_from_energy, s, x),
-                             finite_or_typed(mode_from_n2, s, x)):
+                finite_or_typed(classify_zone, s, x, inputs={"E": (x, False)})
+                for mode in (finite_or_typed(mode_from_energy, s, x, inputs={"E": (x, False)}),
+                             finite_or_typed(mode_from_n2, s, x, inputs={"n2": (x, False)})):
                     if mode is not None:
                         finite_or_typed(barrier_channel, s, mode)
                         if L > 0.0:
@@ -403,79 +454,96 @@ class TestFiniteOrTyped:
 
     def test_from_dimensionless(self):
         for v, wL, m in itertools.product(EXTREMES, [0.0] + EXTREMES, EXTREMES):
-            finite_or_typed(BarrierSetup.from_dimensionless, v, wL, m)
+            finite_or_typed(BarrierSetup.from_dimensionless, v, wL, m,
+                            inputs={"v": (v, True), "wL": (wL, True), "m": (m, False)})
 
-    @pytest.mark.parametrize("m, V0, L", [(1e-200, 1e200, 1.0), (1.0, 1e300, 1e300)])
-    def test_setup_whose_v_or_wL_overflows_is_refused(self, m, V0, L):
-        # v = 1e400 read inf; so did wL = 1.4e450
-        with pytest.raises(DomainError, match=re.escape(f"m={m}, V0={V0}")):
+    @pytest.mark.parametrize("m, V0, L, name, value", [(1e-200, 1e200, 1.0, "m", 1e-200),
+                                                       (1.0, 1e300, 1e300, "V0", 1e300),
+                                                       (1.0, 1e100, 1e100, "wL", None)],
+                             ids=["1e-200-1e+200-1.0", "1.0-1e+300-1e+300", "1.0-1e+100-1e+100"])
+    def test_setup_whose_v_or_wL_overflows_is_refused(self, m, V0, L, name, value):
+        # v = 1e400 read inf; so did wL = 1.4e450.  Both setups are outside
+        # the input domain, and so is one whose wL alone leaves it
+        if value is None:
+            value = math.sqrt(2.0 * m * V0) * L
+        with pytest.raises(DomainError, match=refused(name, value)):
             BarrierSetup(m=m, V0=V0, L=L)
 
     def test_w_where_the_product_overflows(self):
-        # 2*m*V0 = 2e308 overflows, where w = sqrt(2e308) = 1.4e154: w = inf
-        # was refused (inf * 0 made wL nan), and from_dimensionless(1e308,
-        # 1e308) took L = wL/inf = 0, so a barrier became no barrier at all
+        # 2*m*V0 = 2e308 overflows; 0.8.0 took w = sqrt(2e308) = 1.4e154 from
+        # the factors.  V0 = 1e308 is outside the input domain; at its top
+        # end w is the plain root
+        with pytest.raises(DomainError, match=refused("V0", 1e308)):
+            BarrierSetup(m=1.0, V0=1e308, L=0.0)
+        with pytest.raises(DomainError, match=refused("v", 1e308)):
+            BarrierSetup.from_dimensionless(1e308, 1e308)
         with mpmath.workdps(40):
-            w = float(mpmath.sqrt(2 * mpmath.mpf(1e308)))
-        assert BarrierSetup(m=1.0, V0=1e308, L=0.0).w == pytest.approx(w, rel=3e-16)
-        s = BarrierSetup.from_dimensionless(1e308, 1e308)
-        assert (s.m, s.V0, s.v) == (1.0, 1e308, 1e308)
-        assert s.L == pytest.approx(1e308 / w, rel=3e-16)
-        assert s.wL == pytest.approx(1e308, rel=3e-16)
+            w = float(mpmath.sqrt(2 * mpmath.mpf(1e100)))
+        s = BarrierSetup.from_dimensionless(1e100, 1e50)
+        assert (s.m, s.V0, s.v, s.w) == (1.0, 1e100, 1e100, pytest.approx(w, rel=3e-16))
+        assert s.wL == pytest.approx(1e50, rel=3e-16)
 
     @pytest.mark.parametrize("m, V0", [(1e308, 1.0), (1.7976931348623157e308, 1e-300),
                                        (1e308, 1e10)])
     def test_w_where_2_m_overflows(self, m, V0):
-        # 2*m = inf: w = sqrt(2e308) = 1.4e154 was refused as not finite.
-        # w = 2*sqrt((m/2)*V0), from the factors where (m/2)*V0 overflows too
-        # (V0 = 1e10); measured within 7e-17 of 40-digit mpmath
-        with mpmath.workdps(40):
-            w = float(mpmath.sqrt(2 * mpmath.mpf(m) * mpmath.mpf(V0)))
-        s = BarrierSetup(m=m, V0=V0, L=1.0)
-        assert s.w == pytest.approx(w, rel=3e-16)
-        assert s.wL == s.w
+        # 2*m = inf, where 0.8.0 formed w as 2*sqrt((m/2)*V0): m is outside
+        # the input domain
+        with pytest.raises(DomainError, match=refused("m", m)):
+            BarrierSetup(m=m, V0=V0, L=1.0)
 
     def test_mode_whose_k_squared_overflows(self):
-        # (E - m)(E + m) overflowed: k and n2 read inf, and tau = L*E/k read 0.0
-        s = BarrierSetup(m=1.0, V0=10.0, L=0.5)
-        mode = mode_from_energy(s, 1.4e154)
-        assert mode.k == pytest.approx(1.4e154, rel=1e-15)
-        assert mode.n2 == pytest.approx(9.8e306, rel=1e-14)  # (E^2 - 1)/w^2
+        # (E - m)(E + m) overflowed at E = 1.4e154, outside the input domain;
+        # at its top end k and n2 = (E^2 - 1)/w^2 are plain values
+        s = BarrierSetup(m=1.0, V0=1e100, L=0.5)
+        with pytest.raises(DomainError, match=refused("E", 1.4e154)):
+            mode_from_energy(s, 1.4e154)
+        mode = mode_from_energy(s, 5e99)
+        assert mode.k == 5e99 and mode.n2 == pytest.approx(1.25e99, rel=1e-15)
         assert classical_tau(s, mode) == pytest.approx(0.5, rel=1e-15)
         channel = barrier_channel(s, mode)
-        assert (channel.kind, channel.q) == ("oscillatory", pytest.approx(1.4e154, rel=1e-15))
+        assert (channel.kind, channel.q) == ("oscillatory", pytest.approx(5e99, rel=1e-15))
 
-    def test_mode_whose_n2_overflows_is_refused_but_its_zone_is_not(self):
+    def test_mode_whose_n2_overflows_is_refused_and_so_is_its_zone(self):
+        # E = 1e200 is outside the input domain: 0.8.0 refused the mode and
+        # tagged the zone AboveBarrier.  An E inside it whose n2 = (k/w)^2
+        # leaves it is refused by the same text, naming n2
         s = BarrierSetup(m=1.0, V0=10.0, L=0.5)
-        with pytest.raises(DomainError, match="not finite"):
-            mode_from_energy(s, 1e200)
-        assert classify_zone(s, 1e200) is Zone.ABOVE_BARRIER
+        for call in (mode_from_energy, classify_zone):
+            with pytest.raises(DomainError, match=refused("E", 1e200)):
+                call(s, 1e200)
+            with pytest.raises(DomainError, match=refused("n2", (1e60 / s.w) ** 2)):
+                call(s, 1e60)
 
-    def test_mode_whose_energy_sum_overflows_has_a_value(self):
-        # 1 + 2*n2*v overflows: E read inf and was refused, though
-        # E = m*sqrt(2)*sqrt(v)*sqrt(n2) = 4.47e154 (40-digit mpmath)
-        mode = mode_from_n2(BarrierSetup(m=1.0, V0=10.0, L=0.5), 1e308)
+    def test_mode_whose_energy_sum_overflows_is_refused(self):
+        # 1 + 2*n2*v overflowed at n2 = 1e308, where 0.8.0 formed
+        # E = m*sqrt(2)*sqrt(v)*sqrt(n2): n2 is outside the input domain.  At
+        # its top end E = m*sqrt(1 + 2*n2*v) is a plain value (40-digit mpmath)
+        s = BarrierSetup(m=1.0, V0=10.0, L=0.5)
+        with pytest.raises(DomainError, match=refused("n2", 1e308)):
+            mode_from_n2(s, 1e308)
+        mode = mode_from_n2(s, 1e100)
         with mpmath.workdps(40):
-            n2 = mpmath.mpf(1e308)
-            E = mpmath.sqrt(1 + 2 * n2 * 10)
-            k = mpmath.sqrt(2 * 10 * n2)
+            n2 = mpmath.mpf(1e100)
+            E, k = mpmath.sqrt(1 + 2 * n2 * 10), mpmath.sqrt(2 * 10 * n2)
         assert mode.E == pytest.approx(float(E), rel=1e-15)
         assert mode.k == pytest.approx(float(k), rel=1e-15)
-        assert mode.n2 == 1e308
 
     def test_mode_whose_k_squared_underflows(self):
-        # (E - m)(E + m) = 1e-340 read k = 0, and classical_tau divided by it
-        s = BarrierSetup(m=1e-200, V0=1e-100, L=1.0)
-        mode = mode_from_energy(s, 1e-170)
-        assert mode.k == pytest.approx(1e-170, rel=1e-15)
+        # (E - m)(E + m) = 1e-340 read k = 0 at m = 1e-200, outside the input
+        # domain.  At its lower end the product stays normal
+        with pytest.raises(DomainError, match=refused("m", 1e-200)):
+            BarrierSetup(m=1e-200, V0=1e-100, L=1.0)
+        s = BarrierSetup(m=1e-100, V0=1e-50, L=1.0)
+        mode = mode_from_energy(s, 1e-70)
+        assert mode.k == pytest.approx(1e-70, rel=1e-15)
         assert classical_tau(s, mode) == pytest.approx(1.0, rel=1e-15)
 
     def test_tau_whose_product_overflows(self):
-        # L*E = 1e350 overflowed, where tau = L*E/k is about L
-        s = BarrierSetup(m=1.0, V0=1e100, L=1e250)
+        # L*E = 1e350 overflowed at L = 1e250, outside the input domain; at
+        # its top end tau = L*E/k is a plain value, about L
+        with pytest.raises(DomainError, match=refused("L", 1e250)):
+            BarrierSetup(m=1.0, V0=1e100, L=1e250)
+        s = BarrierSetup(m=1.0, V0=1e100, L=1e49)
+        assert s.wL == pytest.approx(1.4142135623730951e99, rel=1e-15)
         mode = mode_from_energy(s, 1e100)
-        assert classical_tau(s, mode) == pytest.approx(1e250, rel=1e-15)
-        # and where L*(E/k) overflows too, tau itself does not exist
-        s = BarrierSetup(m=1.0, V0=1e-10, L=1e308)
-        with pytest.raises(DomainError, match="^tau = L\\*E/k overflows"):
-            classical_tau(s, mode_from_energy(s, 1.0 + 1e-10))
+        assert classical_tau(s, mode) == pytest.approx(1e49, rel=1e-15)

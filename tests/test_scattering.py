@@ -31,7 +31,7 @@ from kleintunnel.phasetime import (
 )
 from kleintunnel.kinematics import rho_n2
 from kleintunnel.scattering import LARGE_D2, SERIES_CUT, _closed_forms
-from test_phasetime import mp_ratio
+from test_phasetime import mp_ratio, refused
 
 # frozen with 50-digit arithmetic during development
 MAG_V10_N5_WL2PI = 0.10293276472295702
@@ -208,18 +208,18 @@ class TestMatchBoundaries:
 
     @pytest.mark.parametrize("v, n2, name", [(10.0, 100.0, "q_n"), (2.0, 2.0, "n")])
     def test_infinite_phase_is_a_domain_error(self, v, n2, name):
-        # q_n wL in the above-barrier zone, and n wL on the exact edge, overflow:
-        # cmath.exp raised a bare ValueError, and the edge branch gave nan
-        wL = 1.7e308
-        msg = re.escape(f"{name}*wL is not finite at v={v}, n2={n2}, wL={wL}")
-        with pytest.raises(DomainError, match=msg):
-            match_boundaries(v, n2, wL)
+        # q_n wL in the above-barrier zone, and n wL on the exact edge, overflow
+        # at wL = 1.7e308: cmath.exp raised a bare ValueError, and the edge
+        # branch gave nan.  That width is outside the input domain
+        with pytest.raises(DomainError, match=refused("wL", 1.7e308)):
+            match_boundaries(v, n2, 1.7e308)
 
     # past the phase cutoff (q_n wL above about 3e15) exp(-i q_n wL) is noise:
     # the matcher returned T = -0.99926-0.03797j at (10, 1, 1e17), where the
     # closed form refuses the phase.  Each cutoff wL is the first float whose
     # winding floor(q_n wL/pi + 1/2) passes 1e15, in the Klein zone (n2 = 1)
-    # and above the barrier (n2 = 7); at 1e200 rho_n^2 wL^2 overflows
+    # and above the barrier (n2 = 7); at 1e200, where rho_n^2 wL^2 overflows,
+    # the width is outside the input domain
     @pytest.mark.parametrize("v, n2, wL, reason", [
         (10.0, 1.0, 1e17, "too large"), (10.0, 7.0, 1e17, "too large"),
         (1.0, 3.0, 5e15, "too large"), (10.0, 1.0, 3e15, "too large"),
@@ -229,15 +229,15 @@ class TestMatchBoundaries:
         (10.0, 7.0, math.nextafter(8862473539882316.0, 0.0), None),
         (10.0, 7.0, 8862473539882316.0, "too large"),
         (10.0, 7.0, math.nextafter(8862473539882316.0, math.inf), "too large"),
-        (10.0, 1.0, 1e200, "not finite")])
+        (10.0, 1.0, 1e200, "domain")])
     def test_refuses_where_the_closed_form_refuses_the_phase(self, v, n2, wL, reason):
         if reason is None:
             transmission_closed_form(v, n2, wL)
             assert cmath.isfinite(match_boundaries(v, n2, wL).T)
             return
-        text = {"too large": "q_n*wL is too large to resolve the phase modulo pi",
-                "not finite": "q_n*wL is not finite"}[reason]
-        msg = f"^{re.escape(f'{text} at v={v}, n2={n2}, wL={wL}')}$"
+        text = "q_n*wL is too large to resolve the phase modulo pi"
+        msg = (refused("wL", wL) if reason == "domain"
+               else f"^{re.escape(f'{text} at v={v}, n2={n2}, wL={wL}')}$")
         for call in (transmission_closed_form, match_boundaries):
             with pytest.raises(DomainError, match=msg):
                 call(v, n2, wL)
@@ -326,8 +326,9 @@ class TestClosedForms:
     @pytest.mark.parametrize("n2, wL", [(1.0, 1e160), (1.0, 1e300), (8.0, 1e300)])
     def test_infinite_phase_argument_is_a_domain_error(self, n2, wL):
         # in the Klein (n2 = 1) and above-barrier (n2 = 8) zones q_n wL
-        # overflows to inf, where tan(q_n wL) is undefined
-        msg = re.escape(f"q_n*wL is not finite at v=10.0, n2={n2}, wL={wL}")
+        # overflows to inf, where tan(q_n wL) is undefined: these widths are
+        # outside the input domain
+        msg = refused("wL", wL)
         with pytest.raises(DomainError, match=msg):
             transmission_closed_form(10.0, n2, wL)
         with pytest.raises(DomainError, match=msg):
@@ -336,19 +337,21 @@ class TestClosedForms:
             run_sweep(SweepRequest(v=10.0, wL=wL, n2_min=n2, n2_max=n2 + 1.0, count=2))
 
     def test_overflowing_d2_gives_the_opaque_phase(self):
-        # d2 = rho_n^2 wL^2 = inf makes tc = 1/inf = 0, although wL tc tends
-        # to 1/rho_n: the phase read 0.0 instead of 1.3717..., and was then
-        # refused from wL ~ 1.3e154.  It is the wL -> inf value, arctan of
-        # Y = (n2 - rho_n^2)/(2 n rho_n), and the matcher's arg T there.
+        # d2 = rho_n^2 wL^2 = inf made tc = 1/inf = 0, although wL tc tends
+        # to 1/rho_n: the phase read 0.0 instead of 1.3717..., and 0.8.0 took
+        # wL tc = 1/rho_n from wL ~ 1.3e154.  Those widths are outside the
+        # input domain.  At its top end the phase is already the wL -> inf
+        # value, arctan of Y = (n2 - rho_n^2)/(2 n rho_n), and the matcher's arg T
+        for wL in (1e154, 1e155, 1e200, 1e300):
+            with pytest.raises(DomainError, match=refused("wL", wL)):
+                transmission_closed_form(10.0, 5.0, wL)
         phase = 1.371705473018485
-        assert transmission_closed_form(10.0, 5.0, 1e154).phase == phase
-        for wL in (1e155, 1e200, 1e300):
-            point = transmission_closed_form(10.0, 5.0, wL)
-            assert (point.phase, point.magnitude, point.winding) == (phase, 0.0, 0)
-            assert match_boundaries(10.0, 5.0, wL).arg_T == phase
+        point = transmission_closed_form(10.0, 5.0, 1e100)
+        assert (point.phase, point.magnitude, point.winding) == (phase, 0.0, 0)
+        assert match_boundaries(10.0, 5.0, 1e100).arg_T == phase
         # the sweep fills the row: the exact |T| = 0, the phase and both
         # ratios (TestOpaqueAsymptote in test_phasetime checks their values)
-        rec = run_sweep(SweepRequest(v=10.0, wL=1e155, n2_min=5.0, n2_max=5.5, count=2))[0]
+        rec = run_sweep(SweepRequest(v=10.0, wL=1e100, n2_min=5.0, n2_max=5.5, count=2))[0]
         assert (rec.t2_exact, rec.phase_rad, rec.error) == (0.0, phase, None)
 
 
@@ -656,17 +659,23 @@ class TestSingleClosedForm:
 
     # a tiny n2 overflows the prefactor 1/(4 n2 rho_n^2), or its product with sinh^2,
     # where |T| is about 3e-156 (and |T|^2 subnormal): both read 0.0 there before.
-    # v = 2 reaches the rho_n^2 = 0 lane, as rho_n2(2, 1e-310) rounds to 0.0
+    # Those n2 are outside the input domain, and so are their lanes; inside it
+    # the product with sinh^2 still overflows at the widest d below the
+    # LARGE_D2 asymptote, where |T| = 1.08e-201
     @pytest.mark.parametrize("v, n2, wL, rtol", [
         (1.0, 1e-310, 2.0 * math.pi, 5e-16),
         (2.0, 1e-310, 2.0 * math.pi, 5e-16),
         (0.5, 4e-308, 2.0 * math.pi, 5e-16),
-        (1.0, 1e-310, 500.0, 5e-14)])
+        (1.0, 1e-310, 500.0, 5e-14),
+        (1e-100, 1e-100, 349.0, 5e-14)])
     def test_nr_form_where_the_prefactor_overflows(self, v, n2, wL, rtol):
+        if n2 < 1e-100:
+            with pytest.raises(DomainError, match=refused("n2", n2)):
+                transmission_magnitude_nr_form(v, n2, wL)
+            return
         ref = mp_nr_form(v, n2, wL)
-        s = BarrierSetup.from_dimensionless(v, wL)
-        mag = transmission_magnitude_nr_form(s.v, n2, s.wL)
-        assert mag > 0.0 and abs(mag - ref) <= rtol * ref
+        mag = transmission_magnitude_nr_form(v, n2, wL)
+        assert mag == 1.0796570055283418e-201 and abs(mag - ref) <= rtol * ref
         (rec, _) = run_sweep(SweepRequest(v=v, wL=wL, n2_min=n2, n2_max=1e-3, count=2,
                                           outputs=("T2_nr_form",)))
         assert rec.n2 == n2
@@ -676,26 +685,31 @@ class TestSingleClosedForm:
     # -5.4e-17, so the NR form takes its sin^2 lane: at wL = 1e154 it returned
     # 4.3445e-08 from a noise phase (|T| on the exact edge is about 5.9e-154), and at
     # 1e200 it raised a bare ValueError from math.sin(inf).  It refuses as
-    # the closed form does, which has |T| refused there too
-    @pytest.mark.parametrize("wL, text", [
-        (1e154, "q_n*wL is too large to resolve the phase modulo pi"),
-        (1e200, "q_n*wL is not finite")], ids=["cutoff", "infinite"])
-    def test_nr_form_past_the_cutoff_on_a_snapped_edge(self, wL, text):
+    # the closed form does, which has |T| refused there too: past the cutoff
+    # inside the input domain, and by the domain at 1e200
+    @pytest.mark.parametrize("wL", [1e100, 1e200], ids=["cutoff", "infinite"])
+    def test_nr_form_past_the_cutoff_on_a_snapped_edge(self, wL):
         v = 15.527620836643477
         n2 = 0.5 * v + 1.0
         assert -6e-17 < rho_n2(v, n2) < 0.0
-        msg = f"^{re.escape(f'{text} at v={v}, n2={n2}, wL={wL}')}$"
+        text = "q_n*wL is too large to resolve the phase modulo pi"
+        msg = (f"^{re.escape(f'{text} at v={v}, n2={n2}, wL={wL}')}$" if wL <= 1e100
+               else refused("wL", wL))
         for call in (transmission_magnitude_nr_form, transmission_closed_form):
             with pytest.raises(DomainError, match=msg):
                 call(v, n2, wL)
 
     # a tiny n2 overflows X = ((n2 + rho_n^2)/(2n)) wL sinhc(d2) itself, where |T| < 6e-309:
-    # |T| read 0.0 and R nan there before.  |T| is subnormal, so the bound allows one
-    # ulp of it (5e-324, 2e-11 relative at n2 = 5e-324)
+    # |T| read 0.0 and R nan there before.  Those n2 are outside the input
+    # domain; at its lower end X is about 9e200 and |T| = 1.1e-201
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("n2", [1e-320, 1e-315, 5e-324])
+    @pytest.mark.parametrize("n2", [1e-320, 1e-315, 5e-324, 1e-100])
     def test_magnitude_and_reflection_where_x_overflows(self, n2):
         v, wL = 1.0, 494.0
+        if n2 < 1e-100:
+            with pytest.raises(DomainError, match=refused("n2", n2)):
+                transmission_closed_form(v, n2, wL)
+            return
         ref = mp_transmission(v, n2, wL, dps=60)
         point = transmission_closed_form(v, n2, wL)
         assert abs(point.magnitude - float(abs(ref))) <= 1e-12 * float(abs(ref)) + 5e-324

@@ -45,7 +45,7 @@ from kleintunnel.sweep import (
     fig1_preset,
     fig1_request,
 )
-from test_phasetime import mp_ratio
+from test_phasetime import DOMAIN, mp_ratio, refused
 
 
 def nr_form(v, n2, wL):
@@ -152,11 +152,12 @@ class TestSweepIsAMap:
     @example(SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=4.0 - 3e-10, n2_max=6.0 + 1e-10,
                           count=5))
     @example(SweepRequest(v=0.0, wL=2.0 * math.pi, n2_min=0.5, n2_max=1.0 + 1e-10, count=4))
-    # the phase cutoff; d2 = rho_n^2 wL^2 overflowing; an overflowed factor times wL = 0
-    @example(SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=1.0, n2_max=1e150, count=2))
-    @example(SweepRequest(v=10.0, wL=1e155, n2_min=5.0, n2_max=5.5, count=2))
-    @example(SweepRequest(v=1e150, wL=0.0, n2_min=5e-324, n2_max=1e-300, count=2))
-    @example(SweepRequest(v=1.0, wL=0.0, n2_min=5e-324, n2_max=1e-300, count=2))
+    # the phase cutoff; an opaque barrier and the NR prefactor at wL = 0 at
+    # the ends of the input domain
+    @example(SweepRequest(v=10.0, wL=2.0 * math.pi, n2_min=1.0, n2_max=1e100, count=2))
+    @example(SweepRequest(v=10.0, wL=1e100, n2_min=5.0, n2_max=5.5, count=2))
+    @example(SweepRequest(v=1e100, wL=0.0, n2_min=1e-100, n2_max=1e-99, count=2))
+    @example(SweepRequest(v=1.0, wL=0.0, n2_min=1e-100, n2_max=1e-99, count=2))
     # a snapped upper edge where the rho_n^2 expression rounds to -5.4e-17, not 0
     @example(SweepRequest(v=15.527620836643477, wL=2.0 * math.pi, n2_min=8.0,
                           n2_max=8.76381041832174, count=2))
@@ -354,39 +355,38 @@ class TestEdgeHandling:
 
 class TestOverflow:
     def test_rho_overflow_is_a_domain_error(self):
-        # (1 - n2 + v/2)(1 + n2 - v/2) overflows to -inf at n2 = 1e300
-        with pytest.raises(DomainError, match=r"rho_n\^2 is not finite"):
-            run_sweep(small_request(n2_min=1.0, n2_max=1e300, count=2))
+        # (1 - n2 + v/2)(1 + n2 - v/2) overflows to -inf at n2 = 1e300,
+        # outside the input domain: the request is refused when it is built
+        with pytest.raises(DomainError, match=refused("n2_max", 1e300)):
+            small_request(n2_min=1.0, n2_max=1e300, count=2)
 
     def test_non_finite_ratio_empties_its_cell(self):
-        # t_phi/tau -> 1 far above the barrier, and at n2 = 1e150 nothing
+        # t_phi/tau -> 1 far above the barrier, and at n2 = 1e100 nothing
         # in the ratio overflows: the cell is filled (only phase_rad and the
         # oracle are refused there, see test_unresolved_phase_is_refused)
-        rec = run_sweep(small_request(n2_min=1.0, n2_max=1e150, count=2))[-1]
+        rec = run_sweep(small_request(n2_min=1.0, n2_max=1e100, count=2))[-1]
         assert rec.ratio_closed == pytest.approx(1.0, abs=1e-15)
         assert rec.error.startswith("phase_rad:") and "ratio_closed" not in rec.error
         assert rec.t2_exact is not None and rec.ratio_numeric is None
 
     def test_ratio_overflow_empties_its_cell(self):
-        # just below where rho_n^2 itself overflows, the ratio's u and P do:
-        # the cell is emptied and named, the row keeps the rest
-        rec = run_sweep(small_request(n2_min=1.0, n2_max=1e154, count=2))[-1]
-        assert rec.ratio_closed is None
-        assert "; ratio_closed: t_phi/tau is not finite" in rec.error
-        # past the phase cutoff, like phase_rad, the oracle is refused
-        assert "; ratio_numeric: q_n*wL is too large to resolve the phase" in rec.error
-        assert rec.t2_exact is not None and rec.ratio_numeric is None
+        # just below where rho_n^2 itself overflows, at n2 = 1e154, the
+        # ratio's u and P did, and 0.8.0 emptied the cell.  That n2 is
+        # outside the input domain, in which the ratio has a value wherever
+        # the phase cutoff leaves it one (test_non_finite_ratio_empties_its_cell)
+        with pytest.raises(DomainError, match=refused("n2_max", 1e154)):
+            small_request(n2_min=1.0, n2_max=1e154, count=2)
 
     def test_unresolved_phase_is_refused(self):
-        # at n2 = 1e150, q_n wL ~ 6e75 rad: one ulp of it dwarfs pi, so the
+        # at n2 = 1e100, q_n wL ~ 6e50 rad: one ulp of it dwarfs pi, so the
         # phase modulo pi is unknown, and so is the oracle's exp(-i q_n wL);
         # both cells are emptied and named and the rest of the row,
         # ratio_closed included, is kept
-        req = SweepRequest(v=10, wL=2.0 * math.pi, n2_min=1, n2_max=1e150, count=2)
+        req = SweepRequest(v=10, wL=2.0 * math.pi, n2_min=1, n2_max=1e100, count=2)
         first, last = run_sweep(req)
         assert first.error is None and first.phase_rad is not None
         assert last.phase_rad is None and last.ratio_numeric is None
-        cutoff = f"q_n*wL is too large to resolve the phase modulo pi at v=10, n2=1e+150, wL={2.0 * math.pi}"
+        cutoff = f"q_n*wL is too large to resolve the phase modulo pi at v=10, n2=1e+100, wL={2.0 * math.pi}"
         assert last.error == f"phase_rad: {cutoff}; ratio_numeric: {cutoff}"
         assert last.ratio_closed == pytest.approx(1.0, abs=1e-15)
         assert last.t2_exact is not None
@@ -414,7 +414,8 @@ class TestOverflow:
         assert math.isfinite(normalized_phase_time(10.0, 1.0, 1e14))
 
 
-# inputs at the ends of the float range, as (v, wL, n2 grid)
+# inputs at the ends of the float range, as (v, wL, n2 grid): each lies
+# outside the input domain, where the request is refused, or at its ends
 _EXTREMES = (
     # d2 = rho_n^2 wL^2 overflows, and tc = 1/inf = 0 would zero the phase
     (10.0, 1e155, (5.0, 5.5)),
@@ -432,20 +433,42 @@ _EXTREMES = (
     # sin^2 lane past the phase cutoff, and where q_n wL overflows
     (15.527620836643477, 1e154, (8.76381041832174 * (1.0 - 1e-3), 8.76381041832174)),
     (15.527620836643477, 1e200, (8.76381041832174 * (1.0 - 1e-3), 8.76381041832174)),
+    # the ends of the domain: an opaque barrier, tiny n2 at the widest and
+    # at no barrier, the largest v, the phase cutoff and the snapped edge
+    (10.0, 1e100, (5.0, 5.5)),
+    (1.0, 1e100, (1e-100, 2e-100)),
+    (1e100, 0.0, (1e-100, 1e-99)),
+    (1.0, 0.0, (1e-100, 1e-99)),
+    (1e100, 1.0, (5e99 * (1.0 - 1e-12), 5e99 * (1.0 + 1e-12))),
+    (1e-100, 1e100, (1e-100, 1e100)),
+    (10.0, 2.0 * math.pi, (1.0, 1e100)),
+    (15.527620836643477, 1e100, (8.76381041832174 * (1.0 - 1e-3), 8.76381041832174)),
 )
+
+
+def outside_domain(v, wL, grid):
+    """The first of v, wL and the grid's ends outside the input domain, as
+    (name, value), or None."""
+    for name, x, zero in (("v", v, True), ("wL", wL, True), ("n2_min", grid[0], False),
+                          ("n2_max", grid[1], False)):
+        if not (1e-100 <= x <= 1e100 or zero and x == 0.0):
+            return name, x
+    return None
 
 
 class TestFiniteOrTyped:
     """Every number out is finite, or the cell is empty and named, or the call
     raises a KleinTunnelError (with no RuntimeWarning, which pytest makes an
-    error)."""
+    error).  Outside the input domain the call raises the domain's refusal."""
 
     @pytest.mark.parametrize("v, wL, grid", _EXTREMES)
     def test_sweep_writes_no_nan_and_names_every_empty_cell(self, v, wL, grid, tmp_path):
-        try:
-            recs = run_sweep(SweepRequest(v=v, wL=wL, n2_min=grid[0], n2_max=grid[1], count=2))
-        except KleinTunnelError:
-            return  # rho_n^2 or q_n wL overflow: the whole call aborts
+        outside = outside_domain(v, wL, grid)
+        if outside:
+            with pytest.raises(DomainError, match=refused(*outside)):
+                SweepRequest(v=v, wL=wL, n2_min=grid[0], n2_max=grid[1], count=2)
+            return
+        recs = run_sweep(SweepRequest(v=v, wL=wL, n2_min=grid[0], n2_max=grid[1], count=2))
         write_csv(recs, tmp_path / "x.csv")
         cells = (tmp_path / "x.csv").read_text().replace("\n", ",").split(",")
         assert not {"nan", "inf", "-inf"} & set(cells)
@@ -462,27 +485,34 @@ class TestFiniteOrTyped:
 
     def test_nr_form_past_the_cutoff_on_a_snapped_edge_is_named(self):
         # T2_nr_form read 1.887501396735269e-15 from a noise phase on the
-        # EdgeUpper row, where T2_exact, phase_rad and ratio_closed are refused
-        # as past the cutoff (the edge value is about 3.5e-307)
+        # EdgeUpper row at wL = 1e154, where T2_exact, phase_rad and
+        # ratio_closed are refused as past the cutoff (the edge value is
+        # about 3.5e-307).  Inside the input domain the same row at wL = 1e100
         v, n2 = 15.527620836643477, 8.76381041832174
-        rec = run_sweep(SweepRequest(v=v, wL=1e154, n2_min=n2 * (1.0 - 1e-3), n2_max=n2,
+        rec = run_sweep(SweepRequest(v=v, wL=1e100, n2_min=n2 * (1.0 - 1e-3), n2_max=n2,
                                      count=2))[1]
         assert (rec.zone, rec.t2_exact, rec.t2_nr_form) == ("EdgeUpper", None, None)
-        text = f"q_n*wL is too large to resolve the phase modulo pi at v={v}, n2={n2}, wL=1e+154"
+        text = f"q_n*wL is too large to resolve the phase modulo pi at v={v}, n2={n2}, wL=1e+100"
         assert rec.error.split("; ")[:2] == [f"T2_exact: {text}", f"T2_nr_form: {text}"]
 
     @pytest.mark.parametrize("v, n2", [(1e150, 5e-324), (1e150, 1e-300), (1.0, 5e-324),
+                                       (1e100, 1e-100), (1.0, 1e-100),
                                        (10.0, 5.0), (10.0, 1.0), (10.0, 9.0)])
     def test_zero_width_transmits_exactly(self, v, n2):
-        # no barrier: T = 1, R = 0 and the phase 0 at every n2, also where
-        # the prefactors overflow (X = -inf * 0 was refused as |T| not finite)
+        # no barrier: T = 1, R = 0 and the phase 0 at every n2 of the input
+        # domain.  0.8.0 kept lanes for prefactors that overflow (X = -inf * 0
+        # was refused as |T| not finite) at inputs outside it, now refused
+        if v > 1e100 or n2 < 1e-100:
+            with pytest.raises(DomainError, match=f"{re.escape(DOMAIN)}$"):
+                transmission_closed_form(v, n2, 0.0)
+            return
         point = transmission_closed_form(v, n2, 0.0)
         assert (point.magnitude, point.phase, point.T, point.R) == (1.0, 0.0, 1.0, 0.0)
         rec = run_sweep(SweepRequest(v=v, wL=0.0, n2_min=n2, n2_max=2.0 * n2 + 1.0,
                                      count=2))[0]
         assert (rec.t2_exact, rec.phase_rad) == (1.0, 0.0)
         if 0.5 * v - 1.0 <= n2 <= 0.5 * v + 1.0:
-            assert rec.t2_nr_form == 1.0  # 1/(4 n2 rho_n^2) = inf met 0 at n2 = 5e-324
+            assert rec.t2_nr_form == 1.0
         assert rec.error.split("; ") == ["ratio_closed: wL=0: tau=0 and t_phi/tau is undefined",
                                          "ratio_numeric: wL=0: tau=0 and t_phi/tau is undefined"]
 
@@ -494,23 +524,28 @@ class TestFiniteOrTyped:
         # wL = -1 used to give the mirror of wL = +1 as ordinary values
         # (probability 0.4355, both ratios 0.2331); nan was refused only as
         # a non-finite |T|.  The matcher and the NR form take (v, n2, wL)
-        # since 0.8.0 and refuse the same widths
-        with pytest.raises(DomainError, match=f"^wL must be >= 0, got {wL}$"):
+        # since 0.8.0 and refuse the same widths, by the input domain
+        with pytest.raises(DomainError, match=refused("wL", wL)):
             call(10.0, 5.0, wL)
 
     @pytest.mark.parametrize("v, wL, grid", _EXTREMES)
     def test_one_point_calls_are_finite_or_typed(self, v, wL, grid):
         for n2 in grid:
-            for call in (lambda: transmission_closed_form(v, n2, wL),
-                         lambda: normalized_phase_time(v, n2, wL),
-                         lambda: normalized_phase_time_numeric(v, n2, wL),
-                         lambda: match_boundaries(v, n2, wL),
-                         lambda: transmission_magnitude_nr_form(v, n2, wL),
-                         lambda: rho_n2(v, n2)):
+            # each call with the width it reads (rho_n2 reads none)
+            for call, width in ((lambda: transmission_closed_form(v, n2, wL), wL),
+                                (lambda: normalized_phase_time(v, n2, wL), wL),
+                                (lambda: normalized_phase_time_numeric(v, n2, wL), wL),
+                                (lambda: match_boundaries(v, n2, wL), wL),
+                                (lambda: transmission_magnitude_nr_form(v, n2, wL), wL),
+                                (lambda: rho_n2(v, n2), 0.0)):
+                outside = outside_domain(v, width, (n2, n2))
                 try:
                     out = call()
-                except KleinTunnelError:
+                except KleinTunnelError as exc:
+                    # the domain's refusal exactly where an input leaves it
+                    assert str(exc).endswith(DOMAIN) == bool(outside), (v, n2, wL, exc)
                     continue
+                assert not outside, (v, n2, wL, out)
                 values = (out,) if isinstance(out, float) else dataclasses.astuple(out)
                 assert all(cmath.isfinite(x) for x in values), (v, n2, wL, out)
 

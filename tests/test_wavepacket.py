@@ -221,27 +221,41 @@ class TestInputValidation:
 # corners of m, V0, L, k0/w and sigma_k/k0; among them m = 1e-200, V0 = 1e-100,
 # k0/w = 1e160, where (k0/w)^2 raised OverflowError, m = 1e200, where E^2 =
 # k^2 + m^2 overflowed, and k0/w = 1e-160 at L = 0, where the window half-width
-# 6/sigma_k overflowed
+# 6/sigma_k overflowed; m = 1e-100 and 1e100 are the ends of the input domain
 PACKET_CORNERS = {"V0": [1e-100, 10.0, 1e100], "L": [0.0, 0.1, 1e300],
                   "k0/w": [1e-160, 1e-3, 0.5, 2.0, 1e160], "sigma_k/k0": [1e-3, 0.02, 0.16]}
+# the one DomainError text of the input domain, after "<name>=<value> "
+DOMAIN = "is outside the input domain: 1e-100 to 1e100, or 0 for v, wL and L"
+
+
+def domain_refusal(exc):
+    """The value a KleinTunnelError names as outside the input domain, or
+    None for any other error."""
+    text = str(exc)
+    return float(text[:-len(DOMAIN) - 1].partition("=")[2]) if text.endswith(DOMAIN) else None
 
 
 class TestFiniteOrTyped:
     """run_packet returns finite times, intensities, arrival and metrics, or
-    raises a KleinTunnelError."""
+    raises a KleinTunnelError: the domain's refusal where an input (or n2 at
+    an end of the support) is outside the input domain, and only there."""
 
-    @pytest.mark.parametrize("m", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("m", [1e-200, 1e-100, 1.0, 1e100, 1e200])
     def test_corners(self, m):
         for V0, L, r, f in itertools.product(*PACKET_CORNERS.values()):
+            inputs = [m, V0, L]
             try:
                 s = BarrierSetup(m=m, V0=V0, L=L)
-                spec = SpectrumSpec(k0=r * s.w, sigma_k=f * r * s.w)
-            except KleinTunnelError:
+                inputs += [r * s.w, f * r * s.w]
+                run = run_packet(s, SpectrumSpec(k0=inputs[3], sigma_k=inputs[4]), n_times=41)
+            except KleinTunnelError as exc:
+                value = domain_refusal(exc)
+                if value is None:  # any other refusal comes inside the domain only
+                    assert all(1e-100 <= x <= 1e100 or x == 0.0 for x in inputs), exc
+                else:
+                    assert not 1e-100 <= value <= 1e100, exc
                 continue
-            try:
-                run = run_packet(s, spec, n_times=41)
-            except KleinTunnelError:
-                continue
+            assert all(1e-100 <= x <= 1e100 or x == 0.0 for x in inputs), inputs
             a, d = run.arrival, run.distortion
             values = [*run.times.tolist(), *run.intensities.tolist(), a.t_peak,
                       a.t_predicted, a.relative_gap, d.transmitted_norm, d.shape_distance,
@@ -249,13 +263,15 @@ class TestFiniteOrTyped:
             assert all(math.isfinite(x) for x in values), (m, V0, L, r, f)
 
     @pytest.mark.parametrize("m, V0, L, k0, sigma_k, message", [
-        # (k0/w)^2 = 5e319 raised OverflowError, which is no KleinTunnelError
-        (1e-200, 1e-100, 1.0, 1e10, 1e9,
-         r"^n2 = \(k/w\)\^2 or E = sqrt\(k\^2 \+ m\^2\) overflows .* k=16000000000\.0, w=1\.4"),
+        # (k0/w)^2 = 5e319 raised OverflowError, which is no KleinTunnelError;
+        # then m = 1e-200 is outside the input domain
+        (1e-200, 1e-100, 1.0, 1e10, 1e9, f"^m=1e-200 {DOMAIN}$"),
         # m*m = inf made E = inf, and exp(-i dt E) nan
-        (1e200, 10.0, 0.0, 1e101, 1e98, r"^n2 = .* k=1\.006e\+101, w=4\.47"),
+        (1e200, 10.0, 0.0, 1e101, 1e98, f"^m=1e\\+200 {DOMAIN}$"),
         # 6/sigma_k = inf made the window (-inf, inf) and the times nan
-        (1e-200, 1e-100, 0.0, 1e-310, 1e-313, r"^the phase t\*E over the window \(-inf, inf\)"),
+        (1e-200, 1e-100, 0.0, 1e-310, 1e-313, f"^m=1e-200 {DOMAIN}$"),
+        # inside the domain, n2 = (k/w)^2 at the ends of the support leaves it
+        (1.0, 10.0, 1.0, 1e60, 1e59, f"^n2=7\\.999.*e\\+117 {DOMAIN}$"),
         # |t| E = 6/sigma_k * E = 6e16 rad: exp(-i t E) is noise, and so were the
         # intensities (the nodes, 2e-17 apart at k = 10, are not even distinct)
         (1.0, 10.0, 0.0, 10.0, 1e-15,
