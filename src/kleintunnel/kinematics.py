@@ -261,19 +261,27 @@ def _edges(v, n2):
     return off_lo <= lo_tol, (abs(n2 - hi) <= _EDGE_RTOL * hi) & (off_lo > lo_tol)
 
 
-def _zone(v: float, n2: float) -> Zone:
-    """The zone tag a sweep row at n2 gets: an edge by _edges, else
+# the zone tags in the order of their codes (_zone_code)
+_ZONE_ORDER = (Zone.KLEIN, Zone.TUNNELING, Zone.ABOVE_BARRIER, Zone.EDGE_LOWER, Zone.EDGE_UPPER)
+
+
+def _zone_code(v, n2):
+    """The index into _ZONE_ORDER of the zone a sweep row at n2 gets, n2 a
+    float or a float64 array (then an int array): an edge by _edges, else
     AboveBarrier from v/2 + 1, Tunneling from v/2 - 1, Klein below.  The
-    callers that hold a mode tag its n2 here, not its E, which loses about
-    eps/v relative in n2 and cannot resolve the edge band at small v."""
+    one zone rule, read by _zone and by the sweep's zone column and its
+    T2_nr_form rows; like _edges it needs no numpy (a bool times an int is
+    an int in both)."""
     lower, upper = _edges(v, n2)
-    if lower or upper:
-        return Zone.EDGE_LOWER if lower else Zone.EDGE_UPPER
-    if n2 >= 0.5 * v + 1.0:
-        return Zone.ABOVE_BARRIER
-    if n2 >= 0.5 * v - 1.0:
-        return Zone.TUNNELING
-    return Zone.KLEIN
+    code = 1 * (n2 >= 0.5 * v - 1.0) + (n2 >= 0.5 * v + 1.0)
+    return code + lower * (3 - code) + upper * (4 - code)
+
+
+def _zone(v: float, n2: float) -> Zone:
+    """The zone tag of _zone_code at one n2.  The callers that hold a mode
+    tag its n2 here, not its E, which loses about eps/v relative in n2 and
+    cannot resolve the edge band at small v."""
+    return _ZONE_ORDER[_zone_code(v, n2)]
 
 
 def classify_zone(setup: BarrierSetup, E: float) -> Zone:

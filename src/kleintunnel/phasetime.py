@@ -49,9 +49,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DomainError, KleinTunnelError, ZoneCrossingError
+from .errors import DomainError
 from .kinematics import BarrierSetup, IncidentMode, _edges, _in_domain, _rho_n2_columns
-from .scattering import _closed_forms, _map, _matched, _past_cutoff, _refusal
+from .scattering import _closed_forms, _map, _matched, _past_cutoff, _refusal, _winding
 
 
 # ---------------------------------------------------------------------------
@@ -116,52 +116,42 @@ def normalized_phase_time_numeric(v: float, n2: float, wL: float) -> float:
     form are rho_n^2 and s from kinematics._rho_n2_columns; a sweep
     computes them once per point and passes them to both.
 
-    Raises the domain's DomainError outside it, ZoneCrossingError on a
-    zone edge (kinematics._edges, the band a sweep snaps), otherwise
+    Raises the domain's DomainError outside it, and the refusal
+    scattering._refusal names for the oracle: ZoneCrossingError on a zone
+    edge (kinematics._edges, the band a sweep snaps), otherwise
     ZeroLengthError at wL = 0, where tau = 0, and DomainError past the
     phase cutoff or where the value is inf or nan.
     """
     _in_domain(v=v, n2=n2, wL=wL)
     x = np.array([n2], dtype=float)
     r2, s = _rho_n2_columns(v, x)
-    ratio, winding = _phase_time_columns(v, x, r2, s, wL)
-    if math.isnan(ratio[0]):
-        raise _numeric_refusal(v, n2, wL, winding[0], r2[0])
-    return ratio.item()
-
-
-def _numeric_refusal(v: float, n2: float, wL: float, winding: float,
-                     r2: float) -> KleinTunnelError:
-    """The error naming why _phase_time_columns left the entry at n2 nan,
-    given its winding and r2: a zone edge, else scattering._refusal's
-    text for wL = 0, the phase cutoff or an inf or nan value."""
-    if any(_edges(v, n2)):
-        return ZoneCrossingError(f"n2={n2} lies on a zone edge")
-    return _refusal("phase" if _past_cutoff(winding) else "ratio", v, n2, wL, winding, r2)
+    ratio = _phase_time_columns(v, x, r2, s, wL).item()
+    if math.isnan(ratio):
+        raise _refusal("numeric", v, n2, wL, r2.item())
+    return ratio
 
 
 def _phase_time_columns(v: float, n2: np.ndarray, r2: np.ndarray, s: np.ndarray,
-                        wL: float) -> tuple[np.ndarray, np.ndarray]:
+                        wL: float) -> np.ndarray:
     """normalized_phase_time_numeric at every n2 of a float64 array, given
-    (r2, s) = kinematics._rho_n2_columns(v, n2): (ratio, winding).
+    (r2, s) = kinematics._rho_n2_columns(v, n2).
 
-    winding = floor(q_n wL / pi + 1/2), 0 off the oscillatory zones.  The
-    ratio is nan where the oracle refuses (_numeric_refusal names why): on
-    a zone edge by kinematics._edges (kappa rounds to 0 only there and at
-    v = 2, n2 < 2e-16), at wL = 0, past the phase cutoff, where
-    exp(-i q_n wL) of a huge q_n wL is an arbitrary unit number, and
-    wherever it is inf or nan.
+    An entry is nan where the oracle refuses (scattering._refusal's
+    "numeric" column names why): on a zone edge by kinematics._edges
+    (kappa rounds to 0 only there and at v = 2, n2 < 2e-16), at wL = 0,
+    past the phase cutoff of the core's own winding count
+    (scattering._winding), where exp(-i q_n wL) of a huge q_n wL is an
+    arbitrary unit number, and wherever it is inf or nan.
     """
     root = np.sqrt(np.abs(r2))
     osc = r2 < 0.0
-    winding = np.floor(np.where(osc, root, 0.0) * wL / math.pi + 0.5)
     ratio = np.full(r2.shape, math.nan)
-    keep = ~(np.logical_or(*_edges(v, n2)) | _past_cutoff(winding))
+    keep = ~(np.logical_or(*_edges(v, n2)) | _past_cutoff(_winding(r2, wL)))
     if wL != 0.0 and np.count_nonzero(keep):
         with np.errstate(all="ignore"):
             ratio[keep] = _solve_columns(v, n2[keep], root[keep], osc[keep], s[keep], wL)
         ratio[~np.isfinite(ratio)] = math.nan
-    return ratio, winding
+    return ratio
 
 
 class _Pair:

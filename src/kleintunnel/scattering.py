@@ -59,8 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, KleinTunnelError, ZeroLengthError, ZoneError
-from .kinematics import Zone, _in_domain, _rho_n2_columns, _zone
+from .errors import DomainError, KleinTunnelError, ZeroLengthError, ZoneCrossingError, ZoneError
+from .kinematics import Zone, _edges, _in_domain, _rho_n2_columns, _zone
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,8 @@ def match_boundaries(v: float, n2: float, wL: float) -> ScatteringSolution:
         return ScatteringSolution(R=R, T=T, alpha=(1.0 - 1j * nwL) * T,
                                   beta=1j * n * T, arg_T=cmath.phase(T))
 
-    winding = _winding(r2, wL)
-    if _past_cutoff(winding):
-        raise _refusal("phase", v, n2, wL, winding, r2)
+    if _past_cutoff(_winding(r2, wL)):
+        raise _refusal("phase", v, n2, wL, r2)
     # the principal root: rho_n where rho_n^2 > 0, else i q_n = i sqrt(-rho_n^2)
     kappa = cmath.sqrt(r2)
     u = cmath.exp(-kappa * wL)  # |u| <= 1 in both zones
@@ -193,18 +192,19 @@ _MAX_WINDING = 10 ** 15
 
 
 def _past_cutoff(winding):
-    """Where a winding count floor(q_n wL/pi + 1/2) (array or scalar) is past
-    the phase cutoff: the one test of it, for the core and the oracle."""
+    """Where a winding count of _winding (array or scalar) is past the phase
+    cutoff: the one test of it, for the core, the matcher and the oracle."""
     return winding > _MAX_WINDING
 
 
-def _winding(r2: float, wL: float) -> int:
-    """The winding floor(q_n wL/pi + 1/2) at one point, with q_n wL formed
-    from d2 = rho_n^2 wL^2 as _closed_forms forms it (0 where d2 >= 0)."""
-    d2 = r2 * wL * wL
-    if not d2 < 0.0:
-        return 0
-    return math.floor(math.sqrt(-d2) / math.pi + 0.5)
+def _winding(r2, wL: float):
+    """The winding floor(q_n wL/pi + 1/2) at every r2 = rho_n^2 of a float
+    or a float64 array (a float64 scalar or array of integral values), with
+    q_n wL = sqrt(-d2) from d2 = rho_n^2 wL^2 as _closed_forms forms it,
+    and 0 where d2 >= 0.  The one winding count: the core's phase, the
+    matcher's, the NR-prefactor form's and the oracle's cutoff, and
+    _refusal's naming, all read it."""
+    return np.floor(np.sqrt(np.maximum(-(r2 * wL * wL), 0.0)) / math.pi + 0.5)
 
 
 def _phase_blind(winding, n2, r2):
@@ -301,9 +301,9 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
     # th = tanh(d) or tan(d) off the series, sc unused past LARGE_D2.  A
     # branch no entry takes is skipped (count_nonzero is the cheapest test).
     tc, sc, th, mag, X = np.empty((5,) + r2.shape)
-    winding = np.zeros(r2.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = r2 * wL * wL
+        winding = _winding(r2, wL)
         series = np.abs(d2) < SERIES_CUT
         pos = d2 >= SERIES_CUT
         neg = d2 <= -SERIES_CUT
@@ -325,7 +325,6 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
             th[neg] = t = _map(math.tan, d)
             tc[neg] = t / d
             sc[neg] = _map(math.sin, d) / d
-            winding[neg] = np.floor(d / math.pi + 0.5)
         Y = (n2 - r2) / two_n * wL * tc
         opaque = np.count_nonzero(large)
         if opaque:
@@ -379,20 +378,27 @@ def _closed_forms(v: float, n2: np.ndarray, wL: float, *, ratio: bool = False,
     cols = _Columns(mag, phase, winding, X, r2, s, t_ratio)
     for column in columns:
         for i in np.flatnonzero(np.isnan(getattr(cols, column)))[:1].tolist():
-            raise _refusal(column, v, n2[i].item(), wL, winding[i], r2[i])
+            raise _refusal(column, v, n2[i].item(), wL, r2[i])
     return cols
 
 
-def _refusal(column: str, v: float, n2: float, wL: float,
-             winding: float = 0.0, r2: float = 0.0) -> KleinTunnelError:
-    """The error naming why _closed_forms left column ("mag", "phase" or
-    "ratio"; "nr" for _nr_form_from_r2) nan at (v, n2, wL), given the
-    entry's winding and r2: the one text of each refused cell."""
-    noun = {"mag": "|T|", "phase": "the phase", "ratio": "t_phi/tau", "nr": "the NR-prefactor |T|"}
+def _refusal(column: str, v: float, n2: float, wL: float, r2: float = 0.0) -> KleinTunnelError:
+    """The error naming why a cell of column is nan at (v, n2, wL), given the
+    entry's r2 = rho_n^2 (unread at wL = 0), whose winding it counts itself:
+    the one namer of every refused cell.  column is "mag", "phase" or
+    "ratio" for _closed_forms, "nr" for _nr_form_from_r2 and "numeric" for
+    the oracle (phasetime._phase_time_columns), which also refuses a zone
+    edge by kinematics._edges and every cell past the phase cutoff."""
+    noun = {"mag": "|T|", "phase": "the phase", "ratio": "t_phi/tau", "nr": "the NR-prefactor |T|",
+            "numeric": "t_phi/tau"}
     at = f"at v={v}, n2={n2}, wL={wL}"
-    if column == "ratio" and wL == 0.0:
+    if column == "numeric" and any(_edges(v, n2)):
+        return ZoneCrossingError(f"n2={n2} lies on a zone edge")
+    if column in ("ratio", "numeric") and wL == 0.0:
         return ZeroLengthError("wL=0: tau=0 and t_phi/tau is undefined")
-    if _past_cutoff(winding) and (column == "phase" or _phase_blind(winding, n2, r2)):
+    winding = _winding(r2, wL)
+    if _past_cutoff(winding) and (column in ("phase", "numeric")
+                                  or _phase_blind(winding, n2, r2)):
         return DomainError(f"q_n*wL is too large to resolve the phase modulo pi {at}")
     return DomainError(f"{noun[column]} is not finite {at}")
 
@@ -432,6 +438,11 @@ def transmission_closed_form(v: float, n2: float, wL: float) -> TransmissionPoin
                              T=T, R=R, winding=int(point.winding.item()))
 
 
+# the zones transmission_magnitude_nr_form is defined in (and the sweep's
+# T2_nr_form rows)
+_NR_ZONES = (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER)
+
+
 def transmission_magnitude_nr_form(v: float, n2: float, wL: float) -> float:
     """|T| with the non-relativistic prefactor 1/(4 n2 rho_n^2) at (v, n2, wL).
 
@@ -449,12 +460,12 @@ def transmission_magnitude_nr_form(v: float, n2: float, wL: float) -> float:
     n2s = np.array([n2], dtype=float)
     r2 = _rho_n2_columns(v, n2s)[0]
     zone = _zone(v, n2)
-    if zone not in (Zone.TUNNELING, Zone.EDGE_LOWER, Zone.EDGE_UPPER):
+    if zone not in _NR_ZONES:
         raise ZoneError(
             f"transmission_magnitude_nr_form needs the tunneling zone or an edge, got {zone}")
     mag = _nr_form_from_r2(n2s, r2, wL).item()
     if math.isnan(mag):
-        raise _refusal("nr", v, n2, wL, _winding(r2.item(), wL), r2.item())
+        raise _refusal("nr", v, n2, wL, r2.item())
     return mag
 
 
@@ -485,7 +496,7 @@ def _nr_form_from_r2(n2: np.ndarray, r2: np.ndarray, wL: float) -> np.ndarray:
         neg = d2 <= -SERIES_CUT
         d = np.sqrt(-d2[neg])
         # sin(d) is noise past the cutoff
-        d[_past_cutoff(np.floor(d / math.pi + 0.5))] = math.nan
+        d[_past_cutoff(_winding(r2[neg], wL))] = math.nan
         s2[neg] = -_squared(_map(math.sin, d))
         mag = np.empty_like(d2)
         # sinh^2 ~ exp(2d)/4; relative error exp(-2d), far below roundoff

@@ -5,10 +5,11 @@ function of (v, n2, wL) alone, computed independently in grid order, all
 in one closed-form core call and one oracle call.  Each point's rho_n^2
 is computed once, in the core call, and handed to the NR column and the
 oracle.  The phase column is the closed form's phase, continuous in n2
-by construction whatever the grid spacing.  The zone follows from
-comparing n2 with the edges v/2 -+ 1 and E_over_m = sqrt(1 + 2 n2 v),
-for every v; v = 0 is the Schroedinger barrier through the same
-formulas, with E_over_m empty.  The ratio_numeric oracle is
+by construction whatever the grid spacing.  The zone is the one zone
+rule's (kinematics._zone_code, which also tags classify_zone's energies
+and picks the T2_nr_form rows) and E_over_m = sqrt(1 + 2 n2 v), for
+every v; v = 0 is the Schroedinger barrier through the same formulas,
+with E_over_m empty.  The ratio_numeric oracle is
 normalized_phase_time_numeric for every v, evaluated over the whole grid.
 The driver returns the fields as the core's and the oracle's arrays:
 float64 value columns with nan marking an empty cell, zone codes and the
@@ -28,7 +29,8 @@ snapped to the edge, evaluated like every other point and flagged in the
 domain (kinematics) is refused when it is built; past that, the
 closed-form core and the oracle decide every refusal, never the sweep:
 any cell they cannot vouch for stays empty, named "<column>: <reason>"
-in the row's ``error`` field (JSON) while the row keeps the rest.
+in the row's ``error`` field (JSON) by the one namer of refused cells,
+scattering._refusal, while the row keeps the rest.
 
 CSV contract: header row mandatory, columns in the fixed order
 
@@ -61,9 +63,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, KleinTunnelError
-from .kinematics import Zone, _edges, _in_domain
-from .phasetime import _numeric_refusal, _phase_time_columns
-from .scattering import _closed_forms, _nr_form_from_r2, _refusal, _squared
+from .kinematics import _ZONE_ORDER, _edges, _in_domain, _zone_code
+from .phasetime import _phase_time_columns
+from .scattering import _NR_ZONES, _closed_forms, _nr_form_from_r2, _refusal, _squared
 
 VALUE_COLUMNS = ("T2_exact", "T2_nr_form", "phase_rad", "ratio_closed", "ratio_numeric")
 CSV_COLUMNS = ("n2", "E_over_m", "zone") + VALUE_COLUMNS + ("nudged",)
@@ -116,10 +118,12 @@ class SweepRecord(NamedTuple):
     error: str | None = None
 
 
-# the zone tags as the strings a record carries, indexed by the driver's zone codes
-_ZONES = tuple(z.value for z in (Zone.KLEIN, Zone.TUNNELING, Zone.ABOVE_BARRIER,
-                                 Zone.EDGE_LOWER, Zone.EDGE_UPPER))
+# the zone tags as the strings a record carries, indexed by the driver's zone
+# codes (kinematics._zone_code)
+_ZONES = tuple(z.value for z in _ZONE_ORDER)
 _ZONE_TAGS = np.array(_ZONES, dtype=object)
+# the codes of the rows T2_nr_form is defined on
+_NR_CODES = [_ZONE_ORDER.index(z) for z in _NR_ZONES]
 
 
 # ---------------------------------------------------------------------------
@@ -130,25 +134,26 @@ def _sweep_table(req: SweepRequest) -> list:
     """Evaluate the request grid in ascending n2, each point independently,
     as the record fields' columns (in SweepRecord._fields order).
 
-    The grid is handled as columns: snapping, zone tags, the closed-form
+    The grid is handled as columns: snapping, zone codes, the closed-form
     core (one call), the NR column and the oracle (one call, fed the
     core's rho_n^2 and s, so rho_n^2 is computed once per point) are array
     passes, and one pass names every cell the core or the oracle left
-    nan with its refusal.  Only naming refused cells runs per row.  The
-    columns stay the arrays the core and the oracle return: n2, E_over_m
-    and the value columns are float64, with nan marking every empty cell
-    (refused, off the tunneling rows for T2_nr_form, or not requested);
-    zone holds int codes into _ZONES, nudged a bool mask, and the errors
-    a list.  The CSV writer formats them as they are, with no value boxed.
+    nan with scattering._refusal, given the row's rho_n^2.  Only naming
+    refused cells runs per row.  The columns stay the arrays the core and
+    the oracle return: n2, E_over_m and the value columns are float64,
+    with nan marking every empty cell (refused, off the tunneling and
+    edge rows for T2_nr_form, or not requested); zone holds the int codes
+    of kinematics._zone_code (into _ZONES), nudged a bool mask, and the
+    errors a list.  The CSV writer formats them as they are, with no
+    value boxed.
     """
     v, wL = req.v, req.wL
     n2 = req.grid()
-    lo, hi = 0.5 * v - 1.0, 0.5 * v + 1.0
+    zone = _zone_code(v, n2)
     # a point on an edge by the one edge rule is snapped onto it
     lower, upper = _edges(v, n2)
     nudged = lower | upper
-    n2 = np.where(lower, lo, np.where(upper, hi, n2))
-    zone = np.where(lower, 3, np.where(upper, 4, (n2 >= lo).astype(int) + (n2 >= hi)))
+    n2 = np.where(lower, 0.5 * v - 1.0, np.where(upper, 0.5 * v + 1.0, n2))
     cols = _closed_forms(v, n2, wL, ratio="ratio_closed" in req.outputs)
     # a refused cell stays empty and is named in errors; the row keeps the rest
     empty = np.full(len(n2), np.nan)
@@ -160,28 +165,26 @@ def _sweep_table(req: SweepRequest) -> list:
     t2 = cols.mag * cols.mag
     # T2_nr_form: tunneling or an edge; at v = 0 (n2 + rho_n^2 = 1) the NR
     # prefactor is the exact one, so the column repeats T2_exact there
-    rows = (lo <= n2) & (n2 <= hi)
+    rows = np.isin(zone, _NR_CODES)
     nr = t2
     if "T2_nr_form" in req.outputs and v != 0.0:
         nr = np.empty_like(t2)  # read on rows only
         nr[rows] = _squared(_nr_form_from_r2(n2[rows], cols.r2[rows], wL))
-    numeric = winding = None
+    numeric = None
     if "ratio_numeric" in req.outputs:
-        numeric, winding = _phase_time_columns(v, n2, cols.r2, cols.s, wL)
+        numeric = _phase_time_columns(v, n2, cols.r2, cols.s, wL)
     # a nan cell is one the core or the oracle refused: empty here, named
     # with its reason
     out = dict.fromkeys(VALUE_COLUMNS, empty)
     for name, column, values, defined in (
             ("T2_exact", "mag", t2, True), ("T2_nr_form", "nr", nr, rows),
             ("phase_rad", "phase", cols.phase, True), ("ratio_closed", "ratio", cols.ratio, True),
-            ("ratio_numeric", None, numeric, True)):
+            ("ratio_numeric", "numeric", numeric, True)):
         if name in req.outputs:
             bad = np.isnan(values) & defined
             out[name] = values if defined is True else np.where(defined, values, np.nan)
             for i in np.flatnonzero(bad).tolist():
-                x, r2 = float(n2[i]), cols.r2[i]
-                refuse(i, name, _refusal(column, v, x, wL, cols.winding[i], r2) if column
-                       else _numeric_refusal(v, x, wL, winding[i], r2))
+                refuse(i, name, _refusal(column, v, float(n2[i]), wL, cols.r2[i]))
     return [n2, cols.s if v > 0.0 else empty, zone,
             *(out[name] for name in VALUE_COLUMNS), nudged, errors]
 

@@ -387,7 +387,7 @@ def run_packet(setup: BarrierSetup, spectrum: SpectrumSpec,
     if setup.L == 0.0:  # no barrier: t_phi = tau = 0, and t_phi/tau is undefined
         tau = t_pred = 0.0
     else:
-        n2 = (k0 / w) ** 2
+        n2 = _n2_of(k0, w)
         tau = classical_tau(setup, IncidentMode(E=math.sqrt(k0 * k0 + m * m), k=k0, n2=n2))
         t_pred = normalized_phase_time(setup.v, n2, setup.wL) * tau
     half = 5.0 * max(tau, abs(t_pred))

@@ -286,6 +286,93 @@ def test_edge_guard_sees_a_breach():
         "edge equality (line 4)", "import _EDGE_RTOL (line 1)", "import classify_zone (line 1)"]
 
 
+def _edge_order_breaches(tree: ast.AST) -> list[str]:
+    """Ordering comparisons (<, <=, >, >=) with a zone edge in a module: one
+    written out as 0.5 * v -+ 1.0, or held in a name assigned from one."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                names |= {t.id for t, value in pairs
+                          if isinstance(t, ast.Name) and _is_edge_expr(value)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
+            if any(_is_edge_expr(side) or isinstance(side, ast.Name) and side.id in names
+                   for side in [node.left] + node.comparators):
+                found.append(f"edge ordering (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", ["sweep.py", "phasetime.py"])
+def test_one_zone_rule(module):
+    """Which zone n2 lies in is decided once, by kinematics._zone_code: the
+    zone tags, the sweep's zone column and its T2_nr_form rows read it.
+    Comparing n2 with v/2 -+ 1 here again would be a second rule, free to
+    disagree with the first at the edges."""
+    tree = ast.parse((_PACKAGE / module).read_text(encoding="utf-8"))
+    assert _edge_order_breaches(tree) == []
+
+
+def test_zone_guard_sees_a_breach():
+    tree = ast.parse("lo, hi = 0.5 * v - 1.0, 0.5 * v + 1.0\n"
+                     "rows = (lo <= n2) & (n2 <= hi)\n"
+                     "above = n2 > 0.5 * v + 1.0\n"
+                     "snapped = np.where(lower, lo, n2)\n")
+    assert sorted(_edge_order_breaches(tree)) == [
+        "edge ordering (line 2)", "edge ordering (line 2)", "edge ordering (line 3)"]
+
+
+def _is_winding_count(node: ast.AST) -> bool:
+    """floor(... / math.pi + 0.5), by any floor: a winding count written out."""
+    if not (isinstance(node, ast.Call) and len(node.args) == 1
+            and "floor" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+        return False
+    arg = node.args[0]
+    return (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)
+            and isinstance(arg.right, ast.Constant) and arg.right.value == 0.5
+            and isinstance(arg.left, ast.BinOp) and isinstance(arg.left.op, ast.Div)
+            and "pi" in (getattr(arg.left.right, "id", None),
+                         getattr(arg.left.right, "attr", None)))
+
+
+def _winding_counts(tree: ast.AST, scope: str = "<module>") -> list[str]:
+    """The functions of a module that write a winding count out, by name."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _winding_counts(node, node.name)
+            continue
+        if _is_winding_count(node):
+            found.append(f"{scope} (line {node.lineno})")
+        found += _winding_counts(node, scope)
+    return found
+
+
+def test_one_winding_count():
+    """The winding floor(q_n wL/pi + 1/2) is counted once, by
+    scattering._winding: the core's phase, the matcher, the NR-prefactor
+    form, the oracle and the refusal texts read it.  Two counts, from
+    sqrt(-rho_n^2 wL^2) and from sqrt(|rho_n^2|) wL, once put the same row
+    on both sides of the phase cutoff."""
+    found = [f"{path.stem}.{breach.split(' ')[0]}" for path in sorted(_PACKAGE.glob("*.py"))
+             for breach in _winding_counts(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["scattering._winding"]
+
+
+def test_winding_guard_sees_a_breach():
+    tree = ast.parse("def a(d):\n"
+                     "    return np.floor(d / math.pi + 0.5)\n"
+                     "def b(r2, wL):\n"
+                     "    return math.floor(math.sqrt(-r2) * wL / math.pi + 0.5)\n"
+                     "n = floor(x / pi + 0.5) + np.floor(x / 2.0 + 0.5)\n")
+    assert _winding_counts(tree) == ["a (line 2)", "b (line 4)", "<module> (line 5)"]
+
+
 # ---------------------------------------------------------------------------
 # the column oracle against plain complex arithmetic
 # ---------------------------------------------------------------------------
@@ -351,7 +438,7 @@ def test_column_oracle_is_the_scalar_arithmetic_bitwise():
     differ = []
     for v, wL, n2 in _ORACLE_GRIDS:
         r2, s = _rho_n2_columns(v, n2)
-        ratio, _ = _phase_time_columns(v, n2, r2, s, wL)
+        ratio = _phase_time_columns(v, n2, r2, s, wL)
         for x, r, got in zip(n2.tolist(), r2.tolist(), ratio.tolist()):
             want = _scalar_oracle(v, x, r, wL)
             if math.isnan(got) and (want is None or _refused_on(v, x)):

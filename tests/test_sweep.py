@@ -32,8 +32,8 @@ from kleintunnel import (
     write_csv,
     write_json,
 )
-from kleintunnel.kinematics import rho_n2
-from kleintunnel.scattering import _closed_forms, _nr_form_from_r2
+from kleintunnel.kinematics import _edges, rho_n2
+from kleintunnel.scattering import _MAX_WINDING, _closed_forms, _nr_form_from_r2
 from kleintunnel.sweep import (
     _BLOCK,
     _ZONES,
@@ -353,6 +353,36 @@ class TestEdgeHandling:
             assert rec.t2_nr_form is not None
 
 
+# (v, n2, wL) one winding inside the phase cutoff, with 40-digit
+# bench/oracle.py mp_values there: |T|^2, the principal arg T and t_phi/tau
+_AT_THE_CUTOFF = (
+    ((23.573775999958354, 4.735029939578997, 2525749068505636.0),
+     (0.8104812796617519, 1.031123334614265, -0.9448989168942155)),
+    ((0.16356857408372522, 61.95489357951614, 414571499398507.7),
+     (0.9995436873520802, 0.5979550769827464, 1.0021173802489332)),
+)
+
+
+def split_winding_cells(count, seed=37):
+    """count cells (v, n2, wL) off the zone-edge band, seeded, where the
+    winding floor(x/pi + 1/2) with x = sqrt(-rho_n^2 wL^2) and with
+    x = sqrt(|rho_n^2|) wL fall on opposite sides of the phase cutoff."""
+    rng = np.random.default_rng(seed)
+    steps = 1.0 + np.arange(-64, 65) * 2.0 ** -52
+    cells = []
+    while len(cells) < count:
+        v, n2 = (10.0 ** rng.uniform(-2.0, 2.0, 2)).tolist()
+        r2 = rho_n2(v, n2)
+        if r2 >= 0.0 or any(_edges(v, n2)):
+            continue
+        # wL where q_n wL / pi + 1/2 steps past the cutoff, and ulps around it
+        wL = (_MAX_WINDING + 0.5) * math.pi / math.sqrt(-r2) * steps
+        one = np.floor(np.sqrt(-(r2 * wL * wL)) / math.pi + 0.5) > _MAX_WINDING
+        other = np.floor(math.sqrt(-r2) * wL / math.pi + 0.5) > _MAX_WINDING
+        cells += [(v, n2, x) for x in wL[one != other][:1].tolist()]
+    return cells
+
+
 class TestOverflow:
     def test_rho_overflow_is_a_domain_error(self):
         # (1 - n2 + v/2)(1 + n2 - v/2) overflows to -inf at n2 = 1e300,
@@ -412,6 +442,50 @@ class TestOverflow:
         # below the cutoff both are values
         assert transmission_closed_form(10.0, 1.0, 1e14).probability > 0.0
         assert math.isfinite(normalized_phase_time(10.0, 1.0, 1e14))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the phase cutoff _MAX_WINDING = 10**15 is too permissive: one winding inside it "
+        "q_n wL ~ 3e15 has an ulp of 0.5 rad, and every column is off at the percent level"))
+    @pytest.mark.parametrize("point, want", _AT_THE_CUTOFF)
+    def test_at_the_cutoff_every_column_is_right_or_refused(self, point, want):
+        t2, arg, ratio = want
+        columns = {
+            "closed |T|^2": (lambda: transmission_closed_form(*point).probability, t2),
+            "closed arg T": (lambda: cmath.phase(transmission_closed_form(*point).T), arg),
+            "matcher |T|^2": (lambda: abs(match_boundaries(*point).T) ** 2, t2),
+            "matcher arg T": (lambda: match_boundaries(*point).arg_T, arg),
+            "closed t_phi/tau": (lambda: normalized_phase_time(*point), ratio),
+            "oracle t_phi/tau": (lambda: normalized_phase_time_numeric(*point), ratio),
+        }
+        wrong = {}
+        for name, (call, expected) in columns.items():
+            try:
+                got = call()
+            except KleinTunnelError:
+                continue
+            if got != pytest.approx(expected, rel=1e-9):
+                wrong[name] = got
+        assert wrong == {}
+
+    def test_phase_and_oracle_share_one_cutoff(self):
+        # the cells of _AT_THE_CUTOFF and a seeded sample off the edge band
+        # where the winding counts from sqrt(-rho_n^2 wL^2) and from
+        # sqrt(|rho_n^2|) wL lie on opposite sides of the cutoff: the row
+        # keeps phase_rad and ratio_numeric together or refuses both
+        cells = [point for point, _ in _AT_THE_CUTOFF] + split_winding_cells(12)
+        kept = 0
+        for v, n2, wL in cells:
+            row = run_sweep(SweepRequest(v=v, wL=wL, n2_min=n2, n2_max=2.0 * n2, count=2))[0]
+            assert row.n2 == n2
+            if row.phase_rad is None:
+                cutoff = f"q_n*wL is too large to resolve the phase modulo pi at v={v}, n2={n2}, wL={wL}"
+                assert row.ratio_numeric is None, (v, n2, wL)
+                assert f"phase_rad: {cutoff}" in row.error
+                assert f"ratio_numeric: {cutoff}" in row.error
+            else:
+                assert row.ratio_numeric is not None, (v, n2, wL, row.error)
+                kept += 1
+        assert 0 < kept < len(cells)  # both sides of the cutoff are in the sample
 
 
 # inputs at the ends of the float range, as (v, wL, n2 grid): each lies
